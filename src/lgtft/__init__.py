@@ -10,6 +10,7 @@ including the Cardy comparison.
 __version__ = "0.1.0"
 
 from .errors import (
+    AdjointnessError,
     ClassBoundError,
     DegenerateTraceError,
     FactorizationError,

@@ -37,6 +37,19 @@ class DegenerateTraceError(LGError):
     """The residue pairing is degenerate (or the algebra is zero)."""
 
 
+class AdjointnessError(LGError):
+    """A boundary-bulk image fails Tr(h_k f_a(t)) = tr_a(e_a(h_k) o t)."""
+
+    def __init__(self, bulk_index, lhs, rhs):
+        super().__init__(
+            f"adjointness fails on bulk basis element {bulk_index}: "
+            f"{lhs} != {rhs}"
+        )
+        self.bulk_index = bulk_index
+        self.lhs = lhs
+        self.rhs = rhs
+
+
 class FactorizationError(LGError):
     """A claimed factorization does not square to W times the identity."""
 

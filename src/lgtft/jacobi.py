@@ -11,7 +11,7 @@ trace(det Hessian) = dim, which is asserted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DegenerateTraceError,
@@ -106,9 +106,13 @@ class JacobiAlgebra:
         return tuple(out)
 
 
-def jacobi_algebra(lg: LGPair) -> JacobiAlgebra:
-    """Quotient by the Jacobi ideal; requires a finite critical set."""
-    gb = jacobi_groebner(lg)
+def jacobi_algebra(lg: LGPair, gb: Optional[GroebnerBasis] = None) -> JacobiAlgebra:
+    """Quotient by the Jacobi ideal; requires a finite critical set.
+
+    gb is the ideal's Groebner basis when the caller already has it.
+    """
+    if gb is None:
+        gb = jacobi_groebner(lg)
     if not gb.is_zero_dimensional():
         raise NonIsolatedCriticalLocusError(
             "the critical set of W is not finite; the quotient algebra is "

@@ -18,7 +18,7 @@ from . import __version__
 from .cache import Cache, null_cache
 from .errors import DegenerateTraceError, LGError, ValidationError
 from .groebner import GroebnerBasis
-from .jacobi import JacobiAlgebra, residue_trace
+from .jacobi import JacobiAlgebra, jacobi_groebner, residue_trace
 from .koszul import check_vanishing_negative_degrees, koszul_cohomology
 from .lgpair import LGPair, make_lg_pair
 from .matfact import hom_cohomology, koszul_factorization, make_factorization
@@ -267,8 +267,23 @@ def _koszul_default_bound(lg: LGPair) -> int:
     return 2 * lg.w.total_degree() + 4
 
 
-def _run_jacobi(spec: JobSpec, lg: LGPair, cache: Cache) -> dict:
-    gb = _cached_groebner(cache, lg)
+@dataclass
+class _Shared:
+    """What one job computes once and hands from section to section."""
+
+    lg: LGPair
+    homs: Optional[dict]  # (name, name) -> HomCohomology, kept for the tft section
+    groebner: Optional[GroebnerBasis] = None
+
+    def groebner_basis(self) -> GroebnerBasis:
+        """The jacobi section's basis, or one computed here if it did not run."""
+        if self.groebner is None:
+            self.groebner = jacobi_groebner(self.lg)
+        return self.groebner
+
+
+def _run_jacobi(spec: JobSpec, lg: LGPair, cache: Cache, shared: _Shared) -> dict:
+    gb = shared.groebner = _cached_groebner(cache, lg)
     finite = gb.is_zero_dimensional()
     out = {
         "finite_critical_set": finite,
@@ -311,7 +326,7 @@ def _run_koszul(spec: JobSpec, lg: LGPair, cache: Cache) -> dict:
     return payload
 
 
-def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache) -> dict:
+def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, shared: _Shared) -> dict:
     by_name = dict(named)
     if spec.hom_pairs is not None:
         pairs = [(a, b) for a, b in spec.hom_pairs]
@@ -327,7 +342,14 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache) -> dict:
         ]
         payload = cache.get("hom", key)
         if payload is None:
-            hom = hom_cohomology(by_name[a], by_name[b], spec.degree_bound)
+            groebner = (
+                shared.groebner_basis() if spec.degree_bound is None else None
+            )
+            hom = hom_cohomology(
+                by_name[a], by_name[b], spec.degree_bound, groebner
+            )
+            if shared.homs is not None:
+                shared.homs[(a, b)] = hom
             payload = {
                 "dims": {"even": hom.dim(0), "odd": hom.dim(1)},
                 "by_degree": {
@@ -343,13 +365,15 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache) -> dict:
     return out
 
 
-def _run_tft(spec: JobSpec, lg: LGPair, named) -> dict:
+def _run_tft(spec: JobSpec, lg: LGPair, named, shared: _Shared) -> dict:
     datum = build_tft_datum(
         lg,
         named,
         degree_bound=spec.degree_bound,
         boundary_normalization=spec.c_d,
         bulk_scale=spec.bulk_scale,
+        groebner=shared.groebner_basis(),
+        homs=shared.homs,
     )
     report = verify_tft_datum(datum)
     payload = report.to_jsonable()
@@ -365,6 +389,8 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
     started = time.time()
     lg = _build_lg(spec)
     branes = _build_branes(spec, lg)
+    # Hom spaces outlive the homs section only when the tft section needs them
+    shared = _Shared(lg, {} if "tft" in spec.compute else None)
     results = {}
     timing = {}
     for section in SECTIONS:
@@ -372,14 +398,14 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
             continue
         section_start = time.time()
         if section == "jacobi":
-            results["jacobi"] = _run_jacobi(spec, lg, cache)
+            results["jacobi"] = _run_jacobi(spec, lg, cache, shared)
         elif section == "koszul":
             results["koszul"] = _run_koszul(spec, lg, cache)
         elif section == "homs":
-            results["homs"] = _run_homs(spec, lg, branes, cache)
+            results["homs"] = _run_homs(spec, lg, branes, cache, shared)
         elif section == "tft":
             try:
-                results["tft"] = _run_tft(spec, lg, branes)
+                results["tft"] = _run_tft(spec, lg, branes, shared)
             except DegenerateTraceError as exc:
                 results["tft"] = {"skipped": str(exc)}
         timing[section] = round(time.time() - section_start, 6)

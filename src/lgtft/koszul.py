@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .lgpair import LGPair
 from .linalg import EchelonBasis, SparseMatrix
 from .poly import mono_mul, monomials_of_weighted_degree
-from .scalars import MINUS_I, GaussianRational
+from .scalars import MINUS_I
 
 
 class KoszulComplex:
@@ -332,8 +332,8 @@ def _graded_witness(pieces: _GradedPieces, k: int, m: int):
     image = EchelonBasis()
     if k > -pieces.complex.d:
         incoming = pieces.matrix(k - 1, m)
-        for col in range(incoming.ncols):
-            image.insert(incoming.apply({col: GaussianRational(1)}))
+        for column in incoming.transpose().rows:
+            image.insert(column)
     for vector in kernel:
         if not image.contains(vector):
             return _vector_to_wedge(pieces.complex, basis, vector)
@@ -351,8 +351,8 @@ def _window_witness(complex_: KoszulComplex, k: int, bound: int):
     image = EchelonBasis()
     if k > -complex_.d and bound - spread >= 0:
         incoming = _window_matrix(complex_, k - 1, bound - spread, bound)
-        for col in range(incoming.ncols):
-            image.insert(incoming.apply({col: GaussianRational(1)}))
+        for column in incoming.transpose().rows:
+            image.insert(column)
     for vector in kernel:
         if not image.contains(vector):
             return _vector_to_wedge(complex_, basis, vector)

@@ -37,7 +37,7 @@ from .scalars import GaussianRational
 class MatrixFactorization:
     """Free supermodule P0 + P1 with odd differential squaring to W."""
 
-    __slots__ = ("lg", "d01", "d10", "weights0", "weights1")
+    __slots__ = ("lg", "d01", "d10", "weights0", "weights1", "_key")
 
     def __init__(self, lg, d01, d10, weights0=None, weights1=None):
         self.lg = lg
@@ -45,6 +45,7 @@ class MatrixFactorization:
         self.d10 = d10
         self.weights0 = tuple(weights0) if weights0 is not None else None
         self.weights1 = tuple(weights1) if weights1 is not None else None
+        self._key = None
 
     @property
     def rank0(self) -> int:
@@ -62,13 +63,18 @@ class MatrixFactorization:
         return self.rank0 == 0 and self.rank1 == 0
 
     def key(self) -> tuple:
-        return (
-            self.lg.key(),
-            tuple(tuple(row) for row in self.d01.to_strings()),
-            tuple(tuple(row) for row in self.d10.to_strings()),
-        )
+        """Printed LG pair and blocks; built once, as the blocks are immutable."""
+        if self._key is None:
+            self._key = (
+                self.lg.key(),
+                tuple(tuple(row) for row in self.d01.to_strings()),
+                tuple(tuple(row) for row in self.d10.to_strings()),
+            )
+        return self._key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, MatrixFactorization):
             return NotImplemented
         return self.key() == other.key()
@@ -515,15 +521,27 @@ class _Piece:
 
 
 class MorphismClass:
-    """A cohomology class with canonical coordinates and representative."""
+    """A cohomology class: canonical coordinates in the basis of its Hom space.
 
-    __slots__ = ("hom", "parity", "coords", "representative")
+    Arithmetic works on the coordinates alone.  The canonical representative,
+    sum of coord * basis representative, is built on first access and kept.
+    """
 
-    def __init__(self, hom, parity, coords, representative):
+    __slots__ = ("hom", "parity", "coords", "_representative")
+
+    def __init__(self, hom, parity, coords, representative=None):
         self.hom = hom
         self.parity = parity
         self.coords = tuple(coords)
-        self.representative = representative
+        self._representative = representative
+
+    @property
+    def representative(self) -> Morphism:
+        if self._representative is None:
+            self._representative = self.hom.representative_of(
+                self.parity, self.coords
+            )
+        return self._representative
 
     @property
     def source(self):
@@ -539,10 +557,7 @@ class MorphismClass:
     def scale(self, factor) -> "MorphismClass":
         factor = GaussianRational.coerce(factor)
         return MorphismClass(
-            self.hom,
-            self.parity,
-            tuple(factor * c for c in self.coords),
-            self.representative.scale(factor),
+            self.hom, self.parity, tuple(factor * c for c in self.coords)
         )
 
     def __add__(self, other: "MorphismClass") -> "MorphismClass":
@@ -552,7 +567,6 @@ class MorphismClass:
             self.hom,
             self.parity,
             tuple(a + b for a, b in zip(self.coords, other.coords)),
-            self.representative + other.representative,
         )
 
     def __eq__(self, other):
@@ -571,7 +585,7 @@ class MorphismClass:
 class HomCohomology:
     """Degreewise cohomology of Hom(a1, a2) with canonical representatives."""
 
-    def __init__(self, a1, a2, bound=None):
+    def __init__(self, a1, a2, bound=None, groebner=None):
         if a1.lg.key() != a2.lg.key():
             raise ValidationError("factorizations of different LG pairs")
         self.a1 = a1
@@ -581,7 +595,7 @@ class HomCohomology:
             self.lg.weights is not None and a1.graded and a2.graded
         )
         if bound is None:
-            bound = default_degree_bound(self.lg, a1, a2, self.graded)
+            bound = default_degree_bound(self.lg, a1, a2, self.graded, groebner)
         if bound < 0:
             raise ValidationError("degree bound must be non-negative")
         self.bound = bound
@@ -670,32 +684,41 @@ class HomCohomology:
 
     def _build_graded(self):
         degrees = range(self._min_degree(), self.bound + 1)
-        target_cache = {}
+        bases = {}
+        matrices = {}
 
         def basis_of(parity, m):
             key = (parity, m)
-            if key not in target_cache:
-                target_cache[key] = self._enumerate_basis(parity, m)
-            return target_cache[key]
+            if key not in bases:
+                bases[key] = self._enumerate_basis(parity, m)
+            return bases[key]
 
-        for parity in (0, 1):
-            for m in degrees:
+        def matrix_of(parity, m):
+            # d out of (parity, m) is also the map into (1 - parity, m + shift):
+            # built on its first use and dropped after its second
+            key = (parity, m)
+            if key in matrices:
+                return matrices.pop(key)
+            target_basis = basis_of(1 - parity, m + self.shift)
+            target_index = {e: k for k, e in enumerate(target_basis)}
+            matrix = self._differential_matrix(
+                parity, basis_of(parity, m), target_index
+            )
+            matrices[key] = matrix
+            return matrix
+
+        for m in degrees:
+            for parity in (0, 1):
                 basis = basis_of(parity, m)
                 piece = _Piece(basis)
                 self.pieces[(parity, m)] = piece
                 if not basis:
                     continue
-                target_basis = basis_of(1 - parity, m + self.shift)
-                target_index = {e: k for k, e in enumerate(target_basis)}
-                matrix = self._differential_matrix(parity, basis, target_index)
-                kernel = matrix.nullspace()
-                source_below = basis_of(1 - parity, m - self.shift)
-                if source_below:
-                    incoming = self._differential_matrix(
-                        1 - parity, source_below, piece.index
-                    )
-                    for col in range(incoming.ncols):
-                        piece.im.insert(incoming.apply({col: GaussianRational(1)}))
+                kernel = matrix_of(parity, m).nullspace()
+                if basis_of(1 - parity, m - self.shift):
+                    incoming = matrix_of(1 - parity, m - self.shift)
+                    for column in incoming.transpose().rows:
+                        piece.im.insert(column)
                 for vector in kernel:
                     piece.quot.insert(piece.im.reduce(vector))
                 piece.reps = [
@@ -755,8 +778,8 @@ class HomCohomology:
                     incoming = self._differential_matrix(
                         1 - parity, source_below, piece.index
                     )
-                    for col in range(incoming.ncols):
-                        piece.im.insert(incoming.apply({col: GaussianRational(1)}))
+                    for column in incoming.transpose().rows:
+                        piece.im.insert(column)
                 for vector in kernel:
                     piece.quot.insert(piece.im.reduce(vector))
                 dims[parity] = len(piece.quot.rows)
@@ -798,19 +821,6 @@ class HomCohomology:
             out[m] = out.get(m, 0) + 1
         return out
 
-    def graded_vector_space(self):
-        from .linalg import GradedVectorSpace
-
-        space = GradedVectorSpace()
-        for parity in (0, 1):
-            tag = "even" if parity == 0 else "odd"
-            grouped = {}
-            for m, local in self.layout[parity]:
-                grouped.setdefault(m, []).append(f"{tag}[{m}]#{local}")
-            for m, names in grouped.items():
-                space.add_degree((parity, m), names)
-        return space
-
     def basis_classes(self, parity: int):
         parity %= 2
         out = []
@@ -823,10 +833,16 @@ class HomCohomology:
 
     def zero_class(self, parity: int) -> MorphismClass:
         parity %= 2
-        coords = [GaussianRational(0)] * len(self.layout[parity])
-        return MorphismClass(
-            self, parity, coords, Morphism.zero(self.a1, self.a2, parity)
-        )
+        return MorphismClass(self, parity, [GaussianRational(0)] * self.dim(parity))
+
+    def representative_of(self, parity: int, coords) -> Morphism:
+        """Canonical representative: sum of coord * basis representative."""
+        total = Morphism.zero(self.a1, self.a2, parity)
+        for position, value in enumerate(coords):
+            if value:
+                m, local = self.layout[parity][position]
+                total = total + self.pieces[(parity, m)].reps[local].scale(value)
+        return total
 
     def class_of(self, morphism: Morphism) -> MorphismClass:
         """Canonical class of a cocycle; raises NonCocycleError otherwise."""
@@ -855,14 +871,7 @@ class HomCohomology:
             for local, value in enumerate(local_coords):
                 if value:
                     coords[position_of[(m, local)]] = value
-        canonical = Morphism.zero(self.a1, self.a2, parity)
-        for position, value in enumerate(coords):
-            if value:
-                m, local = self.layout[parity][position]
-                canonical = canonical + self.pieces[(parity, m)].reps[
-                    local
-                ].scale(value)
-        return MorphismClass(self, parity, coords, canonical)
+        return MorphismClass(self, parity, coords)
 
     def _degree_components(self, morphism):
         parity = morphism.parity
@@ -900,8 +909,11 @@ class HomCohomology:
         return {m: v for m, v in components.items() if v}
 
 
-def default_degree_bound(lg, a1, a2, graded) -> int:
-    """Staircase top + max entry degree + slack, in the active degree units."""
+def default_degree_bound(lg, a1, a2, graded, groebner=None) -> int:
+    """Staircase top + max entry degree + slack, in the active degree units.
+
+    groebner is the Jacobi ideal's basis when the caller already has it.
+    """
     entry_max = 0
     for matrix in (a1.d01, a1.d10, a2.d01, a2.d10):
         for row in matrix.entries:
@@ -914,7 +926,7 @@ def default_degree_bound(lg, a1, a2, graded) -> int:
                     )
                 else:
                     entry_max = max(entry_max, p.total_degree())
-    gb = jacobi_groebner(lg)
+    gb = groebner if groebner is not None else jacobi_groebner(lg)
     if not gb.is_zero_dimensional():
         raise ValidationError(
             "the critical set is not finite; supply an explicit degree bound"
@@ -934,9 +946,14 @@ def hom_cohomology(
     a1: MatrixFactorization,
     a2: MatrixFactorization,
     degree_bound: Optional[int] = None,
+    groebner=None,
 ) -> HomCohomology:
-    """Parity- and degree-graded cohomology of the defect complex."""
-    return HomCohomology(a1, a2, degree_bound)
+    """Parity- and degree-graded cohomology of the defect complex.
+
+    groebner, the Jacobi ideal's basis, saves recomputing it for the
+    default degree bound.
+    """
+    return HomCohomology(a1, a2, degree_bound, groebner)
 
 
 def compose_classes(

@@ -23,7 +23,12 @@ from itertools import permutations
 from math import factorial
 from typing import Optional
 
-from .errors import DegenerateTraceError, SingularMatrixError, ValidationError
+from .errors import (
+    AdjointnessError,
+    DegenerateTraceError,
+    SingularMatrixError,
+    ValidationError,
+)
 from .jacobi import JacobiAlgebra, ResidueTrace, jacobi_algebra, residue_trace
 from .lgpair import LGPair
 from .linalg import SparseMatrix
@@ -64,7 +69,14 @@ class BraneCategory:
     composing arbitrary classes then reduces to bilinear coordinate algebra.
     """
 
-    def __init__(self, lg: LGPair, named_objects, degree_bound=None):
+    def __init__(
+        self, lg: LGPair, named_objects, degree_bound=None, groebner=None, homs=None
+    ):
+        """groebner is the Jacobi ideal's basis, for default degree bounds.
+
+        homs maps (name, name) to Hom spaces already computed for these
+        objects with this degree_bound; the other pairs are computed here.
+        """
         names = [name for name, _ in named_objects]
         if len(set(names)) != len(names):
             raise ValidationError("brane names must be unique")
@@ -72,12 +84,16 @@ class BraneCategory:
         self.names = names
         self.objects = [obj for _, obj in named_objects]
         self.homs = {}
+        known = homs or {}
         n = len(self.objects)
         for i in range(n):
             for j in range(n):
-                self.homs[(i, j)] = hom_cohomology(
-                    self.objects[i], self.objects[j], degree_bound
-                )
+                hom = known.get((names[i], names[j]))
+                if hom is None:
+                    hom = hom_cohomology(
+                        self.objects[i], self.objects[j], degree_bound, groebner
+                    )
+                self.homs[(i, j)] = hom
         self.units = [
             self.homs[(i, i)].class_of(Morphism.identity(self.objects[i]))
             for i in range(n)
@@ -89,6 +105,8 @@ class BraneCategory:
             for j in range(n)
         }
         self._index = {id(obj): k for k, obj in enumerate(self.objects)}
+        # (i, j, k) -> {(b, a): nonzero (position, coefficient) pairs of the
+        # class of basis_jk[b] o basis_ij[a]}
         self._tensors = {}
         for i in range(n):
             for j in range(n):
@@ -96,9 +114,12 @@ class BraneCategory:
                     table = {}
                     for a, f in enumerate(self._bases[(i, j)]):
                         for b, g in enumerate(self._bases[(j, k)]):
-                            table[(b, a)] = compose_classes(
-                                g, f, self.homs[(i, k)]
-                            )
+                            composite = compose_classes(g, f, self.homs[(i, k)])
+                            table[(b, a)] = [
+                                (c, value)
+                                for c, value in enumerate(composite.coords)
+                                if value
+                            ]
                     self._tensors[(i, j, k)] = table
 
     def __len__(self):
@@ -123,22 +144,19 @@ class BraneCategory:
         table = self._tensors[(i, j, k)]
         offset_f = 0 if f.parity == 0 else f.hom.dim(0)
         offset_g = 0 if g.parity == 0 else g.hom.dim(0)
-        total = self.homs[(i, k)].zero_class((f.parity + g.parity) % 2)
+        target = self.homs[(i, k)]
+        parity = (f.parity + g.parity) % 2
+        coords = [GaussianRational(0)] * target.dim(parity)
         for a, fc in enumerate(f.coords):
             if not fc:
                 continue
             for b, gc in enumerate(g.coords):
                 if not gc:
                     continue
-                term = table[(offset_g + b, offset_f + a)]
-                total = total + term.scale(fc * gc)
-        return total
-
-    def compose_raw(self, g: MorphismClass, f: MorphismClass) -> MorphismClass:
-        """Composition via representatives (bypasses the tensors)."""
-        i = self.object_index(f.hom.a1)
-        k = self.object_index(g.hom.a2)
-        return compose_classes(g, f, self.homs[(i, k)])
+                scale = fc * gc
+                for c, value in table[(offset_g + b, offset_f + a)]:
+                    coords[c] = coords[c] + scale * value
+        return MorphismClass(target, parity, coords)
 
     def basis(self, i: int, j: int):
         return self._bases[(i, j)]
@@ -307,7 +325,8 @@ class TFTDatum:
                 self.bulk.multiply(_unit_coords(mu, k), coords)
             )
             expected = rhs.get(k, GaussianRational(0))
-            assert lhs == expected, "adjointness re-verification failed"
+            if lhs != expected:
+                raise AdjointnessError(k, lhs, expected)
         return tuple(coords)
 
     def boundary_bulk_basis(self, i: int):
@@ -408,15 +427,21 @@ def build_tft_datum(
     degree_bound=None,
     boundary_normalization=None,
     bulk_scale=Fraction(1),
+    groebner=None,
+    homs=None,
 ) -> TFTDatum:
-    """Assemble bulk + branes; degenerate bulk traces are carried as None."""
-    algebra = jacobi_algebra(lg)
+    """Assemble bulk + branes; degenerate bulk traces are carried as None.
+
+    groebner (the Jacobi ideal's basis) and homs (see BraneCategory) pass in
+    what the caller has already computed.
+    """
+    algebra = jacobi_algebra(lg, groebner)
     try:
         trace = residue_trace(algebra, lg, scale=bulk_scale)
     except DegenerateTraceError:
         trace = None
     bulk = BulkAlgebra(algebra, trace)
-    branes = BraneCategory(lg, named_branes, degree_bound)
+    branes = BraneCategory(lg, named_branes, degree_bound, algebra.gb, homs)
     return TFTDatum(lg, bulk, branes, boundary_normalization)
 
 
@@ -613,13 +638,21 @@ def _check_cy_structure(datum: TFTDatum, report: AxiomReport):
     report.add("cy_graded_symmetry", symmetric, witness=witness)
     report.add("cy_nondegeneracy", nondegenerate, witness=witness)
     adjoint_ok = True
+    adjoint_witness = None
     for i in range(n):
-        for t in branes.basis(i, i):
+        for position, t in enumerate(branes.basis(i, i)):
             try:
                 datum.boundary_bulk(i, t)  # contains its own re-verification
-            except AssertionError:
+            except AdjointnessError as exc:
                 adjoint_ok = False
-    report.add("adjointness", adjoint_ok)
+                adjoint_witness = {
+                    "object": i,
+                    "basis": position,
+                    "bulk": exc.bulk_index,
+                    "lhs": str(exc.lhs),
+                    "rhs": str(exc.rhs),
+                }
+    report.add("adjointness", adjoint_ok, witness=adjoint_witness)
 
 
 def _check_parity(datum: TFTDatum, report: AxiomReport):
@@ -654,7 +687,12 @@ def _check_cardy(datum: TFTDatum, report: AxiomReport):
     consistent = True
     for i in range(n):
         for j in range(n):
-            result = datum.cardy_check(i, j)
+            try:
+                result = datum.cardy_check(i, j)
+            except AdjointnessError as exc:
+                report.cardy_consistent = False
+                report.add("cardy", False, details=f"f_a is undefined: {exc}")
+                return
             report.cardy.append(result)
             consistent = consistent and result.consistent
             if result.constant is not None:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import lgtft.jobs
+import lgtft.tft
 from lgtft.cache import Cache
 from lgtft.cli import main
 from lgtft.errors import ValidationError
@@ -74,6 +76,30 @@ def test_unknown_field_rejected():
     with pytest.raises(ValidationError) as err:
         JobSpec.from_dict(_basic_job(typo_field=1))
     assert "typo_field" in str(err.value)
+
+
+def test_compute_all_builds_each_hom_space_once(monkeypatch):
+    calls = []
+    original = lgtft.jobs.hom_cohomology
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lgtft.jobs, "hom_cohomology", counting)
+    monkeypatch.setattr(lgtft.tft, "hom_cohomology", counting)
+    spec = JobSpec.from_dict(
+        _basic_job(
+            branes=[
+                {"name": "M1", "pairs": [["x", "x^2"]]},
+                {"name": "M2", "pairs": [["x^2", "x"]]},
+            ]
+        )
+    )
+    report = run_job(spec)
+    assert len(calls) == 4
+    assert len(report["results"]["homs"]) == 4
+    assert report["results"]["tft"]["passed"] is True
 
 
 def test_determinism_across_runs_and_cache_states(tmp_path):

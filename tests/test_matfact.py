@@ -41,6 +41,19 @@ def test_make_factorization_valid():
     assert mf.rank0 == mf.rank1 == 1
 
 
+def test_equal_factorizations_built_twice_are_equal_and_hash_equal():
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    pairs = [("x", "x^3"), ("y", "y^3")]
+    first = koszul_factorization(lg, pairs)
+    second = koszul_factorization(lg, pairs)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert first.key() == second.key()
+    other = koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
+    assert first != other and first.key() != other.key()
+
+
 def test_make_factorization_x3(lg_x3):
     mf = make_factorization(
         lg_x3, _pm(lg_x3.ring, [["x"]]), _pm(lg_x3.ring, [["x^2"]])

@@ -1,11 +1,20 @@
 """Bulk-boundary maps, traces, adjoints, and the axiom suite."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from lgtft.lgpair import make_lg_pair
 from lgtft.linalg import SparseMatrix
-from lgtft.matfact import Morphism, koszul_factorization, make_factorization
+from lgtft.matfact import (
+    Morphism,
+    compose_classes,
+    koszul_factorization,
+    make_factorization,
+)
 from lgtft.polymatrix import PolyMatrix
 from lgtft.scalars import GaussianRational
 from lgtft.tft import build_tft_datum, verify_tft_datum
@@ -292,3 +301,72 @@ def test_graded_centrality_across_brane_pair():
         e2 = datum.bulk_basis_boundary(1, k)
         for t in datum.branes.basis(0, 1):
             assert datum.branes.compose(e2, t) == datum.branes.compose(t, e1)
+
+
+def test_baseline_composition_tensors_have_canonical_representatives():
+    """Composites carry coordinates only; the representative built from them
+    is sum coord * basis representative, and its class has those coordinates."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    branes = [
+        ("A", koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])),
+        ("B", koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])),
+    ]
+    category = build_tft_datum(lg, branes).branes
+    n = len(category)
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                target = category.hom(i, k)
+                for f in category.basis(i, j):
+                    for g in category.basis(j, k):
+                        composite = category.compose(g, f)
+                        assert composite._representative is None
+                        expected = Morphism.zero(
+                            target.a1, target.a2, composite.parity
+                        )
+                        for coord, basis_class in zip(
+                            composite.coords,
+                            target.basis_classes(composite.parity),
+                        ):
+                            if coord:
+                                expected = expected + (
+                                    basis_class.representative.scale(coord)
+                                )
+                        assert composite.representative == expected
+                        again = target.class_of(composite.representative)
+                        assert again.coords == composite.coords
+                        assert compose_classes(g, f, target) == composite
+                        checked += 1
+    assert checked > 0
+
+
+def test_adjointness_clause_fails_closed_under_optimize():
+    """A corrupted trace value fails adjointness, and Cardy with it, even
+    with asserts off; the suite reports both instead of raising."""
+    script = """
+from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import koszul_factorization
+from lgtft.scalars import GaussianRational
+from lgtft.tft import build_tft_datum, verify_tft_datum
+
+lg = make_lg_pair(["x"], "x^3")
+brane = koszul_factorization(lg, [("x", "x^2")])
+datum = build_tft_datum(lg, [("M1", brane)])
+trace = datum.bulk.trace
+values = list(trace.values)
+values[-1] = values[-1] + GaussianRational(1)  # the socle value
+trace.values = tuple(values)
+report = verify_tft_datum(datum)
+print(report.clause("adjointness").status, report.clause("cardy").status)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["fail", "fail"]
