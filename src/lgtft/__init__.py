@@ -14,6 +14,7 @@ from .errors import (
     ClassBoundError,
     DegenerateTraceError,
     FactorizationError,
+    InternalCheckError,
     LGError,
     NonCocycleError,
     NonIsolatedCriticalLocusError,
@@ -26,12 +27,8 @@ from .errors import (
 from .scalars import GaussianRational
 from .poly import PolyRing, Polynomial, parse_polynomial
 from .lgpair import LGPair, detect_weights, make_lg_pair
-from .linalg import (
-    GradedVectorSpace,
-    LinearMapExact,
-    SparseMatrix,
-    kernel_and_image,
-)
+from .linalg import SparseMatrix
+from .complex import FreeComplex
 from .groebner import GroebnerBasis, normal_form
 from .jacobi import (
     JacobiAlgebra,
@@ -55,13 +52,11 @@ from .koszul import (
 from .polymatrix import PolyMatrix, poly_det
 from .matfact import (
     HomCohomology,
-    HomComplex,
     MatrixFactorization,
     Morphism,
     MorphismClass,
     compose_classes,
     hom_cohomology,
-    hom_complex,
     koszul_factorization,
     make_factorization,
 )

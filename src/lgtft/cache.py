@@ -1,9 +1,9 @@
 """Content-addressed cache for Groebner bases and cohomology tables.
 
 Entries are JSON files named by the SHA-256 of their canonical key.  Loaded
-payloads are never trusted blindly: Groebner bases re-run the Buchberger
-criterion and cohomology tables re-run the relevant square-zero checks before
-use; anything that fails verification is recomputed and overwritten.
+Groebner bases re-run the Buchberger criterion before use, and one that fails
+is recomputed and overwritten.  Koszul and Hom cohomology payloads are
+returned as stored, without verification.
 """
 
 from __future__ import annotations

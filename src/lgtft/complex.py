@@ -1,0 +1,179 @@
+"""Complexes of free graded modules over the polynomial ring, and their cohomology.
+
+A complex is given by its generators and the differential on them.  Each
+homological index has a list of generators (label, offset); a label names one
+generator of the whole complex, and x^e times that generator sits in internal
+degree offset + (weighted degree of e).  The differential of a generator is a
+sparse list of (target label, Polynomial) entries; it is linear over the
+polynomial ring, so d(x^e g) is x^e d(g).
+
+A piece is finite dimensional.  With weights it is the span of the x^e g of
+one index in one internal degree; without weights (no grading is known) it
+is the span of the x^e g of one index with total degree of e at most a
+window.  Either way its basis elements are (label, e), generator-outer and
+monomial-inner, and the differential maps the piece (index, n) into the
+piece (successor index, n + step).  step is the degree of the differential
+in the graded case and the largest total degree of an entry in the windowed
+case, so a window never loses part of an image.
+"""
+
+from __future__ import annotations
+
+from .errors import InternalCheckError
+from .linalg import EchelonBasis, SparseMatrix
+from .poly import mono_mul, monomials_of_weighted_degree
+
+
+class FreeComplex:
+    """Free graded complex with a polynomial differential given by its entries."""
+
+    def __init__(self, ring, generators, successor, entries, weights=None, shift=0):
+        """generators: index -> [(label, offset)], offsets 0 without weights;
+        successor: index -> the index its differential maps into;
+        entries(label) -> [(target label, Polynomial)]; weights: monomial
+        weights of the grading, or None for total-degree windows; shift: the
+        internal degree of the differential when graded.
+        """
+        self.ring = ring
+        self.weights = weights
+        self.generators = generators
+        self.successor = successor
+        self.predecessor = {target: source for source, target in successor.items()}
+        self.entries = {
+            label: tuple(entries(label))
+            for gens in generators.values()
+            for label, _ in gens
+        }
+        self.min_degree = min(
+            [0] + [offset for gens in generators.values() for _, offset in gens]
+        )
+        if weights is None:
+            self.step = max(
+                [1]
+                + [p.total_degree() for images in self.entries.values() for _, p in images]
+            )
+        else:
+            self.step = shift
+        self._bases = {}
+        self._ranks = {}
+        self._check_square_zero()
+
+    def _check_square_zero(self):
+        zero = self.ring.zero()
+        for label, images in self.entries.items():
+            total = {}
+            for middle, first in images:
+                for target, second in self.entries[middle]:
+                    total[target] = total.get(target, zero) + first * second
+            if any(not p.is_zero() for p in total.values()):
+                raise InternalCheckError(
+                    f"the differential squares to a nonzero map on generator {label!r}"
+                )
+
+    def basis(self, index, degree) -> list:
+        """Ordered basis [(label, exponents)] of the piece (index, degree)."""
+        key = (index, degree)
+        basis = self._bases.get(key)
+        if basis is None:
+            basis = self._bases[key] = [
+                (label, exps)
+                for label, offset in self.generators.get(index, ())
+                for exps in self._monomials(degree - offset)
+            ]
+        return basis
+
+    def _monomials(self, degree):
+        if self.weights is not None:
+            return monomials_of_weighted_degree(self.weights, degree)
+        ones = (1,) * self.ring.nvars
+        return [
+            exps
+            for total in range(degree + 1)
+            for exps in monomials_of_weighted_degree(ones, total)
+        ]
+
+    def matrix(self, index, degree) -> SparseMatrix:
+        """The differential out of the piece (index, degree), read off the entries."""
+        source = self.basis(index, degree)
+        target = self.basis(self.successor[index], degree + self.step)
+        row_of = {element: row for row, element in enumerate(target)}
+        rows = [{} for _ in target]
+        for col, (label, exps) in enumerate(source):
+            for target_label, coeff in self.entries[label]:
+                for e, c in coeff.terms.items():
+                    row = row_of.get((target_label, mono_mul(exps, e)))
+                    if row is None:
+                        raise InternalCheckError(
+                            "the differential leaves its target piece"
+                        )
+                    entry = rows[row]
+                    value = entry[col] + c if col in entry else c
+                    if value:
+                        entry[col] = value
+                    else:
+                        del entry[col]
+        return SparseMatrix(len(target), len(source), rows)
+
+    def rank(self, index, degree) -> int:
+        """Rank of the differential out of the piece; each is eliminated once."""
+        key = (index, degree)
+        if key not in self._ranks:
+            nonempty = self.basis(index, degree) and self.basis(
+                self.successor[index], degree + self.step
+            )
+            self._ranks[key] = self.matrix(index, degree).rank() if nonempty else 0
+        return self._ranks[key]
+
+    def dim(self, index, degree) -> int:
+        """Cohomology dimension of the piece: its size less the ranks out and in."""
+        size = len(self.basis(index, degree))
+        if not size:
+            return 0
+        rank_out = self.rank(index, degree) if index in self.successor else 0
+        source = self.predecessor.get(index)
+        rank_in = self.rank(source, degree - self.step) if source is not None else 0
+        return size - rank_out - rank_in
+
+    def cohomology(self, pieces):
+        """Yield (basis, kernel, image) for each (index, degree) in pieces, in turn.
+
+        kernel is the canonical nullspace basis of the map out of the piece and
+        image the echelon basis of the columns of the map into it.  The map out
+        of a piece is kept only when the piece it maps into is still to come,
+        and dropped after that second use.
+        """
+        pending = set(pieces)
+        kept = {}  # piece -> the map into it
+        for piece in pieces:
+            pending.discard(piece)
+            incoming = kept.pop(piece, None)
+            index, degree = piece
+            basis = self.basis(index, degree)
+            image = EchelonBasis()
+            if not basis:
+                yield basis, [], image
+                continue
+            outgoing = self.matrix(index, degree)
+            kernel = outgoing.nullspace()
+            target = (self.successor[index], degree + self.step)
+            if target in pending:
+                kept[target] = outgoing
+            source = self.predecessor.get(index)
+            if (
+                incoming is None
+                and source is not None
+                and self.basis(source, degree - self.step)
+            ):
+                incoming = self.matrix(source, degree - self.step)
+            if incoming is not None:
+                for column in incoming.transpose().rows:
+                    image.insert(column)
+            yield basis, kernel, image
+
+
+def quotient(kernel, image: EchelonBasis) -> EchelonBasis:
+    """Echelon basis of kernel modulo image, on the image-reduced kernel vectors."""
+    out = EchelonBasis()
+    for vector in kernel:
+        out.insert(image.reduce(vector))
+    return out

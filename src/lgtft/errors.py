@@ -62,5 +62,9 @@ class ClassBoundError(LGError):
     """A cohomology class falls outside the computed degree window."""
 
 
+class InternalCheckError(LGError):
+    """A mathematical self-check of the engine failed (for example d^2 != 0)."""
+
+
 class ValidationError(LGError):
     """A job file or user input failed validation."""

@@ -19,7 +19,11 @@ from .cache import Cache, null_cache
 from .errors import DegenerateTraceError, LGError, ValidationError
 from .groebner import GroebnerBasis
 from .jacobi import JacobiAlgebra, jacobi_groebner, residue_trace
-from .koszul import check_vanishing_negative_degrees, koszul_cohomology
+from .koszul import (
+    KoszulComplex,
+    check_vanishing_negative_degrees,
+    koszul_cohomology,
+)
 from .lgpair import LGPair, make_lg_pair
 from .matfact import hom_cohomology, koszul_factorization, make_factorization
 from .polymatrix import PolyMatrix
@@ -316,8 +320,9 @@ def _run_koszul(spec: JobSpec, lg: LGPair, cache: Cache) -> dict:
     key = [list(lg.key()), bound]
     payload = cache.get("koszul", key)
     if payload is None:
-        table = koszul_cohomology(lg, bound)
-        vanishing = check_vanishing_negative_degrees(lg, bound)
+        complex_ = KoszulComplex(lg)  # its ranks serve both calls
+        table = koszul_cohomology(lg, bound, complex_)
+        vanishing = check_vanishing_negative_degrees(lg, bound, complex_)
         payload = {
             "table": table.to_jsonable(),
             "vanishing": vanishing.to_jsonable(),

@@ -16,18 +16,6 @@ from .scalars import GaussianRational
 Vector = dict  # column index -> nonzero GaussianRational
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    for k, v in b.items():
-        acc = out.get(k)
-        total = v if acc is None else acc + v
-        if total:
-            out[k] = total
-        elif k in out:
-            del out[k]
-    return out
-
-
 def vec_scale(a: Vector, scale) -> Vector:
     if not scale:
         return {}
@@ -155,9 +143,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(n, n, [{k: GaussianRational(1)} for k in range(n)])
-
-    def to_dense(self) -> list:
-        return [vec_to_list(row, self.ncols) for row in self.rows]
 
     def set(self, i: int, j: int, value):
         value = GaussianRational.coerce(value)
@@ -327,87 +312,3 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols})"
-
-
-# ---------------------------------------------------------------------------
-# graded carriers
-# ---------------------------------------------------------------------------
-
-
-class GradedVectorSpace:
-    """Finite-dimensional vector space with labeled basis per degree."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels: Optional[dict] = None):
-        self.labels = {}
-        if labels:
-            for degree, names in labels.items():
-                self.add_degree(degree, names)
-
-    def add_degree(self, degree, names: Sequence[str]):
-        names = list(names)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate basis labels in degree {degree!r}")
-        if names:
-            self.labels[degree] = names
-
-    def dim(self, degree) -> int:
-        return len(self.labels.get(degree, ()))
-
-    @property
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.labels.values())
-
-    def degrees(self):
-        return sorted(self.labels, key=repr)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedVectorSpace):
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __repr__(self):
-        dims = {d: len(v) for d, v in self.labels.items()}
-        return f"GradedVectorSpace({dims})"
-
-
-class LinearMapExact:
-    """Exact linear map between graded spaces, with a parity tag."""
-
-    __slots__ = ("domain", "codomain", "matrix", "parity")
-
-    def __init__(self, domain, codomain, matrix: SparseMatrix, parity: int = 0):
-        dom_dim = domain.total_dim if isinstance(domain, GradedVectorSpace) else domain
-        cod_dim = (
-            codomain.total_dim if isinstance(codomain, GradedVectorSpace) else codomain
-        )
-        if matrix.ncols != dom_dim or matrix.nrows != cod_dim:
-            raise ShapeError(
-                f"matrix is {matrix.nrows}x{matrix.ncols}, expected "
-                f"{cod_dim}x{dom_dim}"
-            )
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.parity = parity % 2
-
-    def compose(self, other: "LinearMapExact") -> "LinearMapExact":
-        return LinearMapExact(
-            other.domain,
-            self.codomain,
-            self.matrix.matmul(other.matrix),
-            self.parity + other.parity,
-        )
-
-
-def kernel_and_image(linear_map) -> tuple:
-    """Exact kernel and image bases; rank-nullity is asserted.
-
-    Accepts a LinearMapExact or a bare SparseMatrix.
-    """
-    matrix = linear_map.matrix if isinstance(linear_map, LinearMapExact) else linear_map
-    kernel = matrix.nullspace()
-    image = matrix.column_space_basis()
-    assert len(kernel) + len(image) == matrix.ncols, "rank-nullity violated"
-    return kernel, image

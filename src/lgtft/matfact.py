@@ -15,21 +15,18 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .complex import FreeComplex, quotient
 from .errors import (
     ClassBoundError,
     FactorizationError,
+    InternalCheckError,
     NonCocycleError,
     ShapeError,
     ValidationError,
 )
 from .jacobi import jacobi_groebner
 from .lgpair import LGPair
-from .linalg import EchelonBasis, SparseMatrix
-from .poly import (
-    Polynomial,
-    mono_weighted_degree,
-    monomials_of_weighted_degree,
-)
+from .poly import Polynomial, mono_weighted_degree
 from .polymatrix import PolyMatrix
 from .scalars import GaussianRational
 
@@ -58,9 +55,6 @@ class MatrixFactorization:
     @property
     def graded(self) -> bool:
         return self.weights0 is not None and self.weights1 is not None
-
-    def is_zero_object(self) -> bool:
-        return self.rank0 == 0 and self.rank1 == 0
 
     def key(self) -> tuple:
         """Printed LG pair and blocks; built once, as the blocks are immutable."""
@@ -335,11 +329,6 @@ class Morphism:
         )
 
     @classmethod
-    def differential_of(cls, obj) -> "Morphism":
-        """The structure map D itself, as an odd endomorphism."""
-        return cls(obj, obj, 1, obj.d01, obj.d10)
-
-    @classmethod
     def d_partial(cls, obj, index: int) -> "Morphism":
         """Entrywise partial derivative of D; the canonical null-homotopy."""
         return cls(
@@ -441,51 +430,6 @@ class Morphism:
         return f"Morphism(parity {self.parity})"
 
 
-class HomComplex:
-    """The Z2-graded module of maps between two factorizations, with d."""
-
-    __slots__ = ("a1", "a2")
-
-    def __init__(self, a1: MatrixFactorization, a2: MatrixFactorization):
-        if a1.lg.key() != a2.lg.key():
-            raise ValidationError("factorizations of different LG pairs")
-        self.a1 = a1
-        self.a2 = a2
-        self._verify_square_zero()
-
-    @property
-    def even_rank(self) -> int:
-        return self.a2.rank0 * self.a1.rank0 + self.a2.rank1 * self.a1.rank1
-
-    @property
-    def odd_rank(self) -> int:
-        return self.a2.rank1 * self.a1.rank0 + self.a2.rank0 * self.a1.rank1
-
-    def defect(self, f: Morphism) -> Morphism:
-        return f.defect()
-
-    def _verify_square_zero(self):
-        for parity in (0, 1):
-            for element in _elementary_morphisms(self.a1, self.a2, parity):
-                assert element.defect().defect().is_zero(), "d^2 is nonzero"
-
-
-def _elementary_morphisms(a1, a2, parity):
-    ring = a1.lg.ring
-    shapes = _block_shapes(a1, a2, parity)
-    for blk, (nrows, ncols, _, _) in enumerate(shapes):
-        for i in range(nrows):
-            for j in range(ncols):
-                blocks = [
-                    PolyMatrix.zero(ring, *shapes[0][:2]),
-                    PolyMatrix.zero(ring, *shapes[1][:2]),
-                ]
-                entries = [list(row) for row in blocks[blk].entries]
-                entries[i][j] = ring.one()
-                blocks[blk] = PolyMatrix(ring, entries)
-                yield Morphism(a1, a2, parity, blocks[0], blocks[1])
-
-
 def _block_shapes(a1, a2, parity):
     """Per block: (nrows, ncols, target weights, source weights)."""
     if parity == 0:
@@ -499,9 +443,49 @@ def _block_shapes(a1, a2, parity):
     ]
 
 
-def hom_complex(a1: MatrixFactorization, a2: MatrixFactorization) -> HomComplex:
-    """Defect-differential complex; d^2 = 0 is asserted on a module basis."""
-    return HomComplex(a1, a2)
+def _defect_complex(a1, a2, graded) -> FreeComplex:
+    """Hom(a1, a2) as a free complex on the elementary maps E = (parity, blk, i, j).
+
+    E maps basis vector j of the source module of block blk to basis vector i
+    of its target module.  d(E) = D2 o E - (-1)^parity E o D1 is read off one
+    column of a block of D2 and one row of a block of D1.  The grading uses
+    doubled weights, so the internal degree of x^e E is 2*wdeg(e) + wt_i - ws_j
+    and d has degree deg W.
+    """
+    lg = a1.lg
+
+    def entries(label):
+        parity, blk, i, j = label
+        # D2 out of the target module of blk, D1 into its source module
+        d2 = (a2.d01, a2.d10)[(blk + parity) % 2]
+        d1 = (a1.d10, a1.d01)[blk]
+        out = [
+            ((1 - parity, blk, r, j), d2[r, i])
+            for r in range(d2.nrows)
+            if not d2[r, i].is_zero()
+        ]
+        out += [
+            ((1 - parity, 1 - blk, i, c), d1[j, c] if parity else -d1[j, c])
+            for c in range(d1.ncols)
+            if not d1[j, c].is_zero()
+        ]
+        return out
+
+    generators = {
+        parity: [
+            ((parity, blk, i, j), wt[i] - ws[j] if graded else 0)
+            for blk, (nrows, ncols, wt, ws) in enumerate(
+                _block_shapes(a1, a2, parity)
+            )
+            for i in range(nrows)
+            for j in range(ncols)
+        ]
+        for parity in (0, 1)
+    }
+    weights = tuple(2 * w for w in lg.weights) if graded else None
+    return FreeComplex(
+        lg.ring, generators, {0: 1, 1: 0}, entries, weights, lg.weighted_degree
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +496,12 @@ def hom_complex(a1: MatrixFactorization, a2: MatrixFactorization) -> HomComplex:
 class _Piece:
     __slots__ = ("basis", "index", "im", "quot", "reps")
 
-    def __init__(self, basis):
+    def __init__(self, basis, im, quot, reps):
         self.basis = basis
         self.index = {element: k for k, element in enumerate(basis)}
-        self.im = EchelonBasis()
-        self.quot = EchelonBasis()
-        self.reps = []
+        self.im = im
+        self.quot = quot
+        self.reps = reps
 
 
 class MorphismClass:
@@ -599,212 +583,61 @@ class HomCohomology:
         if bound < 0:
             raise ValidationError("degree bound must be non-negative")
         self.bound = bound
-        self.shift = self.lg.weighted_degree if self.graded else None
         self.pieces = {}
         self.layout = {0: [], 1: []}  # parity -> list of (degree, local index)
-        self.stabilized = True
-        hom_complex(a1, a2)  # runs the d^2 = 0 assertions
-        if self.graded:
-            self._build_graded()
-        else:
-            self._build_windowed()
+        self._build()
 
     # -- construction -----------------------------------------------------
 
-    def _enumerate_basis(self, parity, degree):
-        basis = []
-        shapes = _block_shapes(self.a1, self.a2, parity)
-        for blk, (nrows, ncols, wt, ws) in enumerate(shapes):
-            for i in range(nrows):
-                for j in range(ncols):
-                    remaining = degree - (wt[i] - ws[j])
-                    if remaining < 0 or remaining % 2:
-                        continue
-                    for exps in monomials_of_weighted_degree(
-                        self.lg.weights, remaining // 2
-                    ):
-                        basis.append((blk, i, j, exps))
-        return basis
-
-    def _min_degree(self):
-        offsets = [0]
-        for parity in (0, 1):
-            for nrows, ncols, wt, ws in _block_shapes(self.a1, self.a2, parity):
-                for i in range(nrows):
-                    for j in range(ncols):
-                        offsets.append(wt[i] - ws[j])
-        return min(offsets)
-
-    def _element_from_basis(self, parity, element, coeff=1):
-        blk, i, j, exps = element
-        ring = self.lg.ring
-        shapes = _block_shapes(self.a1, self.a2, parity)
-        blocks = [
-            PolyMatrix.zero(ring, *shapes[0][:2]),
-            PolyMatrix.zero(ring, *shapes[1][:2]),
-        ]
-        entries = [list(row) for row in blocks[blk].entries]
-        entries[i][j] = ring.monomial(exps, coeff)
-        blocks[blk] = PolyMatrix(ring, entries)
-        return Morphism(self.a1, self.a2, parity, blocks[0], blocks[1])
-
-    def _vectorize(self, morphism, index, strict=True):
-        vector = {}
-        blocks = (morphism.blk0, morphism.blk1)
-        for blk, matrix in enumerate(blocks):
-            for i in range(matrix.nrows):
-                for j in range(matrix.ncols):
-                    p = matrix[i, j]
-                    for exps, coeff in p.terms.items():
-                        key = (blk, i, j, exps)
-                        position = index.get(key)
-                        if position is None:
-                            if strict:
-                                raise ClassBoundError(
-                                    "morphism term outside the computed degree "
-                                    "window; recompute with a larger bound"
-                                )
-                            continue
-                        acc = vector.get(position)
-                        total = coeff if acc is None else acc + coeff
-                        if total:
-                            vector[position] = total
-                        elif position in vector:
-                            del vector[position]
-        return vector
-
-    def _differential_matrix(self, parity, source_basis, target_index):
-        matrix = SparseMatrix(len(target_index), len(source_basis))
-        for col, element in enumerate(source_basis):
-            image = self._element_from_basis(parity, element).defect()
-            vector = self._vectorize(image, target_index)
-            for row, value in vector.items():
-                matrix.set(row, col, value)
-        return matrix
-
-    def _build_graded(self):
-        degrees = range(self._min_degree(), self.bound + 1)
-        bases = {}
-        matrices = {}
-
-        def basis_of(parity, m):
-            key = (parity, m)
-            if key not in bases:
-                bases[key] = self._enumerate_basis(parity, m)
-            return bases[key]
-
-        def matrix_of(parity, m):
-            # d out of (parity, m) is also the map into (1 - parity, m + shift):
-            # built on its first use and dropped after its second
-            key = (parity, m)
-            if key in matrices:
-                return matrices.pop(key)
-            target_basis = basis_of(1 - parity, m + self.shift)
-            target_index = {e: k for k, e in enumerate(target_basis)}
-            matrix = self._differential_matrix(
-                parity, basis_of(parity, m), target_index
+    def _build(self):
+        complex_ = _defect_complex(self.a1, self.a2, self.graded)
+        if self.graded:
+            degrees = list(range(complex_.min_degree, self.bound + 1))
+        else:
+            degrees = [n for n in (self.bound - 1, self.bound) if n >= 0]
+        pieces = [(parity, m) for m in degrees for parity in (0, 1)]
+        dims = {}
+        for (parity, m), (basis, kernel, image) in zip(
+            pieces, complex_.cohomology(pieces)
+        ):
+            quot = quotient(kernel, image)
+            dims[parity, m] = len(quot.rows)
+            if not self.graded:
+                if m != self.bound:
+                    continue
+                m = 0  # the windowed space is one piece
+            reps = [
+                self._morphism_from_vector(parity, basis, row) for row in quot.rows
+            ]
+            self.pieces[(parity, m)] = _Piece(basis, image, quot, reps)
+            self.layout[parity].extend((m, local) for local in range(len(reps)))
+        if self.graded:
+            top = degrees[-2:] if self.bound >= 1 else []
+            self.stabilized = not any(
+                m in top for parity in (0, 1) for m, _ in self.layout[parity]
             )
-            matrices[key] = matrix
-            return matrix
-
-        for m in degrees:
-            for parity in (0, 1):
-                basis = basis_of(parity, m)
-                piece = _Piece(basis)
-                self.pieces[(parity, m)] = piece
-                if not basis:
-                    continue
-                kernel = matrix_of(parity, m).nullspace()
-                if basis_of(1 - parity, m - self.shift):
-                    incoming = matrix_of(1 - parity, m - self.shift)
-                    for column in incoming.transpose().rows:
-                        piece.im.insert(column)
-                for vector in kernel:
-                    piece.quot.insert(piece.im.reduce(vector))
-                piece.reps = [
-                    self._morphism_from_vector(parity, piece.basis, row)
-                    for row in piece.quot.rows
-                ]
-                for local in range(len(piece.quot.rows)):
-                    self.layout[parity].append((m, local))
-        top = [m for m in degrees][-2:] if self.bound >= 1 else []
-        for parity in (0, 1):
-            for m, _ in self.layout[parity]:
-                if m in top:
-                    self.stabilized = False
-
-    def _build_windowed(self):
-        weights_one = (1,) * self.lg.dimension
-        spread = max(
-            1,
-            self.a1.d01.max_total_degree(),
-            self.a1.d10.max_total_degree(),
-            self.a2.d01.max_total_degree(),
-            self.a2.d10.max_total_degree(),
-        )
-        self._window_dims_history = {}
-
-        def window_basis(parity, limit):
-            basis = []
-            shapes = _block_shapes(self.a1, self.a2, parity)
-            for blk, (nrows, ncols, _, _) in enumerate(shapes):
-                for i in range(nrows):
-                    for j in range(ncols):
-                        for degree in range(limit + 1):
-                            for exps in monomials_of_weighted_degree(
-                                weights_one, degree
-                            ):
-                                basis.append((blk, i, j, exps))
-            return basis
-
-        for window in (self.bound - 1, self.bound):
-            if window < 0:
-                continue
-            dims = {}
-            for parity in (0, 1):
-                basis = window_basis(parity, window)
-                if not basis:
-                    dims[parity] = 0
-                    if window == self.bound:
-                        self.pieces[(parity, 0)] = _Piece(basis)
-                    continue
-                target_basis = window_basis(1 - parity, window + spread)
-                target_index = {e: k for k, e in enumerate(target_basis)}
-                matrix = self._differential_matrix(parity, basis, target_index)
-                kernel = matrix.nullspace()
-                piece = _Piece(basis)
-                if window - spread >= 0:
-                    source_below = window_basis(1 - parity, window - spread)
-                    incoming = self._differential_matrix(
-                        1 - parity, source_below, piece.index
-                    )
-                    for column in incoming.transpose().rows:
-                        piece.im.insert(column)
-                for vector in kernel:
-                    piece.quot.insert(piece.im.reduce(vector))
-                dims[parity] = len(piece.quot.rows)
-                if window == self.bound:
-                    piece.reps = [
-                        self._morphism_from_vector(parity, piece.basis, row)
-                        for row in piece.quot.rows
-                    ]
-                    self.pieces[(parity, 0)] = piece
-                    for local in range(len(piece.quot.rows)):
-                        self.layout[parity].append((0, local))
-            self._window_dims_history[window] = dims
-        history = self._window_dims_history
-        self.stabilized = (
-            len(history) == 2
-            and history[self.bound] == history[self.bound - 1]
-        )
+        else:
+            self.stabilized = len(degrees) == 2 and all(
+                dims[parity, self.bound] == dims[parity, self.bound - 1]
+                for parity in (0, 1)
+            )
 
     def _morphism_from_vector(self, parity, basis, vector):
-        total = Morphism.zero(self.a1, self.a2, parity)
+        ring = self.lg.ring
+        blocks = [
+            [[ring.zero()] * ncols for _ in range(nrows)]
+            for nrows, ncols, _, _ in _block_shapes(self.a1, self.a2, parity)
+        ]
         for position, coeff in sorted(vector.items()):
-            total = total + self._element_from_basis(
-                parity, basis[position], coeff
-            )
-        return total
+            (_, blk, i, j), exps = basis[position]
+            blocks[blk][i][j] = blocks[blk][i][j] + ring.monomial(exps, coeff)
+        return Morphism(
+            self.a1,
+            self.a2,
+            parity,
+            PolyMatrix(ring, blocks[0]),
+            PolyMatrix(ring, blocks[1]),
+        )
 
     # -- queries ------------------------------------------------------------
 
@@ -853,60 +686,47 @@ class HomCohomology:
                 "the defect differential of the representative is nonzero"
             )
         parity = morphism.parity
-        components = self._degree_components(morphism)
         coords = [GaussianRational(0)] * len(self.layout[parity])
         position_of = {
             key: position for position, key in enumerate(self.layout[parity])
         }
-        for m, vector in components.items():
-            piece = self.pieces.get((parity, m))
-            if piece is None:
-                raise ClassBoundError(
-                    f"class has a component in degree {m}, beyond the bound "
-                    f"{self.bound}; recompute with a larger bound"
-                )
+        for m, vector in self._components(morphism).items():
+            piece = self.pieces[(parity, m)]
             residual = piece.im.reduce(vector)
             residual, local_coords = piece.quot.reduce_with_coords(residual)
-            assert not residual, "cocycle escaped kernel + image decomposition"
+            if residual:
+                raise InternalCheckError(
+                    "cocycle escaped kernel + image decomposition"
+                )
             for local, value in enumerate(local_coords):
                 if value:
                     coords[position_of[(m, local)]] = value
         return MorphismClass(self, parity, coords)
 
-    def _degree_components(self, morphism):
+    def _components(self, morphism):
+        """Coordinates of the terms of a morphism, split by piece: {degree: vector}."""
         parity = morphism.parity
-        if not self.graded:
-            piece = self.pieces[(parity, 0)]
-            vector = self._vectorize(morphism, piece.index)
-            return {0: vector} if vector else {}
         shapes = _block_shapes(self.a1, self.a2, parity)
         components = {}
-        blocks = (morphism.blk0, morphism.blk1)
-        for blk, matrix in enumerate(blocks):
+        for blk, matrix in enumerate((morphism.blk0, morphism.blk1)):
             _, _, wt, ws = shapes[blk]
             for i in range(matrix.nrows):
                 for j in range(matrix.ncols):
-                    p = matrix[i, j]
-                    for exps, coeff in p.terms.items():
-                        degree = 2 * mono_weighted_degree(
-                            exps, self.lg.weights
-                        ) + wt[i] - ws[j]
-                        bucket = components.setdefault(degree, {})
-                        piece = self.pieces.get((parity, degree))
-                        if piece is None:
+                    for exps, coeff in matrix[i, j].terms.items():
+                        m = 0  # the windowed space is one piece
+                        if self.graded:
+                            m = 2 * mono_weighted_degree(exps, self.lg.weights)
+                            m += wt[i] - ws[j]
+                        piece = self.pieces.get((parity, m))
+                        element = ((parity, blk, i, j), exps)
+                        if piece is None or element not in piece.index:
                             raise ClassBoundError(
-                                f"class has a component in degree {degree}, "
-                                f"beyond the bound {self.bound}; recompute "
-                                "with a larger bound"
+                                f"morphism term in degree {m} lies outside the "
+                                f"computed window (bound {self.bound}); "
+                                "recompute with a larger bound"
                             )
-                        position = piece.index[(blk, i, j, exps)]
-                        acc = bucket.get(position)
-                        total = coeff if acc is None else acc + coeff
-                        if total:
-                            bucket[position] = total
-                        elif position in bucket:
-                            del bucket[position]
-        return {m: v for m, v in components.items() if v}
+                        components.setdefault(m, {})[piece.index[element]] = coeff
+        return components
 
 
 def default_degree_bound(lg, a1, a2, graded, groebner=None) -> int:

@@ -153,9 +153,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_degree(e) == 0 for e in self.terms)
 
-    def constant_coefficient(self) -> GaussianRational:
-        return self.terms.get((0,) * self.ring.nvars, GaussianRational(0))
-
     def coefficient(self, exps: tuple) -> GaussianRational:
         return self.terms.get(tuple(exps), GaussianRational(0))
 
@@ -278,14 +275,6 @@ class Polynomial:
             return self
         _, lead = self.leading_term()
         return self * lead.inverse()
-
-    def map_coefficients(self, fn) -> "Polynomial":
-        terms = {}
-        for exps, coeff in self.terms.items():
-            value = fn(coeff)
-            if value:
-                terms[exps] = value
-        return Polynomial(self.ring, terms)
 
     # -- calculus and evaluation ----------------------------------------------
 

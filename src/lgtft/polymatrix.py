@@ -126,14 +126,6 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
-    def max_total_degree(self) -> int:
-        """Largest entry total degree; -1 for the zero matrix."""
-        degree = -1
-        for row in self.entries:
-            for p in row:
-                degree = max(degree, p.total_degree())
-        return degree
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented

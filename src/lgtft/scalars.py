@@ -112,9 +112,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         other = _coerce_or_none(other)
         if other is None:

@@ -262,3 +262,39 @@ def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("LGTFT_CACHE_DIR", str(tmp_path / "envcache"))
     cache = Cache()
     assert cache.directory == Path(tmp_path / "envcache")
+
+
+@pytest.mark.parametrize(
+    "variables,w,bound",
+    [(["x", "y"], "x^2*y", 8), (["x", "y"], "x^5*y+y^6", None), (["x", "y"], "x^3+y^3+x*y", 5)],
+)
+def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound):
+    from lgtft.koszul import check_vanishing_negative_degrees, koszul_cohomology
+    from lgtft.lgpair import make_lg_pair
+    from lgtft.linalg import SparseMatrix
+
+    eliminations = []
+    original = SparseMatrix._rref_rows
+
+    def counting(self, *args, **kwargs):
+        eliminations.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "_rref_rows", counting)
+
+    def count(fn, *args):
+        del eliminations[:]
+        result = fn(*args)
+        return result, len(eliminations)
+
+    lg, setup = count(make_lg_pair, variables, w)
+    if bound is None:
+        bound = lgtft.jobs._koszul_default_bound(lg)
+    _, table = count(koszul_cohomology, lg, bound)
+    vanishing, alone = count(check_vanishing_negative_degrees, lg, bound)
+    raw = {"variables": variables, "superpotential": w, "compute": ["koszul"]}
+    report, job = count(run_job, JobSpec.from_dict({**raw, "koszul_bound": bound}))
+    assert report["results"]["koszul"]["vanishing"] == vanishing.to_jsonable()
+    # the vanishing check reuses the table's ranks: only a witness adds a nullspace
+    assert job == setup + table + (0 if vanishing.vanishes else 1)
+    assert job < setup + table + alone

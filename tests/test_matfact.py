@@ -1,6 +1,10 @@
 """Factorizations, the defect differential, and morphism cohomology."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +17,9 @@ from lgtft.errors import (
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import (
     Morphism,
+    _defect_complex,
     compose_classes,
     hom_cohomology,
-    hom_complex,
     koszul_factorization,
     make_factorization,
 )
@@ -97,12 +101,104 @@ def test_koszul_sum_mismatch():
 # -- hom complexes ------------------------------------------------------------
 
 
-def test_hom_complex_ranks():
-    lg = make_lg_pair(["x"], "x^2")
-    a = koszul_factorization(lg, [("x", "x")])
-    complex_ = hom_complex(a, a)
-    assert complex_.even_rank == 2
-    assert complex_.odd_rank == 2
+def _elementary(hom, parity, element):
+    """The morphism x^e E of one basis element, built block by block."""
+    ring = hom.lg.ring
+    (_, blk, i, j), exps = element
+    if parity == 0:
+        shapes = [(hom.a2.rank0, hom.a1.rank0), (hom.a2.rank1, hom.a1.rank1)]
+    else:
+        shapes = [(hom.a2.rank1, hom.a1.rank0), (hom.a2.rank0, hom.a1.rank1)]
+    blocks = [[[ring.zero()] * ncols for _ in range(nrows)] for nrows, ncols in shapes]
+    blocks[blk][i][j] = ring.monomial(exps)
+    return Morphism(
+        hom.a1, hom.a2, parity, PolyMatrix(ring, blocks[0]), PolyMatrix(ring, blocks[1])
+    )
+
+
+def _vectorize(morphism, index):
+    vector = {}
+    for blk, matrix in enumerate((morphism.blk0, morphism.blk1)):
+        for i in range(matrix.nrows):
+            for j in range(matrix.ncols):
+                for exps, coeff in matrix[i, j].terms.items():
+                    vector[index[((morphism.parity, blk, i, j), exps)]] = coeff
+    return vector
+
+
+def _check_columns_against_defect(hom):
+    """Each column of the entries-built differential equals the defect of its
+    basis element, vectorized; returns the number of columns compared."""
+    complex_ = _defect_complex(hom.a1, hom.a2, hom.graded)
+    if hom.graded:
+        degrees = range(complex_.min_degree, hom.bound + 1)
+    else:
+        degrees = (hom.bound - 1, hom.bound)
+    checked = 0
+    for parity, degree in [(p, m) for m in degrees for p in (0, 1)]:
+        source = complex_.basis(parity, degree)
+        if not source:
+            continue
+        target = complex_.basis(1 - parity, degree + complex_.step)
+        index = {element: row for row, element in enumerate(target)}
+        columns = complex_.matrix(parity, degree).transpose().rows
+        for element, column in zip(source, columns):
+            image = _elementary(hom, parity, element).defect()
+            assert column == _vectorize(image, index)
+            checked += 1
+    return checked
+
+
+def test_hom_differential_columns_equal_defect_graded():
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    branes = [
+        koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")]),
+        koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")]),
+    ]
+    for a in branes:
+        for b in branes:
+            hom = hom_cohomology(a, b)
+            assert hom.graded
+            assert _check_columns_against_defect(hom) > 100
+
+
+def test_hom_differential_columns_equal_defect_windowed():
+    lg = make_lg_pair(["x", "y"], "x^4+y^4+x*y^2")
+    c = koszul_factorization(lg, [("x", "x^3+y^2"), ("y", "y^3")])
+    hom = hom_cohomology(c, c)
+    assert not hom.graded
+    assert _check_columns_against_defect(hom) > 100
+
+
+def test_hom_of_non_factorization_fails_closed():
+    # D^2 = x^2 != W = x^3, so d^2 != 0 on the Hom complex; python -O must
+    # not skip the check
+    script = """
+from lgtft.errors import InternalCheckError
+from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import HomCohomology, MatrixFactorization
+from lgtft.polymatrix import PolyMatrix
+lg = make_lg_pair(["x"], "x^3")
+x, x2 = lg.ring.parse("x"), lg.ring.parse("x^2")
+bad = MatrixFactorization(lg, PolyMatrix(lg.ring, [[x]]), PolyMatrix(lg.ring, [[x]]))
+good = MatrixFactorization(lg, PolyMatrix(lg.ring, [[x]]), PolyMatrix(lg.ring, [[x2]]))
+try:
+    hom = HomCohomology(bad, good, 6)
+    print("dims", hom.dim(0), hom.dim(1))
+except InternalCheckError:
+    print("raised")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in (["-O"], []):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["raised"], flags
 
 
 def test_defect_of_identity_vanishes(lg_x3):
@@ -126,7 +222,8 @@ def test_square_zero_holds_for_koszul_brane_pair():
     lg = make_lg_pair(["x", "y"], "x^3+y^3")
     a = koszul_factorization(lg, [("x", "x^2"), ("y", "y^2")])
     b = koszul_factorization(lg, [("x^2", "x"), ("y", "y^2")])
-    hom_complex(a, b)  # asserts d^2 = 0 on all module basis elements
+    complex_ = _defect_complex(a, b, graded=True)  # checks d^2 = 0 on generators
+    assert len(complex_.entries) == 2 * (2 * 2 + 2 * 2)
 
 
 # -- cohomology ---------------------------------------------------------------
