@@ -49,7 +49,7 @@ class FreeComplex:
         )
         if weights is None:
             self.step = max(
-                [1]
+                [0]
                 + [p.total_degree() for images in self.entries.values() for _, p in images]
             )
         else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import RingMismatchError
+from .errors import InternalCheckError, RingMismatchError
 from .poly import (
     PolyRing,
     Polynomial,
@@ -110,12 +110,11 @@ def buchberger(generators: Sequence[Polynomial]) -> list:
 class GroebnerBasis:
     """A reduced grevlex Groebner basis with normal-form services."""
 
-    __slots__ = ("ring", "generators", "order")
+    __slots__ = ("ring", "generators")
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
         self.ring = ring
         self.generators = tuple(generators)
-        self.order = "grevlex"
 
     @classmethod
     def compute(
@@ -134,19 +133,19 @@ class GroebnerBasis:
         return basis
 
     def verify(self):
-        """Assert the Buchberger criterion and monic reducedness."""
+        """Raise InternalCheckError unless the basis is monic, reduced and Groebner."""
         gens = self.generators
         for k, g in enumerate(gens):
-            assert g.leading_term()[1] == 1, "basis element not monic"
+            if g.leading_term()[1] != 1:
+                raise InternalCheckError("basis element not monic")
             others = gens[:k] + gens[k + 1 :]
-            if others:
-                assert normal_form(g, others) == g, "basis not reduced"
+            if others and normal_form(g, others) != g:
+                raise InternalCheckError("basis not reduced")
         for i in range(len(gens)):
             for j in range(i):
                 s = s_polynomial(gens[i], gens[j])
-                assert normal_form(s, gens).is_zero(), (
-                    "Buchberger criterion failed"
-                )
+                if not normal_form(s, gens).is_zero():
+                    raise InternalCheckError("Buchberger criterion failed")
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
@@ -219,6 +218,3 @@ class GroebnerBasis:
         rec(0, [])
         found.sort(key=grevlex_key)
         return found
-
-    def key(self) -> tuple:
-        return (self.ring.variables, self.order, tuple(str(g) for g in self.generators))

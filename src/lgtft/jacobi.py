@@ -5,7 +5,7 @@ the Bezoutian dual-basis construction: write the Bezoutian of the partials as
 sum_{a,b} C[a][b] m_a(x) m_b(y) modulo the Jacobi ideal in both variable
 groups; then C^{-1} is the Gram matrix of the residue pairing on the standard
 monomial basis.  This normalization automatically satisfies
-trace(det Hessian) = dim, which is asserted.
+trace(det Hessian) = dim, which is checked.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     DegenerateTraceError,
+    InternalCheckError,
     NonIsolatedCriticalLocusError,
     SingularMatrixError,
 )
@@ -82,14 +83,6 @@ class JacobiAlgebra:
         for exps, coeff in reduced.terms.items():
             coords[self.index[exps]] = coeff
         return tuple(coords)
-
-    def coords_to_poly(self, coords: Sequence) -> Polynomial:
-        total = self.ring.zero()
-        for k, c in enumerate(coords):
-            c = GaussianRational.coerce(c)
-            if c:
-                total = total + self.ring.monomial(self.basis[k], c)
-        return total
 
     def multiply_coords(self, u: Sequence, v: Sequence) -> tuple:
         out = [GaussianRational(0)] * len(self.basis)
@@ -273,7 +266,8 @@ def residue_trace(
 
     # symmetry and the trace(hessian) = dim normalization are theorems for
     # finite critical sets; treat violations as internal errors
-    assert gram_unscaled == gram_unscaled.transpose(), "Gram matrix not symmetric"
+    if gram_unscaled != gram_unscaled.transpose():
+        raise InternalCheckError("Gram matrix not symmetric")
     values = [
         gram_unscaled.get(algebra.unit_index, k) for k in range(mu)
     ]
@@ -282,7 +276,8 @@ def residue_trace(
     for c, v in zip(hess_coords, values):
         if c and v:
             check = check + c * v
-    assert check == GaussianRational(mu), "hessian normalization failed"
+    if check != GaussianRational(mu):
+        raise InternalCheckError("hessian normalization failed")
 
     scale = GaussianRational.coerce(scale)
     scaled_values = [scale * v for v in values]

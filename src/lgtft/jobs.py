@@ -16,9 +16,14 @@ from typing import Optional
 
 from . import __version__
 from .cache import Cache, null_cache
-from .errors import DegenerateTraceError, LGError, ValidationError
+from .errors import (
+    DegenerateTraceError,
+    LGError,
+    NonIsolatedCriticalLocusError,
+    ValidationError,
+)
 from .groebner import GroebnerBasis
-from .jacobi import JacobiAlgebra, jacobi_groebner, residue_trace
+from .jacobi import JacobiAlgebra, jacobi_algebra, residue_trace
 from .koszul import (
     KoszulComplex,
     check_vanishing_negative_degrees,
@@ -258,7 +263,7 @@ def _cached_groebner(cache: Cache, lg: LGPair) -> GroebnerBasis:
             basis.verify()
             if all(basis.contains(g) for g in generators):
                 return basis
-        except (AssertionError, LGError, ValueError):
+        except (LGError, ValueError):
             pass  # fall through and recompute
     basis = GroebnerBasis.compute(generators)
     cache.put("groebner", key, [str(g) for g in basis.generators])
@@ -277,17 +282,20 @@ class _Shared:
 
     lg: LGPair
     homs: Optional[dict]  # (name, name) -> HomCohomology, kept for the tft section
-    groebner: Optional[GroebnerBasis] = None
+    algebra: Optional[JacobiAlgebra] = None
 
-    def groebner_basis(self) -> GroebnerBasis:
-        """The jacobi section's basis, or one computed here if it did not run."""
-        if self.groebner is None:
-            self.groebner = jacobi_groebner(self.lg)
-        return self.groebner
+    def jacobi(self) -> JacobiAlgebra:
+        """The jacobi section's algebra, or one built here if it did not run.
+
+        Raises NonIsolatedCriticalLocusError when the critical set is infinite.
+        """
+        if self.algebra is None:
+            self.algebra = jacobi_algebra(self.lg)
+        return self.algebra
 
 
 def _run_jacobi(spec: JobSpec, lg: LGPair, cache: Cache, shared: _Shared) -> dict:
-    gb = shared.groebner = _cached_groebner(cache, lg)
+    gb = _cached_groebner(cache, lg)
     finite = gb.is_zero_dimensional()
     out = {
         "finite_critical_set": finite,
@@ -297,7 +305,7 @@ def _run_jacobi(spec: JobSpec, lg: LGPair, cache: Cache, shared: _Shared) -> dic
         out["milnor_number"] = None
         out["note"] = "critical set not finite; see the koszul section"
         return out
-    algebra = JacobiAlgebra(lg, gb)
+    algebra = shared.algebra = JacobiAlgebra(lg, gb)
     out["milnor_number"] = algebra.dimension
     out["basis"] = [str(algebra.basis_poly(k)) for k in range(algebra.dimension)]
     if algebra.dimension:
@@ -347,9 +355,12 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, shared: _Shared) -
         ]
         payload = cache.get("hom", key)
         if payload is None:
-            groebner = (
-                shared.groebner_basis() if spec.degree_bound is None else None
-            )
+            groebner = None
+            if spec.degree_bound is None:
+                try:
+                    groebner = shared.jacobi().gb
+                except NonIsolatedCriticalLocusError:
+                    pass  # hom_cohomology rejects the default bound itself
             hom = hom_cohomology(
                 by_name[a], by_name[b], spec.degree_bound, groebner
             )
@@ -377,7 +388,7 @@ def _run_tft(spec: JobSpec, lg: LGPair, named, shared: _Shared) -> dict:
         degree_bound=spec.degree_bound,
         boundary_normalization=spec.c_d,
         bulk_scale=spec.bulk_scale,
-        groebner=shared.groebner_basis(),
+        algebra=shared.jacobi(),
         homs=shared.homs,
     )
     report = verify_tft_datum(datum)

@@ -316,22 +316,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map sending the k-th variable to images[k]."""
-        if len(images) != self.ring.nvars:
-            raise ValueError("one image per variable required")
-        if not images:
-            raise ValueError("empty image list")
-        target = images[0].ring
-        out = target.zero()
-        for exps, coeff in self.terms.items():
-            term = target.constant(coeff)
-            for image, e in zip(images, exps):
-                if e:
-                    term = term * image**e
-            out = out + term
-        return out
-
     # -- equality and printing ---------------------------------------------
 
     def __eq__(self, other):

@@ -100,15 +100,6 @@ class PolyMatrix:
             self.ring, [[factor * p for p in row] for row in self.entries]
         )
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.ring,
-            [
-                [self.entries[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ],
-        )
-
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix(self.ring, [[fn(p) for p in row] for row in self.entries])
 

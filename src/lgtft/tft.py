@@ -13,6 +13,14 @@ re-verified.  The Cardy comparison reports the measured proportionality
 constant rather than assuming one; the supertrace side treats right
 multiplication as a superoperator (it carries the Koszul sign
 (-1)^{deg t1 deg t} on homogeneous t).
+
+Every structure map is computed at chain level on basis elements only, once,
+and extended by linearity: composition through the composition tensors of
+BraneCategory, e_a through the classes e_a(m_k) of the bulk basis monomials,
+and tr_a through the traces of the basis classes of End(a).  The last two
+tables are built on first use, so they see the datum as it is at that time.
+The axiom clauses and Cardy are coordinate arithmetic on these constants;
+only f_a, the adjointness solve and its re-check, works on representatives.
 """
 
 from __future__ import annotations
@@ -52,9 +60,6 @@ class BulkAlgebra:
     @property
     def dimension(self) -> int:
         return self.algebra.dimension
-
-    def multiply(self, u, v):
-        return self.algebra.multiply_coords(u, v)
 
     def trace_of(self, coords) -> GaussianRational:
         if self.trace is None:
@@ -189,7 +194,6 @@ class CardyResult:
     entries: list  # dicts with t1, t2, lhs, rhs (scalar strings kept exact)
     consistent: bool
     constant: Optional[GaussianRational]
-    witness: Optional[dict] = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -257,6 +261,8 @@ class TFTDatum:
             boundary_normalization = Fraction(1, factorial(d))
         self.c_d = GaussianRational.coerce(boundary_normalization)
         self._lambda_cache = {}
+        self._e_basis_cache = {}
+        self._trace_basis_cache = {}
         self._f_basis_cache = {}
 
     # -- structure maps -----------------------------------------------------
@@ -280,26 +286,51 @@ class TFTDatum:
         self._lambda_cache[i] = total
         return total
 
-    def bulk_boundary(self, i: int, coords) -> MorphismClass:
-        """e_a: class of (normal form of h) * identity."""
-        poly = self.bulk.algebra.coords_to_poly(coords)
-        endo = self.branes.homs[(i, i)]
-        return endo.class_of(
-            Morphism.identity(self.branes.objects[i]).poly_scale(poly)
-        )
+    def bulk_boundary_basis(self, i: int) -> list:
+        """e_a(m_k) = [m_k * id] for every bulk basis monomial m_k, cached."""
+        cached = self._e_basis_cache.get(i)
+        if cached is None:
+            endo = self.branes.homs[(i, i)]
+            identity = Morphism.identity(self.branes.objects[i])
+            algebra = self.bulk.algebra
+            cached = self._e_basis_cache[i] = [
+                endo.class_of(identity.poly_scale(algebra.basis_poly(k)))
+                for k in range(algebra.dimension)
+            ]
+        return cached
 
-    def bulk_basis_boundary(self, i: int, k: int) -> MorphismClass:
-        coords = [GaussianRational(0)] * self.bulk.dimension
-        coords[k] = GaussianRational(1)
-        return self.bulk_boundary(i, coords)
+    def bulk_boundary(self, i: int, coords) -> MorphismClass:
+        """e_a(h) = sum_k h_k e_a(m_k), for h given by its bulk coordinates."""
+        total = self.branes.homs[(i, i)].zero_class(0)
+        for value, image in zip(coords, self.bulk_boundary_basis(i)):
+            if value:
+                total = total + image.scale(value)
+        return total
 
     def _boundary_trace_raw(self, i: int, morphism: Morphism) -> GaussianRational:
         poly = morphism.compose(self._lambda(i)).supertrace()
         return self.c_d * self.bulk.trace_of(self.bulk.algebra.nf_coords(poly))
 
+    def boundary_trace_basis(self, i: int) -> list:
+        """tr_a of every basis class of End(a), in basis order, cached."""
+        cached = self._trace_basis_cache.get(i)
+        if cached is None:
+            cached = self._trace_basis_cache[i] = [
+                self._boundary_trace_raw(i, t.representative)
+                for t in self.branes.basis(i, i)
+            ]
+        return cached
+
     def boundary_trace(self, i: int, t: MorphismClass) -> GaussianRational:
-        """tr_a on a cohomology class; vanishes off parity d mod 2."""
-        return self._boundary_trace_raw(i, t.representative)
+        """tr_a on a class of End(a); vanishes off parity d mod 2."""
+        if t.hom is not self.branes.homs[(i, i)]:
+            raise ValidationError("the class is not an endomorphism of this brane")
+        offset = 0 if t.parity == 0 else t.hom.dim(0)
+        total = GaussianRational(0)
+        for value, trace in zip(t.coords, self.boundary_trace_basis(i)[offset:]):
+            if value:
+                total = total + value * trace
+        return total
 
     def boundary_bulk(self, i: int, t: MorphismClass):
         """f_a(t): the trace adjoint of e_a, as bulk coordinates."""
@@ -322,7 +353,7 @@ class TFTDatum:
         # re-verify the defining identity on every bulk basis element
         for k in range(mu):
             lhs = self.bulk.trace_of(
-                self.bulk.multiply(_unit_coords(mu, k), coords)
+                self.bulk.algebra.multiply_coords(_unit_coords(mu, k), coords)
             )
             expected = rhs.get(k, GaussianRational(0))
             if lhs != expected:
@@ -349,20 +380,19 @@ class TFTDatum:
         """
         basis_i = self.branes.basis(i, i)
         basis_j = self.branes.basis(j, j)
-        hom_ij = self.branes.homs[(i, j)]
-        basis_ij = self.branes.basis(i, j)
         f_images_i = self.boundary_bulk_basis(i)
         f_images_j = self.boundary_bulk_basis(j)
         entries = []
         consistent = True
         constants = set()
-        witness = None
         for p1, t1 in enumerate(basis_i):
             f1 = f_images_i[p1]
             for p2, t2 in enumerate(basis_j):
                 f2 = f_images_j[p2]
-                lhs = self.bulk.trace_of(self.bulk.multiply(f1, f2))
-                rhs = self._cardy_supertrace(t1, t2, hom_ij, basis_ij)
+                lhs = self.bulk.trace_of(
+                    self.bulk.algebra.multiply_coords(f1, f2)
+                )
+                rhs = self._cardy_supertrace(i, j, t1, t2)
                 entries.append(
                     {"t1": p1, "t2": p2, "lhs": str(lhs), "rhs": str(rhs)}
                 )
@@ -370,31 +400,25 @@ class TFTDatum:
                     constants.add(lhs / rhs)
                 elif lhs:
                     consistent = False
-                    if witness is None:
-                        witness = {"t1": p1, "t2": p2, "lhs": str(lhs), "rhs": "0"}
         if len(constants) > 1:
             consistent = False
-            if witness is None:
-                witness = {"constants": sorted(str(c) for c in constants)}
         constant = constants.pop() if len(constants) == 1 else None
-        return CardyResult((i, j), entries, consistent, constant, witness)
+        return CardyResult((i, j), entries, consistent, constant)
 
-    def _cardy_supertrace(self, t1, t2, hom_ij, basis_ij) -> GaussianRational:
+    def _cardy_supertrace(self, i, j, t1, t2) -> GaussianRational:
         total = GaussianRational(0)
         shift = (t1.parity + t2.parity) % 2
         if shift == 1:
             return total  # odd operators have no diagonal blocks
-        for t in basis_ij:
-            image = compose_classes(
-                t2, self.branes.compose(t, t1), hom_ij
-            )
-            if t1.parity and t.parity:
-                image = image.scale(-1)
-            diagonal = _coefficient_on(image, t)
-            if t.parity == 0:
-                total = total + diagonal
-            else:
-                total = total - diagonal
+        even = self.branes.hom(i, j).dim(0)
+        for position, t in enumerate(self.branes.basis(i, j)):
+            image = self.branes.compose(t2, self.branes.compose(t, t1))
+            # the basis lists the even classes, then the odd ones
+            diagonal = image.coords[position - even if t.parity else position]
+            # the supertrace sign (-1)^|t| times the Koszul sign (-1)^{|t1||t|}
+            if t.parity and not t1.parity:
+                diagonal = -diagonal
+            total = total + diagonal
         return total
 
 
@@ -402,14 +426,6 @@ def _unit_coords(length: int, position: int):
     coords = [GaussianRational(0)] * length
     coords[position] = GaussianRational(1)
     return coords
-
-
-def _coefficient_on(image: MorphismClass, basis_class: MorphismClass):
-    """Coordinate of image along a unit-vector basis class."""
-    position = next(
-        k for k, c in enumerate(basis_class.coords) if c
-    )
-    return image.coords[position]
 
 
 def _perm_sign(sigma) -> int:
@@ -427,15 +443,16 @@ def build_tft_datum(
     degree_bound=None,
     boundary_normalization=None,
     bulk_scale=Fraction(1),
-    groebner=None,
+    algebra=None,
     homs=None,
 ) -> TFTDatum:
     """Assemble bulk + branes; degenerate bulk traces are carried as None.
 
-    groebner (the Jacobi ideal's basis) and homs (see BraneCategory) pass in
+    algebra (the Jacobi algebra of lg) and homs (see BraneCategory) pass in
     what the caller has already computed.
     """
-    algebra = jacobi_algebra(lg, groebner)
+    if algebra is None:
+        algebra = jacobi_algebra(lg)
     try:
         trace = residue_trace(algebra, lg, scale=bulk_scale)
     except DegenerateTraceError:
@@ -568,7 +585,7 @@ def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
     central = True
     witness = None
     for i in range(n):
-        images = [datum.bulk_basis_boundary(i, k) for k in range(mu)]
+        images = datum.bulk_boundary_basis(i)
         if mu and algebra.unit_index is not None:
             if images[algebra.unit_index] != branes.units[i]:
                 unital = False
@@ -582,8 +599,8 @@ def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
     for i in range(n):
         for j in range(n):
             for k in range(mu):
-                e_source = datum.bulk_basis_boundary(i, k)
-                e_target = datum.bulk_basis_boundary(j, k)
+                e_source = datum.bulk_boundary_basis(i)[k]
+                e_target = datum.bulk_boundary_basis(j)[k]
                 for t in branes.basis(i, j):
                     # bulk elements are even, so centrality is commutation
                     if branes.compose(e_target, t) != branes.compose(

@@ -1,6 +1,9 @@
 """Job files, reports, diffing, caching, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,56 @@ def test_cache_corruption_detected(tmp_path):
     assert corrupted == 1
     recomputed = run_job(spec, cache)
     assert _strip_timing(recomputed) == _strip_timing(baseline)
+
+
+def test_unreduced_cached_basis_is_recomputed_under_optimize(tmp_path):
+    """The Groebner self-check raises, so python -O still rejects a cached
+    basis that generates the ideal but is not reduced."""
+    script = """
+import json, sys
+from pathlib import Path
+from lgtft.cache import Cache
+from lgtft.jobs import JobSpec, run_job
+
+directory = Path(sys.argv[1])
+spec = JobSpec.from_dict(
+    {"variables": ["x", "y"], "superpotential": "x^3+y^3", "compute": "jacobi"}
+)
+baseline = run_job(spec, Cache(directory))["results"]["jacobi"]
+(path,) = directory.glob("groebner-*.json")
+record = json.loads(path.read_text())
+record["payload"] = ["x^2", "y^2", "x^2*y"]
+path.write_text(json.dumps(record))
+again = run_job(spec, Cache(directory))["results"]["jacobi"]
+stored = json.loads(path.read_text())["payload"]
+print(json.dumps([again == baseline, again["groebner_basis"], stored]))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    same, basis, stored = json.loads(completed.stdout)
+    assert same
+    assert basis == stored == ["y^2", "x^2"]
+
+
+def test_compute_all_builds_one_jacobi_algebra(monkeypatch):
+    built = []
+    original = lgtft.jobs.JacobiAlgebra.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(lgtft.jobs.JacobiAlgebra, "__init__", counting)
+    report = run_job(JobSpec.from_dict(_basic_job()))
+    assert report["results"]["tft"]["passed"] is True
+    assert len(built) == 1
 
 
 def test_diff_identical_is_empty():

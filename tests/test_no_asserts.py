@@ -5,15 +5,9 @@ from pathlib import Path
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "lgtft"
 
-# (file, message) of the asserts still waiting to become raised checks;
-# this list may only shrink
-ALLOWED = {
-    ("groebner.py", "basis element not monic"),
-    ("groebner.py", "basis not reduced"),
-    ("groebner.py", "Buchberger criterion failed"),
-    ("jacobi.py", "Gram matrix not symmetric"),
-    ("jacobi.py", "hessian normalization failed"),
-}
+# (file, message) of asserts allowed to remain; every self-check now raises,
+# so the list is empty and must stay so
+ALLOWED = set()
 
 
 def _asserts():

@@ -31,14 +31,14 @@ def _datum_x3():
 def test_e_of_unit_is_unit_class():
     lg, datum = _datum_x3()
     unit_idx = datum.bulk.algebra.unit_index
-    assert datum.bulk_basis_boundary(0, unit_idx) == datum.branes.units[0]
+    assert datum.bulk_boundary_basis(0)[unit_idx] == datum.branes.units[0]
 
 
 def test_e_of_x_vanishes_on_x_x2_brane():
     # x * id is a coboundary on the (x, x^2) brane of x^3
     lg, datum = _datum_x3()
     x_idx = datum.bulk.algebra.index[(1,)]
-    assert datum.bulk_basis_boundary(0, x_idx).is_zero()
+    assert datum.bulk_boundary_basis(0)[x_idx].is_zero()
 
 
 def test_e_multiplicative_on_basis():
@@ -48,7 +48,7 @@ def test_e_multiplicative_on_basis():
         for b in range(algebra.dimension):
             lhs = datum.bulk_boundary(0, algebra.table[a][b])
             rhs = datum.branes.compose(
-                datum.bulk_basis_boundary(0, a), datum.bulk_basis_boundary(0, b)
+                datum.bulk_boundary_basis(0)[a], datum.bulk_boundary_basis(0)[b]
             )
             assert lhs == rhs
 
@@ -297,8 +297,8 @@ def test_graded_centrality_across_brane_pair():
     datum = build_tft_datum(lg, branes)
     algebra = datum.bulk.algebra
     for k in range(algebra.dimension):
-        e1 = datum.bulk_basis_boundary(0, k)
-        e2 = datum.bulk_basis_boundary(1, k)
+        e1 = datum.bulk_boundary_basis(0)[k]
+        e2 = datum.bulk_boundary_basis(1)[k]
         for t in datum.branes.basis(0, 1):
             assert datum.branes.compose(e2, t) == datum.branes.compose(t, e1)
 
@@ -370,3 +370,99 @@ print(report.clause("adjointness").status, report.clause("cardy").status)
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.split() == ["fail", "fail"]
+
+
+def test_verify_calls_class_of_only_for_the_e_images(monkeypatch):
+    """The clauses read per-basis tables: the only classes computed during
+    verification are e_a(m_k), one per brane and bulk basis monomial."""
+    import lgtft.matfact
+    import lgtft.tft
+
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    branes = [
+        ("A", koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])),
+        ("B", koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])),
+    ]
+    datum = build_tft_datum(lg, branes)
+    calls = {"class_of": 0, "compose_classes": 0}
+    original_class_of = lgtft.matfact.HomCohomology.class_of
+
+    def counting_class_of(self, morphism):
+        calls["class_of"] += 1
+        return original_class_of(self, morphism)
+
+    def counting_compose(*args, **kwargs):
+        calls["compose_classes"] += 1
+        return compose_classes(*args, **kwargs)
+
+    monkeypatch.setattr(lgtft.matfact.HomCohomology, "class_of", counting_class_of)
+    monkeypatch.setattr(lgtft.matfact, "compose_classes", counting_compose)
+    monkeypatch.setattr(lgtft.tft, "compose_classes", counting_compose)
+    report = verify_tft_datum(datum)
+    assert report.passed()
+    assert calls == {
+        "class_of": len(branes) * datum.bulk.dimension,
+        "compose_classes": 0,
+    }
+
+
+_CORRUPTION_SCRIPT = """
+from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import koszul_factorization
+from lgtft.scalars import GaussianRational
+from lgtft.tft import build_tft_datum, verify_tft_datum
+
+
+def datum():
+    lg = make_lg_pair(["x"], "x^4")
+    branes = [
+        ("M1", koszul_factorization(lg, [("x", "x^3")])),
+        ("M2", koszul_factorization(lg, [("x^2", "x^2")])),
+    ]
+    return build_tft_datum(lg, branes)
+
+
+def failed(datum):
+    report = verify_tft_datum(datum)
+    return ",".join(c.name for c in report.clauses if c.status == "fail") or "-"
+
+
+print(failed(datum()))
+# End(M2) has two even and two odd basis classes; the square of the last odd
+# class is zero, and the tensor now claims it is the second even class
+corrupted = datum()
+corrupted.branes._tensors[(1, 1, 1)][(3, 3)] = [(1, GaussianRational(1))]
+print(failed(corrupted))
+# e_a of the socle monomial x^2 is zero on M2; add the unit class to it
+corrupted = datum()
+images = corrupted.bulk_boundary_basis(1)
+images[-1] = images[-1] + corrupted.branes.units[1]
+print(failed(corrupted))
+# the signature is odd, so the trace of the even unit class must vanish
+corrupted = datum()
+traces = corrupted.boundary_trace_basis(1)
+traces[0] = traces[0] + GaussianRational(1)
+print(failed(corrupted))
+"""
+
+
+def test_corrupted_structure_constants_fail_their_clauses():
+    """One wrong composition-tensor entry, e-image or basis trace each fails a
+    clause, with and without python -O: the tables are checked, not trusted."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", _CORRUPTION_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        clean, tensor, e_image, trace = [
+            set(line.split(",")) for line in completed.stdout.split()
+        ]
+        assert clean == {"-"}
+        assert "category_associativity" in tensor
+        assert "e_multiplicative" in e_image
+        assert "trace_parity" in trace
