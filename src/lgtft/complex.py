@@ -20,7 +20,7 @@ case, so a window never loses part of an image.
 from __future__ import annotations
 
 from .errors import InternalCheckError
-from .linalg import EchelonBasis, SparseMatrix
+from .linalg import EchelonBasis, SparseMatrix, rref_nullspace
 from .poly import mono_mul, monomials_of_weighted_degree
 
 
@@ -55,7 +55,7 @@ class FreeComplex:
         else:
             self.step = shift
         self._bases = {}
-        self._ranks = {}
+        self._rrefs = {}  # (index, degree) -> RREF of the map out, kept by rank()
         self._check_square_zero()
 
     def _check_square_zero(self):
@@ -115,14 +115,20 @@ class FreeComplex:
         return SparseMatrix(len(target), len(source), rows)
 
     def rank(self, index, degree) -> int:
-        """Rank of the differential out of the piece; each is eliminated once."""
+        """Rank of the differential out of the piece.
+
+        Each matrix is eliminated once: its RREF is kept, and cohomology()
+        reads the kernel of the piece off it.
+        """
         key = (index, degree)
-        if key not in self._ranks:
+        if key not in self._rrefs:
             nonempty = self.basis(index, degree) and self.basis(
                 self.successor[index], degree + self.step
             )
-            self._ranks[key] = self.matrix(index, degree).rank() if nonempty else 0
-        return self._ranks[key]
+            self._rrefs[key] = (
+                self.matrix(index, degree).rref() if nonempty else ([], [])
+            )
+        return len(self._rrefs[key][0])
 
     def dim(self, index, degree) -> int:
         """Cohomology dimension of the piece: its size less the ranks out and in."""
@@ -154,7 +160,10 @@ class FreeComplex:
                 yield basis, [], image
                 continue
             outgoing = self.matrix(index, degree)
-            kernel = outgoing.nullspace()
+            rref = self._rrefs.get(piece)
+            if rref is None:
+                rref = outgoing.rref()
+            kernel = rref_nullspace(outgoing.ncols, *rref)
             target = (self.successor[index], degree + self.step)
             if target in pending:
                 kept[target] = outgoing

@@ -18,12 +18,14 @@ from . import __version__
 from .cache import Cache, null_cache
 from .errors import (
     DegenerateTraceError,
+    FactorizationError,
     LGError,
-    NonIsolatedCriticalLocusError,
+    ParseError,
+    ShapeError,
     ValidationError,
 )
 from .groebner import GroebnerBasis
-from .jacobi import JacobiAlgebra, jacobi_algebra, residue_trace
+from .jacobi import JacobiAlgebra, jacobi_algebra, jacobi_groebner, residue_trace
 from .koszul import (
     KoszulComplex,
     check_vanishing_negative_degrees,
@@ -95,16 +97,19 @@ class JobSpec:
             if not isinstance(entry, dict) or "name" not in entry:
                 raise ValidationError("each brane needs a 'name'")
             name = entry["name"]
+            if not isinstance(name, str):
+                raise ValidationError(f"brane name {name!r} must be a string")
             if name in seen:
                 raise ValidationError(f"duplicate brane name {name!r}")
             seen.add(name)
             if "pairs" in entry:
                 pairs = entry["pairs"]
                 if not isinstance(pairs, list) or not all(
-                    isinstance(p, list) and len(p) == 2 for p in pairs
+                    _is_list_of(p, str) and len(p) == 2 for p in pairs
                 ):
                     raise ValidationError(
-                        f"brane {name!r}: 'pairs' must be a list of [a, b]"
+                        f"brane {name!r}: 'pairs' must be a list of "
+                        "[a, b] polynomial strings"
                     )
                 branes.append((name, "pairs", pairs))
             elif "d01" in entry and "d10" in entry:
@@ -114,6 +119,20 @@ class JobSpec:
                     "weights0": entry.get("weights0"),
                     "weights1": entry.get("weights1"),
                 }
+                for block in ("d01", "d10"):
+                    if not isinstance(payload[block], list) or not all(
+                        _is_list_of(row, str) for row in payload[block]
+                    ):
+                        raise ValidationError(
+                            f"brane {name!r}: {block!r} must be a list of rows "
+                            "of polynomial strings"
+                        )
+                for label in ("weights0", "weights1"):
+                    value = payload[label]
+                    if value is not None and not _is_list_of(value, int):
+                        raise ValidationError(
+                            f"brane {name!r}: {label!r} must be a list of integers"
+                        )
                 branes.append((name, "matrices", payload))
             else:
                 raise ValidationError(
@@ -136,8 +155,8 @@ class JobSpec:
             if not isinstance(hom_pairs, list):
                 raise ValidationError("'hom_pairs' must be a list of name pairs")
             for pair in hom_pairs:
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ValidationError("'hom_pairs' entries must be [a, b]")
+                if not (_is_list_of(pair, str) and len(pair) == 2):
+                    raise ValidationError("'hom_pairs' entries must be [a, b] names")
                 for name in pair:
                     if name not in seen:
                         raise ValidationError(
@@ -198,6 +217,13 @@ class JobSpec:
         }
 
 
+def _is_list_of(value, kind) -> bool:
+    """value is a list whose items are all of type kind (bool is no int)."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value
+    )
+
+
 def load_job(path: str) -> JobSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -223,30 +249,23 @@ def _build_lg(spec: JobSpec) -> LGPair:
 
 def _build_branes(spec: JobSpec, lg: LGPair):
     named = []
-    ring = lg.ring
     for name, kind, payload in spec.branes:
-        if kind == "pairs":
-            named.append((name, koszul_factorization(lg, payload)))
-        else:
-            d01 = PolyMatrix(
-                ring, [[ring.parse(p) for p in row] for row in payload["d01"]]
-            )
-            d10 = PolyMatrix(
-                ring, [[ring.parse(p) for p in row] for row in payload["d10"]]
-            )
-            named.append(
-                (
-                    name,
-                    make_factorization(
-                        lg,
-                        d01,
-                        d10,
-                        payload.get("weights0"),
-                        payload.get("weights1"),
-                    ),
-                )
-            )
+        try:
+            named.append((name, _build_brane(lg, kind, payload)))
+        except (ParseError, FactorizationError, ShapeError) as exc:
+            raise ValidationError(f"brane {name!r}: {exc}") from exc
     return named
+
+
+def _build_brane(lg: LGPair, kind: str, payload):
+    if kind == "pairs":
+        return koszul_factorization(lg, payload)
+    ring = lg.ring
+    d01 = PolyMatrix(ring, [[ring.parse(p) for p in row] for row in payload["d01"]])
+    d10 = PolyMatrix(ring, [[ring.parse(p) for p in row] for row in payload["d10"]])
+    return make_factorization(
+        lg, d01, d10, payload.get("weights0"), payload.get("weights1")
+    )
 
 
 def _cached_groebner(cache: Cache, lg: LGPair) -> GroebnerBasis:
@@ -282,7 +301,15 @@ class _Shared:
 
     lg: LGPair
     homs: Optional[dict]  # (name, name) -> HomCohomology, kept for the tft section
+    groebner: Optional[GroebnerBasis] = None  # of the Jacobi ideal
     algebra: Optional[JacobiAlgebra] = None
+
+    def basis(self) -> GroebnerBasis:
+        """The jacobi section's Groebner basis, or one computed here if it did
+        not run; kept also when the critical set is infinite."""
+        if self.groebner is None:
+            self.groebner = jacobi_groebner(self.lg)
+        return self.groebner
 
     def jacobi(self) -> JacobiAlgebra:
         """The jacobi section's algebra, or one built here if it did not run.
@@ -290,12 +317,12 @@ class _Shared:
         Raises NonIsolatedCriticalLocusError when the critical set is infinite.
         """
         if self.algebra is None:
-            self.algebra = jacobi_algebra(self.lg)
+            self.algebra = jacobi_algebra(self.lg, self.basis())
         return self.algebra
 
 
 def _run_jacobi(spec: JobSpec, lg: LGPair, cache: Cache, shared: _Shared) -> dict:
-    gb = _cached_groebner(cache, lg)
+    gb = shared.groebner = _cached_groebner(cache, lg)
     finite = gb.is_zero_dimensional()
     out = {
         "finite_critical_set": finite,
@@ -355,12 +382,8 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, shared: _Shared) -
         ]
         payload = cache.get("hom", key)
         if payload is None:
-            groebner = None
-            if spec.degree_bound is None:
-                try:
-                    groebner = shared.jacobi().gb
-                except NonIsolatedCriticalLocusError:
-                    pass  # hom_cohomology rejects the default bound itself
+            # hom_cohomology rejects the default bound for an infinite set itself
+            groebner = shared.basis() if spec.degree_bound is None else None
             hom = hom_cohomology(
                 by_name[a], by_name[b], spec.degree_bound, groebner
             )

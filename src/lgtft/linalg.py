@@ -54,6 +54,22 @@ def vec_to_list(vector: Vector, length: int) -> list:
     return out
 
 
+def rref_nullspace(ncols: int, pivot_cols: list, rows: list) -> list:
+    """The kernel basis of a matrix with ncols columns, read off its RREF."""
+    pivot_of = dict(zip(pivot_cols, rows))
+    basis = []
+    for free in range(ncols):
+        if free in pivot_of:
+            continue
+        vector: Vector = {free: GaussianRational(1)}
+        for col, row in pivot_of.items():
+            coeff = row.get(free)
+            if coeff:
+                vector[col] = -coeff
+        basis.append(vector)
+    return basis
+
+
 class EchelonBasis:
     """Reduced row-echelon rows with their pivot columns, kept sorted.
 
@@ -250,18 +266,7 @@ class SparseMatrix:
 
     def nullspace(self) -> list:
         """Canonical kernel basis: one vector per free column, ascending."""
-        pivot_cols, rows = self.rref()
-        pivot_of = dict(zip(pivot_cols, rows))
-        free_cols = [c for c in range(self.ncols) if c not in pivot_of]
-        basis = []
-        for free in free_cols:
-            vector: Vector = {free: GaussianRational(1)}
-            for col, row in pivot_of.items():
-                coeff = row.get(free)
-                if coeff:
-                    vector[col] = -coeff
-            basis.append(vector)
-        return basis
+        return rref_nullspace(self.ncols, *self.rref())
 
     def column_space_basis(self) -> list:
         """Canonical image basis: RREF rows of the transpose."""

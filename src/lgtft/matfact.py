@@ -570,7 +570,7 @@ class HomCohomology:
     """Degreewise cohomology of Hom(a1, a2) with canonical representatives."""
 
     def __init__(self, a1, a2, bound=None, groebner=None):
-        if a1.lg.key() != a2.lg.key():
+        if a1.lg is not a2.lg and a1.lg.key() != a2.lg.key():
             raise ValidationError("factorizations of different LG pairs")
         self.a1 = a1
         self.a2 = a2

@@ -583,7 +583,7 @@ def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
     unital = True
     multiplicative = True
     central = True
-    witness = None
+    multiplicative_witness = central_witness = None
     for i in range(n):
         images = datum.bulk_boundary_basis(i)
         if mu and algebra.unit_index is not None:
@@ -595,7 +595,7 @@ def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
                 composed = branes.compose(images[a], images[b])
                 if product != composed:
                     multiplicative = False
-                    witness = {"object": i, "pair": [a, b]}
+                    multiplicative_witness = {"object": i, "pair": [a, b]}
     for i in range(n):
         for j in range(n):
             for k in range(mu):
@@ -607,10 +607,10 @@ def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
                         t, e_source
                     ):
                         central = False
-                        witness = {"objects": [i, j], "bulk": k}
+                        central_witness = {"objects": [i, j], "bulk": k}
     report.add("e_unital", unital)
-    report.add("e_multiplicative", multiplicative, witness=witness)
-    report.add("graded_centrality", central, witness=witness)
+    report.add("e_multiplicative", multiplicative, witness=multiplicative_witness)
+    report.add("graded_centrality", central, witness=central_witness)
 
 
 def _check_cy_structure(datum: TFTDatum, report: AxiomReport):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import lgtft.groebner
 import lgtft.jobs
 import lgtft.tft
 from lgtft.cache import Cache
@@ -184,6 +185,39 @@ def test_compute_all_builds_one_jacobi_algebra(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "extra,code,message",
+    [
+        ({"compute": ["jacobi", "homs"]}, 2, "supply an explicit degree bound"),
+        (
+            {"compute": ["jacobi", "homs", "tft"], "degree_bound": 4},
+            1,
+            "the critical set of W is not finite",
+        ),
+    ],
+)
+def test_infinite_critical_set_computes_one_groebner_basis(
+    tmp_path, capsys, monkeypatch, extra, code, message
+):
+    runs = []
+    original = lgtft.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lgtft.groebner, "buchberger", counting)
+    raw = {
+        "variables": ["x", "y"],
+        "superpotential": "x^2*y",
+        "branes": [{"name": "B", "pairs": [["x", "x*y"]]}],
+        **extra,
+    }
+    assert main(["run", _write_job(tmp_path, raw), "--no-cache"]) == code
+    assert message in capsys.readouterr().err
+    assert len(runs) == 1
+
+
 def test_diff_identical_is_empty():
     spec = JobSpec.from_dict(_basic_job())
     r1, r2 = run_job(spec), run_job(spec)
@@ -276,6 +310,21 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "b7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "brane,message",
+    [
+        ({"name": "B", "pairs": [["x", "x^+"]]}, "brane 'B'"),
+        ({"name": "B", "pairs": [["x", "x"]]}, "brane 'B'"),
+        ({"name": ["B"], "pairs": [["x", "x^2"]]}, "must be a string"),
+        ({"name": "B", "d01": "xx", "d10": [["x^2"]]}, "brane 'B'"),
+    ],
+)
+def test_cli_malformed_brane_is_validation_error(tmp_path, capsys, brane, message):
+    job = _write_job(tmp_path, _basic_job(branes=[brane]))
+    assert main(["run", job, "--no-cache"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_missing_job_file_is_validation_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.json")])
     assert code == 2
@@ -319,7 +368,12 @@ def test_cache_env_var(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "variables,w,bound",
-    [(["x", "y"], "x^2*y", 8), (["x", "y"], "x^5*y+y^6", None), (["x", "y"], "x^3+y^3+x*y", 5)],
+    [
+        (["x", "y"], "x^2*y", 8),
+        (["x", "y"], "x^5*y+y^6", None),
+        (["x", "y"], "x^3+y^3+x*y", 5),
+        (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2", 9),
+    ],
 )
 def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound):
     from lgtft.koszul import check_vanishing_negative_degrees, koszul_cohomology
@@ -348,6 +402,6 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
     raw = {"variables": variables, "superpotential": w, "compute": ["koszul"]}
     report, job = count(run_job, JobSpec.from_dict({**raw, "koszul_bound": bound}))
     assert report["results"]["koszul"]["vanishing"] == vanishing.to_jsonable()
-    # the vanishing check reuses the table's ranks: only a witness adds a nullspace
-    assert job == setup + table + (0 if vanishing.vanishes else 1)
+    # the vanishing check, witness included, reuses the table's eliminations
+    assert job == setup + table
     assert job < setup + table + alone

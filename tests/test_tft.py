@@ -466,3 +466,23 @@ def test_corrupted_structure_constants_fail_their_clauses():
         assert "category_associativity" in tensor
         assert "e_multiplicative" in e_image
         assert "trace_parity" in trace
+
+
+def test_each_bulk_boundary_clause_carries_its_own_witness():
+    """A passing graded_centrality carries no witness from e_multiplicative."""
+    lg = make_lg_pair(["x"], "x^4")
+    branes = [
+        ("M1", koszul_factorization(lg, [("x", "x^3")])),
+        ("M2", koszul_factorization(lg, [("x^2", "x^2")])),
+    ]
+    datum = build_tft_datum(lg, branes)
+    # End(M2): the square of the unit class is now twice the unit class
+    unit = datum.branes.units[1]
+    datum.branes._tensors[(1, 1, 1)][(0, 0)] = [
+        (position, 2 * c) for position, c in enumerate(unit.coords) if c
+    ]
+    clauses = {c.name: c for c in verify_tft_datum(datum).clauses}
+    assert clauses["e_multiplicative"].status == "fail"
+    assert clauses["e_multiplicative"].witness == {"object": 1, "pair": [0, 0]}
+    assert clauses["graded_centrality"].status == "pass"
+    assert clauses["graded_centrality"].witness is None
