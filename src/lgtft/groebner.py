@@ -117,9 +117,7 @@ class GroebnerBasis:
         self.generators = tuple(generators)
 
     @classmethod
-    def compute(
-        cls, generators: Sequence[Polynomial], check: bool = True
-    ) -> "GroebnerBasis":
+    def compute(cls, generators: Sequence[Polynomial]) -> "GroebnerBasis":
         gens = [g for g in generators if not g.is_zero()]
         if not gens:
             raise ValueError("cannot build a Groebner basis from the zero ideal only")
@@ -128,8 +126,7 @@ class GroebnerBasis:
             if g.ring != ring:
                 raise RingMismatchError("generators live in different rings")
         basis = cls(ring, buchberger(gens))
-        if check:
-            basis.verify()
+        basis.verify()
         return basis
 
     def verify(self):

@@ -69,12 +69,11 @@ def make_lg_pair(
     variables: Sequence[str],
     w_source,
     weights: Optional[Sequence[int]] = None,
-    autodetect_weights: bool = True,
 ) -> LGPair:
     """Build an LGPair from variable names and polynomial text (or value)."""
     ring = PolyRing(variables)
     w = ring.parse(w_source) if isinstance(w_source, str) else w_source
-    if weights is None and autodetect_weights:
+    if weights is None:
         weights = detect_weights(w)
     return LGPair(ring, w, tuple(weights) if weights is not None else None)
 

@@ -3,7 +3,9 @@
 Matrices are lists of sparse rows (dict column -> nonzero scalar).  Pivoting
 is deterministic: columns are processed left to right and the candidate row
 with the fewest nonzero entries (ties broken by position) wins, so every
-kernel/image basis this module produces is reproducible bit for bit.
+kernel/image basis this module produces is reproducible bit for bit.  There is
+one elimination routine: solve and inverse reduce [A | b] and [A | I], and
+since the RREF is unique their results do not depend on the pivot rule.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ def vec_from_list(values: Sequence) -> Vector:
         v = GaussianRational.coerce(v)
         if v:
             out[k] = v
-    return out
-
-
-def vec_to_list(vector: Vector, length: int) -> list:
-    out = [GaussianRational(0)] * length
-    for k, v in vector.items():
-        out[k] = v
     return out
 
 
@@ -206,19 +201,19 @@ class SparseMatrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def _rref_rows(self, augmented: Optional[list] = None):
+    def _rref_rows(self):
         """Reduced row echelon form of the row list.
 
-        Returns (pivot_cols, rows, aug_rows): rows sorted by pivot column,
-        each normalized to pivot 1 and fully reduced.  The optional augmented
-        rows receive the same row operations (used for solve/inverse).
+        Returns (pivot_cols, rows): rows sorted by pivot column, each
+        normalized to pivot 1 and fully reduced.
         """
         work = [dict(row) for row in self.rows]
-        aug = [dict(row) for row in augmented] if augmented is not None else None
         order = list(range(self.nrows))
         done = []  # (pivot_col, work_index)
         used = set()
         for col in range(self.ncols):
+            if len(done) == self.nrows:
+                break  # every row holds a pivot, e.g. past A in [A | I]
             best = None
             for idx in order:
                 if idx in used:
@@ -234,8 +229,6 @@ class SparseMatrix:
             used.add(pivot_idx)
             scale = work[pivot_idx][col].inverse()
             work[pivot_idx] = vec_scale(work[pivot_idx], scale)
-            if aug is not None:
-                aug[pivot_idx] = vec_scale(aug[pivot_idx], scale)
             pivot_row = work[pivot_idx]
             for idx in order:
                 if idx == pivot_idx:
@@ -243,22 +236,11 @@ class SparseMatrix:
                 coeff = work[idx].get(col)
                 if coeff:
                     work[idx] = vec_axpy(work[idx], -coeff, pivot_row)
-                    if aug is not None:
-                        aug[idx] = vec_axpy(aug[idx], -coeff, aug[pivot_idx])
             done.append((col, pivot_idx))
-        pivot_cols = [col for col, _ in done]
-        rows = [work[idx] for _, idx in done]
-        if aug is None:
-            return pivot_cols, rows, None
-        aug_rows = [aug[idx] for _, idx in done]
-        leftover = [idx for idx in order if idx not in used]
-        # rows that reduced to zero keep their augmented parts (consistency data)
-        aug_zero = [aug[idx] for idx in leftover]
-        return pivot_cols, rows, (aug_rows, aug_zero)
+        return [col for col, _ in done], [work[idx] for _, idx in done]
 
     def rref(self):
-        pivot_cols, rows, _ = self._rref_rows()
-        return pivot_cols, rows
+        return self._rref_rows()
 
     def rank(self) -> int:
         pivot_cols, _ = self.rref()
@@ -268,43 +250,38 @@ class SparseMatrix:
         """Canonical kernel basis: one vector per free column, ascending."""
         return rref_nullspace(self.ncols, *self.rref())
 
-    def column_space_basis(self) -> list:
-        """Canonical image basis: RREF rows of the transpose."""
-        _, rows = self.transpose().rref()
-        return rows
-
     def solve(self, rhs: Vector) -> Optional[Vector]:
-        """One solution of A x = rhs, or None when inconsistent."""
-        aug = [dict() for _ in range(self.nrows)]
+        """The solution of A x = rhs with free variables zero, or None when
+        inconsistent, that is when the last column of [A | rhs] is a pivot."""
+        n = self.ncols
+        rows = [dict(row) for row in self.rows]
         for i, v in rhs.items():
             if v:
-                aug[i][0] = v
-        pivot_cols, rows, aug_data = self._rref_rows(aug)
-        aug_rows, aug_zero = aug_data
-        for leftover in aug_zero:
-            if leftover:
-                return None
+                rows[i][n] = v
+        pivot_cols, reduced = SparseMatrix(self.nrows, n + 1, rows).rref()
+        if pivot_cols and pivot_cols[-1] == n:
+            return None
         solution: Vector = {}
-        for col, arow in zip(pivot_cols, aug_rows):
-            v = arow.get(0)
+        for col, row in zip(pivot_cols, reduced):
+            v = row.get(n)
             if v:
                 solution[col] = v
         return solution
 
     def inverse(self) -> "SparseMatrix":
-        if self.nrows != self.ncols:
+        """A^-1, read off the RREF [I | A^-1] of [A | I]."""
+        n = self.nrows
+        if n != self.ncols:
             raise ShapeError("only square matrices can be inverted")
-        identity = [
-            {k: GaussianRational(1)} for k in range(self.nrows)
-        ]
-        pivot_cols, _, aug_data = self._rref_rows(identity)
-        if len(pivot_cols) != self.nrows:
+        rows = [dict(row) for row in self.rows]
+        for k, row in enumerate(rows):
+            row[n + k] = GaussianRational(1)
+        pivot_cols, reduced = SparseMatrix(n, 2 * n, rows).rref()
+        if pivot_cols != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        aug_rows, _ = aug_data
-        rows = [dict() for _ in range(self.nrows)]
-        for col, arow in zip(pivot_cols, aug_rows):
-            rows[col] = arow
-        return SparseMatrix(self.nrows, self.ncols, rows)
+        return SparseMatrix(
+            n, n, [{j - n: v for j, v in row.items() if j >= n} for row in reduced]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

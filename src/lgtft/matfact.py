@@ -364,6 +364,7 @@ class Morphism:
         return self.scale(-1)
 
     def scale(self, factor) -> "Morphism":
+        """factor * self, for a scalar or a polynomial of the ring."""
         return Morphism(
             self.source,
             self.target,
@@ -396,15 +397,6 @@ class Morphism:
             blk0 = d2.d10.matmul(self.blk0) + self.blk1.matmul(d1.d01)
             blk1 = d2.d01.matmul(self.blk1) + self.blk0.matmul(d1.d10)
         return Morphism(self.source, self.target, self.parity + 1, blk0, blk1)
-
-    def poly_scale(self, p: Polynomial) -> "Morphism":
-        return Morphism(
-            self.source,
-            self.target,
-            self.parity,
-            self.blk0.scale(p),
-            self.blk1.scale(p),
-        )
 
     def supertrace(self) -> Polynomial:
         """str(f) for endomorphisms; zero for odd parity (no diagonal blocks)."""

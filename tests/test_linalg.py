@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgtft.errors import SingularMatrixError
-from lgtft.linalg import EchelonBasis, SparseMatrix, vec_to_list
+from lgtft.linalg import EchelonBasis, SparseMatrix
 from lgtft.scalars import GaussianRational, I
 
 from oracles import dense_rank
@@ -17,7 +18,7 @@ def g(x):
 
 def _kernel_and_image(m):
     kernel = m.nullspace()
-    image = m.column_space_basis()
+    _, image = m.transpose().rref()
     assert len(kernel) + len(image) == m.ncols  # rank-nullity
     assert all(not m.apply(vector) for vector in kernel)
     return kernel, image
@@ -41,7 +42,7 @@ def test_single_relation_kernel():
     m = SparseMatrix.from_dense([[g(1), I]])
     kernel, image = _kernel_and_image(m)
     assert len(kernel) == 1
-    assert vec_to_list(kernel[0], 2) == [GaussianRational(0, -1), g(1)]
+    assert kernel[0] == {0: GaussianRational(0, -1), 1: g(1)}
 
 
 def test_rank_matches_dense_oracle_randomized():
@@ -81,6 +82,58 @@ def test_singular_inverse_raises():
     m = SparseMatrix.from_dense([[g(1), g(2)], [g(2), g(4)]])
     with pytest.raises(SingularMatrixError):
         m.inverse()
+
+
+gaussian_integers = st.builds(
+    GaussianRational, st.integers(-3, 3), st.integers(-1, 1)
+)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Dense entry lists with about half the entries zero."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    entry = st.one_of(st.just(g(0)), gaussian_integers)
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=150, deadline=None)
+def test_inverse_against_dense_rank(entries):
+    m = SparseMatrix.from_dense(entries)
+    n = m.nrows
+    if dense_rank(entries) < n:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert m.matmul(inv) == SparseMatrix.identity(n)
+    assert inv.matmul(m) == SparseMatrix.identity(n)
+
+
+def _vectors(length):
+    return st.lists(gaussian_integers, min_size=length, max_size=length)
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_against_dense_rank(entries, data):
+    m = SparseMatrix.from_dense(entries)
+    if data.draw(st.booleans()):
+        # a right-hand side in the image, so consistent systems come up often
+        x = data.draw(_vectors(m.ncols))
+        rhs = [sum((a * b for a, b in zip(row, x)), g(0)) for row in entries]
+    else:
+        rhs = data.draw(_vectors(m.nrows))
+    b = {i: v for i, v in enumerate(rhs) if v}
+    solution = m.solve(b)
+    augmented = [row + [v] for row, v in zip(entries, rhs)]
+    if dense_rank(augmented) > dense_rank(entries):
+        assert solution is None
+    else:
+        assert solution is not None
+        assert m.apply(solution) == b
 
 
 def test_echelon_basis_membership_and_coords():

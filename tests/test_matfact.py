@@ -349,7 +349,7 @@ def test_jacobi_ideal_annihilates_cohomology():
     for k in range(lg.dimension):
         partial = lg.w.partial_derivative(k)
         for cls in h.basis_classes(0) + h.basis_classes(1):
-            scaled = cls.representative.poly_scale(partial)
+            scaled = cls.representative.scale(partial)
             assert h.class_of(scaled).is_zero()
 
 
@@ -418,7 +418,7 @@ def _random_objects(rng):
         w = w + a * b
     if w.is_constant():
         return None
-    lg = make_lg_pair(ring_vars, w, autodetect_weights=True)
+    lg = make_lg_pair(ring_vars, w)
     return lg, koszul_factorization(lg, pairs)
 
 

@@ -443,12 +443,20 @@ corrupted = datum()
 traces = corrupted.boundary_trace_basis(1)
 traces[0] = traces[0] + GaussianRational(1)
 print(failed(corrupted))
+# the trace of the first odd class of End(M2); the change in f_a lies in a
+# null direction of the Gram matrix, so only the right-hand side check sees it
+corrupted = datum()
+traces = corrupted.boundary_trace_basis(1)
+traces[2] = traces[2] + GaussianRational(1)
+print(failed(corrupted))
 """
 
 
 def test_corrupted_structure_constants_fail_their_clauses():
     """One wrong composition-tensor entry, e-image or basis trace each fails a
-    clause, with and without python -O: the tables are checked, not trusted."""
+    clause, with and without python -O: the tables are checked, not trusted.
+    A wrong odd trace is caught where the f_a right-hand side read off the
+    tables is compared with its chain-level value."""
     src = Path(__file__).resolve().parents[1] / "src"
     for flags in ([], ["-O"]):
         completed = subprocess.run(
@@ -459,13 +467,14 @@ def test_corrupted_structure_constants_fail_their_clauses():
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        clean, tensor, e_image, trace = [
+        clean, tensor, e_image, trace, odd_trace = [
             set(line.split(",")) for line in completed.stdout.split()
         ]
         assert clean == {"-"}
         assert "category_associativity" in tensor
         assert "e_multiplicative" in e_image
         assert "trace_parity" in trace
+        assert "adjointness" in odd_trace
 
 
 def test_each_bulk_boundary_clause_carries_its_own_witness():
@@ -486,3 +495,47 @@ def test_each_bulk_boundary_clause_carries_its_own_witness():
     assert clauses["e_multiplicative"].witness == {"object": 1, "pair": [0, 0]}
     assert clauses["graded_centrality"].status == "pass"
     assert clauses["graded_centrality"].witness is None
+
+
+def test_verify_solves_f_a_once_per_end_basis_class(monkeypatch):
+    """The adjointness clause fills the f_a cache that Cardy reads."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    branes = [
+        ("A", koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])),
+        ("B", koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])),
+    ]
+    datum = build_tft_datum(lg, branes)
+    solves = []
+    original = SparseMatrix.solve
+
+    def counting(self, rhs):
+        solves.append(rhs)
+        return original(self, rhs)
+
+    monkeypatch.setattr(SparseMatrix, "solve", counting)
+    report = verify_tft_datum(datum)
+    assert report.passed()
+    assert len(solves) == sum(
+        len(datum.branes.basis(i, i)) for i in range(len(datum.branes))
+    )
+
+
+def test_singular_residue_gram_skips_the_f_a_clauses():
+    """With bulk_scale 0 the Gram matrix is zero and f_a is undefined."""
+    lg = make_lg_pair(["x"], "x^4")
+    branes = [
+        ("M1", koszul_factorization(lg, [("x", "x^3")])),
+        ("M2", koszul_factorization(lg, [("x^2", "x^2")])),
+    ]
+    datum = build_tft_datum(lg, branes, bulk_scale=Fraction(0))
+    assert datum.bulk.trace is not None
+    payload = verify_tft_datum(datum).to_jsonable()
+    status = {c["name"]: c for c in payload["clauses"]}
+    assert status["bulk_frobenius_nondegeneracy"]["status"] == "fail"
+    for name in ("adjointness", "cardy"):
+        assert status[name]["status"] == "skipped"
+        assert status[name]["details"] == "not applicable: bulk pairing degenerate"
+    assert payload["cardy"] == []
+    assert payload["cardy_constant"] is None
+    assert payload["cardy_consistent"] is None
+    assert payload["passed"] is False
