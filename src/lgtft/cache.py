@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -57,10 +58,18 @@ class Cache:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(kind, key)
         record = {"kind": kind, "key": key, "payload": payload}
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-        os.replace(tmp, path)
+        # a temp file of its own per writer, so concurrent writers of one key
+        # never write into each other's file; the last replace wins whole
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=path.stem + "-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(record, handle, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def clear(self) -> int:
         if not self.directory.is_dir():

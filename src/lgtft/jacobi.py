@@ -1,5 +1,14 @@
 """The Jacobi algebra O(C^d)/(dW), its dimension, and the residue trace.
 
+Elements are sparse coordinate vectors (linalg.Vector) on the standard
+monomials of the Groebner basis.  The algebra stores M_k, the matrix of
+multiplication by x_k, from n * mu normal forms of x_k * m_b (Cox, Little and
+O'Shea, Using Algebraic Geometry, ch. 2 and 4), and builds the multiplication
+table from them along the staircase: the row of m_a is the matrix L_a of
+multiplication by m_a, with L_1 = I and L_{x_k m} = M_k L_m for the first
+variable x_k of x_k m.  Normal forms are canonical, so every entry equals the
+normal form of m_a * m_b.
+
 The trace is the global Grothendieck residue functional, computed exactly by
 the Bezoutian dual-basis construction: write the Bezoutian of the partials as
 sum_{a,b} C[a][b] m_a(x) m_b(y) modulo the Jacobi ideal in both variable
@@ -11,7 +20,7 @@ trace(det Hessian) = dim, which is checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     DegenerateTraceError,
@@ -21,7 +30,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis
 from .lgpair import LGPair
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, Vector, columns_apply
 from .poly import PolyRing, Polynomial
 from .polymatrix import PolyMatrix, poly_det
 from .scalars import GaussianRational
@@ -37,9 +46,16 @@ def is_critical_set_finite(lg: LGPair) -> bool:
 
 
 class JacobiAlgebra:
-    """Finite-dimensional quotient algebra with a multiplication table."""
+    """Finite-dimensional quotient algebra with a multiplication table.
 
-    __slots__ = ("lg", "gb", "basis", "index", "table", "unit_index")
+    mult[k][b] is the coordinate vector of x_k * m_b, so mult[k] lists the
+    columns of M_k, the matrix of multiplication by x_k on the standard
+    monomials.  table[a][b] is the coordinate vector of m_a * m_b; row a
+    lists the columns of L_a, the matrix of multiplication by m_a, built
+    along the staircase from L_1 = I and L_{x_k m} = M_k L_m.
+    """
+
+    __slots__ = ("lg", "gb", "basis", "index", "mult", "table", "unit_index")
 
     def __init__(self, lg: LGPair, gb: GroebnerBasis):
         self.lg = lg
@@ -48,6 +64,13 @@ class JacobiAlgebra:
         self.index = {exps: k for k, exps in enumerate(self.basis)}
         unit = (0,) * lg.ring.nvars
         self.unit_index = self.index.get(unit)
+        self.mult = tuple(
+            tuple(
+                self.nf_coords(self.ring.monomial(raise_exponent(b, k)))
+                for b in self.basis
+            )
+            for k in range(lg.ring.nvars)
+        )
         self.table = self._build_table()
 
     @property
@@ -62,41 +85,32 @@ class JacobiAlgebra:
         return not self.basis
 
     def _build_table(self):
+        """Rows in basis order: every divisor of a standard monomial is
+        standard and comes earlier in grevlex order."""
         table = []
         for a in self.basis:
-            row = []
-            for b in self.basis:
-                product = self.ring.monomial(
-                    tuple(x + y for x, y in zip(a, b))
+            if not any(a):
+                table.append(
+                    tuple({b: GaussianRational(1)} for b in range(len(self.basis)))
                 )
-                row.append(self.nf_coords(product))
-            table.append(tuple(row))
+                continue
+            k = next(j for j, e in enumerate(a) if e)  # first variable of a
+            row = table[self.index[a[:k] + (a[k] - 1,) + a[k + 1 :]]]
+            table.append(tuple(columns_apply(self.mult[k], v) for v in row))
         return tuple(table)
 
     def basis_poly(self, k: int) -> Polynomial:
         return self.ring.monomial(self.basis[k])
 
-    def nf_coords(self, p: Polynomial) -> tuple:
-        """Coordinates of the normal form of p in the standard basis."""
+    def nf_coords(self, p: Polynomial) -> Vector:
+        """Sparse coordinates of the normal form of p in the standard basis."""
         reduced = self.gb.normal_form(p)
-        coords = [GaussianRational(0)] * len(self.basis)
-        for exps, coeff in reduced.terms.items():
-            coords[self.index[exps]] = coeff
-        return tuple(coords)
+        return {self.index[exps]: coeff for exps, coeff in reduced.terms.items()}
 
-    def multiply_coords(self, u: Sequence, v: Sequence) -> tuple:
-        out = [GaussianRational(0)] * len(self.basis)
-        for a, ua in enumerate(u):
-            if not ua:
-                continue
-            for b, vb in enumerate(v):
-                if not vb:
-                    continue
-                scale = ua * vb
-                for k, t in enumerate(self.table[a][b]):
-                    if t:
-                        out[k] = out[k] + scale * t
-        return tuple(out)
+
+def raise_exponent(exps: tuple, k: int) -> tuple:
+    """The exponents of x_k * x^exps."""
+    return exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
 
 
 def jacobi_algebra(lg: LGPair, gb: Optional[GroebnerBasis] = None) -> JacobiAlgebra:
@@ -212,11 +226,11 @@ class ResidueTrace:
         self.gram = gram
         self.scale = scale
 
-    def of_coords(self, coords: Sequence) -> GaussianRational:
+    def of_coords(self, coords: Vector) -> GaussianRational:
         total = GaussianRational(0)
-        for c, v in zip(coords, self.values):
-            c = GaussianRational.coerce(c)
-            if c and v:
+        for k, c in coords.items():
+            v = self.values[k]
+            if v:
                 total = total + c * v
         return total
 
@@ -271,11 +285,9 @@ def residue_trace(
     values = [
         gram_unscaled.get(algebra.unit_index, k) for k in range(mu)
     ]
-    hess_coords = algebra.nf_coords(hessian_determinant(lg))
     check = GaussianRational(0)
-    for c, v in zip(hess_coords, values):
-        if c and v:
-            check = check + c * v
+    for k, c in algebra.nf_coords(hessian_determinant(lg)).items():
+        check = check + c * values[k]
     if check != GaussianRational(mu):
         raise InternalCheckError("hessian normalization failed")
 

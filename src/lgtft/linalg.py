@@ -40,6 +40,16 @@ def vec_axpy(target: Vector, scale, source: Vector) -> Vector:
     return out
 
 
+def columns_apply(columns: Sequence[Vector], vector: Vector) -> Vector:
+    """The matrix whose column j is columns[j], times vector."""
+    out: Vector = {}
+    for j, coeff in vector.items():
+        for i, v in columns[j].items():
+            acc = out.get(i)
+            out[i] = coeff * v if acc is None else acc + coeff * v
+    return {i: v for i, v in out.items() if v}
+
+
 def vec_from_list(values: Sequence) -> Vector:
     out = {}
     for k, v in enumerate(values):

@@ -21,6 +21,10 @@ BraneCategory, e_a through the classes e_a(m_k) of the bulk basis monomials,
 and tr_a through the traces of the basis classes of End(a).  The last two
 tables are built on first use, so they see the datum as it is at that time.
 The axiom clauses and Cardy are coordinate arithmetic on these constants.
+The bulk clauses read the Jacobi algebra's multiplication matrices and table
+(associativity by Mourrain's commuting criterion, see _check_bulk) and the
+table's Gram matrix Tr(m_a m_b), built once per datum on first use; the f_a
+re-check is (G f)_k and Cardy's left side is f_1^T G f_2.
 The right-hand side of the f_a solve is computed twice: at chain level on the
 class representative, and from the e_a, composition and tr_a tables.  The two
 must agree, so the tables are checked against an independent chain-level
@@ -36,9 +40,15 @@ from math import factorial
 from typing import Optional
 
 from .errors import AdjointnessError, DegenerateTraceError, ValidationError
-from .jacobi import JacobiAlgebra, ResidueTrace, jacobi_algebra, residue_trace
+from .jacobi import (
+    JacobiAlgebra,
+    ResidueTrace,
+    jacobi_algebra,
+    raise_exponent,
+    residue_trace,
+)
 from .lgpair import LGPair
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, Vector, columns_apply, vec_from_list
 from .matfact import (
     HomCohomology,
     Morphism,
@@ -60,7 +70,7 @@ class BulkAlgebra:
     def dimension(self) -> int:
         return self.algebra.dimension
 
-    def trace_of(self, coords) -> GaussianRational:
+    def trace_of(self, coords: Vector) -> GaussianRational:
         if self.trace is None:
             raise DegenerateTraceError("bulk trace unavailable")
         return self.trace.of_coords(coords)
@@ -264,6 +274,7 @@ class TFTDatum:
         self._trace_basis_cache = {}
         self._f_basis_cache = {}
         self._pairing_nondegenerate = None
+        self._bulk_gram = None
 
     # -- structure maps -----------------------------------------------------
 
@@ -299,12 +310,12 @@ class TFTDatum:
             ]
         return cached
 
-    def bulk_boundary(self, i: int, coords) -> MorphismClass:
+    def bulk_boundary(self, i: int, coords: Vector) -> MorphismClass:
         """e_a(h) = sum_k h_k e_a(m_k), for h given by its bulk coordinates."""
         total = self.branes.homs[(i, i)].zero_class(0)
-        for value, image in zip(coords, self.bulk_boundary_basis(i)):
-            if value:
-                total = total + image.scale(value)
+        images = self.bulk_boundary_basis(i)
+        for k, value in coords.items():
+            total = total + images[k].scale(value)
         return total
 
     def _boundary_trace_raw(self, i: int, morphism: Morphism) -> GaussianRational:
@@ -331,6 +342,22 @@ class TFTDatum:
             if value:
                 total = total + value * trace
         return total
+
+    def bulk_gram(self) -> SparseMatrix:
+        """G[a][b] = Tr(m_a m_b), read off the multiplication table, cached.
+
+        Tr(u v) = u^T G v for any bulk coordinates u and v, because the
+        trace is linear.
+        """
+        if self._bulk_gram is None:
+            table = self.bulk.algebra.table
+            mu = self.bulk.dimension
+            gram = SparseMatrix(mu, mu)
+            for a in range(mu):
+                for b in range(mu):
+                    gram.set(a, b, self.bulk.trace_of(table[a][b]))
+            self._bulk_gram = gram
+        return self._bulk_gram
 
     def bulk_pairing_nondegenerate(self) -> bool:
         """Whether f_a is defined: a bulk trace with a nonsingular Gram matrix."""
@@ -365,18 +392,16 @@ class TFTDatum:
         solution = self.bulk.trace.gram.solve(rhs)
         if solution is None:
             raise DegenerateTraceError("adjointness system is inconsistent")
-        coords = [
-            solution.get(k, GaussianRational(0)) for k in range(mu)
-        ]
-        # re-verify the defining identity on every bulk basis element
+        # re-verify the defining identity Tr(m_k f) = (G f)_k = r_k on every
+        # bulk basis element, with the table's Gram matrix
+        pairing = self.bulk_gram().apply(solution)
+        zero = GaussianRational(0)
         for k in range(mu):
-            lhs = self.bulk.trace_of(
-                self.bulk.algebra.multiply_coords(_unit_coords(mu, k), coords)
-            )
-            expected = rhs.get(k, GaussianRational(0))
+            lhs = pairing.get(k, zero)
+            expected = rhs.get(k, zero)
             if lhs != expected:
                 raise AdjointnessError(k, lhs, expected)
-        return tuple(coords)
+        return tuple(solution.get(k, zero) for k in range(mu))
 
     def boundary_bulk_basis(self, i: int):
         """f_a of every basis class of End(a), cached."""
@@ -399,17 +424,21 @@ class TFTDatum:
         basis_i = self.branes.basis(i, i)
         basis_j = self.branes.basis(j, j)
         f_images_i = self.boundary_bulk_basis(i)
-        f_images_j = self.boundary_bulk_basis(j)
+        gram = self.bulk_gram()
+        # G f_b(t2), so that the left side f_a(t1)^T G f_b(t2) is a dot product
+        paired_j = [
+            gram.apply(vec_from_list(f2)) for f2 in self.boundary_bulk_basis(j)
+        ]
         entries = []
         consistent = True
         constants = set()
         for p1, t1 in enumerate(basis_i):
             f1 = f_images_i[p1]
             for p2, t2 in enumerate(basis_j):
-                f2 = f_images_j[p2]
-                lhs = self.bulk.trace_of(
-                    self.bulk.algebra.multiply_coords(f1, f2)
-                )
+                lhs = GaussianRational(0)
+                for k, value in paired_j[p2].items():
+                    if f1[k]:
+                        lhs = lhs + f1[k] * value
                 rhs = self._cardy_supertrace(i, j, t1, t2)
                 entries.append(
                     {"t1": p1, "t2": p2, "lhs": str(lhs), "rhs": str(rhs)}
@@ -438,12 +467,6 @@ class TFTDatum:
                 diagonal = -diagonal
             total = total + diagonal
         return total
-
-
-def _unit_coords(length: int, position: int):
-    coords = [GaussianRational(0)] * length
-    coords[position] = GaussianRational(1)
-    return coords
 
 
 def _perm_sign(sigma) -> int:
@@ -498,36 +521,62 @@ def verify_tft_datum(datum: TFTDatum) -> AxiomReport:
 
 
 def _check_bulk(datum: TFTDatum, report: AxiomReport):
+    """The bulk clauses, on the multiplication matrices M_k and the table.
+
+    Write L_a for the matrix whose column b is table[a][b], so that the
+    table's product is e_a * e_b = L_a e_b.  bulk_associativity passes when
+
+    (C) the M_k commute pairwise;
+    (S) L_{x_k m} = M_k L_m whenever m and x_k m are standard monomials;
+    (U) L_1 = I, and the unit column is the identity: L_a e_1 = e_a.
+
+    These imply associativity.  By (U) and (S), by induction along the
+    staircase, L_a = m_a(M), the monomial m_a evaluated at the commuting
+    matrices M_k.  So every L_a lies in the commutative algebra A generated
+    by the M_k.  The unit vector e_1 is cyclic for A: if P in A has
+    P e_1 = 0, then P e_c = P L_c e_1 = L_c P e_1 = 0 for every c, by (U),
+    so P = 0.  For u = e_a * e_b = L_a e_b, L_u = sum_c u_c L_c and L_a L_b
+    both lie in A, and both send e_1 to u: L_u e_1 = sum_c u_c e_c = u, and
+    L_a L_b e_1 = L_a e_b = u.  Hence L_u = L_a L_b, which is
+    (e_a * e_b) * e_c = e_a * (e_b * e_c) for every c.
+
+    (C) is Mourrain's criterion: a normal form onto the standard monomials
+    is the reduction modulo an ideal exactly when its M_k commute, so it
+    also checks the Groebner basis the M_k came from.  (S) and (U) tie the
+    table to the M_k; they are stronger than associativity alone.
+    """
     algebra = datum.bulk.algebra
     mu = algebra.dimension
+    table = algebra.table
+    mult = algebra.mult
     commutative = True
-    associative = True
-    unital = True
     witness = None
     for a in range(mu):
         for b in range(mu):
-            if algebra.table[a][b] != algebra.table[b][a]:
+            if table[a][b] != table[b][a]:
                 commutative = False
                 witness = {"pair": [a, b]}
-    for a in range(mu):
-        for b in range(mu):
-            for c in range(mu):
-                left = algebra.multiply_coords(
-                    algebra.table[a][b], _unit_coords(mu, c)
-                )
-                right = algebra.multiply_coords(
-                    _unit_coords(mu, a), algebra.table[b][c]
-                )
-                if left != right:
-                    associative = False
-    if algebra.unit_index is None and mu > 0:
-        unital = False
-    elif mu > 0:
-        for a in range(mu):
-            if algebra.table[algebra.unit_index][a] != tuple(
-                _unit_coords(mu, a)
+    # the standard monomials form an order ideal: 1 is one of them if mu > 0
+    unit = algebra.unit_index
+    one = GaussianRational(1)
+    unital = all(table[unit][a] == {a: one} for a in range(mu))
+    unit_column = all(table[a][unit] == {a: one} for a in range(mu))
+    commuting = all(
+        columns_apply(mult[j], mult[k][b]) == columns_apply(mult[k], mult[j][b])
+        for j in range(len(mult))
+        for k in range(j)
+        for b in range(mu)
+    )
+    staircase = True
+    for m, exps in enumerate(algebra.basis):
+        for k, columns in enumerate(mult):
+            a = algebra.index.get(raise_exponent(exps, k))
+            if a is not None and any(
+                table[a][b] != columns_apply(columns, v)
+                for b, v in enumerate(table[m])
             ):
-                unital = False
+                staircase = False
+    associative = commuting and staircase and unital and unit_column
     report.add("bulk_supercommutativity", commutative, witness=witness)
     report.add("bulk_associativity", associative)
     report.add("bulk_unit", unital)
@@ -537,19 +586,9 @@ def _check_bulk(datum: TFTDatum, report: AxiomReport):
             "not applicable: bulk pairing degenerate",
         )
         return
-    gram = _gram_from_trace(datum)
+    gram = datum.bulk_gram()
     report.add("bulk_trace_symmetry", gram == gram.transpose())
     report.add("bulk_frobenius_nondegeneracy", gram.rank() == mu)
-
-
-def _gram_from_trace(datum: TFTDatum) -> SparseMatrix:
-    algebra = datum.bulk.algebra
-    mu = algebra.dimension
-    gram = SparseMatrix(mu, mu)
-    for a in range(mu):
-        for b in range(mu):
-            gram.set(a, b, datum.bulk.trace_of(algebra.table[a][b]))
-    return gram
 
 
 def _check_category(datum: TFTDatum, report: AxiomReport):
@@ -635,7 +674,7 @@ def _check_cy_structure(datum: TFTDatum, report: AxiomReport):
     n = len(branes)
     symmetric = True
     nondegenerate = True
-    witness = None
+    symmetric_witness = nondegenerate_witness = None
     for i in range(n):
         for j in range(n):
             basis_ij = branes.basis(i, j)
@@ -657,12 +696,15 @@ def _check_cy_structure(datum: TFTDatum, report: AxiomReport):
                     )
                     if value != mirrored * sign:
                         symmetric = False
-                        witness = {"pair": [i, j], "basis": [a, b]}
+                        symmetric_witness = {"pair": [i, j], "basis": [a, b]}
             if size and pairing.rank() != size:
                 nondegenerate = False
-                witness = {"pair": [i, j], "reason": "singular pairing"}
-    report.add("cy_graded_symmetry", symmetric, witness=witness)
-    report.add("cy_nondegeneracy", nondegenerate, witness=witness)
+                nondegenerate_witness = {
+                    "pair": [i, j],
+                    "reason": "singular pairing",
+                }
+    report.add("cy_graded_symmetry", symmetric, witness=symmetric_witness)
+    report.add("cy_nondegeneracy", nondegenerate, witness=nondegenerate_witness)
     if not datum.bulk_pairing_nondegenerate():
         report.skip("adjointness", "not applicable: bulk pairing degenerate")
         return

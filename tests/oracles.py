@@ -9,7 +9,7 @@ polynomial arithmetic substrate, which has its own algebraic-law tests.
 from __future__ import annotations
 
 from lgtft.scalars import GaussianRational
-from lgtft.poly import Polynomial, mono_divides
+from lgtft.poly import Polynomial, mono_divides, mono_mul
 
 
 def dense_rank(rows) -> int:
@@ -96,6 +96,45 @@ def residue_one_var(numerator: Polynomial, denominator: Polynomial):
     if len(num) <= deg_den - 1:
         return GaussianRational(0)
     return num[deg_den - 1] / lead
+
+
+def normal_form_table(algebra):
+    """The multiplication table from the mu^2 normal forms of m_a * m_b, as
+    sparse coordinate dicts."""
+    ring, gb, index = algebra.ring, algebra.gb, algebra.index
+    return tuple(
+        tuple(
+            {
+                index[exps]: coeff
+                for exps, coeff in gb.normal_form(
+                    ring.monomial(mono_mul(a, b))
+                ).terms.items()
+            }
+            for b in algebra.basis
+        )
+        for a in algebra.basis
+    )
+
+
+def table_is_associative(table) -> bool:
+    """(e_a e_b) e_c == e_a (e_b e_c) on all mu^3 basis triples, each side
+    expanded bilinearly from the sparse table entries."""
+    mu = len(table)
+
+    def times_basis(u, c, on_left):
+        out = {}
+        for k, uk in u.items():
+            entry = table[c][k] if on_left else table[k][c]
+            for j, t in entry.items():
+                out[j] = out.get(j, GaussianRational(0)) + uk * t
+        return {j: v for j, v in out.items() if v}
+
+    return all(
+        times_basis(table[a][b], c, False) == times_basis(table[b][c], a, True)
+        for a in range(mu)
+        for b in range(mu)
+        for c in range(mu)
+    )
 
 
 def monomials_up_to(nvars, total_degree):

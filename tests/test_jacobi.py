@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from lgtft.errors import DegenerateTraceError, NonIsolatedCriticalLocusError
+from lgtft.groebner import GroebnerBasis
 from lgtft.jacobi import (
+    JacobiAlgebra,
     hessian_determinant,
     is_critical_set_finite,
     jacobi_algebra,
@@ -15,8 +17,14 @@ from lgtft.jacobi import (
 )
 from lgtft.lgpair import make_lg_pair
 from lgtft.scalars import GaussianRational
+from lgtft.tft import build_tft_datum, verify_tft_datum
 
-from oracles import residue_one_var, staircase_count
+from oracles import (
+    normal_form_table,
+    residue_one_var,
+    staircase_count,
+    table_is_associative,
+)
 
 
 def test_milnor_one_variable_powers():
@@ -82,22 +90,55 @@ def test_multiplication_table_laws():
     for variables, w in [(["x", "y"], "x^3+y^3"), (["x", "y"], "x^4+y^4")]:
         lg = make_lg_pair(variables, w)
         algebra = jacobi_algebra(lg)
+        table = algebra.table
         mu = algebra.dimension
-
-        def unit(k):
-            coords = [GaussianRational(0)] * mu
-            coords[k] = GaussianRational(1)
-            return tuple(coords)
-
         for a in range(mu):
             for b in range(mu):
-                assert algebra.table[a][b] == algebra.table[b][a]
-                for c in range(mu):
-                    left = algebra.multiply_coords(algebra.table[a][b], unit(c))
-                    right = algebra.multiply_coords(unit(a), algebra.table[b][c])
-                    assert left == right
+                assert table[a][b] == table[b][a]
+        assert table_is_associative(table)
         for a in range(mu):
-            assert algebra.table[algebra.unit_index][a] == unit(a)
+            assert table[algebra.unit_index][a] == {a: GaussianRational(1)}
+
+
+@pytest.mark.parametrize(
+    "variables,w",
+    [
+        (["x", "y"], "x^5*y+y^6"),
+        (["x", "y", "z"], "x^6+y^6+z^6"),
+        (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2"),
+        (["x", "y"], "x^5+y^5+x^2*y^2"),
+        (["x", "y"], "x^4+y^4"),
+        (["x", "y"], "x^2+y^3"),  # x is not a standard monomial
+        (["x"], "x^3"),
+        (["x", "y"], "x^2+y^2"),  # mu = 1
+    ],
+)
+def test_table_and_associativity_clause_against_oracles(variables, w):
+    """The staircase table equals the mu^2 normal-form table, and the
+    bulk_associativity verdict equals the mu^3 oracle's."""
+    lg = make_lg_pair(variables, w)
+    datum = build_tft_datum(lg, [])
+    algebra = datum.bulk.algebra
+    assert algebra.table == normal_form_table(algebra)
+    verdict = verify_tft_datum(datum).clause("bulk_associativity").status
+    assert (verdict == "pass") == table_is_associative(algebra.table)
+    assert verdict == "pass"
+
+
+def test_table_costs_nvars_times_mu_normal_forms(monkeypatch):
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    gb = jacobi_groebner(lg)
+    calls = []
+    original = GroebnerBasis.normal_form
+
+    def counting(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+    algebra = JacobiAlgebra(lg, gb)
+    assert algebra.dimension == 9
+    assert len(calls) == lg.ring.nvars * algebra.dimension
 
 
 def test_trace_x2_hessian_normalization():

@@ -539,3 +539,66 @@ def test_singular_residue_gram_skips_the_f_a_clauses():
     assert payload["cardy_constant"] is None
     assert payload["cardy_consistent"] is None
     assert payload["passed"] is False
+
+
+_BULK_CORRUPTION_SCRIPT = """
+from lgtft.lgpair import make_lg_pair
+from lgtft.scalars import GaussianRational
+from lgtft.tft import build_tft_datum, verify_tft_datum
+
+
+def associativity(datum):
+    return verify_tft_datum(datum).clause("bulk_associativity").status
+
+
+def datum(w):
+    return build_tft_datum(make_lg_pair(["x", "y"], w), [])
+
+
+print(associativity(datum("x^3+y^3")), associativity(datum("x^2+y^3")))
+# x^3+y^3: (x*y)*(x*y) is zero; the table now claims it is the unit
+corrupted = datum("x^3+y^3")
+algebra = corrupted.bulk.algebra
+xy = algebra.index[(1, 1)]
+algebra.table[xy][xy][algebra.unit_index] = GaussianRational(1)
+print(associativity(corrupted))
+# x^2+y^3 has standard monomials 1 and y, and x is zero: M_x claims x*y = 1.
+# x is not standard, so only the commuting check reads this column of M_x
+corrupted = datum("x^2+y^3")
+algebra = corrupted.bulk.algebra
+algebra.mult[0][algebra.index[(0, 1)]][algebra.unit_index] = GaussianRational(1)
+print(associativity(corrupted))
+"""
+
+
+def test_corrupted_bulk_table_or_multiplication_matrix_fails_associativity():
+    """One wrong off-unit table entry, or one wrong entry of a multiplication
+    matrix M_k, fails bulk_associativity, with and without python -O."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", _BULK_CORRUPTION_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["pass", "pass", "fail", "fail"]
+
+
+def test_each_cy_clause_carries_its_own_witness():
+    """A passing cy_graded_symmetry carries no witness from cy_nondegeneracy."""
+    lg = make_lg_pair(["x"], "x^4")
+    branes = [
+        ("M1", koszul_factorization(lg, [("x", "x^3")])),
+        ("M2", koszul_factorization(lg, [("x^2", "x^2")])),
+    ]
+    datum = build_tft_datum(lg, branes, bulk_scale=Fraction(0))
+    report = verify_tft_datum(datum)
+    symmetry = report.clause("cy_graded_symmetry")
+    nondegeneracy = report.clause("cy_nondegeneracy")
+    assert symmetry.status == "pass"
+    assert symmetry.witness is None
+    assert nondegeneracy.status == "fail"
+    assert nondegeneracy.witness["reason"] == "singular pairing"
