@@ -144,15 +144,18 @@ class FreeComplex:
         """Yield (basis, kernel, image) for each (index, degree) in pieces, in turn.
 
         kernel is the canonical nullspace basis of the map out of the piece and
-        image the echelon basis of the columns of the map into it.  The map out
-        of a piece is kept only when the piece it maps into is still to come,
-        and dropped after that second use.
+        image the echelon basis of the column space of the map into it.  The
+        map out of a piece is kept, with the pivot columns of its RREF, only
+        when the piece it maps into is still to come, and dropped after that
+        second use.  The pivot columns of a map span its column space, so when
+        the RREF of the map into a piece is known (kept here, or by rank())
+        only those columns are inserted; otherwise every column is.
         """
         pending = set(pieces)
-        kept = {}  # piece -> the map into it
+        kept = {}  # piece -> (the map into it, its pivot columns)
         for piece in pieces:
             pending.discard(piece)
-            incoming = kept.pop(piece, None)
+            incoming, columns = kept.pop(piece, (None, None))
             index, degree = piece
             basis = self.basis(index, degree)
             image = EchelonBasis()
@@ -166,17 +169,17 @@ class FreeComplex:
             kernel = rref_nullspace(outgoing.ncols, *rref)
             target = (self.successor[index], degree + self.step)
             if target in pending:
-                kept[target] = outgoing
+                kept[target] = (outgoing, rref[0])
             source = self.predecessor.get(index)
-            if (
-                incoming is None
-                and source is not None
-                and self.basis(source, degree - self.step)
-            ):
-                incoming = self.matrix(source, degree - self.step)
+            previous = (source, degree - self.step)
+            if incoming is None and source is not None and self.basis(*previous):
+                incoming = self.matrix(*previous)
+                known = self._rrefs.get(previous)
+                columns = range(incoming.ncols) if known is None else known[0]
             if incoming is not None:
-                for column in incoming.transpose().rows:
-                    image.insert(column)
+                transposed = incoming.transpose().rows
+                for col in columns:
+                    image.insert(transposed[col])
             yield basis, kernel, image
 
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis
 from .lgpair import LGPair
-from .linalg import SparseMatrix, Vector, columns_apply
+from .linalg import SparseMatrix, Vector, columns_apply, vec_scale
 from .poly import PolyRing, Polynomial
 from .polymatrix import PolyMatrix, poly_det
 from .scalars import GaussianRational
@@ -293,8 +293,7 @@ def residue_trace(
 
     scale = GaussianRational.coerce(scale)
     scaled_values = [scale * v for v in values]
-    gram_rows = [
-        {k: scale * v for k, v in row.items()} for row in gram_unscaled.rows
-    ]
-    gram = SparseMatrix(mu, mu, gram_rows)
+    gram = SparseMatrix(
+        mu, mu, [vec_scale(row, scale) for row in gram_unscaled.rows]
+    )
     return ResidueTrace(algebra, scaled_values, gram, scale)

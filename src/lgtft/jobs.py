@@ -180,10 +180,6 @@ class JobSpec:
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
             raise ValidationError("'output' must be a path string")
-        if ("tft" in compute or "homs" in compute) and not branes:
-            raise ValidationError(
-                "sections 'homs' and 'tft' require at least one brane"
-            )
         return cls(
             variables=variables,
             superpotential=superpotential,

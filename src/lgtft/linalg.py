@@ -6,6 +6,12 @@ with the fewest nonzero entries (ties broken by position) wins, so every
 kernel/image basis this module produces is reproducible bit for bit.  There is
 one elimination routine: solve and inverse reduce [A | b] and [A | I], and
 since the RREF is unique their results do not depend on the pivot rule.
+
+Elimination does sparse work.  A column index (column -> rows with a nonzero
+entry there) gives the candidate rows of each pivot column and the rows to
+clear, and each row operation updates the index on the pivot row's columns
+only; the pivot rule is the one above.  The kernel is read off the RREF in one
+walk over its entries.
 """
 
 from __future__ import annotations
@@ -60,19 +66,21 @@ def vec_from_list(values: Sequence) -> Vector:
 
 
 def rref_nullspace(ncols: int, pivot_cols: list, rows: list) -> list:
-    """The kernel basis of a matrix with ncols columns, read off its RREF."""
-    pivot_of = dict(zip(pivot_cols, rows))
-    basis = []
-    for free in range(ncols):
-        if free in pivot_of:
-            continue
-        vector: Vector = {free: GaussianRational(1)}
-        for col, row in pivot_of.items():
-            coeff = row.get(free)
-            if coeff:
-                vector[col] = -coeff
-        basis.append(vector)
-    return basis
+    """The kernel basis of a matrix with ncols columns, read off its RREF.
+
+    One vector per free column, ascending.  A fully reduced pivot row has
+    its other entries in free columns only, so one walk over the rows' entries
+    fills every vector.
+    """
+    pivots = set(pivot_cols)
+    basis = {
+        free: {free: GaussianRational(1)} for free in range(ncols) if free not in pivots
+    }
+    for col, row in zip(pivot_cols, rows):
+        for free, coeff in row.items():
+            if free != col:
+                basis[free][col] = -coeff
+    return list(basis.values())
 
 
 class EchelonBasis:
@@ -137,7 +145,12 @@ class EchelonBasis:
 
 
 class SparseMatrix:
-    """Sparse exact matrix; rows are dicts from column index to scalar."""
+    """Sparse exact matrix; rows are dicts from column index to scalar.
+
+    A row stores nonzero values only.  Elimination relies on it (a stored
+    zero would be taken for a pivot candidate), so rows are built with set(),
+    vec_from_list or the vec_* helpers, which drop zeros, or drop them alike.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -215,37 +228,37 @@ class SparseMatrix:
         """Reduced row echelon form of the row list.
 
         Returns (pivot_cols, rows): rows sorted by pivot column, each
-        normalized to pivot 1 and fully reduced.
+        normalized to pivot 1 and fully reduced.  holders[col] is the set of
+        rows with a nonzero entry in column col; a row operation changes only
+        the columns of the pivot row, so only those entries are updated.
         """
         work = [dict(row) for row in self.rows]
-        order = list(range(self.nrows))
+        holders = [set() for _ in range(self.ncols)]
+        for idx, row in enumerate(work):
+            for col in row:
+                holders[col].add(idx)
         done = []  # (pivot_col, work_index)
         used = set()
         for col in range(self.ncols):
             if len(done) == self.nrows:
                 break  # every row holds a pivot, e.g. past A in [A | I]
-            best = None
-            for idx in order:
-                if idx in used:
-                    continue
-                coeff = work[idx].get(col)
-                if coeff:
-                    score = (len(work[idx]), idx)
-                    if best is None or score < best[0]:
-                        best = (score, idx)
-            if best is None:
+            holding = holders[col]
+            candidates = [(len(work[idx]), idx) for idx in holding if idx not in used]
+            if not candidates:
                 continue
-            pivot_idx = best[1]
+            _, pivot_idx = min(candidates)
             used.add(pivot_idx)
             scale = work[pivot_idx][col].inverse()
-            work[pivot_idx] = vec_scale(work[pivot_idx], scale)
-            pivot_row = work[pivot_idx]
-            for idx in order:
+            work[pivot_idx] = pivot_row = vec_scale(work[pivot_idx], scale)
+            for idx in list(holding):
                 if idx == pivot_idx:
                     continue
-                coeff = work[idx].get(col)
-                if coeff:
-                    work[idx] = vec_axpy(work[idx], -coeff, pivot_row)
+                work[idx] = row = vec_axpy(work[idx], -work[idx][col], pivot_row)
+                for k in pivot_row:
+                    if k in row:
+                        holders[k].add(idx)
+                    else:
+                        holders[k].discard(idx)
             done.append((col, pivot_idx))
         return [col for col, _ in done], [work[idx] for _, idx in done]
 

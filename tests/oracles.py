@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's elimination and enumeration code:
 dense textbook Gaussian elimination, brute-force staircase counting, and the
-classical one-variable residue via polynomial division.  They share only the
-polynomial arithmetic substrate, which has its own algebraic-law tests.
+classical one-variable residue via polynomial division, and the
+row-scanning sparse elimination the library's column-indexed one replaced.
+They share only the polynomial and sparse-vector arithmetic substrate, which
+has its own algebraic-law tests.
 """
 
 from __future__ import annotations
 
+from lgtft.linalg import vec_axpy, vec_scale
 from lgtft.scalars import GaussianRational
 from lgtft.poly import Polynomial, mono_divides, mono_mul
 
@@ -37,6 +40,60 @@ def dense_rank(rows) -> int:
                 ]
         rank += 1
     return rank
+
+
+def scan_rref(matrix):
+    """(pivot_cols, rows) of a SparseMatrix by the row-scanning elimination:
+    each pivot is found, and each pivot column cleared, by a pass over every
+    row.  Same pivot rule as the library, none of its column bookkeeping."""
+    work = [dict(row) for row in matrix.rows]
+    order = list(range(matrix.nrows))
+    done = []  # (pivot_col, work_index)
+    used = set()
+    for col in range(matrix.ncols):
+        if len(done) == matrix.nrows:
+            break  # every row holds a pivot, e.g. past A in [A | I]
+        best = None
+        for idx in order:
+            if idx in used:
+                continue
+            coeff = work[idx].get(col)
+            if coeff:
+                score = (len(work[idx]), idx)
+                if best is None or score < best[0]:
+                    best = (score, idx)
+        if best is None:
+            continue
+        pivot_idx = best[1]
+        used.add(pivot_idx)
+        scale = work[pivot_idx][col].inverse()
+        work[pivot_idx] = vec_scale(work[pivot_idx], scale)
+        pivot_row = work[pivot_idx]
+        for idx in order:
+            if idx == pivot_idx:
+                continue
+            coeff = work[idx].get(col)
+            if coeff:
+                work[idx] = vec_axpy(work[idx], -coeff, pivot_row)
+        done.append((col, pivot_idx))
+    return [col for col, _ in done], [work[idx] for _, idx in done]
+
+
+def scan_nullspace(ncols, pivot_cols, rows):
+    """Kernel basis from an RREF, one free column at a time over every pivot
+    row."""
+    pivot_of = dict(zip(pivot_cols, rows))
+    basis = []
+    for free in range(ncols):
+        if free in pivot_of:
+            continue
+        vector = {free: GaussianRational(1)}
+        for col, row in pivot_of.items():
+            coeff = row.get(free)
+            if coeff:
+                vector[col] = -coeff
+        basis.append(vector)
+    return basis
 
 
 def staircase_count(leading_exponents, box) -> int:

@@ -196,6 +196,15 @@ def test_trace_scale_configuration():
     assert scaled.of_poly(lg.ring.parse("x")) == GaussianRational(2)
 
 
+def test_zero_scaled_gram_stores_no_zeros():
+    """Sparse rows hold nonzero values only; a zero scale gives empty rows."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    algebra = jacobi_algebra(lg)
+    gram = residue_trace(algebra, lg, 0).gram
+    assert gram.is_zero()
+    assert all(value for row in gram.rows for value in row.values())
+
+
 def test_trace_zero_algebra_errors():
     lg = make_lg_pair(["x"], "x")
     algebra = jacobi_algebra(lg)

@@ -325,6 +325,29 @@ def test_cli_malformed_brane_is_validation_error(tmp_path, capsys, brane, messag
     assert message in capsys.readouterr().err
 
 
+def test_cli_brane_free_job_runs_the_bulk_clauses(tmp_path, capsys):
+    raw = {
+        "variables": ["x", "y", "z"],
+        "superpotential": "x^5+y^5+z^5",
+        "compute": "all",
+    }
+    job = _write_job(tmp_path, raw)
+    out = tmp_path / "report.json"
+    assert main(["run", job, "--output", str(out), "--no-cache"]) == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["homs"] == {}
+    tft = report["results"]["tft"]
+    bulk = [c for c in tft["clauses"] if c["name"].startswith("bulk_")]
+    assert len(bulk) == 5
+    assert all(clause["status"] == "pass" for clause in bulk)
+    # the same clauses as the library's verdict on the brane-free datum
+    from lgtft.lgpair import make_lg_pair
+
+    lg = make_lg_pair(raw["variables"], raw["superpotential"])
+    library = lgtft.tft.verify_tft_datum(lgtft.tft.build_tft_datum(lg, []))
+    assert tft["clauses"] == library.to_jsonable()["clauses"]
+
+
 def test_cli_missing_job_file_is_validation_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.json")])
     assert code == 2

@@ -9,7 +9,7 @@ from lgtft.errors import SingularMatrixError
 from lgtft.linalg import EchelonBasis, SparseMatrix
 from lgtft.scalars import GaussianRational, I
 
-from oracles import dense_rank
+from oracles import dense_rank, scan_nullspace, scan_rref
 
 
 def g(x):
@@ -134,6 +134,53 @@ def test_solve_against_dense_rank(entries, data):
     else:
         assert solution is not None
         assert m.apply(solution) == b
+
+
+@st.composite
+def sparse_row_matrices(draw):
+    """Sparse Gaussian-integer matrices built row by row: empty rows and
+    columns, duplicated and rescaled rows, and optionally [A | I]."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    density = draw(st.sampled_from([0.15, 0.35, 0.7]))
+    nonzero = gaussian_integers.filter(bool)
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for col in range(ncols):
+            if draw(st.floats(0, 1)) < density:
+                row[col] = draw(nonzero)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        factor = draw(nonzero)
+        rows.append({col: factor * v for col, v in source.items()})
+    if rows and draw(st.booleans()):
+        order = draw(st.permutations(range(len(rows))))
+        rows = [rows[k] for k in order]
+    if draw(st.booleans()):
+        rows = [
+            {**row, ncols + k: g(1)} for k, row in enumerate(rows)
+        ]
+        ncols += len(rows)
+    return SparseMatrix(len(rows), ncols, rows)
+
+
+@given(sparse_row_matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_against_row_scanning_oracle(m):
+    original = [dict(row) for row in m.rows]
+    pivot_cols, rows = m.rref()
+    expected_cols, expected_rows = scan_rref(m)
+    assert pivot_cols == expected_cols
+    assert rows == expected_rows
+    assert m.rows == original  # the input is not modified
+    kernel = m.nullspace()
+    assert kernel == scan_nullspace(m.ncols, expected_cols, expected_rows)
+    assert all(not m.apply(vector) for vector in kernel)
+    dense = [[m.get(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+    assert m.rank() == dense_rank(dense) == len(pivot_cols)
+    assert len(kernel) == m.ncols - len(pivot_cols)
 
 
 def test_echelon_basis_membership_and_coords():

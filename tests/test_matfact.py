@@ -472,3 +472,34 @@ def test_randomized_representative_independence():
         other = haa.class_of(g.representative.compose(perturbed))
         assert base == other
         checked += 1
+
+
+def test_hom_image_inserts_only_pivot_columns(monkeypatch):
+    """The 4 Hom pairs of two rank-2|2 branes on x^4+y^4: the map into a piece
+    is not eliminated again, and only its pivot columns enter the image."""
+    from lgtft.linalg import EchelonBasis, SparseMatrix
+
+    calls = {"rref": 0, "insert": 0}
+    rref_rows, insert = SparseMatrix._rref_rows, EchelonBasis.insert
+
+    def counting_rref(self):
+        calls["rref"] += 1
+        return rref_rows(self)
+
+    def counting_insert(self, vector):
+        calls["insert"] += 1
+        return insert(self, vector)
+
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    a = koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
+    b = koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
+    monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
+    monkeypatch.setattr(EchelonBasis, "insert", counting_insert)
+    dims = [
+        (hom.dim(0), hom.dim(1))
+        for hom in (hom_cohomology(s, t) for s in (a, b) for t in (a, b))
+    ]
+    assert dims == [(2, 2), (2, 2), (2, 2), (4, 4)]
+    assert calls["rref"] == 91
+    # 3 780 when every column of the incoming map was inserted
+    assert calls["insert"] == 2876
