@@ -20,7 +20,7 @@ case, so a window never loses part of an image.
 from __future__ import annotations
 
 from .errors import InternalCheckError
-from .linalg import EchelonBasis, SparseMatrix, rref_nullspace
+from .linalg import SparseMatrix, rref_nullspace
 from .poly import mono_mul, monomials_of_weighted_degree
 
 
@@ -144,12 +144,12 @@ class FreeComplex:
         """Yield (basis, kernel, image) for each (index, degree) in pieces, in turn.
 
         kernel is the canonical nullspace basis of the map out of the piece and
-        image the echelon basis of the column space of the map into it.  The
-        map out of a piece is kept, with the pivot columns of its RREF, only
-        when the piece it maps into is still to come, and dropped after that
-        second use.  The pivot columns of a map span its column space, so when
-        the RREF of the map into a piece is known (kept here, or by rank())
-        only those columns are inserted; otherwise every column is.
+        image the RREF (pivot_cols, rows) of the column space of the map into
+        it.  The map out of a piece is kept, with the pivot columns of its RREF,
+        only when the piece it maps into is still to come, and dropped after
+        that second use.  The pivot columns of a map span its column space, so
+        when the RREF of the map into a piece is known (kept here, or by
+        rank()) only those columns are eliminated; otherwise every column is.
         """
         pending = set(pieces)
         kept = {}  # piece -> (the map into it, its pivot columns)
@@ -158,9 +158,8 @@ class FreeComplex:
             incoming, columns = kept.pop(piece, (None, None))
             index, degree = piece
             basis = self.basis(index, degree)
-            image = EchelonBasis()
             if not basis:
-                yield basis, [], image
+                yield basis, [], ([], [])
                 continue
             outgoing = self.matrix(index, degree)
             rref = self._rrefs.get(piece)
@@ -176,16 +175,39 @@ class FreeComplex:
                 incoming = self.matrix(*previous)
                 known = self._rrefs.get(previous)
                 columns = range(incoming.ncols) if known is None else known[0]
+            image = ([], [])
             if incoming is not None:
                 transposed = incoming.transpose().rows
-                for col in columns:
-                    image.insert(transposed[col])
+                spanning = [transposed[col] for col in columns]
+                image = SparseMatrix(len(spanning), incoming.nrows, spanning).rref()
             yield basis, kernel, image
 
 
-def quotient(kernel, image: EchelonBasis) -> EchelonBasis:
-    """Echelon basis of kernel modulo image, on the image-reduced kernel vectors."""
-    out = EchelonBasis()
-    for vector in kernel:
-        out.insert(image.reduce(vector))
-    return out
+def quotient(kernel, image):
+    """The RREF (pivot_cols, rows) of kernel modulo image, as a complement.
+
+    The rows are those of the RREF of the kernel vectors whose pivot column
+    is not an image pivot.  They span the kernel vectors that vanish at every
+    image pivot, the canonical complement of the image (the residuals of the
+    kernel modulo the image), because:
+
+    - d^2 = 0 (checked when the complex is built), so the image lies inside
+      the kernel, and a subspace's pivot columns are among its superspace's;
+    - each RREF row is zero at the other rows' pivot columns, so the rows
+      kept are zero at every image pivot, and they number dim ker - rank in,
+      the dimension of that complement;
+    - a subset of RREF rows is the RREF of its span, and the RREF is unique.
+
+    Raises InternalCheckError unless dim ker - rank in rows are kept, which
+    is what an image pivot outside the kernel's pivots gives.
+    """
+    image_pivots = set(image[0])
+    ncols = 1 + max((col for vector in kernel for col in vector), default=-1)
+    pivot_cols, rows = SparseMatrix(len(kernel), ncols, kernel).rref()
+    kept = [k for k, col in enumerate(pivot_cols) if col not in image_pivots]
+    if len(kept) != len(kernel) - len(image_pivots):
+        raise InternalCheckError(
+            f"the quotient keeps {len(kept)} kernel rows, not "
+            f"{len(kernel)} - {len(image_pivots)}: the image leaves the kernel"
+        )
+    return [pivot_cols[k] for k in kept], [rows[k] for k in kept]

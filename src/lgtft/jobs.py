@@ -33,6 +33,7 @@ from .koszul import (
 )
 from .lgpair import LGPair, make_lg_pair
 from .matfact import hom_cohomology, koszul_factorization, make_factorization
+from .poly import PolyRing
 from .polymatrix import PolyMatrix
 from .tft import build_tft_datum, verify_tft_datum
 
@@ -82,18 +83,23 @@ class JobSpec:
             or not all(isinstance(v, str) for v in variables)
         ):
             raise ValidationError("'variables' must be a non-empty list of names")
+        try:
+            PolyRing(variables)
+        except ValueError as exc:
+            raise ValidationError(f"'variables': {exc}") from exc
         superpotential = raw.get("superpotential")
         if not isinstance(superpotential, str):
             raise ValidationError("'superpotential' must be a polynomial string")
         weights = raw.get("weights")
         if weights is not None:
-            if not isinstance(weights, list) or not all(
-                isinstance(w, int) and w > 0 for w in weights
-            ):
+            if not _is_list_of(weights, int) or not all(w > 0 for w in weights):
                 raise ValidationError("'weights' must be positive integers")
+        entries = raw.get("branes", [])
+        if not isinstance(entries, list):
+            raise ValidationError("'branes' must be a list of brane objects")
         branes = []
         seen = set()
-        for entry in raw.get("branes", []):
+        for entry in entries:
             if not isinstance(entry, dict) or "name" not in entry:
                 raise ValidationError("each brane needs a 'name'")
             name = entry["name"]
@@ -166,16 +172,14 @@ class JobSpec:
         if not isinstance(normalization, dict):
             raise ValidationError("'normalization' must be an object")
         c_d = normalization.get("c_d")
-        bulk_scale = normalization.get("bulk_scale", "1")
-        try:
-            c_d = Fraction(c_d) if c_d is not None else None
-            bulk_scale = Fraction(bulk_scale)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad normalization constant: {exc}") from exc
+        c_d = _constant("c_d", c_d) if c_d is not None else None
+        bulk_scale = _constant("bulk_scale", normalization.get("bulk_scale", "1"))
         degree_bound = raw.get("degree_bound")
         koszul_bound = raw.get("koszul_bound")
         for label, value in (("degree_bound", degree_bound), ("koszul_bound", koszul_bound)):
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 0
+            ):
                 raise ValidationError(f"'{label}' must be a non-negative integer")
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
@@ -218,6 +222,18 @@ def _is_list_of(value, kind) -> bool:
     return isinstance(value, list) and all(
         isinstance(v, kind) and not isinstance(v, bool) for v in value
     )
+
+
+def _constant(label, value) -> Fraction:
+    """A normalization constant: a number or a numeric string (bool is no number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValidationError(
+            f"normalization {label!r} must be a number or a numeric string"
+        )
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad normalization constant: {exc}") from exc
 
 
 def load_job(path: str) -> JobSpec:

@@ -16,6 +16,7 @@ from typing import Optional
 from .complex import FreeComplex
 from .errors import InternalCheckError, ValidationError
 from .lgpair import LGPair
+from .linalg import rref_reduce
 from .scalars import MINUS_I
 
 
@@ -207,7 +208,7 @@ def _witness(complex_: KoszulComplex, k: int, m: int):
     """The first kernel vector of the (k, m) piece that is not a boundary."""
     basis, kernel, image = next(complex_.cohomology([(k, m)]))
     for vector in kernel:
-        if not image.contains(vector):
+        if rref_reduce(*image, vector)[0]:
             return _vector_to_wedge(complex_, basis, vector)
     raise InternalCheckError("positive cohomology dimension but no witness found")
 

@@ -4,8 +4,11 @@ Matrices are lists of sparse rows (dict column -> nonzero scalar).  Pivoting
 is deterministic: columns are processed left to right and the candidate row
 with the fewest nonzero entries (ties broken by position) wins, so every
 kernel/image basis this module produces is reproducible bit for bit.  There is
-one elimination routine: solve and inverse reduce [A | b] and [A | I], and
-since the RREF is unique their results do not depend on the pivot rule.
+one elimination routine, SparseMatrix._rref_rows.  solve and inverse reduce
+[A | b] and [A | I]; a subspace (an image, a quotient) is kept as the RREF
+(pivot_cols, rows) of a spanning set, and rref_reduce reduces a vector modulo
+it.  Since the RREF is unique, none of these results depends on the pivot
+rule.
 
 Elimination does sparse work.  A column index (column -> rows with a nonzero
 entry there) gives the candidate rows of each pivot column and the rows to
@@ -83,65 +86,19 @@ def rref_nullspace(ncols: int, pivot_cols: list, rows: list) -> list:
     return list(basis.values())
 
 
-class EchelonBasis:
-    """Reduced row-echelon rows with their pivot columns, kept sorted.
+def rref_reduce(pivot_cols: list, rows: list, vector: Vector):
+    """(residual, coords): vector less its component in the row space of an RREF.
 
-    Supports membership reduction: reduce(v) subtracts the unique combination
-    of stored rows matching v's pivot coordinates, leaving the canonical
-    residual of v modulo the row space.
+    coords[k] multiplies rows[k], and the residual is zero at every pivot
+    column, so it is zero exactly when vector lies in the row space.  Each row
+    is zero at the other rows' pivot columns, so coords[k] is simply the entry
+    of vector at pivot_cols[k].
     """
-
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self):
-        self.rows = []  # list of Vector, row k has pivot self.pivots[k]
-        self.pivots = []  # ascending column indices
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vector: Vector) -> Vector:
-        out = dict(vector)
-        for pivot, row in zip(self.pivots, self.rows):
-            coeff = out.get(pivot)
-            if coeff:
-                out = vec_axpy(out, -coeff, row)
-        return out
-
-    def reduce_with_coords(self, vector: Vector):
-        """(residual, coords) where coords[k] multiplies stored row k."""
-        out = dict(vector)
-        coords = [GaussianRational(0)] * len(self.rows)
-        for index, (pivot, row) in enumerate(zip(self.pivots, self.rows)):
-            coeff = out.get(pivot)
-            if coeff:
-                coords[index] = coeff
-                out = vec_axpy(out, -coeff, row)
-        return out, coords
-
-    def insert(self, vector: Vector) -> bool:
-        """Reduce and insert; returns True when the vector enlarged the span."""
-        residual = self.reduce(vector)
-        if not residual:
-            return False
-        pivot = min(residual)
-        scale = residual[pivot].inverse()
-        row = vec_scale(residual, scale)
-        # back-substitute into existing rows to keep them fully reduced
-        for k, existing in enumerate(self.rows):
-            coeff = existing.get(pivot)
-            if coeff:
-                self.rows[k] = vec_axpy(existing, -coeff, row)
-        position = 0
-        while position < len(self.pivots) and self.pivots[position] < pivot:
-            position += 1
-        self.pivots.insert(position, pivot)
-        self.rows.insert(position, row)
-        return True
-
-    def contains(self, vector: Vector) -> bool:
-        return not self.reduce(vector)
+    coords = {k: vector[col] for k, col in enumerate(pivot_cols) if col in vector}
+    residual = dict(vector)
+    for k, coeff in coords.items():
+        residual = vec_axpy(residual, -coeff, rows[k])
+    return residual, coords
 
 
 class SparseMatrix:

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .jacobi import jacobi_groebner
 from .lgpair import LGPair
+from .linalg import rref_reduce
 from .poly import Polynomial, mono_weighted_degree
 from .polymatrix import PolyMatrix
 from .scalars import GaussianRational
@@ -486,6 +487,8 @@ def _defect_complex(a1, a2, graded) -> FreeComplex:
 
 
 class _Piece:
+    """One piece of the Hom complex; im and quot are RREFs (pivot_cols, rows)."""
+
     __slots__ = ("basis", "index", "im", "quot", "reps")
 
     def __init__(self, basis, im, quot, reps):
@@ -593,13 +596,13 @@ class HomCohomology:
             pieces, complex_.cohomology(pieces)
         ):
             quot = quotient(kernel, image)
-            dims[parity, m] = len(quot.rows)
+            dims[parity, m] = len(quot[1])
             if not self.graded:
                 if m != self.bound:
                     continue
                 m = 0  # the windowed space is one piece
             reps = [
-                self._morphism_from_vector(parity, basis, row) for row in quot.rows
+                self._morphism_from_vector(parity, basis, row) for row in quot[1]
             ]
             self.pieces[(parity, m)] = _Piece(basis, image, quot, reps)
             self.layout[parity].extend((m, local) for local in range(len(reps)))
@@ -684,15 +687,14 @@ class HomCohomology:
         }
         for m, vector in self._components(morphism).items():
             piece = self.pieces[(parity, m)]
-            residual = piece.im.reduce(vector)
-            residual, local_coords = piece.quot.reduce_with_coords(residual)
+            residual, _ = rref_reduce(*piece.im, vector)
+            residual, local_coords = rref_reduce(*piece.quot, residual)
             if residual:
                 raise InternalCheckError(
                     "cocycle escaped kernel + image decomposition"
                 )
-            for local, value in enumerate(local_coords):
-                if value:
-                    coords[position_of[(m, local)]] = value
+            for local, value in local_coords.items():
+                coords[position_of[(m, local)]] = value
         return MorphismClass(self, parity, coords)
 
     def _components(self, morphism):

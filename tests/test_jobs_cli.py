@@ -1,5 +1,6 @@
 """Job files, reports, diffing, caching, and the command-line interface."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lgtft.groebner
 import lgtft.jobs
@@ -325,6 +327,78 @@ def test_cli_malformed_brane_is_validation_error(tmp_path, capsys, brane, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"branes": 5}, "'branes' must be a list"),
+        ({"normalization": {"c_d": [1]}}, "normalization 'c_d'"),
+        ({"normalization": {"bulk_scale": None}}, "normalization 'bulk_scale'"),
+        ({"normalization": {"bulk_scale": True}}, "normalization 'bulk_scale'"),
+        ({"variables": ["x", "x"]}, "duplicate variable name 'x'"),
+        ({"variables": [""]}, "invalid variable name ''"),
+        ({"variables": ["i"]}, "imaginary unit"),
+        ({"degree_bound": True}, "'degree_bound' must be"),
+        ({"koszul_bound": True}, "'koszul_bound' must be"),
+        ({"weights": [True]}, "'weights' must be"),
+    ],
+)
+def test_cli_malformed_job_is_validation_error(tmp_path, capsys, overrides, message):
+    job = _write_job(tmp_path, _basic_job(**overrides))
+    assert main(["run", job, "--no-cache"]) == 2
+    assert message in capsys.readouterr().err
+
+
+_DROP = object()
+_FUZZ_POOL = [
+    None, True, False, 0, -1, 2, 1.5, "", "x", "x^+", "zz",
+    [], [1], [True], ["x"], [["x", "x^2"]], {}, {"name": "B"},
+]
+_FUZZ_PATHS = [
+    ("variables",), ("superpotential",), ("weights",), ("branes",),
+    ("compute",), ("hom_pairs",), ("degree_bound",), ("koszul_bound",),
+    ("normalization",), ("output",), ("branes", 0), ("branes", 0, "name"),
+    ("branes", 0, "pairs"), ("branes", 0, "d01"), ("normalization", "c_d"),
+    ("normalization", "bulk_scale"),
+]
+
+
+def _mutate(raw, path, value):
+    """Drop or set the entry at path, when its parent is still there."""
+    parent = raw
+    try:
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation removed or retyped the parent
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_FUZZ_PATHS),
+            st.one_of(st.just(_DROP), st.sampled_from(_FUZZ_POOL)),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_job_exits_0_1_or_2(tmp_path_factory, mutations):
+    """Dropped keys and wrong-typed values on a cheap job (x^3, one brane)
+    give an exit code, never an exception."""
+    raw = _basic_job(normalization={"c_d": "1", "bulk_scale": "1"})
+    for path, value in mutations:
+        _mutate(raw, path, value)
+    directory = tmp_path_factory.mktemp("fuzz")
+    job = _write_job(directory, raw)
+    out = str(directory / "report.json")
+    assert main(["run", job, "--no-cache", "--output", out]) in (0, 1, 2)
+
+
 def test_cli_brane_free_job_runs_the_bulk_clauses(tmp_path, capsys):
     raw = {
         "variables": ["x", "y", "z"],
@@ -399,7 +473,13 @@ def test_cache_env_var(tmp_path, monkeypatch):
     ],
 )
 def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound):
-    from lgtft.koszul import check_vanishing_negative_degrees, koszul_cohomology
+    """A witness piece with a map into it costs one elimination more, of that
+    map's pivot columns, for its image; only nqh3 has one."""
+    from lgtft.koszul import (
+        KoszulComplex,
+        check_vanishing_negative_degrees,
+        koszul_cohomology,
+    )
     from lgtft.lgpair import make_lg_pair
     from lgtft.linalg import SparseMatrix
 
@@ -426,5 +506,19 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
     report, job = count(run_job, JobSpec.from_dict({**raw, "koszul_bound": bound}))
     assert report["results"]["koszul"]["vanishing"] == vanishing.to_jsonable()
     # the vanishing check, witness included, reuses the table's eliminations
-    assert job == setup + table
+    # of the differentials; only the image of a witness piece is new
+    last = eliminations[-1]
+    complex_ = KoszulComplex(lg)
+    image = 0
+    if not vanishing.vanishes:
+        k, m = vanishing.witness_degree
+        source = (complex_.predecessor.get(k), m - complex_.step)
+        if complex_.basis(*source):
+            image = 1
+            incoming = complex_.matrix(*source)
+            pivot_cols, _ = incoming.rref()
+            columns = incoming.transpose().rows
+            assert last.rows == [columns[col] for col in pivot_cols]
+    assert image == (w == "x^3+y^3+z^3+x*y*z^2")
+    assert job == setup + table + image
     assert job < setup + table + alone

@@ -1,12 +1,17 @@
-"""Exact elimination: kernels, images, inverses, echelon reduction."""
+"""Exact elimination: kernels, images, inverses, reduction modulo an RREF."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgtft.errors import SingularMatrixError
-from lgtft.linalg import EchelonBasis, SparseMatrix
+from lgtft.complex import quotient
+from lgtft.linalg import SparseMatrix, rref_reduce, vec_axpy, vec_from_list
 from lgtft.scalars import GaussianRational, I
 
 from oracles import dense_rank, scan_nullspace, scan_rref
@@ -183,18 +188,76 @@ def test_elimination_against_row_scanning_oracle(m):
     assert len(kernel) == m.ncols - len(pivot_cols)
 
 
-def test_echelon_basis_membership_and_coords():
-    basis = EchelonBasis()
-    assert basis.insert({0: g(1), 1: g(2)})
-    assert basis.insert({1: g(1), 2: g(1)})
-    assert not basis.insert({0: g(1), 1: g(3), 2: g(1)})  # dependent
-    assert basis.dim == 2
-    vector = {0: g(2), 1: g(5), 2: g(1)}
-    residual, coords = basis.reduce_with_coords(vector)
-    rebuilt = {}
-    for coeff, row in zip(coords, basis.rows):
-        for k, v in row.items():
-            rebuilt[k] = rebuilt.get(k, g(0)) + coeff * v
-    for k, v in residual.items():
-        rebuilt[k] = rebuilt.get(k, g(0)) + v
-    assert {k: v for k, v in rebuilt.items() if v} == vector
+def _dense(vectors, ncols):
+    return [[vector.get(col, g(0)) for col in range(ncols)] for vector in vectors]
+
+
+@given(sparse_row_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rref_reduce_and_quotient_against_dense_rank(m, data):
+    """The image is spanned by random combinations of the kernel vectors of m.
+
+    The quotient rows lie in the kernel, are zero at the image pivots, are in
+    RREF and number dim ker - rank in; together these fix them uniquely."""
+    n = m.ncols
+    kernel = m.nullspace()
+    assert len(kernel) == n - dense_rank(_dense(m.rows, n))
+    combos = data.draw(st.lists(_vectors(len(kernel)), max_size=4))
+    gens = []
+    for combo in combos:
+        vector = {}
+        for coeff, kernel_vector in zip(combo, kernel):
+            vector = vec_axpy(vector, coeff, kernel_vector)
+        gens.append(vector)
+    image = SparseMatrix(len(gens), n, gens).rref()
+    rank_in = dense_rank(_dense(gens, n))
+    assert len(image[0]) == rank_in
+
+    pivot_cols, rows = quotient(kernel, image)
+    assert len(rows) == len(pivot_cols) == len(kernel) - rank_in
+    assert all(not m.apply(row) for row in rows)
+    assert not set(pivot_cols) & set(image[0])
+    assert all(not row.get(col) for row in rows for col in image[0])
+    assert pivot_cols == sorted(set(pivot_cols))
+    for col, row in zip(pivot_cols, rows):
+        assert min(row) == col and row[col] == g(1)
+        assert not any(row.get(other) for other in pivot_cols if other != col)
+    assert dense_rank(_dense(gens + rows, n)) == len(kernel)
+
+    vector = vec_from_list(data.draw(_vectors(n)))
+    residual, coords = rref_reduce(*image, vector)
+    rebuilt = dict(residual)
+    for k, coeff in coords.items():
+        rebuilt = vec_axpy(rebuilt, coeff, image[1][k])
+    assert rebuilt == vector
+    assert not any(residual.get(col) for col in image[0])
+    in_image = dense_rank(_dense(gens + [vector], n)) == rank_in
+    assert in_image == (not residual)
+
+
+def test_quotient_of_an_image_outside_the_kernel_fails_closed():
+    """An image pivot that is not a kernel pivot raises, also under python -O."""
+    script = """
+from lgtft.complex import quotient
+from lgtft.errors import InternalCheckError
+from lgtft.linalg import SparseMatrix
+from lgtft.scalars import GaussianRational
+one, zero = GaussianRational(1), GaussianRational(0)
+kernel = SparseMatrix.from_dense([[one, one, zero]]).nullspace()
+try:
+    quotient(kernel, ([1], [{1: one}]))
+    print("kept")
+except InternalCheckError:
+    print("raised")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["raised"], flags

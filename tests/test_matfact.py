@@ -475,31 +475,59 @@ def test_randomized_representative_independence():
 
 
 def test_hom_image_inserts_only_pivot_columns(monkeypatch):
-    """The 4 Hom pairs of two rank-2|2 branes on x^4+y^4: the map into a piece
-    is not eliminated again, and only its pivot columns enter the image."""
-    from lgtft.linalg import EchelonBasis, SparseMatrix
+    """The 4 Hom pairs of two rank-2|2 branes on x^4+y^4: no differential is
+    eliminated twice, and the image in a piece is the RREF of the pivot
+    columns of the map into it, so its elimination gets rank(map) rows."""
+    from lgtft.complex import FreeComplex
+    from lgtft.linalg import SparseMatrix
 
-    calls = {"rref": 0, "insert": 0}
-    rref_rows, insert = SparseMatrix._rref_rows, EchelonBasis.insert
+    matrix, transpose = FreeComplex.matrix, SparseMatrix.transpose
+    rref_rows = SparseMatrix._rref_rows
+    made = {}  # id -> (differential, (complex id, index, degree))
+    columns = {}  # id -> (column of a differential, its key)
+    ranks = {}  # key -> rank, at the one elimination of that differential
+    images = []  # (keys of the columns eliminated, number of rows)
+    calls = []
+
+    def recording_matrix(self, index, degree):
+        out = matrix(self, index, degree)
+        made[id(out)] = (out, (id(self), index, degree))
+        return out
+
+    def recording_transpose(self):
+        out = transpose(self)
+        if id(self) in made:
+            for row in out.rows:
+                columns[id(row)] = (row, made[id(self)][1])
+        return out
 
     def counting_rref(self):
-        calls["rref"] += 1
-        return rref_rows(self)
-
-    def counting_insert(self, vector):
-        calls["insert"] += 1
-        return insert(self, vector)
+        result = rref_rows(self)
+        calls.append(self)
+        if id(self) in made:
+            key = made[id(self)][1]
+            assert key not in ranks, "a differential was eliminated twice"
+            ranks[key] = len(result[0])
+        elif self.rows and all(id(row) in columns for row in self.rows):
+            keys = {columns[id(row)][1] for row in self.rows}
+            images.append((keys, self.nrows))
+        return result
 
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
     a = koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
     b = koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
+    monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
+    monkeypatch.setattr(SparseMatrix, "transpose", recording_transpose)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
-    monkeypatch.setattr(EchelonBasis, "insert", counting_insert)
     dims = [
         (hom.dim(0), hom.dim(1))
         for hom in (hom_cohomology(s, t) for s in (a, b) for t in (a, b))
     ]
     assert dims == [(2, 2), (2, 2), (2, 2), (4, 4)]
-    assert calls["rref"] == 91
-    # 3 780 when every column of the incoming map was inserted
-    assert calls["insert"] == 2876
+    assert images
+    for keys, nrows in images:
+        (key,) = keys
+        assert nrows == ranks[key]
+    # 91 differentials; the images and quotients are eliminated too
+    assert len(ranks) == 91
+    assert len(calls) == 342
