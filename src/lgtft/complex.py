@@ -15,6 +15,13 @@ monomial-inner, and the differential maps the piece (index, n) into the
 piece (successor index, n + step).  step is the degree of the differential
 in the graded case and the largest total degree of an entry in the windowed
 case, so a window never loses part of an image.
+
+cohomology() yields a piece's kernel and image.  Most pieces of a Hom complex
+are acyclic, and an acyclic piece costs no elimination beyond the map out of
+it: once the rank of the map in is known to equal the kernel's dimension, the
+kernel basis itself is the image, since d^2 = 0 puts the image inside the
+kernel and a subspace of full dimension is the whole space.  That inclusion
+is checked there: the map out must send the map in's pivot columns to zero.
 """
 
 from __future__ import annotations
@@ -150,6 +157,17 @@ class FreeComplex:
         that second use.  The pivot columns of a map span its column space, so
         when the RREF of the map into a piece is known (kept here, or by
         rank()) only those columns are eliminated; otherwise every column is.
+
+        A piece is acyclic when the map into it is known to have rank
+        len(kernel): its pivot columns are known, or there is no map in and
+        the kernel is empty (an empty piece, too).  Then nothing more is
+        eliminated and image is (free columns, kernel), with the kernel list
+        itself as its rows: d^2 = 0 puts the image inside the kernel, and the
+        two have the same dimension, so they are equal.  Each kernel vector is
+        1 at its own free column and 0 at the others, which is all rref_reduce
+        needs of an RREF.  In place of the count check of quotient(), the map
+        out must send each pivot column of the map in to zero, or
+        InternalCheckError is raised.
         """
         pending = set(pieces)
         kept = {}  # piece -> (the map into it, its pivot columns)
@@ -159,7 +177,8 @@ class FreeComplex:
             index, degree = piece
             basis = self.basis(index, degree)
             if not basis:
-                yield basis, [], ([], [])
+                kernel = []
+                yield basis, kernel, ([], kernel)
                 continue
             outgoing = self.matrix(index, degree)
             rref = self._rrefs.get(piece)
@@ -171,16 +190,51 @@ class FreeComplex:
                 kept[target] = (outgoing, rref[0])
             source = self.predecessor.get(index)
             previous = (source, degree - self.step)
-            if incoming is None and source is not None and self.basis(*previous):
-                incoming = self.matrix(*previous)
-                known = self._rrefs.get(previous)
-                columns = range(incoming.ncols) if known is None else known[0]
+            if incoming is None:
+                columns = []  # no map in, or a zero one
+                if source is not None and self.basis(*previous):
+                    incoming = self.matrix(*previous)
+                    known = self._rrefs.get(previous)
+                    columns = None if known is None else known[0]
+            if columns is not None and len(columns) == len(kernel):
+                if incoming is not None:
+                    _check_acyclic(rref[1], incoming, columns)
+                pivots = set(rref[0])
+                free = [col for col in range(outgoing.ncols) if col not in pivots]
+                yield basis, kernel, (free, kernel)
+                continue
             image = ([], [])
             if incoming is not None:
                 transposed = incoming.transpose().rows
+                if columns is None:
+                    columns = range(incoming.ncols)
                 spanning = [transposed[col] for col in columns]
                 image = SparseMatrix(len(spanning), incoming.nrows, spanning).rref()
             yield basis, kernel, image
+
+
+def _check_acyclic(rows, incoming, columns):
+    """Raise InternalCheckError unless the map out, given by the rows of its
+    RREF, sends each of these columns of the map in to zero.
+
+    For a column c, the entry of rows times c at a pivot is that of c's
+    residual modulo the kernel basis (rref_reduce), since each kernel vector
+    is 1 at its own free column and minus a pivot row's entry at that row's
+    pivot; so the check asks for a zero residual, row by row: no transpose and
+    no elimination.
+    """
+    wanted = set(columns)
+    for row in rows:
+        total = {}
+        for i, v in row.items():
+            for col, w in incoming.rows[i].items():
+                if col in wanted:
+                    acc = total.get(col)
+                    total[col] = v * w if acc is None else acc + v * w
+        if any(total.values()):
+            raise InternalCheckError(
+                "the image leaves the kernel of an acyclic piece: d^2 != 0"
+            )
 
 
 def quotient(kernel, image):

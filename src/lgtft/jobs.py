@@ -9,6 +9,7 @@ run-dependent field is the "timing" subtree, which diff_reports ignores.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,10 +226,19 @@ def _is_list_of(value, kind) -> bool:
 
 
 def _constant(label, value) -> Fraction:
-    """A normalization constant: a number or a numeric string (bool is no number)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """A normalization constant: an integer or a numeric string (bool is no
+    number).  A JSON float is refused: it arrives as its binary expansion
+    (0.1 as 3602879701896397/36028797018963968), not as the decimal written."""
+    if isinstance(value, float):
+        hint = ""
+        if math.isfinite(value):
+            hint = f': write "{value!r}" or "{Fraction(repr(value))}"'
         raise ValidationError(
-            f"normalization {label!r} must be a number or a numeric string"
+            f"normalization {label!r} is a JSON float, not an exact number{hint}"
+        )
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValidationError(
+            f"normalization {label!r} must be an integer or a numeric string"
         )
     try:
         return Fraction(value)

@@ -487,7 +487,11 @@ def _defect_complex(a1, a2, graded) -> FreeComplex:
 
 
 class _Piece:
-    """One piece of the Hom complex; im and quot are RREFs (pivot_cols, rows)."""
+    """One piece of the Hom complex; im and quot are RREFs (pivot_cols, rows).
+
+    On an acyclic piece im is (free columns, kernel basis), as
+    FreeComplex.cohomology yields it, and quot is empty.
+    """
 
     __slots__ = ("basis", "index", "im", "quot", "reps")
 
@@ -595,7 +599,10 @@ class HomCohomology:
         for (parity, m), (basis, kernel, image) in zip(
             pieces, complex_.cohomology(pieces)
         ):
-            quot = quotient(kernel, image)
+            if image[1] is kernel:  # acyclic: the image is the kernel
+                quot = ([], [])
+            else:
+                quot = quotient(kernel, image)
             dims[parity, m] = len(quot[1])
             if not self.graded:
                 if m != self.bound:

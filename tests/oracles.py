@@ -5,7 +5,9 @@ dense textbook Gaussian elimination, brute-force staircase counting, and the
 classical one-variable residue via polynomial division, and the
 row-scanning sparse elimination the library's column-indexed one replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
-has its own algebraic-law tests.
+has its own algebraic-law tests.  full_hom_pieces is the exception: it
+eliminates every Hom piece in full and takes its quotient through the
+library's quotient(), which acyclic pieces no longer reach.
 """
 
 from __future__ import annotations
@@ -292,3 +294,44 @@ def oracle_hom_dims(lg, a, b, bound):
     return dims
 
 
+from lgtft.complex import quotient  # noqa: E402
+from lgtft.linalg import rref_reduce  # noqa: E402
+from lgtft.matfact import _defect_complex  # noqa: E402
+
+
+def full_hom_pieces(hom):
+    """{(parity, m): (image, quot)} for each piece of a HomCohomology, every
+    piece eliminated in full: the image from every column of the map in, the
+    kernel from the map out (both by scan_rref), and the quotient from
+    quotient(), acyclic pieces included."""
+    complex_ = _defect_complex(hom.a1, hom.a2, hom.graded)
+    out = {}
+    for parity, m in hom.pieces:
+        degree = m if hom.graded else hom.bound
+        kernel, image = [], ([], [])
+        if complex_.basis(parity, degree):
+            outgoing = complex_.matrix(parity, degree)
+            kernel = scan_nullspace(outgoing.ncols, *scan_rref(outgoing))
+            previous = (complex_.predecessor[parity], degree - complex_.step)
+            if complex_.basis(*previous):
+                incoming = complex_.matrix(*previous).transpose()
+                image = scan_rref(incoming)
+        out[parity, m] = (image, quotient(kernel, image))
+    return out
+
+
+def full_class_coords(hom, pieces, morphism) -> list:
+    """Coordinates of a cocycle's class through pieces from full_hom_pieces:
+    each component reduced modulo the image, then modulo the quotient."""
+    parity = morphism.parity
+    position_of = {key: k for k, key in enumerate(hom.layout[parity])}
+    coords = [GaussianRational(0)] * len(position_of)
+    for m, vector in hom._components(morphism).items():
+        image, quot = pieces[parity, m]
+        residual, _ = rref_reduce(*image, vector)
+        residual, local_coords = rref_reduce(*quot, residual)
+        if residual:
+            raise AssertionError("a cocycle component escaped image + quotient")
+        for local, value in local_coords.items():
+            coords[position_of[m, local]] = value
+    return coords

@@ -340,6 +340,7 @@ def test_cli_malformed_brane_is_validation_error(tmp_path, capsys, brane, messag
         ({"degree_bound": True}, "'degree_bound' must be"),
         ({"koszul_bound": True}, "'koszul_bound' must be"),
         ({"weights": [True]}, "'weights' must be"),
+        ({"normalization": {"bulk_scale": 0.1}}, 'write "0.1" or "1/10"'),
     ],
 )
 def test_cli_malformed_job_is_validation_error(tmp_path, capsys, overrides, message):

@@ -261,3 +261,41 @@ except InternalCheckError:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.split() == ["raised"], flags
+
+
+def test_acyclic_piece_with_an_image_outside_the_kernel_fails_closed():
+    """d(a) = c, d(b) = 0, d(c) = a, with the d^2 = 0 check patched out.  In
+    piece 0 the kernel {b} and the rank of the map in are both 1, so the piece
+    looks acyclic, but the image {a} leaves the kernel: cohomology raises on
+    that piece, also under python -O."""
+    script = """
+from lgtft.complex import FreeComplex
+from lgtft.errors import InternalCheckError
+from lgtft.poly import PolyRing
+ring = PolyRing(["x"])
+one = ring.one()
+entries = {"a": [("c", one)], "b": [], "c": [("a", one)]}
+FreeComplex._check_square_zero = lambda self: None
+complex_ = FreeComplex(
+    ring, {0: [("a", 0), ("b", 0)], 1: [("c", 0)]}, {0: 1, 1: 0}, entries.get
+)
+pieces = complex_.cohomology([(1, 0), (0, 0)])
+basis, kernel, image = next(pieces)
+print("piece 1", len(kernel))
+try:
+    basis, kernel, image = next(pieces)
+    print("piece 0", len(kernel), len(image[0]))
+except InternalCheckError:
+    print("raised")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["piece", "1", "0", "raised"], flags

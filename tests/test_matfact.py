@@ -24,7 +24,7 @@ from lgtft.matfact import (
     make_factorization,
 )
 from lgtft.polymatrix import PolyMatrix
-from oracles import oracle_hom_dims
+from oracles import full_class_coords, full_hom_pieces, oracle_hom_dims
 
 
 def _pm(ring, rows):
@@ -477,12 +477,18 @@ def test_randomized_representative_independence():
 def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     """The 4 Hom pairs of two rank-2|2 branes on x^4+y^4: no differential is
     eliminated twice, and the image in a piece is the RREF of the pivot
-    columns of the map into it, so its elimination gets rank(map) rows."""
+    columns of the map into it, so its elimination gets rank(map) rows.  An
+    acyclic piece (cohomology dimension 0) gets no image or quotient
+    elimination at all: its kernel is its image."""
+    from lgtft import matfact
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
     matrix, transpose = FreeComplex.matrix, SparseMatrix.transpose
     rref_rows = SparseMatrix._rref_rows
+    quotient = matfact.quotient
+    complexes = {}  # id -> complex
+    quotient_dims = []  # dim ker - rank in, at each quotient call
     made = {}  # id -> (differential, (complex id, index, degree))
     columns = {}  # id -> (column of a differential, its key)
     ranks = {}  # key -> rank, at the one elimination of that differential
@@ -492,7 +498,12 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     def recording_matrix(self, index, degree):
         out = matrix(self, index, degree)
         made[id(out)] = (out, (id(self), index, degree))
+        complexes[id(self)] = self
         return out
+
+    def recording_quotient(kernel, image):
+        quotient_dims.append(len(kernel) - len(image[0]))
+        return quotient(kernel, image)
 
     def recording_transpose(self):
         out = transpose(self)
@@ -519,6 +530,7 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
     monkeypatch.setattr(SparseMatrix, "transpose", recording_transpose)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
+    monkeypatch.setattr(matfact, "quotient", recording_quotient)
     dims = [
         (hom.dim(0), hom.dim(1))
         for hom in (hom_cohomology(s, t) for s in (a, b) for t in (a, b))
@@ -528,6 +540,80 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     for keys, nrows in images:
         (key,) = keys
         assert nrows == ranks[key]
-    # 91 differentials; the images and quotients are eliminated too
+    # 91 differentials, 14 images and 17 quotients, one elimination each
     assert len(ranks) == 91
-    assert len(calls) == 342
+    assert len(images) == 14
+    assert len(quotient_dims) == 17
+    assert len(calls) == 122
+    assert all(dim > 0 for dim in quotient_dims)
+    monkeypatch.undo()  # dim() below may eliminate again
+    for keys, _ in images:
+        ((cid, index, degree),) = keys
+        complex_ = complexes[cid]
+        piece = (complex_.successor[index], degree + complex_.step)
+        assert complex_.dim(*piece) > 0
+
+
+# brane lists whose Hom spaces are checked against the full elimination
+FULL_ELIMINATION_CASES = {
+    "baseline": (
+        "x^4+y^4",
+        [[("x", "x^3"), ("y", "y^3")], [("x^2", "x^2"), ("y", "y^3")]],
+    ),
+    "spinor": ("x^2+y^2", [[("x + i*y", "x - i*y")], [("x - i*y", "x + i*y")]]),
+    "windowed": ("x^4+y^4+x*y^2", [[("x", "x^3+y^2"), ("y", "y^3")]]),
+    "x5y": ("x^5*y+y^6", [[("y", "x^5+y^5")]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_ELIMINATION_CASES))
+def test_hom_matches_full_elimination(case):
+    """Acyclic pieces skip their image and quotient eliminations: every Hom
+    space still has the quotient rows, representatives and class coordinates
+    that eliminating every piece in full gives, and a coboundary d(h) has the
+    zero class, also when its terms lie in acyclic pieces."""
+    w, pairs = FULL_ELIMINATION_CASES[case]
+    lg = make_lg_pair(["x", "y"], w)
+    branes = [koszul_factorization(lg, brane) for brane in pairs]
+    homs = {(s, t): hom_cohomology(a, b) for s, a in enumerate(branes)
+            for t, b in enumerate(branes)}
+    full = {key: full_hom_pieces(hom) for key, hom in homs.items()}
+    acyclic_coboundaries = 0
+    for key, hom in homs.items():
+        assert full[key].keys() == hom.pieces.keys()
+        for (parity, m), (_, quot) in full[key].items():
+            piece = hom.pieces[parity, m]
+            assert piece.quot == quot
+            assert piece.reps == [
+                hom._morphism_from_vector(parity, piece.basis, row)
+                for row in quot[1]
+            ]
+        for parity in (0, 1):
+            assert hom.dim(parity) == sum(
+                len(quot[1]) for (p, _), (_, quot) in full[key].items()
+                if p == parity
+            )
+        for (parity, m), piece in hom.pieces.items():
+            for position in range(len(piece.basis)):
+                h = hom._morphism_from_vector(parity, piece.basis, {position: 1})
+                boundary = h.defect()
+                try:
+                    degrees = hom._components(boundary)
+                except ClassBoundError:
+                    continue  # d(h) leaves the computed window
+                assert hom.class_of(boundary).is_zero()
+                assert not any(full_class_coords(hom, full[key], boundary))
+                acyclic_coboundaries += bool(degrees) and all(
+                    not hom.pieces[1 - parity, n].quot[1] for n in degrees
+                )
+    if case != "windowed":  # the window is one piece, and it has classes
+        assert acyclic_coboundaries > 0
+    for (s, t), f_hom in homs.items():
+        for u in range(len(branes)):
+            target = homs[s, u]
+            for f in f_hom.basis_classes(0) + f_hom.basis_classes(1):
+                for g in homs[t, u].basis_classes(0) + homs[t, u].basis_classes(1):
+                    composite = g.representative.compose(f.representative)
+                    assert list(target.class_of(composite).coords) == (
+                        full_class_coords(target, full[s, u], composite)
+                    )
