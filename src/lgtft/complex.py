@@ -22,6 +22,11 @@ it: once the rank of the map in is known to equal the kernel's dimension, the
 kernel basis itself is the image, since d^2 = 0 puts the image inside the
 kernel and a subspace of full dimension is the whole space.  That inclusion
 is checked there: the map out must send the map in's pivot columns to zero.
+
+cohomology() is a generator and computes each piece only when it is asked
+for the next one, so a caller may stop early and resume later: a Hom with
+certified dimensions stops at its last class and keeps the generator for the
+pieces class_of reaches above it.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ class FreeComplex:
         return size - rank_out - rank_in
 
     def cohomology(self, pieces):
-        """Yield (basis, kernel, image) for each (index, degree) in pieces, in turn.
+        """Yield (basis, kernel, image) for each (index, degree) in pieces, in turn,
+        computing each piece only when it is asked for.
 
         kernel is the canonical nullspace basis of the map out of the piece and
         image the RREF (pivot_cols, rows) of the column space of the map into

@@ -6,6 +6,12 @@ d(f) = D2 o f - (-1)^{deg f} f o D1; cohomology is computed degreewise in the
 internal (weighted) grading when both objects are gradable, and through a
 total-degree window with a stabilization flag otherwise.
 
+A graded Hom out of a Koszul brane knows its number of classes before its
+window is walked: koszul_hom_dims reads it off X/(c)X.  Such a Hom consumes
+FreeComplex.cohomology lazily, in ascending degree, and stops once both
+parities hold the certified count; class_of pulls a piece above the stop only
+when a term lands in it.  Every other Hom builds its whole window at once.
+
 Projective modules are realized as free modules throughout: over C^d every
 finitely generated projective module is free, so nothing is lost at this
 scale, but it does specialize the general definition.
@@ -13,6 +19,7 @@ scale, but it does specialize the general definition.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 from .complex import FreeComplex, quotient
@@ -24,18 +31,24 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .groebner import GroebnerBasis
 from .jacobi import jacobi_groebner
 from .lgpair import LGPair
-from .linalg import rref_reduce
+from .linalg import SparseMatrix, rref_reduce
 from .poly import Polynomial, mono_weighted_degree
 from .polymatrix import PolyMatrix
 from .scalars import GaussianRational
 
 
 class MatrixFactorization:
-    """Free supermodule P0 + P1 with odd differential squaring to W."""
+    """Free supermodule P0 + P1 with odd differential squaring to W.
 
-    __slots__ = ("lg", "d01", "d10", "weights0", "weights1", "_key")
+    pairs holds the factor pairs (a_k, b_k) of a Koszul factorization, as
+    koszul_factorization parsed them, and is None otherwise.  It is not part
+    of key(): it only lets koszul_hom_dims certify Hom dimensions.
+    """
+
+    __slots__ = ("lg", "d01", "d10", "weights0", "weights1", "pairs", "_key")
 
     def __init__(self, lg, d01, d10, weights0=None, weights1=None):
         self.lg = lg
@@ -43,6 +56,7 @@ class MatrixFactorization:
         self.d10 = d10
         self.weights0 = tuple(weights0) if weights0 is not None else None
         self.weights1 = tuple(weights1) if weights1 is not None else None
+        self.pairs = None
         self._key = None
 
     @property
@@ -256,7 +270,9 @@ def koszul_factorization(lg: LGPair, pairs) -> MatrixFactorization:
             ],
         )
         d01, d10 = new01, new10
-    return make_factorization(lg, d01, d10)
+    factorization = make_factorization(lg, d01, d10)
+    factorization.pairs = tuple(parsed)
+    return factorization
 
 
 def _block_matrix(ring, blocks):
@@ -486,6 +502,80 @@ def _defect_complex(a1, a2, graded) -> FreeComplex:
 # ---------------------------------------------------------------------------
 
 
+def koszul_hom_dims(source, target) -> Optional[tuple]:
+    """Certified (even, odd) dimensions of Hom(source, target), or None.
+
+    The source must be a Koszul factorization K = tensor of {a_k, b_k} with
+    one pair per variable, and some choice of c_k in {a_k, b_k} must generate
+    an ideal (c) of finite colength; otherwise the answer is None.  Then
+    Hom(K, X) is homotopy equivalent to X/(c)X with the differential D_X
+    mod (c) (Dyckerhoff, "Compact generators in categories of matrix
+    factorizations", Duke 2011, section 2; Khovanov-Rozansky, Fund. Math.
+    2008).  The argument:
+
+    - Hom(K, X) is X tensor an exterior algebra on e_1..e_n.  Its
+      differential is delta_c + delta', where delta_c = sum c_k contract(e_k)
+      lowers the exterior degree by one.  delta' keeps it (the D_X term) or
+      raises it (the partners of the c_k).  Swapping a pair, {a, b} =
+      {b, a}[1], costs only a parity shift, so either element may be c_k.
+    - (c) has n generators and height n, so locally it is a system of
+      parameters of a Cohen-Macaulay ring.  The Koszul complex of c on the
+      free module X is therefore exact except at exterior degree 0, where
+      its homology is X/(c)X.
+    - Take a linear deformation retraction (p, i, h) onto X/(c)X with h
+      raising the exterior degree by one.  h delta' raises it, so it is
+      nilpotent, and the perturbation lemma transfers the differential as
+      p delta' i + p delta' h delta' i + ...  Every term after the first
+      passes through a positive exterior degree that nothing lowers again,
+      and p kills it there.  The first term is D_X mod (c).
+
+    X/(c)X is the 2-periodic complex V0 <-> V1, V_i = X_i tensor R/(c),
+    with d01 and d10 read mod (c); they compose to W = sum a_k b_k, which
+    lies in (c).  So each parity has rank(X) * dim R/(c) - rank(d01 mod c)
+    - rank(d10 mod c) classes, one SparseMatrix.rank per block over the
+    standard monomials of (c).  Even equals odd because rank0 = rank1 for
+    every factorization: d01 d10 = W Id with W nonzero, so both blocks have
+    full rank over the fraction field.  For the same reason the parity shift
+    of the chosen c does not change the pair.
+    """
+    pairs = source.pairs
+    if pairs is None or len(pairs) != source.lg.ring.nvars:
+        return None
+    for choice in itertools.product(*pairs):
+        generators = [c for c in choice if not c.is_zero()]
+        if not generators:
+            continue
+        ideal = GroebnerBasis.compute(generators)
+        if ideal.is_zero_dimensional():
+            break
+    else:
+        return None
+    staircase = ideal.standard_monomials()
+    dim = target.rank0 * len(staircase) - sum(
+        _reduced_rank(ideal, staircase, block) for block in (target.d01, target.d10)
+    )
+    return dim, dim
+
+
+def _reduced_rank(ideal, staircase, block) -> int:
+    """Rank of a polynomial matrix as a linear map of free modules mod the
+    ideal, in the basis (basis vector, standard monomial)."""
+    ring = ideal.ring
+    mu = len(staircase)
+    index = {exps: k for k, exps in enumerate(staircase)}
+    rows = [{} for _ in range(block.nrows * mu)]
+    for i in range(block.nrows):
+        for j in range(block.ncols):
+            entry = block[i, j]
+            if entry.is_zero():
+                continue
+            for s, exps in enumerate(staircase):
+                reduced = ideal.normal_form(entry * ring.monomial(exps))
+                for t, coeff in reduced.terms.items():
+                    rows[i * mu + index[t]][j * mu + s] = coeff
+    return SparseMatrix(len(rows), block.ncols * mu, rows).rank()
+
+
 class _Piece:
     """One piece of the Hom complex; im and quot are RREFs (pivot_cols, rows).
 
@@ -566,7 +656,20 @@ class MorphismClass:
 
 
 class HomCohomology:
-    """Degreewise cohomology of Hom(a1, a2) with canonical representatives."""
+    """Degreewise cohomology of Hom(a1, a2) with canonical representatives.
+
+    In graded mode the pieces are built in ascending degree.  When
+    koszul_hom_dims certifies the dimensions (a Koszul source with a c of
+    finite colength), the build stops after the first degree at which both
+    parities hold the certified number of classes: no piece above it can
+    have a class.  The pieces above are built later, only when class_of meets
+    a term in one of them, and the residual test still runs on them.  This
+    fails closed, also under python -O: a parity that ever holds more classes
+    than certified, which is what a later piece with a class gives, raises
+    InternalCheckError.  A window that reaches its bound with fewer classes
+    than certified reports stabilized False.  Without a certificate, and in
+    windowed mode, every piece of the window is built at once.
+    """
 
     def __init__(self, a1, a2, bound=None, groebner=None):
         if a1.lg is not a2.lg and a1.lg.key() != a2.lg.key():
@@ -584,45 +687,73 @@ class HomCohomology:
         self.bound = bound
         self.pieces = {}
         self.layout = {0: [], 1: []}  # parity -> list of (degree, local index)
+        self.certified = koszul_hom_dims(a1, a2) if self.graded else None
         self._build()
+        self._position_of = {
+            parity: {key: k for k, key in enumerate(self.layout[parity])}
+            for parity in (0, 1)
+        }
 
     # -- construction -----------------------------------------------------
 
     def _build(self):
         complex_ = _defect_complex(self.a1, self.a2, self.graded)
-        if self.graded:
-            degrees = list(range(complex_.min_degree, self.bound + 1))
-        else:
+        if not self.graded:
             degrees = [n for n in (self.bound - 1, self.bound) if n >= 0]
-        pieces = [(parity, m) for m in degrees for parity in (0, 1)]
-        dims = {}
-        for (parity, m), (basis, kernel, image) in zip(
-            pieces, complex_.cohomology(pieces)
-        ):
-            if image[1] is kernel:  # acyclic: the image is the kernel
-                quot = ([], [])
-            else:
-                quot = quotient(kernel, image)
-            dims[parity, m] = len(quot[1])
-            if not self.graded:
-                if m != self.bound:
-                    continue
-                m = 0  # the windowed space is one piece
-            reps = [
-                self._morphism_from_vector(parity, basis, row) for row in quot[1]
-            ]
-            self.pieces[(parity, m)] = _Piece(basis, image, quot, reps)
-            self.layout[parity].extend((m, local) for local in range(len(reps)))
-        if self.graded:
-            top = degrees[-2:] if self.bound >= 1 else []
-            self.stabilized = not any(
-                m in top for parity in (0, 1) for m, _ in self.layout[parity]
-            )
-        else:
+            pieces = [(parity, m) for m in degrees for parity in (0, 1)]
+            dims = {}
+            for (parity, m), (basis, kernel, image) in zip(
+                pieces, complex_.cohomology(pieces)
+            ):
+                if m == self.bound:
+                    self._add_piece(parity, 0, basis, kernel, image)  # one piece
+                else:
+                    dims[parity] = len(_quotient(kernel, image)[1])
             self.stabilized = len(degrees) == 2 and all(
-                dims[parity, self.bound] == dims[parity, self.bound - 1]
-                for parity in (0, 1)
+                dims[parity] == self.dim(parity) for parity in (0, 1)
             )
+            return
+        degrees = list(range(complex_.min_degree, self.bound + 1))
+        pieces = [(parity, m) for m in degrees for parity in (0, 1)]
+        self._pending = zip(pieces, complex_.cohomology(pieces))
+        self._built = complex_.min_degree - 1  # pieces are built up to here
+        for m in degrees:
+            self._pull(m)
+            if self._complete():
+                break
+        top = degrees[-2:] if self.bound >= 1 else []
+        self.stabilized = (self.certified is None or self._complete()) and not any(
+            m in top for parity in (0, 1) for m, _ in self.layout[parity]
+        )
+
+    def _complete(self) -> bool:
+        """True when both parities hold the certified number of classes."""
+        return self.certified is not None and all(
+            self.dim(parity) == self.certified[parity] for parity in (0, 1)
+        )
+
+    def _pull(self, degree):
+        """Build the pieces of both parities in each degree up to this one."""
+        while self._built < degree:
+            (parity, m), (basis, kernel, image) = next(self._pending)
+            self._add_piece(parity, m, basis, kernel, image)
+            if parity == 1:
+                self._built = m
+        if self._built == self.bound:
+            self._pending = None  # the window is complete: drop the complex
+
+    def _add_piece(self, parity, m, basis, kernel, image):
+        quot = _quotient(kernel, image)
+        found = self.dim(parity) + len(quot[1])
+        if self.certified is not None and found > self.certified[parity]:
+            raise InternalCheckError(
+                f"piece ({parity}, {m}) brings the {'even' if parity == 0 else 'odd'}"
+                f" classes to {found}, above the {self.certified[parity]} "
+                "certified by koszul_hom_dims"
+            )
+        reps = [self._morphism_from_vector(parity, basis, row) for row in quot[1]]
+        self.pieces[(parity, m)] = _Piece(basis, image, quot, reps)
+        self.layout[parity].extend((m, local) for local in range(len(reps)))
 
     def _morphism_from_vector(self, parity, basis, vector):
         ring = self.lg.ring
@@ -689,9 +820,7 @@ class HomCohomology:
             )
         parity = morphism.parity
         coords = [GaussianRational(0)] * len(self.layout[parity])
-        position_of = {
-            key: position for position, key in enumerate(self.layout[parity])
-        }
+        position_of = self._position_of[parity]  # later pieces add no class
         for m, vector in self._components(morphism).items():
             piece = self.pieces[(parity, m)]
             residual, _ = rref_reduce(*piece.im, vector)
@@ -705,7 +834,11 @@ class HomCohomology:
         return MorphismClass(self, parity, coords)
 
     def _components(self, morphism):
-        """Coordinates of the terms of a morphism, split by piece: {degree: vector}."""
+        """Coordinates of the terms of a morphism, split by piece: {degree: vector}.
+
+        A term in a graded degree not built yet, up to the bound, builds the
+        pieces up to that degree first.
+        """
         parity = morphism.parity
         shapes = _block_shapes(self.a1, self.a2, parity)
         components = {}
@@ -718,6 +851,8 @@ class HomCohomology:
                         if self.graded:
                             m = 2 * mono_weighted_degree(exps, self.lg.weights)
                             m += wt[i] - ws[j]
+                            if self._built < m <= self.bound:
+                                self._pull(m)
                         piece = self.pieces.get((parity, m))
                         element = ((parity, blk, i, j), exps)
                         if piece is None or element not in piece.index:
@@ -728,6 +863,13 @@ class HomCohomology:
                             )
                         components.setdefault(m, {})[piece.index[element]] = coeff
         return components
+
+
+def _quotient(kernel, image):
+    """The classes of a piece from cohomology(): none when it is acyclic."""
+    if image[1] is kernel:  # acyclic: the image is the kernel
+        return [], []
+    return quotient(kernel, image)
 
 
 def default_degree_bound(lg, a1, a2, graded, groebner=None) -> int:

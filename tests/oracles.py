@@ -300,13 +300,17 @@ from lgtft.matfact import _defect_complex  # noqa: E402
 
 
 def full_hom_pieces(hom):
-    """{(parity, m): (image, quot)} for each piece of a HomCohomology, every
-    piece eliminated in full: the image from every column of the map in, the
-    kernel from the map out (both by scan_rref), and the quotient from
-    quotient(), acyclic pieces included."""
+    """{(parity, m): (image, quot)} for each piece of a HomCohomology's whole
+    window, every piece eliminated in full: the image from every column of the
+    map in, the kernel from the map out (both by scan_rref), and the quotient
+    from quotient(), acyclic pieces and pieces the Hom has not built included."""
     complex_ = _defect_complex(hom.a1, hom.a2, hom.graded)
+    if hom.graded:
+        degrees = range(complex_.min_degree, hom.bound + 1)
+    else:
+        degrees = [0]  # the windowed space is one piece
     out = {}
-    for parity, m in hom.pieces:
+    for parity, m in [(p, n) for n in degrees for p in (0, 1)]:
         degree = m if hom.graded else hom.bound
         kernel, image = [], ([], [])
         if complex_.basis(parity, degree):

@@ -17,13 +17,16 @@ from lgtft.errors import (
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import (
     Morphism,
+    MorphismClass,
     _defect_complex,
     compose_classes,
     hom_cohomology,
     koszul_factorization,
+    koszul_hom_dims,
     make_factorization,
 )
 from lgtft.polymatrix import PolyMatrix
+from lgtft.tft import BraneCategory
 from oracles import full_class_coords, full_hom_pieces, oracle_hom_dims
 
 
@@ -479,14 +482,18 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     eliminated twice, and the image in a piece is the RREF of the pivot
     columns of the map into it, so its elimination gets rank(map) rows.  An
     acyclic piece (cohomology dimension 0) gets no image or quotient
-    elimination at all: its kernel is its image."""
+    elimination at all: its kernel is its image.  Every class lies in degree
+    4 or below, and the certified dimensions (one rank per block of the
+    target, two per Hom) stop each window there, so no differential above
+    the stop is eliminated."""
     from lgtft import matfact
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
     matrix, transpose = FreeComplex.matrix, SparseMatrix.transpose
     rref_rows = SparseMatrix._rref_rows
-    quotient = matfact.quotient
+    quotient, reduced_rank = matfact.quotient, matfact._reduced_rank
+    certificate_ranks = []
     complexes = {}  # id -> complex
     quotient_dims = []  # dim ker - rank in, at each quotient call
     made = {}  # id -> (differential, (complex id, index, degree))
@@ -504,6 +511,10 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     def recording_quotient(kernel, image):
         quotient_dims.append(len(kernel) - len(image[0]))
         return quotient(kernel, image)
+
+    def recording_reduced_rank(ideal, staircase, block):
+        certificate_ranks.append(block)
+        return reduced_rank(ideal, staircase, block)
 
     def recording_transpose(self):
         out = transpose(self)
@@ -531,6 +542,7 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "transpose", recording_transpose)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
     monkeypatch.setattr(matfact, "quotient", recording_quotient)
+    monkeypatch.setattr(matfact, "_reduced_rank", recording_reduced_rank)
     dims = [
         (hom.dim(0), hom.dim(1))
         for hom in (hom_cohomology(s, t) for s in (a, b) for t in (a, b))
@@ -540,11 +552,14 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     for keys, nrows in images:
         (key,) = keys
         assert nrows == ranks[key]
-    # 91 differentials, 14 images and 17 quotients, one elimination each
-    assert len(ranks) == 91
+    # 33 differentials, 14 images, 17 quotients and 8 certificate ranks, one
+    # elimination each
+    assert len(ranks) == 33
     assert len(images) == 14
     assert len(quotient_dims) == 17
-    assert len(calls) == 122
+    assert len(certificate_ranks) == 8
+    assert len(calls) == 72
+    assert max(degree for _, _, degree in ranks) == 4
     assert all(dim > 0 for dim in quotient_dims)
     monkeypatch.undo()  # dim() below may eliminate again
     for keys, _ in images:
@@ -568,10 +583,12 @@ FULL_ELIMINATION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FULL_ELIMINATION_CASES))
 def test_hom_matches_full_elimination(case):
-    """Acyclic pieces skip their image and quotient eliminations: every Hom
+    """Acyclic pieces skip their image and quotient eliminations, and a Hom
+    with certified dimensions (baseline) stops its window early: every Hom
     space still has the quotient rows, representatives and class coordinates
-    that eliminating every piece in full gives, and a coboundary d(h) has the
-    zero class, also when its terms lie in acyclic pieces."""
+    that eliminating every piece of the window in full gives, and a coboundary
+    d(h) has the zero class, also when its terms lie in acyclic pieces or in
+    pieces built only when class_of meets them."""
     w, pairs = FULL_ELIMINATION_CASES[case]
     lg = make_lg_pair(["x", "y"], w)
     branes = [koszul_factorization(lg, brane) for brane in pairs]
@@ -580,20 +597,18 @@ def test_hom_matches_full_elimination(case):
     full = {key: full_hom_pieces(hom) for key, hom in homs.items()}
     acyclic_coboundaries = 0
     for key, hom in homs.items():
-        assert full[key].keys() == hom.pieces.keys()
-        for (parity, m), (_, quot) in full[key].items():
-            piece = hom.pieces[parity, m]
-            assert piece.quot == quot
-            assert piece.reps == [
-                hom._morphism_from_vector(parity, piece.basis, row)
-                for row in quot[1]
-            ]
+        assert (hom.certified is not None) == (case == "baseline")
+        if hom.certified is None:
+            assert hom.pieces.keys() == full[key].keys()
+        else:  # built in ascending degree, up to the stop
+            assert list(hom.pieces) == list(full[key])[: len(hom.pieces)]
+            assert len(hom.pieces) < len(full[key])
         for parity in (0, 1):
             assert hom.dim(parity) == sum(
                 len(quot[1]) for (p, _), (_, quot) in full[key].items()
                 if p == parity
             )
-        for (parity, m), piece in hom.pieces.items():
+        for (parity, m), piece in list(hom.pieces.items()):
             for position in range(len(piece.basis)):
                 h = hom._morphism_from_vector(parity, piece.basis, {position: 1})
                 boundary = h.defect()
@@ -617,3 +632,179 @@ def test_hom_matches_full_elimination(case):
                     assert list(target.class_of(composite).coords) == (
                         full_class_coords(target, full[s, u], composite)
                     )
+    for key, hom in homs.items():  # also the pieces class_of built
+        for (parity, m), piece in hom.pieces.items():
+            _, quot = full[key][parity, m]
+            assert piece.quot == quot
+            assert piece.reps == [
+                hom._morphism_from_vector(parity, piece.basis, row)
+                for row in quot[1]
+            ]
+
+
+# Koszul branes whose Homs out of a Koszul source have certified dimensions;
+# the second and last potentials are not quasi-homogeneous, so those Homs
+# are windowed
+CERTIFIED_CASES = {
+    "x^4+y^4": FULL_ELIMINATION_CASES["baseline"][1],
+    "x^4+y^4+x*y^2": FULL_ELIMINATION_CASES["windowed"][1],
+    "x^3+y^3": [[("x", "x^2"), ("y", "y^2")], [("x+y", "x^2-x*y+y^2")]],
+    "x^5+y^5": [[("x", "x^4"), ("y", "y^4")], [("x^2", "x^3"), ("y^2", "y^3")]],
+    "x^6+y^6": [[("x^2", "x^4"), ("y^3", "y^3")], [("x^3", "x^3"), ("y", "y^5")]],
+    "x^5+y^5+x^2*y^2": [
+        [("x", "x^4+x*y^2"), ("y", "y^4")],
+        [("y", "y^4+x^2*y"), ("x", "x^4")],
+    ],
+}
+
+
+def _twin(brane):
+    """The same blocks through make_factorization: no pairs, no certificate,
+    so its Homs build the whole window."""
+    return make_factorization(brane.lg, brane.d01, brane.d10)
+
+
+def test_certified_dims_match_the_full_window():
+    """koszul_hom_dims equals the dimensions of the full, stabilized window on
+    every Hom with a Koszul source, and the graded Homs that stop early report
+    the full window's dims, by_degree, bound and stabilized flag."""
+    checked = []
+    for w, pairs in CERTIFIED_CASES.items():
+        lg = make_lg_pair(["x", "y"], w)
+        branes = [koszul_factorization(lg, brane) for brane in pairs]
+        for a in branes:
+            for b in branes:
+                certified = koszul_hom_dims(a, b)
+                if len(a.pairs) == 1:  # one pair in two variables
+                    assert certified is None
+                    continue
+                full = hom_cohomology(_twin(a), _twin(b))
+                assert full.certified is None and full.stabilized
+                assert certified == (full.dim(0), full.dim(1))
+                assert certified[0] == certified[1]
+                hom = hom_cohomology(a, b)
+                assert hom.certified == (certified if hom.graded else None)
+                assert hom.layout == full.layout
+                assert (hom.bound, hom.stabilized) == (full.bound, full.stabilized)
+                checked.append(w)
+    assert len(checked) == 19
+
+
+def test_certificate_needs_a_finite_colength_choice_per_variable():
+    # one pair in two variables: (y) and (x^5+y^5) have infinite colength
+    lg = make_lg_pair(["x", "y"], "x^5*y+y^6")
+    brane = koszul_factorization(lg, [("y", "x^5+y^5")])
+    assert koszul_hom_dims(brane, brane) is None
+    # two pairs, but every choice of c lies in the ideal (x)
+    lg = make_lg_pair(["x", "y"], "x^2*y+x^2*y^2")
+    brane = koszul_factorization(lg, [("x", "x*y"), ("x", "x*y^2")])
+    assert koszul_hom_dims(brane, brane) is None
+    # two pairs in one variable: c = (x, x) has finite colength, but it is not
+    # a regular sequence
+    lg = make_lg_pair(["x"], "x^2")
+    brane = koszul_factorization(lg, [("x", "x"), ("x", "-x+x")])
+    assert koszul_hom_dims(brane, brane) is None
+    assert hom_cohomology(brane, brane).certified is None
+    # a d01/d10 brane records no pairs
+    assert koszul_hom_dims(_twin(brane), brane) is None
+
+
+def test_short_window_is_not_stabilized():
+    """A window whose bound cuts off certified classes is not stabilized.  No
+    class lies in the top two degrees of these windows (or the bound is 0),
+    which is all the window alone can test, so it used to report them as
+    stabilized and brane_hom_finiteness passed a short table."""
+    lg = make_lg_pair(["x", "y"], "x^5+y^5")
+    a = koszul_factorization(lg, [("x", "x^4"), ("y", "y^4")])
+    for bound, dims in ((0, (1, 0)), (2, (1, 0)), (5, (1, 2))):
+        hom = hom_cohomology(a, a, degree_bound=bound)
+        assert hom.certified == (2, 2)
+        assert (hom.dim(0), hom.dim(1)) == dims
+        assert not hom.stabilized
+    assert hom_cohomology(a, a).stabilized
+    assert not BraneCategory(lg, [("A", a)], degree_bound=2).hom_finite()
+
+
+def test_stopped_window_classes_match_the_full_window():
+    """The baseline Homs stop at degree 4 or below.  Every composite of two
+    basis classes, those landing in degrees 5 to 8 above the stop included,
+    has the class coordinates the full window gives, and the pieces class_of
+    builds for them hold no class."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    branes = [koszul_factorization(lg, b) for b in CERTIFIED_CASES["x^4+y^4"]]
+    n = len(branes)
+    homs = {(s, t): hom_cohomology(branes[s], branes[t])
+            for s in range(n) for t in range(n)}
+    fulls = {(s, t): hom_cohomology(_twin(branes[s]), _twin(branes[t]))
+             for s in range(n) for t in range(n)}
+    stops = {}
+    for key, hom in homs.items():
+        stops[key] = max(m for _, m in hom.pieces)
+        assert stops[key] <= 4 < hom.bound
+        assert hom.layout == fulls[key].layout
+        for parity in (0, 1):
+            for mine, theirs in zip(
+                hom.basis_classes(parity), fulls[key].basis_classes(parity)
+            ):
+                assert mine.representative == theirs.representative
+    above = 0
+    for (s, t), f_hom in homs.items():
+        for u in range(n):
+            target, full = homs[s, u], fulls[s, u]
+            for f in f_hom.basis_classes(0) + f_hom.basis_classes(1):
+                for g in homs[t, u].basis_classes(0) + homs[t, u].basis_classes(1):
+                    composite = g.representative.compose(f.representative)
+                    degrees = full._components(composite)
+                    above += max(degrees, default=0) > stops[s, u]
+                    assert target.class_of(composite) == MorphismClass(
+                        target, composite.parity, full.class_of(composite).coords
+                    )
+    assert above > 0
+    assert stops == {(0, 0): 4, (0, 1): 2, (1, 0): 4, (1, 1): 4}
+    built = {key: max(m for _, m in hom.pieces) for key, hom in homs.items()}
+    assert built == {(0, 0): 8, (0, 1): 6, (1, 0): 8, (1, 1): 8}
+    for key, hom in homs.items():
+        assert hom.layout == fulls[key].layout
+
+
+def test_low_certificate_fails_closed():
+    """A certificate lowered by one per parity on the baseline Homs gives
+    InternalCheckError, not a short table, plainly and under python -O: End(A)
+    finds its two odd classes in one piece, and Hom(B, A), which stops at
+    degree 2 with the lowered count, finds its degree-4 classes as soon as
+    class_of builds that piece."""
+    script = """
+from lgtft import matfact
+from lgtft.errors import InternalCheckError
+from lgtft.lgpair import make_lg_pair
+lg = make_lg_pair(["x", "y"], "x^4+y^4")
+a = matfact.koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
+b = matfact.koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
+full = matfact.hom_cohomology(matfact.make_factorization(lg, b.d01, b.d10), a)
+certify = matfact.koszul_hom_dims
+matfact.koszul_hom_dims = lambda s, t: tuple(d - 1 for d in certify(s, t))
+try:
+    matfact.hom_cohomology(a, a)
+    print("built")
+except InternalCheckError:
+    print("raised")
+hom = matfact.hom_cohomology(b, a)
+print("stop", max(m for _, m in hom.pieces))
+(m, local), = [key for key in full.layout[0] if key[0] == 4]
+try:
+    hom.class_of(full.pieces[0, m].reps[local])
+    print("classified")
+except InternalCheckError:
+    print("raised")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in (["-O"], []):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["raised", "stop", "2", "raised"], flags
