@@ -12,6 +12,11 @@ FreeComplex.cohomology lazily, in ascending degree, and stops once both
 parities hold the certified count; class_of pulls a piece above the stop only
 when a term lands in it.  Every other Hom builds its whole window at once.
 
+A class is reduced piece by piece modulo image and quotient, and that
+residual test alone decides whether a morphism is a cocycle.  Composition on
+cohomology is a sparse bilinear map on the piece vectors of the basis
+representatives; a representative is built as a Morphism only on demand.
+
 Projective modules are realized as free modules throughout: over C^d every
 finitely generated projective module is free, so nothing is lost at this
 scale, but it does specialize the general definition.
@@ -34,8 +39,8 @@ from .errors import (
 from .groebner import GroebnerBasis
 from .jacobi import jacobi_groebner
 from .lgpair import LGPair
-from .linalg import SparseMatrix, rref_reduce
-from .poly import Polynomial, mono_weighted_degree
+from .linalg import SparseMatrix, rref_reduce, vec_axpy
+from .poly import Polynomial, mono_mul, mono_weighted_degree
 from .polymatrix import PolyMatrix
 from .scalars import GaussianRational
 
@@ -583,37 +588,44 @@ class _Piece:
     FreeComplex.cohomology yields it, and quot is empty.
     """
 
-    __slots__ = ("basis", "index", "im", "quot", "reps")
+    __slots__ = ("basis", "index", "im", "quot")
 
-    def __init__(self, basis, im, quot, reps):
+    def __init__(self, basis, im, quot):
         self.basis = basis
         self.index = {element: k for k, element in enumerate(basis)}
         self.im = im
         self.quot = quot
-        self.reps = reps
 
 
 class MorphismClass:
     """A cohomology class: canonical coordinates in the basis of its Hom space.
 
-    Arithmetic works on the coordinates alone.  The canonical representative,
-    sum of coord * basis representative, is built on first access and kept.
+    Arithmetic works on the coordinates alone.  The canonical representative
+    is sum of coord * basis representative, a basis representative being a
+    quotient row of its piece.  Its terms, {((parity, blk, i, j), exps):
+    coeff}, are what compose_classes reads; the Morphism with those terms is
+    built on first access to representative.  Both are kept.
     """
 
-    __slots__ = ("hom", "parity", "coords", "_representative")
+    __slots__ = ("hom", "parity", "coords", "_terms", "_representative")
 
-    def __init__(self, hom, parity, coords, representative=None):
+    def __init__(self, hom, parity, coords):
         self.hom = hom
         self.parity = parity
         self.coords = tuple(coords)
-        self._representative = representative
+        self._terms = None
+        self._representative = None
+
+    def terms(self) -> dict:
+        """The canonical representative as {((parity, blk, i, j), exps): coeff}."""
+        if self._terms is None:
+            self._terms = self.hom.terms_of(self.parity, self.coords)
+        return self._terms
 
     @property
     def representative(self) -> Morphism:
         if self._representative is None:
-            self._representative = self.hom.representative_of(
-                self.parity, self.coords
-            )
+            self._representative = self.hom.morphism_of(self.parity, self.terms())
         return self._representative
 
     @property
@@ -669,6 +681,14 @@ class HomCohomology:
     InternalCheckError.  A window that reaches its bound with fewer classes
     than certified reports stabilized False.  Without a certificate, and in
     windowed mode, every piece of the window is built at once.
+
+    The residual test decides whether a morphism is a cocycle, with no
+    chain-level defect: each piece's image and quotient together span its
+    kernel (quotient() counts its rows, and an acyclic piece's image is its
+    kernel), and FreeComplex.matrix() raises when the differential leaves its
+    target piece, so a component reduces to zero exactly when it is a
+    cocycle.  Basis representatives are quotient rows; a Morphism is built
+    from them only on demand (MorphismClass.representative).
     """
 
     def __init__(self, a1, a2, bound=None, groebner=None):
@@ -751,26 +771,8 @@ class HomCohomology:
                 f" classes to {found}, above the {self.certified[parity]} "
                 "certified by koszul_hom_dims"
             )
-        reps = [self._morphism_from_vector(parity, basis, row) for row in quot[1]]
-        self.pieces[(parity, m)] = _Piece(basis, image, quot, reps)
-        self.layout[parity].extend((m, local) for local in range(len(reps)))
-
-    def _morphism_from_vector(self, parity, basis, vector):
-        ring = self.lg.ring
-        blocks = [
-            [[ring.zero()] * ncols for _ in range(nrows)]
-            for nrows, ncols, _, _ in _block_shapes(self.a1, self.a2, parity)
-        ]
-        for position, coeff in sorted(vector.items()):
-            (_, blk, i, j), exps = basis[position]
-            blocks[blk][i][j] = blocks[blk][i][j] + ring.monomial(exps, coeff)
-        return Morphism(
-            self.a1,
-            self.a2,
-            parity,
-            PolyMatrix(ring, blocks[0]),
-            PolyMatrix(ring, blocks[1]),
-        )
+        self.pieces[(parity, m)] = _Piece(basis, image, quot)
+        self.layout[parity].extend((m, local) for local in range(len(quot[1])))
 
     # -- queries ------------------------------------------------------------
 
@@ -789,80 +791,123 @@ class HomCohomology:
 
     def basis_classes(self, parity: int):
         parity %= 2
+        size = len(self.layout[parity])
         out = []
-        for position, (m, local) in enumerate(self.layout[parity]):
-            coords = [GaussianRational(0)] * len(self.layout[parity])
+        for position in range(size):
+            coords = [GaussianRational(0)] * size
             coords[position] = GaussianRational(1)
-            rep = self.pieces[(parity, m)].reps[local]
-            out.append(MorphismClass(self, parity, coords, rep))
+            out.append(MorphismClass(self, parity, coords))
         return out
 
     def zero_class(self, parity: int) -> MorphismClass:
         parity %= 2
         return MorphismClass(self, parity, [GaussianRational(0)] * self.dim(parity))
 
-    def representative_of(self, parity: int, coords) -> Morphism:
-        """Canonical representative: sum of coord * basis representative."""
-        total = Morphism.zero(self.a1, self.a2, parity)
+    def terms_of(self, parity: int, coords) -> dict:
+        """Terms of sum coord * basis representative, {element: coeff}."""
+        terms = {}
         for position, value in enumerate(coords):
             if value:
                 m, local = self.layout[parity][position]
-                total = total + self.pieces[(parity, m)].reps[local].scale(value)
-        return total
+                piece = self.pieces[(parity, m)]
+                row = piece.quot[1][local]
+                terms = vec_axpy(
+                    terms, value, {piece.basis[col]: c for col, c in row.items()}
+                )
+        return terms
+
+    def morphism_of(self, parity: int, terms) -> Morphism:
+        """The Morphism with these terms {((parity, blk, i, j), exps): coeff}."""
+        ring = self.lg.ring
+        blocks = [
+            [[{} for _ in range(ncols)] for _ in range(nrows)]
+            for nrows, ncols, _, _ in _block_shapes(self.a1, self.a2, parity)
+        ]
+        for ((_, blk, i, j), exps), coeff in terms.items():
+            blocks[blk][i][j][exps] = coeff
+        blk0, blk1 = (
+            PolyMatrix(ring, [[ring.from_terms(t) for t in row] for row in block])
+            for block in blocks
+        )
+        return Morphism(self.a1, self.a2, parity, blk0, blk1)
 
     def class_of(self, morphism: Morphism) -> MorphismClass:
-        """Canonical class of a cocycle; raises NonCocycleError otherwise."""
+        """Canonical class of a cocycle; raises NonCocycleError otherwise.
+
+        A term outside the computed window raises ClassBoundError, unless the
+        morphism is not a cocycle at all: only then is its defect computed.
+        """
         if morphism.source != self.a1 or morphism.target != self.a2:
             raise ValidationError("morphism does not belong to this Hom space")
-        if not morphism.defect().is_zero():
+        try:
+            cls = self._reduce(morphism.parity, self._components(morphism))
+        except ClassBoundError:
+            if morphism.defect().is_zero():
+                raise
+            cls = None
+        if cls is None:
             raise NonCocycleError(
                 "the defect differential of the representative is nonzero"
             )
-        parity = morphism.parity
+        return cls
+
+    def _components(self, morphism):
+        """The terms of a caller's morphism, split by piece: {degree: vector}."""
+        terms = (
+            (((morphism.parity, blk, i, j), exps), coeff)
+            for blk, matrix in enumerate((morphism.blk0, morphism.blk1))
+            for i, row in enumerate(matrix.entries)
+            for j, entry in enumerate(row)
+            for exps, coeff in entry.terms.items()
+        )
+        return self._split(morphism.parity, terms)
+
+    def _split(self, parity, terms):
+        """Nonzero terms (element, coeff) of this Hom, split by piece:
+        {degree: {position in the piece's basis: coeff}}.
+
+        A term in a graded degree not built yet, up to the bound, builds the
+        pieces up to that degree first; a term outside the window raises
+        ClassBoundError.
+        """
+        shapes = _block_shapes(self.a1, self.a2, parity)
+        components = {}
+        for element, coeff in terms:
+            m = 0  # the windowed space is one piece
+            if self.graded:
+                (_, blk, i, j), exps = element
+                _, _, wt, ws = shapes[blk]
+                m = 2 * mono_weighted_degree(exps, self.lg.weights) + wt[i] - ws[j]
+                if self._built < m <= self.bound:
+                    self._pull(m)
+            piece = self.pieces.get((parity, m))
+            if piece is None or element not in piece.index:
+                raise ClassBoundError(
+                    f"morphism term in degree {m} lies outside the "
+                    f"computed window (bound {self.bound}); "
+                    "recompute with a larger bound"
+                )
+            components.setdefault(m, {})[piece.index[element]] = coeff
+        return components
+
+    def _reduce(self, parity, components) -> Optional[MorphismClass]:
+        """The class of split components, or None when one is no cocycle.
+
+        Each component is reduced modulo its piece's image, then its quotient;
+        the quotient coordinates are the class's, and a nonzero residual means
+        the component lies outside the kernel.
+        """
         coords = [GaussianRational(0)] * len(self.layout[parity])
         position_of = self._position_of[parity]  # later pieces add no class
-        for m, vector in self._components(morphism).items():
+        for m, vector in components.items():
             piece = self.pieces[(parity, m)]
             residual, _ = rref_reduce(*piece.im, vector)
             residual, local_coords = rref_reduce(*piece.quot, residual)
             if residual:
-                raise InternalCheckError(
-                    "cocycle escaped kernel + image decomposition"
-                )
+                return None
             for local, value in local_coords.items():
                 coords[position_of[(m, local)]] = value
         return MorphismClass(self, parity, coords)
-
-    def _components(self, morphism):
-        """Coordinates of the terms of a morphism, split by piece: {degree: vector}.
-
-        A term in a graded degree not built yet, up to the bound, builds the
-        pieces up to that degree first.
-        """
-        parity = morphism.parity
-        shapes = _block_shapes(self.a1, self.a2, parity)
-        components = {}
-        for blk, matrix in enumerate((morphism.blk0, morphism.blk1)):
-            _, _, wt, ws = shapes[blk]
-            for i in range(matrix.nrows):
-                for j in range(matrix.ncols):
-                    for exps, coeff in matrix[i, j].terms.items():
-                        m = 0  # the windowed space is one piece
-                        if self.graded:
-                            m = 2 * mono_weighted_degree(exps, self.lg.weights)
-                            m += wt[i] - ws[j]
-                            if self._built < m <= self.bound:
-                                self._pull(m)
-                        piece = self.pieces.get((parity, m))
-                        element = ((parity, blk, i, j), exps)
-                        if piece is None or element not in piece.index:
-                            raise ClassBoundError(
-                                f"morphism term in degree {m} lies outside the "
-                                f"computed window (bound {self.bound}); "
-                                "recompute with a larger bound"
-                            )
-                        components.setdefault(m, {})[piece.index[element]] = coeff
-        return components
 
 
 def _quotient(kernel, image):
@@ -922,9 +967,34 @@ def hom_cohomology(
 def compose_classes(
     g: MorphismClass, f: MorphismClass, target_hom: HomCohomology
 ) -> MorphismClass:
-    """Composition on cohomology: class of g o f inside Hom(f.source, g.target)."""
+    """Composition on cohomology: class of g o f inside Hom(f.source, g.target).
+
+    Bilinear on the representatives' terms: an element (pf, blk, i, j) of f
+    maps basis vector j of the source module blk to basis vector i of the
+    module of parity blk + pf, and meets each element (pg, blk + pf, k, i) of
+    g, giving (pf + pg, blk, k, j) with the exponents added.  The composite
+    of two cocycles is a cocycle (Leibniz), so a nonzero residual is an
+    internal fault.
+    """
     if f.hom.a2 != g.hom.a1:
         raise ValidationError("middle objects do not match")
     if target_hom.a1 != f.hom.a1 or target_hom.a2 != g.hom.a2:
         raise ValidationError("target Hom space does not match the composite")
-    return target_hom.class_of(g.representative.compose(f.representative))
+    parity = (f.parity + g.parity) % 2
+    g_by_source = {}  # (source module, column) -> [(row, exps, coeff)]
+    for ((_, blk, k, i), exps), coeff in g.terms().items():
+        g_by_source.setdefault((blk, i), []).append((k, exps, coeff))
+    terms = {}
+    for ((pf, blk, i, j), f_exps), f_coeff in f.terms().items():
+        for k, g_exps, g_coeff in g_by_source.get(((blk + pf) % 2, i), ()):
+            element = ((parity, blk, k, j), mono_mul(f_exps, g_exps))
+            product = f_coeff * g_coeff
+            acc = terms.get(element)
+            terms[element] = product if acc is None else acc + product
+    composite = target_hom._reduce(
+        parity,
+        target_hom._split(parity, ((e, c) for e, c in terms.items() if c)),
+    )
+    if composite is None:
+        raise InternalCheckError("the composite of two cocycles is not a cocycle")
+    return composite

@@ -339,3 +339,13 @@ def full_class_coords(hom, pieces, morphism) -> list:
         for local, value in local_coords.items():
             coords[position_of[m, local]] = value
     return coords
+
+
+def chain_compose_classes(g, f, target_hom):
+    """The class of g o f at chain level: the representatives' PolyMatrix
+    product, whose defect must vanish, classified by class_of.  This is the
+    path compose_classes took before it composed terms."""
+    composite = g.representative.compose(f.representative)
+    if not composite.defect().is_zero():
+        raise AssertionError("the composite of two cocycles is not a cocycle")
+    return target_hom.class_of(composite)

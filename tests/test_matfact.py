@@ -27,7 +27,13 @@ from lgtft.matfact import (
 )
 from lgtft.polymatrix import PolyMatrix
 from lgtft.tft import BraneCategory
-from oracles import full_class_coords, full_hom_pieces, oracle_hom_dims
+from lgtft.scalars import GaussianRational
+from oracles import (
+    chain_compose_classes,
+    full_class_coords,
+    full_hom_pieces,
+    oracle_hom_dims,
+)
 
 
 def _pm(ring, rows):
@@ -308,6 +314,74 @@ def test_class_bound_error(lg_x3):
     )
     with pytest.raises(ClassBoundError):
         h.class_of(tau)
+
+
+_CLASS_ERRORS_SCRIPT = """
+from lgtft import matfact
+from lgtft.errors import ClassBoundError, InternalCheckError, NonCocycleError
+from lgtft.lgpair import make_lg_pair
+from lgtft.polymatrix import PolyMatrix
+
+lg = make_lg_pair(["x"], "x^3")
+a = matfact.koszul_factorization(lg, [("x", "x^2")])
+h = matfact.hom_cohomology(a, a, degree_bound=2)
+
+
+def morphism(blk0, blk1):
+    blocks = (PolyMatrix(lg.ring, [[lg.ring.parse(p)]]) for p in (blk0, blk1))
+    return matfact.Morphism(a, a, 0, *blocks)
+
+
+def outcome(call):
+    try:
+        call()
+    except (ClassBoundError, InternalCheckError, NonCocycleError) as exc:
+        return type(exc).__name__
+    return "classified"
+
+
+# (x, 0) has defect (x^2, 0): a non-cocycle inside the window, and (x^5, 0)
+# one whose term lies above it; x^5 * id is a cocycle above it
+for blocks in (("x", "0"), ("x^5", "0"), ("x^5", "x^5")):
+    print(outcome(lambda: h.class_of(morphism(*blocks))))
+# the unit's representative loses its first term: E on the odd block alone,
+# which is no cocycle, so neither is its composite with itself
+terms_of = matfact.HomCohomology.terms_of
+
+
+def corrupted(self, parity, coords):
+    terms = terms_of(self, parity, coords)
+    del terms[min(terms)]
+    return terms
+
+
+matfact.HomCohomology.terms_of = corrupted
+unit = h.class_of(matfact.Morphism.identity(a))
+print(outcome(lambda: matfact.compose_classes(unit, unit, h)))
+"""
+
+
+def test_class_errors_fail_closed_under_optimize():
+    """class_of raises NonCocycleError on a non-cocycle, also one with a term
+    above the window, where the window alone would raise ClassBoundError.
+    compose_classes raises InternalCheckError when a corrupted representative
+    gives a composite that is no cocycle.  Plainly and under python -O."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", _CLASS_ERRORS_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == [
+            "NonCocycleError",
+            "NonCocycleError",
+            "ClassBoundError",
+            "InternalCheckError",
+        ], flags
 
 
 def test_unit_law_and_coboundary_composition(lg_x3):
@@ -610,7 +684,7 @@ def test_hom_matches_full_elimination(case):
             )
         for (parity, m), piece in list(hom.pieces.items()):
             for position in range(len(piece.basis)):
-                h = hom._morphism_from_vector(parity, piece.basis, {position: 1})
+                h = hom.morphism_of(parity, {piece.basis[position]: 1})
                 boundary = h.defect()
                 try:
                     degrees = hom._components(boundary)
@@ -636,10 +710,15 @@ def test_hom_matches_full_elimination(case):
         for (parity, m), piece in hom.pieces.items():
             _, quot = full[key][parity, m]
             assert piece.quot == quot
-            assert piece.reps == [
-                hom._morphism_from_vector(parity, piece.basis, row)
-                for row in quot[1]
-            ]
+        for parity in (0, 1):
+            for (m, local), cls in zip(
+                hom.layout[parity], hom.basis_classes(parity)
+            ):
+                row = full[key][parity, m][1][1][local]
+                basis = hom.pieces[parity, m].basis
+                assert cls.representative == hom.morphism_of(
+                    parity, {basis[col]: coeff for col, coeff in row.items()}
+                )
 
 
 # Koszul branes whose Homs out of a Koszul source have certified dimensions;
@@ -790,9 +869,9 @@ except InternalCheckError:
     print("raised")
 hom = matfact.hom_cohomology(b, a)
 print("stop", max(m for _, m in hom.pieces))
-(m, local), = [key for key in full.layout[0] if key[0] == 4]
+position, = [k for k, key in enumerate(full.layout[0]) if key[0] == 4]
 try:
-    hom.class_of(full.pieces[0, m].reps[local])
+    hom.class_of(full.basis_classes(0)[position].representative)
     print("classified")
 except InternalCheckError:
     print("raised")
@@ -808,3 +887,61 @@ except InternalCheckError:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.split() == ["raised", "stop", "2", "raised"], flags
+
+
+# (variables, W, Koszul pairs of each brane, whether the branes are taken as
+# d01/d10 blocks without their pairs)
+CHAIN_ORACLE_CASES = {
+    "baseline": (["x", "y"], "x^4+y^4", CERTIFIED_CASES["x^4+y^4"], False),
+    "x3y3": (["x", "y"], "x^3+y^3", CERTIFIED_CASES["x^3+y^3"], False),
+    "x4": (["x"], "x^4", [[("x", "x^3")], [("x^2", "x^2")]], False),
+    "windowed": (["x", "y"], *FULL_ELIMINATION_CASES["windowed"], False),
+    "x5y": (["x", "y"], *FULL_ELIMINATION_CASES["x5y"], False),
+    "d01d10": (["x", "y"], "x^3+y^3", CERTIFIED_CASES["x^3+y^3"], True),
+}
+
+
+def _classes_to_compose(hom, rng):
+    """The basis classes of a Hom space and two seeded random combinations
+    of each parity's basis classes."""
+    out = hom.basis_classes(0) + hom.basis_classes(1)
+    for parity in (0, 1):
+        for _ in range(2 if hom.dim(parity) else 0):
+            coords = [
+                GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+                for _ in range(hom.dim(parity))
+            ]
+            out.append(MorphismClass(hom, parity, coords))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_ORACLE_CASES))
+def test_compose_classes_matches_the_chain_level_composite(case):
+    """compose_classes, which composes the representatives' terms, gives the
+    class the chain-level path gives: the PolyMatrix product of the
+    representatives, its defect checked, then class_of.  On every pair of
+    basis classes and on seeded random combinations, over every triple of
+    branes."""
+    variables, w, pairs, blocks_only = CHAIN_ORACLE_CASES[case]
+    lg = make_lg_pair(variables, w)
+    branes = [koszul_factorization(lg, brane) for brane in pairs]
+    if blocks_only:
+        branes = [_twin(brane) for brane in branes]
+    n = len(branes)
+    homs = {(s, t): hom_cohomology(branes[s], branes[t])
+            for s in range(n) for t in range(n)}
+    rng = random.Random(case)
+    classes = {key: _classes_to_compose(hom, rng) for key, hom in homs.items()}
+    checked = 0
+    for s in range(n):
+        for t in range(n):
+            for u in range(n):
+                target = homs[s, u]
+                for f in classes[s, t]:
+                    for g in classes[t, u]:
+                        composite = compose_classes(g, f, target)
+                        assert composite == chain_compose_classes(g, f, target)
+                        checked += 1
+    assert checked > 0
+    if blocks_only:  # no pairs, so every window is built in full
+        assert all(hom.certified is None for hom in homs.values())

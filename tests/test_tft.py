@@ -406,6 +406,45 @@ def test_verify_calls_class_of_only_for_the_e_images(monkeypatch):
     }
 
 
+def test_build_classifies_only_the_units_and_category_clauses_compose_nothing(
+    monkeypatch,
+):
+    """The composition tensors come from the classes' terms: building the
+    baseline datum runs class_of only for the units and multiplies no
+    polynomial matrix, and the category clauses contract the tensors with no
+    BraneCategory.compose call."""
+    import lgtft.matfact
+    from lgtft.tft import AxiomReport, BraneCategory, _check_category
+
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    branes = [
+        ("A", koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])),
+        ("B", koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])),
+    ]
+    calls = {"class_of": 0, "matmul": 0, "compose": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attribute, name in (
+        (lgtft.matfact.HomCohomology, "class_of", "class_of"),
+        (PolyMatrix, "matmul", "matmul"),
+        (BraneCategory, "compose", "compose"),
+    ):
+        original = getattr(owner, attribute)
+        monkeypatch.setattr(owner, attribute, counting(name, original))
+    datum = build_tft_datum(lg, branes)
+    assert calls == {"class_of": len(branes), "matmul": 0, "compose": 0}
+    report = AxiomReport()
+    _check_category(datum, report)
+    assert [c.status for c in report.clauses] == ["pass"] * 3
+    assert calls == {"class_of": len(branes), "matmul": 0, "compose": 0}
+
+
 _CORRUPTION_SCRIPT = """
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import koszul_factorization
@@ -433,6 +472,11 @@ print(failed(datum()))
 corrupted = datum()
 corrupted.branes._tensors[(1, 1, 1)][(3, 3)] = [(1, GaussianRational(1))]
 print(failed(corrupted))
+# the unit of M2 after the odd class of Hom(M1, M2) is that class; the tensor
+# now claims it is zero
+corrupted = datum()
+corrupted.branes._tensors[(0, 1, 1)][(0, 1)] = []
+print(failed(corrupted))
 # e_a of the socle monomial x^2 is zero on M2; add the unit class to it
 corrupted = datum()
 images = corrupted.bulk_boundary_basis(1)
@@ -453,8 +497,9 @@ print(failed(corrupted))
 
 
 def test_corrupted_structure_constants_fail_their_clauses():
-    """One wrong composition-tensor entry, e-image or basis trace each fails a
-    clause, with and without python -O: the tables are checked, not trusted.
+    """One wrong composition-tensor entry, unit row of a tensor, e-image or
+    basis trace each fails a clause, with and without python -O: the tables
+    are checked, not trusted.
     A wrong odd trace is caught where the f_a right-hand side read off the
     tables is compared with its chain-level value."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -467,11 +512,12 @@ def test_corrupted_structure_constants_fail_their_clauses():
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        clean, tensor, e_image, trace, odd_trace = [
+        clean, tensor, unit_row, e_image, trace, odd_trace = [
             set(line.split(",")) for line in completed.stdout.split()
         ]
         assert clean == {"-"}
         assert "category_associativity" in tensor
+        assert "category_unit_laws" in unit_row
         assert "e_multiplicative" in e_image
         assert "trace_parity" in trace
         assert "adjointness" in odd_trace
