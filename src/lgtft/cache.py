@@ -1,9 +1,9 @@
-"""Content-addressed cache for Groebner bases and cohomology tables.
+"""Content-addressed cache for Koszul and Hom cohomology tables.
 
-Entries are JSON files named by the SHA-256 of their canonical key.  Loaded
-Groebner bases re-run the Buchberger criterion before use, and one that fails
-is recomputed and overwritten.  Koszul and Hom cohomology payloads are
-returned as stored, without verification.
+Entries are JSON files named by the SHA-256 of their canonical key.  Payloads
+are returned as stored, without verification.  Groebner bases are not cached:
+computing one costs less than loading and verifying it, so groebner-* files
+written by older versions are never read; clear() removes them with the rest.
 """
 
 from __future__ import annotations

@@ -290,27 +290,6 @@ def _build_brane(lg: LGPair, kind: str, payload):
     )
 
 
-def _cached_groebner(cache: Cache, lg: LGPair) -> GroebnerBasis:
-    generators = [p for p in lg.partials() if not p.is_zero()]
-    key = [list(lg.ring.variables), "grevlex", sorted(str(g) for g in generators)]
-    payload = cache.get("groebner", key)
-    if payload is not None:
-        try:
-            basis = GroebnerBasis(
-                lg.ring, [lg.ring.parse(g) for g in payload]
-            )
-            # corruption checks: Buchberger criterion, and the requested
-            # generators must still reduce to zero against the cached basis
-            basis.verify()
-            if all(basis.contains(g) for g in generators):
-                return basis
-        except (LGError, ValueError):
-            pass  # fall through and recompute
-    basis = GroebnerBasis.compute(generators)
-    cache.put("groebner", key, [str(g) for g in basis.generators])
-    return basis
-
-
 def _koszul_default_bound(lg: LGPair) -> int:
     if lg.weights is not None:
         return 2 * lg.weighted_degree + 4
@@ -327,8 +306,9 @@ class _Shared:
     algebra: Optional[JacobiAlgebra] = None
 
     def basis(self) -> GroebnerBasis:
-        """The jacobi section's Groebner basis, or one computed here if it did
-        not run; kept also when the critical set is infinite."""
+        """The Jacobi ideal's Groebner basis, computed on first use and kept
+        also when the critical set is infinite.  It is not cached: computing
+        it costs less than loading and verifying a stored basis."""
         if self.groebner is None:
             self.groebner = jacobi_groebner(self.lg)
         return self.groebner
@@ -343,8 +323,8 @@ class _Shared:
         return self.algebra
 
 
-def _run_jacobi(spec: JobSpec, lg: LGPair, cache: Cache, shared: _Shared) -> dict:
-    gb = shared.groebner = _cached_groebner(cache, lg)
+def _run_jacobi(spec: JobSpec, lg: LGPair, shared: _Shared) -> dict:
+    gb = shared.basis()
     finite = gb.is_zero_dimensional()
     out = {
         "finite_critical_set": finite,
@@ -459,7 +439,7 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
             continue
         section_start = time.time()
         if section == "jacobi":
-            results["jacobi"] = _run_jacobi(spec, lg, cache, shared)
+            results["jacobi"] = _run_jacobi(spec, lg, shared)
         elif section == "koszul":
             results["koszul"] = _run_koszul(spec, lg, cache)
         elif section == "homs":

@@ -22,8 +22,11 @@ polynomial matrix product, e_a through the classes e_a(m_k) of the bulk
 basis monomials, and tr_a through the chain-level traces of the basis
 classes of End(a).  The last two tables are built on first use, so they see
 the datum as it is at that time.  The axiom clauses and Cardy are coordinate
-arithmetic on these constants; the category clauses contract the sparse
-tensors directly.
+arithmetic on these constants, on position dicts {p: coeff} over the basis of
+a Hom space (its even classes, then its odd ones): every composition in them
+is BraneCategory.product of two position dicts, a sum of scaled tensor rows,
+and a trace is a dot product with the tr_a table.  Only BraneCategory.coords
+and BraneCategory.compose convert between position dicts and MorphismClass.
 The bulk clauses read the Jacobi algebra's multiplication matrices and table
 (associativity by Mourrain's commuting criterion, see _check_bulk) and the
 table's Gram matrix Tr(m_a m_b), built once per datum on first use; the f_a
@@ -82,8 +85,13 @@ class BulkAlgebra:
 class BraneCategory:
     """Finitely many branes with all pairwise cohomology and composition.
 
-    Composition is precomputed on basis classes (the composition tensors);
-    composing arbitrary classes then reduces to bilinear coordinate algebra.
+    Class-level work uses position dicts: a class of Hom(i, j) is
+    {p: nonzero coefficient}, p a position in basis(i, j), which lists the
+    even basis classes, then the odd ones.  The composition tensors are
+    precomputed on basis classes: _tensors[(i, j, k)][(b, a)] is the position
+    dict of basis(j, k)[b] o basis(i, j)[a].  product composes position dicts
+    through them, bilinearly; coords and compose convert from and to a
+    MorphismClass, and are the only code that knows the even-then-odd order.
     """
 
     def __init__(
@@ -122,22 +130,15 @@ class BraneCategory:
             for j in range(n)
         }
         self._index = {id(obj): k for k, obj in enumerate(self.objects)}
-        # (i, j, k) -> {(b, a): nonzero (position, coefficient) pairs of the
-        # class of basis_jk[b] o basis_ij[a]}
         self._tensors = {}
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    table = {}
-                    for a, f in enumerate(self._bases[(i, j)]):
-                        for b, g in enumerate(self._bases[(j, k)]):
-                            composite = compose_classes(g, f, self.homs[(i, k)])
-                            table[(b, a)] = [
-                                (c, value)
-                                for c, value in enumerate(composite.coords)
-                                if value
-                            ]
-                    self._tensors[(i, j, k)] = table
+                    self._tensors[(i, j, k)] = {
+                        (b, a): self.coords(compose_classes(g, f, self.homs[(i, k)]))
+                        for a, f in enumerate(self._bases[(i, j)])
+                        for b, g in enumerate(self._bases[(j, k)])
+                    }
 
     def __len__(self):
         return len(self.objects)
@@ -151,27 +152,37 @@ class BraneCategory:
             return cached
         return self.objects.index(obj)
 
+    def coords(self, t: MorphismClass) -> dict:
+        """t as a position dict over the basis of its Hom space."""
+        offset = t.hom.dim(0) if t.parity else 0
+        return {offset + p: value for p, value in enumerate(t.coords) if value}
+
+    def product(self, i: int, j: int, k: int, g: dict, f: dict) -> dict:
+        """g o f for position dicts f over basis(i, j) and g over basis(j, k),
+        as a position dict over basis(i, k)."""
+        table = self._tensors[(i, j, k)]
+        total = {}
+        for a, fc in f.items():
+            for b, gc in g.items():
+                scale = fc * gc
+                for c, coeff in table[(b, a)].items():
+                    acc = total.get(c)
+                    total[c] = scale * coeff if acc is None else acc + scale * coeff
+        return {c: value for c, value in total.items() if value}
+
     def compose(self, g: MorphismClass, f: MorphismClass) -> MorphismClass:
-        """g o f through the precomputed basis tensors (bilinear expansion)."""
+        """g o f as a class, through product."""
         if f.hom.a2 != g.hom.a1:
             raise ValidationError("middle objects do not match")
         i = self.object_index(f.hom.a1)
         j = self.object_index(f.hom.a2)
         k = self.object_index(g.hom.a2)
-        table = self._tensors[(i, j, k)]
-        offset_f = 0 if f.parity == 0 else f.hom.dim(0)
-        offset_g = 0 if g.parity == 0 else g.hom.dim(0)
         target = self.homs[(i, k)]
         parity = (f.parity + g.parity) % 2
+        offset = target.dim(0) if parity else 0
         coords = [GaussianRational(0)] * target.dim(parity)
-        for c, value in _combine(
-            (fc * gc, table[(offset_g + b, offset_f + a)])
-            for a, fc in enumerate(f.coords)
-            if fc
-            for b, gc in enumerate(g.coords)
-            if gc
-        ).items():
-            coords[c] = value
+        for c, value in self.product(i, j, k, self.coords(g), self.coords(f)).items():
+            coords[c - offset] = value
         return MorphismClass(target, parity, coords)
 
     def basis(self, i: int, j: int):
@@ -312,14 +323,6 @@ class TFTDatum:
             ]
         return cached
 
-    def bulk_boundary(self, i: int, coords: Vector) -> MorphismClass:
-        """e_a(h) = sum_k h_k e_a(m_k), for h given by its bulk coordinates."""
-        total = self.branes.homs[(i, i)].zero_class(0)
-        images = self.bulk_boundary_basis(i)
-        for k, value in coords.items():
-            total = total + images[k].scale(value)
-        return total
-
     def _boundary_trace_raw(self, i: int, morphism: Morphism) -> GaussianRational:
         poly = morphism.compose(self._lambda(i)).supertrace()
         return self.c_d * self.bulk.trace_of(self.bulk.algebra.nf_coords(poly))
@@ -338,11 +341,14 @@ class TFTDatum:
         """tr_a on a class of End(a); vanishes off parity d mod 2."""
         if t.hom is not self.branes.homs[(i, i)]:
             raise ValidationError("the class is not an endomorphism of this brane")
-        offset = 0 if t.parity == 0 else t.hom.dim(0)
+        return self._trace(i, self.branes.coords(t))
+
+    def _trace(self, i: int, t: dict) -> GaussianRational:
+        """tr_a on a position dict over basis(i, i)."""
+        traces = self.boundary_trace_basis(i)
         total = GaussianRational(0)
-        for value, trace in zip(t.coords, self.boundary_trace_basis(i)[offset:]):
-            if value:
-                total = total + value * trace
+        for p, value in t.items():
+            total = total + value * traces[p]
         return total
 
     def bulk_gram(self) -> SparseMatrix:
@@ -380,13 +386,17 @@ class TFTDatum:
         if not self.bulk_pairing_nondegenerate():
             raise DegenerateTraceError("bulk pairing degenerate")
         mu = self.bulk.dimension
+        branes = self.branes
         e_images = self.bulk_boundary_basis(i)
+        t_dict = branes.coords(t)
         rhs = {}
         for k in range(mu):
             basis_poly = self.bulk.algebra.basis_poly(k)
             composed = t.representative.scale(basis_poly)
             value = self._boundary_trace_raw(i, composed)
-            table = self.boundary_trace(i, self.branes.compose(e_images[k], t))
+            table = self._trace(
+                i, branes.product(i, i, i, branes.coords(e_images[k]), t_dict)
+            )
             if table != value:
                 raise AdjointnessError(k, table, value)
             if value:
@@ -423,8 +433,6 @@ class TFTDatum:
         The operator t -> t2 o t o t1 is taken as a superoperator: right
         multiplication by a homogeneous t1 carries the sign (-1)^{|t1||t|}.
         """
-        basis_i = self.branes.basis(i, i)
-        basis_j = self.branes.basis(j, j)
         f_images_i = self.boundary_bulk_basis(i)
         gram = self.bulk_gram()
         # G f_b(t2), so that the left side f_a(t1)^T G f_b(t2) is a dot product
@@ -434,14 +442,13 @@ class TFTDatum:
         entries = []
         consistent = True
         constants = set()
-        for p1, t1 in enumerate(basis_i):
-            f1 = f_images_i[p1]
-            for p2, t2 in enumerate(basis_j):
+        for p1, f1 in enumerate(f_images_i):
+            for p2, g2 in enumerate(paired_j):
                 lhs = GaussianRational(0)
-                for k, value in paired_j[p2].items():
+                for k, value in g2.items():
                     if f1[k]:
                         lhs = lhs + f1[k] * value
-                rhs = self._cardy_supertrace(i, j, t1, t2)
+                rhs = self._cardy_supertrace(i, j, p1, p2)
                 entries.append(
                     {"t1": p1, "t2": p2, "lhs": str(lhs), "rhs": str(rhs)}
                 )
@@ -454,18 +461,22 @@ class TFTDatum:
         constant = constants.pop() if len(constants) == 1 else None
         return CardyResult((i, j), entries, consistent, constant)
 
-    def _cardy_supertrace(self, i, j, t1, t2) -> GaussianRational:
+    def _cardy_supertrace(self, i, j, p1, p2) -> GaussianRational:
+        """The supertrace of t -> t2 o t o t1, for t1 = basis(i, i)[p1] and
+        t2 = basis(j, j)[p2], over the basis of Hom(i, j)."""
+        branes = self.branes
         total = GaussianRational(0)
-        shift = (t1.parity + t2.parity) % 2
-        if shift == 1:
+        t1_odd = branes.basis(i, i)[p1].parity
+        if (t1_odd + branes.basis(j, j)[p2].parity) % 2:
             return total  # odd operators have no diagonal blocks
-        even = self.branes.hom(i, j).dim(0)
-        for position, t in enumerate(self.branes.basis(i, j)):
-            image = self.branes.compose(t2, self.branes.compose(t, t1))
-            # the basis lists the even classes, then the odd ones
-            diagonal = image.coords[position - even if t.parity else position]
+        t2 = {p2: GaussianRational(1)}
+        for q, t in enumerate(branes.basis(i, j)):
+            image = branes.product(i, j, j, t2, branes._tensors[(i, i, j)][(q, p1)])
+            diagonal = image.get(q)
+            if diagonal is None:
+                continue
             # the supertrace sign (-1)^|t| times the Koszul sign (-1)^{|t1||t|}
-            if t.parity and not t1.parity:
+            if t.parity and not t1_odd:
                 diagonal = -diagonal
             total = total + diagonal
         return total
@@ -594,13 +605,12 @@ def _check_bulk(datum: TFTDatum, report: AxiomReport):
 
 
 def _check_category(datum: TFTDatum, report: AxiomReport):
-    """The category clauses, contracted on the composition tensors.
+    """The category clauses, on the composition tensors.
 
-    A basis class has one coordinate, so the composite of two basis classes
-    is a tensor row, and composing a row further is a sum of scaled rows:
-    the unit laws read the rows of u_b o t and t o u_a (the units are even,
-    the classes of identities), and associativity compares h o (g o f) with
-    (h o g) o f as sums of T * T over the sparse entries.
+    A basis class is the position dict {p: 1}, and the composite of two basis
+    classes is a tensor row: the unit laws compose each basis class with the
+    units (the classes of identities), and associativity compares h o (g o f)
+    with (h o g) o f through product.
     """
     branes = datum.branes
     n = len(branes)
@@ -609,30 +619,18 @@ def _check_category(datum: TFTDatum, report: AxiomReport):
         branes.hom_finite(),
         details="all Hom tables stabilized within their degree windows",
     )
-    tensors = branes._tensors
-    sizes = {key: len(basis) for key, basis in branes._bases.items()}
-    even = {key: hom.dim(0) for key, hom in branes.homs.items()}
+    units = [branes.coords(unit) for unit in branes.units]
     one = GaussianRational(1)
     unit_ok = True
     unit_witness = None
     for i in range(n):
         for j in range(n):
-            left_unit, right_unit = branes.units[j].coords, branes.units[i].coords
-            left_table, right_table = tensors[(i, j, j)], tensors[(i, i, j)]
-            for position in range(sizes[(i, j)]):
-                # the row of a class lists positions among its parity's classes
-                local = position - even[(i, j)] if position >= even[(i, j)] else position
-                left = _combine(
-                    (value, left_table[(b, position)])
-                    for b, value in enumerate(left_unit)
-                    if value
-                )
-                right = _combine(
-                    (value, right_table[(position, a)])
-                    for a, value in enumerate(right_unit)
-                    if value
-                )
-                if left != {local: one} or right != {local: one}:
+            for p in range(len(branes.basis(i, j))):
+                t = {p: one}
+                if (
+                    branes.product(i, j, j, units[j], t) != t
+                    or branes.product(i, i, j, t, units[i]) != t
+                ):
                     unit_ok = False
                     unit_witness = {"pair": [i, j]}
     report.add("category_unit_laws", unit_ok, witness=unit_witness)
@@ -640,7 +638,7 @@ def _check_category(datum: TFTDatum, report: AxiomReport):
     report.add(
         "category_associativity",
         all(
-            _associative(tensors, sizes, even, (i, j, k, target))
+            _associative(branes, i, j, k, target)
             for i in objects
             for j in objects
             for k in objects
@@ -649,44 +647,18 @@ def _check_category(datum: TFTDatum, report: AxiomReport):
     )
 
 
-def _associative(tensors, sizes, even, objects) -> bool:
+def _associative(branes: BraneCategory, i, j, k, target) -> bool:
     """h o (g o f) == (h o g) o f for all basis classes f, g, h on these
-    four objects.  The tensors index the odd classes of a Hom space after
-    its even ones, and a row lists positions among its parity's classes, so
-    an odd row is offset by the even count when it is composed further."""
-    i, j, k, target = objects
-    gf_table, hg_table = tensors[(i, j, k)], tensors[(j, k, target)]
-    left_table, right_table = tensors[(i, k, target)], tensors[(i, j, target)]
-    for a in range(sizes[(i, j)]):
-        f_odd = a >= even[(i, j)]
-        for b in range(sizes[(j, k)]):
-            g_odd = b >= even[(j, k)]
-            gf = gf_table[(b, a)]
-            gf_offset = even[(i, k)] if f_odd != g_odd else 0
-            for h in range(sizes[(k, target)]):
-                h_odd = h >= even[(k, target)]
-                hg_offset = even[(j, target)] if g_odd != h_odd else 0
-                left = _combine(
-                    (value, left_table[(h, gf_offset + c)]) for c, value in gf
-                )
-                right = _combine(
-                    (value, right_table[(hg_offset + d, a)])
-                    for d, value in hg_table[(h, b)]
-                )
-                if left != right:
-                    return False
+    four objects."""
+    one = GaussianRational(1)
+    hg_table = branes._tensors[(j, k, target)]
+    for (b, a), gf in branes._tensors[(i, j, k)].items():
+        f = {a: one}
+        for h in range(len(branes.basis(k, target))):
+            left = branes.product(i, k, target, {h: one}, gf)
+            if left != branes.product(i, j, target, hg_table[(h, b)], f):
+                return False
     return True
-
-
-def _combine(rows) -> dict:
-    """sum of value * row over (value, row) pairs, each row a list of
-    (position, coefficient), as {position: nonzero coefficient}."""
-    total = {}
-    for value, row in rows:
-        for c, coeff in row:
-            acc = total.get(c)
-            total[c] = value * coeff if acc is None else acc + value * coeff
-    return {c: coeff for c, coeff in total.items() if coeff}
 
 
 def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
@@ -698,27 +670,29 @@ def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
     multiplicative = True
     central = True
     multiplicative_witness = central_witness = None
+    e = []  # per brane, e_a(m_k) as position dicts
     for i in range(n):
         images = datum.bulk_boundary_basis(i)
         if mu and algebra.unit_index is not None:
             if images[algebra.unit_index] != branes.units[i]:
                 unital = False
+        e.append([branes.coords(image) for image in images])
         for a in range(mu):
             for b in range(mu):
-                product = datum.bulk_boundary(i, algebra.table[a][b])
-                composed = branes.compose(images[a], images[b])
-                if product != composed:
+                # e(m_a m_b), linear in the table entry, against e(m_a) o e(m_b)
+                extended = columns_apply(e[i], algebra.table[a][b])
+                if extended != branes.product(i, i, i, e[i][a], e[i][b]):
                     multiplicative = False
                     multiplicative_witness = {"object": i, "pair": [a, b]}
+    one = GaussianRational(1)
     for i in range(n):
         for j in range(n):
             for k in range(mu):
-                e_source = datum.bulk_boundary_basis(i)[k]
-                e_target = datum.bulk_boundary_basis(j)[k]
-                for t in branes.basis(i, j):
+                for p in range(len(branes.basis(i, j))):
+                    t = {p: one}
                     # bulk elements are even, so centrality is commutation
-                    if branes.compose(e_target, t) != branes.compose(
-                        t, e_source
+                    if branes.product(i, j, j, e[j][k], t) != branes.product(
+                        i, i, j, t, e[i][k]
                     ):
                         central = False
                         central_witness = {"objects": [i, j], "bulk": k}
@@ -728,6 +702,8 @@ def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):
 
 
 def _check_cy_structure(datum: TFTDatum, report: AxiomReport):
+    """The pairing <t1, t2> = tr_j(t1 o t2) on Hom(i, j) x Hom(j, i), read off
+    the tensor rows of t1 o t2 and t2 o t1."""
     branes = datum.branes
     if datum.bulk.trace is None:
         report.skip("cy_graded_symmetry", "not applicable: bulk pairing degenerate")
@@ -746,17 +722,14 @@ def _check_cy_structure(datum: TFTDatum, report: AxiomReport):
                 nondegenerate = False
                 continue
             size = len(basis_ij)
+            into_j, into_i = branes._tensors[(j, i, j)], branes._tensors[(i, j, i)]
             pairing = SparseMatrix(size, size)
             for a, t1 in enumerate(basis_ij):
                 for b, t2 in enumerate(basis_ji):
-                    value = datum.boundary_trace(
-                        j, branes.compose(t1, t2)
-                    )
+                    value = datum._trace(j, into_j[(a, b)])
                     pairing.set(a, b, value)
                     sign = -1 if (t1.parity and t2.parity) else 1
-                    mirrored = datum.boundary_trace(
-                        i, branes.compose(t2, t1)
-                    )
+                    mirrored = datum._trace(i, into_i[(b, a)])
                     if value != mirrored * sign:
                         symmetric = False
                         symmetric_witness = {"pair": [i, j], "basis": [a, b]}
@@ -805,12 +778,11 @@ def _check_parity(datum: TFTDatum, report: AxiomReport):
     ok = True
     witness = None
     for i in range(len(datum.branes)):
-        for t in datum.branes.basis(i, i):
-            if t.parity != datum.parity:
-                value = datum.boundary_trace(i, t)
-                if value:
-                    ok = False
-                    witness = {"object": i, "parity": t.parity}
+        traces = datum.boundary_trace_basis(i)
+        for t, value in zip(datum.branes.basis(i, i), traces):
+            if t.parity != datum.parity and value:
+                ok = False
+                witness = {"object": i, "parity": t.parity}
     report.add("trace_parity", ok, witness=witness)
 
 

@@ -44,13 +44,13 @@ def test_e_of_x_vanishes_on_x_x2_brane():
 def test_e_multiplicative_on_basis():
     lg, datum = _datum_x3()
     algebra = datum.bulk.algebra
+    images = datum.bulk_boundary_basis(0)
     for a in range(algebra.dimension):
         for b in range(algebra.dimension):
-            lhs = datum.bulk_boundary(0, algebra.table[a][b])
-            rhs = datum.branes.compose(
-                datum.bulk_boundary_basis(0)[a], datum.bulk_boundary_basis(0)[b]
-            )
-            assert lhs == rhs
+            lhs = datum.branes.homs[(0, 0)].zero_class(0)
+            for k, value in algebra.table[a][b].items():
+                lhs = lhs + images[k].scale(value)
+            assert lhs == datum.branes.compose(images[a], images[b])
 
 
 def test_boundary_trace_parity_and_linearity():
@@ -411,8 +411,9 @@ def test_build_classifies_only_the_units_and_category_clauses_compose_nothing(
 ):
     """The composition tensors come from the classes' terms: building the
     baseline datum runs class_of only for the units and multiplies no
-    polynomial matrix, and the category clauses contract the tensors with no
-    BraneCategory.compose call."""
+    polynomial matrix, and no clause makes a BraneCategory.compose call: the
+    category clauses contract the tensors, and the whole suite composes
+    position dicts through BraneCategory.product."""
     import lgtft.matfact
     from lgtft.tft import AxiomReport, BraneCategory, _check_category
 
@@ -443,6 +444,8 @@ def test_build_classifies_only_the_units_and_category_clauses_compose_nothing(
     _check_category(datum, report)
     assert [c.status for c in report.clauses] == ["pass"] * 3
     assert calls == {"class_of": len(branes), "matmul": 0, "compose": 0}
+    assert verify_tft_datum(datum).passed()
+    assert calls["compose"] == 0
 
 
 _CORRUPTION_SCRIPT = """
@@ -470,12 +473,18 @@ print(failed(datum()))
 # End(M2) has two even and two odd basis classes; the square of the last odd
 # class is zero, and the tensor now claims it is the second even class
 corrupted = datum()
-corrupted.branes._tensors[(1, 1, 1)][(3, 3)] = [(1, GaussianRational(1))]
+corrupted.branes._tensors[(1, 1, 1)][(3, 3)] = {1: GaussianRational(1)}
 print(failed(corrupted))
 # the unit of M2 after the odd class of Hom(M1, M2) is that class; the tensor
 # now claims it is zero
 corrupted = datum()
-corrupted.branes._tensors[(0, 1, 1)][(0, 1)] = []
+corrupted.branes._tensors[(0, 1, 1)][(0, 1)] = {}
+print(failed(corrupted))
+# the first odd class of End(M2) after its second even class is the last odd
+# class, of trace -1; the tensor now claims twice that, so tr(t1 o t2) no
+# longer equals tr(t2 o t1) in the CY pairing
+corrupted = datum()
+corrupted.branes._tensors[(1, 1, 1)][(2, 1)] = {3: GaussianRational(2)}
 print(failed(corrupted))
 # e_a of the socle monomial x^2 is zero on M2; add the unit class to it
 corrupted = datum()
@@ -497,9 +506,9 @@ print(failed(corrupted))
 
 
 def test_corrupted_structure_constants_fail_their_clauses():
-    """One wrong composition-tensor entry, unit row of a tensor, e-image or
-    basis trace each fails a clause, with and without python -O: the tables
-    are checked, not trusted.
+    """One wrong composition-tensor entry, unit row of a tensor, tensor row
+    inside the CY pairing, e-image or basis trace each fails a clause, with
+    and without python -O: the tables are checked, not trusted.
     A wrong odd trace is caught where the f_a right-hand side read off the
     tables is compared with its chain-level value."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -512,12 +521,13 @@ def test_corrupted_structure_constants_fail_their_clauses():
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        clean, tensor, unit_row, e_image, trace, odd_trace = [
+        clean, tensor, unit_row, pairing_row, e_image, trace, odd_trace = [
             set(line.split(",")) for line in completed.stdout.split()
         ]
         assert clean == {"-"}
         assert "category_associativity" in tensor
         assert "category_unit_laws" in unit_row
+        assert "cy_graded_symmetry" in pairing_row
         assert "e_multiplicative" in e_image
         assert "trace_parity" in trace
         assert "adjointness" in odd_trace
@@ -533,9 +543,9 @@ def test_each_bulk_boundary_clause_carries_its_own_witness():
     datum = build_tft_datum(lg, branes)
     # End(M2): the square of the unit class is now twice the unit class
     unit = datum.branes.units[1]
-    datum.branes._tensors[(1, 1, 1)][(0, 0)] = [
-        (position, 2 * c) for position, c in enumerate(unit.coords) if c
-    ]
+    datum.branes._tensors[(1, 1, 1)][(0, 0)] = {
+        position: 2 * c for position, c in datum.branes.coords(unit).items()
+    }
     clauses = {c.name: c for c in verify_tft_datum(datum).clauses}
     assert clauses["e_multiplicative"].status == "fail"
     assert clauses["e_multiplicative"].witness == {"object": 1, "pair": [0, 0]}
