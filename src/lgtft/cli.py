@@ -7,6 +7,7 @@ a TFT report are data, not errors, and exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -21,7 +22,13 @@ EXIT_HARD = 1
 EXIT_VALIDATION = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept for the process.
+
+    Parsing does not change it: each call fills a fresh namespace, and the
+    append action of --normalization copies its default list before adding.
+    """
     parser = argparse.ArgumentParser(
         prog="lgtft",
         description=(

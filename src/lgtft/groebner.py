@@ -7,6 +7,8 @@ construction, so downstream code can rely on normal forms being canonical.
 
 from __future__ import annotations
 
+import heapq
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, RingMismatchError
@@ -23,25 +25,63 @@ from .poly import (
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of multivariate division of p by the divisor list."""
-    leads = [g.leading_term() for g in divisors]
-    remainder = p.ring.zero()
-    work = p
-    while not work.is_zero():
-        exps, coeff = work.leading_term()
-        reduced = False
-        for g, (g_exps, g_coeff) in zip(divisors, leads):
-            quotient_exps = mono_div(exps, g_exps)
-            if quotient_exps is not None:
-                factor = g.ring.monomial(quotient_exps, coeff / g_coeff)
-                work = work - factor * g
-                reduced = True
-                break
-        if not reduced:
-            term = p.ring.monomial(exps, coeff)
-            remainder = remainder + term
-            work = work - term
-    return remainder
+    """Remainder of multivariate division of p by the divisor list.
+
+    The division runs in place on one dict of working terms, with a heap of
+    their monomials keyed (-degree, reversed exponents, exponents), so the
+    smallest key is the grevlex-largest monomial (Monagan and Pearce, CASC
+    2007).  Each step pops the largest monomial still in the working dict (a
+    popped key whose term has cancelled is skipped) and reduces it by the
+    first divisor in list order whose leading monomial divides it: it
+    adds -coeff / lc(g) * x^q * tail(g) term by term and pushes only the
+    monomials new to the dict.  The leading terms cancel exactly and are
+    dropped.  A term no divisor's leading monomial divides moves to the
+    remainder.
+
+    This is the textbook division algorithm (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 2 sec. 3) step for step: the same largest
+    term meets the same first divisor with the same exact coefficients, so
+    the remainder is the same polynomial, with its terms in the same
+    descending order, also for divisor lists that are not Groebner bases,
+    where the remainder depends on the order of the list.  Only the cost
+    changes: a reduction costs the length of the divisor's tail, not of the
+    whole working polynomial.
+    """
+    reducers = []
+    for g in divisors:
+        lead, lead_coeff = g.leading_term()
+        tail = [(e, c) for e, c in g.terms.items() if e != lead]
+        reducers.append((lead, lead_coeff.inverse(), tail))
+    work = dict(p.terms)
+    heap = [(-sum(e), e[::-1], e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        exps = heapq.heappop(heap)[2]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue  # cancelled after it was pushed
+        for lead, inverse, tail in reducers:
+            quotient = tuple(map(sub, exps, lead))
+            if min(quotient) < 0:
+                continue
+            factor = -(coeff * inverse)
+            for t_exps, t_coeff in tail:
+                exps_q = tuple(map(add, quotient, t_exps))
+                acc = work.get(exps_q)
+                if acc is None:
+                    work[exps_q] = factor * t_coeff
+                    heapq.heappush(heap, (-sum(exps_q), exps_q[::-1], exps_q))
+                else:
+                    total = acc + factor * t_coeff
+                    if total:
+                        work[exps_q] = total
+                    else:
+                        del work[exps_q]
+            break
+        else:
+            remainder[exps] = coeff
+    return Polynomial(p.ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -82,26 +122,24 @@ def buchberger(generators: Sequence[Polynomial]) -> list:
     basis = [g.monic() for g in generators if not g.is_zero()]
     if not basis:
         return []
+    leads = [g.leading_term()[0] for g in basis]  # kept beside basis
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        # normal selection: smallest lcm of leading monomials in grevlex
-        def pair_key(pair):
-            i, j = pair
-            lcm = mono_lcm(
-                basis[i].leading_term()[0], basis[j].leading_term()[0]
-            )
-            return (grevlex_key(lcm), pair)
 
+    def pair_key(pair):
+        # normal selection: smallest lcm of leading monomials in grevlex
+        i, j = pair
+        return (grevlex_key(mono_lcm(leads[i], leads[j])), pair)
+
+    while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        lt_i = basis[i].leading_term()[0]
-        lt_j = basis[j].leading_term()[0]
-        if mono_mul(lt_i, lt_j) == mono_lcm(lt_i, lt_j):
+        if mono_mul(leads[i], leads[j]) == mono_lcm(leads[i], leads[j]):
             continue  # coprime leading terms: S-polynomial reduces to zero
         remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero():
             continue
         basis.append(remainder.monic())
+        leads.append(basis[-1].leading_term()[0])
         new = len(basis) - 1
         pairs.update((new, k) for k in range(new))
     return _interreduce(basis)

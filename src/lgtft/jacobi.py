@@ -1,13 +1,13 @@
 """The Jacobi algebra O(C^d)/(dW), its dimension, and the residue trace.
 
 Elements are sparse coordinate vectors (linalg.Vector) on the standard
-monomials of the Groebner basis.  The algebra stores M_k, the matrix of
-multiplication by x_k, from n * mu normal forms of x_k * m_b (Cox, Little and
-O'Shea, Using Algebraic Geometry, ch. 2 and 4), and builds the multiplication
-table from them along the staircase: the row of m_a is the matrix L_a of
-multiplication by m_a, with L_1 = I and L_{x_k m} = M_k L_m for the first
-variable x_k of x_k m.  Normal forms are canonical, so every entry equals the
-normal form of m_a * m_b.
+monomials of the Groebner basis.  On first read, the algebra builds M_k, the
+matrix of multiplication by x_k, from n * mu normal forms of x_k * m_b (Cox,
+Little and O'Shea, Using Algebraic Geometry, ch. 2 and 4), and the
+multiplication table from them along the staircase: the row of m_a is the
+matrix L_a of multiplication by m_a, with L_1 = I and L_{x_k m} = M_k L_m for
+the first variable x_k of x_k m.  Normal forms are canonical, so every entry
+equals the normal form of m_a * m_b.
 
 The trace is the global Grothendieck residue functional, computed exactly by
 the Bezoutian dual-basis construction: write the Bezoutian of the partials as
@@ -52,10 +52,12 @@ class JacobiAlgebra:
     columns of M_k, the matrix of multiplication by x_k on the standard
     monomials.  table[a][b] is the coordinate vector of m_a * m_b; row a
     lists the columns of L_a, the matrix of multiplication by m_a, built
-    along the staircase from L_1 = I and L_{x_k m} = M_k L_m.
+    along the staircase from L_1 = I and L_{x_k m} = M_k L_m.  Both are
+    built on first read and kept: only the tft clauses read them, so a job
+    that prints the basis and the trace never pays their n * mu normal forms.
     """
 
-    __slots__ = ("lg", "gb", "basis", "index", "mult", "table", "unit_index")
+    __slots__ = ("lg", "gb", "basis", "index", "unit_index", "_mult", "_table")
 
     def __init__(self, lg: LGPair, gb: GroebnerBasis):
         self.lg = lg
@@ -64,14 +66,8 @@ class JacobiAlgebra:
         self.index = {exps: k for k, exps in enumerate(self.basis)}
         unit = (0,) * lg.ring.nvars
         self.unit_index = self.index.get(unit)
-        self.mult = tuple(
-            tuple(
-                self.nf_coords(self.ring.monomial(raise_exponent(b, k)))
-                for b in self.basis
-            )
-            for k in range(lg.ring.nvars)
-        )
-        self.table = self._build_table()
+        self._mult = None
+        self._table = None
 
     @property
     def ring(self) -> PolyRing:
@@ -84,9 +80,30 @@ class JacobiAlgebra:
     def is_zero_algebra(self) -> bool:
         return not self.basis
 
+    @property
+    def mult(self) -> tuple:
+        """The M_k, from n * mu normal forms on first read."""
+        if self._mult is None:
+            self._mult = tuple(
+                tuple(
+                    self.nf_coords(self.ring.monomial(raise_exponent(b, k)))
+                    for b in self.basis
+                )
+                for k in range(self.ring.nvars)
+            )
+        return self._mult
+
+    @property
+    def table(self) -> tuple:
+        """The multiplication table, built from the M_k on first read."""
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
+
     def _build_table(self):
         """Rows in basis order: every divisor of a standard monomial is
         standard and comes earlier in grevlex order."""
+        mult = self.mult
         table = []
         for a in self.basis:
             if not any(a):
@@ -96,7 +113,7 @@ class JacobiAlgebra:
                 continue
             k = next(j for j, e in enumerate(a) if e)  # first variable of a
             row = table[self.index[a[:k] + (a[k] - 1,) + a[k + 1 :]]]
-            table.append(tuple(columns_apply(self.mult[k], v) for v in row))
+            table.append(tuple(columns_apply(mult[k], v) for v in row))
         return tuple(table)
 
     def basis_poly(self, k: int) -> Polynomial:

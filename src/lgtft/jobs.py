@@ -340,10 +340,11 @@ def _run_jacobi(spec: JobSpec, lg: LGPair, shared: _Shared) -> dict:
     if algebra.dimension:
         trace = residue_trace(algebra, lg, scale=spec.bulk_scale)
         out["trace"] = [str(v) for v in trace.values]
-        out["gram"] = [
-            [str(trace.gram.get(i, j)) for j in range(algebra.dimension)]
-            for i in range(algebra.dimension)
-        ]
+        mu = algebra.dimension
+        gram = out["gram"] = [["0"] * mu for _ in range(mu)]
+        for line, row in zip(gram, trace.gram.rows):
+            for j, value in row.items():  # the rows store nonzeros only
+                line[j] = str(value)
     return out
 
 

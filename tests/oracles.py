@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's elimination and enumeration code:
 dense textbook Gaussian elimination, brute-force staircase counting, and the
-classical one-variable residue via polynomial division, and the
-row-scanning sparse elimination the library's column-indexed one replaced.
+classical one-variable residue via polynomial division, the
+row-scanning sparse elimination the library's column-indexed one replaced,
+and the textbook multivariate division loop the heap-ordered normal form
+replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from lgtft.linalg import vec_axpy, vec_scale
 from lgtft.scalars import GaussianRational
-from lgtft.poly import Polynomial, mono_divides, mono_mul
+from lgtft.poly import Polynomial, mono_div, mono_divides, mono_mul
 
 
 def dense_rank(rows) -> int:
@@ -155,6 +157,30 @@ def residue_one_var(numerator: Polynomial, denominator: Polynomial):
     if len(num) <= deg_den - 1:
         return GaussianRational(0)
     return num[deg_den - 1] / lead
+
+
+def division_normal_form(p, divisors):
+    """The textbook division loop: take the grevlex-largest term of the whole
+    working polynomial, subtract a multiple of the first divisor whose
+    leading monomial divides it, else move it to the remainder."""
+    leads = [g.leading_term() for g in divisors]
+    remainder = p.ring.zero()
+    work = p
+    while not work.is_zero():
+        exps, coeff = work.leading_term()
+        reduced = False
+        for g, (g_exps, g_coeff) in zip(divisors, leads):
+            quotient_exps = mono_div(exps, g_exps)
+            if quotient_exps is not None:
+                factor = g.ring.monomial(quotient_exps, coeff / g_coeff)
+                work = work - factor * g
+                reduced = True
+                break
+        if not reduced:
+            term = p.ring.monomial(exps, coeff)
+            remainder = remainder + term
+            work = work - term
+    return remainder
 
 
 def normal_form_table(algebra):

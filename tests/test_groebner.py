@@ -3,9 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lgtft.groebner
 from lgtft.groebner import GroebnerBasis, normal_form, s_polynomial
+from lgtft.jacobi import (
+    _embed,
+    bezoutian_determinant,
+    hessian_determinant,
+    jacobi_groebner,
+    raise_exponent,
+)
+from lgtft.lgpair import make_lg_pair
 from lgtft.poly import PolyRing
+from lgtft.scalars import GaussianRational
+
+from oracles import division_normal_form
 
 
 @pytest.fixture
@@ -91,3 +104,89 @@ def _random_poly(ring, rng):
         exps = (rng.randint(0, 3), rng.randint(0, 3))
         terms[exps] = rng.randint(-4, 4)
     return ring.from_terms(terms)
+
+
+def _same_remainder(p, divisors):
+    """normal_form equals the division oracle term for term, in order."""
+    got = list(normal_form(p, divisors).terms.items())
+    return got == list(division_normal_form(p, divisors).terms.items())
+
+
+_R3 = PolyRing(["x", "y", "z"])
+_coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1))
+_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+
+
+def _polys(max_size):
+    return st.dictionaries(_monomials, _coeffs, max_size=max_size).map(
+        _R3.from_terms
+    )
+
+
+_divisor_lists = st.lists(
+    _polys(3).filter(lambda g: not g.is_zero()), min_size=2, max_size=3
+)
+
+
+@given(_polys(8), _divisor_lists)
+@settings(max_examples=150, deadline=None)
+def test_normal_form_matches_the_division_loop(p, divisors):
+    """Random divisor lists are rarely Groebner bases, and on about a third
+    of these draws the remainder depends on their order; both orders must
+    match the oracle."""
+    assert _same_remainder(p, divisors)
+    assert _same_remainder(p, divisors[::-1])
+
+
+def test_normal_form_takes_the_first_divisor_that_divides(rxy):
+    p, f, g = rxy.parse("x*y"), rxy.parse("x*y - y"), rxy.parse("x*y - x")
+    assert normal_form(p, [f, g]) == rxy.parse("y")
+    assert normal_form(p, [g, f]) == rxy.parse("x")
+
+
+# the superpotentials of the benchmark's job templates
+BENCH_WS = [
+    (["x", "y"], "x^5*y+y^6"),
+    (["x", "y", "z"], "x^6+y^6+z^6"),
+    (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2"),
+    (["x", "y"], "x^5+y^5+x^2*y^2"),
+    (["x", "y"], "x^4+y^4"),
+    (["x", "y"], "x^4+y^4+x*y^2"),
+]
+
+
+@pytest.mark.parametrize("variables,w", BENCH_WS)
+def test_jacobi_ideal_work_matches_the_division_loop(monkeypatch, variables, w):
+    """Buchberger, interreduction and verify give the same basis with the
+    division loop in place of normal_form, and the M_k products and the
+    Hessian reduce to the same remainders."""
+    lg = make_lg_pair(variables, w)
+    gb = jacobi_groebner(lg)
+    with monkeypatch.context() as patch:
+        patch.setattr(lgtft.groebner, "normal_form", division_normal_form)
+        oracle = jacobi_groebner(lg)
+    assert [list(g.terms.items()) for g in gb.generators] == [
+        list(g.terms.items()) for g in oracle.generators
+    ]
+    ring = lg.ring
+    products = [
+        ring.monomial(raise_exponent(b, k))
+        for b in gb.standard_monomials()
+        for k in range(ring.nvars)
+    ]
+    for p in products + [hessian_determinant(lg)]:
+        assert _same_remainder(p, gb.generators)
+
+
+def test_fermat6_bezoutian_matches_the_division_loop():
+    """The reduction behind the residue trace of x^6+y^6+z^6: 125 terms,
+    all already standard."""
+    lg = make_lg_pair(["x", "y", "z"], "x^6+y^6+z^6")
+    gb = jacobi_groebner(lg)
+    ring2 = PolyRing(["x", "y", "z", "x_y", "y_y", "z_y"])
+    delta = bezoutian_determinant(lg, ring2)
+    combined = [_embed(g, ring2, 0, 3) for g in gb.generators] + [
+        _embed(g, ring2, 3, 3) for g in gb.generators
+    ]
+    assert len(delta.terms) == 125
+    assert _same_remainder(delta, combined)

@@ -138,6 +138,10 @@ def test_table_costs_nvars_times_mu_normal_forms(monkeypatch):
     monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
     algebra = JacobiAlgebra(lg, gb)
     assert algebra.dimension == 9
+    assert len(calls) == 0  # the M_k and the table wait for their first read
+    table = algebra.table
+    assert len(calls) == lg.ring.nvars * algebra.dimension
+    assert algebra.table is table  # a second read makes no normal form
     assert len(calls) == lg.ring.nvars * algebra.dimension
 
 

@@ -16,6 +16,7 @@ import lgtft.tft
 from lgtft.cache import Cache
 from lgtft.cli import main
 from lgtft.errors import ValidationError
+from lgtft.jacobi import JacobiAlgebra
 from lgtft.jobs import JobSpec, diff_reports, load_job, report_to_text, run_job
 
 
@@ -377,6 +378,56 @@ def test_fuzzed_job_exits_0_1_or_2(tmp_path_factory, mutations):
     assert main(["run", job, "--no-cache", "--output", out]) in (0, 1, 2)
 
 
+def test_jacobi_and_koszul_job_builds_no_multiplication_table(monkeypatch):
+    """Only the tft clauses read M_k and the table; the jacobi section
+    prints the basis and the trace without them."""
+    algebras = []
+    init = JacobiAlgebra.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        algebras.append(self)
+
+    def refuse(self):
+        raise RuntimeError("the multiplication table was built")
+
+    monkeypatch.setattr(JacobiAlgebra, "__init__", recording)
+    monkeypatch.setattr(JacobiAlgebra, "_build_table", refuse)
+    spec = JobSpec.from_dict({
+        "variables": ["x", "y"],
+        "superpotential": "x^4+y^4",
+        "compute": ["jacobi", "koszul"],
+    })
+    report = run_job(spec)
+    assert report["results"]["jacobi"]["milnor_number"] == 9
+    assert len(report["results"]["jacobi"]["gram"]) == 9
+    assert [(a._mult, a._table) for a in algebras] == [(None, None)]
+
+
+def test_tft_job_builds_the_multiplication_table_once(monkeypatch):
+    """The jacobi and tft sections share one algebra, so the ROADMAP baseline
+    datum builds its table once."""
+    calls = []
+    build = JacobiAlgebra._build_table
+
+    def counting(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(JacobiAlgebra, "_build_table", counting)
+    spec = JobSpec.from_dict({
+        "variables": ["x", "y"],
+        "superpotential": "x^4+y^4",
+        "branes": [
+            {"name": "A", "pairs": [["x", "x^3"], ["y", "y^3"]]},
+            {"name": "B", "pairs": [["x^2", "x^2"], ["y", "y^3"]]},
+        ],
+        "compute": "all",
+    })
+    assert run_job(spec)["results"]["tft"]["passed"] is True
+    assert len(calls) == 1
+
+
 def test_cli_brane_free_job_runs_the_bulk_clauses(tmp_path, capsys):
     raw = {
         "variables": ["x", "y", "z"],
@@ -413,6 +464,17 @@ def test_cli_normalization_override(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["jacobi"]["trace"] == ["0", "1"]
+
+
+def test_cli_normalization_does_not_leak_into_the_next_call(tmp_path, capsys):
+    """main keeps one parser per process; an override is read by its own
+    call only."""
+    job = _write_job(tmp_path, _basic_job(compute="jacobi"))
+    traces = []
+    for extra in (["--normalization", "bulk_scale=3"], []):
+        assert main(["run", job, "--no-cache", *extra]) == 0
+        traces.append(json.loads(capsys.readouterr().out)["results"]["jacobi"]["trace"])
+    assert traces == [["0", "1"], ["0", "1/3"]]
 
 
 def test_cli_bad_normalization(tmp_path, capsys):
