@@ -1,0 +1,110 @@
+"""Jobs beyond the benchmark templates reproduce their stored reports.
+
+Each job of JOBS runs in process with no cache, and its report minus timing
+must equal tests/reference/<name>.json byte for byte.  The jobs cover what
+the benchmark templates do not: the even-dimensional quadric with nonzero
+Cardy entries, Koszul pairs in one and two variables, a windowed brane with
+the tft section, a singular residue Gram matrix, and a rank-4|4 End.
+
+    PYTHONPATH=src python3 tests/test_reference_reports.py [NAME ...]
+
+rewrites the stored reports; do so only for a change meant to alter them.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from lgtft.jobs import JobSpec, report_to_text, run_job
+
+REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
+
+# the two rank-2|2 branes of tft.baseline on x^4+y^4
+_BRANE_A = [["x", "x^3"], ["y", "y^3"]]
+_BRANE_B = [["x^2", "x^2"], ["y", "y^3"]]
+
+JOBS = {
+    "spinor": {
+        "variables": ["x", "y"],
+        "superpotential": "x^2+y^2",
+        "branes": [
+            {"name": "B+", "pairs": [["x + i*y", "x - i*y"]]},
+            {"name": "B-", "pairs": [["x - i*y", "x + i*y"]]},
+        ],
+    },
+    "x3y3_pq": {
+        "variables": ["x", "y"],
+        "superpotential": "x^3+y^3",
+        "branes": [
+            {"name": "P", "pairs": [["x", "x^2"], ["y", "y^2"]]},
+            {"name": "Q", "pairs": [["x+y", "x^2-x*y+y^2"]]},
+        ],
+    },
+    "x4_m1m2": {
+        "variables": ["x"],
+        "superpotential": "x^4",
+        "branes": [
+            {"name": "M1", "pairs": [["x", "x^3"]]},
+            {"name": "M2", "pairs": [["x^2", "x^2"]]},
+        ],
+    },
+    "x5_m1m2": {
+        "variables": ["x"],
+        "superpotential": "x^5",
+        "branes": [
+            {"name": "M1", "pairs": [["x", "x^4"]]},
+            {"name": "M2", "pairs": [["x^2", "x^3"]]},
+        ],
+    },
+    "windowed_all": {
+        "variables": ["x", "y"],
+        "superpotential": "x^4+y^4+x*y^2",
+        "branes": [{"name": "C", "pairs": [["x", "x^3+y^2"], ["y", "y^3"]]}],
+    },
+    "baseline_scale0": {
+        "variables": ["x", "y"],
+        "superpotential": "x^4+y^4",
+        "branes": [
+            {"name": "A", "pairs": _BRANE_A},
+            {"name": "B", "pairs": _BRANE_B},
+        ],
+        "normalization": {"bulk_scale": "0"},
+    },
+    "rank4_end": {
+        "variables": ["x", "y", "z"],
+        "superpotential": "x^3+y^3+z^3",
+        "branes": [
+            {"name": "N", "pairs": [["x", "x^2"], ["y", "y^2"], ["z", "z^2"]]},
+        ],
+    },
+}
+for _raw in JOBS.values():
+    _raw["compute"] = "all"
+
+
+def report_text(name: str) -> str:
+    """The report of JOBS[name] minus timing, as the reference stores it."""
+    report = run_job(JobSpec.from_dict(JOBS[name]))
+    report.pop("timing")
+    return report_to_text(report)
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_job_matches_its_reference_report(name):
+    reference = (REFERENCE_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert report_text(name) == reference
+
+
+def main(names) -> int:
+    REFERENCE_DIR.mkdir(exist_ok=True)
+    for name in names or sorted(JOBS):
+        (REFERENCE_DIR / f"{name}.json").write_text(
+            report_text(name), encoding="utf-8"
+        )
+        print(f"wrote {name}.json")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
