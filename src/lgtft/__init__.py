@@ -46,7 +46,6 @@ from .koszul import (
     VanishingReport,
     apply_iota,
     check_vanishing_negative_degrees,
-    contraction_iota,
     koszul_cohomology,
 )
 from .polymatrix import PolyMatrix, poly_det

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .cache import Cache, null_cache
 from .errors import LGError, ValidationError
-from .jobs import diff_reports, load_job, report_to_text, run_job
+from .jobs import diff_reports, load_job, read_json_object, report_to_text, run_job
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -118,10 +118,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    with open(args.left, "r", encoding="utf-8") as handle:
-        left = json.load(handle)
-    with open(args.right, "r", encoding="utf-8") as handle:
-        right = json.load(handle)
+    left = read_json_object(args.left, "report")
+    right = read_json_object(args.right, "report")
     outcome = diff_reports(left, right)
     if outcome["schema_mismatch"] is not None:
         print(json.dumps(outcome, sort_keys=True, indent=2))

@@ -40,8 +40,8 @@ class DegenerateTraceError(LGError):
 class AdjointnessError(LGError):
     """A boundary-bulk image fails Tr(h_k f_a(t)) = tr_a(e_a(h_k) o t).
 
-    Also raised when tr_a(e_a(h_k) o t) read off the structure tables differs
-    from its chain-level value (lhs is then the table value).
+    lhs is tr_a(e_a(h_k) o t) read off the structure tables, rhs is
+    Tr(h_k f_a(t)) from the chain-level f_a(t).
     """
 
     def __init__(self, bulk_index, lhs, rhs):

@@ -182,20 +182,22 @@ def _embed(p: Polynomial, ring2: PolyRing, offset: int, d: int) -> Polynomial:
 
 
 def _divided_difference(p: Polynomial, x_index: int, y_index: int) -> Polynomial:
-    """(p - p[x->y]) / (x - y), computed term by term without division."""
-    ring = p.ring
-    out = ring.zero()
+    """(p - p[x->y]) / (x - y), computed term by term without division.
+
+    A term c x^k y^e gives c x^t y^(e+k-1-t) for t < k; the terms are summed
+    in one dict, and those that cancel are dropped.
+    """
+    terms = {}
     for exps, coeff in p.terms.items():
         k = exps[x_index]
-        if k == 0:
-            continue
-        base = list(exps)
+        step = list(exps)
         for t in range(k):
-            step = list(base)
             step[x_index] = t
             step[y_index] = exps[y_index] + (k - 1 - t)
-            out = out + ring.monomial(tuple(step), coeff)
-    return out
+            key = tuple(step)
+            acc = terms.get(key)
+            terms[key] = coeff if acc is None else acc + coeff
+    return Polynomial(p.ring, {key: c for key, c in terms.items() if c})
 
 
 def bezoutian_determinant(lg: LGPair, ring2: PolyRing) -> Polynomial:

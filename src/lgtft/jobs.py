@@ -246,15 +246,23 @@ def _constant(label, value) -> Fraction:
         raise ValidationError(f"bad normalization constant: {exc}") from exc
 
 
-def load_job(path: str) -> JobSpec:
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path.  ValidationError, naming what the
+    file is, when it cannot be read, is not JSON or holds no object."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
-        raise ValidationError(f"cannot read job file: {exc}") from exc
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
     except ValueError as exc:
-        raise ValidationError(f"job file is not valid JSON: {exc}") from exc
-    return JobSpec.from_dict(raw)
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must contain a JSON object")
+    return raw
+
+
+def load_job(path: str) -> JobSpec:
+    return JobSpec.from_dict(read_json_object(path, "job file"))
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,6 @@ class KoszulComplex(FreeComplex):
             lg.weights,
         )
 
-    def differential_entries(self, subset):
-        return self.entries.get(subset, ())
-
-
-def contraction_iota(lg: LGPair) -> KoszulComplex:
-    """Build the contraction complex; iota^2 = 0 is checked."""
-    return KoszulComplex(lg)
-
 
 @dataclass
 class GradedDimensionTable:
@@ -230,7 +222,7 @@ def apply_iota(complex_: KoszulComplex, element):
     """Apply the differential to [(subset, Polynomial)]; used to re-check witnesses."""
     acc: dict = {}
     for subset, poly in element:
-        for target, coeff in complex_.differential_entries(subset):
+        for target, coeff in complex_.entries.get(subset, ()):
             image = coeff * poly
             if image.is_zero():
                 continue

@@ -4,8 +4,10 @@ These deliberately avoid the library's elimination and enumeration code:
 dense textbook Gaussian elimination, brute-force staircase counting, and the
 classical one-variable residue via polynomial division, the
 row-scanning sparse elimination the library's column-indexed one replaced,
-and the textbook multivariate division loop the heap-ordered normal form
-replaced.
+the textbook multivariate division loop the heap-ordered normal form
+replaced, the polynomial-sum loop of the Bezoutian's divided differences, and
+the boundary-bulk map f_a solved from its adjointness system, which the
+closed form replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -375,3 +377,68 @@ def chain_compose_classes(g, f, target_hom):
     if not composite.defect().is_zero():
         raise AssertionError("the composite of two cocycles is not a cocycle")
     return target_hom.class_of(composite)
+
+
+def loop_divided_difference(p, x_index, y_index):
+    """(p - p[x->y]) / (x - y) as a sum of monomials, one polynomial
+    addition per term."""
+    ring = p.ring
+    out = ring.zero()
+    for exps, coeff in p.terms.items():
+        k = exps[x_index]
+        for t in range(k):
+            step = list(exps)
+            step[x_index] = t
+            step[y_index] = exps[y_index] + (k - 1 - t)
+            out = out + ring.monomial(tuple(step), coeff)
+    return out
+
+
+from itertools import permutations  # noqa: E402
+
+from lgtft.errors import AdjointnessError, DegenerateTraceError  # noqa: E402
+from lgtft.tft import _perm_sign  # noqa: E402
+
+
+def solved_boundary_bulk(datum, i, t):
+    """f_a(t) solved from Tr(m_k f) = tr_a(e_a(m_k) o t) on every bulk basis
+    monomial m_k: the right-hand side is computed at chain level, from
+    (m_k t) o Lambda_a, and read off the e_a, composition and tr_a tables,
+    and the two must agree; the solution of the residue Gram system is then
+    re-checked with the Gram matrix read off the multiplication table.  This
+    is the path TFTDatum.boundary_bulk took before the closed form."""
+    if not datum.bulk_pairing_nondegenerate():
+        raise DegenerateTraceError("bulk pairing degenerate")
+    obj = datum.branes.objects[i]
+    d = datum.lg.dimension
+    partials = [Morphism.d_partial(obj, k) for k in range(d)]
+    lam = Morphism.zero(obj, obj, d % 2)
+    for sigma in permutations(range(d)):
+        product = partials[sigma[0]]
+        for index in sigma[1:]:
+            product = partials[index].compose(product)
+        lam = lam + (product if _perm_sign(sigma) > 0 else product.scale(-1))
+    algebra = datum.bulk.algebra
+    branes = datum.branes
+    t_dict = branes.coords(t)
+    rhs = {}
+    for k, e_image in enumerate(datum.bulk_boundary_basis(i)):
+        composed = t.representative.scale(algebra.basis_poly(k))
+        poly = composed.compose(lam).supertrace()
+        value = datum.c_d * datum.bulk.trace_of(algebra.nf_coords(poly))
+        table = datum._trace(
+            i, branes.product(i, i, i, branes.coords(e_image), t_dict)
+        )
+        if table != value:
+            raise AdjointnessError(k, table, value)
+        if value:
+            rhs[k] = value
+    solution = datum.bulk.trace.gram.solve(rhs)
+    if solution is None:
+        raise DegenerateTraceError("adjointness system is inconsistent")
+    pairing = datum.bulk_gram().apply(solution)
+    zero = GaussianRational(0)
+    for k in range(algebra.dimension):
+        if pairing.get(k, zero) != rhs.get(k, zero):
+            raise AdjointnessError(k, pairing.get(k, zero), rhs.get(k, zero))
+    return tuple(solution.get(k, zero) for k in range(algebra.dimension))

@@ -13,7 +13,7 @@ import pytest
 from lgtft.cache import Cache
 from lgtft.jacobi import jacobi_groebner, milnor_number
 from lgtft.jobs import JobSpec, report_to_text, run_job
-from lgtft.koszul import apply_iota, check_vanishing_negative_degrees, contraction_iota
+from lgtft.koszul import KoszulComplex, apply_iota, check_vanishing_negative_degrees
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import Morphism, hom_cohomology, koszul_factorization
 from lgtft.scalars import GaussianRational
@@ -66,7 +66,7 @@ def test_criterion_2_koszul_vanishing():
     lg = make_lg_pair(["x", "y"], "x^2*y")
     report = check_vanishing_negative_degrees(lg, 8)
     ok = ok and not report.vanishes and report.witness is not None
-    complex_ = contraction_iota(lg)
+    complex_ = KoszulComplex(lg)
     ok = ok and apply_iota(complex_, report.witness) == []  # cocycle
     ok = ok and _witness_not_bounding(lg, complex_, report)
     _report("2 (koszul vanishing)", ok, time.time() - start, 10.0)
@@ -93,7 +93,7 @@ def _witness_not_bounding(lg, complex_, report):
     gens = []
     for subset, exps in piece(k - 1, m):
         row = [zero] * len(index)
-        for target, coeff in complex_.differential_entries(subset):
+        for target, coeff in complex_.entries[subset]:
             for e, c in coeff.terms.items():
                 position = index[(target, mono_mul(exps, e))]
                 row[position] = row[position] + c

@@ -1,5 +1,6 @@
 """Jacobi algebras, Milnor numbers, and the residue trace."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from lgtft.errors import DegenerateTraceError, NonIsolatedCriticalLocusError
 from lgtft.groebner import GroebnerBasis
 from lgtft.jacobi import (
     JacobiAlgebra,
+    _divided_difference,
+    _substitute_var,
     hessian_determinant,
     is_critical_set_finite,
     jacobi_algebra,
@@ -16,10 +19,12 @@ from lgtft.jacobi import (
     residue_trace,
 )
 from lgtft.lgpair import make_lg_pair
+from lgtft.poly import PolyRing
 from lgtft.scalars import GaussianRational
 from lgtft.tft import build_tft_datum, verify_tft_datum
 
 from oracles import (
+    loop_divided_difference,
     normal_form_table,
     residue_one_var,
     staircase_count,
@@ -223,3 +228,38 @@ def test_hessian_determinant():
     algebra = jacobi_algebra(lg)
     trace = residue_trace(algebra, lg)
     assert trace.of_poly(hessian_determinant(lg)) == GaussianRational(4)
+
+
+def _random_polynomial(rng, ring, terms, max_exp):
+    """A sum of random monomials with small Gaussian-rational coefficients;
+    repeated exponents and opposite coefficients make some terms cancel."""
+    p = ring.zero()
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+        coeff = GaussianRational(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1)
+        )
+        p = p + ring.monomial(exps, coeff)
+    return p
+
+
+def test_divided_difference_identity_and_loop():
+    """(x_i - y_i) * Delta_i(p) = p - p[x_i -> y_i], and Delta_i(p) equals the
+    one-addition-per-term loop, on random polynomials in two variable
+    groups (x0, x1, y0, y1), also when some x_j already moved to y_j."""
+    rng = random.Random(1507)
+    ring = PolyRing(("x0", "x1", "y0", "y1"))
+    d = 2
+    for _ in range(120):
+        p = _random_polynomial(rng, ring, rng.randint(0, 8), 3)
+        for i in range(d):
+            delta = _divided_difference(p, i, d + i)
+            assert all(delta.terms.values())
+            assert delta == loop_divided_difference(p, i, d + i)
+            x_minus_y = ring.monomial(
+                tuple(int(k == i) for k in range(2 * d))
+            ) - ring.monomial(tuple(int(k == d + i) for k in range(2 * d)))
+            assert x_minus_y * delta == p - _substitute_var(p, i, d + i)
+    # x0^2 gives x0 + y0 and -x0*y0 gives -y0: the y0 terms cancel
+    p = ring.parse("x0^2 - x0*y0")
+    assert _divided_difference(p, 0, d).terms == {(1, 0, 0, 0): GaussianRational(1)}

@@ -497,6 +497,32 @@ def test_cli_diff_and_clean_cache(tmp_path, capsys):
     assert not list(Path(cache_dir).glob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['[{"schema_version": "1"}]', '{"schema_version": "1", "results": {"ja'],
+    ids=["list", "truncated"],
+)
+def test_cli_diff_malformed_report_exits_2(tmp_path, content):
+    """A report whose top level is not an object, or whose JSON is cut short,
+    is a validation error on either side of diff, with no traceback."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"schema_version": "1"}')
+    bad.write_text(content)
+    src = Path(__file__).resolve().parents[1] / "src"
+    for left, right in ((bad, good), (good, bad)):
+        completed = subprocess.run(
+            [sys.executable, "-m", "lgtft.cli", "diff", str(left), str(right)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("validation error: report ")
+        assert "Traceback" not in completed.stderr
+        assert completed.stdout == ""
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("LGTFT_CACHE_DIR", str(tmp_path / "envcache"))
     cache = Cache()

@@ -7,6 +7,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import lgtft.jobs
+from lgtft.errors import DegenerateTraceError
+from lgtft.jobs import JobSpec
 from lgtft.lgpair import make_lg_pair
 from lgtft.linalg import SparseMatrix
 from lgtft.matfact import (
@@ -19,7 +24,8 @@ from lgtft.polymatrix import PolyMatrix
 from lgtft.scalars import GaussianRational
 from lgtft.tft import build_tft_datum, verify_tft_datum
 
-from oracles import residue_one_var
+from oracles import residue_one_var, solved_boundary_bulk
+from test_reference_reports import JOBS as REFERENCE_JOBS
 
 
 def _datum_x3():
@@ -554,26 +560,61 @@ def test_each_bulk_boundary_clause_carries_its_own_witness():
 
 
 def test_verify_solves_f_a_once_per_end_basis_class(monkeypatch):
-    """The adjointness clause fills the f_a cache that Cardy reads."""
+    """f_a is in closed form: verification takes one supertrace per basis
+    class of End(a) and solves no linear system, and the adjointness clause
+    fills the f_a cache that Cardy reads."""
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
     branes = [
         ("A", koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])),
         ("B", koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])),
     ]
     datum = build_tft_datum(lg, branes)
-    solves = []
-    original = SparseMatrix.solve
+    calls = {"solve": 0, "supertrace": 0}
 
-    def counting(self, rhs):
-        solves.append(rhs)
-        return original(self, rhs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(SparseMatrix, "solve", counting)
+        return wrapper
+
+    monkeypatch.setattr(
+        SparseMatrix, "solve", counting("solve", SparseMatrix.solve)
+    )
+    monkeypatch.setattr(
+        Morphism, "supertrace", counting("supertrace", Morphism.supertrace)
+    )
     report = verify_tft_datum(datum)
     assert report.passed()
-    assert len(solves) == sum(
-        len(datum.branes.basis(i, i)) for i in range(len(datum.branes))
+    classes = [len(datum.branes.basis(i, i)) for i in range(len(datum.branes))]
+    assert calls == {"solve": 0, "supertrace": sum(classes)}
+    assert [len(datum._f_basis_cache[i]) for i in range(len(classes))] == classes
+
+
+@pytest.mark.parametrize("c_d", [None, Fraction(3, 7)])
+@pytest.mark.parametrize("name", sorted(REFERENCE_JOBS))
+def test_closed_form_f_a_equals_the_solved_adjoint(name, c_d):
+    """On every End basis class of the reference jobs, f_a in closed form
+    equals f_a solved from the adjointness system with the chain-level
+    right-hand side; with a singular residue Gram matrix both are undefined."""
+    spec = JobSpec.from_dict(REFERENCE_JOBS[name])
+    lg = lgtft.jobs._build_lg(spec)
+    named = lgtft.jobs._build_branes(spec, lg)
+    datum = build_tft_datum(
+        lg, named, boundary_normalization=c_d, bulk_scale=spec.bulk_scale
     )
+    checked = 0
+    for i in range(len(named)):
+        for t in datum.branes.basis(i, i):
+            if not datum.bulk_pairing_nondegenerate():
+                with pytest.raises(DegenerateTraceError):
+                    solved_boundary_bulk(datum, i, t)
+                with pytest.raises(DegenerateTraceError):
+                    datum.boundary_bulk(i, t)
+                continue
+            assert datum.boundary_bulk(i, t) == solved_boundary_bulk(datum, i, t)
+            checked += 1
+    assert checked or name == "baseline_scale0"
 
 
 def test_singular_residue_gram_skips_the_f_a_clauses():
