@@ -1,7 +1,8 @@
 """Content-addressed cache for Koszul and Hom cohomology tables.
 
 Entries are JSON files named by the SHA-256 of their canonical key.  Payloads
-are returned as stored, without verification.  Groebner bases are not cached:
+are returned as stored, without verification; a file that is not a JSON
+object recording its kind is a miss.  Groebner bases are not cached:
 computing one costs less than loading and verifying it, so groebner-* files
 written by older versions are never read; clear() removes them with the rest.
 """
@@ -48,7 +49,7 @@ class Cache:
                 record = json.load(handle)
         except (OSError, ValueError):
             return None
-        if record.get("kind") != kind:
+        if not isinstance(record, dict) or record.get("kind") != kind:
             return None
         return record.get("payload")
 

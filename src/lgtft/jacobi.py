@@ -20,7 +20,7 @@ trace(det Hessian) = dim, which is checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateTraceError,
@@ -29,20 +29,23 @@ from .errors import (
     SingularMatrixError,
 )
 from .groebner import GroebnerBasis
-from .lgpair import LGPair
 from .linalg import SparseMatrix, Vector, columns_apply, vec_scale
 from .poly import PolyRing, Polynomial
 from .polymatrix import PolyMatrix, poly_det
 from .scalars import GaussianRational
 
+if TYPE_CHECKING:  # lgpair imports this module: LGPair keeps its algebra
+    from .lgpair import LGPair
+
 
 def jacobi_groebner(lg: LGPair) -> GroebnerBasis:
-    """Groebner basis of the ideal of partial derivatives of W."""
+    """Groebner basis of the ideal of partial derivatives of W, computed
+    afresh; LGPair.jacobi_basis keeps one."""
     return GroebnerBasis.compute([p for p in lg.partials() if not p.is_zero()])
 
 
 def is_critical_set_finite(lg: LGPair) -> bool:
-    return jacobi_groebner(lg).is_zero_dimensional()
+    return lg.jacobi_basis.is_zero_dimensional()
 
 
 class JacobiAlgebra:
@@ -55,23 +58,21 @@ class JacobiAlgebra:
     along the staircase from L_1 = I and L_{x_k m} = M_k L_m.  Both are
     built on first read and kept: only the tft clauses read them, so a job
     that prints the basis and the trace never pays their n * mu normal forms.
+    It keeps lg's ring, not lg: the LGPair keeps its algebra, and a reference
+    back would make a cycle that reference counting cannot free.
     """
 
-    __slots__ = ("lg", "gb", "basis", "index", "unit_index", "_mult", "_table")
+    __slots__ = ("ring", "gb", "basis", "index", "unit_index", "_mult", "_table")
 
-    def __init__(self, lg: LGPair, gb: GroebnerBasis):
-        self.lg = lg
-        self.gb = gb
-        self.basis = tuple(gb.standard_monomials())
+    def __init__(self, lg: LGPair):
+        self.ring = lg.ring
+        self.gb = lg.jacobi_basis
+        self.basis = tuple(self.gb.standard_monomials())
         self.index = {exps: k for k, exps in enumerate(self.basis)}
         unit = (0,) * lg.ring.nvars
         self.unit_index = self.index.get(unit)
         self._mult = None
         self._table = None
-
-    @property
-    def ring(self) -> PolyRing:
-        return self.lg.ring
 
     @property
     def dimension(self) -> int:
@@ -130,24 +131,20 @@ def raise_exponent(exps: tuple, k: int) -> tuple:
     return exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
 
 
-def jacobi_algebra(lg: LGPair, gb: Optional[GroebnerBasis] = None) -> JacobiAlgebra:
-    """Quotient by the Jacobi ideal; requires a finite critical set.
-
-    gb is the ideal's Groebner basis when the caller already has it.
-    """
-    if gb is None:
-        gb = jacobi_groebner(lg)
-    if not gb.is_zero_dimensional():
+def jacobi_algebra(lg: LGPair) -> JacobiAlgebra:
+    """Quotient by the Jacobi ideal on lg.jacobi_basis; requires a finite
+    critical set.  LGPair.jacobi_algebra keeps one."""
+    if not lg.jacobi_basis.is_zero_dimensional():
         raise NonIsolatedCriticalLocusError(
             "the critical set of W is not finite; the quotient algebra is "
             "infinite-dimensional (run the Koszul cohomology tables for "
             "degreewise diagnostics instead)"
         )
-    return JacobiAlgebra(lg, gb)
+    return JacobiAlgebra(lg)
 
 
 def milnor_number(lg: LGPair) -> int:
-    return jacobi_algebra(lg).dimension
+    return lg.jacobi_algebra.dimension
 
 
 def hessian_determinant(lg: LGPair) -> Polynomial:
@@ -257,14 +254,14 @@ class ResidueTrace:
         return self.of_coords(self.algebra.nf_coords(p))
 
 
-def residue_trace(
-    algebra: JacobiAlgebra, lg: LGPair, scale=Fraction(1)
-) -> ResidueTrace:
-    """Grothendieck residue trace normalized so trace(det Hessian) = dim.
+def residue_trace(lg: LGPair, scale=Fraction(1)) -> ResidueTrace:
+    """Grothendieck residue trace on lg.jacobi_algebra, normalized so
+    trace(det Hessian) = dim.
 
     scale multiplies the whole functional (the Cardy check treats the overall
     normalization as a solvable unknown, so it is exposed here).
     """
+    algebra = lg.jacobi_algebra
     if algebra.is_zero_algebra():
         raise DegenerateTraceError(
             "the Jacobi algebra is zero; no trace exists"

@@ -4,6 +4,10 @@ Job files are JSON; polynomials appear as quoted strings in the text grammar
 of the algebra core.  Reports are JSON with a schema_version field, printed
 with sorted keys so identical computations produce identical bytes; the only
 run-dependent field is the "timing" subtree, which diff_reports ignores.
+
+A job builds one LGPair, which keeps its Jacobi basis and algebra for every
+section that reads them; the only thing the sections hand on themselves is
+the Hom spaces of the homs section, which the tft section reuses.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .groebner import GroebnerBasis
-from .jacobi import JacobiAlgebra, jacobi_algebra, jacobi_groebner, residue_trace
+from .jacobi import residue_trace
 from .koszul import (
     KoszulComplex,
     check_vanishing_negative_degrees,
@@ -304,35 +307,8 @@ def _koszul_default_bound(lg: LGPair) -> int:
     return 2 * lg.w.total_degree() + 4
 
 
-@dataclass
-class _Shared:
-    """What one job computes once and hands from section to section."""
-
-    lg: LGPair
-    homs: Optional[dict]  # (name, name) -> HomCohomology, kept for the tft section
-    groebner: Optional[GroebnerBasis] = None  # of the Jacobi ideal
-    algebra: Optional[JacobiAlgebra] = None
-
-    def basis(self) -> GroebnerBasis:
-        """The Jacobi ideal's Groebner basis, computed on first use and kept
-        also when the critical set is infinite.  It is not cached: computing
-        it costs less than loading and verifying a stored basis."""
-        if self.groebner is None:
-            self.groebner = jacobi_groebner(self.lg)
-        return self.groebner
-
-    def jacobi(self) -> JacobiAlgebra:
-        """The jacobi section's algebra, or one built here if it did not run.
-
-        Raises NonIsolatedCriticalLocusError when the critical set is infinite.
-        """
-        if self.algebra is None:
-            self.algebra = jacobi_algebra(self.lg, self.basis())
-        return self.algebra
-
-
-def _run_jacobi(spec: JobSpec, lg: LGPair, shared: _Shared) -> dict:
-    gb = shared.basis()
+def _run_jacobi(spec: JobSpec, lg: LGPair) -> dict:
+    gb = lg.jacobi_basis
     finite = gb.is_zero_dimensional()
     out = {
         "finite_critical_set": finite,
@@ -342,11 +318,11 @@ def _run_jacobi(spec: JobSpec, lg: LGPair, shared: _Shared) -> dict:
         out["milnor_number"] = None
         out["note"] = "critical set not finite; see the koszul section"
         return out
-    algebra = shared.algebra = JacobiAlgebra(lg, gb)
+    algebra = lg.jacobi_algebra
     out["milnor_number"] = algebra.dimension
     out["basis"] = [str(algebra.basis_poly(k)) for k in range(algebra.dimension)]
     if algebra.dimension:
-        trace = residue_trace(algebra, lg, scale=spec.bulk_scale)
+        trace = residue_trace(lg, scale=spec.bulk_scale)
         out["trace"] = [str(v) for v in trace.values]
         mu = algebra.dimension
         gram = out["gram"] = [["0"] * mu for _ in range(mu)]
@@ -377,7 +353,8 @@ def _run_koszul(spec: JobSpec, lg: LGPair, cache: Cache) -> dict:
     return payload
 
 
-def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, shared: _Shared) -> dict:
+def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, homs) -> dict:
+    """homs, when not None, collects the Hom spaces computed here."""
     by_name = dict(named)
     if spec.hom_pairs is not None:
         pairs = [(a, b) for a, b in spec.hom_pairs]
@@ -393,13 +370,9 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, shared: _Shared) -
         ]
         payload = cache.get("hom", key)
         if payload is None:
-            # hom_cohomology rejects the default bound for an infinite set itself
-            groebner = shared.basis() if spec.degree_bound is None else None
-            hom = hom_cohomology(
-                by_name[a], by_name[b], spec.degree_bound, groebner
-            )
-            if shared.homs is not None:
-                shared.homs[(a, b)] = hom
+            hom = hom_cohomology(by_name[a], by_name[b], spec.degree_bound)
+            if homs is not None:
+                homs[(a, b)] = hom
             payload = {
                 "dims": {"even": hom.dim(0), "odd": hom.dim(1)},
                 "by_degree": {
@@ -415,15 +388,14 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, shared: _Shared) -
     return out
 
 
-def _run_tft(spec: JobSpec, lg: LGPair, named, shared: _Shared) -> dict:
+def _run_tft(spec: JobSpec, lg: LGPair, named, homs) -> dict:
     datum = build_tft_datum(
         lg,
         named,
         degree_bound=spec.degree_bound,
         boundary_normalization=spec.c_d,
         bulk_scale=spec.bulk_scale,
-        algebra=shared.jacobi(),
-        homs=shared.homs,
+        homs=homs,
     )
     report = verify_tft_datum(datum)
     payload = report.to_jsonable()
@@ -440,7 +412,7 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
     lg = _build_lg(spec)
     branes = _build_branes(spec, lg)
     # Hom spaces outlive the homs section only when the tft section needs them
-    shared = _Shared(lg, {} if "tft" in spec.compute else None)
+    homs = {} if "tft" in spec.compute else None
     results = {}
     timing = {}
     for section in SECTIONS:
@@ -448,14 +420,14 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
             continue
         section_start = time.time()
         if section == "jacobi":
-            results["jacobi"] = _run_jacobi(spec, lg, shared)
+            results["jacobi"] = _run_jacobi(spec, lg)
         elif section == "koszul":
             results["koszul"] = _run_koszul(spec, lg, cache)
         elif section == "homs":
-            results["homs"] = _run_homs(spec, lg, branes, cache, shared)
+            results["homs"] = _run_homs(spec, lg, branes, cache, homs)
         elif section == "tft":
             try:
-                results["tft"] = _run_tft(spec, lg, branes, shared)
+                results["tft"] = _run_tft(spec, lg, branes, homs)
             except DegenerateTraceError as exc:
                 results["tft"] = {"skipped": str(exc)}
         timing[section] = round(time.time() - section_start, 6)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ValidationError
+from .groebner import GroebnerBasis
+from .jacobi import JacobiAlgebra, jacobi_algebra, jacobi_groebner
 from .linalg import SparseMatrix
 from .poly import PolyRing, Polynomial
 
@@ -17,7 +20,9 @@ class LGPair:
     """A superpotential W on C^d, plus grading data when W is graded.
 
     signature is the parity of the dimension d; it is the Z2-degree carried
-    by every boundary trace downstream.
+    by every boundary trace downstream.  The Jacobi basis and algebra are
+    fixed by (X, W), so the pair computes each on first use and keeps it.
+    Neither refers back to the pair, which is freed by reference counting.
     """
 
     ring: PolyRing
@@ -59,6 +64,19 @@ class LGPair:
         return tuple(
             self.w.partial_derivative(k) for k in range(self.dimension)
         )
+
+    @cached_property
+    def jacobi_basis(self) -> GroebnerBasis:
+        """The Groebner basis of the Jacobi ideal, kept also when the
+        critical set is infinite.  The job cache does not store it: computing
+        it costs less than loading and verifying a stored basis."""
+        return jacobi_groebner(self)
+
+    @cached_property
+    def jacobi_algebra(self) -> JacobiAlgebra:
+        """The Jacobi algebra on jacobi_basis.  Raises
+        NonIsolatedCriticalLocusError when the critical set is infinite."""
+        return jacobi_algebra(self)
 
     def key(self) -> tuple:
         """Canonical content key (used for caching and report echoes)."""

@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .groebner import GroebnerBasis
-from .jacobi import jacobi_groebner
 from .lgpair import LGPair
 from .linalg import SparseMatrix, rref_reduce, vec_axpy
 from .poly import Polynomial, mono_mul, mono_weighted_degree
@@ -121,17 +120,18 @@ def make_factorization(
         )
     _check_squares(lg, d01, d10)
     rank0, rank1 = d01.ncols, d01.nrows
+    edges = _weight_edges(lg, d01, d10)
     if weights0 is not None or weights1 is not None:
         if weights0 is None or weights1 is None:
             raise ValidationError("give weights for both parities or neither")
         if len(weights0) != rank0 or len(weights1) != rank1:
             raise ValidationError("one weight per basis vector required")
-        if not _weights_consistent(lg, d01, d10, tuple(weights0), tuple(weights1)):
+        if not _weights_consistent(edges, tuple(weights0), tuple(weights1)):
             raise ValidationError(
                 "the differential is not homogeneous for the given weights"
             )
         return MatrixFactorization(lg, d01, d10, tuple(weights0), tuple(weights1))
-    inferred = _infer_weights(lg, d01, d10)
+    inferred = _infer_weights(edges, rank0, rank1)
     if inferred is not None:
         return MatrixFactorization(lg, d01, d10, inferred[0], inferred[1])
     return MatrixFactorization(lg, d01, d10)
@@ -159,59 +159,43 @@ def _doubled_degree(lg: LGPair, p: Polynomial) -> Optional[int]:
     return None if degree is None else 2 * degree
 
 
-def _weights_consistent(lg, d01, d10, weights0, weights1) -> bool:
+def _weight_edges(lg, d01, d10) -> Optional[list]:
+    """The homogeneity constraints of D, one edge (source, target, delta) per
+    nonzero entry: wt(target) - wt(source) = deg W - deg(entry), in doubled
+    units.  Nodes are (0, j) for the even basis and (1, i) for the odd one.
+    None when W has no weights or an entry is not quasi-homogeneous."""
     if lg.weights is None:
-        return False
+        return None
     h = lg.weighted_degree
-    for matrix, wt_target, wt_source in (
-        (d01, weights1, weights0),
-        (d10, weights0, weights1),
-    ):
-        for i in range(matrix.nrows):
-            for j in range(matrix.ncols):
-                p = matrix[i, j]
+    edges = []
+    for matrix, source, target in ((d01, 0, 1), (d10, 1, 0)):
+        for i, row in enumerate(matrix.entries):
+            for j, p in enumerate(row):
                 if p.is_zero():
                     continue
                 degree = _doubled_degree(lg, p)
                 if degree is None:
-                    return False
-                if degree + wt_target[i] - wt_source[j] != h:
-                    return False
-    return True
+                    return None
+                edges.append(((source, j), (target, i), h - degree))
+    return edges
 
 
-def _infer_weights(lg, d01, d10):
+def _weights_consistent(edges, weights0, weights1) -> bool:
+    """Every edge holds for the given weights."""
+    weights = (weights0, weights1)
+    return edges is not None and all(
+        weights[t][i] - weights[s][j] == delta for (s, j), (t, i), delta in edges
+    )
+
+
+def _infer_weights(edges, rank0, rank1):
     """Weights making D homogeneous, or None; components anchored at zero."""
-    if lg.weights is None:
+    if edges is None:
         return None
-    h = lg.weighted_degree
-    rank0, rank1 = d01.ncols, d01.nrows
-    # nodes: (0, j) even basis, (1, i) odd basis
-    edges = {}
-
-    def add_edge(a, b, delta):
-        edges.setdefault(a, []).append((b, delta))
-        edges.setdefault(b, []).append((a, -delta))
-
-    for i in range(rank1):
-        for j in range(rank0):
-            p = d01[i, j]
-            if p.is_zero():
-                continue
-            degree = _doubled_degree(lg, p)
-            if degree is None:
-                return None
-            # wt1[i] = wt0[j] + h - degree
-            add_edge((0, j), (1, i), h - degree)
-    for i in range(rank0):
-        for j in range(rank1):
-            p = d10[i, j]
-            if p.is_zero():
-                continue
-            degree = _doubled_degree(lg, p)
-            if degree is None:
-                return None
-            add_edge((1, j), (0, i), h - degree)
+    adjacent = {}
+    for a, b, delta in edges:
+        adjacent.setdefault(a, []).append((b, delta))
+        adjacent.setdefault(b, []).append((a, -delta))
     assignment = {}
     for start in [(0, j) for j in range(rank0)] + [(1, i) for i in range(rank1)]:
         if start in assignment:
@@ -221,7 +205,7 @@ def _infer_weights(lg, d01, d10):
         while queue:
             node = queue.pop()
             base = assignment[node]
-            for neighbor, delta in edges.get(node, ()):
+            for neighbor, delta in adjacent.get(node, ()):
                 value = base + delta
                 known = assignment.get(neighbor)
                 if known is None:
@@ -682,6 +666,12 @@ class HomCohomology:
     than certified reports stabilized False.  Without a certificate, and in
     windowed mode, every piece of the window is built at once.
 
+    In windowed mode the certificate is a guard only (certified stays None):
+    stabilized is True when the last two windows agree and, where
+    koszul_hom_dims gives a certificate, their dims equal it.  A window
+    whose image misses part of the true image counts too many classes; that
+    is reported as stabilized False, not raised.
+
     The residual test decides whether a morphism is a cocycle, with no
     chain-level defect: each piece's image and quotient together span its
     kernel (quotient() counts its rows, and an acyclic piece's image is its
@@ -691,7 +681,7 @@ class HomCohomology:
     from them only on demand (MorphismClass.representative).
     """
 
-    def __init__(self, a1, a2, bound=None, groebner=None):
+    def __init__(self, a1, a2, bound=None):
         if a1.lg is not a2.lg and a1.lg.key() != a2.lg.key():
             raise ValidationError("factorizations of different LG pairs")
         self.a1 = a1
@@ -701,7 +691,7 @@ class HomCohomology:
             self.lg.weights is not None and a1.graded and a2.graded
         )
         if bound is None:
-            bound = default_degree_bound(self.lg, a1, a2, self.graded, groebner)
+            bound = default_degree_bound(self.lg, a1, a2, self.graded)
         if bound < 0:
             raise ValidationError("degree bound must be non-negative")
         self.bound = bound
@@ -729,8 +719,11 @@ class HomCohomology:
                     self._add_piece(parity, 0, basis, kernel, image)  # one piece
                 else:
                     dims[parity] = len(_quotient(kernel, image)[1])
-            self.stabilized = len(degrees) == 2 and all(
-                dims[parity] == self.dim(parity) for parity in (0, 1)
+            found = (self.dim(0), self.dim(1))
+            self.stabilized = (
+                len(degrees) == 2
+                and (dims[0], dims[1]) == found
+                and koszul_hom_dims(self.a1, self.a2) in (None, found)
             )
             return
         degrees = list(range(complex_.min_degree, self.bound + 1))
@@ -917,11 +910,8 @@ def _quotient(kernel, image):
     return quotient(kernel, image)
 
 
-def default_degree_bound(lg, a1, a2, graded, groebner=None) -> int:
-    """Staircase top + max entry degree + slack, in the active degree units.
-
-    groebner is the Jacobi ideal's basis when the caller already has it.
-    """
+def default_degree_bound(lg, a1, a2, graded) -> int:
+    """Staircase top + max entry degree + slack, in the active degree units."""
     entry_max = 0
     for matrix in (a1.d01, a1.d10, a2.d01, a2.d10):
         for row in matrix.entries:
@@ -934,7 +924,7 @@ def default_degree_bound(lg, a1, a2, graded, groebner=None) -> int:
                     )
                 else:
                     entry_max = max(entry_max, p.total_degree())
-    gb = groebner if groebner is not None else jacobi_groebner(lg)
+    gb = lg.jacobi_basis
     if not gb.is_zero_dimensional():
         raise ValidationError(
             "the critical set is not finite; supply an explicit degree bound"
@@ -954,14 +944,9 @@ def hom_cohomology(
     a1: MatrixFactorization,
     a2: MatrixFactorization,
     degree_bound: Optional[int] = None,
-    groebner=None,
 ) -> HomCohomology:
-    """Parity- and degree-graded cohomology of the defect complex.
-
-    groebner, the Jacobi ideal's basis, saves recomputing it for the
-    default degree bound.
-    """
-    return HomCohomology(a1, a2, degree_bound, groebner)
+    """Parity- and degree-graded cohomology of the defect complex."""
+    return HomCohomology(a1, a2, degree_bound)
 
 
 def compose_classes(

@@ -48,13 +48,7 @@ from math import factorial
 from typing import Optional
 
 from .errors import AdjointnessError, DegenerateTraceError, ValidationError
-from .jacobi import (
-    JacobiAlgebra,
-    ResidueTrace,
-    jacobi_algebra,
-    raise_exponent,
-    residue_trace,
-)
+from .jacobi import JacobiAlgebra, ResidueTrace, raise_exponent, residue_trace
 from .lgpair import LGPair
 from .linalg import SparseMatrix, Vector, columns_apply, vec_from_list, vec_scale
 from .matfact import (
@@ -96,14 +90,9 @@ class BraneCategory:
     MorphismClass, and are the only code that knows the even-then-odd order.
     """
 
-    def __init__(
-        self, lg: LGPair, named_objects, degree_bound=None, groebner=None, homs=None
-    ):
-        """groebner is the Jacobi ideal's basis, for default degree bounds.
-
-        homs maps (name, name) to Hom spaces already computed for these
-        objects with this degree_bound; the other pairs are computed here.
-        """
+    def __init__(self, lg: LGPair, named_objects, degree_bound=None, homs=None):
+        """homs maps (name, name) to Hom spaces already computed for these
+        objects with this degree_bound; the other pairs are computed here."""
         names = [name for name, _ in named_objects]
         if len(set(names)) != len(names):
             raise ValidationError("brane names must be unique")
@@ -118,7 +107,7 @@ class BraneCategory:
                 hom = known.get((names[i], names[j]))
                 if hom is None:
                     hom = hom_cohomology(
-                        self.objects[i], self.objects[j], degree_bound, groebner
+                        self.objects[i], self.objects[j], degree_bound
                     )
                 self.homs[(i, j)] = hom
         self.units = [
@@ -491,22 +480,19 @@ def build_tft_datum(
     degree_bound=None,
     boundary_normalization=None,
     bulk_scale=Fraction(1),
-    algebra=None,
     homs=None,
 ) -> TFTDatum:
     """Assemble bulk + branes; degenerate bulk traces are carried as None.
 
-    algebra (the Jacobi algebra of lg) and homs (see BraneCategory) pass in
-    what the caller has already computed.
+    The bulk is lg's Jacobi algebra; homs (see BraneCategory) passes in the
+    Hom spaces the caller has already computed.
     """
-    if algebra is None:
-        algebra = jacobi_algebra(lg)
     try:
-        trace = residue_trace(algebra, lg, scale=bulk_scale)
+        trace = residue_trace(lg, scale=bulk_scale)
     except DegenerateTraceError:
         trace = None
-    bulk = BulkAlgebra(algebra, trace)
-    branes = BraneCategory(lg, named_branes, degree_bound, algebra.gb, homs)
+    bulk = BulkAlgebra(lg.jacobi_algebra, trace)
+    branes = BraneCategory(lg, named_branes, degree_bound, homs)
     return TFTDatum(lg, bulk, branes, boundary_normalization)
 
 

@@ -132,7 +132,7 @@ def test_table_and_associativity_clause_against_oracles(variables, w):
 
 def test_table_costs_nvars_times_mu_normal_forms(monkeypatch):
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
-    gb = jacobi_groebner(lg)
+    lg.jacobi_basis  # computed before the count starts
     calls = []
     original = GroebnerBasis.normal_form
 
@@ -141,7 +141,7 @@ def test_table_costs_nvars_times_mu_normal_forms(monkeypatch):
         return original(self, p)
 
     monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
-    algebra = JacobiAlgebra(lg, gb)
+    algebra = JacobiAlgebra(lg)
     assert algebra.dimension == 9
     assert len(calls) == 0  # the M_k and the table wait for their first read
     table = algebra.table
@@ -152,15 +152,13 @@ def test_table_costs_nvars_times_mu_normal_forms(monkeypatch):
 
 def test_trace_x2_hessian_normalization():
     lg = make_lg_pair(["x"], "x^2")
-    algebra = jacobi_algebra(lg)
-    trace = residue_trace(algebra, lg)
+    trace = residue_trace(lg)
     assert trace.of_poly(lg.ring.parse("2")) == GaussianRational(1)
 
 
 def test_trace_x3_values():
     lg = make_lg_pair(["x"], "x^3")
-    algebra = jacobi_algebra(lg)
-    trace = residue_trace(algebra, lg)
+    trace = residue_trace(lg)
     assert trace.of_poly(lg.ring.one()) == GaussianRational(0)
     assert trace.of_poly(lg.ring.parse("x")) == GaussianRational(Fraction(1, 3))
     # hessian W'' = 6x satisfies trace = mu = 2
@@ -171,7 +169,7 @@ def test_trace_against_one_variable_residue_oracle():
     for w_text in ["x^3", "x^4", "x^5", "x^3 - x", "x^4 + x^2"]:
         lg = make_lg_pair(["x"], w_text)
         algebra = jacobi_algebra(lg)
-        trace = residue_trace(algebra, lg)
+        trace = residue_trace(lg)
         w_prime = lg.w.partial_derivative(0)
         for k in range(algebra.dimension):
             monomial = algebra.basis_poly(k)
@@ -182,7 +180,7 @@ def test_gram_symmetric_and_nondegenerate():
     for variables, w in [(["x"], "x^6"), (["x", "y"], "x^3+y^3")]:
         lg = make_lg_pair(variables, w)
         algebra = jacobi_algebra(lg)
-        trace = residue_trace(algebra, lg)
+        trace = residue_trace(lg)
         gram = trace.gram
         assert gram == gram.transpose()
         gram.inverse()  # raises if singular
@@ -191,7 +189,7 @@ def test_gram_symmetric_and_nondegenerate():
 def test_gram_matches_trace_of_products():
     lg = make_lg_pair(["x", "y"], "x^3+y^3")
     algebra = jacobi_algebra(lg)
-    trace = residue_trace(algebra, lg)
+    trace = residue_trace(lg)
     for a in range(algebra.dimension):
         for b in range(algebra.dimension):
             product = algebra.basis_poly(a) * algebra.basis_poly(b)
@@ -200,33 +198,29 @@ def test_gram_matches_trace_of_products():
 
 def test_trace_scale_configuration():
     lg = make_lg_pair(["x"], "x^3")
-    algebra = jacobi_algebra(lg)
-    scaled = residue_trace(algebra, lg, scale=Fraction(6))
+    scaled = residue_trace(lg, scale=Fraction(6))
     assert scaled.of_poly(lg.ring.parse("x")) == GaussianRational(2)
 
 
 def test_zero_scaled_gram_stores_no_zeros():
     """Sparse rows hold nonzero values only; a zero scale gives empty rows."""
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
-    algebra = jacobi_algebra(lg)
-    gram = residue_trace(algebra, lg, 0).gram
+    gram = residue_trace(lg, 0).gram
     assert gram.is_zero()
     assert all(value for row in gram.rows for value in row.values())
 
 
 def test_trace_zero_algebra_errors():
     lg = make_lg_pair(["x"], "x")
-    algebra = jacobi_algebra(lg)
     with pytest.raises(DegenerateTraceError):
-        residue_trace(algebra, lg)
+        residue_trace(lg)
 
 
 def test_hessian_determinant():
     lg = make_lg_pair(["x", "y"], "x^3+y^3")
     assert hessian_determinant(lg) == lg.ring.parse("36*x*y")
     # trace of the hessian class equals the Milnor number
-    algebra = jacobi_algebra(lg)
-    trace = residue_trace(algebra, lg)
+    trace = residue_trace(lg)
     assert trace.of_poly(hessian_determinant(lg)) == GaussianRational(4)
 
 

@@ -1,10 +1,12 @@
 """Job files, reports, diffing, caching, and the command-line interface."""
 
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -153,16 +155,72 @@ print(json.dumps(cached["results"] == plain["results"]))
 
 def test_compute_all_builds_one_jacobi_algebra(monkeypatch):
     built = []
-    original = lgtft.jobs.JacobiAlgebra.__init__
+    original = JacobiAlgebra.__init__
 
     def counting(self, *args, **kwargs):
         built.append(self)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(lgtft.jobs.JacobiAlgebra, "__init__", counting)
+    monkeypatch.setattr(JacobiAlgebra, "__init__", counting)
     report = run_job(JobSpec.from_dict(_basic_job()))
     assert report["results"]["tft"]["passed"] is True
     assert len(built) == 1
+
+
+# the two rank-2|2 branes of the ROADMAP baseline datum on x^4+y^4
+_BASELINE_JOB = {
+    "variables": ["x", "y"],
+    "superpotential": "x^4+y^4",
+    "branes": [
+        {"name": "A", "pairs": [["x", "x^3"], ["y", "y^3"]]},
+        {"name": "B", "pairs": [["x^2", "x^2"], ["y", "y^3"]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("compute", ["all", ["homs", "tft"]])
+def test_default_bound_job_computes_one_jacobi_basis(monkeypatch, compute):
+    """The jacobi section, every default Hom bound and the tft bulk read the
+    basis the LG pair keeps: Buchberger runs once on the Jacobi partials."""
+    lg = lgtft.jobs.make_lg_pair(["x", "y"], "x^4+y^4")
+    partials = [p for p in lg.partials() if not p.is_zero()]
+    runs = []
+    original = lgtft.groebner.buchberger
+
+    def counting(generators):
+        runs.append(list(generators) == partials)
+        return original(generators)
+
+    monkeypatch.setattr(lgtft.groebner, "buchberger", counting)
+    report = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": compute}))
+    assert report["results"]["tft"]["passed"] is True
+    assert runs.count(True) == 1
+
+
+@pytest.mark.parametrize(
+    "compute", [["jacobi", "koszul", "homs"], "all"], ids=["graded", "tft"]
+)
+def test_finished_job_frees_its_lg_pair_without_gc(monkeypatch, compute):
+    """The LG pair keeps its Jacobi basis and algebra, and nothing it keeps
+    refers back to it: with the cycle collector off, reference counting
+    frees the pair of a finished job."""
+    freed = []
+    build = lgtft.jobs._build_lg
+
+    def tracked(spec):
+        lg = build(spec)
+        weakref.finalize(lg, freed.append, "freed")
+        return lg
+
+    monkeypatch.setattr(lgtft.jobs, "_build_lg", tracked)
+    spec = JobSpec.from_dict({**_BASELINE_JOB, "compute": compute})
+    gc.disable()
+    try:
+        report = run_job(spec)
+        assert report["results"]["jacobi"]["milnor_number"] == 9
+        assert freed == ["freed"]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

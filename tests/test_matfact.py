@@ -804,6 +804,38 @@ def test_short_window_is_not_stabilized():
     assert not BraneCategory(lg, [("A", a)], degree_bound=2).hom_finite()
 
 
+_WINDOWED_OVERCOUNT_SCRIPT = """
+from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import hom_cohomology, koszul_factorization, koszul_hom_dims
+
+lg = make_lg_pair(["x", "y"], "x^5+y^5+x^2*y^2")
+a = koszul_factorization(lg, [("x^2", "x^3+y^2"), ("y", "y^4")])
+hom = hom_cohomology(a, a)
+print(koszul_hom_dims(a, a), hom.graded, hom.certified, hom.bound)
+print(hom.dim(0), hom.dim(1), hom.stabilized)
+"""
+
+
+def test_windowed_hom_above_its_certificate_is_not_stabilized():
+    """End((x^2, x^3+y^2)(y, y^4)) on the non-quasi-homogeneous
+    x^5+y^5+x^2*y^2 has 4|4 classes, but its window at bound 12 counts 12|12
+    and its last two windows agree.  The certificate guards the window: the
+    table is reported as not stabilized, plainly and under python -O."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", _WINDOWED_OVERCOUNT_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == [
+            "(4,", "4)", "False", "None", "12", "12", "12", "False",
+        ], flags
+
+
 def test_stopped_window_classes_match_the_full_window():
     """The baseline Homs stop at degree 4 or below.  Every composite of two
     basis classes, those landing in degrees 5 to 8 above the stop included,

@@ -4,7 +4,8 @@ Each job of JOBS runs in process with no cache, and its report minus timing
 must equal tests/reference/<name>.json byte for byte.  The jobs cover what
 the benchmark templates do not: the even-dimensional quadric with nonzero
 Cardy entries, Koszul pairs in one and two variables, a windowed brane with
-the tft section, a singular residue Gram matrix, and a rank-4|4 End.
+the tft section, a singular residue Gram matrix, a rank-4|4 End, and a
+windowed End whose window counts more classes than its certificate.
 
     PYTHONPATH=src python3 tests/test_reference_reports.py [NAME ...]
 
@@ -78,9 +79,17 @@ JOBS = {
             {"name": "N", "pairs": [["x", "x^2"], ["y", "y^2"], ["z", "z^2"]]},
         ],
     },
+    # its window counts 12|12 classes against a certificate of 4|4, so the
+    # Hom is reported as not stabilized
+    "windowed_overcount": {
+        "variables": ["x", "y"],
+        "superpotential": "x^5+y^5+x^2*y^2",
+        "branes": [{"name": "E", "pairs": [["x^2", "x^3+y^2"], ["y", "y^4"]]}],
+        "compute": ["homs"],
+    },
 }
 for _raw in JOBS.values():
-    _raw["compute"] = "all"
+    _raw.setdefault("compute", "all")
 
 
 def report_text(name: str) -> str:
