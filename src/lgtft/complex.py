@@ -16,6 +16,12 @@ piece (successor index, n + step).  step is the degree of the differential
 in the graded case and the largest total degree of an entry in the windowed
 case, so a window never loses part of an image.
 
+The monomials of each degree are listed once per complex, with their
+positions, and every piece is a layout of blocks over those lists: a
+generator's block starts where the previous one ends.  The matrix of a
+piece puts x^e * (term of an entry) at its target block's start plus the
+position of its monomial, with no index of the target basis built.
+
 cohomology() yields a piece's kernel and image.  Most pieces of a Hom complex
 are acyclic, and an acyclic piece costs no elimination beyond the map out of
 it: once the rank of the map in is known to equal the kernel's dimension, the
@@ -66,6 +72,8 @@ class FreeComplex:
             )
         else:
             self.step = shift
+        self._monomial_lists = {}  # degree -> (monomials, {exps: position})
+        self._layouts = {}  # (index, degree) -> (size, {label: block})
         self._bases = {}
         self._rrefs = {}  # (index, degree) -> RREF of the map out, kept by rank()
         self._check_square_zero()
@@ -87,44 +95,82 @@ class FreeComplex:
         key = (index, degree)
         basis = self._bases.get(key)
         if basis is None:
+            _, blocks = self._layout(index, degree)
             basis = self._bases[key] = [
                 (label, exps)
-                for label, offset in self.generators.get(index, ())
-                for exps in self._monomials(degree - offset)
+                for label, (_, monomials, _) in blocks.items()
+                for exps in monomials
             ]
         return basis
 
+    def _layout(self, index, degree):
+        """(size, {label: (start, monomials, positions)}) of the piece: each
+        generator's block starts where the previous one ends."""
+        key = (index, degree)
+        layout = self._layouts.get(key)
+        if layout is None:
+            blocks = {}
+            size = 0
+            for label, offset in self.generators.get(index, ()):
+                monomials, positions = self._monomials(degree - offset)
+                blocks[label] = (size, monomials, positions)
+                size += len(monomials)
+            layout = self._layouts[key] = (size, blocks)
+        return layout
+
     def _monomials(self, degree):
-        if self.weights is not None:
-            return monomials_of_weighted_degree(self.weights, degree)
-        ones = (1,) * self.ring.nvars
-        return [
-            exps
-            for total in range(degree + 1)
-            for exps in monomials_of_weighted_degree(ones, total)
-        ]
+        """(monomials, {exps: position}) of one degree, listed once."""
+        found = self._monomial_lists.get(degree)
+        if found is None:
+            if self.weights is not None:
+                monomials = monomials_of_weighted_degree(self.weights, degree)
+            else:
+                ones = (1,) * self.ring.nvars
+                monomials = [
+                    exps
+                    for total in range(degree + 1)
+                    for exps in monomials_of_weighted_degree(ones, total)
+                ]
+            positions = {exps: k for k, exps in enumerate(monomials)}
+            found = self._monomial_lists[degree] = (monomials, positions)
+        return found
 
     def matrix(self, index, degree) -> SparseMatrix:
-        """The differential out of the piece (index, degree), read off the entries."""
-        source = self.basis(index, degree)
-        target = self.basis(self.successor[index], degree + self.step)
-        row_of = {element: row for row, element in enumerate(target)}
-        rows = [{} for _ in target]
-        for col, (label, exps) in enumerate(source):
-            for target_label, coeff in self.entries[label]:
-                for e, c in coeff.terms.items():
-                    row = row_of.get((target_label, mono_mul(exps, e)))
-                    if row is None:
+        """The differential out of the piece (index, degree), read off the entries.
+
+        Column by column, each term of an entry lands in the row of its target
+        block's start plus its monomial's position.
+        """
+        ncols, source = self._layout(index, degree)
+        nrows, target = self._layout(self.successor[index], degree + self.step)
+        rows = [{} for _ in range(nrows)]
+        col = 0
+        for label, (_, monomials, _) in source.items():
+            images = [
+                (target.get(target_label), coeff.terms.items())
+                for target_label, coeff in self.entries[label]
+            ]
+            for exps in monomials:
+                for block, terms in images:
+                    if block is None:
                         raise InternalCheckError(
                             "the differential leaves its target piece"
                         )
-                    entry = rows[row]
-                    value = entry[col] + c if col in entry else c
-                    if value:
-                        entry[col] = value
-                    else:
-                        del entry[col]
-        return SparseMatrix(len(target), len(source), rows)
+                    start, _, positions = block
+                    for e, c in terms:
+                        row = positions.get(mono_mul(exps, e))
+                        if row is None:
+                            raise InternalCheckError(
+                                "the differential leaves its target piece"
+                            )
+                        entry = rows[start + row]
+                        value = entry[col] + c if col in entry else c
+                        if value:
+                            entry[col] = value
+                        else:
+                            del entry[col]
+                col += 1
+        return SparseMatrix(nrows, ncols, rows)
 
     def rank(self, index, degree) -> int:
         """Rank of the differential out of the piece.
@@ -134,9 +180,9 @@ class FreeComplex:
         """
         key = (index, degree)
         if key not in self._rrefs:
-            nonempty = self.basis(index, degree) and self.basis(
+            nonempty = self._layout(index, degree)[0] and self._layout(
                 self.successor[index], degree + self.step
-            )
+            )[0]
             self._rrefs[key] = (
                 self.matrix(index, degree).rref() if nonempty else ([], [])
             )
@@ -144,7 +190,7 @@ class FreeComplex:
 
     def dim(self, index, degree) -> int:
         """Cohomology dimension of the piece: its size less the ranks out and in."""
-        size = len(self.basis(index, degree))
+        size = self._layout(index, degree)[0]
         if not size:
             return 0
         rank_out = self.rank(index, degree) if index in self.successor else 0
@@ -198,7 +244,7 @@ class FreeComplex:
             previous = (source, degree - self.step)
             if incoming is None:
                 columns = []  # no map in, or a zero one
-                if source is not None and self.basis(*previous):
+                if source is not None and self._layout(*previous)[0]:
                     incoming = self.matrix(*previous)
                     known = self._rrefs.get(previous)
                     columns = None if known is None else known[0]

@@ -308,6 +308,8 @@ def residue_trace(lg: LGPair, scale=Fraction(1)) -> ResidueTrace:
         raise InternalCheckError("hessian normalization failed")
 
     scale = GaussianRational.coerce(scale)
+    if scale == 1:
+        return ResidueTrace(algebra, values, gram_unscaled, scale)
     scaled_values = [scale * v for v in values]
     gram = SparseMatrix(
         mu, mu, [vec_scale(row, scale) for row in gram_unscaled.rows]

@@ -22,6 +22,7 @@ from typing import Optional
 from . import __version__
 from .cache import Cache, null_cache
 from .errors import (
+    ClassBoundError,
     DegenerateTraceError,
     FactorizationError,
     LGError,
@@ -322,7 +323,11 @@ def _run_jacobi(spec: JobSpec, lg: LGPair) -> dict:
     out["milnor_number"] = algebra.dimension
     out["basis"] = [str(algebra.basis_poly(k)) for k in range(algebra.dimension)]
     if algebra.dimension:
-        trace = residue_trace(lg, scale=spec.bulk_scale)
+        trace = lg.residue_traces.get(spec.bulk_scale)
+        if trace is None:
+            trace = lg.residue_traces[spec.bulk_scale] = residue_trace(
+                lg, scale=spec.bulk_scale
+            )
         out["trace"] = [str(v) for v in trace.values]
         mu = algebra.dimension
         gram = out["gram"] = [["0"] * mu for _ in range(mu)]
@@ -428,7 +433,7 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
         elif section == "tft":
             try:
                 results["tft"] = _run_tft(spec, lg, branes, homs)
-            except DegenerateTraceError as exc:
+            except (DegenerateTraceError, ClassBoundError) as exc:
                 results["tft"] = {"skipped": str(exc)}
         timing[section] = round(time.time() - section_start, 6)
     timing["total"] = round(time.time() - started, 6)

@@ -21,8 +21,9 @@ class LGPair:
 
     signature is the parity of the dimension d; it is the Z2-degree carried
     by every boundary trace downstream.  The Jacobi basis and algebra are
-    fixed by (X, W), so the pair computes each on first use and keeps it.
-    Neither refers back to the pair, which is freed by reference counting.
+    fixed by (X, W), so the pair computes each on first use and keeps it,
+    and keeps the residue trace of each scale it is asked for.  None of them
+    refers back to the pair, which is freed by reference counting.
     """
 
     ring: PolyRing
@@ -77,6 +78,13 @@ class LGPair:
         """The Jacobi algebra on jacobi_basis.  Raises
         NonIsolatedCriticalLocusError when the critical set is infinite."""
         return jacobi_algebra(self)
+
+    @cached_property
+    def residue_traces(self) -> dict:
+        """scale -> the residue trace of the Jacobi algebra at that scale.
+        The jobs and tft sections that call jacobi.residue_trace keep each
+        trace here, so a job computes it once."""
+        return {}
 
     def key(self) -> tuple:
         """Canonical content key (used for caching and report echoes)."""

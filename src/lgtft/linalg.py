@@ -12,9 +12,9 @@ rule.
 
 Elimination does sparse work.  A column index (column -> rows with a nonzero
 entry there) gives the candidate rows of each pivot column and the rows to
-clear, and each row operation updates the index on the pivot row's columns
-only; the pivot rule is the one above.  The kernel is read off the RREF in one
-walk over its entries.
+clear, and each row operation updates the row in place and the index on the
+pivot row's columns only; the pivot rule is the one above.  The kernel is read
+off the RREF in one walk over its entries.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational
 
 Vector = dict  # column index -> nonzero GaussianRational
 
@@ -188,6 +188,8 @@ class SparseMatrix:
         normalized to pivot 1 and fully reduced.  holders[col] is the set of
         rows with a nonzero entry in column col; a row operation changes only
         the columns of the pivot row, so only those entries are updated.
+        Rows are copied once and then updated in place; a pivot that is
+        already 1 is not scaled.
         """
         work = [dict(row) for row in self.rows]
         holders = [set() for _ in range(self.ncols)]
@@ -205,17 +207,33 @@ class SparseMatrix:
                 continue
             _, pivot_idx = min(candidates)
             used.add(pivot_idx)
-            scale = work[pivot_idx][col].inverse()
-            work[pivot_idx] = pivot_row = vec_scale(work[pivot_idx], scale)
+            pivot_row = work[pivot_idx]
+            pivot = pivot_row[col]
+            if pivot != ONE:
+                scale = pivot.inverse()
+                for k, v in pivot_row.items():
+                    pivot_row[k] = v * scale
+            # row -= row[col] * pivot_row: col drops out, as the pivot is 1,
+            # and each other column k adds row[col] * (-pivot_row[k])
+            negated = [(k, -v) for k, v in pivot_row.items() if k != col]
             for idx in list(holding):
                 if idx == pivot_idx:
                     continue
-                work[idx] = row = vec_axpy(work[idx], -work[idx][col], pivot_row)
-                for k in pivot_row:
-                    if k in row:
+                row = work[idx]
+                factor = row.pop(col)
+                holding.discard(idx)
+                for k, v in negated:
+                    acc = row.get(k)
+                    if acc is None:
+                        row[k] = factor * v
                         holders[k].add(idx)
                     else:
-                        holders[k].discard(idx)
+                        total = acc + factor * v
+                        if total:
+                            row[k] = total
+                        else:
+                            del row[k]
+                            holders[k].discard(idx)
             done.append((col, pivot_idx))
         return [col for col, _ in done], [work[idx] for _, idx in done]
 

@@ -44,15 +44,22 @@ from .polymatrix import PolyMatrix
 from .scalars import GaussianRational
 
 
+_UNSET = object()  # a factorization's _ideal before koszul_hom_dims sets it
+
+
 class MatrixFactorization:
     """Free supermodule P0 + P1 with odd differential squaring to W.
 
     pairs holds the factor pairs (a_k, b_k) of a Koszul factorization, as
     koszul_factorization parsed them, and is None otherwise.  It is not part
-    of key(): it only lets koszul_hom_dims certify Hom dimensions.
+    of key(): it only lets koszul_hom_dims certify Hom dimensions, and
+    koszul_hom_dims keeps the Groebner basis of the ideal (c) it picks from
+    them in _ideal, for every Hom out of this brane.
     """
 
-    __slots__ = ("lg", "d01", "d10", "weights0", "weights1", "pairs", "_key")
+    __slots__ = (
+        "lg", "d01", "d10", "weights0", "weights1", "pairs", "_ideal", "_key"
+    )
 
     def __init__(self, lg, d01, d10, weights0=None, weights1=None):
         self.lg = lg
@@ -61,6 +68,7 @@ class MatrixFactorization:
         self.weights0 = tuple(weights0) if weights0 is not None else None
         self.weights1 = tuple(weights1) if weights1 is not None else None
         self.pairs = None
+        self._ideal = _UNSET
         self._key = None
 
     @property
@@ -530,20 +538,29 @@ def koszul_hom_dims(source, target) -> Optional[tuple]:
     pairs = source.pairs
     if pairs is None or len(pairs) != source.lg.ring.nvars:
         return None
-    for choice in itertools.product(*pairs):
-        generators = [c for c in choice if not c.is_zero()]
-        if not generators:
-            continue
-        ideal = GroebnerBasis.compute(generators)
-        if ideal.is_zero_dimensional():
-            break
-    else:
+    ideal = source._ideal
+    if ideal is _UNSET:
+        ideal = source._ideal = _finite_colength_ideal(pairs)
+    if ideal is None:
         return None
     staircase = ideal.standard_monomials()
     dim = target.rank0 * len(staircase) - sum(
         _reduced_rank(ideal, staircase, block) for block in (target.d01, target.d10)
     )
     return dim, dim
+
+
+def _finite_colength_ideal(pairs) -> Optional[GroebnerBasis]:
+    """The Groebner basis of the first ideal (c), one c_k from each pair, of
+    finite colength, or None when no choice has one."""
+    for choice in itertools.product(*pairs):
+        generators = [c for c in choice if not c.is_zero()]
+        if not generators:
+            continue
+        ideal = GroebnerBasis.compute(generators)
+        if ideal.is_zero_dimensional():
+            return ideal
+    return None
 
 
 def _reduced_rank(ideal, staircase, block) -> int:

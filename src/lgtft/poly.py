@@ -10,6 +10,7 @@ reparseable.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import ParseError, RingMismatchError
@@ -26,7 +27,7 @@ def grevlex_key(exps: tuple) -> tuple:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:

@@ -4,10 +4,12 @@ These deliberately avoid the library's elimination and enumeration code:
 dense textbook Gaussian elimination, brute-force staircase counting, and the
 classical one-variable residue via polynomial division, the
 row-scanning sparse elimination the library's column-indexed one replaced,
-the textbook multivariate division loop the heap-ordered normal form
-replaced, the polynomial-sum loop of the Bezoutian's divided differences, and
-the boundary-bulk map f_a solved from its adjointness system, which the
-closed form replaced.
+the column-indexed elimination through fresh vec_scale/vec_axpy dicts that
+the in-place one replaced, the piece matrix read through a (label, exps)
+row index that the block layout replaced, the textbook multivariate division
+loop the heap-ordered normal form replaced, the polynomial-sum loop of the
+Bezoutian's divided differences, and the boundary-bulk map f_a solved from
+its adjointness system, which the closed form replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -16,7 +18,8 @@ library's quotient(), which acyclic pieces no longer reach.
 
 from __future__ import annotations
 
-from lgtft.linalg import vec_axpy, vec_scale
+from lgtft.errors import InternalCheckError
+from lgtft.linalg import SparseMatrix, vec_axpy, vec_scale
 from lgtft.scalars import GaussianRational
 from lgtft.poly import Polynomial, mono_div, mono_divides, mono_mul
 
@@ -83,6 +86,63 @@ def scan_rref(matrix):
                 work[idx] = vec_axpy(work[idx], -coeff, pivot_row)
         done.append((col, pivot_idx))
     return [col for col, _ in done], [work[idx] for _, idx in done]
+
+
+def indexed_rref(matrix):
+    """(pivot_cols, rows) of a SparseMatrix by column-indexed elimination in
+    which every row operation builds a fresh row (vec_scale, vec_axpy).  Same
+    pivot rule as the library."""
+    work = [dict(row) for row in matrix.rows]
+    holders = [set() for _ in range(matrix.ncols)]
+    for idx, row in enumerate(work):
+        for col in row:
+            holders[col].add(idx)
+    done = []  # (pivot_col, work_index)
+    used = set()
+    for col in range(matrix.ncols):
+        if len(done) == matrix.nrows:
+            break
+        holding = holders[col]
+        candidates = [(len(work[idx]), idx) for idx in holding if idx not in used]
+        if not candidates:
+            continue
+        _, pivot_idx = min(candidates)
+        used.add(pivot_idx)
+        scale = work[pivot_idx][col].inverse()
+        work[pivot_idx] = pivot_row = vec_scale(work[pivot_idx], scale)
+        for idx in list(holding):
+            if idx == pivot_idx:
+                continue
+            work[idx] = row = vec_axpy(work[idx], -work[idx][col], pivot_row)
+            for k in pivot_row:
+                if k in row:
+                    holders[k].add(idx)
+                else:
+                    holders[k].discard(idx)
+        done.append((col, pivot_idx))
+    return [col for col, _ in done], [work[idx] for _, idx in done]
+
+
+def indexed_matrix(complex_, index, degree):
+    """The differential out of a FreeComplex piece, each term's row found in a
+    {(label, exps): row} index of the target basis built for the piece."""
+    source = complex_.basis(index, degree)
+    target = complex_.basis(complex_.successor[index], degree + complex_.step)
+    row_of = {element: row for row, element in enumerate(target)}
+    rows = [{} for _ in target]
+    for col, (label, exps) in enumerate(source):
+        for target_label, coeff in complex_.entries[label]:
+            for e, c in coeff.terms.items():
+                row = row_of.get((target_label, mono_mul(exps, e)))
+                if row is None:
+                    raise InternalCheckError("the differential leaves its target piece")
+                entry = rows[row]
+                value = entry[col] + c if col in entry else c
+                if value:
+                    entry[col] = value
+                else:
+                    del entry[col]
+    return SparseMatrix(len(target), len(source), rows)
 
 
 def scan_nullspace(ncols, pivot_cols, rows):

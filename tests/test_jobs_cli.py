@@ -197,6 +197,62 @@ def test_default_bound_job_computes_one_jacobi_basis(monkeypatch, compute):
     assert runs.count(True) == 1
 
 
+def test_compute_all_computes_the_residue_trace_once(monkeypatch):
+    """The jacobi and tft sections share the trace the LG pair keeps for the
+    job's scale."""
+    calls = []
+    for module in (lgtft.jobs, lgtft.tft):
+        original = module.residue_trace
+
+        def counting(lg, scale, original=original, module=module):
+            calls.append(module.__name__)
+            return original(lg, scale=scale)
+
+        monkeypatch.setattr(module, "residue_trace", counting)
+    report = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": "all"}))
+    assert report["results"]["tft"]["passed"] is True
+    assert calls == ["lgtft.jobs"]
+
+
+def test_each_koszul_source_computes_its_ideal_once(monkeypatch):
+    """Every Hom out of a Koszul brane reads the Groebner basis of its ideal
+    (c) that the brane keeps: two sources, four Homs, two Buchberger runs
+    besides the Jacobi ideal's."""
+    lg = lgtft.jobs.make_lg_pair(["x", "y"], "x^4+y^4")
+    partials = [p for p in lg.partials() if not p.is_zero()]
+    runs = []
+    original = lgtft.groebner.buchberger
+
+    def counting(generators):
+        runs.append(list(generators) == partials)
+        return original(generators)
+
+    monkeypatch.setattr(lgtft.groebner, "buchberger", counting)
+    report = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": "all"}))
+    assert len(report["results"]["homs"]) == 4
+    assert runs.count(True) == 1
+    assert runs.count(False) == 2
+
+
+def test_cli_overcounted_windowed_end_skips_the_tft_section(tmp_path, capsys):
+    """A composite of two basis classes of End((x^2, x^3+y^2)(y, y^4)) on
+    x^5+y^5+x^2*y^2, whose window over-counts its classes, lands outside the
+    window.  The tft section records that as skipped, and the report of the
+    other sections is written with exit 0."""
+    raw = {
+        "variables": ["x", "y"],
+        "superpotential": "x^5+y^5+x^2*y^2",
+        "branes": [{"name": "E", "pairs": [["x^2", "x^3+y^2"], ["y", "y^4"]]}],
+        "compute": "all",
+    }
+    out = tmp_path / "report.json"
+    assert main(["run", _write_job(tmp_path, raw), "--no-cache", "--output", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["homs"]["E|E"]["stabilized"] is False
+    assert set(results["tft"]) == {"skipped"}
+    assert "outside the computed window" in results["tft"]["skipped"]
+
+
 @pytest.mark.parametrize(
     "compute", [["jacobi", "koszul", "homs"], "all"], ids=["graded", "tft"]
 )

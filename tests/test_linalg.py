@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from lgtft.complex import quotient
 from lgtft.linalg import SparseMatrix, rref_reduce, vec_axpy, vec_from_list
 from lgtft.scalars import GaussianRational, I
 
-from oracles import dense_rank, scan_nullspace, scan_rref
+from oracles import dense_rank, indexed_rref, scan_nullspace, scan_rref
 
 
 def g(x):
@@ -92,6 +93,13 @@ def test_singular_inverse_raises():
 gaussian_integers = st.builds(
     GaussianRational, st.integers(-3, 3), st.integers(-1, 1)
 )
+# non-unit pivots, denominators and i
+gaussian_rationals = st.builds(
+    lambda re, im, d: GaussianRational(Fraction(re, d), Fraction(im, d)),
+    st.integers(-4, 4),
+    st.integers(-2, 2),
+    st.sampled_from([1, 1, 2, 3, 6]),
+)
 
 
 @st.composite
@@ -143,12 +151,12 @@ def test_solve_against_dense_rank(entries, data):
 
 @st.composite
 def sparse_row_matrices(draw):
-    """Sparse Gaussian-integer matrices built row by row: empty rows and
+    """Sparse Gaussian-rational matrices built row by row: empty rows and
     columns, duplicated and rescaled rows, and optionally [A | I]."""
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 7))
     density = draw(st.sampled_from([0.15, 0.35, 0.7]))
-    nonzero = gaussian_integers.filter(bool)
+    nonzero = gaussian_rationals.filter(bool)
     rows = []
     for _ in range(nrows):
         row = {}
@@ -174,12 +182,20 @@ def sparse_row_matrices(draw):
 @given(sparse_row_matrices())
 @settings(max_examples=300, deadline=None)
 def test_elimination_against_row_scanning_oracle(m):
-    original = [dict(row) for row in m.rows]
+    """The in-place elimination equals the row-scanning one, and the
+    column-indexed one through fresh dicts that it replaced also in the
+    order of each row's entries."""
+    original = [list(row.items()) for row in m.rows]
     pivot_cols, rows = m.rref()
     expected_cols, expected_rows = scan_rref(m)
     assert pivot_cols == expected_cols
     assert rows == expected_rows
-    assert m.rows == original  # the input is not modified
+    indexed_cols, indexed_rows = indexed_rref(m)
+    assert pivot_cols == indexed_cols
+    assert [list(row.items()) for row in rows] == [
+        list(row.items()) for row in indexed_rows
+    ]
+    assert [list(row.items()) for row in m.rows] == original  # input unchanged
     kernel = m.nullspace()
     assert kernel == scan_nullspace(m.ncols, expected_cols, expected_rows)
     assert all(not m.apply(vector) for vector in kernel)
