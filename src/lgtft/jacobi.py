@@ -259,8 +259,18 @@ def residue_trace(lg: LGPair, scale=Fraction(1)) -> ResidueTrace:
     trace(det Hessian) = dim.
 
     scale multiplies the whole functional (the Cardy check treats the overall
-    normalization as a solvable unknown, so it is exposed here).
+    normalization as a solvable unknown, so it is exposed here).  lg keeps
+    the trace of each scale (LGPair.residue_traces), so a job computes it
+    once.
     """
+    scale = GaussianRational.coerce(scale)
+    trace = lg.residue_traces.get(scale)
+    if trace is None:
+        trace = lg.residue_traces[scale] = _residue_trace(lg, scale)
+    return trace
+
+
+def _residue_trace(lg: LGPair, scale: GaussianRational) -> ResidueTrace:
     algebra = lg.jacobi_algebra
     if algebra.is_zero_algebra():
         raise DegenerateTraceError(
@@ -307,9 +317,6 @@ def residue_trace(lg: LGPair, scale=Fraction(1)) -> ResidueTrace:
     if check != GaussianRational(mu):
         raise InternalCheckError("hessian normalization failed")
 
-    scale = GaussianRational.coerce(scale)
-    if scale == 1:
-        return ResidueTrace(algebra, values, gram_unscaled, scale)
     scaled_values = [scale * v for v in values]
     gram = SparseMatrix(
         mu, mu, [vec_scale(row, scale) for row in gram_unscaled.rows]

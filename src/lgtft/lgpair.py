@@ -81,9 +81,8 @@ class LGPair:
 
     @cached_property
     def residue_traces(self) -> dict:
-        """scale -> the residue trace of the Jacobi algebra at that scale.
-        The jobs and tft sections that call jacobi.residue_trace keep each
-        trace here, so a job computes it once."""
+        """scale -> the residue trace of the Jacobi algebra at that scale,
+        filled by jacobi.residue_trace on first use of each scale."""
         return {}
 
     def key(self) -> tuple:

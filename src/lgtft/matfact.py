@@ -704,9 +704,7 @@ class HomCohomology:
         self.a1 = a1
         self.a2 = a2
         self.lg = a1.lg
-        self.graded = (
-            self.lg.weights is not None and a1.graded and a2.graded
-        )
+        self.graded = hom_is_graded(a1, a2)
         if bound is None:
             bound = default_degree_bound(self.lg, a1, a2, self.graded)
         if bound < 0:
@@ -925,6 +923,12 @@ def _quotient(kernel, image):
     if image[1] is kernel:  # acyclic: the image is the kernel
         return [], []
     return quotient(kernel, image)
+
+
+def hom_is_graded(a1, a2) -> bool:
+    """Whether Hom(a1, a2) is built graded by weighted degree; otherwise it
+    is one window of total degree up to its bound."""
+    return a1.lg.weights is not None and a1.graded and a2.graded
 
 
 def default_degree_bound(lg, a1, a2, graded) -> int:

@@ -484,18 +484,13 @@ def build_tft_datum(
 ) -> TFTDatum:
     """Assemble bulk + branes; degenerate bulk traces are carried as None.
 
-    The bulk is lg's Jacobi algebra, with the residue trace lg keeps for
-    bulk_scale when there is one; homs (see BraneCategory) passes in the Hom
-    spaces the caller has already computed.
+    The bulk is lg's Jacobi algebra; homs (see BraneCategory) passes in the
+    Hom spaces the caller has already computed.
     """
-    trace = lg.residue_traces.get(bulk_scale)
-    if trace is None:
-        try:
-            trace = lg.residue_traces[bulk_scale] = residue_trace(
-                lg, scale=bulk_scale
-            )
-        except DegenerateTraceError:
-            pass  # a degenerate bulk keeps trace None
+    try:
+        trace = residue_trace(lg, scale=bulk_scale)
+    except DegenerateTraceError:
+        trace = None
     bulk = BulkAlgebra(lg.jacobi_algebra, trace)
     branes = BraneCategory(lg, named_branes, degree_bound, homs)
     return TFTDatum(lg, bulk, branes, boundary_normalization)

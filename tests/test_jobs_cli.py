@@ -198,20 +198,19 @@ def test_default_bound_job_computes_one_jacobi_basis(monkeypatch, compute):
 
 
 def test_compute_all_computes_the_residue_trace_once(monkeypatch):
-    """The jacobi and tft sections share the trace the LG pair keeps for the
-    job's scale."""
-    calls = []
-    for module in (lgtft.jobs, lgtft.tft):
-        original = module.residue_trace
+    """The jacobi and tft sections both ask for the trace, and share the one
+    the LG pair keeps for the job's scale: one Bezoutian per job."""
+    computed = []
+    original = lgtft.jacobi.bezoutian_determinant
 
-        def counting(lg, scale, original=original, module=module):
-            calls.append(module.__name__)
-            return original(lg, scale=scale)
+    def counting(lg, ring2):
+        computed.append(str(lg.w))
+        return original(lg, ring2)
 
-        monkeypatch.setattr(module, "residue_trace", counting)
+    monkeypatch.setattr(lgtft.jacobi, "bezoutian_determinant", counting)
     report = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": "all"}))
     assert report["results"]["tft"]["passed"] is True
-    assert calls == ["lgtft.jobs"]
+    assert computed == ["x^4 + y^4"]
 
 
 def test_each_koszul_source_computes_its_ideal_once(monkeypatch):
@@ -251,6 +250,22 @@ def test_cli_overcounted_windowed_end_skips_the_tft_section(tmp_path, capsys):
     assert results["homs"]["E|E"]["stabilized"] is False
     assert set(results["tft"]) == {"skipped"}
     assert "outside the computed window" in results["tft"]["skipped"]
+
+
+def test_cli_graded_bound_too_small_for_the_tft_section_exits_1(tmp_path, capsys):
+    """In a graded job a composite above the job's own degree_bound is the
+    job's to mend: the run fails and asks for a larger bound."""
+    raw = {
+        "variables": ["x", "y"],
+        "superpotential": "x^4+y^4",
+        "branes": [{"name": "A", "pairs": [["x", "x^3"], ["y", "y^3"]]}],
+        "compute": "all",
+        "degree_bound": 2,
+    }
+    out = tmp_path / "report.json"
+    assert main(["run", _write_job(tmp_path, raw), "--no-cache", "--output", str(out)]) == 1
+    assert "recompute with a larger bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
