@@ -22,6 +22,15 @@ generator's block starts where the previous one ends.  The matrix of a
 piece puts x^e * (term of an entry) at its target block's start plus the
 position of its monomial, with no index of the target basis built.
 
+Without weights the ranks of a table are read off one elimination per index.
+A column of the window-n piece, of total degree at most n, maps into rows of
+degree at most n + step, so the window-n matrix is the window-N matrix
+(N >= n) cut down to its columns of degree at most n.  rank() eliminates the
+window-N matrix once with its columns in degree order (ties by position);
+the pivot columns of an RREF are the greedy column basis, so the rank of
+window n is the number of pivots of degree at most n.  A rank of a larger
+window eliminates again, at that window.
+
 cohomology() yields a piece's kernel and image.  Most pieces of a Hom complex
 are acyclic, and an acyclic piece costs no elimination beyond the map out of
 it: once the rank of the map in is known to equal the kernel's dimension, the
@@ -36,6 +45,8 @@ pieces class_of reaches above it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .errors import InternalCheckError
 from .linalg import SparseMatrix, rref_nullspace
@@ -75,7 +86,8 @@ class FreeComplex:
         self._monomial_lists = {}  # degree -> (monomials, {exps: position})
         self._layouts = {}  # (index, degree) -> (size, {label: block})
         self._bases = {}
-        self._rrefs = {}  # (index, degree) -> RREF of the map out, kept by rank()
+        self._rrefs = {}  # (index, degree) -> RREF of the map out, graded rank()
+        self._pivot_degrees = {}  # index -> (window, its pivots' degrees), windowed
         self._check_square_zero()
 
     def _check_square_zero(self):
@@ -175,18 +187,44 @@ class FreeComplex:
     def rank(self, index, degree) -> int:
         """Rank of the differential out of the piece.
 
-        Each matrix is eliminated once: its RREF is kept, and cohomology()
-        reads the kernel of the piece off it.
+        Graded, each matrix is eliminated once and its RREF kept for
+        first_class().  Windowed, each index is eliminated once, at the
+        largest window asked for so far, and the ranks of smaller windows
+        are counted off its pivots' degrees.
         """
-        key = (index, degree)
-        if key not in self._rrefs:
-            nonempty = self._layout(index, degree)[0] and self._layout(
-                self.successor[index], degree + self.step
-            )[0]
-            self._rrefs[key] = (
-                self.matrix(index, degree).rref() if nonempty else ([], [])
-            )
-        return len(self._rrefs[key][0])
+        if self.weights is not None:
+            key = (index, degree)
+            if key not in self._rrefs:
+                self._rrefs[key] = self._rref(index, degree)
+            return len(self._rrefs[key][0])
+        window, degrees = self._pivot_degrees.get(index, (-1, ()))  # -1 is empty
+        if degree > window:
+            degrees = self._window_pivot_degrees(index, degree)
+            self._pivot_degrees[index] = (degree, degrees)
+        return bisect_right(degrees, degree)
+
+    def _rref(self, index, degree):
+        """The RREF of the map out of the piece, columns in basis order."""
+        nonempty = self._layout(index, degree)[0] and self._layout(
+            self.successor[index], degree + self.step
+        )[0]
+        return self.matrix(index, degree).rref() if nonempty else ([], [])
+
+    def _window_pivot_degrees(self, index, window):
+        """The ascending total degrees of the pivot columns of the map out of
+        the window, its columns put in degree order (ties by position)."""
+        ncols, blocks = self._layout(index, window)
+        if not (ncols and self._layout(self.successor[index], window + self.step)[0]):
+            return []
+        degrees = [sum(exps) for _, monomials, _ in blocks.values() for exps in monomials]
+        order = sorted(range(len(degrees)), key=degrees.__getitem__)
+        position = [0] * len(order)
+        for new, old in enumerate(order):
+            position[old] = new
+        matrix = self.matrix(index, window)
+        rows = [{position[col]: v for col, v in row.items()} for row in matrix.rows]
+        pivot_cols, _ = SparseMatrix(matrix.nrows, matrix.ncols, rows).rref()
+        return [degrees[order[col]] for col in pivot_cols]
 
     def dim(self, index, degree) -> int:
         """Cohomology dimension of the piece: its size less the ranks out and in."""
@@ -207,8 +245,8 @@ class FreeComplex:
         it.  The map out of a piece is kept, with the pivot columns of its RREF,
         only when the piece it maps into is still to come, and dropped after
         that second use.  The pivot columns of a map span its column space, so
-        when the RREF of the map into a piece is known (kept here, or by
-        rank()) only those columns are eliminated; otherwise every column is.
+        when the RREF of the map into a piece is kept here only those columns
+        are eliminated; otherwise every column is.
 
         A piece is acyclic when the map into it is known to have rank
         len(kernel): its pivot columns are known, or there is no map in and
@@ -233,9 +271,7 @@ class FreeComplex:
                 yield basis, kernel, ([], kernel)
                 continue
             outgoing = self.matrix(index, degree)
-            rref = self._rrefs.get(piece)
-            if rref is None:
-                rref = outgoing.rref()
+            rref = outgoing.rref()
             kernel = rref_nullspace(outgoing.ncols, *rref)
             target = (self.successor[index], degree + self.step)
             if target in pending:
@@ -246,8 +282,7 @@ class FreeComplex:
                 columns = []  # no map in, or a zero one
                 if source is not None and self._layout(*previous)[0]:
                     incoming = self.matrix(*previous)
-                    known = self._rrefs.get(previous)
-                    columns = None if known is None else known[0]
+                    columns = None
             if columns is not None and len(columns) == len(kernel):
                 if incoming is not None:
                     _check_acyclic(rref[1], incoming, columns)
@@ -263,6 +298,50 @@ class FreeComplex:
                 spanning = [transposed[col] for col in columns]
                 image = SparseMatrix(len(spanning), incoming.nrows, spanning).rref()
             yield basis, kernel, image
+
+    def first_class(self, index, degree):
+        """The first vector of the piece's canonical kernel basis that is not
+        a boundary, or None when every one is.
+
+        The kernel basis is read off the RREF of the map out, columns in
+        basis order (the one rank() kept, when graded): v_f for each free
+        column f, 1 at f and 0 at the other free columns.  So a vector of the
+        kernel is the sum of its entries at the free columns times the v_f,
+        and the map in, its rows cut down to the free columns, takes values
+        in these kernel coordinates, where v_f is the unit vector e_f.  One
+        RREF of that map's columns then decides every v_f: it is a boundary
+        exactly when e_f is a row of the RREF.  The cut keeps the rank of the
+        map in, as the image lies in the kernel; otherwise InternalCheckError
+        is raised.
+        """
+        size = self._layout(index, degree)[0]
+        rref = self._rrefs.get((index, degree))
+        if rref is None:
+            rref = self._rref(index, degree)
+        pivots = set(rref[0])
+        free = [col for col in range(size) if col not in pivots]
+        boundaries = set()
+        source = self.predecessor.get(index)
+        previous = (source, degree - self.step)
+        if free and source is not None and self._layout(*previous)[0]:
+            incoming = self.matrix(*previous)
+            cut = [{} for _ in range(incoming.ncols)]
+            for position, row in enumerate(free):
+                for col, value in incoming.rows[row].items():
+                    cut[col][position] = value
+            pivot_cols, rows = SparseMatrix(incoming.ncols, len(free), cut).rref()
+            rank = self.rank(*previous)
+            if len(pivot_cols) != rank:
+                raise InternalCheckError(
+                    f"the map into piece {(index, degree)!r} has rank {rank} but "
+                    f"{len(pivot_cols)} in kernel coordinates: the image leaves "
+                    "the kernel"
+                )
+            boundaries = {col for col, row in zip(pivot_cols, rows) if len(row) == 1}
+        for position in range(len(free)):
+            if position not in boundaries:
+                return rref_nullspace(size, *rref)[position]
+        return None
 
 
 def _check_acyclic(rows, incoming, columns):

@@ -5,6 +5,13 @@ module on wedge monomials of size |k| and the differential contracts with the
 1-form -i*dW.  For quasi-homogeneous W every graded piece is finite
 dimensional and the cohomology tables are exact; otherwise a total-degree
 window with a stabilization flag is used and reported as such.
+
+A windowed table asks for the ranks at its bound first, so FreeComplex.rank
+eliminates the map out of each index once, columns in degree order, and
+counts the ranks of the smaller windows off that elimination's pivots.  The
+vanishing witness is the first vector of the piece's canonical kernel basis
+that is not a boundary, found in kernel coordinates by
+FreeComplex.first_class.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from typing import Optional
 from .complex import FreeComplex
 from .errors import InternalCheckError, ValidationError
 from .lgpair import LGPair
-from .linalg import rref_reduce
 from .scalars import MINUS_I
 
 
@@ -135,8 +141,9 @@ def koszul_cohomology(
         )
     # total-degree window heuristic for non-quasi-homogeneous W
     windows = [n for n in (degree_bound - 2, degree_bound - 1, degree_bound) if n >= 0]
+    # the bound first, so that rank() eliminates each index once
+    totals = {k: complex_.dim(k, degree_bound) for k in homological}
     history = {k: {n: complex_.dim(k, n) for n in windows} for k in homological}
-    totals = {k: row[degree_bound] for k, row in history.items()}
     stabilized = len(windows) >= 2 and all(
         row[windows[-1]] == row[windows[-2]] for row in history.values()
     )
@@ -198,11 +205,10 @@ def check_vanishing_negative_degrees(
 
 def _witness(complex_: KoszulComplex, k: int, m: int):
     """The first kernel vector of the (k, m) piece that is not a boundary."""
-    basis, kernel, image = next(complex_.cohomology([(k, m)]))
-    for vector in kernel:
-        if rref_reduce(*image, vector)[0]:
-            return _vector_to_wedge(complex_, basis, vector)
-    raise InternalCheckError("positive cohomology dimension but no witness found")
+    vector = complex_.first_class(k, m)
+    if vector is None:
+        raise InternalCheckError("positive cohomology dimension but no witness found")
+    return _vector_to_wedge(complex_, complex_.basis(k, m), vector)
 
 
 def _vector_to_wedge(complex_: KoszulComplex, basis, vector):

@@ -502,3 +502,25 @@ def solved_boundary_bulk(datum, i, t):
         if pairing.get(k, zero) != rhs.get(k, zero):
             raise AdjointnessError(k, pairing.get(k, zero), rhs.get(k, zero))
     return tuple(solution.get(k, zero) for k in range(algebra.dimension))
+
+
+from lgtft.koszul import _vector_to_wedge  # noqa: E402
+
+
+def label_order_rank(complex_, index, degree) -> int:
+    """The rank of the map out of a piece, read off the RREF of that piece's
+    own matrix, columns in basis order: each window eliminated on its own."""
+    target = (complex_.successor[index], degree + complex_.step)
+    if not (complex_.basis(index, degree) and complex_.basis(*target)):
+        return 0
+    return len(complex_.matrix(index, degree).rref()[0])
+
+
+def cohomology_witness(complex_, k, m):
+    """The vanishing witness of the (k, m) piece through cohomology(): the
+    first kernel vector whose residual modulo the image is nonzero."""
+    basis, kernel, image = next(complex_.cohomology([(k, m)]))
+    for vector in kernel:
+        if rref_reduce(*image, vector)[0]:
+            return _vector_to_wedge(complex_, basis, vector)
+    raise InternalCheckError("positive cohomology dimension but no witness found")

@@ -658,6 +658,15 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert cache.directory == Path(tmp_path / "envcache")
 
 
+# w -> (eliminations of the table, those of the witness)
+_KOSZUL_ELIMINATIONS = {
+    "x^2*y": (11, 0),
+    "x^5*y+y^6": (19, 0),
+    "x^3+y^3+x*y": (2, 0),
+    "x^3+y^3+z^3+x*y*z^2": (3, 2),
+}
+
+
 @pytest.mark.parametrize(
     "variables,w,bound",
     [
@@ -668,8 +677,12 @@ def test_cache_env_var(tmp_path, monkeypatch):
     ],
 )
 def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound):
-    """A witness piece with a map into it costs one elimination more, of that
-    map's pivot columns, for its image; only nqh3 has one."""
+    """A graded table eliminates each piece's map once, a windowed one each
+    index's map once, at the bound.  Only nqh3 has a witness piece with a
+    map into it; its witness costs two eliminations more: the map out in
+    basis order, whose canonical kernel basis the witness is taken from
+    (the windowed table eliminated it in degree order), and the map in cut
+    down to the kernel's free coordinates."""
     from lgtft.koszul import (
         KoszulComplex,
         check_vanishing_negative_degrees,
@@ -692,28 +705,41 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
         result = fn(*args)
         return result, len(eliminations)
 
+    def signature(matrix):
+        return matrix.nrows, matrix.ncols, [sorted(row.items()) for row in matrix.rows]
+
+    table_count, witness_count = _KOSZUL_ELIMINATIONS[w]
     lg, setup = count(make_lg_pair, variables, w)
     if bound is None:
         bound = lgtft.jobs._koszul_default_bound(lg)
     _, table = count(koszul_cohomology, lg, bound)
+    assert table == table_count
+    if lg.weights is None:
+        assert table == sum(
+            1 for k in range(-lg.dimension, 0) if KoszulComplex(lg).basis(k, bound)
+        )
     vanishing, alone = count(check_vanishing_negative_degrees, lg, bound)
     raw = {"variables": variables, "superpotential": w, "compute": ["koszul"]}
     report, job = count(run_job, JobSpec.from_dict({**raw, "koszul_bound": bound}))
     assert report["results"]["koszul"]["vanishing"] == vanishing.to_jsonable()
-    # the vanishing check, witness included, reuses the table's eliminations
-    # of the differentials; only the image of a witness piece is new
-    last = eliminations[-1]
-    complex_ = KoszulComplex(lg)
-    image = 0
-    if not vanishing.vanishes:
-        k, m = vanishing.witness_degree
-        source = (complex_.predecessor.get(k), m - complex_.step)
-        if complex_.basis(*source):
-            image = 1
-            incoming = complex_.matrix(*source)
-            pivot_cols, _ = incoming.rref()
-            columns = incoming.transpose().rows
-            assert last.rows == [columns[col] for col in pivot_cols]
-    assert image == (w == "x^3+y^3+z^3+x*y*z^2")
-    assert job == setup + table + image
+    # no matrix of the job is eliminated twice
+    signatures = [signature(matrix) for matrix in eliminations]
+    assert all(a != b for n, a in enumerate(signatures) for b in signatures[:n])
+    # the vanishing check, witness included, reuses the table's ranks; only
+    # the witness piece's own eliminations are new
+    assert job == setup + table + witness_count
     assert job < setup + table + alone
+    if witness_count:
+        k, m = vanishing.witness_degree
+        complex_ = KoszulComplex(lg)
+        outgoing, incoming = eliminations[-2:]
+        assert signature(outgoing) == signature(complex_.matrix(k, m))
+        pivots = set(complex_.matrix(k, m).rref()[0])
+        free = [col for col in range(outgoing.ncols) if col not in pivots]
+        source = complex_.matrix(complex_.predecessor[k], m - complex_.step)
+        cut = [
+            {position: source.rows[row][col]
+             for position, row in enumerate(free) if col in source.rows[row]}
+            for col in range(source.ncols)
+        ]
+        assert incoming.rows == cut

@@ -1,0 +1,143 @@
+"""Windowed Koszul ranks and the vanishing witness.
+
+Without weights, FreeComplex.rank eliminates each index once, columns in
+degree order, and counts the pivots of each window; the witness is found in
+kernel coordinates.  Both are held to the code they replaced, kept in
+oracles.py: every window eliminated on its own in label order, and the
+witness read through cohomology().
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import lgtft.jobs
+from lgtft.koszul import (
+    KoszulComplex,
+    check_vanishing_negative_degrees,
+    koszul_cohomology,
+)
+from lgtft.lgpair import make_lg_pair
+
+from oracles import cohomology_witness, label_order_rank
+
+WINDOWED = [
+    (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2", 9),  # bulk.nqh3
+    (["x", "y"], "x^5+y^5+x^2*y^2", None),  # bulk.nqh2
+    (["x", "y"], "x^4+y^4+x*y^2", None),
+    (["x"], "x^2 + x^3", 8),
+    (["x", "y"], "x+y+1", 5),
+]
+
+
+def _bound(lg, bound):
+    return lgtft.jobs._koszul_default_bound(lg) if bound is None else bound
+
+
+def _check_windows(lg, bound):
+    """Every window 0..bound of every index: the ranks counted after the
+    table, and those of a complex asked window by window upwards, which
+    eliminates again at each larger window, equal the label-order ranks;
+    so do the table's windowed dimensions."""
+    complex_ = KoszulComplex(lg)
+    table = koszul_cohomology(lg, bound, complex_)
+    upwards = KoszulComplex(lg)
+    oracle = KoszulComplex(lg)
+    expected = {}
+    for k in range(-complex_.d, 0):
+        for n in range(bound + 1):
+            expected[k, n] = label_order_rank(oracle, k, n)
+            assert complex_.rank(k, n) == expected[k, n], (k, n)
+            assert upwards.rank(k, n) == expected[k, n], (k, n)
+    for k, row in table.history.items():
+        for n, value in row.items():
+            size = len(oracle.basis(k, n))
+            rank_in = expected.get((k - 1, n - complex_.step), 0)
+            assert value == size - expected.get((k, n), 0) - rank_in
+
+
+@pytest.mark.parametrize("variables,w,bound", WINDOWED, ids=[w for _, w, _ in WINDOWED])
+def test_window_ranks_match_label_order_eliminations(variables, w, bound):
+    lg = make_lg_pair(variables, w)
+    assert lg.weights is None
+    _check_windows(lg, _bound(lg, bound))
+
+
+_TERM = st.tuples(
+    st.sampled_from(["1", "-1", "2", "i"]),
+    st.sampled_from([(a, b) for a in range(5) for b in range(5) if 0 < a + b <= 4]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_TERM, min_size=2, max_size=4, unique_by=lambda term: term[1]),
+    st.integers(1, 6),
+)
+def test_window_ranks_of_small_inhomogeneous_w(terms, bound):
+    w = "+".join(f"{c}*x^{a}*y^{b}" for c, (a, b) in terms)
+    lg = make_lg_pair(["x", "y"], w)
+    assume(lg.weights is None)
+    _check_windows(lg, bound)
+    report = check_vanishing_negative_degrees(lg, bound)
+    if not report.vanishes:
+        assert report.witness == cohomology_witness(
+            KoszulComplex(lg), *report.witness_degree
+        )
+
+
+@pytest.mark.parametrize(
+    "variables,w,bound",
+    [(["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2", 9), (["x", "y"], "x^2*y", 8)],
+    ids=["nqh3", "x2y"],
+)
+def test_witness_matches_the_cohomology_witness(variables, w, bound):
+    lg = make_lg_pair(variables, w)
+    complex_ = KoszulComplex(lg)
+    koszul_cohomology(lg, bound, complex_)
+    report = check_vanishing_negative_degrees(lg, bound, complex_)
+    assert not report.vanishes
+    assert report.witness == cohomology_witness(
+        KoszulComplex(lg), *report.witness_degree
+    )
+
+
+_CORRUPT_SCRIPT = """
+from lgtft.errors import InternalCheckError
+from lgtft.koszul import (
+    KoszulComplex, check_vanishing_negative_degrees, koszul_cohomology,
+)
+from lgtft.lgpair import make_lg_pair
+lg = make_lg_pair(["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2")
+complex_ = KoszulComplex(lg)
+koszul_cohomology(lg, 9, complex_)
+# the map into the witness piece (-1, 9) is that of the window 6 of index -2:
+# move a pivot of degree 7 into it, which leaves the ranks at the bound alone
+window, degrees = complex_._pivot_degrees[-2]
+moved = list(degrees)
+moved[moved.index(7)] = 6
+complex_._pivot_degrees[-2] = (window, moved)
+try:
+    check_vanishing_negative_degrees(lg, 9, complex_)
+except InternalCheckError as exc:
+    if "leaves the kernel" in str(exc):
+        print("raised")
+"""
+
+
+def test_a_corrupted_incoming_rank_raises_also_under_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", _CORRUPT_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["raised"], flags
