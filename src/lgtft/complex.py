@@ -31,17 +31,19 @@ the pivot columns of an RREF are the greedy column basis, so the rank of
 window n is the number of pivots of degree at most n.  A rank of a larger
 window eliminates again, at that window.
 
-cohomology() yields a piece's kernel and image.  Most pieces of a Hom complex
-are acyclic, and an acyclic piece costs no elimination beyond the map out of
-it: once the rank of the map in is known to equal the kernel's dimension, the
-kernel basis itself is the image, since d^2 = 0 puts the image inside the
-kernel and a subspace of full dimension is the whole space.  That inclusion
-is checked there: the map out must send the map in's pivot columns to zero.
+piece() gives the basis, image and quotient of any piece, in any order.  The
+map out of each piece is built once and kept (_matrices), and so is its
+RREF with columns in basis order (_rrefs).  piece(), graded rank() and
+first_class() read both stores and the windowed ranks read the first, so a
+map is built at most once and eliminated in basis order at most once,
+whichever of them asks first.
 
-cohomology() is a generator and computes each piece only when it is asked
-for the next one, so a caller may stop early and resume later: a Hom with
-certified dimensions stops at its last class and keeps the generator for the
-pieces class_of reaches above it.
+Most pieces of a Hom complex are acyclic, and an acyclic piece costs no
+elimination beyond the maps out of it and out of its predecessor: once the
+rank of the map in equals the kernel's dimension, the kernel basis itself is
+the image, since d^2 = 0 puts the image inside the kernel and a subspace of
+full dimension is the whole space.  That inclusion is checked there: the map
+out must send the map in's pivot columns to zero.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class FreeComplex:
         self._monomial_lists = {}  # degree -> (monomials, {exps: position})
         self._layouts = {}  # (index, degree) -> (size, {label: block})
         self._bases = {}
-        self._rrefs = {}  # (index, degree) -> RREF of the map out, graded rank()
+        self._matrices = {}  # (index, degree) -> the map out of the piece
+        self._rrefs = {}  # (index, degree) -> its RREF, columns in basis order
         self._pivot_degrees = {}  # index -> (window, its pivots' degrees), windowed
         self._check_square_zero()
 
@@ -187,28 +190,42 @@ class FreeComplex:
     def rank(self, index, degree) -> int:
         """Rank of the differential out of the piece.
 
-        Graded, each matrix is eliminated once and its RREF kept for
-        first_class().  Windowed, each index is eliminated once, at the
-        largest window asked for so far, and the ranks of smaller windows
-        are counted off its pivots' degrees.
+        Graded, it is the number of pivots of the kept RREF.  Windowed, each
+        index is eliminated once, at the largest window asked for so far, and
+        the ranks of smaller windows are counted off its pivots' degrees.
         """
         if self.weights is not None:
-            key = (index, degree)
-            if key not in self._rrefs:
-                self._rrefs[key] = self._rref(index, degree)
-            return len(self._rrefs[key][0])
+            return len(self._rref(index, degree)[0])
         window, degrees = self._pivot_degrees.get(index, (-1, ()))  # -1 is empty
         if degree > window:
             degrees = self._window_pivot_degrees(index, degree)
             self._pivot_degrees[index] = (degree, degrees)
         return bisect_right(degrees, degree)
 
+    def _map(self, index, degree) -> SparseMatrix:
+        """The map out of the piece, built by matrix() on first use and kept."""
+        key = (index, degree)
+        matrix = self._matrices.get(key)
+        if matrix is None:
+            matrix = self._matrices[key] = self.matrix(index, degree)
+        return matrix
+
     def _rref(self, index, degree):
-        """The RREF of the map out of the piece, columns in basis order."""
-        nonempty = self._layout(index, degree)[0] and self._layout(
-            self.successor[index], degree + self.step
-        )[0]
-        return self.matrix(index, degree).rref() if nonempty else ([], [])
+        """The RREF of the map out of the piece, columns in basis order, made
+        on first use and kept; ([], []) when the piece or its target is
+        empty, or the index has no successor."""
+        key = (index, degree)
+        rref = self._rrefs.get(key)
+        if rref is None:
+            target = self.successor.get(index)
+            nonempty = (
+                target is not None
+                and self._layout(index, degree)[0]
+                and self._layout(target, degree + self.step)[0]
+            )
+            rref = self._map(index, degree).rref() if nonempty else ([], [])
+            self._rrefs[key] = rref
+        return rref
 
     def _window_pivot_degrees(self, index, window):
         """The ascending total degrees of the pivot columns of the map out of
@@ -221,7 +238,7 @@ class FreeComplex:
         position = [0] * len(order)
         for new, old in enumerate(order):
             position[old] = new
-        matrix = self.matrix(index, window)
+        matrix = self._map(index, window)
         rows = [{position[col]: v for col, v in row.items()} for row in matrix.rows]
         pivot_cols, _ = SparseMatrix(matrix.nrows, matrix.ncols, rows).rref()
         return [degrees[order[col]] for col in pivot_cols]
@@ -236,95 +253,66 @@ class FreeComplex:
         rank_in = self.rank(source, degree - self.step) if source is not None else 0
         return size - rank_out - rank_in
 
-    def cohomology(self, pieces):
-        """Yield (basis, kernel, image) for each (index, degree) in pieces, in turn,
-        computing each piece only when it is asked for.
+    def piece(self, index, degree):
+        """(basis, image, quotient) of the piece (index, degree).
 
-        kernel is the canonical nullspace basis of the map out of the piece and
-        image the RREF (pivot_cols, rows) of the column space of the map into
-        it.  The map out of a piece is kept, with the pivot columns of its RREF,
-        only when the piece it maps into is still to come, and dropped after
-        that second use.  The pivot columns of a map span its column space, so
-        when the RREF of the map into a piece is kept here only those columns
-        are eliminated; otherwise every column is.
+        image is the RREF (pivot_cols, rows) of the column space of the map
+        into the piece: the RREF of the map in's pivot columns, which span
+        it.  quotient is the RREF of the kernel of the map out modulo the
+        image, from quotient(), with its count check.
 
-        A piece is acyclic when the map into it is known to have rank
-        len(kernel): its pivot columns are known, or there is no map in and
-        the kernel is empty (an empty piece, too).  Then nothing more is
-        eliminated and image is (free columns, kernel), with the kernel list
-        itself as its rows: d^2 = 0 puts the image inside the kernel, and the
-        two have the same dimension, so they are equal.  Each kernel vector is
-        1 at its own free column and 0 at the others, which is all rref_reduce
-        needs of an RREF.  In place of the count check of quotient(), the map
-        out must send each pivot column of the map in to zero, or
-        InternalCheckError is raised.
+        A piece is acyclic when the map in has rank len(kernel), no map in
+        and an empty kernel included.  Then nothing more is eliminated: the
+        image is (free columns, kernel), the kernel list itself as its rows,
+        and the quotient is empty.  d^2 = 0 puts the image inside the kernel,
+        and the two have the same dimension, so they are equal.  Each kernel
+        vector is 1 at its own free column and 0 at the others, which is all
+        rref_reduce needs of an RREF.  In place of the count check of
+        quotient(), the map out must send each pivot column of the map in to
+        zero, or InternalCheckError is raised.
         """
-        pending = set(pieces)
-        kept = {}  # piece -> (the map into it, its pivot columns)
-        for piece in pieces:
-            pending.discard(piece)
-            incoming, columns = kept.pop(piece, (None, None))
-            index, degree = piece
-            basis = self.basis(index, degree)
-            if not basis:
-                kernel = []
-                yield basis, kernel, ([], kernel)
-                continue
-            outgoing = self.matrix(index, degree)
-            rref = outgoing.rref()
-            kernel = rref_nullspace(outgoing.ncols, *rref)
-            target = (self.successor[index], degree + self.step)
-            if target in pending:
-                kept[target] = (outgoing, rref[0])
-            source = self.predecessor.get(index)
-            previous = (source, degree - self.step)
-            if incoming is None:
-                columns = []  # no map in, or a zero one
-                if source is not None and self._layout(*previous)[0]:
-                    incoming = self.matrix(*previous)
-                    columns = None
-            if columns is not None and len(columns) == len(kernel):
-                if incoming is not None:
-                    _check_acyclic(rref[1], incoming, columns)
-                pivots = set(rref[0])
-                free = [col for col in range(outgoing.ncols) if col not in pivots]
-                yield basis, kernel, (free, kernel)
-                continue
-            image = ([], [])
-            if incoming is not None:
-                transposed = incoming.transpose().rows
-                if columns is None:
-                    columns = range(incoming.ncols)
-                spanning = [transposed[col] for col in columns]
-                image = SparseMatrix(len(spanning), incoming.nrows, spanning).rref()
-            yield basis, kernel, image
+        basis = self.basis(index, degree)
+        pivots, rows = self._rref(index, degree)
+        kernel = rref_nullspace(len(basis), pivots, rows)
+        source = self.predecessor.get(index)
+        previous = (source, degree - self.step)
+        columns = self._rref(*previous)[0] if source is not None else []
+        if len(columns) == len(kernel):
+            if columns:
+                _check_acyclic(rows, self._map(*previous), columns)
+            taken = set(pivots)
+            free = [col for col in range(len(basis)) if col not in taken]
+            return basis, (free, kernel), ([], [])
+        image = ([], [])
+        if columns:
+            transposed = self._map(*previous).transpose().rows
+            spanning = [transposed[col] for col in columns]
+            image = SparseMatrix(len(spanning), len(basis), spanning).rref()
+        return basis, image, quotient(kernel, image)
 
     def first_class(self, index, degree):
         """The first vector of the piece's canonical kernel basis that is not
         a boundary, or None when every one is.
 
-        The kernel basis is read off the RREF of the map out, columns in
-        basis order (the one rank() kept, when graded): v_f for each free
-        column f, 1 at f and 0 at the other free columns.  So a vector of the
-        kernel is the sum of its entries at the free columns times the v_f,
-        and the map in, its rows cut down to the free columns, takes values
-        in these kernel coordinates, where v_f is the unit vector e_f.  One
-        RREF of that map's columns then decides every v_f: it is a boundary
-        exactly when e_f is a row of the RREF.  The cut keeps the rank of the
-        map in, as the image lies in the kernel; otherwise InternalCheckError
-        is raised.
+        The kernel basis is read off the kept RREF of the map out, columns
+        in basis order: v_f for each free column f, 1 at f and 0 at the
+        other free columns.  So a vector of the kernel is the sum of its
+        entries at the free columns times the v_f, and the map in, its rows
+        cut down to the free columns, takes values in these kernel
+        coordinates, where v_f is the unit vector e_f.  One RREF of that
+        map's columns then decides every v_f: it is a boundary exactly when
+        e_f is a row of the RREF.  The cut keeps the rank of the map in, as
+        the image lies in the kernel; otherwise InternalCheckError is raised.
         """
         size = self._layout(index, degree)[0]
-        rref = self._rrefs.get((index, degree))
-        if rref is None:
-            rref = self._rref(index, degree)
+        rref = self._rref(index, degree)
         pivots = set(rref[0])
         free = [col for col in range(size) if col not in pivots]
         boundaries = set()
         source = self.predecessor.get(index)
         previous = (source, degree - self.step)
         if free and source is not None and self._layout(*previous)[0]:
-            incoming = self.matrix(*previous)
+            incoming = self._map(*previous)
             cut = [{} for _ in range(incoming.ncols)]
             for position, row in enumerate(free):
                 for col, value in incoming.rows[row].items():

@@ -31,11 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .jacobi import residue_trace
-from .koszul import (
-    KoszulComplex,
-    check_vanishing_negative_degrees,
-    koszul_cohomology,
-)
+from .koszul import check_vanishing_negative_degrees, koszul_cohomology
 from .lgpair import LGPair, make_lg_pair
 from .matfact import (
     hom_cohomology,
@@ -348,9 +344,8 @@ def _run_koszul(spec: JobSpec, lg: LGPair, cache: Cache) -> dict:
     key = [list(lg.key()), bound]
     payload = cache.get("koszul", key)
     if payload is None:
-        complex_ = KoszulComplex(lg)  # its ranks serve both calls
-        table = koszul_cohomology(lg, bound, complex_)
-        vanishing = check_vanishing_negative_degrees(lg, bound, complex_)
+        table = koszul_cohomology(lg, bound)
+        vanishing = check_vanishing_negative_degrees(lg, bound)
         payload = {
             "table": table.to_jsonable(),
             "vanishing": vanishing.to_jsonable(),

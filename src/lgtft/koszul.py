@@ -6,6 +6,8 @@ module on wedge monomials of size |k| and the differential contracts with the
 dimensional and the cohomology tables are exact; otherwise a total-degree
 window with a stabilization flag is used and reported as such.
 
+The LG pair keeps its Koszul complex (LGPair.koszul_complex), so the table
+and the vanishing check of one pair share its maps and their eliminations.
 A windowed table asks for the ranks at its bound first, so FreeComplex.rank
 eliminates the map out of each index once, columns in degree order, and
 counts the ranks of the smaller windows off that elimination's pivots.  The
@@ -18,23 +20,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .complex import FreeComplex
 from .errors import InternalCheckError, ValidationError
-from .lgpair import LGPair
 from .scalars import MINUS_I
+
+if TYPE_CHECKING:  # lgpair imports this module: LGPair keeps its complex
+    from .lgpair import LGPair
 
 
 class KoszulComplex(FreeComplex):
     """Wedge-basis presentation of the contraction complex.
 
     The generators of degree -|S| are the wedge monomials e_S; the internal
-    degree of e_S is the sum of deg W - w_j over j in S.
+    degree of e_S is the sum of deg W - w_j over j in S.  It keeps no
+    reference to the pair, which keeps it.
     """
 
     def __init__(self, lg: LGPair):
-        self.lg = lg
         self.d = lg.dimension
         indices = range(self.d)
         self.subsets = {
@@ -86,9 +90,6 @@ class GradedDimensionTable:
     def dim(self, k: int, m: int) -> int:
         return self.dims.get(k, {}).get(m, 0)
 
-    def total(self, k: int) -> int:
-        return self.totals.get(k, 0)
-
     def to_jsonable(self) -> dict:
         payload = {
             "mode": self.mode,
@@ -109,18 +110,11 @@ class GradedDimensionTable:
         return payload
 
 
-def koszul_cohomology(
-    lg: LGPair, degree_bound: int, complex_: Optional[KoszulComplex] = None
-) -> GradedDimensionTable:
-    """Exact graded cohomology table (weighted) or windowed table (otherwise).
-
-    complex_ is the contraction complex of lg when the caller already has it;
-    ranks it has eliminated are not eliminated again.
-    """
+def koszul_cohomology(lg: LGPair, degree_bound: int) -> GradedDimensionTable:
+    """Exact graded cohomology table (weighted) or windowed table (otherwise)."""
     if degree_bound < 0:
         raise ValidationError("degree bound must be non-negative")
-    if complex_ is None:
-        complex_ = KoszulComplex(lg)
+    complex_ = lg.koszul_complex
     homological = range(-complex_.d, 1)
     if lg.weights is not None:
         dims = {
@@ -177,20 +171,16 @@ class VanishingReport:
         return payload
 
 
-def check_vanishing_negative_degrees(
-    lg: LGPair, degree_bound: int, complex_: Optional[KoszulComplex] = None
-) -> VanishingReport:
+def check_vanishing_negative_degrees(lg: LGPair, degree_bound: int) -> VanishingReport:
     """True iff H^k = 0 for all k < 0 up to the bound; else returns a witness.
 
     The witness is a cocycle in the offending degree that is not a boundary;
-    callers can re-check both properties independently.  complex_ is the
-    contraction complex of lg when the caller already has it, for example
-    from koszul_cohomology.
+    callers can re-check both properties independently.  Ranks that
+    koszul_cohomology eliminated on the same pair are not eliminated again.
     """
     if degree_bound < 0:
         raise ValidationError("degree bound must be non-negative")
-    if complex_ is None:
-        complex_ = KoszulComplex(lg)
+    complex_ = lg.koszul_complex
     if lg.weights is not None:
         degrees = range(complex_.min_degree, degree_bound + 1)
     else:

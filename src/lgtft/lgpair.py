@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 from .errors import ValidationError
 from .groebner import GroebnerBasis
 from .jacobi import JacobiAlgebra, jacobi_algebra, jacobi_groebner
+from .koszul import KoszulComplex
 from .linalg import SparseMatrix
 from .poly import PolyRing, Polynomial
 
@@ -20,10 +21,11 @@ class LGPair:
     """A superpotential W on C^d, plus grading data when W is graded.
 
     signature is the parity of the dimension d; it is the Z2-degree carried
-    by every boundary trace downstream.  The Jacobi basis and algebra are
-    fixed by (X, W), so the pair computes each on first use and keeps it,
-    and keeps the residue trace of each scale it is asked for.  None of them
-    refers back to the pair, which is freed by reference counting.
+    by every boundary trace downstream.  The Jacobi basis and algebra and
+    the Koszul complex are fixed by (X, W), so the pair computes each on
+    first use and keeps it, and keeps the residue trace of each scale it is
+    asked for.  None of them refers back to the pair, which is freed by
+    reference counting.
     """
 
     ring: PolyRing
@@ -78,6 +80,12 @@ class LGPair:
         """The Jacobi algebra on jacobi_basis.  Raises
         NonIsolatedCriticalLocusError when the critical set is infinite."""
         return jacobi_algebra(self)
+
+    @cached_property
+    def koszul_complex(self) -> KoszulComplex:
+        """The contraction complex, with the maps and eliminations that the
+        Koszul table and the vanishing check share."""
+        return KoszulComplex(self)
 
     @cached_property
     def residue_traces(self) -> dict:

@@ -7,10 +7,10 @@ internal (weighted) grading when both objects are gradable, and through a
 total-degree window with a stabilization flag otherwise.
 
 A graded Hom out of a Koszul brane knows its number of classes before its
-window is walked: koszul_hom_dims reads it off X/(c)X.  Such a Hom consumes
-FreeComplex.cohomology lazily, in ascending degree, and stops once both
-parities hold the certified count; class_of pulls a piece above the stop only
-when a term lands in it.  Every other Hom builds its whole window at once.
+window is walked: koszul_hom_dims reads it off X/(c)X.  Such a Hom builds
+its pieces with FreeComplex.piece in ascending degree and stops once both
+parities hold the certified count; class_of builds a piece above the stop
+only when a term lands in it.  Every other Hom builds its whole window.
 
 A class is reduced piece by piece modulo image and quotient, and that
 residual test alone decides whether a morphism is a cocycle.  Composition on
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .complex import FreeComplex, quotient
+from .complex import FreeComplex
 from .errors import (
     ClassBoundError,
     FactorizationError,
@@ -586,7 +586,7 @@ class _Piece:
     """One piece of the Hom complex; im and quot are RREFs (pivot_cols, rows).
 
     On an acyclic piece im is (free columns, kernel basis), as
-    FreeComplex.cohomology yields it, and quot is empty.
+    FreeComplex.piece gives it, and quot is empty.
     """
 
     __slots__ = ("basis", "index", "im", "quot")
@@ -629,14 +629,6 @@ class MorphismClass:
             self._representative = self.hom.morphism_of(self.parity, self.terms())
         return self._representative
 
-    @property
-    def source(self):
-        return self.hom.a1
-
-    @property
-    def target(self):
-        return self.hom.a2
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -675,13 +667,14 @@ class HomCohomology:
     koszul_hom_dims certifies the dimensions (a Koszul source with a c of
     finite colength), the build stops after the first degree at which both
     parities hold the certified number of classes: no piece above it can
-    have a class.  The pieces above are built later, only when class_of meets
-    a term in one of them, and the residual test still runs on them.  This
-    fails closed, also under python -O: a parity that ever holds more classes
-    than certified, which is what a later piece with a class gives, raises
-    InternalCheckError.  A window that reaches its bound with fewer classes
-    than certified reports stabilized False.  Without a certificate, and in
-    windowed mode, every piece of the window is built at once.
+    have a class.  The complex is then kept, and a piece above the stop is
+    built only when class_of meets a term in it; the residual test runs on it
+    as on the others.  This fails closed, also under python -O: a parity
+    that ever holds more classes than certified, which is what a later piece
+    with a class gives, raises InternalCheckError.  A window that reaches
+    its bound with fewer classes than certified reports stabilized False.
+    Without a certificate, and in windowed mode, every piece of the window
+    is built at once.
 
     In windowed mode the certificate is a guard only (certified stays None):
     stabilized is True when the last two windows agree and, where
@@ -723,33 +716,28 @@ class HomCohomology:
 
     def _build(self):
         complex_ = _defect_complex(self.a1, self.a2, self.graded)
+        self._complex = None  # kept while pieces above the stop may be built
         if not self.graded:
-            degrees = [n for n in (self.bound - 1, self.bound) if n >= 0]
-            pieces = [(parity, m) for m in degrees for parity in (0, 1)]
-            dims = {}
-            for (parity, m), (basis, kernel, image) in zip(
-                pieces, complex_.cohomology(pieces)
-            ):
-                if m == self.bound:
-                    self._add_piece(parity, 0, basis, kernel, image)  # one piece
-                else:
-                    dims[parity] = len(_quotient(kernel, image)[1])
+            for parity in (0, 1):  # the window is one piece
+                self._add_piece(parity, 0, *complex_.piece(parity, self.bound))
             found = (self.dim(0), self.dim(1))
             self.stabilized = (
-                len(degrees) == 2
-                and (dims[0], dims[1]) == found
+                self.bound >= 1
+                and all(
+                    len(complex_.piece(parity, self.bound - 1)[2][1]) == found[parity]
+                    for parity in (0, 1)
+                )
                 and koszul_hom_dims(self.a1, self.a2) in (None, found)
             )
             return
-        degrees = list(range(complex_.min_degree, self.bound + 1))
-        pieces = [(parity, m) for m in degrees for parity in (0, 1)]
-        self._pending = zip(pieces, complex_.cohomology(pieces))
-        self._built = complex_.min_degree - 1  # pieces are built up to here
-        for m in degrees:
-            self._pull(m)
+        for m in range(complex_.min_degree, self.bound + 1):
+            for parity in (0, 1):
+                self._add_piece(parity, m, *complex_.piece(parity, m))
             if self._complete():
                 break
-        top = degrees[-2:] if self.bound >= 1 else []
+        if m < self.bound:
+            self._complex = complex_
+        top = (self.bound - 1, self.bound) if self.bound >= 1 else ()
         self.stabilized = (self.certified is None or self._complete()) and not any(
             m in top for parity in (0, 1) for m, _ in self.layout[parity]
         )
@@ -760,18 +748,7 @@ class HomCohomology:
             self.dim(parity) == self.certified[parity] for parity in (0, 1)
         )
 
-    def _pull(self, degree):
-        """Build the pieces of both parities in each degree up to this one."""
-        while self._built < degree:
-            (parity, m), (basis, kernel, image) = next(self._pending)
-            self._add_piece(parity, m, basis, kernel, image)
-            if parity == 1:
-                self._built = m
-        if self._built == self.bound:
-            self._pending = None  # the window is complete: drop the complex
-
-    def _add_piece(self, parity, m, basis, kernel, image):
-        quot = _quotient(kernel, image)
+    def _add_piece(self, parity, m, basis, image, quot):
         found = self.dim(parity) + len(quot[1])
         if self.certified is not None and found > self.certified[parity]:
             raise InternalCheckError(
@@ -874,9 +851,8 @@ class HomCohomology:
         """Nonzero terms (element, coeff) of this Hom, split by piece:
         {degree: {position in the piece's basis: coeff}}.
 
-        A term in a graded degree not built yet, up to the bound, builds the
-        pieces up to that degree first; a term outside the window raises
-        ClassBoundError.
+        A term in a graded piece above the stop, up to the bound, builds that
+        piece first; a term outside the window raises ClassBoundError.
         """
         shapes = _block_shapes(self.a1, self.a2, parity)
         components = {}
@@ -886,8 +862,12 @@ class HomCohomology:
                 (_, blk, i, j), exps = element
                 _, _, wt, ws = shapes[blk]
                 m = 2 * mono_weighted_degree(exps, self.lg.weights) + wt[i] - ws[j]
-                if self._built < m <= self.bound:
-                    self._pull(m)
+                if (
+                    self._complex is not None
+                    and m <= self.bound
+                    and (parity, m) not in self.pieces
+                ):
+                    self._add_piece(parity, m, *self._complex.piece(parity, m))
             piece = self.pieces.get((parity, m))
             if piece is None or element not in piece.index:
                 raise ClassBoundError(
@@ -916,13 +896,6 @@ class HomCohomology:
             for local, value in local_coords.items():
                 coords[position_of[(m, local)]] = value
         return MorphismClass(self, parity, coords)
-
-
-def _quotient(kernel, image):
-    """The classes of a piece from cohomology(): none when it is acyclic."""
-    if image[1] is kernel:  # acyclic: the image is the kernel
-        return [], []
-    return quotient(kernel, image)
 
 
 def hom_is_graded(a1, a2) -> bool:
@@ -973,7 +946,7 @@ def hom_cohomology(
 def compose_classes(
     g: MorphismClass, f: MorphismClass, target_hom: HomCohomology
 ) -> MorphismClass:
-    """Composition on cohomology: class of g o f inside Hom(f.source, g.target).
+    """Composition on cohomology: class of g o f inside Hom(f.hom.a1, g.hom.a2).
 
     Bilinear on the representatives' terms: an element (pf, blk, i, j) of f
     maps basis vector j of the source module blk to basis vector i of the

@@ -517,9 +517,19 @@ def label_order_rank(complex_, index, degree) -> int:
 
 
 def cohomology_witness(complex_, k, m):
-    """The vanishing witness of the (k, m) piece through cohomology(): the
-    first kernel vector whose residual modulo the image is nonzero."""
-    basis, kernel, image = next(complex_.cohomology([(k, m)]))
+    """The vanishing witness of the (k, m) piece with the piece eliminated in
+    full: the kernel of the map out and the image of the map in (both by
+    scan_rref), and the first kernel vector whose residual modulo the image
+    is nonzero."""
+    basis = complex_.basis(k, m)
+    kernel = scan_nullspace(len(basis), [], [])
+    if complex_.basis(complex_.successor[k], m + complex_.step):
+        outgoing = complex_.matrix(k, m)
+        kernel = scan_nullspace(outgoing.ncols, *scan_rref(outgoing))
+    image = ([], [])
+    previous = (complex_.predecessor.get(k), m - complex_.step)
+    if previous[0] is not None and complex_.basis(*previous):
+        image = scan_rref(complex_.matrix(*previous).transpose())
     for vector in kernel:
         if rref_reduce(*image, vector)[0]:
             return _vector_to_wedge(complex_, basis, vector)

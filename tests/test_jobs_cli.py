@@ -728,7 +728,9 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
     # the vanishing check, witness included, reuses the table's ranks; only
     # the witness piece's own eliminations are new
     assert job == setup + table + witness_count
-    assert job < setup + table + alone
+    # the pair keeps its complex, so a check run after the table on the same
+    # pair costs only its witness
+    assert alone == witness_count
     if witness_count:
         k, m = vanishing.witness_degree
         complex_ = KoszulComplex(lg)
@@ -743,3 +745,67 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
             for col in range(source.ncols)
         ]
         assert incoming.rows == cut
+
+
+def _baseline_blocks(weights):
+    """The baseline branes as d01/d10 blocks, with the gradings of the
+    Koszul factorizations where weights[name] is set, inferred otherwise."""
+    from lgtft.matfact import koszul_factorization
+
+    lg = lgtft.jobs.make_lg_pair(["x", "y"], "x^4+y^4")
+    branes = []
+    for entry in _BASELINE_JOB["branes"]:
+        brane = koszul_factorization(lg, entry["pairs"])
+        blocks = {
+            name: [[str(p) for p in row] for row in matrix.entries]
+            for name, matrix in (("d01", brane.d01), ("d10", brane.d10))
+        }
+        if weights[entry["name"]]:
+            blocks["weights0"] = list(brane.weights0)
+            blocks["weights1"] = list(brane.weights1)
+        branes.append({"name": entry["name"], **blocks})
+    return branes
+
+
+def test_baseline_as_blocks_gives_the_pairs_results():
+    """The baseline branes given as d01/d10 blocks, one with its weights and
+    one with weights inferred, give the results of the pairs job."""
+    pairs = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": "all"}))
+    branes = _baseline_blocks({"A": True, "B": False})
+    assert "weights0" in branes[0] and "weights0" not in branes[1]
+    blocks = run_job(
+        JobSpec.from_dict({**_BASELINE_JOB, "branes": branes, "compute": "all"})
+    )
+    for section in ("jacobi", "koszul", "homs", "tft"):
+        assert blocks["results"][section] == pairs["results"][section], section
+
+
+def test_weights0_without_weights1_exits_2(tmp_path, capsys):
+    branes = _baseline_blocks({"A": True, "B": False})
+    del branes[0]["weights1"]
+    raw = {**_BASELINE_JOB, "branes": branes, "compute": ["homs"]}
+    assert main(["run", _write_job(tmp_path, raw), "--no-cache"]) == 2
+    assert "both parities" in capsys.readouterr().err
+
+
+def test_hom_pairs_report_only_the_pairs_asked_for():
+    full = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": "all"}))
+    raw = {**_BASELINE_JOB, "compute": "all", "hom_pairs": [["B", "A"]]}
+    report = run_job(JobSpec.from_dict(raw))
+    assert list(report["results"]["homs"]) == ["B|A"]
+    assert report["results"]["homs"]["B|A"] == full["results"]["homs"]["B|A"]
+    assert report["results"]["tft"] == full["results"]["tft"]
+
+
+def test_degree_bound_flag_sets_every_bound(tmp_path, capsys):
+    raw = {**_BASELINE_JOB, "compute": ["koszul", "homs"]}
+    job = _write_job(tmp_path, raw)
+    assert main(["run", job, "--no-cache", "--degree-bound", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["job"]["degree_bound"] == 10
+    assert report["results"]["koszul"]["table"]["bound"] == 10
+    homs = report["results"]["homs"]
+    assert len(homs) == 4
+    assert all(hom["bound"] == 10 for hom in homs.values())
+    assert main(["run", job, "--no-cache", "--degree-bound", "-1"]) == 2
+    assert "--degree-bound must be non-negative" in capsys.readouterr().err

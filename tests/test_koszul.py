@@ -208,3 +208,37 @@ def test_serialization_roundtrip_fields():
     assert payload["mode"] == "weighted"
     assert payload["bound"] == 8
     assert payload["totals"]["0"] == 4
+
+
+@pytest.mark.parametrize(
+    "variables,w,bound,shared",
+    [
+        (["x", "y"], "x^2*y", 8, None),
+        (["x", "y", "z"], "x*y*z+x^3+z^3", 8, (-2, 4)),
+        (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2", 9, (-1, 9)),
+    ],
+    ids=["x2y", "xyz-graded", "nqh3-windowed"],
+)
+def test_table_and_witness_build_each_map_once(
+    monkeypatch, variables, w, bound, shared
+):
+    """The table and the vanishing check read the complex the pair keeps, and
+    it builds the map out of each piece once.  The witness reuses the map
+    the table built into a graded witness piece (x^2*y's has none) and the
+    one out of a windowed witness piece: shared."""
+    built = []
+    original = KoszulComplex.matrix
+
+    def counting(self, index, degree):
+        built.append((index, degree))
+        return original(self, index, degree)
+
+    monkeypatch.setattr(KoszulComplex, "matrix", counting)
+    lg = make_lg_pair(variables, w)
+    koszul_cohomology(lg, bound)
+    table = list(built)
+    report = check_vanishing_negative_degrees(lg, bound)
+    assert not report.vanishes
+    if shared is not None:
+        assert shared in table
+    assert len(built) == len(set(built))

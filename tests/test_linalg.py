@@ -282,8 +282,10 @@ except InternalCheckError:
 def test_acyclic_piece_with_an_image_outside_the_kernel_fails_closed():
     """d(a) = c, d(b) = 0, d(c) = a, with the d^2 = 0 check patched out.  In
     piece 0 the kernel {b} and the rank of the map in are both 1, so the piece
-    looks acyclic, but the image {a} leaves the kernel: cohomology raises on
-    that piece, also under python -O."""
+    looks acyclic, but the image {a} leaves the kernel: piece() raises on it
+    through the acyclic check.  Piece 1 has an empty kernel but a map in of
+    rank 1, and raises through the quotient's count.  Both also under
+    python -O."""
     script = """
 from lgtft.complex import FreeComplex
 from lgtft.errors import InternalCheckError
@@ -295,14 +297,12 @@ FreeComplex._check_square_zero = lambda self: None
 complex_ = FreeComplex(
     ring, {0: [("a", 0), ("b", 0)], 1: [("c", 0)]}, {0: 1, 1: 0}, entries.get
 )
-pieces = complex_.cohomology([(1, 0), (0, 0)])
-basis, kernel, image = next(pieces)
-print("piece 1", len(kernel))
-try:
-    basis, kernel, image = next(pieces)
-    print("piece 0", len(kernel), len(image[0]))
-except InternalCheckError:
-    print("raised")
+for index in (1, 0):
+    try:
+        basis, image, quotient = complex_.piece(index, 0)
+        print("piece", index, len(image[0]), len(quotient[0]))
+    except InternalCheckError as exc:
+        print("raised", "acyclic" if "acyclic" in str(exc) else "quotient")
 """
     src = Path(__file__).resolve().parents[1] / "src"
     for flags in ([], ["-O"]):
@@ -314,4 +314,6 @@ except InternalCheckError:
             timeout=60,
         )
         assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["piece", "1", "0", "raised"], flags
+        assert completed.stdout.split() == [
+            "raised", "quotient", "raised", "acyclic"
+        ], flags

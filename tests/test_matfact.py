@@ -560,13 +560,13 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     4 or below, and the certified dimensions (one rank per block of the
     target, two per Hom) stop each window there, so no differential above
     the stop is eliminated."""
-    from lgtft import matfact
+    from lgtft import complex as complex_module, matfact
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
     matrix, transpose = FreeComplex.matrix, SparseMatrix.transpose
     rref_rows = SparseMatrix._rref_rows
-    quotient, reduced_rank = matfact.quotient, matfact._reduced_rank
+    quotient, reduced_rank = complex_module.quotient, matfact._reduced_rank
     certificate_ranks = []
     complexes = {}  # id -> complex
     quotient_dims = []  # dim ker - rank in, at each quotient call
@@ -615,7 +615,7 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
     monkeypatch.setattr(SparseMatrix, "transpose", recording_transpose)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
-    monkeypatch.setattr(matfact, "quotient", recording_quotient)
+    monkeypatch.setattr(complex_module, "quotient", recording_quotient)
     monkeypatch.setattr(matfact, "_reduced_rank", recording_reduced_rank)
     dims = [
         (hom.dim(0), hom.dim(1))
@@ -977,3 +977,28 @@ def test_compose_classes_matches_the_chain_level_composite(case):
     assert checked > 0
     if blocks_only:  # no pairs, so every window is built in full
         assert all(hom.certified is None for hom in homs.values())
+
+
+def test_class_of_above_the_stop_builds_only_its_piece():
+    """Hom(A, B) on the baseline branes stops at degree 2.  A coboundary whose
+    terms lie in one degree above the stop makes class_of build that one
+    piece, not every piece of both parities up to it."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    a, b = (koszul_factorization(lg, pairs) for pairs in CERTIFIED_CASES["x^4+y^4"])
+    hom = hom_cohomology(a, b)
+    full = hom_cohomology(_twin(a), _twin(b))
+    stop = max(m for _, m in hom.pieces)
+    assert stop == 2
+    step = lg.weighted_degree  # the degree of the defect differential
+    boundaries = (
+        (parity, n, full.morphism_of(parity, {element: 1}).defect())
+        for (parity, n), piece in sorted(full.pieces.items(), key=lambda kv: kv[0][1])
+        if n + step > stop
+        for element in piece.basis
+    )
+    parity, n, boundary = next(b for b in boundaries if not b[2].is_zero())
+    target = (1 - parity, n + step)
+    assert stop < target[1] <= hom.bound
+    built = set(hom.pieces)
+    assert hom.class_of(boundary).is_zero()
+    assert set(hom.pieces) - built == {target}

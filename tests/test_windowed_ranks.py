@@ -4,7 +4,7 @@ Without weights, FreeComplex.rank eliminates each index once, columns in
 degree order, and counts the pivots of each window; the witness is found in
 kernel coordinates.  Both are held to the code they replaced, kept in
 oracles.py: every window eliminated on its own in label order, and the
-witness read through cohomology().
+witness read off the piece eliminated in full.
 """
 
 import os
@@ -43,8 +43,8 @@ def _check_windows(lg, bound):
     table, and those of a complex asked window by window upwards, which
     eliminates again at each larger window, equal the label-order ranks;
     so do the table's windowed dimensions."""
-    complex_ = KoszulComplex(lg)
-    table = koszul_cohomology(lg, bound, complex_)
+    table = koszul_cohomology(lg, bound)
+    complex_ = lg.koszul_complex
     upwards = KoszulComplex(lg)
     oracle = KoszulComplex(lg)
     expected = {}
@@ -97,9 +97,8 @@ def test_window_ranks_of_small_inhomogeneous_w(terms, bound):
 )
 def test_witness_matches_the_cohomology_witness(variables, w, bound):
     lg = make_lg_pair(variables, w)
-    complex_ = KoszulComplex(lg)
-    koszul_cohomology(lg, bound, complex_)
-    report = check_vanishing_negative_degrees(lg, bound, complex_)
+    koszul_cohomology(lg, bound)
+    report = check_vanishing_negative_degrees(lg, bound)
     assert not report.vanishes
     assert report.witness == cohomology_witness(
         KoszulComplex(lg), *report.witness_degree
@@ -108,13 +107,11 @@ def test_witness_matches_the_cohomology_witness(variables, w, bound):
 
 _CORRUPT_SCRIPT = """
 from lgtft.errors import InternalCheckError
-from lgtft.koszul import (
-    KoszulComplex, check_vanishing_negative_degrees, koszul_cohomology,
-)
+from lgtft.koszul import check_vanishing_negative_degrees, koszul_cohomology
 from lgtft.lgpair import make_lg_pair
 lg = make_lg_pair(["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2")
-complex_ = KoszulComplex(lg)
-koszul_cohomology(lg, 9, complex_)
+koszul_cohomology(lg, 9)
+complex_ = lg.koszul_complex
 # the map into the witness piece (-1, 9) is that of the window 6 of index -2:
 # move a pivot of degree 7 into it, which leaves the ranks at the bound alone
 window, degrees = complex_._pivot_degrees[-2]
@@ -122,7 +119,7 @@ moved = list(degrees)
 moved[moved.index(7)] = 6
 complex_._pivot_degrees[-2] = (window, moved)
 try:
-    check_vanishing_negative_degrees(lg, 9, complex_)
+    check_vanishing_negative_degrees(lg, 9)
 except InternalCheckError as exc:
     if "leaves the kernel" in str(exc):
         print("raised")
