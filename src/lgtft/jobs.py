@@ -361,14 +361,10 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, homs) -> dict:
         pairs = [(a, b) for a, b in spec.hom_pairs]
     else:
         pairs = [(a, b) for a, _ in named for b, _ in named]
+    brane_keys = {name: _hom_brane_key(brane) for name, brane in named}
     out = {}
     for a, b in pairs:
-        key = [
-            list(lg.key()),
-            list(by_name[a].key()[1:]),
-            list(by_name[b].key()[1:]),
-            spec.degree_bound,
-        ]
+        key = [list(lg.key()), brane_keys[a], brane_keys[b], spec.degree_bound]
         payload = cache.get("hom", key)
         if payload is None:
             hom = hom_cohomology(by_name[a], by_name[b], spec.degree_bound)
@@ -387,6 +383,15 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, homs) -> dict:
             cache.put("hom", key, payload)
         out[f"{a}|{b}"] = payload
     return out
+
+
+def _hom_brane_key(brane) -> list:
+    """What a brane gives its Hom tables: its blocks, its weights (degrees
+    are read in them) and whether it has Koszul pairs (they certify the
+    dimensions).  The pairs themselves need no place, as the blocks
+    koszul_factorization builds hold every a_k and -b_k at fixed entries."""
+    has_pairs = brane.pairs is not None
+    return [list(brane.key()[1:]), brane.weights0, brane.weights1, has_pairs]
 
 
 def _run_tft(spec: JobSpec, lg: LGPair, named, homs) -> dict:

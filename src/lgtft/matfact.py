@@ -1,7 +1,11 @@
 """Free Z2-graded factorizations of W and their morphism cohomology.
 
 Objects are pairs of polynomial matrix blocks with D^2 = W*Id verified
-exactly.  Morphism complexes carry the defect differential
+exactly.  A chain-level morphism is its terms {((parity, blk, i, j), exps):
+coeff}, one per monomial times elementary map of the Hom complex, and all
+its arithmetic (sum, scale, composition, the defect, the supertrace) works
+on them; polynomial matrices only enter through the block constructor.
+Morphism complexes carry the defect differential
 d(f) = D2 o f - (-1)^{deg f} f o D1; cohomology is computed degreewise in the
 internal (weighted) grading when both objects are gradable, and through a
 total-degree window with a stabilization flag otherwise.
@@ -13,9 +17,10 @@ parities hold the certified count; class_of builds a piece above the stop
 only when a term lands in it.  Every other Hom builds its whole window.
 
 A class is reduced piece by piece modulo image and quotient, and that
-residual test alone decides whether a morphism is a cocycle.  Composition on
-cohomology is a sparse bilinear map on the piece vectors of the basis
-representatives; a representative is built as a Morphism only on demand.
+residual test alone decides whether a morphism is a cocycle.  A class's
+representative is a combination of quotient rows, so it is a Morphism with
+no conversion; composition on cohomology composes the representatives with
+Morphism.compose and reduces the composite in the target Hom.
 
 Projective modules are realized as free modules throughout: over C^d every
 finitely generated projective module is free, so nothing is lost at this
@@ -40,7 +45,7 @@ from .groebner import GroebnerBasis
 from .lgpair import LGPair
 from .linalg import SparseMatrix, rref_reduce, vec_axpy
 from .poly import Polynomial, mono_mul, mono_weighted_degree
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, _as_poly
 from .scalars import GaussianRational
 
 
@@ -290,46 +295,49 @@ def _block_matrix(ring, blocks):
 
 
 class Morphism:
-    """Homogeneous-parity module map between factorizations.
+    """Homogeneous-parity module map between factorizations, as its terms.
 
-    blk0 has source P1^0, blk1 has source P1^1; the target parities are
-    (parity, 1-parity) shifted by the morphism parity.
+    terms is {((parity, blk, i, j), exps): coeff}, nonzero coefficients only,
+    the labels of the Hom complex: the element (parity, blk, i, j) maps basis
+    vector j of the source module of parity blk to basis vector i of the
+    target module of parity blk + parity, times the monomial x^exps.  The
+    constructor reads two polynomial matrices into terms once: blk0 has the
+    even source module, blk1 the odd one, and their targets have parities
+    (parity, 1 - parity).  _from_terms takes terms as they are.
     """
 
-    __slots__ = ("source", "target", "parity", "blk0", "blk1")
+    __slots__ = ("source", "target", "parity", "terms")
 
     def __init__(self, source, target, parity, blk0, blk1):
+        parity %= 2
+        for block, (nrows, ncols, _, _) in zip(
+            (blk0, blk1), _block_shapes(source, target, parity)
+        ):
+            if (block.nrows, block.ncols) != (nrows, ncols):
+                raise ShapeError("morphism blocks have the wrong shape")
         self.source = source
         self.target = target
-        self.parity = parity % 2
-        expected0 = (
-            (target.rank0, source.rank0)
-            if self.parity == 0
-            else (target.rank1, source.rank0)
-        )
-        expected1 = (
-            (target.rank1, source.rank1)
-            if self.parity == 0
-            else (target.rank0, source.rank1)
-        )
-        if (blk0.nrows, blk0.ncols) != expected0 or (
-            blk1.nrows,
-            blk1.ncols,
-        ) != expected1:
-            raise ShapeError("morphism blocks have the wrong shape")
-        self.blk0 = blk0
-        self.blk1 = blk1
+        self.parity = parity
+        self.terms = {
+            ((parity, blk, i, j), exps): coeff
+            for blk, block in enumerate((blk0, blk1))
+            for i, row in enumerate(block.entries)
+            for j, entry in enumerate(row)
+            for exps, coeff in entry.terms.items()
+        }
+
+    @classmethod
+    def _from_terms(cls, source, target, parity, terms) -> "Morphism":
+        morphism = cls.__new__(cls)
+        morphism.source = source
+        morphism.target = target
+        morphism.parity = parity % 2
+        morphism.terms = terms
+        return morphism
 
     @classmethod
     def zero(cls, source, target, parity) -> "Morphism":
-        ring = source.lg.ring
-        if parity % 2 == 0:
-            blk0 = PolyMatrix.zero(ring, target.rank0, source.rank0)
-            blk1 = PolyMatrix.zero(ring, target.rank1, source.rank1)
-        else:
-            blk0 = PolyMatrix.zero(ring, target.rank1, source.rank0)
-            blk1 = PolyMatrix.zero(ring, target.rank0, source.rank1)
-        return cls(source, target, parity, blk0, blk1)
+        return cls._from_terms(source, target, parity, {})
 
     @classmethod
     def identity(cls, obj) -> "Morphism":
@@ -345,16 +353,16 @@ class Morphism:
     @classmethod
     def d_partial(cls, obj, index: int) -> "Morphism":
         """Entrywise partial derivative of D; the canonical null-homotopy."""
-        return cls(
-            obj,
-            obj,
-            1,
-            obj.d01.partial_derivative(index),
-            obj.d10.partial_derivative(index),
+        ring = obj.lg.ring
+        blocks = (
+            PolyMatrix(ring, [[p.partial_derivative(index) for p in row]
+                              for row in matrix.entries])
+            for matrix in (obj.d01, obj.d10)
         )
+        return cls(obj, obj, 1, *blocks)
 
     def is_zero(self) -> bool:
-        return self.blk0.is_zero() and self.blk1.is_zero()
+        return not self.terms
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if (
@@ -363,12 +371,11 @@ class Morphism:
             or self.parity != other.parity
         ):
             raise ShapeError("cannot add morphisms of different type")
-        return Morphism(
+        return Morphism._from_terms(
             self.source,
             self.target,
             self.parity,
-            self.blk0 + other.blk0,
-            self.blk1 + other.blk1,
+            _collect(itertools.chain(self.terms.items(), other.terms.items())),
         )
 
     def __sub__(self, other: "Morphism") -> "Morphism":
@@ -379,38 +386,49 @@ class Morphism:
 
     def scale(self, factor) -> "Morphism":
         """factor * self, for a scalar or a polynomial of the ring."""
-        return Morphism(
+        factor = _as_poly(self.source.lg.ring, factor)
+        return Morphism._from_terms(
             self.source,
             self.target,
             self.parity,
-            self.blk0.scale(factor),
-            self.blk1.scale(factor),
+            _collect(
+                ((element, mono_mul(exps, f_exps)), coeff * f_coeff)
+                for (element, exps), coeff in self.terms.items()
+                for f_exps, f_coeff in factor.terms.items()
+            ),
         )
 
     def compose(self, other: "Morphism") -> "Morphism":
-        """self after other (other: a1 -> a2, self: a2 -> a3)."""
+        """self after other (other: a1 -> a2, self: a2 -> a3).
+
+        An element (pf, blk, i, j) of other maps basis vector j of the source
+        module blk to basis vector i of the module of parity blk + pf, and
+        meets each element (pg, blk + pf, k, i) of self, giving
+        (pf + pg, blk, k, j) with the exponents added.
+        """
         if other.target != self.source:
             raise ShapeError("middle objects do not match in composition")
-        left0 = self.blk0 if other.parity == 0 else self.blk1
-        left1 = self.blk1 if other.parity == 0 else self.blk0
-        return Morphism(
+        parity = (self.parity + other.parity) % 2
+        by_source = {}  # (source module, column) -> [(row, exps, coeff)]
+        for ((_, blk, k, i), exps), coeff in self.terms.items():
+            by_source.setdefault((blk, i), []).append((k, exps, coeff))
+        return Morphism._from_terms(
             other.source,
             self.target,
-            self.parity + other.parity,
-            left0.matmul(other.blk0),
-            left1.matmul(other.blk1),
+            parity,
+            _collect(
+                (((parity, blk, k, j), mono_mul(f_exps, g_exps)), f_coeff * g_coeff)
+                for ((pf, blk, i, j), f_exps), f_coeff in other.terms.items()
+                for k, g_exps, g_coeff in by_source.get(((blk + pf) % 2, i), ())
+            ),
         )
 
     def defect(self) -> "Morphism":
-        """d(f) = D2 o f - (-1)^{deg f} f o D1."""
+        """d(f) = D2 o f - (-1)^{deg f} f o D1, D an odd endomorphism."""
         d1, d2 = self.source, self.target
-        if self.parity == 0:
-            blk0 = d2.d01.matmul(self.blk0) - self.blk1.matmul(d1.d01)
-            blk1 = d2.d10.matmul(self.blk1) - self.blk0.matmul(d1.d10)
-        else:
-            blk0 = d2.d10.matmul(self.blk0) + self.blk1.matmul(d1.d01)
-            blk1 = d2.d01.matmul(self.blk1) + self.blk0.matmul(d1.d10)
-        return Morphism(self.source, self.target, self.parity + 1, blk0, blk1)
+        left = Morphism(d2, d2, 1, d2.d01, d2.d10).compose(self)
+        right = self.compose(Morphism(d1, d1, 1, d1.d01, d1.d10))
+        return left + right if self.parity else left - right
 
     def supertrace(self) -> Polynomial:
         """str(f) for endomorphisms; zero for odd parity (no diagonal blocks)."""
@@ -419,7 +437,14 @@ class Morphism:
         ring = self.source.lg.ring
         if self.parity == 1:
             return ring.zero()
-        return self.blk0.trace() - self.blk1.trace()
+        return Polynomial(
+            ring,
+            _collect(
+                (exps, -coeff if blk else coeff)
+                for ((_, blk, i, j), exps), coeff in self.terms.items()
+                if i == j
+            ),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -428,12 +453,20 @@ class Morphism:
             self.source == other.source
             and self.target == other.target
             and self.parity == other.parity
-            and self.blk0 == other.blk0
-            and self.blk1 == other.blk1
+            and self.terms == other.terms
         )
 
     def __repr__(self):
         return f"Morphism(parity {self.parity})"
+
+
+def _collect(pairs) -> dict:
+    """Sum (key, value) pairs by key; the nonzero sums."""
+    out = {}
+    for key, value in pairs:
+        acc = out.get(key)
+        out[key] = value if acc is None else acc + value
+    return {key: value for key, value in out.items() if value}
 
 
 def _block_shapes(a1, a2, parity):
@@ -603,30 +636,25 @@ class MorphismClass:
 
     Arithmetic works on the coordinates alone.  The canonical representative
     is sum of coord * basis representative, a basis representative being a
-    quotient row of its piece.  Its terms, {((parity, blk, i, j), exps):
-    coeff}, are what compose_classes reads; the Morphism with those terms is
-    built on first access to representative.  Both are kept.
+    quotient row of its piece.  It is the Morphism with those terms, made on
+    first access to representative and kept.
     """
 
-    __slots__ = ("hom", "parity", "coords", "_terms", "_representative")
+    __slots__ = ("hom", "parity", "coords", "_representative")
 
     def __init__(self, hom, parity, coords):
         self.hom = hom
         self.parity = parity
         self.coords = tuple(coords)
-        self._terms = None
         self._representative = None
-
-    def terms(self) -> dict:
-        """The canonical representative as {((parity, blk, i, j), exps): coeff}."""
-        if self._terms is None:
-            self._terms = self.hom.terms_of(self.parity, self.coords)
-        return self._terms
 
     @property
     def representative(self) -> Morphism:
         if self._representative is None:
-            self._representative = self.hom.morphism_of(self.parity, self.terms())
+            hom = self.hom
+            self._representative = Morphism._from_terms(
+                hom.a1, hom.a2, self.parity, hom.terms_of(self.parity, self.coords)
+            )
         return self._representative
 
     def is_zero(self) -> bool:
@@ -687,8 +715,8 @@ class HomCohomology:
     kernel (quotient() counts its rows, and an acyclic piece's image is its
     kernel), and FreeComplex.matrix() raises when the differential leaves its
     target piece, so a component reduces to zero exactly when it is a
-    cocycle.  Basis representatives are quotient rows; a Morphism is built
-    from them only on demand (MorphismClass.representative).
+    cocycle.  Basis representatives are quotient rows, read as terms
+    (terms_of); MorphismClass.representative wraps them in a Morphism.
     """
 
     def __init__(self, a1, a2, bound=None):
@@ -801,21 +829,6 @@ class HomCohomology:
                 )
         return terms
 
-    def morphism_of(self, parity: int, terms) -> Morphism:
-        """The Morphism with these terms {((parity, blk, i, j), exps): coeff}."""
-        ring = self.lg.ring
-        blocks = [
-            [[{} for _ in range(ncols)] for _ in range(nrows)]
-            for nrows, ncols, _, _ in _block_shapes(self.a1, self.a2, parity)
-        ]
-        for ((_, blk, i, j), exps), coeff in terms.items():
-            blocks[blk][i][j][exps] = coeff
-        blk0, blk1 = (
-            PolyMatrix(ring, [[ring.from_terms(t) for t in row] for row in block])
-            for block in blocks
-        )
-        return Morphism(self.a1, self.a2, parity, blk0, blk1)
-
     def class_of(self, morphism: Morphism) -> MorphismClass:
         """Canonical class of a cocycle; raises NonCocycleError otherwise.
 
@@ -825,7 +838,7 @@ class HomCohomology:
         if morphism.source != self.a1 or morphism.target != self.a2:
             raise ValidationError("morphism does not belong to this Hom space")
         try:
-            cls = self._reduce(morphism.parity, self._components(morphism))
+            cls = self._reduce(morphism.parity, morphism.terms)
         except ClassBoundError:
             if morphism.defect().is_zero():
                 raise
@@ -836,19 +849,8 @@ class HomCohomology:
             )
         return cls
 
-    def _components(self, morphism):
-        """The terms of a caller's morphism, split by piece: {degree: vector}."""
-        terms = (
-            (((morphism.parity, blk, i, j), exps), coeff)
-            for blk, matrix in enumerate((morphism.blk0, morphism.blk1))
-            for i, row in enumerate(matrix.entries)
-            for j, entry in enumerate(row)
-            for exps, coeff in entry.terms.items()
-        )
-        return self._split(morphism.parity, terms)
-
     def _split(self, parity, terms):
-        """Nonzero terms (element, coeff) of this Hom, split by piece:
+        """Nonzero terms {element: coeff} of this Hom, split by piece:
         {degree: {position in the piece's basis: coeff}}.
 
         A term in a graded piece above the stop, up to the bound, builds that
@@ -856,7 +858,7 @@ class HomCohomology:
         """
         shapes = _block_shapes(self.a1, self.a2, parity)
         components = {}
-        for element, coeff in terms:
+        for element, coeff in terms.items():
             m = 0  # the windowed space is one piece
             if self.graded:
                 (_, blk, i, j), exps = element
@@ -878,16 +880,17 @@ class HomCohomology:
             components.setdefault(m, {})[piece.index[element]] = coeff
         return components
 
-    def _reduce(self, parity, components) -> Optional[MorphismClass]:
-        """The class of split components, or None when one is no cocycle.
+    def _reduce(self, parity, terms) -> Optional[MorphismClass]:
+        """The class of nonzero terms, or None when they are no cocycle.
 
-        Each component is reduced modulo its piece's image, then its quotient;
-        the quotient coordinates are the class's, and a nonzero residual means
-        the component lies outside the kernel.
+        The terms are split by piece, and each component is reduced modulo its
+        piece's image, then its quotient; the quotient coordinates are the
+        class's, and a nonzero residual means the component lies outside the
+        kernel.
         """
         coords = [GaussianRational(0)] * len(self.layout[parity])
         position_of = self._position_of[parity]  # later pieces add no class
-        for m, vector in components.items():
+        for m, vector in self._split(parity, terms).items():
             piece = self.pieces[(parity, m)]
             residual, _ = rref_reduce(*piece.im, vector)
             residual, local_coords = rref_reduce(*piece.quot, residual)
@@ -948,32 +951,16 @@ def compose_classes(
 ) -> MorphismClass:
     """Composition on cohomology: class of g o f inside Hom(f.hom.a1, g.hom.a2).
 
-    Bilinear on the representatives' terms: an element (pf, blk, i, j) of f
-    maps basis vector j of the source module blk to basis vector i of the
-    module of parity blk + pf, and meets each element (pg, blk + pf, k, i) of
-    g, giving (pf + pg, blk, k, j) with the exponents added.  The composite
-    of two cocycles is a cocycle (Leibniz), so a nonzero residual is an
-    internal fault.
+    The representatives' composite, Morphism.compose on their terms, reduced
+    in the target Hom.  The composite of two cocycles is a cocycle (Leibniz),
+    so a nonzero residual is an internal fault.
     """
     if f.hom.a2 != g.hom.a1:
         raise ValidationError("middle objects do not match")
     if target_hom.a1 != f.hom.a1 or target_hom.a2 != g.hom.a2:
         raise ValidationError("target Hom space does not match the composite")
-    parity = (f.parity + g.parity) % 2
-    g_by_source = {}  # (source module, column) -> [(row, exps, coeff)]
-    for ((_, blk, k, i), exps), coeff in g.terms().items():
-        g_by_source.setdefault((blk, i), []).append((k, exps, coeff))
-    terms = {}
-    for ((pf, blk, i, j), f_exps), f_coeff in f.terms().items():
-        for k, g_exps, g_coeff in g_by_source.get(((blk + pf) % 2, i), ()):
-            element = ((parity, blk, k, j), mono_mul(f_exps, g_exps))
-            product = f_coeff * g_coeff
-            acc = terms.get(element)
-            terms[element] = product if acc is None else acc + product
-    composite = target_hom._reduce(
-        parity,
-        target_hom._split(parity, ((e, c) for e, c in terms.items() if c)),
-    )
+    chain = g.representative.compose(f.representative)
+    composite = target_hom._reduce(chain.parity, chain.terms)
     if composite is None:
         raise InternalCheckError("the composite of two cocycles is not a cocycle")
     return composite

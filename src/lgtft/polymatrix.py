@@ -30,11 +30,6 @@ class PolyMatrix:
         self.entries = rows
 
     @classmethod
-    def zero(cls, ring: PolyRing, nrows: int, ncols: int) -> "PolyMatrix":
-        z = ring.zero()
-        return cls(ring, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, ring: PolyRing, n: int, scale=None) -> "PolyMatrix":
         diag = ring.one() if scale is None else _as_poly(ring, scale)
         z = ring.zero()
@@ -50,26 +45,6 @@ class PolyMatrix:
     def _check_ring(self, other: "PolyMatrix"):
         if self.ring != other.ring:
             raise RingMismatchError("matrices over different rings")
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_ring(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("shape mismatch in matrix addition")
-        return PolyMatrix(
-            self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.ring, [[-p for p in row] for row in self.entries]
-        )
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_ring(other)
@@ -93,37 +68,6 @@ class PolyMatrix:
         return PolyMatrix(self.ring, rows)
 
     __matmul__ = matmul
-
-    def scale(self, factor) -> "PolyMatrix":
-        factor = _as_poly(self.ring, factor)
-        return PolyMatrix(
-            self.ring, [[factor * p for p in row] for row in self.entries]
-        )
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.ring, [[fn(p) for p in row] for row in self.entries])
-
-    def trace(self) -> Polynomial:
-        if self.nrows != self.ncols:
-            raise ShapeError("trace of a non-square matrix")
-        total = self.ring.zero()
-        for k in range(self.nrows):
-            total = total + self.entries[k][k]
-        return total
-
-    def partial_derivative(self, index: int) -> "PolyMatrix":
-        return self.map_entries(lambda p: p.partial_derivative(index))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.entries == other.entries
-        )
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols} over {self.ring!r})"

@@ -19,10 +19,12 @@ carries the Koszul sign (-1)^{deg t1 deg t} on homogeneous t).
 
 Every structure map is computed on basis elements only, once, and extended
 by linearity: composition through the composition tensors of BraneCategory,
-which compose_classes builds from the basis classes' piece vectors with no
-polynomial matrix product, e_a through the classes e_a(m_k) of the bulk
-basis monomials, and f_a through the chain-level supertraces of the basis
-classes of End(a); tr_a is the bulk trace of f_a (adjointness at h = 1).
+which compose_classes builds from the basis classes' representatives, e_a
+through the classes e_a(m_k) of the bulk basis monomials, and f_a through
+the chain-level supertraces of the basis classes of End(a); tr_a is the bulk
+trace of f_a (adjointness at h = 1).  Chain-level morphisms are their terms
+(see matfact.Morphism), so the units, e_a(m_k), Lambda_a and str(t o
+Lambda_a) multiply no polynomial matrix.
 These tables are built on first use, so they see the datum as it is at that
 time.  The axiom clauses and Cardy are coordinate arithmetic on these
 constants, on position dicts {p: coeff} over the basis of a Hom space (its

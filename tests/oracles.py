@@ -299,8 +299,106 @@ def monomials_up_to(nvars, total_degree):
     return out
 
 
-from lgtft.matfact import Morphism  # noqa: E402  (substrate for the raw-rank oracle)
+from lgtft.matfact import Morphism  # noqa: E402
 from lgtft.polymatrix import PolyMatrix  # noqa: E402
+
+# The chain-level oracle: a Morphism's two blocks rebuilt from its terms as
+# polynomial matrices, multiplied with PolyMatrix.matmul and combined entry by
+# entry with polynomial arithmetic.  Results go back through the block
+# constructor Morphism(source, target, parity, blk0, blk1).
+
+
+def morphism_blocks(morphism):
+    """(blk0, blk1) of a Morphism: blk0 has the even source module, blk1 the
+    odd one, and their targets have parities (parity, 1 - parity)."""
+    a, b, parity = morphism.source, morphism.target, morphism.parity
+    ring = a.lg.ring
+    if parity == 0:
+        shapes = [(b.rank0, a.rank0), (b.rank1, a.rank1)]
+    else:
+        shapes = [(b.rank1, a.rank0), (b.rank0, a.rank1)]
+    blocks = [[[{} for _ in range(ncols)] for _ in range(nrows)]
+              for nrows, ncols in shapes]
+    for ((_, blk, i, j), exps), coeff in morphism.terms.items():
+        blocks[blk][i][j][exps] = coeff
+    return tuple(
+        PolyMatrix(ring, [[ring.from_terms(t) for t in row] for row in block])
+        for block in blocks
+    )
+
+
+def _entrywise(left, right, sign):
+    """left + sign * right, entry by entry."""
+    return PolyMatrix(left.ring, [
+        [p + q * sign for p, q in zip(row_l, row_r)]
+        for row_l, row_r in zip(left.entries, right.entries)
+    ])
+
+
+def oracle_add(f, g):
+    (f0, f1), (g0, g1) = morphism_blocks(f), morphism_blocks(g)
+    return Morphism(
+        f.source, f.target, f.parity, _entrywise(f0, g0, 1), _entrywise(f1, g1, 1)
+    )
+
+
+def oracle_scale(f, factor):
+    """factor * f, as factor times the identity, times each block."""
+    ring = f.source.lg.ring
+    blocks = (
+        PolyMatrix.identity(ring, blk.nrows, factor).matmul(blk)
+        for blk in morphism_blocks(f)
+    )
+    return Morphism(f.source, f.target, f.parity, *blocks)
+
+
+def oracle_compose(g, f):
+    """g o f, one block product per block of f."""
+    g0, g1 = morphism_blocks(g)
+    f0, f1 = morphism_blocks(f)
+    left0, left1 = (g0, g1) if f.parity == 0 else (g1, g0)
+    return Morphism(
+        f.source, g.target, f.parity + g.parity, left0.matmul(f0), left1.matmul(f1)
+    )
+
+
+def oracle_defect(f):
+    """d(f) = D2 o f - (-1)^{deg f} f o D1."""
+    d1, d2 = f.source, f.target
+    blk0, blk1 = morphism_blocks(f)
+    out0, out1 = (d2.d01, d2.d10) if f.parity == 0 else (d2.d10, d2.d01)
+    sign = 1 if f.parity else -1
+    return Morphism(
+        d1,
+        d2,
+        f.parity + 1,
+        _entrywise(out0.matmul(blk0), blk1.matmul(d1.d01), sign),
+        _entrywise(out1.matmul(blk1), blk0.matmul(d1.d10), sign),
+    )
+
+
+def oracle_supertrace(f):
+    """str(f) of an endomorphism: Tr(blk0) - Tr(blk1), zero for odd f."""
+    ring = f.source.lg.ring
+    total = ring.zero()
+    if f.parity == 0:
+        blk0, blk1 = morphism_blocks(f)
+        for k in range(blk0.nrows):
+            total = total + blk0[k, k]
+        for k in range(blk1.nrows):
+            total = total - blk1[k, k]
+    return total
+
+
+def oracle_d_partial(obj, index):
+    """The entrywise partial derivative of D."""
+    ring = obj.lg.ring
+    blocks = (
+        PolyMatrix(ring, [[p.partial_derivative(index) for p in row]
+                          for row in matrix.entries])
+        for matrix in (obj.d01, obj.d10)
+    )
+    return Morphism(obj, obj, 1, *blocks)
 
 
 def oracle_hom_dims(lg, a, b, bound):
@@ -335,15 +433,12 @@ def oracle_hom_dims(lg, a, b, bound):
 
     def as_morphism(parity, element, coeff):
         blk, i, j, exps = element
-        sh = shapes(parity)
         blocks = [
-            PolyMatrix.zero(ring, *sh[0][:2]),
-            PolyMatrix.zero(ring, *sh[1][:2]),
+            [[ring.zero()] * ncols for _ in range(nrows)]
+            for nrows, ncols, _, _ in shapes(parity)
         ]
-        entries = [list(row) for row in blocks[blk].entries]
-        entries[i][j] = ring.monomial(exps, coeff)
-        blocks[blk] = PolyMatrix(ring, entries)
-        return Morphism(a, b, parity, blocks[0], blocks[1])
+        blocks[blk][i][j] = ring.monomial(exps, coeff)
+        return Morphism(a, b, parity, *(PolyMatrix(ring, rows) for rows in blocks))
 
     def raw_matrix(parity, m):
         source = basis(parity, m)
@@ -351,9 +446,8 @@ def oracle_hom_dims(lg, a, b, bound):
         index = {e: r for r, e in enumerate(target)}
         rows = [[GaussianRational(0)] * len(source) for _ in target]
         for col, element in enumerate(source):
-            image = as_morphism(parity, element, 1).defect()
-            sh = shapes(1 - parity)
-            for blk, matrix in enumerate((image.blk0, image.blk1)):
+            image = oracle_defect(as_morphism(parity, element, 1))
+            for blk, matrix in enumerate(morphism_blocks(image)):
                 for i in range(matrix.nrows):
                     for j in range(matrix.ncols):
                         for exps, c in matrix[i, j].terms.items():
@@ -418,7 +512,7 @@ def full_class_coords(hom, pieces, morphism) -> list:
     parity = morphism.parity
     position_of = {key: k for k, key in enumerate(hom.layout[parity])}
     coords = [GaussianRational(0)] * len(position_of)
-    for m, vector in hom._components(morphism).items():
+    for m, vector in hom._split(parity, morphism.terms).items():
         image, quot = pieces[parity, m]
         residual, _ = rref_reduce(*image, vector)
         residual, local_coords = rref_reduce(*quot, residual)
@@ -430,11 +524,11 @@ def full_class_coords(hom, pieces, morphism) -> list:
 
 
 def chain_compose_classes(g, f, target_hom):
-    """The class of g o f at chain level: the representatives' PolyMatrix
-    product, whose defect must vanish, classified by class_of.  This is the
-    path compose_classes took before it composed terms."""
-    composite = g.representative.compose(f.representative)
-    if not composite.defect().is_zero():
+    """The class of g o f at chain level: the oracle's block product of the
+    representatives, whose oracle defect must vanish, classified by
+    class_of."""
+    composite = oracle_compose(g.representative, f.representative)
+    if not oracle_defect(composite).is_zero():
         raise AssertionError("the composite of two cocycles is not a cocycle")
     return target_hom.class_of(composite)
 
@@ -462,7 +556,8 @@ from lgtft.tft import _perm_sign  # noqa: E402
 
 def solved_boundary_bulk(datum, i, t):
     """f_a(t) solved from Tr(m_k f) = tr_a(e_a(m_k) o t) on every bulk basis
-    monomial m_k: the right-hand side is computed at chain level, from
+    monomial m_k: the right-hand side is computed at chain level by the
+    block oracle, from
     (m_k t) o Lambda_a, and read off the e_a, composition and tr_a tables,
     and the two must agree; the solution of the residue Gram system is then
     re-checked with the Gram matrix read off the multiplication table.  This
@@ -471,20 +566,22 @@ def solved_boundary_bulk(datum, i, t):
         raise DegenerateTraceError("bulk pairing degenerate")
     obj = datum.branes.objects[i]
     d = datum.lg.dimension
-    partials = [Morphism.d_partial(obj, k) for k in range(d)]
+    partials = [oracle_d_partial(obj, k) for k in range(d)]
     lam = Morphism.zero(obj, obj, d % 2)
     for sigma in permutations(range(d)):
         product = partials[sigma[0]]
         for index in sigma[1:]:
-            product = partials[index].compose(product)
-        lam = lam + (product if _perm_sign(sigma) > 0 else product.scale(-1))
+            product = oracle_compose(partials[index], product)
+        lam = oracle_add(
+            lam, product if _perm_sign(sigma) > 0 else oracle_scale(product, -1)
+        )
     algebra = datum.bulk.algebra
     branes = datum.branes
     t_dict = branes.coords(t)
     rhs = {}
     for k, e_image in enumerate(datum.bulk_boundary_basis(i)):
-        composed = t.representative.scale(algebra.basis_poly(k))
-        poly = composed.compose(lam).supertrace()
+        composed = oracle_scale(t.representative, algebra.basis_poly(k))
+        poly = oracle_supertrace(oracle_compose(composed, lam))
         value = datum.c_d * datum.bulk.trace_of(algebra.nf_coords(poly))
         table = datum._trace(
             i, branes.product(i, i, i, branes.coords(e_image), t_dict)

@@ -20,6 +20,7 @@ from lgtft.cli import main
 from lgtft.errors import ValidationError
 from lgtft.jacobi import JacobiAlgebra
 from lgtft.jobs import JobSpec, diff_reports, load_job, report_to_text, run_job
+from test_reference_reports import CACHE_TWINS, JOBS as REFERENCE_JOBS
 
 
 def _basic_job(**overrides):
@@ -624,6 +625,44 @@ def test_cli_diff_and_clean_cache(tmp_path, capsys):
     assert main(["clean-cache", "--cache-dir", str(cache_dir)]) == 0
     assert "removed" in capsys.readouterr().out
     assert not list(Path(cache_dir).glob("*.json"))
+
+
+def _inferred_weights(raw):
+    """raw with every brane's weights0 and weights1 left out."""
+    out = copy.deepcopy(raw)
+    for brane in out["branes"]:
+        brane.pop("weights0", None)
+        brane.pop("weights1", None)
+    return out
+
+
+@pytest.mark.parametrize("twin", sorted(CACHE_TWINS))
+def test_cli_cached_hom_tables_follow_weights_and_pairs(tmp_path, capsys, twin):
+    """A job run against a cache filled by a job with the same blocks but
+    other weights (x4_shifted after its branes with inferred weights), or
+    with Koszul pairs (windowed_overcount_blocks after windowed_overcount),
+    reports its own Hom tables, not the cached ones."""
+    second = CACHE_TWINS[twin]
+    if twin == "x4_shifted":
+        first = _inferred_weights(second)
+    else:
+        first = REFERENCE_JOBS["windowed_overcount"]
+    cache_dir = str(tmp_path / "cache")
+    cold, cached = tmp_path / "cold.json", tmp_path / "cached.json"
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert main(["run", _write_job(tmp_path / "a", first), "--cache-dir", cache_dir]) == 0
+    job = _write_job(tmp_path / "b", second)
+    assert main(["run", job, "--cache-dir", cache_dir, "--output", str(cached)]) == 0
+    assert main(["run", job, "--no-cache", "--output", str(cold)]) == 0
+    capsys.readouterr()
+    homs = json.loads(cached.read_text())["results"]["homs"]
+    assert homs == json.loads(cold.read_text())["results"]["homs"]
+    if twin == "x4_shifted":
+        assert homs["A|B"]["by_degree"]["even"] == {"-4": 1}
+        assert homs["B|A"]["by_degree"]["even"] == {"6": 1}
+    else:
+        assert homs["E|E"]["stabilized"] is True
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from lgtft.errors import (
     ClassBoundError,
     FactorizationError,
     NonCocycleError,
+    RingMismatchError,
     ValidationError,
 )
 from lgtft.lgpair import make_lg_pair
@@ -32,8 +33,16 @@ from oracles import (
     chain_compose_classes,
     full_class_coords,
     full_hom_pieces,
+    morphism_blocks,
+    oracle_add,
+    oracle_compose,
+    oracle_d_partial,
+    oracle_defect,
     oracle_hom_dims,
+    oracle_scale,
+    oracle_supertrace,
 )
+from test_reference_reports import JOBS as REFERENCE_JOBS
 
 
 def _pm(ring, rows):
@@ -107,6 +116,37 @@ def test_koszul_sum_mismatch():
         koszul_factorization(lg, [("x", "x")])
 
 
+def test_koszul_blocks_determine_the_pairs():
+    """The last pair (a, b) of a Koszul factorization of rank 2r sits at
+    d01[r][0] and -d01[0][r], and the earlier blocks are the top-left r x r
+    corners, so the blocks determine the pairs: the Hom cache key needs only
+    whether a brane has them.  On seeded random pairs, three per W."""
+    rng = random.Random(11)
+    checked = 0
+    while checked < 100:
+        ring = make_lg_pair(["x", "y"], "x^2+y^2").ring
+        pairs = [
+            (_random_poly(ring, rng, max_degree=2), _random_poly(ring, rng, 2))
+            for _ in range(3)
+        ]
+        w = ring.zero()
+        for a, b in pairs:
+            w = w + a * b
+        if w.is_constant():
+            continue
+        mf = koszul_factorization(make_lg_pair(["x", "y"], w), pairs)
+        d01, d10 = mf.d01.entries, mf.d10.entries
+        found = []
+        while len(d01) > 1:
+            r = len(d01) // 2
+            found.append((d01[r][0], -d01[0][r]))
+            d01 = [row[:r] for row in d01[:r]]
+            d10 = [row[:r] for row in d10[:r]]
+        found.append((d01[0][0], d10[0][0]))
+        assert found[::-1] == list(mf.pairs) == pairs
+        checked += 1
+
+
 # -- hom complexes ------------------------------------------------------------
 
 
@@ -126,13 +166,7 @@ def _elementary(hom, parity, element):
 
 
 def _vectorize(morphism, index):
-    vector = {}
-    for blk, matrix in enumerate((morphism.blk0, morphism.blk1)):
-        for i in range(matrix.nrows):
-            for j in range(matrix.ncols):
-                for exps, coeff in matrix[i, j].terms.items():
-                    vector[index[((morphism.parity, blk, i, j), exps)]] = coeff
-    return vector
+    return {index[element]: coeff for element, coeff in morphism.terms.items()}
 
 
 def _check_columns_against_defect(hom):
@@ -223,8 +257,9 @@ def test_defect_formula_odd_block(lg_x3):
     )
     df = f.defect()
     assert df.parity == 0
-    assert df.blk0.to_strings() == [["x^2"]]  # (D2 o f) block: D10 o f0
-    assert df.blk1.to_strings() == [["x^2"]]  # (f o D1) block: f0 o D10
+    blk0, blk1 = morphism_blocks(df)
+    assert blk0.to_strings() == [["x^2"]]  # (D2 o f) block: D10 o f0
+    assert blk1.to_strings() == [["x^2"]]  # (f o D1) block: f0 o D10
 
 
 def test_square_zero_holds_for_koszul_brane_pair():
@@ -529,6 +564,48 @@ def test_randomized_leibniz_suite():
         checked += 1
 
 
+def test_terms_arithmetic_matches_the_block_oracle():
+    """Morphism's arithmetic on terms equals the block oracle (blocks rebuilt
+    from the terms, multiplied with PolyMatrix.matmul) on seeded random
+    morphisms between the branes of every reference job: +, -, scale by a
+    polynomial and by a scalar, compose, defect, supertrace and d_partial.
+    Scaling by a polynomial of another ring raises RingMismatchError, and by
+    a float TypeError."""
+    rng = random.Random(20)
+    checked = 0
+    for _, raw in sorted(REFERENCE_JOBS.items()):
+        lg = make_lg_pair(raw["variables"], raw["superpotential"])
+        branes = [koszul_factorization(lg, brane["pairs"]) for brane in raw["branes"]]
+        for a in branes:
+            for k in range(lg.ring.nvars):
+                assert Morphism.d_partial(a, k) == oracle_d_partial(a, k)
+            for parity in (0, 1):
+                endo = _random_morphism(lg, a, a, rng, parity)
+                assert endo.supertrace() == oracle_supertrace(endo)
+            for b in branes:
+                f = _random_morphism(lg, a, b, rng)
+                other = _random_morphism(lg, a, b, rng, parity=f.parity)
+                factor = _random_poly(lg.ring, rng, max_degree=2)
+                assert f + other == oracle_add(f, other)
+                assert f - other == oracle_add(f, oracle_scale(other, -1))
+                assert f.scale(factor) == oracle_scale(f, factor)
+                assert f.scale(GaussianRational(2, -1)) == oracle_scale(
+                    f, GaussianRational(2, -1)
+                )
+                assert f.defect() == oracle_defect(f)
+                for c in branes:
+                    g = _random_morphism(lg, b, c, rng)
+                    assert g.compose(f) == oracle_compose(g, f)
+                    checked += 1
+    assert checked > 0
+    lg = make_lg_pair(["x"], "x^3")
+    a = koszul_factorization(lg, [("x", "x^2")])
+    with pytest.raises(RingMismatchError):
+        Morphism.identity(a).scale(make_lg_pair(["y"], "y^3").ring.parse("y"))
+    with pytest.raises(TypeError):
+        Morphism.identity(a).scale(0.5)
+
+
 def test_randomized_representative_independence():
     rng = random.Random(321)
     lg = make_lg_pair(["x"], "x^4")
@@ -684,10 +761,10 @@ def test_hom_matches_full_elimination(case):
             )
         for (parity, m), piece in list(hom.pieces.items()):
             for position in range(len(piece.basis)):
-                h = hom.morphism_of(parity, {piece.basis[position]: 1})
+                h = _elementary(hom, parity, piece.basis[position])
                 boundary = h.defect()
                 try:
-                    degrees = hom._components(boundary)
+                    degrees = hom._split(boundary.parity, boundary.terms)
                 except ClassBoundError:
                     continue  # d(h) leaves the computed window
                 assert hom.class_of(boundary).is_zero()
@@ -716,9 +793,9 @@ def test_hom_matches_full_elimination(case):
             ):
                 row = full[key][parity, m][1][1][local]
                 basis = hom.pieces[parity, m].basis
-                assert cls.representative == hom.morphism_of(
-                    parity, {basis[col]: coeff for col, coeff in row.items()}
-                )
+                assert cls.representative.terms == {
+                    basis[col]: coeff for col, coeff in row.items()
+                }
 
 
 # Koszul branes whose Homs out of a Koszul source have certified dimensions;
@@ -865,7 +942,7 @@ def test_stopped_window_classes_match_the_full_window():
             for f in f_hom.basis_classes(0) + f_hom.basis_classes(1):
                 for g in homs[t, u].basis_classes(0) + homs[t, u].basis_classes(1):
                     composite = g.representative.compose(f.representative)
-                    degrees = full._components(composite)
+                    degrees = full._split(composite.parity, composite.terms)
                     above += max(degrees, default=0) > stops[s, u]
                     assert target.class_of(composite) == MorphismClass(
                         target, composite.parity, full.class_of(composite).coords
@@ -950,7 +1027,7 @@ def _classes_to_compose(hom, rng):
 @pytest.mark.parametrize("case", sorted(CHAIN_ORACLE_CASES))
 def test_compose_classes_matches_the_chain_level_composite(case):
     """compose_classes, which composes the representatives' terms, gives the
-    class the chain-level path gives: the PolyMatrix product of the
+    class the chain-level oracle gives: the PolyMatrix product of the
     representatives, its defect checked, then class_of.  On every pair of
     basis classes and on seeded random combinations, over every triple of
     branes."""
@@ -991,7 +1068,7 @@ def test_class_of_above_the_stop_builds_only_its_piece():
     assert stop == 2
     step = lg.weighted_degree  # the degree of the defect differential
     boundaries = (
-        (parity, n, full.morphism_of(parity, {element: 1}).defect())
+        (parity, n, _elementary(full, parity, element).defect())
         for (parity, n), piece in sorted(full.pieces.items(), key=lambda kv: kv[0][1])
         if n + step > stop
         for element in piece.basis

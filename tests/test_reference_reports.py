@@ -10,6 +10,10 @@ windowed End whose window counts more classes than its certificate.
     PYTHONPATH=src python3 tests/test_reference_reports.py [NAME ...]
 
 rewrites the stored reports; do so only for a change meant to alter them.
+
+The same jobs, with the twins of CACHE_TWINS, also run in sequence against
+one shared cache, and every report must equal its cold report: a cache key
+that two of them shared while their results differ would show there.
 """
 
 import sys
@@ -17,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from lgtft.cache import Cache
 from lgtft.jobs import JobSpec, report_to_text, run_job
 
 REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
@@ -88,13 +93,41 @@ JOBS = {
         "compute": ["homs"],
     },
 }
-for _raw in JOBS.values():
+# Branes of reference jobs given again as blocks, with what sets their Hom
+# tables apart from the reference job's: other weights, or no Koszul pairs.
+CACHE_TWINS = {
+    # x4_m1m2's branes, M1's weights shifted by 4: Hom(A, B) lies in degree
+    # -4 and Hom(B, A) in degree 6, not 0 and 2
+    "x4_shifted": {
+        "variables": ["x"],
+        "superpotential": "x^4",
+        "branes": [
+            {"name": "A", "d01": [["x"]], "d10": [["x^3"]],
+             "weights0": [4], "weights1": [6]},
+            {"name": "B", "d01": [["x^2"]], "d10": [["x^2"]]},
+        ],
+    },
+    # windowed_overcount's brane without its pairs: no certificate, so its
+    # window of 12|12 classes is reported as stabilized
+    "windowed_overcount_blocks": {
+        "variables": ["x", "y"],
+        "superpotential": "x^5+y^5+x^2*y^2",
+        "branes": [
+            {"name": "E", "d01": [["x^2", "-y^4"], ["y", "x^3 + y^2"]],
+             "d10": [["x^3 + y^2", "y^4"], ["-y", "x^2"]]},
+        ],
+        "compute": ["homs"],
+    },
+}
+for _raw in (*JOBS.values(), *CACHE_TWINS.values()):
     _raw.setdefault("compute", "all")
 
 
-def report_text(name: str) -> str:
-    """The report of JOBS[name] minus timing, as the reference stores it."""
-    report = run_job(JobSpec.from_dict(JOBS[name]))
+def report_text(name: str, cache=None) -> str:
+    """The report of JOBS[name] or CACHE_TWINS[name] minus timing, as the
+    reference stores it; with no cache unless one is given."""
+    raw = JOBS[name] if name in JOBS else CACHE_TWINS[name]
+    report = run_job(JobSpec.from_dict(raw), cache)
     report.pop("timing")
     return report_to_text(report)
 
@@ -103,6 +136,21 @@ def report_text(name: str) -> str:
 def test_job_matches_its_reference_report(name):
     reference = (REFERENCE_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert report_text(name) == reference
+
+
+def test_shared_cache_replays_every_cold_report(tmp_path):
+    """Every job and cache twin, run in sequence against one shared cache,
+    once filling it and once replaying from it, gives its cold report minus
+    timing byte for byte; the replay stores nothing new."""
+    names = [*JOBS, *CACHE_TWINS]
+    cold = {name: report_text(name) for name in names}
+    cache = Cache(tmp_path / "cache")
+    stored = []
+    for _ in ("fill", "replay"):
+        for name in names:
+            assert report_text(name, cache) == cold[name], name
+        stored.append(sorted(path.name for path in cache.directory.iterdir()))
+    assert stored[0] and stored[1] == stored[0]
 
 
 def main(names) -> int:

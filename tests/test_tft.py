@@ -419,7 +419,9 @@ def test_build_classifies_only_the_units_and_category_clauses_compose_nothing(
     baseline datum runs class_of only for the units and multiplies no
     polynomial matrix, and no clause makes a BraneCategory.compose call: the
     category clauses contract the tensors, and the whole suite composes
-    position dicts through BraneCategory.product."""
+    position dicts through BraneCategory.product.  Verifying the datum
+    multiplies no polynomial matrix either: e_a, Lambda_a and str(t o
+    Lambda_a) are computed on the morphisms' terms."""
     import lgtft.matfact
     from lgtft.tft import AxiomReport, BraneCategory, _check_category
 
@@ -452,6 +454,7 @@ def test_build_classifies_only_the_units_and_category_clauses_compose_nothing(
     assert calls == {"class_of": len(branes), "matmul": 0, "compose": 0}
     assert verify_tft_datum(datum).passed()
     assert calls["compose"] == 0
+    assert calls["matmul"] == 0
 
 
 _CORRUPTION_SCRIPT = """
