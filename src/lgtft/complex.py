@@ -94,13 +94,26 @@ class FreeComplex:
         self._check_square_zero()
 
     def _check_square_zero(self):
-        zero = self.ring.zero()
-        for label, images in self.entries.items():
+        """Raise InternalCheckError unless d(d(g)) = 0 for every generator g.
+
+        Each entry is read into its terms once.  d(d(g)) is summed as flat
+        terms {(target, exps): coeff}, one product c1 * c2 at x^(e1 + e2) per
+        pair of terms along g -> middle -> target, and must vanish exactly.
+        """
+        flat = {
+            label: [(target, tuple(p.terms.items())) for target, p in images]
+            for label, images in self.entries.items()
+        }
+        for label, images in flat.items():
             total = {}
             for middle, first in images:
-                for target, second in self.entries[middle]:
-                    total[target] = total.get(target, zero) + first * second
-            if any(not p.is_zero() for p in total.values()):
+                for target, second in flat[middle]:
+                    for e1, c1 in first:
+                        for e2, c2 in second:
+                            key = (target, mono_mul(e1, e2))
+                            acc = total.get(key)
+                            total[key] = c1 * c2 if acc is None else acc + c1 * c2
+            if any(total.values()):
                 raise InternalCheckError(
                     f"the differential squares to a nonzero map on generator {label!r}"
                 )

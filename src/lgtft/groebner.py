@@ -47,11 +47,22 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     changes: a reduction costs the length of the divisor's tail, not of the
     whole working polynomial.
     """
+    return _divide(p, _reducers(divisors))
+
+
+def _reducers(divisors: Sequence[Polynomial]) -> list:
+    """(leading monomial, inverse leading coefficient, tail terms) of each
+    divisor, in list order: what a division step reads of a divisor."""
     reducers = []
     for g in divisors:
         lead, lead_coeff = g.leading_term()
         tail = [(e, c) for e, c in g.terms.items() if e != lead]
         reducers.append((lead, lead_coeff.inverse(), tail))
+    return reducers
+
+
+def _divide(p: Polynomial, reducers: list) -> Polynomial:
+    """The division loop of normal_form, by divisors read by _reducers."""
     work = dict(p.terms)
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapq.heapify(heap)
@@ -146,13 +157,18 @@ def buchberger(generators: Sequence[Polynomial]) -> list:
 
 
 class GroebnerBasis:
-    """A reduced grevlex Groebner basis with normal-form services."""
+    """A reduced grevlex Groebner basis with normal-form services.
 
-    __slots__ = ("ring", "generators")
+    The generators' reducers (see _reducers) are built on the first
+    normal_form and kept, so later normal forms take no leading term.
+    """
+
+    __slots__ = ("ring", "generators", "_reducers")
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
         self.ring = ring
         self.generators = tuple(generators)
+        self._reducers = None
 
     @classmethod
     def compute(cls, generators: Sequence[Polynomial]) -> "GroebnerBasis":
@@ -187,7 +203,9 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial not in the basis ring")
         if not self.generators:
             return p
-        return normal_form(p, self.generators)
+        if self._reducers is None:
+            self._reducers = _reducers(self.generators)
+        return _divide(p, self._reducers)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()

@@ -317,6 +317,8 @@ def _residue_trace(lg: LGPair, scale: GaussianRational) -> ResidueTrace:
     if check != GaussianRational(mu):
         raise InternalCheckError("hessian normalization failed")
 
+    if scale == 1:
+        return ResidueTrace(algebra, values, gram_unscaled, scale)
     scaled_values = [scale * v for v in values]
     gram = SparseMatrix(
         mu, mu, [vec_scale(row, scale) for row in gram_unscaled.rows]

@@ -29,7 +29,8 @@ These tables are built on first use, so they see the datum as it is at that
 time.  The axiom clauses and Cardy are coordinate arithmetic on these
 constants, on position dicts {p: coeff} over the basis of a Hom space (its
 even classes, then its odd ones): every composition in them is
-BraneCategory.product of two position dicts, a sum of scaled tensor rows, and
+BraneCategory.product of two position dicts, a sum of scaled tensor rows,
+except that associativity contracts the tensors with each other directly, and
 a trace is a dot product with the tr_a table.  Only BraneCategory.coords
 and BraneCategory.compose convert between position dicts and MorphismClass.
 The bulk clauses read the Jacobi algebra's multiplication matrices and table
@@ -591,8 +592,9 @@ def _check_category(datum: TFTDatum, report: AxiomReport):
 
     A basis class is the position dict {p: 1}, and the composite of two basis
     classes is a tensor row: the unit laws compose each basis class with the
-    units (the classes of identities), and associativity compares h o (g o f)
-    with (h o g) o f through product.
+    units (the classes of identities) through product, and associativity
+    compares h o (g o f) with (h o g) o f for every basis triple by
+    contracting the tensors with each other (_associativity_sweep).
     """
     branes = datum.branes
     n = len(branes)
@@ -616,31 +618,55 @@ def _check_category(datum: TFTDatum, report: AxiomReport):
                     unit_ok = False
                     unit_witness = {"pair": [i, j]}
     report.add("category_unit_laws", unit_ok, witness=unit_witness)
-    objects = range(n)
-    report.add(
-        "category_associativity",
-        all(
-            _associative(branes, i, j, k, target)
-            for i in objects
-            for j in objects
-            for k in objects
-            for target in objects
-        ),
-    )
+    report.add("category_associativity", _associativity_sweep(branes)[1])
 
 
-def _associative(branes: BraneCategory, i, j, k, target) -> bool:
-    """h o (g o f) == (h o g) o f for all basis classes f, g, h on these
-    four objects."""
-    one = GaussianRational(1)
-    hg_table = branes._tensors[(j, k, target)]
-    for (b, a), gf in branes._tensors[(i, j, k)].items():
-        f = {a: one}
-        for h in range(len(branes.basis(k, target))):
-            left = branes.product(i, k, target, {h: one}, gf)
-            if left != branes.product(i, j, target, hg_table[(h, b)], f):
-                return False
-    return True
+def _associativity_sweep(branes: BraneCategory) -> tuple:
+    """(comparisons made, verdict) of h o (g o f) == (h o g) o f over every
+    basis triple (b, a, h) of every four objects (i, j, k, t), stopping at
+    the first triple where the two sides differ.
+
+    Both sides contract the composition tensors T directly:
+
+        h o (g o f) = sum_c T(i, j, k)[(b, a)][c] * T(i, k, t)[(h, c)],
+        (h o g) o f = sum_c T(j, k, t)[(h, b)][c] * T(i, j, t)[(c, a)],
+
+    and are compared exactly, as position dicts with their zeros stripped.
+    A full sweep makes sum |B(i, j)| * |B(j, k)| * |B(k, t)| comparisons.
+    """
+    objects = range(len(branes))
+    tensors = branes._tensors
+    compared = 0
+    quadruples = [
+        (i, j, k, t) for i in objects for j in objects for k in objects for t in objects
+    ]
+    for i, j, k, t in quadruples:
+        hg_table = tensors[(j, k, t)]
+        left_table = tensors[(i, k, t)]
+        right_table = tensors[(i, j, t)]
+        h_positions = range(len(branes.basis(k, t)))
+        for (b, a), gf in tensors[(i, j, k)].items():
+            gf = gf.items()
+            for h in h_positions:
+                left = {}
+                for c, x in gf:
+                    for p, y in left_table[(h, c)].items():
+                        acc = left.get(p)
+                        left[p] = x * y if acc is None else acc + x * y
+                right = {}
+                for c, x in hg_table[(h, b)].items():
+                    for p, y in right_table[(c, a)].items():
+                        acc = right.get(p)
+                        right[p] = x * y if acc is None else acc + x * y
+                compared += 1
+                # equal dicts stay equal once stripped: strip only on a difference
+                if left != right and _stripped(left) != _stripped(right):
+                    return compared, False
+    return compared, True
+
+
+def _stripped(position_dict: dict) -> dict:
+    return {p: value for p, value in position_dict.items() if value}
 
 
 def _check_bulk_boundary(datum: TFTDatum, report: AxiomReport):

@@ -15,7 +15,7 @@ from lgtft.jacobi import (
     raise_exponent,
 )
 from lgtft.lgpair import make_lg_pair
-from lgtft.poly import PolyRing
+from lgtft.poly import PolyRing, Polynomial
 from lgtft.scalars import GaussianRational
 
 from oracles import division_normal_form
@@ -176,6 +176,35 @@ def test_jacobi_ideal_work_matches_the_division_loop(monkeypatch, variables, w):
     ]
     for p in products + [hessian_determinant(lg)]:
         assert _same_remainder(p, gb.generators)
+
+
+@pytest.mark.parametrize("variables,w", BENCH_WS)
+def test_basis_normal_form_builds_its_reducers_once(monkeypatch, variables, w):
+    """GroebnerBasis.normal_form reads each generator's leading term on its
+    first call only, and its remainders equal the division loop's term for
+    term, in order, on the M_k products and the Hessian."""
+    lg = make_lg_pair(variables, w)
+    gb = jacobi_groebner(lg)
+    ring = lg.ring
+    dividends = [
+        ring.monomial(raise_exponent(b, k))
+        for b in gb.standard_monomials()
+        for k in range(ring.nvars)
+    ] + [hessian_determinant(lg)]
+    calls = []
+    leading_term = Polynomial.leading_term
+
+    def counting(self):
+        calls.append(self)
+        return leading_term(self)
+
+    monkeypatch.setattr(Polynomial, "leading_term", counting)
+    remainders = [gb.normal_form(p) for p in dividends]
+    assert calls == list(gb.generators)
+    monkeypatch.undo()
+    for p, remainder in zip(dividends, remainders):
+        expected = division_normal_form(p, gb.generators)
+        assert list(remainder.terms.items()) == list(expected.terms.items())
 
 
 def test_fermat6_bezoutian_matches_the_division_loop():

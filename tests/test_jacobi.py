@@ -202,6 +202,29 @@ def test_trace_scale_configuration():
     assert scaled.of_poly(lg.ring.parse("x")) == GaussianRational(2)
 
 
+def test_unit_scale_trace_scales_nothing(monkeypatch):
+    """At scale 1 the trace keeps the unscaled values and Gram rows as they
+    are; another scale multiplies both."""
+    import lgtft.jacobi
+
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    calls = []
+    vec_scale = lgtft.jacobi.vec_scale
+
+    def counting(row, scale):
+        calls.append(scale)
+        return vec_scale(row, scale)
+
+    monkeypatch.setattr(lgtft.jacobi, "vec_scale", counting)
+    one = residue_trace(lg)
+    assert calls == []
+    three = residue_trace(lg, 3)
+    assert calls == [GaussianRational(3)] * lg.jacobi_algebra.dimension
+    assert three.values == tuple(3 * v for v in one.values)
+    assert three.gram.rows == [vec_scale(row, 3) for row in one.gram.rows]
+    assert three.gram.rows != one.gram.rows
+
+
 def test_zero_scaled_gram_stores_no_zeros():
     """Sparse rows hold nonzero values only; a zero scale gives empty rows."""
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
