@@ -386,10 +386,10 @@ def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, homs) -> dict:
 
 
 def _hom_brane_key(brane) -> list:
-    """What a brane gives its Hom tables: its blocks, its weights (degrees
-    are read in them) and whether it has Koszul pairs (they certify the
-    dimensions).  The pairs themselves need no place, as the blocks
-    koszul_factorization builds hold every a_k and -b_k at fixed entries."""
+    """What a brane gives its Hom tables: its ranks and D's terms, its weights
+    (degrees are read in them) and whether it has Koszul pairs (they certify
+    the dimensions).  The pairs need no place, as the terms koszul_factorization
+    writes hold every a_k and -b_k at fixed entries."""
     has_pairs = brane.pairs is not None
     return [list(brane.key()[1:]), brane.weights0, brane.weights1, has_pairs]
 

@@ -21,10 +21,10 @@ class LGPair:
     """A superpotential W on C^d, plus grading data when W is graded.
 
     signature is the parity of the dimension d; it is the Z2-degree carried
-    by every boundary trace downstream.  The Jacobi basis and algebra and
-    the Koszul complex are fixed by (X, W), so the pair computes each on
-    first use and keeps it, and keeps the residue trace of each scale it is
-    asked for.  None of them refers back to the pair, which is freed by
+    by every boundary trace downstream.  The key, the Jacobi basis and
+    algebra and the Koszul complex are fixed by (X, W), so the pair computes
+    each on first use and keeps it, and keeps the residue trace of each
+    scale it is asked for.  None of them refers back to the pair, which is freed by
     reference counting.
     """
 
@@ -95,6 +95,10 @@ class LGPair:
 
     def key(self) -> tuple:
         """Canonical content key (used for caching and report echoes)."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
         return (self.ring.variables, str(self.w), self.weights)
 
 

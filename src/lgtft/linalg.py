@@ -155,17 +155,6 @@ class SparseMatrix:
                 rows[j][i] = v
         return SparseMatrix(self.ncols, self.nrows, rows)
 
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.ncols != other.nrows:
-            raise ShapeError("inner dimensions differ")
-        rows = []
-        for row in self.rows:
-            acc: Vector = {}
-            for k, v in row.items():
-                acc = vec_axpy(acc, v, other.rows[k])
-            rows.append(acc)
-        return SparseMatrix(self.nrows, other.ncols, rows)
-
     def apply(self, vector: Vector) -> Vector:
         """Matrix times column vector (vector indexed by column)."""
         out: Vector = {}

@@ -1,10 +1,11 @@
 """Free Z2-graded factorizations of W and their morphism cohomology.
 
-Objects are pairs of polynomial matrix blocks with D^2 = W*Id verified
-exactly.  A chain-level morphism is its terms {((parity, blk, i, j), exps):
-coeff}, one per monomial times elementary map of the Hom complex, and all
-its arithmetic (sum, scale, composition, the defect, the supertrace) works
-on them; polynomial matrices only enter through the block constructor.
+A chain-level morphism is its terms {((parity, blk, i, j), exps): coeff},
+one per monomial times elementary map of the Hom complex, and all its
+arithmetic (sum, scale, composition, the defect, the supertrace) works on
+them.  An object keeps its differential D the same way, as the terms of an
+odd endomorphism, with D o D = W*Id verified exactly on them; polynomial
+matrices only enter through the block constructors.
 Morphism complexes carry the defect differential
 d(f) = D2 o f - (-1)^{deg f} f o D1; cohomology is computed degreewise in the
 internal (weighted) grading when both objects are gradable, and through a
@@ -44,7 +45,7 @@ from .errors import (
 from .groebner import GroebnerBasis
 from .lgpair import LGPair
 from .linalg import SparseMatrix, rref_reduce, vec_axpy
-from .poly import Polynomial, mono_mul, mono_weighted_degree
+from .poly import Polynomial, mono_degree, mono_mul, mono_weighted_degree
 from .polymatrix import PolyMatrix, _as_poly
 from .scalars import GaussianRational
 
@@ -55,6 +56,11 @@ _UNSET = object()  # a factorization's _ideal before koszul_hom_dims sets it
 class MatrixFactorization:
     """Free supermodule P0 + P1 with odd differential squaring to W.
 
+    d_terms holds D as the terms of an odd endomorphism (see Morphism), read
+    once from the blocks d01 (P0 -> P1) and d10 (P1 -> P0).  D wraps them in
+    a Morphism on each access: a kept Morphism would refer back to the brane,
+    a cycle that keeps it and its LG pair until the cycle collector runs.
+
     pairs holds the factor pairs (a_k, b_k) of a Koszul factorization, as
     koszul_factorization parsed them, and is None otherwise.  It is not part
     of key(): it only lets koszul_hom_dims certify Hom dimensions, and
@@ -63,39 +69,37 @@ class MatrixFactorization:
     """
 
     __slots__ = (
-        "lg", "d01", "d10", "weights0", "weights1", "pairs", "_ideal", "_key"
+        "lg", "rank0", "rank1", "d_terms", "weights0", "weights1", "pairs",
+        "_ideal", "_key",
     )
 
     def __init__(self, lg, d01, d10, weights0=None, weights1=None):
         self.lg = lg
-        self.d01 = d01
-        self.d10 = d10
+        self.rank0 = d01.ncols
+        self.rank1 = d01.nrows
         self.weights0 = tuple(weights0) if weights0 is not None else None
         self.weights1 = tuple(weights1) if weights1 is not None else None
         self.pairs = None
         self._ideal = _UNSET
         self._key = None
+        self.d_terms = Morphism(self, self, 1, d01, d10).terms
 
     @property
-    def rank0(self) -> int:
-        return self.d01.ncols
-
-    @property
-    def rank1(self) -> int:
-        return self.d01.nrows
+    def D(self) -> "Morphism":
+        return Morphism._from_terms(self, self, 1, self.d_terms)
 
     @property
     def graded(self) -> bool:
         return self.weights0 is not None and self.weights1 is not None
 
     def key(self) -> tuple:
-        """Printed LG pair and blocks; built once, as the blocks are immutable."""
+        """The LG pair's key, the ranks and D's terms in sorted order, each
+        coefficient as its integer triple; built once, as D is immutable."""
         if self._key is None:
-            self._key = (
-                self.lg.key(),
-                tuple(tuple(row) for row in self.d01.to_strings()),
-                tuple(tuple(row) for row in self.d10.to_strings()),
-            )
+            terms = sorted(self.d_terms.items())
+            self._key = (self.lg.key(), self.rank0, self.rank1, tuple(
+                (element, exps, coeff.triple()) for (element, exps), coeff in terms
+            ))
         return self._key
 
     def __eq__(self, other):
@@ -131,74 +135,83 @@ def make_factorization(
             f"incompatible blocks: d01 is {d01.nrows}x{d01.ncols}, "
             f"d10 is {d10.nrows}x{d10.ncols}"
         )
-    _check_squares(lg, d01, d10)
-    rank0, rank1 = d01.ncols, d01.nrows
-    edges = _weight_edges(lg, d01, d10)
+    return _validated(MatrixFactorization(lg, d01, d10), weights0, weights1)
+
+
+def _validated(factorization, weights0, weights1) -> MatrixFactorization:
+    """The factorization, once D^2 = W*Id holds, with the given weights if D
+    is homogeneous for them, else with inferred weights when there are any."""
+    _check_squares(factorization)
+    rank0, rank1 = factorization.rank0, factorization.rank1
+    edges = _weight_edges(factorization)
     if weights0 is not None or weights1 is not None:
         if weights0 is None or weights1 is None:
             raise ValidationError("give weights for both parities or neither")
         if len(weights0) != rank0 or len(weights1) != rank1:
             raise ValidationError("one weight per basis vector required")
-        if not _weights_consistent(edges, tuple(weights0), tuple(weights1)):
+        weights = (tuple(weights0), tuple(weights1))
+        if edges is None or any(
+            weights[t][i] - weights[s][j] != delta for (s, j), (t, i), delta in edges
+        ):
             raise ValidationError(
                 "the differential is not homogeneous for the given weights"
             )
-        return MatrixFactorization(lg, d01, d10, tuple(weights0), tuple(weights1))
-    inferred = _infer_weights(edges, rank0, rank1)
-    if inferred is not None:
-        return MatrixFactorization(lg, d01, d10, inferred[0], inferred[1])
-    return MatrixFactorization(lg, d01, d10)
+    else:
+        weights = _infer_weights(edges, rank0, rank1) or (None, None)
+    factorization.weights0, factorization.weights1 = weights
+    return factorization
 
 
-def _check_squares(lg: LGPair, d01: PolyMatrix, d10: PolyMatrix):
-    for left, right, rank, tag in (
-        (d10, d01, d01.ncols, "even"),
-        (d01, d10, d01.nrows, "odd"),
-    ):
-        product = left.matmul(right)
-        expected = PolyMatrix.identity(lg.ring, rank, lg.w)
-        for i in range(rank):
-            for j in range(rank):
-                if product[i, j] != expected[i, j]:
-                    raise FactorizationError(
-                        f"D^2 differs from W*Id on the {tag} summand at entry "
-                        f"({i + 1},{j + 1}): got {product[i, j]}, "
-                        f"expected {expected[i, j]}"
-                    )
+def _check_squares(factorization):
+    """D o D = W*Id on terms.  Otherwise FactorizationError names the first
+    differing entry, the even summand before the odd one, each in row-major
+    order, and prints it and W*Id's entry as polynomials."""
+    lg = factorization.lg
+    D = factorization.D
+    square = D.compose(D).terms
+    expected = {
+        ((0, blk, i, i), exps): coeff
+        for blk, rank in enumerate((factorization.rank0, factorization.rank1))
+        for i in range(rank)
+        for exps, coeff in lg.w.terms.items()
+    }
+    if square == expected:
+        return
+    _, blk, i, j = min(element for (element, _), _ in square.items() ^ expected.items())
+    got = _entries(square, lg.ring).get((blk, i, j), lg.ring.zero())
+    raise FactorizationError(
+        f"D^2 differs from W*Id on the {('even', 'odd')[blk]} summand at entry "
+        f"({i + 1},{j + 1}): got {got}, "
+        f"expected {lg.w if i == j else lg.ring.zero()}"
+    )
 
 
-def _doubled_degree(lg: LGPair, p: Polynomial) -> Optional[int]:
-    degree = p.homogeneous_weighted_degree(lg.weights)
-    return None if degree is None else 2 * degree
+def _entries(terms, ring) -> dict:
+    """Morphism terms grouped per entry, {(blk, i, j): Polynomial} in sorted
+    order: the entry maps basis vector j of the module of parity blk to
+    basis vector i of its target module."""
+    grouped = {}
+    for ((_, blk, i, j), exps), coeff in terms.items():
+        grouped.setdefault((blk, i, j), {})[exps] = coeff
+    return {entry: Polynomial(ring, grouped[entry]) for entry in sorted(grouped)}
 
 
-def _weight_edges(lg, d01, d10) -> Optional[list]:
+def _weight_edges(factorization) -> Optional[list]:
     """The homogeneity constraints of D, one edge (source, target, delta) per
     nonzero entry: wt(target) - wt(source) = deg W - deg(entry), in doubled
     units.  Nodes are (0, j) for the even basis and (1, i) for the odd one.
     None when W has no weights or an entry is not quasi-homogeneous."""
+    lg = factorization.lg
     if lg.weights is None:
         return None
     h = lg.weighted_degree
     edges = []
-    for matrix, source, target in ((d01, 0, 1), (d10, 1, 0)):
-        for i, row in enumerate(matrix.entries):
-            for j, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                degree = _doubled_degree(lg, p)
-                if degree is None:
-                    return None
-                edges.append(((source, j), (target, i), h - degree))
+    for (blk, i, j), p in _entries(factorization.d_terms, lg.ring).items():
+        degree = p.homogeneous_weighted_degree(lg.weights)
+        if degree is None:
+            return None
+        edges.append(((blk, j), (1 - blk, i), h - 2 * degree))
     return edges
-
-
-def _weights_consistent(edges, weights0, weights1) -> bool:
-    """Every edge holds for the given weights."""
-    weights = (weights0, weights1)
-    return edges is not None and all(
-        weights[t][i] - weights[s][j] == delta for (s, j), (t, i), delta in edges
-    )
 
 
 def _infer_weights(edges, rank0, rank1):
@@ -234,8 +247,12 @@ def _infer_weights(edges, rank0, rank1):
 def koszul_factorization(lg: LGPair, pairs) -> MatrixFactorization:
     """Tensor of rank 1|1 factorizations for pairs (a_k, b_k), sum a_k b_k = W.
 
-    Standard generator of test objects; the identity sum(a*b) = W is checked
-    first and D^2 = W*Id is still verified on the assembled blocks.
+    Standard generator of test objects.  The first pair is read from its
+    1 x 1 blocks.  Tensoring D (rank r|r) with each further pair (a, b) gives
+    d01' = [[d01, -b], [a, d10]] and d10' = [[d10, b], [-a, d01]], with a and
+    b times the r x r identity, whose terms are written directly.  D^2 is
+    then sum(a*b) * Id, so when that sum is not W, the D^2 = W*Id check
+    fails at entry (1,1) of the even summand and prints the sum.
     """
     ring = lg.ring
     parsed = []
@@ -245,48 +262,27 @@ def koszul_factorization(lg: LGPair, pairs) -> MatrixFactorization:
         parsed.append((a, b))
     if not parsed:
         raise ValidationError("at least one factor pair is required")
-    total = ring.zero()
-    for a, b in parsed:
-        total = total + a * b
-    if total != lg.w:
-        raise FactorizationError(
-            f"sum of products is {total}, not W = {lg.w}"
-        )
-    a0, b0 = parsed[0]
-    d01 = PolyMatrix(ring, [[a0]])
-    d10 = PolyMatrix(ring, [[b0]])
+    (a0, b0), rank = parsed[0], 1
+    factorization = MatrixFactorization(
+        lg, PolyMatrix(ring, [[a0]]), PolyMatrix(ring, [[b0]])
+    )
+    terms = factorization.d_terms
     for a, b in parsed[1:]:
-        r0, r1 = d01.ncols, d01.nrows
-        new01 = _block_matrix(
-            ring,
-            [
-                [d01, PolyMatrix.identity(ring, r1, -b)],
-                [PolyMatrix.identity(ring, r0, a), d10],
-            ],
-        )
-        new10 = _block_matrix(
-            ring,
-            [
-                [d10, PolyMatrix.identity(ring, r0, b)],
-                [PolyMatrix.identity(ring, r1, -a), d01],
-            ],
-        )
-        d01, d10 = new01, new10
-    factorization = make_factorization(lg, d01, d10)
+        grown = {}
+        for ((_, blk, i, j), exps), coeff in terms.items():
+            grown[((1, blk, i, j), exps)] = coeff
+            grown[((1, 1 - blk, rank + i, rank + j), exps)] = coeff
+        for i in range(rank):
+            for blk, sign in ((0, 1), (1, -1)):
+                for exps, coeff in b.terms.items():
+                    grown[((1, blk, i, rank + i), exps)] = -sign * coeff
+                for exps, coeff in a.terms.items():
+                    grown[((1, blk, rank + i, i), exps)] = sign * coeff
+        terms, rank = grown, 2 * rank
+    factorization.rank0 = factorization.rank1 = rank
+    factorization.d_terms = terms
     factorization.pairs = tuple(parsed)
-    return factorization
-
-
-def _block_matrix(ring, blocks):
-    rows = []
-    for block_row in blocks:
-        height = block_row[0].nrows
-        for k in range(height):
-            row = []
-            for block in block_row:
-                row.extend(block.entries[k])
-            rows.append(row)
-    return PolyMatrix(ring, rows)
+    return _validated(factorization, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +337,24 @@ class Morphism:
 
     @classmethod
     def identity(cls, obj) -> "Morphism":
-        ring = obj.lg.ring
-        return cls(
-            obj,
-            obj,
-            0,
-            PolyMatrix.identity(ring, obj.rank0),
-            PolyMatrix.identity(ring, obj.rank1),
-        )
+        one, constant = GaussianRational(1), (0,) * obj.lg.ring.nvars
+        return cls._from_terms(obj, obj, 0, {
+            ((0, blk, i, i), constant): one
+            for blk, rank in enumerate((obj.rank0, obj.rank1))
+            for i in range(rank)
+        })
 
     @classmethod
     def d_partial(cls, obj, index: int) -> "Morphism":
         """Entrywise partial derivative of D; the canonical null-homotopy."""
-        ring = obj.lg.ring
-        blocks = (
-            PolyMatrix(ring, [[p.partial_derivative(index) for p in row]
-                              for row in matrix.entries])
-            for matrix in (obj.d01, obj.d10)
-        )
-        return cls(obj, obj, 1, *blocks)
+        if not 0 <= index < obj.lg.ring.nvars:
+            raise IndexError(f"variable index {index} out of range")
+        return cls._from_terms(obj, obj, 1, {
+            (element, exps[:index] + (exps[index] - 1,) + exps[index + 1:]):
+                coeff * exps[index]
+            for (element, exps), coeff in obj.d_terms.items()
+            if exps[index]
+        })
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -399,36 +394,26 @@ class Morphism:
         )
 
     def compose(self, other: "Morphism") -> "Morphism":
-        """self after other (other: a1 -> a2, self: a2 -> a3).
-
-        An element (pf, blk, i, j) of other maps basis vector j of the source
-        module blk to basis vector i of the module of parity blk + pf, and
-        meets each element (pg, blk + pf, k, i) of self, giving
-        (pf + pg, blk, k, j) with the exponents added.
-        """
+        """self after other (other: a1 -> a2, self: a2 -> a3), a sparse
+        bilinear map on the terms (_composite)."""
         if other.target != self.source:
             raise ShapeError("middle objects do not match in composition")
         parity = (self.parity + other.parity) % 2
-        by_source = {}  # (source module, column) -> [(row, exps, coeff)]
-        for ((_, blk, k, i), exps), coeff in self.terms.items():
-            by_source.setdefault((blk, i), []).append((k, exps, coeff))
         return Morphism._from_terms(
-            other.source,
-            self.target,
-            parity,
-            _collect(
-                (((parity, blk, k, j), mono_mul(f_exps, g_exps)), f_coeff * g_coeff)
-                for ((pf, blk, i, j), f_exps), f_coeff in other.terms.items()
-                for k, g_exps, g_coeff in by_source.get(((blk + pf) % 2, i), ())
-            ),
+            other.source, self.target, parity,
+            _collect(_composite(self.terms, other.terms, parity)),
         )
 
     def defect(self) -> "Morphism":
-        """d(f) = D2 o f - (-1)^{deg f} f o D1, D an odd endomorphism."""
+        """d(f) = D2 o f - (-1)^{deg f} f o D1, read off the two branes'
+        d_terms, D being an odd endomorphism."""
         d1, d2 = self.source, self.target
-        left = Morphism(d2, d2, 1, d2.d01, d2.d10).compose(self)
-        right = self.compose(Morphism(d1, d1, 1, d1.d01, d1.d10))
-        return left + right if self.parity else left - right
+        parity, sign = 1 - self.parity, (1 if self.parity else -1)
+        right = _composite(self.terms, d1.d_terms, parity)
+        return Morphism._from_terms(d1, d2, parity, _collect(itertools.chain(
+            _composite(d2.d_terms, self.terms, parity),
+            ((element, sign * coeff) for element, coeff in right),
+        )))
 
     def supertrace(self) -> Polynomial:
         """str(f) for endomorphisms; zero for odd parity (no diagonal blocks)."""
@@ -458,6 +443,25 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism(parity {self.parity})"
+
+
+def _composite(g_terms, f_terms, parity):
+    """The terms of g o f as (element, coeff) pairs, not yet summed; parity
+    is that of the composite.
+
+    An element (pf, blk, i, j) of f maps basis vector j of the source module
+    blk to basis vector i of the module of parity blk + pf, and meets each
+    element (pg, blk + pf, k, i) of g, giving (parity, blk, k, j) with the
+    exponents added.
+    """
+    by_source = {}  # (source module, column) -> [(row, exps, coeff)]
+    for ((_, blk, k, i), exps), coeff in g_terms.items():
+        by_source.setdefault((blk, i), []).append((k, exps, coeff))
+    return (
+        (((parity, blk, k, j), mono_mul(f_exps, g_exps)), f_coeff * g_coeff)
+        for ((pf, blk, i, j), f_exps), f_coeff in f_terms.items()
+        for k, g_exps, g_coeff in by_source.get(((blk + pf) % 2, i), ())
+    )
 
 
 def _collect(pairs) -> dict:
@@ -492,21 +496,23 @@ def _defect_complex(a1, a2, graded) -> FreeComplex:
     and d has degree deg W.
     """
     lg = a1.lg
+    columns = {}  # D2 by (source module, column): [(row, entry)]
+    for (blk, r, c), p in _entries(a2.d_terms, lg.ring).items():
+        columns.setdefault((blk, c), []).append((r, p))
+    rows = {}  # D1 by (target module, row): [(column, entry)]
+    for (blk, r, c), p in _entries(a1.d_terms, lg.ring).items():
+        rows.setdefault((1 - blk, r), []).append((c, p))
 
     def entries(label):
         parity, blk, i, j = label
         # D2 out of the target module of blk, D1 into its source module
-        d2 = (a2.d01, a2.d10)[(blk + parity) % 2]
-        d1 = (a1.d10, a1.d01)[blk]
         out = [
-            ((1 - parity, blk, r, j), d2[r, i])
-            for r in range(d2.nrows)
-            if not d2[r, i].is_zero()
+            ((1 - parity, blk, r, j), p)
+            for r, p in columns.get(((blk + parity) % 2, i), ())
         ]
         out += [
-            ((1 - parity, 1 - blk, i, c), d1[j, c] if parity else -d1[j, c])
-            for c in range(d1.ncols)
-            if not d1[j, c].is_zero()
+            ((1 - parity, 1 - blk, i, c), p if parity else -p)
+            for c, p in rows.get((blk, j), ())
         ]
         return out
 
@@ -577,8 +583,12 @@ def koszul_hom_dims(source, target) -> Optional[tuple]:
     if ideal is None:
         return None
     staircase = ideal.standard_monomials()
+    shapes = _block_shapes(target, target, 1)
+    blocks = [(nrows, ncols, {}) for nrows, ncols, _, _ in shapes]
+    for (blk, i, j), entry in _entries(target.d_terms, target.lg.ring).items():
+        blocks[blk][2][(i, j)] = entry
     dim = target.rank0 * len(staircase) - sum(
-        _reduced_rank(ideal, staircase, block) for block in (target.d01, target.d10)
+        _reduced_rank(ideal, staircase, block) for block in blocks
     )
     return dim, dim
 
@@ -597,22 +607,20 @@ def _finite_colength_ideal(pairs) -> Optional[GroebnerBasis]:
 
 
 def _reduced_rank(ideal, staircase, block) -> int:
-    """Rank of a polynomial matrix as a linear map of free modules mod the
-    ideal, in the basis (basis vector, standard monomial)."""
+    """Rank of a block (nrows, ncols, {(i, j): entry}) of D as a linear map
+    of free modules mod the ideal, in the basis (basis vector, standard
+    monomial)."""
     ring = ideal.ring
+    nrows, ncols, entries = block
     mu = len(staircase)
     index = {exps: k for k, exps in enumerate(staircase)}
-    rows = [{} for _ in range(block.nrows * mu)]
-    for i in range(block.nrows):
-        for j in range(block.ncols):
-            entry = block[i, j]
-            if entry.is_zero():
-                continue
-            for s, exps in enumerate(staircase):
-                reduced = ideal.normal_form(entry * ring.monomial(exps))
-                for t, coeff in reduced.terms.items():
-                    rows[i * mu + index[t]][j * mu + s] = coeff
-    return SparseMatrix(len(rows), block.ncols * mu, rows).rank()
+    rows = [{} for _ in range(nrows * mu)]
+    for (i, j), entry in entries.items():
+        for s, exps in enumerate(staircase):
+            reduced = ideal.normal_form(entry * ring.monomial(exps))
+            for t, coeff in reduced.terms.items():
+                rows[i * mu + index[t]][j * mu + s] = coeff
+    return SparseMatrix(len(rows), ncols * mu, rows).rank()
 
 
 class _Piece:
@@ -909,18 +917,14 @@ def hom_is_graded(a1, a2) -> bool:
 
 def default_degree_bound(lg, a1, a2, graded) -> int:
     """Staircase top + max entry degree + slack, in the active degree units."""
-    entry_max = 0
-    for matrix in (a1.d01, a1.d10, a2.d01, a2.d10):
-        for row in matrix.entries:
-            for p in row:
-                if p.is_zero():
-                    continue
-                if graded:
-                    entry_max = max(
-                        entry_max, 2 * p.weighted_degree(lg.weights)
-                    )
-                else:
-                    entry_max = max(entry_max, p.total_degree())
+    entry_max = max(
+        (
+            2 * mono_weighted_degree(exps, lg.weights) if graded else mono_degree(exps)
+            for a in (a1, a2)
+            for _, exps in a.d_terms
+        ),
+        default=0,
+    )
     gb = lg.jacobi_basis
     if not gb.is_zero_dimensional():
         raise ValidationError(

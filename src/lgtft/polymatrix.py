@@ -29,15 +29,6 @@ class PolyMatrix:
         self.ncols = ncols
         self.entries = rows
 
-    @classmethod
-    def identity(cls, ring: PolyRing, n: int, scale=None) -> "PolyMatrix":
-        diag = ring.one() if scale is None else _as_poly(ring, scale)
-        z = ring.zero()
-        return cls(
-            ring,
-            [[diag if i == j else z for j in range(n)] for i in range(n)],
-        )
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]

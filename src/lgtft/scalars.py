@@ -55,6 +55,10 @@ class GaussianRational:
         """Imaginary part, an exact rational."""
         return Fraction(self._b, self._d)
 
+    def triple(self) -> tuple:
+        """(a, b, d), the canonical integers of (a + b*i)/d."""
+        return self._a, self._b, self._d
+
     # -- coercion ---------------------------------------------------------
 
     @staticmethod

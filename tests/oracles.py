@@ -10,9 +10,10 @@ row index that the block layout replaced, the textbook multivariate division
 loop the heap-ordered normal form replaced, the polynomial-sum loop of the
 Bezoutian's divided differences, the boundary-bulk map f_a solved from
 its adjointness system, which the closed form replaced, the d^2 = 0 check
-summed as Polynomial products, which the flat term sum replaced, and the
+summed as Polynomial products, which the flat term sum replaced, the
 associativity sweep through BraneCategory.product, which the tensor
-contraction replaced.
+contraction replaced, and the D^2 = W*Id check on dense block products and
+the block-assembled Koszul factorization, which D kept as terms replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -21,7 +22,7 @@ library's quotient(), which acyclic pieces no longer reach.
 
 from __future__ import annotations
 
-from lgtft.errors import InternalCheckError
+from lgtft.errors import FactorizationError, InternalCheckError
 from lgtft.linalg import SparseMatrix, vec_axpy, vec_scale
 from lgtft.scalars import GaussianRational
 from lgtft.poly import Polynomial, mono_div, mono_divides, mono_mul
@@ -287,6 +288,17 @@ def table_is_associative(table) -> bool:
     )
 
 
+def sparse_matmul(left, right):
+    """The product of two SparseMatrix, row by row."""
+    rows = []
+    for row in left.rows:
+        acc = {}
+        for k, v in row.items():
+            acc = vec_axpy(acc, v, right.rows[k])
+        rows.append(acc)
+    return SparseMatrix(left.nrows, right.ncols, rows)
+
+
 def monomials_up_to(nvars, total_degree):
     """All exponent tuples with |e| <= total_degree, lexicographic order."""
     out = []
@@ -303,7 +315,7 @@ def monomials_up_to(nvars, total_degree):
 
 
 from lgtft.matfact import Morphism  # noqa: E402
-from lgtft.polymatrix import PolyMatrix  # noqa: E402
+from lgtft.polymatrix import PolyMatrix, _as_poly  # noqa: E402
 
 # The chain-level oracle: a Morphism's two blocks rebuilt from its terms as
 # polynomial matrices, multiplied with PolyMatrix.matmul and combined entry by
@@ -330,6 +342,15 @@ def morphism_blocks(morphism):
     )
 
 
+def poly_identity(ring, n, scale=None):
+    """scale (a polynomial or a scalar, 1 by default) times the n x n
+    identity, as a PolyMatrix."""
+    diag = ring.one() if scale is None else _as_poly(ring, scale)
+    return PolyMatrix(
+        ring, [[diag if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    )
+
+
 def _entrywise(left, right, sign):
     """left + sign * right, entry by entry."""
     return PolyMatrix(left.ring, [
@@ -349,7 +370,7 @@ def oracle_scale(f, factor):
     """factor * f, as factor times the identity, times each block."""
     ring = f.source.lg.ring
     blocks = (
-        PolyMatrix.identity(ring, blk.nrows, factor).matmul(blk)
+        poly_identity(ring, blk.nrows, factor).matmul(blk)
         for blk in morphism_blocks(f)
     )
     return Morphism(f.source, f.target, f.parity, *blocks)
@@ -369,14 +390,15 @@ def oracle_defect(f):
     """d(f) = D2 o f - (-1)^{deg f} f o D1."""
     d1, d2 = f.source, f.target
     blk0, blk1 = morphism_blocks(f)
-    out0, out1 = (d2.d01, d2.d10) if f.parity == 0 else (d2.d10, d2.d01)
+    (d1_01, d1_10), (d2_01, d2_10) = morphism_blocks(d1.D), morphism_blocks(d2.D)
+    out0, out1 = (d2_01, d2_10) if f.parity == 0 else (d2_10, d2_01)
     sign = 1 if f.parity else -1
     return Morphism(
         d1,
         d2,
         f.parity + 1,
-        _entrywise(out0.matmul(blk0), blk1.matmul(d1.d01), sign),
-        _entrywise(out1.matmul(blk1), blk0.matmul(d1.d10), sign),
+        _entrywise(out0.matmul(blk0), blk1.matmul(d1_01), sign),
+        _entrywise(out1.matmul(blk1), blk0.matmul(d1_10), sign),
     )
 
 
@@ -399,9 +421,71 @@ def oracle_d_partial(obj, index):
     blocks = (
         PolyMatrix(ring, [[p.partial_derivative(index) for p in row]
                           for row in matrix.entries])
-        for matrix in (obj.d01, obj.d10)
+        for matrix in morphism_blocks(obj.D)
     )
     return Morphism(obj, obj, 1, *blocks)
+
+
+# The brane-level oracles: D^2 = W*Id checked on dense PolyMatrix products,
+# and a Koszul factorization assembled from PolyMatrix blocks, as they were
+# before a brane kept D as terms.
+
+
+def oracle_check_squares(lg, d01, d10):
+    """Raise FactorizationError at the first entry, even summand first, in
+    row-major order, where a dense block product differs from W*Id."""
+    for left, right, rank, tag in (
+        (d10, d01, d01.ncols, "even"),
+        (d01, d10, d01.nrows, "odd"),
+    ):
+        product = left.matmul(right)
+        expected = poly_identity(lg.ring, rank, lg.w)
+        for i in range(rank):
+            for j in range(rank):
+                if product[i, j] != expected[i, j]:
+                    raise FactorizationError(
+                        f"D^2 differs from W*Id on the {tag} summand at entry "
+                        f"({i + 1},{j + 1}): got {product[i, j]}, "
+                        f"expected {expected[i, j]}"
+                    )
+
+
+def _block_matrix(ring, blocks):
+    rows = []
+    for block_row in blocks:
+        height = block_row[0].nrows
+        for k in range(height):
+            row = []
+            for block in block_row:
+                row.extend(block.entries[k])
+            rows.append(row)
+    return PolyMatrix(ring, rows)
+
+
+def oracle_koszul_blocks(ring, pairs):
+    """(d01, d10) of the tensor product of the rank 1|1 factorizations
+    (a_k, b_k), assembled block by block."""
+    a0, b0 = pairs[0]
+    d01 = PolyMatrix(ring, [[a0]])
+    d10 = PolyMatrix(ring, [[b0]])
+    for a, b in pairs[1:]:
+        r0, r1 = d01.ncols, d01.nrows
+        new01 = _block_matrix(
+            ring,
+            [
+                [d01, poly_identity(ring, r1, -b)],
+                [poly_identity(ring, r0, a), d10],
+            ],
+        )
+        new10 = _block_matrix(
+            ring,
+            [
+                [d10, poly_identity(ring, r0, b)],
+                [poly_identity(ring, r1, -a), d01],
+            ],
+        )
+        d01, d10 = new01, new10
+    return d01, d10
 
 
 def oracle_hom_dims(lg, a, b, bound):

@@ -790,6 +790,7 @@ def _baseline_blocks(weights):
     """The baseline branes as d01/d10 blocks, with the gradings of the
     Koszul factorizations where weights[name] is set, inferred otherwise."""
     from lgtft.matfact import koszul_factorization
+    from oracles import morphism_blocks
 
     lg = lgtft.jobs.make_lg_pair(["x", "y"], "x^4+y^4")
     branes = []
@@ -797,7 +798,7 @@ def _baseline_blocks(weights):
         brane = koszul_factorization(lg, entry["pairs"])
         blocks = {
             name: [[str(p) for p in row] for row in matrix.entries]
-            for name, matrix in (("d01", brane.d01), ("d10", brane.d10))
+            for name, matrix in zip(("d01", "d10"), morphism_blocks(brane.D))
         }
         if weights[entry["name"]]:
             blocks["weights0"] = list(brane.weights0)

@@ -17,8 +17,10 @@ from lgtft.errors import (
 )
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import (
+    MatrixFactorization,
     Morphism,
     MorphismClass,
+    _check_squares,
     _defect_complex,
     compose_classes,
     hom_cohomology,
@@ -26,6 +28,7 @@ from lgtft.matfact import (
     koszul_hom_dims,
     make_factorization,
 )
+from lgtft.poly import PolyRing
 from lgtft.polymatrix import PolyMatrix
 from lgtft.tft import BraneCategory
 from lgtft.scalars import GaussianRational
@@ -35,10 +38,12 @@ from oracles import (
     full_hom_pieces,
     morphism_blocks,
     oracle_add,
+    oracle_check_squares,
     oracle_compose,
     oracle_d_partial,
     oracle_defect,
     oracle_hom_dims,
+    oracle_koszul_blocks,
     oracle_scale,
     oracle_supertrace,
 )
@@ -76,6 +81,14 @@ def test_equal_factorizations_built_twice_are_equal_and_hash_equal():
     assert first != other and first.key() != other.key()
 
 
+def test_zero_brane_and_rank_one_brane_have_different_keys():
+    lg = make_lg_pair(["x"], "x^2")
+    zero = make_factorization(lg, PolyMatrix(lg.ring, []), PolyMatrix(lg.ring, []))
+    one = koszul_factorization(lg, [("x", "x")])
+    assert (zero.rank0, zero.rank1, one.rank0, one.rank1) == (0, 0, 1, 1)
+    assert zero.key() != one.key() and zero != one
+
+
 def test_make_factorization_x3(lg_x3):
     mf = make_factorization(
         lg_x3, _pm(lg_x3.ring, [["x"]]), _pm(lg_x3.ring, [["x^2"]])
@@ -94,8 +107,9 @@ def test_make_factorization_violation_reports_entry(lg_x3):
 
 def test_koszul_single_pair(lg_x3):
     mf = koszul_factorization(lg_x3, [("x", "x^2")])
-    assert mf.d01.to_strings() == [["x"]]
-    assert mf.d10.to_strings() == [["x^2"]]
+    d01, d10 = morphism_blocks(mf.D)
+    assert d01.to_strings() == [["x"]]
+    assert d10.to_strings() == [["x^2"]]
 
 
 def test_koszul_two_pairs_rank():
@@ -135,7 +149,7 @@ def test_koszul_blocks_determine_the_pairs():
         if w.is_constant():
             continue
         mf = koszul_factorization(make_lg_pair(["x", "y"], w), pairs)
-        d01, d10 = mf.d01.entries, mf.d10.entries
+        d01, d10 = (block.entries for block in morphism_blocks(mf.D))
         found = []
         while len(d01) > 1:
             r = len(d01) // 2
@@ -145,6 +159,75 @@ def test_koszul_blocks_determine_the_pairs():
         found.append((d01[0][0], d10[0][0]))
         assert found[::-1] == list(mf.pairs) == pairs
         checked += 1
+
+
+def _squares_verdict(check, *args):
+    try:
+        check(*args)
+    except FactorizationError as exc:
+        return str(exc)
+    return "pass"
+
+
+def test_squares_check_and_koszul_terms_match_the_block_oracles():
+    """On seeded random Koszul pairs in two variables, koszul_factorization's
+    D equals the block-assembled oracle's blocks read into terms, and
+    _check_squares (D o D on terms) gives the verdict and the message of the
+    dense block-product oracle on: those blocks, which pass; the blocks with
+    one entry nudged by a monomial, near-misses that must fail; random blocks
+    of rank 1|1 to 2|2; and rank 1|2 blocks whose even summand is W but whose
+    odd one is not."""
+    rng = random.Random(22)
+    ring = PolyRing(["x", "y"])
+    tags = []
+    checked = 0
+    while checked < 150:
+        pairs = [
+            (_random_poly(ring, rng, max_degree=2), _random_poly(ring, rng, 2))
+            for _ in range(rng.randint(1, 3))
+        ]
+        w = ring.zero()
+        for a, b in pairs:
+            w = w + a * b
+        if w.is_constant():
+            continue
+        lg = make_lg_pair(["x", "y"], w)
+        d01, d10 = oracle_koszul_blocks(ring, pairs)
+        mf = koszul_factorization(lg, pairs)
+        assert (mf.rank0, mf.rank1) == (d01.ncols, d01.nrows)
+        assert mf.d_terms == MatrixFactorization(lg, d01, d10).d_terms
+        blocks = [[list(row) for row in block.entries] for block in (d01, d10)]
+        nudged = rng.choice(blocks)
+        row = rng.choice(nudged)
+        k = rng.randrange(len(row))
+        row[k] = row[k] + ring.monomial(
+            (rng.randint(0, 2), rng.randint(0, 2)), rng.choice([-2, -1, 1, 2])
+        )
+        r0, r1 = rng.randint(1, 2), rng.randint(1, 2)
+        (a0, b0), (a1, b1) = pairs[0], rng.choice(pairs)
+        candidates = [
+            (lg, d01, d10),
+            (lg, *(PolyMatrix(ring, block) for block in blocks)),
+            (
+                lg,
+                PolyMatrix(ring, [[_random_poly(ring, rng, 2) for _ in range(r0)]
+                                  for _ in range(r1)]),
+                PolyMatrix(ring, [[_random_poly(ring, rng, 2) for _ in range(r1)]
+                                  for _ in range(r0)]),
+            ),
+        ]
+        if not (a0 * b0 + a1 * b1).is_constant():
+            candidates.append((
+                make_lg_pair(["x", "y"], a0 * b0 + a1 * b1),
+                PolyMatrix(ring, [[a0], [a1]]),
+                PolyMatrix(ring, [[b0, b1]]),
+            ))
+        for lg_k, c01, c10 in candidates:
+            got = _squares_verdict(_check_squares, MatrixFactorization(lg_k, c01, c10))
+            assert got == _squares_verdict(oracle_check_squares, lg_k, c01, c10)
+            tags.append("pass" if got == "pass" else got.split()[6])
+        checked += 1
+    assert {tags.count(tag) > 10 for tag in ("pass", "even", "odd")} == {True}
 
 
 # -- hom complexes ------------------------------------------------------------
@@ -817,7 +900,7 @@ CERTIFIED_CASES = {
 def _twin(brane):
     """The same blocks through make_factorization: no pairs, no certificate,
     so its Homs build the whole window."""
-    return make_factorization(brane.lg, brane.d01, brane.d10)
+    return make_factorization(brane.lg, *morphism_blocks(brane.D))
 
 
 def test_certified_dims_match_the_full_window():
@@ -965,10 +1048,13 @@ def test_low_certificate_fails_closed():
 from lgtft import matfact
 from lgtft.errors import InternalCheckError
 from lgtft.lgpair import make_lg_pair
+from oracles import morphism_blocks
 lg = make_lg_pair(["x", "y"], "x^4+y^4")
 a = matfact.koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
 b = matfact.koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
-full = matfact.hom_cohomology(matfact.make_factorization(lg, b.d01, b.d10), a)
+full = matfact.hom_cohomology(
+    matfact.make_factorization(lg, *morphism_blocks(b.D)), a
+)
 certify = matfact.koszul_hom_dims
 matfact.koszul_hom_dims = lambda s, t: tuple(d - 1 for d in certify(s, t))
 try:
@@ -986,12 +1072,13 @@ except InternalCheckError:
     print("raised")
 """
     src = Path(__file__).resolve().parents[1] / "src"
+    tests = str(Path(__file__).resolve().parent)
     for flags in (["-O"], []):
         completed = subprocess.run(
             [sys.executable, *flags, "-c", script],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), tests])},
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr

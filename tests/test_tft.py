@@ -24,7 +24,7 @@ from lgtft.polymatrix import PolyMatrix
 from lgtft.scalars import GaussianRational
 from lgtft.tft import build_tft_datum, verify_tft_datum
 
-from oracles import residue_one_var, solved_boundary_bulk
+from oracles import residue_one_var, solved_boundary_bulk, sparse_matmul
 from test_reference_reports import JOBS as REFERENCE_JOBS
 
 
@@ -206,7 +206,7 @@ def test_cardy_supertrace_basis_independent():
             inverse = change.inverse()
         except Exception:
             continue
-        conjugated = inverse.matmul(matrix).matmul(change)
+        conjugated = sparse_matmul(sparse_matmul(inverse, matrix), change)
         assert (
             sum((conjugated.get(k, k) for k in range(size)), GaussianRational(0))
             == trace
@@ -421,15 +421,13 @@ def test_build_classifies_only_the_units_and_category_clauses_compose_nothing(
     category clauses contract the tensors, and the whole suite composes
     position dicts through BraneCategory.product.  Verifying the datum
     multiplies no polynomial matrix either: e_a, Lambda_a and str(t o
-    Lambda_a) are computed on the morphisms' terms."""
+    Lambda_a) are computed on the morphisms' terms.  Nor does building the
+    branes, by koszul_factorization or from blocks by make_factorization:
+    D^2 = W*Id is checked on D's terms."""
     import lgtft.matfact
     from lgtft.tft import AxiomReport, BraneCategory, _check_category
 
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
-    branes = [
-        ("A", koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])),
-        ("B", koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])),
-    ]
     calls = {"class_of": 0, "matmul": 0, "compose": 0}
 
     def counting(name, original):
@@ -446,6 +444,20 @@ def test_build_classifies_only_the_units_and_category_clauses_compose_nothing(
     ):
         original = getattr(owner, attribute)
         monkeypatch.setattr(owner, attribute, counting(name, original))
+    branes = [
+        ("A", koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])),
+        ("B", koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])),
+    ]
+    ring = lg.ring
+    blocks = make_factorization(
+        lg,
+        PolyMatrix(ring, [[ring.parse("x"), ring.parse("-y^3")],
+                          [ring.parse("y"), ring.parse("x^3")]]),
+        PolyMatrix(ring, [[ring.parse("x^3"), ring.parse("y^3")],
+                          [ring.parse("-y"), ring.parse("x")]]),
+    )
+    assert blocks == branes[0][1]
+    assert calls == {"class_of": 0, "matmul": 0, "compose": 0}
     datum = build_tft_datum(lg, branes)
     assert calls == {"class_of": len(branes), "matmul": 0, "compose": 0}
     report = AxiomReport()
