@@ -59,6 +59,9 @@ class Cache:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(kind, key)
         record = {"kind": kind, "key": key, "payload": payload}
+        # one string from the C encoder; json.dump would stream the same
+        # text through the pure-Python one
+        text = json.dumps(record, sort_keys=True)
         # a temp file of its own per writer, so concurrent writers of one key
         # never write into each other's file; the last replace wins whole
         fd, tmp = tempfile.mkstemp(
@@ -66,7 +69,7 @@ class Cache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -17,26 +17,30 @@ in the graded case and the largest total degree of an entry in the windowed
 case, so a window never loses part of an image.
 
 The monomials of each degree are listed once per complex, with their
-positions, and every piece is a layout of blocks over those lists: a
-generator's block starts where the previous one ends.  The matrix of a
-piece puts x^e * (term of an entry) at its target block's start plus the
-position of its monomial, with no index of the target basis built.
+positions (a window's list concatenates the lists of each total degree up
+to it, each enumerated once), and every piece is a layout of blocks over
+those lists: a generator's block starts where the previous one ends.  The
+matrix of a piece puts x^e * (term of an entry) at its target block's start
+plus the position of its monomial, with no index of the target basis built.
 
-Without weights the ranks of a table are read off one elimination per index.
-A column of the window-n piece, of total degree at most n, maps into rows of
-degree at most n + step, so the window-n matrix is the window-N matrix
-(N >= n) cut down to its columns of degree at most n.  rank() eliminates the
-window-N matrix once with its columns in degree order (ties by position);
-the pivot columns of an RREF are the greedy column basis, so the rank of
+A rank needs only pivot columns, so rank() runs the forward pass
+(SparseMatrix.echelon), which picks the RREF's pivots without clearing above
+them.  Without weights the ranks of a table are read off one forward pass
+per index.  A column of the window-n piece, of total degree at most n, maps
+into rows of degree at most n + step, so the window-n matrix is the window-N
+matrix (N >= n) cut down to its columns of degree at most n.  rank()
+eliminates the window-N matrix once with its columns in degree order (ties
+by position); the pivot columns are the greedy column basis, so the rank of
 window n is the number of pivots of degree at most n.  A rank of a larger
 window eliminates again, at that window.
 
 piece() gives the basis, image and quotient of any piece, in any order.  The
-map out of each piece is built once and kept (_matrices), and so is its
-RREF with columns in basis order (_rrefs).  piece(), graded rank() and
-first_class() read both stores and the windowed ranks read the first, so a
-map is built at most once and eliminated in basis order at most once,
-whichever of them asks first.
+map out of each piece is built once and kept (_matrices), and so are its
+RREF (_rrefs) and its forward pass (_echelons), columns in basis order.
+piece() reads the RREF, graded rank() and first_class() the forward pass,
+and the windowed ranks the map.  So a map is built at most once, and reduced
+and forward-passed in basis order at most once each; a Koszul table, which
+never asks for a piece, only forward-passes.
 
 Most pieces of a Hom complex are acyclic, and an acyclic piece costs no
 elimination beyond the maps out of it and out of its predecessor: once the
@@ -49,9 +53,10 @@ out must send the map in's pivot columns to zero.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 from .errors import InternalCheckError
-from .linalg import SparseMatrix, rref_nullspace
+from .linalg import SparseMatrix, echelon_kernel_vector, rref_nullspace
 from .poly import mono_mul, monomials_of_weighted_degree
 
 
@@ -86,10 +91,12 @@ class FreeComplex:
         else:
             self.step = shift
         self._monomial_lists = {}  # degree -> (monomials, {exps: position})
+        self._total_degree_lists = []  # total degree -> its monomials, windowed
         self._layouts = {}  # (index, degree) -> (size, {label: block})
         self._bases = {}
         self._matrices = {}  # (index, degree) -> the map out of the piece
         self._rrefs = {}  # (index, degree) -> its RREF, columns in basis order
+        self._echelons = {}  # (index, degree) -> its forward pass, likewise
         self._pivot_degrees = {}  # index -> (window, its pivots' degrees), windowed
         self._check_square_zero()
 
@@ -147,18 +154,20 @@ class FreeComplex:
         return layout
 
     def _monomials(self, degree):
-        """(monomials, {exps: position}) of one degree, listed once."""
+        """(monomials, {exps: position}) of one degree, listed once.  A
+        window's list concatenates those of each total degree up to it."""
         found = self._monomial_lists.get(degree)
         if found is None:
             if self.weights is not None:
                 monomials = monomials_of_weighted_degree(self.weights, degree)
             else:
+                lists = self._total_degree_lists
                 ones = (1,) * self.ring.nvars
-                monomials = [
-                    exps
-                    for total in range(degree + 1)
-                    for exps in monomials_of_weighted_degree(ones, total)
-                ]
+                for total in range(len(lists), degree + 1):
+                    lists.append(monomials_of_weighted_degree(ones, total))
+                monomials = list(
+                    chain.from_iterable(lists[total] for total in range(degree + 1))
+                )
             positions = {exps: k for k, exps in enumerate(monomials)}
             found = self._monomial_lists[degree] = (monomials, positions)
         return found
@@ -203,12 +212,13 @@ class FreeComplex:
     def rank(self, index, degree) -> int:
         """Rank of the differential out of the piece.
 
-        Graded, it is the number of pivots of the kept RREF.  Windowed, each
-        index is eliminated once, at the largest window asked for so far, and
-        the ranks of smaller windows are counted off its pivots' degrees.
+        Graded, it is the number of pivots of the kept forward pass.
+        Windowed, each index is forward-passed once, at the largest window
+        asked for so far, and the ranks of smaller windows are counted off
+        its pivots' degrees.
         """
         if self.weights is not None:
-            return len(self._rref(index, degree)[0])
+            return len(self._echelon(index, degree)[0])
         window, degrees = self._pivot_degrees.get(index, (-1, ()))  # -1 is empty
         if degree > window:
             degrees = self._window_pivot_degrees(index, degree)
@@ -224,21 +234,30 @@ class FreeComplex:
         return matrix
 
     def _rref(self, index, degree):
-        """The RREF of the map out of the piece, columns in basis order, made
-        on first use and kept; ([], []) when the piece or its target is
-        empty, or the index has no successor."""
+        """The RREF of the map out of the piece, columns in basis order."""
+        return self._kept(self._rrefs, SparseMatrix.rref, index, degree)
+
+    def _echelon(self, index, degree):
+        """The forward pass of the map out of the piece, columns in basis
+        order."""
+        return self._kept(self._echelons, SparseMatrix.echelon, index, degree)
+
+    def _kept(self, store, eliminate, index, degree):
+        """eliminate(map out of the piece), made on first use and kept in
+        store; ([], []) when the piece or its target is empty, or the index
+        has no successor."""
         key = (index, degree)
-        rref = self._rrefs.get(key)
-        if rref is None:
+        found = store.get(key)
+        if found is None:
             target = self.successor.get(index)
             nonempty = (
                 target is not None
                 and self._layout(index, degree)[0]
                 and self._layout(target, degree + self.step)[0]
             )
-            rref = self._map(index, degree).rref() if nonempty else ([], [])
-            self._rrefs[key] = rref
-        return rref
+            found = eliminate(self._map(index, degree)) if nonempty else ([], [])
+            store[key] = found
+        return found
 
     def _window_pivot_degrees(self, index, window):
         """The ascending total degrees of the pivot columns of the map out of
@@ -253,7 +272,7 @@ class FreeComplex:
             position[old] = new
         matrix = self._map(index, window)
         rows = [{position[col]: v for col, v in row.items()} for row in matrix.rows]
-        pivot_cols, _ = SparseMatrix(matrix.nrows, matrix.ncols, rows).rref()
+        pivot_cols, _ = SparseMatrix(matrix.nrows, matrix.ncols, rows).echelon()
         return [degrees[order[col]] for col in pivot_cols]
 
     def dim(self, index, degree) -> int:
@@ -307,19 +326,21 @@ class FreeComplex:
         """The first vector of the piece's canonical kernel basis that is not
         a boundary, or None when every one is.
 
-        The kernel basis is read off the kept RREF of the map out, columns
-        in basis order: v_f for each free column f, 1 at f and 0 at the
-        other free columns.  So a vector of the kernel is the sum of its
-        entries at the free columns times the v_f, and the map in, its rows
-        cut down to the free columns, takes values in these kernel
-        coordinates, where v_f is the unit vector e_f.  One RREF of that
-        map's columns then decides every v_f: it is a boundary exactly when
-        e_f is a row of the RREF.  The cut keeps the rank of the map in, as
-        the image lies in the kernel; otherwise InternalCheckError is raised.
+        The canonical kernel basis of the map out, columns in basis order, is
+        v_f for each free column f: the unique kernel vector that is 1 at f
+        and 0 at the other free columns.  The free columns are read off the
+        kept forward pass (_echelon), and only the v_f reported is solved,
+        back over its rows.  A vector of the kernel is the sum of its entries
+        at the free columns times the v_f, and the map in, its rows cut down
+        to the free columns, takes values in these kernel coordinates, where
+        v_f is the unit vector e_f.  One RREF of that map's columns then
+        decides every v_f: it is a boundary exactly when e_f is a row of the
+        RREF.  The cut keeps the rank of the map in, as the image lies in the
+        kernel; otherwise InternalCheckError is raised.
         """
         size = self._layout(index, degree)[0]
-        rref = self._rref(index, degree)
-        pivots = set(rref[0])
+        echelon = self._echelon(index, degree)
+        pivots = set(echelon[0])
         free = [col for col in range(size) if col not in pivots]
         boundaries = set()
         source = self.predecessor.get(index)
@@ -339,9 +360,9 @@ class FreeComplex:
                     "the kernel"
                 )
             boundaries = {col for col, row in zip(pivot_cols, rows) if len(row) == 1}
-        for position in range(len(free)):
+        for position, col in enumerate(free):
             if position not in boundaries:
-                return rref_nullspace(size, *rref)[position]
+                return echelon_kernel_vector(*echelon, col)
         return None
 
 

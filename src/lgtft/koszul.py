@@ -8,12 +8,15 @@ window with a stabilization flag is used and reported as such.
 
 The LG pair keeps its Koszul complex (LGPair.koszul_complex), so the table
 and the vanishing check of one pair share its maps and their eliminations.
-A windowed table asks for the ranks at its bound first, so FreeComplex.rank
-eliminates the map out of each index once, columns in degree order, and
-counts the ranks of the smaller windows off that elimination's pivots.  The
-vanishing witness is the first vector of the piece's canonical kernel basis
-that is not a boundary, found in kernel coordinates by
-FreeComplex.first_class.
+A table reads only ranks, so every map it eliminates gets the forward pass
+(SparseMatrix.echelon), never a full reduction.  A windowed table asks for
+the ranks at its bound first, so FreeComplex.rank eliminates the map out of
+each index once, columns in degree order, and counts the ranks of the
+smaller windows off that pass's pivots.  The vanishing witness is the first
+vector of the piece's canonical kernel basis that is not a boundary, found
+in kernel coordinates by FreeComplex.first_class: the free columns come
+from the forward pass of the map out in basis order (the graded table's own
+pass), and only the vector reported is solved back over its rows.
 """
 
 from __future__ import annotations

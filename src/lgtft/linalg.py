@@ -4,11 +4,20 @@ Matrices are lists of sparse rows (dict column -> nonzero scalar).  Pivoting
 is deterministic: columns are processed left to right and the candidate row
 with the fewest nonzero entries (ties broken by position) wins, so every
 kernel/image basis this module produces is reproducible bit for bit.  There is
-one elimination routine, SparseMatrix._rref_rows.  solve and inverse reduce
-[A | b] and [A | I]; a subspace (an image, a quotient) is kept as the RREF
-(pivot_cols, rows) of a spanning set, and rref_reduce reduces a vector modulo
-it.  Since the RREF is unique, none of these results depends on the pivot
-rule.
+one elimination routine, SparseMatrix._rref_rows, run in one of two modes:
+
+- the reduction, rref(): each pivot row is cleared above and below its pivot,
+  giving the unique RREF.  solve and inverse reduce [A | b] and [A | I]; a
+  subspace (an image, a quotient) is kept as the RREF (pivot_cols, rows) of a
+  spanning set, and rref_reduce reduces a vector modulo it.  Since the RREF is
+  unique, none of these results depends on the pivot rule;
+- the forward pass, echelon(): a pivot row leaves the column index once it is
+  chosen, so no row above a pivot is updated.  Its pivot columns are those of
+  the RREF: both are the greedy column basis of the column order, which is
+  fixed before any back-substitution.  rank() reads it, and so do callers that
+  read only ranks or pivot columns (the Koszul tables, the Hom certificate,
+  the TFT clause ranks); echelon_kernel_vector solves one kernel vector back
+  over its rows.
 
 Elimination does sparse work.  A column index (column -> rows with a nonzero
 entry there) gives the candidate rows of each pivot column and the rows to
@@ -84,6 +93,26 @@ def rref_nullspace(ncols: int, pivot_cols: list, rows: list) -> list:
             if free != col:
                 basis[free][col] = -coeff
     return list(basis.values())
+
+
+def echelon_kernel_vector(pivot_cols: list, rows: list, free: int) -> Vector:
+    """The kernel vector that is 1 at the free column free and 0 at every
+    other free column, solved back over an echelon form (pivot_cols, rows).
+
+    Each row is 1 at its pivot and zero left of it, so going through the rows
+    by descending pivot, a row's entries right of its pivot are all known.
+    The vector is unique, so over an RREF it is rref_nullspace's.
+    """
+    vector = {free: GaussianRational(1)}
+    for col, row in zip(reversed(pivot_cols), reversed(rows)):
+        total = None
+        for k, v in row.items():
+            known = vector.get(k)  # None at col itself, not solved yet
+            if known is not None:
+                total = v * known if total is None else total + v * known
+        if total:
+            vector[col] = -total
+    return vector
 
 
 def rref_reduce(pivot_cols: list, rows: list, vector: Vector):
@@ -170,15 +199,20 @@ class SparseMatrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def _rref_rows(self):
-        """Reduced row echelon form of the row list.
+    def _rref_rows(self, reduce=True):
+        """Reduced row echelon form of the row list, or with reduce=False the
+        forward pass.
 
         Returns (pivot_cols, rows): rows sorted by pivot column, each
-        normalized to pivot 1 and fully reduced.  holders[col] is the set of
-        rows with a nonzero entry in column col; a row operation changes only
-        the columns of the pivot row, so only those entries are updated.
-        Rows are copied once and then updated in place; a pivot that is
-        already 1 is not scaled.
+        normalized to pivot 1.  Reduced, every row is zero at the other
+        rows' pivots.  The forward pass differs in one place: a chosen pivot
+        row leaves the column index, so it is never updated again, and each
+        row is zero only left of its pivot.  The rows not yet chosen see the
+        same operations either way, so both passes pick the same pivots.
+        holders[col] is the set of rows with a nonzero entry in column col; a
+        row operation changes only the columns of the pivot row, so only
+        those entries are updated.  Rows are copied once and then updated in
+        place; a pivot that is already 1 is not scaled.
         """
         work = [dict(row) for row in self.rows]
         holders = [set() for _ in range(self.ncols)]
@@ -196,18 +230,23 @@ class SparseMatrix:
                 continue
             _, pivot_idx = min(candidates)
             used.add(pivot_idx)
+            done.append((col, pivot_idx))
             pivot_row = work[pivot_idx]
+            if not reduce:
+                for k in pivot_row:
+                    holders[k].discard(pivot_idx)
             pivot = pivot_row[col]
             if pivot != ONE:
                 scale = pivot.inverse()
                 for k, v in pivot_row.items():
                     pivot_row[k] = v * scale
+            targets = [idx for idx in holding if idx != pivot_idx]
+            if not targets:
+                continue
             # row -= row[col] * pivot_row: col drops out, as the pivot is 1,
             # and each other column k adds row[col] * (-pivot_row[k])
             negated = [(k, -v) for k, v in pivot_row.items() if k != col]
-            for idx in list(holding):
-                if idx == pivot_idx:
-                    continue
+            for idx in targets:
                 row = work[idx]
                 factor = row.pop(col)
                 holding.discard(idx)
@@ -223,14 +262,18 @@ class SparseMatrix:
                         else:
                             del row[k]
                             holders[k].discard(idx)
-            done.append((col, pivot_idx))
         return [col for col, _ in done], [work[idx] for _, idx in done]
 
     def rref(self):
         return self._rref_rows()
 
+    def echelon(self):
+        """(pivot_cols, rows) of the forward pass: the RREF's pivot columns,
+        rows with pivot 1 and zero left of it, not reduced above pivots."""
+        return self._rref_rows(reduce=False)
+
     def rank(self) -> int:
-        pivot_cols, _ = self.rref()
+        pivot_cols, _ = self.echelon()
         return len(pivot_cols)
 
     def nullspace(self) -> list:

@@ -13,7 +13,9 @@ its adjointness system, which the closed form replaced, the d^2 = 0 check
 summed as Polynomial products, which the flat term sum replaced, the
 associativity sweep through BraneCategory.product, which the tensor
 contraction replaced, and the D^2 = W*Id check on dense block products and
-the block-assembled Koszul factorization, which D kept as terms replaced.
+the block-assembled Koszul factorization, which D kept as terms replaced,
+and the vanishing witness read off the full RREF of the map out, which
+the forward pass and one solved kernel vector replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -718,6 +720,35 @@ def cohomology_witness(complex_, k, m):
         if rref_reduce(*image, vector)[0]:
             return _vector_to_wedge(complex_, basis, vector)
     raise InternalCheckError("positive cohomology dimension but no witness found")
+
+
+def reduced_first_class(complex_, index, degree):
+    """FreeComplex.first_class as it was before the forward pass: the map out
+    of the piece reduced in full, columns in basis order, and the vector
+    reported read off its whole canonical kernel basis (scan_rref,
+    scan_nullspace).  The map in, cut down to the free columns, is reduced
+    too, and v_f is a boundary exactly when e_f is one of its rows."""
+    size = len(complex_.basis(index, degree))
+    pivots, rows = [], []
+    target = complex_.successor.get(index)
+    if target is not None and size and complex_.basis(target, degree + complex_.step):
+        pivots, rows = scan_rref(complex_.matrix(index, degree))
+    taken = set(pivots)
+    free = [col for col in range(size) if col not in taken]
+    boundaries = set()
+    previous = (complex_.predecessor.get(index), degree - complex_.step)
+    if free and previous[0] is not None and complex_.basis(*previous):
+        incoming = complex_.matrix(*previous)
+        cut = [{} for _ in range(incoming.ncols)]
+        for position, row in enumerate(free):
+            for col, value in incoming.rows[row].items():
+                cut[col][position] = value
+        cut_pivots, cut_rows = scan_rref(SparseMatrix(incoming.ncols, len(free), cut))
+        boundaries = {col for col, row in zip(cut_pivots, cut_rows) if len(row) == 1}
+    for position in range(len(free)):
+        if position not in boundaries:
+            return scan_nullspace(size, pivots, rows)[position]
+    return None
 
 
 def polynomial_square_zero(complex_) -> bool:

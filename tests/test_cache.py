@@ -1,6 +1,7 @@
 """The content-addressed cache's write and read paths."""
 
 import json
+import os
 
 import pytest
 
@@ -12,24 +13,41 @@ def test_writer_interrupted_by_another_writer_of_the_same_key(tmp_path, monkeypa
     """Writer A is halfway through its record when writer B puts the same key.
     Afterwards the entry is one complete record and no temp file is left."""
     cache = Cache(tmp_path)
-    real_dump = json.dump
-    interrupted = []
+    real_fdopen = os.fdopen
+    events = []
 
-    def dump(obj, handle, **kwargs):
-        if interrupted:
-            return real_dump(obj, handle, **kwargs)
-        interrupted.append(True)
-        text = json.dumps(obj, **kwargs)
-        handle.write(text[: len(text) // 2])
-        handle.flush()
-        cache.put("homs", ["key"], {"writer": "B"})
-        handle.write(text[len(text) // 2 :])
+    class HalfwayInterrupted:
+        """Writer A's temp file: B puts the key between A's two halves."""
 
-    monkeypatch.setattr(json, "dump", dump)
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            self.handle.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            cache.put("homs", ["key"], {"writer": "B"})
+            events.append("B put")
+            return self.handle.write(text[len(text) // 2 :])
+
+    def fdopen(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+        if events:
+            return handle
+        events.append("A opened")
+        return HalfwayInterrupted(handle)
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
     cache.put("homs", ["key"], {"writer": "A"})
-    monkeypatch.setattr(json, "dump", real_dump)
+    monkeypatch.setattr(os, "fdopen", real_fdopen)
 
-    assert interrupted
+    assert events == ["A opened", "B put"]
     assert cache.get("homs", ["key"]) in ({"writer": "A"}, {"writer": "B"})
     [entry] = tmp_path.iterdir()
     record = json.loads(entry.read_text(encoding="utf-8"))

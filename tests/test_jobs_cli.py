@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import inspect
 import json
 import os
 import subprocess
@@ -717,11 +718,13 @@ _KOSZUL_ELIMINATIONS = {
 )
 def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound):
     """A graded table eliminates each piece's map once, a windowed one each
-    index's map once, at the bound.  Only nqh3 has a witness piece with a
-    map into it; its witness costs two eliminations more: the map out in
-    basis order, whose canonical kernel basis the witness is taken from
-    (the windowed table eliminated it in degree order), and the map in cut
-    down to the kernel's free coordinates."""
+    index's map once, at the bound, and every one of these is a forward
+    pass: the table reads only pivots.  Only nqh3 has a witness piece with a
+    map into it; its witness costs two eliminations more: a forward pass of
+    the map out in basis order, whose free columns the canonical kernel
+    basis is taken at (the windowed table eliminated it in degree order),
+    and the reduction of the map in cut down to the kernel's free
+    coordinates, whose rows are read."""
     from lgtft.koszul import (
         KoszulComplex,
         check_vanishing_negative_degrees,
@@ -731,16 +734,22 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
     from lgtft.linalg import SparseMatrix
 
     eliminations = []
+    reduced = []  # whether each elimination was a full reduction
     original = SparseMatrix._rref_rows
+    mode = inspect.signature(original)
 
     def counting(self, *args, **kwargs):
         eliminations.append(self)
+        call = mode.bind(self, *args, **kwargs)
+        call.apply_defaults()
+        reduced.append(call.arguments["reduce"])
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting)
 
     def count(fn, *args):
         del eliminations[:]
+        del reduced[:]
         result = fn(*args)
         return result, len(eliminations)
 
@@ -753,6 +762,7 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
         bound = lgtft.jobs._koszul_default_bound(lg)
     _, table = count(koszul_cohomology, lg, bound)
     assert table == table_count
+    assert reduced == [False] * table
     if lg.weights is None:
         assert table == sum(
             1 for k in range(-lg.dimension, 0) if KoszulComplex(lg).basis(k, bound)
@@ -774,6 +784,7 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
         k, m = vanishing.witness_degree
         complex_ = KoszulComplex(lg)
         outgoing, incoming = eliminations[-2:]
+        assert reduced[-2:] == [False, True]
         assert signature(outgoing) == signature(complex_.matrix(k, m))
         pivots = set(complex_.matrix(k, m).rref()[0])
         free = [col for col in range(outgoing.ncols) if col not in pivots]

@@ -6,6 +6,7 @@ from lgtft.errors import ValidationError
 from lgtft.jacobi import jacobi_groebner
 from lgtft.koszul import (
     KoszulComplex,
+    _vector_to_wedge,
     apply_iota,
     check_vanishing_negative_degrees,
     koszul_cohomology,
@@ -14,7 +15,7 @@ from lgtft.lgpair import make_lg_pair
 from lgtft.poly import mono_mul, mono_weighted_degree, monomials_of_weighted_degree
 from lgtft.scalars import GaussianRational
 
-from oracles import dense_rank, monomials_up_to
+from oracles import dense_rank, monomials_up_to, reduced_first_class
 
 
 def test_d1_complex_is_minus_2ix():
@@ -242,3 +243,38 @@ def test_table_and_witness_build_each_map_once(
     if shared is not None:
         assert shared in table
     assert len(built) == len(set(built))
+
+
+@pytest.mark.parametrize(
+    "variables,w,bound",
+    [
+        (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2", 9),
+        (["x", "y"], "x^2*y", 8),
+        (["x", "y"], "x^3+y^3+x*y", 5),
+        (["x", "y", "z"], "x*y*z+x^3+z^3", 8),
+    ],
+    ids=["nqh3", "x2y", "nqh-vanishing", "xyz-graded"],
+)
+def test_first_class_equals_the_reduced_one(variables, w, bound):
+    """On every piece of negative index that the vanishing check reads, the
+    witness solved over the forward pass equals the one read off the full
+    RREF, None included; so does the reported witness."""
+    lg = make_lg_pair(variables, w)
+    koszul_cohomology(lg, bound)
+    report = check_vanishing_negative_degrees(lg, bound)
+    complex_ = lg.koszul_complex
+    oracle = KoszulComplex(lg)
+    if lg.weights is None:
+        degrees = [bound]
+    else:
+        degrees = range(complex_.min_degree, bound + 1)
+    for m in degrees:
+        for k in range(-complex_.d, 0):
+            expected = reduced_first_class(oracle, k, m)
+            assert complex_.first_class(k, m) == expected, (k, m)
+            if (k, m) == report.witness_degree:
+                assert expected is not None
+                assert report.witness == _vector_to_wedge(
+                    oracle, oracle.basis(k, m), expected
+                )
+    assert report.vanishes == (report.witness_degree is None)

@@ -12,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from lgtft.errors import SingularMatrixError
 from lgtft.complex import quotient
-from lgtft.linalg import SparseMatrix, rref_reduce, vec_axpy, vec_from_list
+from lgtft.linalg import (
+    SparseMatrix,
+    echelon_kernel_vector,
+    rref_nullspace,
+    rref_reduce,
+    vec_axpy,
+    vec_from_list,
+)
 from lgtft.scalars import GaussianRational, I
 
 from oracles import dense_rank, indexed_rref, scan_nullspace, scan_rref, sparse_matmul
@@ -202,6 +209,29 @@ def test_elimination_against_row_scanning_oracle(m):
     dense = [[m.get(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
     assert m.rank() == dense_rank(dense) == len(pivot_cols)
     assert len(kernel) == m.ncols - len(pivot_cols)
+
+
+@given(sparse_row_matrices())
+@settings(max_examples=300, deadline=None)
+def test_forward_pass_keeps_the_pivots_of_the_reduction(m):
+    """echelon() picks the RREF's pivot columns, so rank() is unchanged; its
+    rows have pivot 1 and nothing left of it, span the RREF's row space, and
+    each kernel vector solved back over them is the RREF's."""
+    original = [list(row.items()) for row in m.rows]
+    pivot_cols, rows = m.echelon()
+    rref_cols, rref_rows = m.rref()
+    assert pivot_cols == rref_cols
+    dense = [[m.get(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+    assert m.rank() == dense_rank(dense) == len(pivot_cols)
+    for col, row in zip(pivot_cols, rows):
+        assert row[col] == g(1)
+        assert min(row) == col
+        residual, _ = rref_reduce(rref_cols, rref_rows, row)
+        assert not residual
+    kernel = rref_nullspace(m.ncols, rref_cols, rref_rows)
+    free = [col for col in range(m.ncols) if col not in set(pivot_cols)]
+    assert [echelon_kernel_vector(pivot_cols, rows, col) for col in free] == kernel
+    assert [list(row.items()) for row in m.rows] == original  # input unchanged
 
 
 def _dense(vectors, ncols):
