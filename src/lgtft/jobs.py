@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -470,7 +471,75 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
 
 
 def report_to_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    With an indent, json.dumps runs its pure-Python encoder; this writer
+    walks the report with less work per value.  Strings go through json's
+    own encode_basestring_ascii, keys are sorted before they become strings,
+    as json sorts them, None, bools and ints are written as json writes them,
+    and any other value is json.dumps'.  The text is joined once from one
+    list of parts, which shares each separator string between its uses.
+    """
+    parts = []
+    _write_json(report, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list) -> None:
+    """Append to parts the text json.dumps(value, sort_keys=True, indent=2)
+    writes, each line after the first starting with newline (a newline and
+    the indent of value's own line)."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "{" + inner
+        for key in sorted(value):
+            parts.append(separator + encode_basestring_ascii(_json_key(key)) + ": ")
+            _write_json(value[key], inner, parts)
+            separator = comma
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            if isinstance(item, str):  # most items: the Gram matrix's entries
+                parts.append(encode_basestring_ascii(item))
+            else:
+                _write_json(item, inner, parts)
+            separator = comma
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif type(value) is int:
+        parts.append(int.__repr__(value))
+    else:
+        parts.append(json.dumps(value))
+
+
+def _json_key(key) -> str:
+    """A dict key as json converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------

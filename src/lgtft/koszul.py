@@ -6,17 +6,29 @@ module on wedge monomials of size |k| and the differential contracts with the
 dimensional and the cohomology tables are exact; otherwise a total-degree
 window with a stabilization flag is used and reported as such.
 
-The LG pair keeps its Koszul complex (LGPair.koszul_complex), so the table
-and the vanishing check of one pair share its maps and their eliminations.
-A table reads only ranks, so every map it eliminates gets the forward pass
-(SparseMatrix.echelon), never a full reduction.  A windowed table asks for
-the ranks at its bound first, so FreeComplex.rank eliminates the map out of
-each index once, columns in degree order, and counts the ranks of the
-smaller windows off that pass's pivots.  The vanishing witness is the first
-vector of the piece's canonical kernel basis that is not a boundary, found
-in kernel coordinates by FreeComplex.first_class: the free columns come
-from the forward pass of the map out in basis order (the graded table's own
-pass), and only the vector reported is solved back over its rows.
+For quasi-homogeneous W with a finite critical set no piece is built and
+nothing is eliminated.  The partials are then a regular sequence (Eisenbud,
+Commutative Algebra, ch. 17), so the complex is exact outside degree 0 and
+H^0 is the Jacobi algebra: the table counts the standard monomials of the
+pair's verified Jacobi basis per weighted degree, checks the counts against
+the Milnor-Orlik Poincare polynomial, and the vanishing check holds with no
+witness.  The pair's Koszul complex is still built, so its d^2 = 0 check
+runs on every route.
+
+Graded tables at an infinite critical set and every windowed table are
+computed by elimination (_eliminated_table), which is also the staircase
+route's test oracle.  The LG pair keeps its Koszul complex
+(LGPair.koszul_complex), so the table and the vanishing check of one pair
+share its maps and their eliminations.  A table reads only ranks, so every
+map it eliminates gets the forward pass (SparseMatrix.echelon), never a full
+reduction.  A windowed table asks for the ranks at its bound first, so
+FreeComplex.rank eliminates the map out of each index once, columns in
+degree order, and counts the ranks of the smaller windows off that pass's
+pivots.  The vanishing witness is the first vector of the piece's canonical
+kernel basis that is not a boundary, found in kernel coordinates by
+FreeComplex.first_class: the free columns come from the forward pass of the
+map out in basis order (the graded table's own pass), and only the vector
+reported is solved back over its rows.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .complex import FreeComplex
 from .errors import InternalCheckError, ValidationError
+from .poly import mono_weighted_degree
 from .scalars import MINUS_I
 
 if TYPE_CHECKING:  # lgpair imports this module: LGPair keeps its complex
@@ -115,8 +128,76 @@ class GradedDimensionTable:
 
 def koszul_cohomology(lg: LGPair, degree_bound: int) -> GradedDimensionTable:
     """Exact graded cohomology table (weighted) or windowed table (otherwise)."""
+    return _table(lg, degree_bound)
+
+
+def _table(lg: LGPair, degree_bound: int) -> GradedDimensionTable:
+    """The table of koszul_cohomology: off the staircase when W is graded
+    and the critical set finite, else by elimination.  The vanishing check
+    reads it here, so that a profile of koszul_cohomology counts the tables
+    a job asks for, not the vanishing check's reading of one."""
     if degree_bound < 0:
         raise ValidationError("degree bound must be non-negative")
+    complex_ = lg.koszul_complex  # built, and d^2 = 0 checked, on every route
+    if lg.weights is None or not lg.jacobi_basis.is_zero_dimensional():
+        return _eliminated_table(lg, degree_bound)
+    counts = _staircase_counts(lg)
+    dims = {k: {} for k in range(-complex_.d, 0)}
+    dims[0] = {m: v for m, v in sorted(counts.items()) if m <= degree_bound}
+    return GradedDimensionTable(
+        mode="weighted",
+        bound=degree_bound,
+        dims=dims,
+        totals={k: sum(row.values()) for k, row in dims.items()},
+        stabilized=True,
+    )
+
+
+def _staircase_counts(lg: LGPair) -> dict:
+    """Weighted degree -> the number of standard monomials of the Jacobi
+    basis in it (the Jacobi algebra's basis, which the pair keeps), checked
+    against the Milnor-Orlik Poincare polynomial.
+
+    The partials of a graded W with finite critical set are a regular
+    sequence, of weighted degrees D - w_j, so the Hilbert series P(t) of the
+    Jacobi algebra satisfies P(t) * prod(1 - t^w_j) = prod(1 - t^(D - w_j))
+    (Milnor and Orlik, Topology 9, 1970).  The counts must meet it exactly
+    as integer polynomials, or InternalCheckError is raised.
+    """
+    weights, degree = lg.weights, lg.weighted_degree
+    counts: dict = {}
+    for exps in lg.jacobi_algebra.basis:  # the standard monomials
+        m = mono_weighted_degree(exps, weights)
+        counts[m] = counts.get(m, 0) + 1
+    left, right = counts, {0: 1}
+    for w in weights:
+        left = _times_one_minus(left, w)
+        right = _times_one_minus(right, degree - w)
+    if left != right:
+        raise InternalCheckError(
+            f"the staircase counts {dict(sorted(counts.items()))} do not give "
+            "the Poincare polynomial of a graded isolated singularity"
+        )
+    return counts
+
+
+def _times_one_minus(poly: dict, shift: int) -> dict:
+    """poly * (1 - t^shift) for an integer polynomial {exponent: coeff}
+    holding no zero coefficient; shift may be zero or negative."""
+    out = dict(poly)
+    for e, c in poly.items():
+        value = out.get(e + shift, 0) - c
+        if value:
+            out[e + shift] = value
+        else:
+            del out[e + shift]
+    return out
+
+
+def _eliminated_table(lg: LGPair, degree_bound: int) -> GradedDimensionTable:
+    """The table by elimination of the complex's maps: the route of graded
+    tables at infinite critical set and of every windowed table, and the
+    oracle the staircase route is tested against."""
     complex_ = lg.koszul_complex
     homological = range(-complex_.d, 1)
     if lg.weights is not None:
@@ -177,23 +258,21 @@ class VanishingReport:
 def check_vanishing_negative_degrees(lg: LGPair, degree_bound: int) -> VanishingReport:
     """True iff H^k = 0 for all k < 0 up to the bound; else returns a witness.
 
-    The witness is a cocycle in the offending degree that is not a boundary;
-    callers can re-check both properties independently.  Ranks that
-    koszul_cohomology eliminated on the same pair are not eliminated again.
+    It reads the table of koszul_cohomology, which on the same pair costs no
+    elimination again.  The witness is a cocycle in the first offending
+    degree (lowest internal degree, then lowest k) that is not a boundary;
+    callers can re-check both properties independently.
     """
-    if degree_bound < 0:
-        raise ValidationError("degree bound must be non-negative")
-    complex_ = lg.koszul_complex
-    if lg.weights is not None:
-        degrees = range(complex_.min_degree, degree_bound + 1)
-    else:
-        degrees = [degree_bound]
-    for m in degrees:
-        for k in range(-complex_.d, 0):
-            if complex_.dim(k, m) > 0:
-                witness = _witness(complex_, k, m)
-                return VanishingReport(False, degree_bound, (k, m), witness)
-    return VanishingReport(True, degree_bound)
+    return _vanishing(lg.koszul_complex, _table(lg, degree_bound))
+
+
+def _vanishing(complex_: KoszulComplex, table: GradedDimensionTable) -> VanishingReport:
+    """The vanishing report of a table of the complex, with its witness."""
+    offending = [(m, k) for k, row in table.dims.items() if k < 0 for m in row]
+    if not offending:
+        return VanishingReport(True, table.bound)
+    m, k = min(offending)
+    return VanishingReport(False, table.bound, (k, m), _witness(complex_, k, m))
 
 
 def _witness(complex_: KoszulComplex, k: int, m: int):

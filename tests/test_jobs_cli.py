@@ -701,7 +701,8 @@ def test_cache_env_var(tmp_path, monkeypatch):
 # w -> (eliminations of the table, those of the witness)
 _KOSZUL_ELIMINATIONS = {
     "x^2*y": (11, 0),
-    "x^5*y+y^6": (19, 0),
+    "x^5*y+y^6": (0, 0),
+    "x^6+y^6+z^6": (0, 0),
     "x^3+y^3+x*y": (2, 0),
     "x^3+y^3+z^3+x*y*z^2": (3, 2),
 }
@@ -714,17 +715,20 @@ _KOSZUL_ELIMINATIONS = {
         (["x", "y"], "x^5*y+y^6", None),
         (["x", "y"], "x^3+y^3+x*y", 5),
         (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2", 9),
+        (["x", "y", "z"], "x^6+y^6+z^6", None),
     ],
 )
 def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound):
-    """A graded table eliminates each piece's map once, a windowed one each
-    index's map once, at the bound, and every one of these is a forward
-    pass: the table reads only pivots.  Only nqh3 has a witness piece with a
-    map into it; its witness costs two eliminations more: a forward pass of
-    the map out in basis order, whose free columns the canonical kernel
-    basis is taken at (the windowed table eliminated it in degree order),
-    and the reduction of the map in cut down to the kernel's free
-    coordinates, whose rows are read."""
+    """A graded table at finite mu (x^5*y+y^6, x^6+y^6+z^6) is read off the
+    staircase and eliminates nothing, nor does its vanishing check.  A
+    graded table at infinite mu (x^2*y) eliminates each piece's map once, a
+    windowed one each index's map once, at the bound, and every one of
+    these is a forward pass: the table reads only pivots.  Only nqh3 has a
+    witness piece with a map into it; its witness costs two eliminations
+    more: a forward pass of the map out in basis order, whose free columns
+    the canonical kernel basis is taken at (the windowed table eliminated it
+    in degree order), and the reduction of the map in cut down to the
+    kernel's free coordinates, whose rows are read."""
     from lgtft.koszul import (
         KoszulComplex,
         check_vanishing_negative_degrees,
