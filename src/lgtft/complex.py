@@ -35,11 +35,19 @@ window n is the number of pivots of degree at most n.  A rank of a larger
 window eliminates again, at that window.
 
 piece() gives the basis, image and quotient of any piece, in any order.  The
-map out of each piece is built once and kept (_matrices), and so are its
-RREF (_rrefs) and its forward pass (_echelons), columns in basis order.
-piece() reads the RREF, graded rank() and first_class() the forward pass,
-and the windowed ranks the map.  So a map is built at most once, and reduced
-and forward-passed in basis order at most once each; a Koszul table, which
+map out of each piece is made once and kept (_matrices, map_out()), and so
+are its RREF (_rrefs) and its forward pass (_echelons), columns in basis
+order.  Without weights the map out of a window is cut out of the kept map
+of a larger window of the same index, when there is one: each block's
+monomials are listed in ascending total degree, so the smaller window's
+columns are a prefix of each source block and its target rows a prefix of
+each target block.  piece() reads the RREF of the map out, and the pivot
+columns of the map in off whichever elimination of it is kept (the map in
+is forward-passed only when neither is); graded rank() and first_class()
+read the forward pass, and the windowed ranks the map.  So a map is built
+once per index, smaller windows cut from it, when the largest window is
+asked for first (a windowed table and a windowed Hom do), and reduced and
+forward-passed in basis order at most once each; a Koszul table, which
 never asks for a piece, only forward-passes.
 
 Most pieces of a Hom complex are acyclic, and an acyclic piece costs no
@@ -95,6 +103,7 @@ class FreeComplex:
         self._layouts = {}  # (index, degree) -> (size, {label: block})
         self._bases = {}
         self._matrices = {}  # (index, degree) -> the map out of the piece
+        self._built = {}  # index -> (window, its target's) of the largest map built
         self._rrefs = {}  # (index, degree) -> its RREF, columns in basis order
         self._echelons = {}  # (index, degree) -> its forward pass, likewise
         self._pivot_degrees = {}  # index -> (window, its pivots' degrees), windowed
@@ -225,13 +234,60 @@ class FreeComplex:
             self._pivot_degrees[index] = (degree, degrees)
         return bisect_right(degrees, degree)
 
-    def _map(self, index, degree) -> SparseMatrix:
-        """The map out of the piece, built by matrix() on first use and kept."""
+    def map_out(self, index, degree) -> SparseMatrix:
+        """The map out of the piece, made on first use and kept.
+
+        Graded, and windowed when no larger window of the index is kept, it
+        is built by matrix().  Otherwise it is cut out of the largest window
+        of the index built so far (_cut).
+        """
         key = (index, degree)
         matrix = self._matrices.get(key)
         if matrix is None:
-            matrix = self._matrices[key] = self.matrix(index, degree)
+            built = self._built.get(index)  # windowed only
+            if built is not None and degree < built[0]:
+                matrix = self._cut(index, degree, *built)
+            else:
+                matrix = self.matrix(index, degree)
+                if self.weights is None:
+                    self._built[index] = (degree, degree + self.step)
+            self._matrices[key] = matrix
         return matrix
+
+    def _cut(self, index, degree, window, target_window) -> SparseMatrix:
+        """The map out of the window degree, cut out of the kept map out of
+        the larger window, which was built into target_window.
+
+        A block's monomials are listed in ascending total degree, so the
+        columns of the smaller window are a prefix of each source block, in
+        the same order, and the rows of its target a prefix of each target
+        block.  Both keep the order of the larger map, so each row is that
+        of matrix(index, degree), entry for entry.  A kept column with an
+        entry in a target row past its block's prefix raises
+        InternalCheckError, as matrix() does: the differential leaves its
+        target piece.
+        """
+        big = self._matrices[(index, window)]
+        target = self.successor[index]
+        _, source = self._layout(index, degree)
+        columns = {}  # column of the larger map -> column of the cut
+        for label, (big_start, _, _) in self._layout(index, window)[1].items():
+            start, monomials, _ = source[label]
+            for k in range(len(monomials)):
+                columns[big_start + k] = start + k
+        nrows, cut_target = self._layout(target, degree + self.step)
+        _, big_target = self._layout(target, target_window)
+        rows = []
+        for label, (big_start, monomials, _) in big_target.items():
+            kept = len(cut_target[label][1])
+            for k in range(len(monomials)):
+                row = big.rows[big_start + k]
+                cut = {columns[col]: v for col, v in row.items() if col in columns}
+                if k < kept:
+                    rows.append(cut)
+                elif cut:
+                    raise InternalCheckError("the differential leaves its target piece")
+        return SparseMatrix(nrows, len(columns), rows)
 
     def _rref(self, index, degree):
         """The RREF of the map out of the piece, columns in basis order."""
@@ -241,6 +297,15 @@ class FreeComplex:
         """The forward pass of the map out of the piece, columns in basis
         order."""
         return self._kept(self._echelons, SparseMatrix.echelon, index, degree)
+
+    def _pivot_columns(self, index, degree):
+        """The pivot columns of the map out of the piece, columns in basis
+        order, read off whichever elimination of it is kept, its RREF or its
+        forward pass; the forward pass is run only when neither is."""
+        found = self._rrefs.get((index, degree))
+        if found is None:
+            found = self._echelon(index, degree)
+        return found[0]
 
     def _kept(self, store, eliminate, index, degree):
         """eliminate(map out of the piece), made on first use and kept in
@@ -255,7 +320,7 @@ class FreeComplex:
                 and self._layout(index, degree)[0]
                 and self._layout(target, degree + self.step)[0]
             )
-            found = eliminate(self._map(index, degree)) if nonempty else ([], [])
+            found = eliminate(self.map_out(index, degree)) if nonempty else ([], [])
             store[key] = found
         return found
 
@@ -270,7 +335,7 @@ class FreeComplex:
         position = [0] * len(order)
         for new, old in enumerate(order):
             position[old] = new
-        matrix = self._map(index, window)
+        matrix = self.map_out(index, window)
         rows = [{position[col]: v for col, v in row.items()} for row in matrix.rows]
         pivot_cols, _ = SparseMatrix(matrix.nrows, matrix.ncols, rows).echelon()
         return [degrees[order[col]] for col in pivot_cols]
@@ -290,8 +355,9 @@ class FreeComplex:
 
         image is the RREF (pivot_cols, rows) of the column space of the map
         into the piece: the RREF of the map in's pivot columns, which span
-        it.  quotient is the RREF of the kernel of the map out modulo the
-        image, from quotient(), with its count check.
+        it, read off the map in's kept RREF or forward pass (_pivot_columns).
+        quotient is the RREF of the kernel of the map out modulo the image,
+        from quotient(), with its count check.
 
         A piece is acyclic when the map in has rank len(kernel), no map in
         and an empty kernel included.  Then nothing more is eliminated: the
@@ -308,16 +374,16 @@ class FreeComplex:
         kernel = rref_nullspace(len(basis), pivots, rows)
         source = self.predecessor.get(index)
         previous = (source, degree - self.step)
-        columns = self._rref(*previous)[0] if source is not None else []
+        columns = self._pivot_columns(*previous) if source is not None else []
         if len(columns) == len(kernel):
             if columns:
-                _check_acyclic(rows, self._map(*previous), columns)
+                _check_acyclic(rows, self.map_out(*previous), columns)
             taken = set(pivots)
             free = [col for col in range(len(basis)) if col not in taken]
             return basis, (free, kernel), ([], [])
         image = ([], [])
         if columns:
-            transposed = self._map(*previous).transpose().rows
+            transposed = self.map_out(*previous).transpose().rows
             spanning = [transposed[col] for col in columns]
             image = SparseMatrix(len(spanning), len(basis), spanning).rref()
         return basis, image, quotient(kernel, image)
@@ -346,7 +412,7 @@ class FreeComplex:
         source = self.predecessor.get(index)
         previous = (source, degree - self.step)
         if free and source is not None and self._layout(*previous)[0]:
-            incoming = self._map(*previous)
+            incoming = self.map_out(*previous)
             cut = [{} for _ in range(incoming.ncols)]
             for position, row in enumerate(free):
                 for col, value in incoming.rows[row].items():

@@ -712,11 +712,16 @@ class HomCohomology:
     Without a certificate, and in windowed mode, every piece of the window
     is built at once.
 
-    In windowed mode the certificate is a guard only (certified stays None):
-    stabilized is True when the last two windows agree and, where
-    koszul_hom_dims gives a certificate, their dims equal it.  A window
-    whose image misses part of the true image counts too many classes; that
-    is reported as stabilized False, not raised.
+    In windowed mode the window is one piece per parity.  Both maps out of
+    the window are built first; the maps in, and those of the window below,
+    are cut out of them (FreeComplex.map_out).  The window below is not
+    built as a piece: its classes are counted as FreeComplex.dim, its size
+    less its ranks out and in, read off one forward pass per index there.
+    The certificate is a guard only (certified stays None): stabilized is
+    True when the last two windows agree and, where koszul_hom_dims gives a
+    certificate, their dims equal it.  A window whose image misses part of
+    the true image counts too many classes; that is reported as stabilized
+    False, not raised.
 
     The residual test decides whether a morphism is a cocycle, with no
     chain-level defect: each piece's image and quotient together span its
@@ -754,14 +759,21 @@ class HomCohomology:
         complex_ = _defect_complex(self.a1, self.a2, self.graded)
         self._complex = None  # kept while pieces above the stop may be built
         if not self.graded:
+            # both maps out of the window first: the smaller windows are cut
+            # out of them
+            for parity in (0, 1):
+                complex_.map_out(parity, self.bound)
             for parity in (0, 1):  # the window is one piece
                 self._add_piece(parity, 0, *complex_.piece(parity, self.bound))
             found = (self.dim(0), self.dim(1))
+            below = self.bound - 1
+            if below >= 0:  # both ranks there first: each index is passed once
+                for parity in (0, 1):
+                    complex_.rank(parity, below)
             self.stabilized = (
-                self.bound >= 1
+                below >= 0
                 and all(
-                    len(complex_.piece(parity, self.bound - 1)[2][1]) == found[parity]
-                    for parity in (0, 1)
+                    complex_.dim(parity, below) == found[parity] for parity in (0, 1)
                 )
                 and koszul_hom_dims(self.a1, self.a2) in (None, found)
             )

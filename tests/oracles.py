@@ -15,7 +15,9 @@ associativity sweep through BraneCategory.product, which the tensor
 contraction replaced, and the D^2 = W*Id check on dense block products and
 the block-assembled Koszul factorization, which D kept as terms replaced,
 and the vanishing witness read off the full RREF of the map out, which
-the forward pass and one solved kernel vector replaced.
+the forward pass and one solved kernel vector replaced, and the classes of
+the window below a windowed Hom's bound counted as quotient rows, which the
+ranks there replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -567,7 +569,7 @@ def oracle_hom_dims(lg, a, b, bound):
 
 from lgtft.complex import quotient  # noqa: E402
 from lgtft.linalg import rref_reduce  # noqa: E402
-from lgtft.matfact import _defect_complex  # noqa: E402
+from lgtft.matfact import _defect_complex, koszul_hom_dims  # noqa: E402
 
 
 def full_hom_pieces(hom):
@@ -593,6 +595,38 @@ def full_hom_pieces(hom):
                 image = scan_rref(incoming)
         out[parity, m] = (image, quotient(kernel, image))
     return out
+
+
+def window_class_counts(complex_, window) -> tuple:
+    """(even, odd) numbers of classes in one window of a windowed defect
+    complex, counted as quotient rows, the way a windowed Hom counted its
+    window below the bound before ranks replaced it: each piece eliminated
+    in full (scan_rref), kernel from the map out, image from every column of
+    the map in, and the quotient from quotient()."""
+    counts = []
+    for parity in (0, 1):
+        kernel, image = [], ([], [])
+        if complex_.basis(parity, window):
+            outgoing = complex_.matrix(parity, window)
+            kernel = scan_nullspace(outgoing.ncols, *scan_rref(outgoing))
+            previous = (complex_.predecessor[parity], window - complex_.step)
+            if complex_.basis(*previous):
+                image = scan_rref(complex_.matrix(*previous).transpose())
+        counts.append(len(quotient(kernel, image)[1]))
+    return tuple(counts)
+
+
+def piece_count_stabilized(hom, below) -> bool:
+    """stabilized of a windowed HomCohomology from the classes of the window
+    below its bound counted as quotient rows (window_class_counts): those
+    equal the window's dims, and a certificate, where koszul_hom_dims gives
+    one, equals them too."""
+    found = (hom.dim(0), hom.dim(1))
+    return (
+        hom.bound >= 1
+        and below == found
+        and koszul_hom_dims(hom.a1, hom.a2) in (None, found)
+    )
 
 
 def full_class_coords(hom, pieces, morphism) -> list:

@@ -46,6 +46,8 @@ from oracles import (
     oracle_koszul_blocks,
     oracle_scale,
     oracle_supertrace,
+    piece_count_stabilized,
+    window_class_counts,
 )
 from test_reference_reports import JOBS as REFERENCE_JOBS
 
@@ -994,6 +996,96 @@ def test_windowed_hom_above_its_certificate_is_not_stabilized():
         assert completed.stdout.split() == [
             "(4,", "4)", "False", "None", "12", "12", "12", "False",
         ], flags
+
+
+def _windowed_homs():
+    """name -> (source, target) of three windowed Homs: End(C) on
+    x^4+y^4+x*y^2, End(E) of the windowed_overcount job on x^5+y^5+x^2*y^2,
+    and End of E's d01/d10 twin, which has no certificate."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4+x*y^2")
+    c = koszul_factorization(lg, FULL_ELIMINATION_CASES["windowed"][1][0])
+    raw = REFERENCE_JOBS["windowed_overcount"]
+    lg = make_lg_pair(raw["variables"], raw["superpotential"])
+    e = koszul_factorization(lg, raw["branes"][0]["pairs"])
+    return {"C": (c, c), "E": (e, e), "E twin": (_twin(e), _twin(e))}
+
+
+def test_windowed_stabilized_matches_the_piece_count():
+    """A windowed Hom counts the classes of the window below its bound off
+    the ranks there (FreeComplex.dim), with no piece built.  At every bound
+    from 0 to the default, on three windowed Homs, its dims are the window's
+    quotient rows and its stabilized flag is the one read off the quotient
+    rows of the window below, each piece eliminated in full (oracles).  Some
+    bounds are not stabilized only because their last two windows disagree:
+    the certificate, where there is one, equals the window's dims."""
+    window_only = []
+    for name, (a, b) in _windowed_homs().items():
+        default = hom_cohomology(a, b)
+        complex_ = _defect_complex(a, b, False)
+        counts = [window_class_counts(complex_, n) for n in range(default.bound + 1)]
+        certificate = koszul_hom_dims(a, b)
+        for bound in range(default.bound + 1):
+            hom = hom_cohomology(a, b, degree_bound=bound)
+            assert not hom.graded and hom.bound == bound
+            assert (hom.dim(0), hom.dim(1)) == counts[bound]
+            below = counts[bound - 1] if bound else None
+            assert hom.stabilized == piece_count_stabilized(hom, below)
+            met = certificate in (None, counts[bound])
+            if met and below not in (None, counts[bound]):
+                assert not hom.stabilized
+                window_only.append((name, bound))
+    assert window_only == [("C", 6)] + [("E twin", n) for n in range(1, 9)]
+
+
+def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
+    """End(C) on x^4+y^4+x*y^2 (bound 9, step 3) builds the two maps out of
+    its window; the maps in (window 6) and out of the window below (window 8,
+    whose ranks stabilized reads, and window 5 counted off them) are cut out
+    of those.  Each of the six maps is eliminated once: the two at the bound
+    reduced, the two maps in forward-passed for their pivot columns, the two
+    of window 8 forward-passed in degree order.  Add one image and one
+    quotient reduction per parity and the certificate's two forward passes:
+    6 reductions and 6 forward passes in all."""
+    from lgtft.complex import FreeComplex
+    from lgtft.linalg import SparseMatrix
+
+    c, _ = _windowed_homs()["C"]
+    matrix, kept = FreeComplex.matrix, FreeComplex._kept
+    window_pivot_degrees = FreeComplex._window_pivot_degrees
+    rref_rows = SparseMatrix._rref_rows
+    built, maps, reduced = [], [], []
+
+    def recording_matrix(self, index, degree):
+        built.append((index, degree))
+        return matrix(self, index, degree)
+
+    def recording_kept(self, store, eliminate, index, degree):
+        if (index, degree) not in store:
+            maps.append((eliminate.__name__, index, degree))
+        return kept(self, store, eliminate, index, degree)
+
+    def recording_window(self, index, window):
+        maps.append(("degree order", index, window))
+        return window_pivot_degrees(self, index, window)
+
+    def counting_rref(self, reduce=True):
+        reduced.append(reduce)
+        return rref_rows(self, reduce)
+
+    monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
+    monkeypatch.setattr(FreeComplex, "_kept", recording_kept)
+    monkeypatch.setattr(FreeComplex, "_window_pivot_degrees", recording_window)
+    monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
+    hom = hom_cohomology(c, c)
+    assert (hom.bound, hom.dim(0), hom.dim(1), hom.stabilized) == (9, 2, 2, True)
+    assert built == [(0, 9), (1, 9)]
+    assert maps == [
+        ("rref", 0, 9), ("echelon", 1, 6), ("rref", 1, 9), ("echelon", 0, 6),
+        ("degree order", 0, 8), ("degree order", 1, 8),
+    ]
+    assert len({(index, degree) for _, index, degree in maps}) == len(maps)
+    assert reduced.count(True) == 6
+    assert reduced.count(False) == 6
 
 
 def test_stopped_window_classes_match_the_full_window():

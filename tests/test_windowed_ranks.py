@@ -1,10 +1,12 @@
-"""Windowed Koszul ranks and the vanishing witness.
+"""Windowed ranks, cut maps and the vanishing witness.
 
 Without weights, FreeComplex.rank eliminates each index once, columns in
 degree order, and counts the pivots of each window; the witness is found in
 kernel coordinates.  Both are held to the code they replaced, kept in
 oracles.py: every window eliminated on its own in label order, and the
-witness read off the piece eliminated in full.
+witness read off the piece eliminated in full.  The map out of a smaller
+window is cut out of the kept map of a larger one, and must equal the map
+matrix() builds.
 """
 
 import os
@@ -21,7 +23,9 @@ from lgtft.koszul import (
     check_vanishing_negative_degrees,
     koszul_cohomology,
 )
+from lgtft.complex import FreeComplex
 from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import _defect_complex, koszul_factorization
 
 from oracles import cohomology_witness, label_order_rank
 
@@ -108,7 +112,9 @@ def test_witness_matches_the_cohomology_witness(variables, w, bound):
 _CORRUPT_SCRIPT = """
 from lgtft.errors import InternalCheckError
 from lgtft.koszul import check_vanishing_negative_degrees, koszul_cohomology
+from lgtft.complex import FreeComplex
 from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import _defect_complex, koszul_factorization
 lg = make_lg_pair(["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2")
 koszul_cohomology(lg, 9)
 complex_ = lg.koszul_complex
@@ -138,3 +144,105 @@ def test_a_corrupted_incoming_rank_raises_also_under_O():
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.split() == ["raised"], flags
+
+
+def _end_c_complex():
+    """The defect complex of End(C) on x^4+y^4+x*y^2, and its Hom bound."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4+x*y^2")
+    c = koszul_factorization(lg, [("x", "x^3+y^2"), ("y", "y^3")])
+    return _defect_complex(c, c, False), 9
+
+
+def _koszul_complex(w):
+    lg = make_lg_pair(["x", "y"], w)
+    return KoszulComplex(lg), lgtft.jobs._koszul_default_bound(lg)
+
+
+CUT_COMPLEXES = {
+    "x^5+y^5+x^2*y^2": lambda: _koszul_complex("x^5+y^5+x^2*y^2"),
+    "x^4+y^4+x*y^2": lambda: _koszul_complex("x^4+y^4+x*y^2"),
+    "End(C)": _end_c_complex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_COMPLEXES))
+def test_cut_maps_equal_the_built_maps(monkeypatch, name):
+    """Once the map out of window N of an index is kept, the map out of
+    every window n < N is cut out of it, with no matrix() call, and equals
+    matrix(index, n) row for row, its entries in the same order."""
+    complex_, window = CUT_COMPLEXES[name]()
+    assert complex_.weights is None
+    matrix = FreeComplex.matrix
+    built = []
+
+    def recording_matrix(self, index, degree):
+        built.append((index, degree))
+        return matrix(self, index, degree)
+
+    monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
+    for index in complex_.successor:
+        complex_.map_out(index, window)
+        for n in range(window):
+            cut = complex_.map_out(index, n)
+            expected = matrix(complex_, index, n)
+            assert (cut.nrows, cut.ncols) == (expected.nrows, expected.ncols)
+            assert [list(row.items()) for row in cut.rows] == [
+                list(row.items()) for row in expected.rows
+            ], (index, n)
+    assert built == [(index, window) for index in complex_.successor]
+
+
+_LOWERED_STEP_SCRIPT = """
+from lgtft.complex import FreeComplex
+from lgtft.errors import InternalCheckError
+from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import _defect_complex, koszul_factorization
+
+lg = make_lg_pair(["x", "y"], "x^4+y^4+x*y^2")
+c = koszul_factorization(lg, [("x", "x^3+y^2"), ("y", "y^3")])
+built = []
+matrix = FreeComplex.matrix
+FreeComplex.matrix = lambda self, *key: built.append(key) or matrix(self, *key)
+
+
+def verdict(make):
+    try:
+        make()
+    except InternalCheckError as exc:
+        if "leaves its target piece" in str(exc):
+            return "raised"
+        raise
+    return "passed"
+
+
+for lower in (0, 1):
+    complex_ = _defect_complex(c, c, False)
+    complex_.step -= lower
+    print("build", verdict(lambda: complex_.map_out(0, 8)), built.pop())
+    complex_ = _defect_complex(c, c, False)
+    complex_.map_out(0, 9)
+    complex_.step -= lower
+    print("cut", verdict(lambda: complex_.map_out(0, 8)), built.pop())
+"""
+
+
+def test_a_lowered_step_raises_on_the_build_and_the_cut_path_also_under_O():
+    """With step lowered after construction, a term of the differential
+    lands past its target window: matrix() raises on it, and so does the cut
+    out of a map kept from before, plainly and under python -O."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for flags in ([], ["-O"]):
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", _LOWERED_STEP_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.splitlines() == [
+            "build passed (0, 8)",
+            "cut passed (0, 9)",
+            "build raised (0, 8)",
+            "cut raised (0, 9)",
+        ], flags
