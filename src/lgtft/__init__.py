@@ -48,7 +48,7 @@ from .koszul import (
     check_vanishing_negative_degrees,
     koszul_cohomology,
 )
-from .polymatrix import PolyMatrix, poly_det
+from .polymatrix import PolyMatrix
 from .matfact import (
     HomCohomology,
     MatrixFactorization,

@@ -36,19 +36,15 @@ window eliminates again, at that window.
 
 piece() gives the basis, image and quotient of any piece, in any order.  The
 map out of each piece is made once and kept (_matrices, map_out()), and so
-are its RREF (_rrefs) and its forward pass (_echelons), columns in basis
-order.  Without weights the map out of a window is cut out of the kept map
-of a larger window of the same index, when there is one: each block's
-monomials are listed in ascending total degree, so the smaller window's
-columns are a prefix of each source block and its target rows a prefix of
-each target block.  piece() reads the RREF of the map out, and the pivot
-columns of the map in off whichever elimination of it is kept (the map in
-is forward-passed only when neither is); graded rank() and first_class()
-read the forward pass, and the windowed ranks the map.  So a map is built
-once per index, smaller windows cut from it, when the largest window is
-asked for first (a windowed table and a windowed Hom do), and reduced and
-forward-passed in basis order at most once each; a Koszul table, which
-never asks for a piece, only forward-passes.
+is its forward pass in basis order (_echelon), which piece(), graded rank()
+and first_class() read.  No map out of a piece is reduced.  Without weights
+the map out of a window is cut out of the kept map of a larger window of the
+same index, when there is one: each block's monomials are listed in
+ascending total degree, so the smaller window's columns are a prefix of each
+source block and its target rows a prefix of each target block.  So a map
+is built once per index when the largest window is asked for first (a
+windowed table and a windowed Hom do), and forward-passed in basis order at
+most once.
 
 Most pieces of a Hom complex are acyclic, and an acyclic piece costs no
 elimination beyond the maps out of it and out of its predecessor: once the
@@ -64,7 +60,7 @@ from bisect import bisect_right
 from itertools import chain
 
 from .errors import InternalCheckError
-from .linalg import SparseMatrix, echelon_kernel_vector, rref_nullspace
+from .linalg import SparseMatrix, echelon_kernel
 from .poly import mono_mul, monomials_of_weighted_degree
 
 
@@ -104,8 +100,7 @@ class FreeComplex:
         self._bases = {}
         self._matrices = {}  # (index, degree) -> the map out of the piece
         self._built = {}  # index -> (window, its target's) of the largest map built
-        self._rrefs = {}  # (index, degree) -> its RREF, columns in basis order
-        self._echelons = {}  # (index, degree) -> its forward pass, likewise
+        self._echelons = {}  # (index, degree) -> its forward pass, basis order
         self._pivot_degrees = {}  # index -> (window, its pivots' degrees), windowed
         self._check_square_zero()
 
@@ -289,30 +284,12 @@ class FreeComplex:
                     raise InternalCheckError("the differential leaves its target piece")
         return SparseMatrix(nrows, len(columns), rows)
 
-    def _rref(self, index, degree):
-        """The RREF of the map out of the piece, columns in basis order."""
-        return self._kept(self._rrefs, SparseMatrix.rref, index, degree)
-
     def _echelon(self, index, degree):
         """The forward pass of the map out of the piece, columns in basis
-        order."""
-        return self._kept(self._echelons, SparseMatrix.echelon, index, degree)
-
-    def _pivot_columns(self, index, degree):
-        """The pivot columns of the map out of the piece, columns in basis
-        order, read off whichever elimination of it is kept, its RREF or its
-        forward pass; the forward pass is run only when neither is."""
-        found = self._rrefs.get((index, degree))
-        if found is None:
-            found = self._echelon(index, degree)
-        return found[0]
-
-    def _kept(self, store, eliminate, index, degree):
-        """eliminate(map out of the piece), made on first use and kept in
-        store; ([], []) when the piece or its target is empty, or the index
-        has no successor."""
+        order, made on first use and kept; ([], []) when the piece or its
+        target is empty, or the index has no successor."""
         key = (index, degree)
-        found = store.get(key)
+        found = self._echelons.get(key)
         if found is None:
             target = self.successor.get(index)
             nonempty = (
@@ -320,8 +297,8 @@ class FreeComplex:
                 and self._layout(index, degree)[0]
                 and self._layout(target, degree + self.step)[0]
             )
-            found = eliminate(self.map_out(index, degree)) if nonempty else ([], [])
-            store[key] = found
+            found = self.map_out(index, degree).echelon() if nonempty else ([], [])
+            self._echelons[key] = found
         return found
 
     def _window_pivot_degrees(self, index, window):
@@ -353,11 +330,10 @@ class FreeComplex:
     def piece(self, index, degree):
         """(basis, image, quotient) of the piece (index, degree).
 
-        image is the RREF (pivot_cols, rows) of the column space of the map
-        into the piece: the RREF of the map in's pivot columns, which span
-        it, read off the map in's kept RREF or forward pass (_pivot_columns).
-        quotient is the RREF of the kernel of the map out modulo the image,
-        from quotient(), with its count check.
+        The kernel is solved over the forward pass of the map out.  image is
+        the forward pass (pivot_cols, rows) of the map in's pivot columns,
+        which span its column space; quotient is the RREF of the kernel
+        modulo the image, from quotient(), with its count check.
 
         A piece is acyclic when the map in has rank len(kernel), no map in
         and an empty kernel included.  Then nothing more is eliminated: the
@@ -365,27 +341,27 @@ class FreeComplex:
         and the quotient is empty.  d^2 = 0 puts the image inside the kernel,
         and the two have the same dimension, so they are equal.  Each kernel
         vector is 1 at its own free column and 0 at the others, which is all
-        rref_reduce needs of an RREF.  In place of the count check of
-        quotient(), the map out must send each pivot column of the map in to
-        zero, or InternalCheckError is raised.
+        echelon_reduce needs.  In place of the count check of quotient(),
+        _check_acyclic checks that the map out sends each pivot column of the
+        map in to zero.
         """
         basis = self.basis(index, degree)
-        pivots, rows = self._rref(index, degree)
-        kernel = rref_nullspace(len(basis), pivots, rows)
+        pivots, rows = self._echelon(index, degree)
+        taken = set(pivots)
+        free = [col for col in range(len(basis)) if col not in taken]
+        kernel = echelon_kernel(pivots, rows, free)
         source = self.predecessor.get(index)
         previous = (source, degree - self.step)
-        columns = self._pivot_columns(*previous) if source is not None else []
+        columns = self._echelon(*previous)[0] if source is not None else []
         if len(columns) == len(kernel):
             if columns:
                 _check_acyclic(rows, self.map_out(*previous), columns)
-            taken = set(pivots)
-            free = [col for col in range(len(basis)) if col not in taken]
             return basis, (free, kernel), ([], [])
         image = ([], [])
         if columns:
             transposed = self.map_out(*previous).transpose().rows
             spanning = [transposed[col] for col in columns]
-            image = SparseMatrix(len(spanning), len(basis), spanning).rref()
+            image = SparseMatrix(len(spanning), len(basis), spanning).echelon()
         return basis, image, quotient(kernel, image)
 
     def first_class(self, index, degree):
@@ -395,14 +371,14 @@ class FreeComplex:
         The canonical kernel basis of the map out, columns in basis order, is
         v_f for each free column f: the unique kernel vector that is 1 at f
         and 0 at the other free columns.  The free columns are read off the
-        kept forward pass (_echelon), and only the v_f reported is solved,
-        back over its rows.  A vector of the kernel is the sum of its entries
-        at the free columns times the v_f, and the map in, its rows cut down
-        to the free columns, takes values in these kernel coordinates, where
-        v_f is the unit vector e_f.  One RREF of that map's columns then
-        decides every v_f: it is a boundary exactly when e_f is a row of the
-        RREF.  The cut keeps the rank of the map in, as the image lies in the
-        kernel; otherwise InternalCheckError is raised.
+        kept forward pass (_echelon), and only the v_f reported is solved
+        over its rows (echelon_kernel).  A vector of the kernel is the sum of
+        its entries at the free columns times the v_f, and the map in, its
+        rows cut down to the free columns, takes values in these kernel
+        coordinates, where v_f is the unit vector e_f.  One RREF of that
+        map's columns then decides every v_f: it is a boundary exactly when
+        e_f is a row of the RREF.  The cut keeps the rank of the map in, as
+        the image lies in the kernel; otherwise InternalCheckError is raised.
         """
         size = self._layout(index, degree)[0]
         echelon = self._echelon(index, degree)
@@ -428,19 +404,17 @@ class FreeComplex:
             boundaries = {col for col, row in zip(pivot_cols, rows) if len(row) == 1}
         for position, col in enumerate(free):
             if position not in boundaries:
-                return echelon_kernel_vector(*echelon, col)
+                return echelon_kernel(*echelon, [col])[0]
         return None
 
 
 def _check_acyclic(rows, incoming, columns):
     """Raise InternalCheckError unless the map out, given by the rows of its
-    RREF, sends each of these columns of the map in to zero.
+    forward pass, sends each of these columns of the map in to zero.
 
-    For a column c, the entry of rows times c at a pivot is that of c's
-    residual modulo the kernel basis (rref_reduce), since each kernel vector
-    is 1 at its own free column and minus a pivot row's entry at that row's
-    pivot; so the check asks for a zero residual, row by row: no transpose and
-    no elimination.
+    The rows span the row space of the map out, so they kill a column exactly
+    when the map out does: this checks d^2 = 0 on the columns, row by row,
+    with no transpose and no elimination.
     """
     wanted = set(columns)
     for row in rows:
@@ -457,7 +431,8 @@ def _check_acyclic(rows, incoming, columns):
 
 
 def quotient(kernel, image):
-    """The RREF (pivot_cols, rows) of kernel modulo image, as a complement.
+    """The RREF (pivot_cols, rows) of kernel modulo image, as a complement;
+    of image, an echelon form (pivot_cols, rows), only the pivots are read.
 
     The rows are those of the RREF of the kernel vectors whose pivot column
     is not an image pivot.  They span the kernel vectors that vanish at every

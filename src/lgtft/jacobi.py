@@ -31,7 +31,6 @@ from .errors import (
 from .groebner import GroebnerBasis
 from .linalg import SparseMatrix, Vector, columns_apply, vec_scale
 from .poly import PolyRing, Polynomial
-from .polymatrix import PolyMatrix, poly_det
 from .scalars import GaussianRational
 
 if TYPE_CHECKING:  # lgpair imports this module: LGPair keeps its algebra
@@ -147,13 +146,33 @@ def milnor_number(lg: LGPair) -> int:
     return lg.jacobi_algebra.dimension
 
 
+def _det(ring: PolyRing, rows: list) -> Polynomial:
+    """Determinant of a square list of polynomial rows, by cofactor expansion
+    along the top row (fine at desk scale); a ring has a variable, so the
+    list is not empty."""
+
+    def expand(top, cols):
+        if len(cols) == 1:
+            return rows[top][cols[0]]
+        total = ring.zero()
+        for position, col in enumerate(cols):
+            entry = rows[top][col]
+            if entry.is_zero():
+                continue
+            term = entry * expand(top + 1, cols[:position] + cols[position + 1 :])
+            total = total + term if position % 2 == 0 else total - term
+        return total
+
+    return expand(0, tuple(range(len(rows))))
+
+
 def hessian_determinant(lg: LGPair) -> Polynomial:
     d = lg.dimension
     partials = lg.partials()
     rows = [
         [partials[i].partial_derivative(j) for j in range(d)] for i in range(d)
     ]
-    return poly_det(PolyMatrix(lg.ring, rows))
+    return _det(lg.ring, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +231,7 @@ def bezoutian_determinant(lg: LGPair, ring2: PolyRing) -> Polynomial:
             substituted = [
                 _substitute_var(g, i, d + i) for g in substituted
             ]
-    return poly_det(PolyMatrix(ring2, rows))
+    return _det(ring2, rows)
 
 
 def _substitute_var(p: Polynomial, source: int, target: int) -> Polynomial:

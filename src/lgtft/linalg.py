@@ -6,24 +6,26 @@ with the fewest nonzero entries (ties broken by position) wins, so every
 kernel/image basis this module produces is reproducible bit for bit.  There is
 one elimination routine, SparseMatrix._rref_rows, run in one of two modes:
 
-- the reduction, rref(): each pivot row is cleared above and below its pivot,
-  giving the unique RREF.  solve and inverse reduce [A | b] and [A | I]; a
-  subspace (an image, a quotient) is kept as the RREF (pivot_cols, rows) of a
-  spanning set, and rref_reduce reduces a vector modulo it.  Since the RREF is
-  unique, none of these results depends on the pivot rule;
 - the forward pass, echelon(): a pivot row leaves the column index once it is
   chosen, so no row above a pivot is updated.  Its pivot columns are those of
   the RREF: both are the greedy column basis of the column order, which is
-  fixed before any back-substitution.  rank() reads it, and so do callers that
-  read only ranks or pivot columns (the Koszul tables, the Hom certificate,
-  the TFT clause ranks); echelon_kernel_vector solves one kernel vector back
-  over its rows.
+  fixed before any back-substitution.  It is the elimination wherever pivots,
+  kernels or residuals are read: rank(), nullspace(), the maps out of and the
+  images in the pieces of a complex, the Koszul tables, the Hom certificate
+  and the TFT clause ranks;
+- the reduction, rref(): each pivot row is cleared above and below its pivot,
+  giving the unique RREF.  It runs only where canonical rows are read: solve
+  and inverse reduce [A | b] and [A | I], and a complex reduces the kernel
+  of a piece for its quotient and the map in cut to kernel coordinates.
+
+echelon_kernel solves kernel vectors, and echelon_reduce reduces a vector
+modulo a subspace, over either form.  Both results are fixed by the pivot
+columns, which the two forms share, so neither depends on the form.
 
 Elimination does sparse work.  A column index (column -> rows with a nonzero
 entry there) gives the candidate rows of each pivot column and the rows to
 clear, and each row operation updates the row in place and the index on the
-pivot row's columns only; the pivot rule is the one above.  The kernel is read
-off the RREF in one walk over its entries.
+pivot row's columns only; the pivot rule is the one above.
 """
 
 from __future__ import annotations
@@ -77,56 +79,68 @@ def vec_from_list(values: Sequence) -> Vector:
     return out
 
 
-def rref_nullspace(ncols: int, pivot_cols: list, rows: list) -> list:
-    """The kernel basis of a matrix with ncols columns, read off its RREF.
+def echelon_kernel(pivot_cols: list, rows: list, free: Sequence[int]) -> list:
+    """The kernel vectors v_f of the listed free columns f, in their order,
+    solved in one sweep over an echelon form (pivot_cols, rows); an RREF is
+    one.
 
-    One vector per free column, ascending.  A fully reduced pivot row has
-    its other entries in free columns only, so one walk over the rows' entries
-    fills every vector.
+    v_f is the unique kernel vector that is 1 at f and 0 at every other free
+    column, so free columns not listed are held at 0.  Each row is 1 at its
+    pivot and zero left of it, so going through the rows by descending pivot,
+    each vector's entries right of a row's pivot are known when it is
+    reached.  at[col] lists the vectors nonzero at col with their entries,
+    None standing for the 1 at a listed free column.
     """
-    pivots = set(pivot_cols)
-    basis = {
-        free: {free: GaussianRational(1)} for free in range(ncols) if free not in pivots
-    }
-    for col, row in zip(pivot_cols, rows):
-        for free, coeff in row.items():
-            if free != col:
-                basis[free][col] = -coeff
-    return list(basis.values())
-
-
-def echelon_kernel_vector(pivot_cols: list, rows: list, free: int) -> Vector:
-    """The kernel vector that is 1 at the free column free and 0 at every
-    other free column, solved back over an echelon form (pivot_cols, rows).
-
-    Each row is 1 at its pivot and zero left of it, so going through the rows
-    by descending pivot, a row's entries right of its pivot are all known.
-    The vector is unique, so over an RREF it is rref_nullspace's.
-    """
-    vector = {free: GaussianRational(1)}
+    vectors = [{f: ONE} for f in free]
+    at = {f: ((n, None),) for n, f in enumerate(free)}
     for col, row in zip(reversed(pivot_cols), reversed(rows)):
-        total = None
+        totals = {}
         for k, v in row.items():
-            known = vector.get(k)  # None at col itself, not solved yet
-            if known is not None:
-                total = v * known if total is None else total + v * known
-        if total:
-            vector[col] = -total
-    return vector
+            for n, known in at.get(k, ()):  # none at col, not solved yet
+                term = v if known is None else v * known
+                acc = totals.get(n)
+                totals[n] = term if acc is None else acc + term
+        solved = []
+        for n, total in totals.items():
+            if total:
+                vectors[n][col] = value = -total
+                solved.append((n, value))
+        if solved:
+            at[col] = solved
+    return vectors
 
 
-def rref_reduce(pivot_cols: list, rows: list, vector: Vector):
-    """(residual, coords): vector less its component in the row space of an RREF.
+def echelon_reduce(pivot_cols: list, rows: list, vector: Vector):
+    """(residual, coords): vector less its component in the span of rows.
 
-    coords[k] multiplies rows[k], and the residual is zero at every pivot
-    column, so it is zero exactly when vector lies in the row space.  Each row
-    is zero at the other rows' pivot columns, so coords[k] is simply the entry
-    of vector at pivot_cols[k].
+    Each row must be 1 at its pivot and 0 at the pivots of the rows before
+    it, as a forward pass, an RREF and an acyclic piece's (free, kernel) are.
+    Row by row in pivot order, coords[k] is the residual's entry at
+    pivot_cols[k], and subtracting coords[k] * rows[k] clears it without
+    touching the pivots cleared before.  The residual is zero at every pivot
+    column, so it is zero exactly when vector lies in the span, and it is
+    the same for every such form of one subspace with the same pivot
+    columns.  Over an RREF, coords[k] is the entry of vector at
+    pivot_cols[k].  The residual is one copy of vector, updated in place.
     """
-    coords = {k: vector[col] for k, col in enumerate(pivot_cols) if col in vector}
     residual = dict(vector)
-    for k, coeff in coords.items():
-        residual = vec_axpy(residual, -coeff, rows[k])
+    coords = {}
+    for k, (col, row) in enumerate(zip(pivot_cols, rows)):
+        if not residual:
+            break
+        coeff = residual.pop(col, None)
+        if coeff is None:
+            continue
+        coords[k] = coeff
+        scale = -coeff
+        for j, v in row.items():
+            if j != col:  # the pivot 1 is what pop() cleared
+                acc = residual.get(j)
+                total = scale * v if acc is None else acc + scale * v
+                if total:
+                    residual[j] = total
+                else:
+                    del residual[j]
     return residual, coords
 
 
@@ -277,8 +291,12 @@ class SparseMatrix:
         return len(pivot_cols)
 
     def nullspace(self) -> list:
-        """Canonical kernel basis: one vector per free column, ascending."""
-        return rref_nullspace(self.ncols, *self.rref())
+        """Canonical kernel basis: one vector per free column, ascending,
+        solved over the forward pass."""
+        pivot_cols, rows = self.echelon()
+        taken = set(pivot_cols)
+        free = [col for col in range(self.ncols) if col not in taken]
+        return echelon_kernel(pivot_cols, rows, free)
 
     def solve(self, rhs: Vector) -> Optional[Vector]:
         """The solution of A x = rhs with free variables zero, or None when

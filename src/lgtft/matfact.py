@@ -44,7 +44,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis
 from .lgpair import LGPair
-from .linalg import SparseMatrix, rref_reduce, vec_axpy
+from .linalg import SparseMatrix, echelon_reduce, vec_axpy
 from .poly import Polynomial, mono_degree, mono_mul, mono_weighted_degree
 from .polymatrix import PolyMatrix, _as_poly
 from .scalars import GaussianRational
@@ -624,10 +624,9 @@ def _reduced_rank(ideal, staircase, block) -> int:
 
 
 class _Piece:
-    """One piece of the Hom complex; im and quot are RREFs (pivot_cols, rows).
-
-    On an acyclic piece im is (free columns, kernel basis), as
-    FreeComplex.piece gives it, and quot is empty.
+    """One piece of the Hom complex, as FreeComplex.piece gives it: im is a
+    forward pass (pivot_cols, rows), or (free columns, kernel basis) on an
+    acyclic piece, and quot is an RREF, empty on an acyclic piece.
     """
 
     __slots__ = ("basis", "index", "im", "quot")
@@ -912,8 +911,8 @@ class HomCohomology:
         position_of = self._position_of[parity]  # later pieces add no class
         for m, vector in self._split(parity, terms).items():
             piece = self.pieces[(parity, m)]
-            residual, _ = rref_reduce(*piece.im, vector)
-            residual, local_coords = rref_reduce(*piece.quot, residual)
+            residual, _ = echelon_reduce(*piece.im, vector)
+            residual, local_coords = echelon_reduce(*piece.quot, residual)
             if residual:
                 return None
             for local, value in local_coords.items():

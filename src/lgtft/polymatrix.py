@@ -75,29 +75,3 @@ def _as_poly(ring: PolyRing, value) -> Polynomial:
     if isinstance(value, (int, Fraction, GaussianRational)):
         return ring.constant(value)
     raise TypeError(f"cannot scale by {value!r}")
-
-
-def poly_det(matrix: PolyMatrix) -> Polynomial:
-    """Determinant by cofactor expansion (fine at desk scale)."""
-    if matrix.nrows != matrix.ncols:
-        raise ShapeError("determinant of a non-square matrix")
-    n = matrix.nrows
-    ring = matrix.ring
-    if n == 0:
-        return ring.one()
-
-    def rec(rows, cols):
-        if len(cols) == 1:
-            return matrix.entries[rows[0]][cols[0]]
-        total = ring.zero()
-        top, rest = rows[0], rows[1:]
-        for position, col in enumerate(cols):
-            entry = matrix.entries[top][col]
-            if entry.is_zero():
-                continue
-            minor = rec(rest, cols[:position] + cols[position + 1 :])
-            term = entry * minor
-            total = total + term if position % 2 == 0 else total - term
-        return total
-
-    return rec(tuple(range(n)), tuple(range(n)))

@@ -17,7 +17,9 @@ the block-assembled Koszul factorization, which D kept as terms replaced,
 and the vanishing witness read off the full RREF of the map out, which
 the forward pass and one solved kernel vector replaced, and the classes of
 the window below a windowed Hom's bound counted as quotient rows, which the
-ranks there replaced.
+ranks there replaced, and the kernel read off an RREF and the reduction
+modulo an RREF read directly, which echelon_kernel and echelon_reduce
+replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -168,6 +170,32 @@ def scan_nullspace(ncols, pivot_cols, rows):
                 vector[col] = -coeff
         basis.append(vector)
     return basis
+
+
+def rref_nullspace(ncols, pivot_cols, rows):
+    """The kernel basis read off an RREF in one walk over its rows' entries,
+    the library's reading before echelon_kernel: a fully reduced pivot row
+    has its other entries in free columns only."""
+    pivots = set(pivot_cols)
+    basis = {
+        free: {free: GaussianRational(1)} for free in range(ncols) if free not in pivots
+    }
+    for col, row in zip(pivot_cols, rows):
+        for free, coeff in row.items():
+            if free != col:
+                basis[free][col] = -coeff
+    return list(basis.values())
+
+
+def rref_reduce(pivot_cols, rows, vector):
+    """(residual, coords) of vector modulo an RREF read directly, the
+    library's reduction before echelon_reduce: each row is zero at the other
+    rows' pivots, so coords[k] is the entry of vector at pivot_cols[k]."""
+    coords = {k: vector[col] for k, col in enumerate(pivot_cols) if col in vector}
+    residual = dict(vector)
+    for k, coeff in coords.items():
+        residual = vec_axpy(residual, -coeff, rows[k])
+    return residual, coords
 
 
 def staircase_count(leading_exponents, box) -> int:
@@ -568,7 +596,6 @@ def oracle_hom_dims(lg, a, b, bound):
 
 
 from lgtft.complex import quotient  # noqa: E402
-from lgtft.linalg import rref_reduce  # noqa: E402
 from lgtft.matfact import _defect_complex, koszul_hom_dims  # noqa: E402
 
 

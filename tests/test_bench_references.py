@@ -42,3 +42,48 @@ def test_every_template_matches_its_reference_report(monkeypatch):
         report = json.loads(report_to_text(run_job(JobSpec.from_dict(job.raw))))
         problems[template] = harness.check_report(report, job, references[template])
     assert problems == {template: [] for template in harness.TEMPLATES}
+
+
+# template -> (reductions, forward passes) of one run_job, no cache
+_ELIMINATIONS = {
+    "bulk.x5y": (6, 42),
+    "tft.baseline": (18, 77),
+    "warm.graded": (18, 56),
+    "warm.windowed": (3, 13),
+}
+
+
+def test_templates_reduce_no_map_out_of_a_piece(monkeypatch):
+    """Pieces read the forward pass of each map out (FreeComplex.map_out), so
+    no such map is ever reduced: the reductions left are the quotients'
+    kernels, the cuts of first_class and inverse.  The eliminations of each
+    job, by mode, are pinned exactly."""
+    from lgtft.complex import FreeComplex
+    from lgtft.linalg import SparseMatrix
+
+    harness = _load_harness(monkeypatch)
+    map_out, rref_rows = FreeComplex.map_out, SparseMatrix._rref_rows
+    maps = {}  # id -> a map out of a piece, kept so that ids stay unique
+    modes = []  # reduce, per elimination
+    reduced_maps = []
+
+    def recording_map_out(self, index, degree):
+        out = map_out(self, index, degree)
+        maps[id(out)] = out
+        return out
+
+    def counting(self, reduce=True):
+        modes.append(reduce)
+        if reduce and id(self) in maps:
+            reduced_maps.append(self)
+        return rref_rows(self, reduce)
+
+    monkeypatch.setattr(FreeComplex, "map_out", recording_map_out)
+    monkeypatch.setattr(SparseMatrix, "_rref_rows", counting)
+    counts = {}
+    for template in _ELIMINATIONS:
+        del modes[:]
+        run_job(JobSpec.from_dict(harness.unseeded(template).raw))
+        counts[template] = (modes.count(True), modes.count(False))
+    assert counts == _ELIMINATIONS
+    assert maps and not reduced_maps

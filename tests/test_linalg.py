@@ -1,4 +1,4 @@
-"""Exact elimination: kernels, images, inverses, reduction modulo an RREF."""
+"""Exact elimination: kernels, images, inverses, reduction modulo an echelon form."""
 
 import os
 import random
@@ -14,15 +14,22 @@ from lgtft.errors import SingularMatrixError
 from lgtft.complex import quotient
 from lgtft.linalg import (
     SparseMatrix,
-    echelon_kernel_vector,
-    rref_nullspace,
-    rref_reduce,
+    echelon_kernel,
+    echelon_reduce,
     vec_axpy,
     vec_from_list,
 )
 from lgtft.scalars import GaussianRational, I
 
-from oracles import dense_rank, indexed_rref, scan_nullspace, scan_rref, sparse_matmul
+from oracles import (
+    dense_rank,
+    indexed_rref,
+    rref_nullspace,
+    rref_reduce,
+    scan_nullspace,
+    scan_rref,
+    sparse_matmul,
+)
 
 
 def g(x):
@@ -230,8 +237,39 @@ def test_forward_pass_keeps_the_pivots_of_the_reduction(m):
         assert not residual
     kernel = rref_nullspace(m.ncols, rref_cols, rref_rows)
     free = [col for col in range(m.ncols) if col not in set(pivot_cols)]
-    assert [echelon_kernel_vector(pivot_cols, rows, col) for col in free] == kernel
+    assert [echelon_kernel(pivot_cols, rows, [col])[0] for col in free] == kernel
     assert [list(row.items()) for row in m.rows] == original  # input unchanged
+
+
+@given(sparse_row_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_echelon_kernel_and_reduce_against_the_rref_readings(m, data):
+    """Over the forward pass and over the RREF, echelon_kernel gives the
+    kernel vectors read off the RREF, for every free column and for any
+    subset of them in any order.  Modulo the forward pass, a spanning set of
+    the row space, echelon_reduce gives the residual of the RREF read
+    directly, and on the RREF also its coordinates, as it does modulo an
+    acyclic piece's (free, kernel), whose rows are zero at the other rows'
+    pivots too."""
+    forward = m.echelon()
+    rref_cols, rref_rows = m.rref()
+    kernel = rref_nullspace(m.ncols, rref_cols, rref_rows)
+    free = [col for col in range(m.ncols) if col not in set(rref_cols)]
+    subset = data.draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    for form in (forward, (rref_cols, rref_rows)):
+        assert echelon_kernel(*form, free) == kernel
+        assert echelon_kernel(*form, subset) == [kernel[free.index(f)] for f in subset]
+
+    vector = vec_from_list(data.draw(_vectors(m.ncols)))
+    expected = rref_reduce(rref_cols, rref_rows, vector)
+    assert echelon_reduce(rref_cols, rref_rows, vector) == expected
+    residual, coords = echelon_reduce(*forward, vector)
+    assert residual == expected[0]
+    rebuilt = dict(residual)
+    for k, coeff in coords.items():
+        rebuilt = vec_axpy(rebuilt, coeff, forward[1][k])
+    assert rebuilt == vector
+    assert echelon_reduce(free, kernel, vector) == rref_reduce(free, kernel, vector)
 
 
 def _dense(vectors, ncols):
@@ -271,14 +309,15 @@ def test_rref_reduce_and_quotient_against_dense_rank(m, data):
     assert dense_rank(_dense(gens + rows, n)) == len(kernel)
 
     vector = vec_from_list(data.draw(_vectors(n)))
-    residual, coords = rref_reduce(*image, vector)
-    rebuilt = dict(residual)
-    for k, coeff in coords.items():
-        rebuilt = vec_axpy(rebuilt, coeff, image[1][k])
-    assert rebuilt == vector
-    assert not any(residual.get(col) for col in image[0])
     in_image = dense_rank(_dense(gens + [vector], n)) == rank_in
-    assert in_image == (not residual)
+    for reduce in (rref_reduce, echelon_reduce):
+        residual, coords = reduce(*image, vector)
+        rebuilt = dict(residual)
+        for k, coeff in coords.items():
+            rebuilt = vec_axpy(rebuilt, coeff, image[1][k])
+        assert rebuilt == vector
+        assert not any(residual.get(col) for col in image[0])
+        assert in_image == (not residual)
 
 
 def test_quotient_of_an_image_outside_the_kernel_fails_closed():

@@ -1041,16 +1041,16 @@ def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
     """End(C) on x^4+y^4+x*y^2 (bound 9, step 3) builds the two maps out of
     its window; the maps in (window 6) and out of the window below (window 8,
     whose ranks stabilized reads, and window 5 counted off them) are cut out
-    of those.  Each of the six maps is eliminated once: the two at the bound
-    reduced, the two maps in forward-passed for their pivot columns, the two
-    of window 8 forward-passed in degree order.  Add one image and one
-    quotient reduction per parity and the certificate's two forward passes:
-    6 reductions and 6 forward passes in all."""
+    of those.  Each of the six maps is eliminated once, by a forward pass:
+    the four of the pieces in basis order, the two of window 8 in degree
+    order.  Add one image forward pass per parity and the certificate's
+    two: 10 forward passes.  The only reductions are the two quotients'
+    kernels."""
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
     c, _ = _windowed_homs()["C"]
-    matrix, kept = FreeComplex.matrix, FreeComplex._kept
+    matrix, echelon = FreeComplex.matrix, FreeComplex._echelon
     window_pivot_degrees = FreeComplex._window_pivot_degrees
     rref_rows = SparseMatrix._rref_rows
     built, maps, reduced = [], [], []
@@ -1059,10 +1059,10 @@ def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
         built.append((index, degree))
         return matrix(self, index, degree)
 
-    def recording_kept(self, store, eliminate, index, degree):
-        if (index, degree) not in store:
-            maps.append((eliminate.__name__, index, degree))
-        return kept(self, store, eliminate, index, degree)
+    def recording_echelon(self, index, degree):
+        if (index, degree) not in self._echelons:
+            maps.append(("basis order", index, degree))
+        return echelon(self, index, degree)
 
     def recording_window(self, index, window):
         maps.append(("degree order", index, window))
@@ -1073,19 +1073,20 @@ def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
         return rref_rows(self, reduce)
 
     monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
-    monkeypatch.setattr(FreeComplex, "_kept", recording_kept)
+    monkeypatch.setattr(FreeComplex, "_echelon", recording_echelon)
     monkeypatch.setattr(FreeComplex, "_window_pivot_degrees", recording_window)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
     hom = hom_cohomology(c, c)
     assert (hom.bound, hom.dim(0), hom.dim(1), hom.stabilized) == (9, 2, 2, True)
     assert built == [(0, 9), (1, 9)]
     assert maps == [
-        ("rref", 0, 9), ("echelon", 1, 6), ("rref", 1, 9), ("echelon", 0, 6),
+        ("basis order", 0, 9), ("basis order", 1, 6),
+        ("basis order", 1, 9), ("basis order", 0, 6),
         ("degree order", 0, 8), ("degree order", 1, 8),
     ]
     assert len({(index, degree) for _, index, degree in maps}) == len(maps)
-    assert reduced.count(True) == 6
-    assert reduced.count(False) == 6
+    assert reduced.count(True) == 2
+    assert reduced.count(False) == 10
 
 
 def test_stopped_window_classes_match_the_full_window():
