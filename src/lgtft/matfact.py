@@ -12,13 +12,16 @@ internal (weighted) grading when both objects are gradable, and through a
 total-degree window with a stabilization flag otherwise.
 
 A graded Hom out of a Koszul brane knows its number of classes before its
-window is walked: koszul_hom_dims reads it off X/(c)X.  Such a Hom builds
-its pieces with FreeComplex.piece in ascending degree and stops once both
-parities hold the certified count; class_of builds a piece above the stop
-only when a term lands in it.  Every other Hom builds its whole window.
+window is walked: koszul_hom_dims reads it off X/(c)X, which the brane
+keeps.  Such a Hom builds its pieces with FreeComplex.piece in ascending
+degree, stops once both parities hold the certified count, and then checks
+its classes against X/(c)X once.  That check proves every piece above the
+stop acyclic, so none is built there.  Every other Hom builds its whole
+window.
 
 A class is reduced piece by piece modulo image and quotient, and that
-residual test alone decides whether a morphism is a cocycle.  A class's
+residual test decides whether a morphism is a cocycle; above the stop, a
+component is a cocycle when the complex's entries send it to zero.  A class's
 representative is a combination of quotient rows, so it is a Morphism with
 no conversion; composition on cohomology composes the representatives with
 Morphism.compose and reduces the composite in the target Hom.
@@ -50,7 +53,7 @@ from .polymatrix import PolyMatrix, _as_poly
 from .scalars import GaussianRational
 
 
-_UNSET = object()  # a factorization's _ideal before koszul_hom_dims sets it
+_UNSET = object()  # a factorization's _ideal before _koszul_model sets it
 
 
 class MatrixFactorization:
@@ -63,14 +66,16 @@ class MatrixFactorization:
 
     pairs holds the factor pairs (a_k, b_k) of a Koszul factorization, as
     koszul_factorization parsed them, and is None otherwise.  It is not part
-    of key(): it only lets koszul_hom_dims certify Hom dimensions, and
-    koszul_hom_dims keeps the Groebner basis of the ideal (c) it picks from
-    them in _ideal, for every Hom out of this brane.
+    of key(): it only lets koszul_hom_dims certify Hom dimensions.
+    _koszul_model keeps the Groebner basis of the ideal (c) it picks from
+    them, with its choice, in _ideal.  It keeps the model X/(c)X of each Hom
+    into this brane in _models, by the source's ideal, which is compared by
+    identity: the model refers to no brane, so no cycle keeps one alive.
     """
 
     __slots__ = (
         "lg", "rank0", "rank1", "d_terms", "weights0", "weights1", "pairs",
-        "_ideal", "_key",
+        "_ideal", "_models", "_key",
     )
 
     def __init__(self, lg, d01, d10, weights0=None, weights1=None):
@@ -81,6 +86,7 @@ class MatrixFactorization:
         self.weights1 = tuple(weights1) if weights1 is not None else None
         self.pairs = None
         self._ideal = _UNSET
+        self._models = {}
         self._key = None
         self.d_terms = Morphism(self, self, 1, d01, d10).terms
 
@@ -568,59 +574,129 @@ def koszul_hom_dims(source, target) -> Optional[tuple]:
     X/(c)X is the 2-periodic complex V0 <-> V1, V_i = X_i tensor R/(c),
     with d01 and d10 read mod (c); they compose to W = sum a_k b_k, which
     lies in (c).  So each parity has rank(X) * dim R/(c) - rank(d01 mod c)
-    - rank(d10 mod c) classes, one SparseMatrix.rank per block over the
-    standard monomials of (c).  Even equals odd because rank0 = rank1 for
-    every factorization: d01 d10 = W Id with W nonzero, so both blocks have
-    full rank over the fraction field.  For the same reason the parity shift
-    of the chosen c does not change the pair.
+    - rank(d10 mod c) classes, read off the two blocks that _koszul_model
+    builds and keeps, each forward-passed once over the standard monomials
+    of (c).  Even equals odd because rank0 = rank1 for every factorization:
+    d01 d10 = W Id with W nonzero, so both blocks have full rank over the
+    fraction field.  For the same reason the parity shift of the chosen c
+    does not change the pair.
+
+    The model also checks a certified Hom's classes once, when its build
+    stops (HomCohomology._check_model).  It reads them through the
+    projection p(f) = f(v) mod (c), v being the vacuum of K: the generator
+    with D_K v in (c)K.  Then the term f(D_K v) of d(f)(v) vanishes mod
+    (c), so p is a chain map into X/(c)X, and p is the retraction's p above
+    (p infinity = p), so it induces an isomorphism on cohomology.  v is
+    read off the choice of c, in koszul_factorization's order: (module 0,
+    index 0) when c_1 = a_1, else (1, 0); then, for each later pair k with
+    rank r before it, (m, i) moves to (1 - m, r + i) when c_k = b_k and
+    stays when c_k = a_k.  The tensor step adds multiples of a_k to D of a
+    kept generator and multiples of b_k to D of a moved one, so D_K v stays
+    in (c)K.
     """
+    model = _koszul_model(source, target)
+    if model is None:
+        return None
+    return model.classes(0), model.classes(1)
+
+
+def _koszul_model(source, target) -> Optional[_KoszulModel]:
+    """The model X/(c)X of Hom(source, target), or None when there is no
+    certificate (koszul_hom_dims).  The ideal is found once per source, and
+    the model built once per source ideal and target, which keeps it."""
     pairs = source.pairs
     if pairs is None or len(pairs) != source.lg.ring.nvars:
         return None
-    ideal = source._ideal
-    if ideal is _UNSET:
-        ideal = source._ideal = _finite_colength_ideal(pairs)
-    if ideal is None:
+    if source._ideal is _UNSET:
+        source._ideal = _finite_colength_ideal(pairs)
+    if source._ideal is None:
         return None
-    staircase = ideal.standard_monomials()
-    shapes = _block_shapes(target, target, 1)
-    blocks = [(nrows, ncols, {}) for nrows, ncols, _, _ in shapes]
-    for (blk, i, j), entry in _entries(target.d_terms, target.lg.ring).items():
-        blocks[blk][2][(i, j)] = entry
-    dim = target.rank0 * len(staircase) - sum(
-        _reduced_rank(ideal, staircase, block) for block in blocks
-    )
-    return dim, dim
+    ideal, choice = source._ideal
+    model = target._models.get(ideal)
+    if model is None:
+        model = target._models[ideal] = _KoszulModel(ideal, _vacuum(choice), target)
+    return model
 
 
-def _finite_colength_ideal(pairs) -> Optional[GroebnerBasis]:
-    """The Groebner basis of the first ideal (c), one c_k from each pair, of
-    finite colength, or None when no choice has one."""
-    for choice in itertools.product(*pairs):
-        generators = [c for c in choice if not c.is_zero()]
+def _finite_colength_ideal(pairs) -> Optional[tuple]:
+    """(Groebner basis, choice) of the first ideal (c), one c_k from each
+    pair, of finite colength, or None when no choice has one.  choice[k] is
+    0 when c_k = a_k and 1 when c_k = b_k."""
+    for choice in itertools.product((0, 1), repeat=len(pairs)):
+        generators = [
+            pair[chosen] for pair, chosen in zip(pairs, choice)
+            if not pair[chosen].is_zero()
+        ]
         if not generators:
             continue
         ideal = GroebnerBasis.compute(generators)
         if ideal.is_zero_dimensional():
-            return ideal
+            return ideal, choice
     return None
 
 
-def _reduced_rank(ideal, staircase, block) -> int:
-    """Rank of a block (nrows, ncols, {(i, j): entry}) of D as a linear map
-    of free modules mod the ideal, in the basis (basis vector, standard
-    monomial)."""
-    ring = ideal.ring
-    nrows, ncols, entries = block
-    mu = len(staircase)
-    index = {exps: k for k, exps in enumerate(staircase)}
-    rows = [{} for _ in range(nrows * mu)]
-    for (i, j), entry in entries.items():
-        for s, exps in enumerate(staircase):
-            reduced = ideal.normal_form(entry * ring.monomial(exps))
-            for t, coeff in reduced.terms.items():
-                rows[i * mu + index[t]][j * mu + s] = coeff
-    return SparseMatrix(len(rows), ncols * mu, rows).rank()
+def _vacuum(choice) -> tuple:
+    """The (module, index) of the Koszul generator v with D v in (c)K, for
+    the choice of c that _finite_colength_ideal reports (koszul_hom_dims)."""
+    module, index, rank = choice[0], 0, 1
+    for chosen in choice[1:]:
+        if chosen:  # c_k = b_k
+            module, index = 1 - module, rank + index
+        rank *= 2
+    return module, index
+
+
+class _KoszulModel:
+    """X/(c)X for Hom(K, X), K a Koszul source with a c of finite colength.
+
+    ideal is the Groebner basis of (c), and staircase maps each standard
+    monomial to its position s.  V_t has the basis (basis vector i of X_t,
+    standard monomial s) at i * mu + s.  blocks[t] is D_X mod (c) out of
+    V_t, into V_(1-t), and echelons[t] its forward pass.  vacuum is the
+    (module, index) of K's generator v that project reads.
+    """
+
+    __slots__ = ("ideal", "staircase", "blocks", "echelons", "vacuum")
+
+    def __init__(self, ideal, vacuum, target):
+        ring = ideal.ring
+        self.ideal = ideal
+        self.vacuum = vacuum
+        monomials = ideal.standard_monomials()
+        self.staircase = staircase = {exps: s for s, exps in enumerate(monomials)}
+        mu = len(monomials)
+        sizes = (target.rank0 * mu, target.rank1 * mu)
+        rows = ([{} for _ in range(sizes[1])], [{} for _ in range(sizes[0])])
+        for (t, i, j), entry in _entries(target.d_terms, ring).items():
+            for s, exps in enumerate(monomials):
+                reduced = ideal.normal_form(entry * ring.monomial(exps))
+                for e, coeff in reduced.terms.items():
+                    rows[t][i * mu + staircase[e]][j * mu + s] = coeff
+        self.blocks = tuple(
+            SparseMatrix(sizes[1 - t], sizes[t], rows[t]) for t in (0, 1)
+        )
+        self.echelons = tuple(block.echelon() for block in self.blocks)
+
+    def classes(self, t) -> int:
+        """The dimension of the cohomology at V_t: its size less the ranks
+        out and in."""
+        return self.blocks[t].ncols - sum(len(pivots) for pivots, _ in self.echelons)
+
+    def project(self, terms) -> dict:
+        """The V coordinates of f(v) mod (c), f given by (element, coeff)
+        pairs: its terms at the vacuum, each entry reduced mod (c)."""
+        module, column = self.vacuum
+        entries = {}  # basis vector of X -> {exps: coeff}
+        for ((_, blk, i, j), exps), coeff in terms:
+            if blk == module and j == column:
+                entries.setdefault(i, {})[exps] = coeff
+        mu, ring = len(self.staircase), self.ideal.ring
+        vector = {}
+        for i, entry in entries.items():
+            reduced = self.ideal.normal_form(Polynomial(ring, entry))
+            for e, coeff in reduced.terms.items():
+                vector[i * mu + self.staircase[e]] = coeff
+        return vector
 
 
 class _Piece:
@@ -629,11 +705,10 @@ class _Piece:
     acyclic piece, and quot is an RREF, empty on an acyclic piece.
     """
 
-    __slots__ = ("basis", "index", "im", "quot")
+    __slots__ = ("basis", "im", "quot")
 
     def __init__(self, basis, im, quot):
         self.basis = basis
-        self.index = {element: k for k, element in enumerate(basis)}
         self.im = im
         self.quot = quot
 
@@ -701,15 +776,18 @@ class HomCohomology:
     In graded mode the pieces are built in ascending degree.  When
     koszul_hom_dims certifies the dimensions (a Koszul source with a c of
     finite colength), the build stops after the first degree at which both
-    parities hold the certified number of classes: no piece above it can
-    have a class.  The complex is then kept, and a piece above the stop is
-    built only when class_of meets a term in it; the residual test runs on it
-    as on the others.  This fails closed, also under python -O: a parity
-    that ever holds more classes than certified, which is what a later piece
-    with a class gives, raises InternalCheckError.  A window that reaches
-    its bound with fewer classes than certified reports stabilized False.
-    Without a certificate, and in windowed mode, every piece of the window
-    is built at once.
+    parities hold the certified number of classes, and a parity that ever
+    holds more raises InternalCheckError.  At the stop the classes are
+    checked once against the certificate's own model X/(c)X (_check_model):
+    their projections must be a basis of its cohomology.  That makes them a
+    basis of the Hom, so every piece above the stop is acyclic, and none is
+    built.  class_of reads a component there off the complex's entries
+    alone: it is a cocycle exactly when they send it to zero, and then a
+    coboundary, with zero coordinates.  All of this fails closed, also under
+    python -O.  A window that reaches its bound with fewer classes than
+    certified reports stabilized False, with no model check.  Without a
+    certificate, and in windowed mode, every piece of the window is built at
+    once.
 
     In windowed mode the window is one piece per parity.  Both maps out of
     the window are built first; the maps in, and those of the window below,
@@ -726,9 +804,9 @@ class HomCohomology:
     chain-level defect: each piece's image and quotient together span its
     kernel (quotient() counts its rows, and an acyclic piece's image is its
     kernel), and FreeComplex.matrix() raises when the differential leaves its
-    target piece, so a component reduces to zero exactly when it is a
-    cocycle.  Basis representatives are quotient rows, read as terms
-    (terms_of); MorphismClass.representative wraps them in a Morphism.
+    target piece, so a component in a built piece reduces to zero exactly
+    when it is a cocycle.  Basis representatives are quotient rows, read as
+    terms (terms_of); MorphismClass.representative wraps them in a Morphism.
     """
 
     def __init__(self, a1, a2, bound=None):
@@ -745,6 +823,7 @@ class HomCohomology:
         self.bound = bound
         self.pieces = {}
         self.layout = {0: [], 1: []}  # parity -> list of (degree, local index)
+        self._where = {0: {}, 1: {}}  # parity -> {element: (degree, position)}
         self.certified = koszul_hom_dims(a1, a2) if self.graded else None
         self._build()
         self._position_of = {
@@ -756,7 +835,9 @@ class HomCohomology:
 
     def _build(self):
         complex_ = _defect_complex(self.a1, self.a2, self.graded)
-        self._complex = None  # kept while pieces above the stop may be built
+        # the last degree built, and the complex's entries when a certified
+        # Hom stops below its bound
+        self._stop, self._entries = self.bound, None
         if not self.graded:
             # both maps out of the window first: the smaller windows are cut
             # out of them
@@ -781,9 +862,11 @@ class HomCohomology:
             for parity in (0, 1):
                 self._add_piece(parity, m, *complex_.piece(parity, m))
             if self._complete():
+                self._check_model()
                 break
+        self._stop = m
         if m < self.bound:
-            self._complex = complex_
+            self._entries = complex_.entries
         top = (self.bound - 1, self.bound) if self.bound >= 1 else ()
         self.stabilized = (self.certified is None or self._complete()) and not any(
             m in top for parity in (0, 1) for m, _ in self.layout[parity]
@@ -795,6 +878,56 @@ class HomCohomology:
             self.dim(parity) == self.certified[parity] for parity in (0, 1)
         )
 
+    def _check_model(self):
+        """Raise InternalCheckError unless the classes are a basis of the
+        cohomology of the model X/(c)X (koszul_hom_dims).
+
+        The kept blocks must compose to zero both ways, as W lies in (c).
+        For each parity, each basis representative is projected into V_t, t
+        being the vacuum's module plus the parity (_KoszulModel.project).
+        The projections must be as many as the model's own count of classes
+        at V_t, be sent to zero by D_X mod (c), and be independent modulo
+        its image in V_t: the forward pass of the pivot columns of the map
+        into V_t, with the projections below them, must keep every row.  The
+        projection induces an isomorphism on cohomology, so then the classes
+        are a basis of the Hom, and no piece above the stop holds a class.
+        """
+        model = _koszul_model(self.a1, self.a2)
+        columns = [block.transpose().rows for block in model.blocks]
+        for t in (0, 1):
+            if any(model.blocks[1 - t].apply(column) for column in columns[t]):
+                raise InternalCheckError("D_X mod (c) does not square to zero")
+        for parity in (0, 1):
+            t = (model.vacuum[0] + parity) % 2
+            name = "even" if parity == 0 else "odd"
+            if self.dim(parity) != model.classes(t):
+                raise InternalCheckError(
+                    f"the {self.dim(parity)} {name} classes are not the "
+                    f"{model.classes(t)} of the model X/(c)X"
+                )
+            projections = []
+            for m, local in self.layout[parity]:
+                piece = self.pieces[(parity, m)]
+                row = piece.quot[1][local]
+                projections.append(
+                    model.project((piece.basis[col], c) for col, c in row.items())
+                )
+            if not projections:
+                continue
+            block = model.blocks[t]
+            if any(block.apply(vector) for vector in projections):
+                raise InternalCheckError(
+                    f"an {name} class projects to no cocycle of X/(c)X"
+                )
+            spanning = [columns[1 - t][col] for col in model.echelons[1 - t][0]]
+            spanning += projections
+            rank = SparseMatrix(len(spanning), block.ncols, spanning).rank()
+            if rank != len(spanning):
+                raise InternalCheckError(
+                    f"the {name} classes project to classes of X/(c)X that "
+                    "are not independent"
+                )
+
     def _add_piece(self, parity, m, basis, image, quot):
         found = self.dim(parity) + len(quot[1])
         if self.certified is not None and found > self.certified[parity]:
@@ -805,6 +938,9 @@ class HomCohomology:
             )
         self.pieces[(parity, m)] = _Piece(basis, image, quot)
         self.layout[parity].extend((m, local) for local in range(len(quot[1])))
+        where = self._where[parity]
+        for position, element in enumerate(basis):
+            where[element] = (m, position)
 
     # -- queries ------------------------------------------------------------
 
@@ -869,48 +1005,72 @@ class HomCohomology:
         return cls
 
     def _split(self, parity, terms):
-        """Nonzero terms {element: coeff} of this Hom, split by piece:
-        {degree: {position in the piece's basis: coeff}}.
+        """Nonzero terms {element: coeff} of this Hom, split by degree.
 
-        A term in a graded piece above the stop, up to the bound, builds that
-        piece first; a term outside the window raises ClassBoundError.
+        A term of a built piece is looked up in _where, and its component is
+        {position in the piece's basis: coeff}.  A term above the stop of a
+        certified Hom, up to the bound, keeps its element: that component is
+        {element: coeff}, and no piece is built for it.  A term outside the
+        window raises ClassBoundError.
         """
-        shapes = _block_shapes(self.a1, self.a2, parity)
+        where = self._where[parity]
         components = {}
         for element, coeff in terms.items():
-            m = 0  # the windowed space is one piece
-            if self.graded:
-                (_, blk, i, j), exps = element
-                _, _, wt, ws = shapes[blk]
-                m = 2 * mono_weighted_degree(exps, self.lg.weights) + wt[i] - ws[j]
-                if (
-                    self._complex is not None
-                    and m <= self.bound
-                    and (parity, m) not in self.pieces
-                ):
-                    self._add_piece(parity, m, *self._complex.piece(parity, m))
-            piece = self.pieces.get((parity, m))
-            if piece is None or element not in piece.index:
-                raise ClassBoundError(
-                    f"morphism term in degree {m} lies outside the "
-                    f"computed window (bound {self.bound}); "
-                    "recompute with a larger bound"
-                )
-            components.setdefault(m, {})[piece.index[element]] = coeff
+            found = where.get(element)
+            if found is None:
+                m, key = self._above_stop(parity, element), element
+            else:
+                m, key = found
+            components.setdefault(m, {})[key] = coeff
         return components
+
+    def _above_stop(self, parity, element) -> int:
+        """The degree of a term of no built piece, when it lies above the stop
+        and at most at the bound; otherwise ClassBoundError."""
+        m = 0  # the windowed space is one piece
+        if self.graded:
+            (_, blk, i, j), exps = element
+            _, _, wt, ws = _block_shapes(self.a1, self.a2, parity)[blk]
+            m = 2 * mono_weighted_degree(exps, self.lg.weights) + wt[i] - ws[j]
+        if self._entries is None or not self._stop < m <= self.bound:
+            raise ClassBoundError(
+                f"morphism term in degree {m} lies outside the "
+                f"computed window (bound {self.bound}); "
+                "recompute with a larger bound"
+            )
+        return m
+
+    def _closed(self, component) -> bool:
+        """Whether the complex's entries send a component {element: coeff} to
+        zero: d(x^e g) = x^e d(g), so this is its differential, summed as
+        flat terms with no piece built."""
+        total = {}
+        for (label, exps), coeff in component.items():
+            for target, entry in self._entries[label]:
+                for e, c in entry.terms.items():
+                    key = (target, mono_mul(exps, e))
+                    acc = total.get(key)
+                    total[key] = coeff * c if acc is None else acc + coeff * c
+        return not any(total.values())
 
     def _reduce(self, parity, terms) -> Optional[MorphismClass]:
         """The class of nonzero terms, or None when they are no cocycle.
 
-        The terms are split by piece, and each component is reduced modulo its
-        piece's image, then its quotient; the quotient coordinates are the
-        class's, and a nonzero residual means the component lies outside the
-        kernel.
+        The terms are split by degree.  A component in a built piece is
+        reduced modulo its image, then its quotient; the quotient coordinates
+        are the class's, and a nonzero residual means the component lies
+        outside the kernel.  A component above the stop is a cocycle when
+        _closed, and then adds nothing: _check_model proved those pieces
+        acyclic.
         """
         coords = [GaussianRational(0)] * len(self.layout[parity])
-        position_of = self._position_of[parity]  # later pieces add no class
+        position_of = self._position_of[parity]
         for m, vector in self._split(parity, terms).items():
-            piece = self.pieces[(parity, m)]
+            piece = self.pieces.get((parity, m))
+            if piece is None:
+                if not self._closed(vector):
+                    return None
+                continue
             residual, _ = echelon_reduce(*piece.im, vector)
             residual, local_coords = echelon_reduce(*piece.quot, residual)
             if residual:

@@ -658,11 +658,16 @@ def piece_count_stabilized(hom, below) -> bool:
 
 def full_class_coords(hom, pieces, morphism) -> list:
     """Coordinates of a cocycle's class through pieces from full_hom_pieces:
-    each component reduced modulo the image, then modulo the quotient."""
+    each component reduced modulo the image, then modulo the quotient.  A
+    component above the stop, which the Hom keys by element as it builds no
+    piece there, is put in the coordinates of that piece's basis."""
     parity = morphism.parity
     position_of = {key: k for k, key in enumerate(hom.layout[parity])}
     coords = [GaussianRational(0)] * len(position_of)
     for m, vector in hom._split(parity, morphism.terms).items():
+        if (parity, m) not in hom.pieces:
+            basis = _defect_complex(hom.a1, hom.a2, hom.graded).basis(parity, m)
+            vector = {basis.index(element): c for element, c in vector.items()}
         image, quot = pieces[parity, m]
         residual, _ = rref_reduce(*image, vector)
         residual, local_coords = rref_reduce(*quot, residual)

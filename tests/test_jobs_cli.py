@@ -21,6 +21,7 @@ from lgtft.cli import main
 from lgtft.errors import ValidationError
 from lgtft.jacobi import JacobiAlgebra
 from lgtft.jobs import JobSpec, diff_reports, load_job, report_to_text, run_job
+from both_modes import run_both_modes
 from test_reference_reports import CACHE_TWINS, JOBS as REFERENCE_JOBS
 
 
@@ -142,17 +143,8 @@ spec = JobSpec.from_dict(
 cached, plain = run_job(spec, cache), run_job(spec)
 print(json.dumps(cached["results"] == plain["results"]))
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", script, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert json.loads(completed.stdout) is True
+    for flags, stdout in run_both_modes(script, str(tmp_path)).items():
+        assert json.loads(stdout) is True, flags
 
 
 def test_compute_all_builds_one_jacobi_algebra(monkeypatch):

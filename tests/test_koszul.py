@@ -1,10 +1,5 @@
 """Contraction complex construction and graded cohomology tables."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from lgtft.errors import ValidationError
@@ -23,6 +18,7 @@ from lgtft.linalg import SparseMatrix
 from lgtft.poly import mono_mul, mono_weighted_degree, monomials_of_weighted_degree
 from lgtft.scalars import GaussianRational
 
+from both_modes import run_both_modes
 from oracles import dense_rank, monomials_up_to, reduced_first_class
 
 
@@ -173,17 +169,8 @@ def test_a_corrupted_staircase_raises_also_under_O():
     """A staircase with one standard monomial dropped or one added fails the
     Poincare polynomial check, in the table and in a koszul job, with and
     without -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _CORRUPT_STAIRCASE],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["raised"] * 4, flags
+    for flags, stdout in run_both_modes(_CORRUPT_STAIRCASE).items():
+        assert stdout.split() == ["raised"] * 4, flags
 
 
 def test_x2y_witness_is_nonbounding_cocycle():

@@ -1,11 +1,7 @@
 """Exact elimination: kernels, images, inverses, reduction modulo an echelon form."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +17,7 @@ from lgtft.linalg import (
 )
 from lgtft.scalars import GaussianRational, I
 
+from both_modes import run_both_modes
 from oracles import (
     dense_rank,
     indexed_rref,
@@ -335,17 +332,8 @@ try:
 except InternalCheckError:
     print("raised")
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["raised"], flags
+    for flags, stdout in run_both_modes(script).items():
+        assert stdout.split() == ["raised"], flags
 
 
 def test_acyclic_piece_with_an_image_outside_the_kernel_fails_closed():
@@ -373,16 +361,7 @@ for index in (1, 0):
     except InternalCheckError as exc:
         print("raised", "acyclic" if "acyclic" in str(exc) else "quotient")
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == [
+    for flags, stdout in run_both_modes(script).items():
+        assert stdout.split() == [
             "raised", "quotient", "raised", "acyclic"
         ], flags

@@ -1,10 +1,6 @@
 """Factorizations, the defect differential, and morphism cohomology."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +18,8 @@ from lgtft.matfact import (
     MorphismClass,
     _check_squares,
     _defect_complex,
+    _koszul_model,
+    _vacuum,
     compose_classes,
     hom_cohomology,
     koszul_factorization,
@@ -32,6 +30,7 @@ from lgtft.poly import PolyRing
 from lgtft.polymatrix import PolyMatrix
 from lgtft.tft import BraneCategory
 from lgtft.scalars import GaussianRational
+from both_modes import run_both_modes
 from oracles import (
     chain_compose_classes,
     full_class_coords,
@@ -316,17 +315,8 @@ try:
 except InternalCheckError:
     print("raised")
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in (["-O"], []):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["raised"], flags
+    for flags, stdout in run_both_modes(script).items():
+        assert stdout.split() == ["raised"], flags
 
 
 def test_defect_of_identity_vanishes(lg_x3):
@@ -486,17 +476,8 @@ def test_class_errors_fail_closed_under_optimize():
     above the window, where the window alone would raise ClassBoundError.
     compose_classes raises InternalCheckError when a corrupted representative
     gives a composite that is no cocycle.  Plainly and under python -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _CLASS_ERRORS_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == [
+    for flags, stdout in run_both_modes(_CLASS_ERRORS_SCRIPT).items():
+        assert stdout.split() == [
             "NonCocycleError",
             "NonCocycleError",
             "ClassBoundError",
@@ -719,16 +700,17 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     columns of the map into it, so its elimination gets rank(map) rows.  An
     acyclic piece (cohomology dimension 0) gets no image or quotient
     elimination at all: its kernel is its image.  Every class lies in degree
-    4 or below, and the certified dimensions (one rank per block of the
-    target, two per Hom) stop each window there, so no differential above
-    the stop is eliminated."""
+    4 or below, and the certified dimensions (one forward pass per block of
+    the target's model, two per Hom) stop each window there, so no
+    differential above the stop is eliminated.  The model check adds one
+    forward pass per parity."""
     from lgtft import complex as complex_module, matfact
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
     matrix, transpose = FreeComplex.matrix, SparseMatrix.transpose
     rref_rows = SparseMatrix._rref_rows
-    quotient, reduced_rank = complex_module.quotient, matfact._reduced_rank
+    quotient, model_init = complex_module.quotient, matfact._KoszulModel.__init__
     certificate_ranks = []
     complexes = {}  # id -> complex
     quotient_dims = []  # dim ker - rank in, at each quotient call
@@ -748,9 +730,9 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
         quotient_dims.append(len(kernel) - len(image[0]))
         return quotient(kernel, image)
 
-    def recording_reduced_rank(ideal, staircase, block):
-        certificate_ranks.append(block)
-        return reduced_rank(ideal, staircase, block)
+    def recording_model(self, ideal, vacuum, target):
+        model_init(self, ideal, vacuum, target)
+        certificate_ranks.extend(self.blocks)
 
     def recording_transpose(self):
         out = transpose(self)
@@ -778,7 +760,7 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "transpose", recording_transpose)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
     monkeypatch.setattr(complex_module, "quotient", recording_quotient)
-    monkeypatch.setattr(matfact, "_reduced_rank", recording_reduced_rank)
+    monkeypatch.setattr(matfact._KoszulModel, "__init__", recording_model)
     dims = [
         (hom.dim(0), hom.dim(1))
         for hom in (hom_cohomology(s, t) for s in (a, b) for t in (a, b))
@@ -788,13 +770,14 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     for keys, nrows in images:
         (key,) = keys
         assert nrows == ranks[key]
-    # 33 differentials, 14 images, 17 quotients and 8 certificate ranks, one
-    # elimination each
+    # 33 differentials, 14 images, 17 quotients, 8 certificate ranks and 8
+    # model checks, one elimination each
     assert len(ranks) == 33
     assert len(images) == 14
     assert len(quotient_dims) == 17
     assert len(certificate_ranks) == 8
-    assert len(calls) == 72
+    assert all(sum(c is block for c in calls) == 1 for block in certificate_ranks)
+    assert len(calls) == 80
     assert max(degree for _, _, degree in ranks) == 4
     assert all(dim > 0 for dim in quotient_dims)
     monkeypatch.undo()  # dim() below may eliminate again
@@ -823,8 +806,8 @@ def test_hom_matches_full_elimination(case):
     with certified dimensions (baseline) stops its window early: every Hom
     space still has the quotient rows, representatives and class coordinates
     that eliminating every piece of the window in full gives, and a coboundary
-    d(h) has the zero class, also when its terms lie in acyclic pieces or in
-    pieces built only when class_of meets them."""
+    d(h) has the zero class, also when its terms lie in acyclic pieces or
+    above the stop, where no piece is built."""
     w, pairs = FULL_ELIMINATION_CASES[case]
     lg = make_lg_pair(["x", "y"], w)
     branes = [koszul_factorization(lg, brane) for brane in pairs]
@@ -855,7 +838,9 @@ def test_hom_matches_full_elimination(case):
                 assert hom.class_of(boundary).is_zero()
                 assert not any(full_class_coords(hom, full[key], boundary))
                 acyclic_coboundaries += bool(degrees) and all(
-                    not hom.pieces[1 - parity, n].quot[1] for n in degrees
+                    (1 - parity, n) not in hom.pieces  # above the stop
+                    or not hom.pieces[1 - parity, n].quot[1]
+                    for n in degrees
                 )
     if case != "windowed":  # the window is one piece, and it has classes
         assert acyclic_coboundaries > 0
@@ -868,7 +853,7 @@ def test_hom_matches_full_elimination(case):
                     assert list(target.class_of(composite).coords) == (
                         full_class_coords(target, full[s, u], composite)
                     )
-    for key, hom in homs.items():  # also the pieces class_of built
+    for key, hom in homs.items():
         for (parity, m), piece in hom.pieces.items():
             _, quot = full[key][parity, m]
             assert piece.quot == quot
@@ -884,7 +869,7 @@ def test_hom_matches_full_elimination(case):
 
 
 # Koszul branes whose Homs out of a Koszul source have certified dimensions;
-# the second and last potentials are not quasi-homogeneous, so those Homs
+# x^4+y^4+x*y^2 and x^5+y^5+x^2*y^2 are not quasi-homogeneous, so their Homs
 # are windowed
 CERTIFIED_CASES = {
     "x^4+y^4": FULL_ELIMINATION_CASES["baseline"][1],
@@ -896,6 +881,21 @@ CERTIFIED_CASES = {
         [("x", "x^4+x*y^2"), ("y", "y^4")],
         [("y", "y^4+x^2*y"), ("x", "x^4")],
     ],
+    "x^3+x*y^2": [[("x", "x^2"), ("x", "y^2")]],
+    "x^3*y+x*y^3": [
+        [("x*y", "x^2"), ("x", "y^3")],
+        [("x*y", "x^2"), ("y^3", "x")],
+        [("x^2", "x*y"), ("x", "y^3")],
+    ],
+}
+
+# (W, brane index) -> (the choice of c, 0 for a_k and 1 for b_k; the vacuum)
+# where the vacuum is not the first even generator
+_VACUA = {
+    ("x^3+x*y^2", 0): ((0, 1), (1, 1)),
+    ("x^3*y+x*y^3", 0): ((1, 1), (0, 1)),
+    ("x^3*y+x*y^3", 1): ((1, 0), (1, 0)),
+    ("x^3*y+x*y^3", 2): ((0, 1), (1, 1)),
 }
 
 
@@ -908,7 +908,8 @@ def _twin(brane):
 def test_certified_dims_match_the_full_window():
     """koszul_hom_dims equals the dimensions of the full, stabilized window on
     every Hom with a Koszul source, and the graded Homs that stop early report
-    the full window's dims, by_degree, bound and stabilized flag."""
+    the full window's dims, by_degree, bound and stabilized flag, and stop at
+    its last class, with the model check passing."""
     checked = []
     for w, pairs in CERTIFIED_CASES.items():
         lg = make_lg_pair(["x", "y"], w)
@@ -927,8 +928,33 @@ def test_certified_dims_match_the_full_window():
                 assert hom.certified == (certified if hom.graded else None)
                 assert hom.layout == full.layout
                 assert (hom.bound, hom.stabilized) == (full.bound, full.stabilized)
+                if hom.graded:
+                    degrees = [m for parity in (0, 1) for m, _ in full.layout[parity]]
+                    built = [m for _, m in hom.pieces]
+                    assert max(built) == max(degrees, default=min(built))
                 checked.append(w)
-    assert len(checked) == 19
+    assert len(checked) == 29
+
+
+def test_vacuum_follows_the_choice_of_c():
+    """The vacuum is the first even generator on every graded Hom of the
+    older cases, and moves with the choice of c on the branes of x^3+x*y^2
+    and x^3*y+x*y^3; every Hom built here passes the model check."""
+    seen = {}
+    for w, pairs in CERTIFIED_CASES.items():
+        lg = make_lg_pair(["x", "y"], w)
+        branes = [koszul_factorization(lg, brane) for brane in pairs]
+        for k, a in enumerate(branes):
+            for b in branes:
+                hom = hom_cohomology(a, b)
+                if not hom.graded or hom.certified is None:
+                    continue
+                _, choice = a._ideal
+                model = _koszul_model(a, b)
+                seen[w, k] = (choice, model.vacuum)
+                assert model.vacuum == _vacuum(choice)
+    assert {key: found for key, found in seen.items() if found[1] != (0, 0)} == _VACUA
+    assert len(seen) == 11
 
 
 def test_certificate_needs_a_finite_colength_choice_per_variable():
@@ -983,17 +1009,8 @@ def test_windowed_hom_above_its_certificate_is_not_stabilized():
     x^5+y^5+x^2*y^2 has 4|4 classes, but its window at bound 12 counts 12|12
     and its last two windows agree.  The certificate guards the window: the
     table is reported as not stabilized, plainly and under python -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _WINDOWED_OVERCOUNT_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == [
+    for flags, stdout in run_both_modes(_WINDOWED_OVERCOUNT_SCRIPT).items():
+        assert stdout.split() == [
             "(4,", "4)", "False", "None", "12", "12", "12", "False",
         ], flags
 
@@ -1092,8 +1109,8 @@ def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
 def test_stopped_window_classes_match_the_full_window():
     """The baseline Homs stop at degree 4 or below.  Every composite of two
     basis classes, those landing in degrees 5 to 8 above the stop included,
-    has the class coordinates the full window gives, and the pieces class_of
-    builds for them hold no class."""
+    has the class coordinates the full window gives, and class_of builds no
+    piece for them."""
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
     branes = [koszul_factorization(lg, b) for b in CERTIFIED_CASES["x^4+y^4"]]
     n = len(branes)
@@ -1126,7 +1143,7 @@ def test_stopped_window_classes_match_the_full_window():
     assert above > 0
     assert stops == {(0, 0): 4, (0, 1): 2, (1, 0): 4, (1, 1): 4}
     built = {key: max(m for _, m in hom.pieces) for key, hom in homs.items()}
-    assert built == {(0, 0): 8, (0, 1): 6, (1, 0): 8, (1, 1): 8}
+    assert built == stops
     for key, hom in homs.items():
         assert hom.layout == fulls[key].layout
 
@@ -1135,47 +1152,133 @@ def test_low_certificate_fails_closed():
     """A certificate lowered by one per parity on the baseline Homs gives
     InternalCheckError, not a short table, plainly and under python -O: End(A)
     finds its two odd classes in one piece, and Hom(B, A), which stops at
-    degree 2 with the lowered count, finds its degree-4 classes as soon as
-    class_of builds that piece."""
+    degree 2 with the lowered count, fails the model check there, at build
+    time, with the classes above the stop never built."""
     script = """
 from lgtft import matfact
 from lgtft.errors import InternalCheckError
 from lgtft.lgpair import make_lg_pair
-from oracles import morphism_blocks
 lg = make_lg_pair(["x", "y"], "x^4+y^4")
 a = matfact.koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
 b = matfact.koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
-full = matfact.hom_cohomology(
-    matfact.make_factorization(lg, *morphism_blocks(b.D)), a
-)
 certify = matfact.koszul_hom_dims
 matfact.koszul_hom_dims = lambda s, t: tuple(d - 1 for d in certify(s, t))
-try:
-    matfact.hom_cohomology(a, a)
-    print("built")
-except InternalCheckError:
-    print("raised")
-hom = matfact.hom_cohomology(b, a)
-print("stop", max(m for _, m in hom.pieces))
-position, = [k for k, key in enumerate(full.layout[0]) if key[0] == 4]
-try:
-    hom.class_of(full.basis_classes(0)[position].representative)
-    print("classified")
-except InternalCheckError:
-    print("raised")
+for source, target in ((a, a), (b, a)):
+    try:
+        matfact.hom_cohomology(source, target)
+        print("built")
+    except InternalCheckError as exc:
+        print("raised", "model" if "X/(c)X" in str(exc) else "count")
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    tests = str(Path(__file__).resolve().parent)
-    for flags in (["-O"], []):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), tests])},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["raised", "stop", "2", "raised"], flags
+    for flags, stdout in run_both_modes(script).items():
+        assert stdout.split() == ["raised", "count", "raised", "model"], flags
+
+
+_CORRUPTED_MODEL_SCRIPT = """
+from lgtft import matfact
+from lgtft.errors import InternalCheckError
+from lgtft.lgpair import make_lg_pair
+from lgtft.scalars import GaussianRational
+lg = make_lg_pair(["x", "y"], "x^4+y^4")
+pairs = {"A": [("x", "x^3"), ("y", "y^3")], "B": [("x^2", "x^2"), ("y", "y^3")]}
+build = matfact._KoszulModel.__init__
+
+
+def corrupted(self, ideal, vacuum, target):
+    # as if the builder had read one entry of d01 mod (c) one column off
+    build(self, ideal, vacuum, target)
+    row = self.blocks[0].rows[1]
+    row[1] = row.pop(0, GaussianRational(1))
+    self.echelons = tuple(block.echelon() for block in self.blocks)
+
+
+for source, target in (("B", "A"), ("A", "A")):
+    for model in (build, corrupted):
+        matfact._KoszulModel.__init__ = model
+        a, b = (matfact.koszul_factorization(lg, pairs[n]) for n in (source, target))
+        try:
+            hom = matfact.hom_cohomology(a, b)
+            print("built", hom.dim(0), hom.dim(1))
+        except InternalCheckError as exc:
+            print("raised", "model" if "X/(c)X" in str(exc) else "count")
+"""
+
+
+def test_corrupted_model_entry_fails_closed():
+    """One entry of D_X mod (c) moved by a column makes the Hom build raise
+    InternalCheckError at the model check, plainly and under python -O: on
+    Hom(B, A) the even classes no longer project to cocycles of the model,
+    and on End(A), whose model is zero, the count falls below the classes
+    one piece holds.  The same builds pass with the model intact."""
+    for flags, stdout in run_both_modes(_CORRUPTED_MODEL_SCRIPT).items():
+        assert stdout.splitlines() == [
+            "built 2 2", "raised model", "built 2 2", "raised count",
+        ], flags
+
+
+_ABOVE_THE_STOP_SCRIPT = """
+from lgtft import matfact
+from lgtft.errors import InternalCheckError, NonCocycleError
+from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import Morphism
+from lgtft.scalars import GaussianRational
+lg = make_lg_pair(["x", "y"], "x^4+y^4")
+a = matfact.koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
+b = matfact.koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
+hom, end_b = matfact.hom_cohomology(a, b), matfact.hom_cohomology(b, b)
+stop = max(m for _, m in hom.pieces)
+unit = end_b.class_of(Morphism.identity(b))
+f = hom.basis_classes(0)[0]
+complex_ = matfact._defect_complex(a, b, True)
+one = GaussianRational(1)
+# the first even element above the stop whose product with the unit's
+# representative is no cocycle: its only component lies in that degree
+e = next(
+    element
+    for m in range(stop + 1, hom.bound + 1)
+    for element in complex_.basis(0, m)
+    if not unit.representative.compose(
+        Morphism._from_terms(a, b, 0, {element: one})
+    ).defect().is_zero()
+)
+
+
+def outcome(call):
+    try:
+        call()
+    except (InternalCheckError, NonCocycleError) as exc:
+        return type(exc).__name__
+    return "classified"
+
+
+closed = f.representative.terms
+print(outcome(lambda: hom.class_of(Morphism._from_terms(a, b, 0, {**closed, e: one}))))
+terms_of = matfact.HomCohomology.terms_of
+
+
+def corrupted(self, parity, coords):
+    terms = terms_of(self, parity, coords)
+    return {**terms, e: one} if self is hom else terms
+
+
+matfact.HomCohomology.terms_of = corrupted
+f = hom.basis_classes(0)[0]
+print(outcome(lambda: matfact.compose_classes(unit, f, hom)))
+print(len(hom.pieces), max(m for _, m in hom.pieces) == stop)
+"""
+
+
+def test_a_component_above_the_stop_that_is_not_closed_fails():
+    """A basis representative of Hom(A, B) plus one term above its stop whose
+    differential is nonzero is no cocycle: class_of raises NonCocycleError,
+    read off the complex's entries.  A representative corrupted by that term
+    gives a composite with the unit whose only non-closed component lies
+    above the stop, and compose_classes raises InternalCheckError.  No piece
+    is built above the stop.  Plainly and under python -O."""
+    for flags, stdout in run_both_modes(_ABOVE_THE_STOP_SCRIPT).items():
+        assert stdout.split() == [
+            "NonCocycleError", "InternalCheckError", "14", "True",
+        ], flags
 
 
 # (variables, W, Koszul pairs of each brane, whether the branes are taken as
@@ -1236,10 +1339,10 @@ def test_compose_classes_matches_the_chain_level_composite(case):
         assert all(hom.certified is None for hom in homs.values())
 
 
-def test_class_of_above_the_stop_builds_only_its_piece():
+def test_class_of_above_the_stop_builds_no_piece():
     """Hom(A, B) on the baseline branes stops at degree 2.  A coboundary whose
-    terms lie in one degree above the stop makes class_of build that one
-    piece, not every piece of both parities up to it."""
+    terms lie in one degree above the stop has the zero class, read off the
+    complex's entries: class_of builds no piece for it."""
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
     a, b = (koszul_factorization(lg, pairs) for pairs in CERTIFIED_CASES["x^4+y^4"])
     hom = hom_cohomology(a, b)
@@ -1256,6 +1359,6 @@ def test_class_of_above_the_stop_builds_only_its_piece():
     parity, n, boundary = next(b for b in boundaries if not b[2].is_zero())
     target = (1 - parity, n + step)
     assert stop < target[1] <= hom.bound
-    built = set(hom.pieces)
+    built = dict(hom.pieces)
     assert hom.class_of(boundary).is_zero()
-    assert set(hom.pieces) - built == {target}
+    assert hom.pieces == built

@@ -9,11 +9,6 @@ graded or windowed Koszul complex and of each defect complex of every bench
 template and tests/reference job.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import lgtft.jobs
@@ -25,6 +20,7 @@ from lgtft.matfact import (
     koszul_factorization,
 )
 
+from both_modes import run_both_modes
 from oracles import indexed_matrix, indexed_rref
 from test_bench_references import _load_harness
 from test_reference_reports import JOBS as REFERENCE_JOBS
@@ -127,16 +123,7 @@ for name, (generators, successor, entries) in cases.items():
 
 
 def test_a_term_outside_the_target_piece_raises_also_under_O():
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _LEAVING_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == [
+    for flags, stdout in run_both_modes(_LEAVING_SCRIPT).items():
+        assert stdout.split() == [
             "label", "raised", "monomial", "raised"
         ], flags

@@ -8,11 +8,6 @@ and keep their full scope: every generator of every complex, every basis
 triple of every four objects.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import lgtft.tft
@@ -21,6 +16,7 @@ from lgtft.errors import InternalCheckError
 from lgtft.jobs import JobSpec, run_job
 from lgtft.scalars import GaussianRational
 
+from both_modes import run_both_modes
 from oracles import polynomial_square_zero, product_associative
 from test_reference_reports import JOBS as REFERENCE_JOBS
 
@@ -84,17 +80,8 @@ def test_square_zero_fails_closed_on_a_corrupted_entry():
     raises once one coefficient is doubled, and a real defect complex raises
     with the first entry of any one of its 16 generators doubled; both
     uncorrupted pass.  Also under python -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _SQUARE_ZERO_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == [
+    for flags, stdout in run_both_modes(_SQUARE_ZERO_SCRIPT).items():
+        assert stdout.split() == [
             "passed", "raised", "16", "raised", "passed"
         ], flags
 
@@ -122,17 +109,8 @@ print(verify_tft_datum(datum).clause("category_associativity").status)
 def test_associativity_fails_closed_on_a_scaled_tensor_entry():
     """A tensor entry scaled on its support fails the associativity clause
     instead of raising, plain and under python -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _ASSOCIATIVITY_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["pass", "fail"], flags
+    for flags, stdout in run_both_modes(_ASSOCIATIVITY_SCRIPT).items():
+        assert stdout.split() == ["pass", "fail"], flags
 
 
 def _square_zero(complex_) -> bool:

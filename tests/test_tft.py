@@ -1,11 +1,7 @@
 """Bulk-boundary maps, traces, adjoints, and the axiom suite."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -24,6 +20,7 @@ from lgtft.polymatrix import PolyMatrix
 from lgtft.scalars import GaussianRational
 from lgtft.tft import build_tft_datum, verify_tft_datum
 
+from both_modes import run_both_modes
 from oracles import residue_one_var, solved_boundary_bulk, sparse_matmul
 from test_reference_reports import JOBS as REFERENCE_JOBS
 
@@ -348,8 +345,8 @@ def test_baseline_composition_tensors_have_canonical_representatives():
 
 
 def test_adjointness_clause_fails_closed_under_optimize():
-    """A corrupted trace value fails adjointness, and Cardy with it, even
-    with asserts off; the suite reports both instead of raising."""
+    """A corrupted trace value fails adjointness, and Cardy with it, plainly
+    and with asserts off; the suite reports both instead of raising."""
     script = """
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import koszul_factorization
@@ -366,16 +363,8 @@ trace.values = tuple(values)
 report = verify_tft_datum(datum)
 print(report.clause("adjointness").status, report.clause("cardy").status)
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    completed = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=120,
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.split() == ["fail", "fail"]
+    for flags, stdout in run_both_modes(script).items():
+        assert stdout.split() == ["fail", "fail"], flags
 
 
 def test_verify_calls_class_of_only_for_the_e_images(monkeypatch):
@@ -532,18 +521,9 @@ def test_corrupted_structure_constants_fail_their_clauses():
     and without python -O: the tables are checked, not trusted.
     A wrong odd trace is caught where the f_a right-hand side read off the
     tables is compared with its chain-level value."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _CORRUPTION_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
+    for flags, stdout in run_both_modes(_CORRUPTION_SCRIPT).items():
         clean, tensor, unit_row, pairing_row, e_image, trace, odd_trace = [
-            set(line.split(",")) for line in completed.stdout.split()
+            set(line.split(",")) for line in stdout.split()
         ]
         assert clean == {"-"}
         assert "category_associativity" in tensor
@@ -690,17 +670,8 @@ print(associativity(corrupted))
 def test_corrupted_bulk_table_or_multiplication_matrix_fails_associativity():
     """One wrong off-unit table entry, or one wrong entry of a multiplication
     matrix M_k, fails bulk_associativity, with and without python -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _BULK_CORRUPTION_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["pass", "pass", "fail", "fail"]
+    for flags, stdout in run_both_modes(_BULK_CORRUPTION_SCRIPT).items():
+        assert stdout.split() == ["pass", "pass", "fail", "fail"], flags
 
 
 def test_each_cy_clause_carries_its_own_witness():

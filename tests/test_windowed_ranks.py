@@ -9,11 +9,6 @@ window is cut out of the kept map of a larger one, and must equal the map
 matrix() builds.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -27,6 +22,7 @@ from lgtft.complex import FreeComplex
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import _defect_complex, koszul_factorization
 
+from both_modes import run_both_modes
 from oracles import cohomology_witness, label_order_rank
 
 WINDOWED = [
@@ -133,17 +129,8 @@ except InternalCheckError as exc:
 
 
 def test_a_corrupted_incoming_rank_raises_also_under_O():
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _CORRUPT_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.split() == ["raised"], flags
+    for flags, stdout in run_both_modes(_CORRUPT_SCRIPT).items():
+        assert stdout.split() == ["raised"], flags
 
 
 def _end_c_complex():
@@ -230,17 +217,8 @@ def test_a_lowered_step_raises_on_the_build_and_the_cut_path_also_under_O():
     """With step lowered after construction, a term of the differential
     lands past its target window: matrix() raises on it, and so does the cut
     out of a map kept from before, plainly and under python -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    for flags in ([], ["-O"]):
-        completed = subprocess.run(
-            [sys.executable, *flags, "-c", _LOWERED_STEP_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.splitlines() == [
+    for flags, stdout in run_both_modes(_LOWERED_STEP_SCRIPT).items():
+        assert stdout.splitlines() == [
             "build passed (0, 8)",
             "cut passed (0, 9)",
             "build raised (0, 8)",
