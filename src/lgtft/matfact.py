@@ -11,17 +11,20 @@ d(f) = D2 o f - (-1)^{deg f} f o D1; cohomology is computed degreewise in the
 internal (weighted) grading when both objects are gradable, and through a
 total-degree window with a stabilization flag otherwise.
 
-A graded Hom out of a Koszul brane knows its number of classes before its
-window is walked: koszul_hom_dims reads it off X/(c)X, which the brane
-keeps.  Such a Hom builds its pieces with FreeComplex.piece in ascending
-degree, stops once both parities hold the certified count, and then checks
-its classes against X/(c)X once.  That check proves every piece above the
-stop acyclic, so none is built there.  Every other Hom builds its whole
-window.
+A graded Hom out of a Koszul brane knows its classes, and their degrees,
+before its window is walked: the certificate module reads them off X/(c)X,
+which the target brane keeps once its blocks match D_X mod (c) read by a
+second route.  Such a Hom builds with FreeComplex.piece only the pieces where the model
+counts classes, requires each to hold the model's count, and then checks
+its classes against X/(c)X once.  That check proves every other piece
+acyclic, below the last class or above it, so none is built there.  Every
+other Hom, and one whose model puts a class above its bound, builds its
+whole window.
 
 A class is reduced piece by piece modulo image and quotient, and that
-residual test decides whether a morphism is a cocycle; above the stop, a
-component is a cocycle when the complex's entries send it to zero.  A class's
+residual test decides whether a morphism is a cocycle; in an unbuilt
+degree, a component is a cocycle when the complex's entries send it to
+zero.  A class's
 representative is a combination of quotient rows, so it is a Morphism with
 no conversion; composition on cohomology composes the representatives with
 Morphism.compose and reduces the composite in the target Hom.
@@ -45,15 +48,12 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .groebner import GroebnerBasis
+from .certificate import UNSET, koszul_hom_dims, koszul_model
 from .lgpair import LGPair
 from .linalg import SparseMatrix, echelon_reduce, vec_axpy
 from .poly import Polynomial, mono_degree, mono_mul, mono_weighted_degree
 from .polymatrix import PolyMatrix, _as_poly
 from .scalars import GaussianRational
-
-
-_UNSET = object()  # a factorization's _ideal before _koszul_model sets it
 
 
 class MatrixFactorization:
@@ -67,10 +67,11 @@ class MatrixFactorization:
     pairs holds the factor pairs (a_k, b_k) of a Koszul factorization, as
     koszul_factorization parsed them, and is None otherwise.  It is not part
     of key(): it only lets koszul_hom_dims certify Hom dimensions.
-    _koszul_model keeps the Groebner basis of the ideal (c) it picks from
-    them, with its choice, in _ideal.  It keeps the model X/(c)X of each Hom
-    into this brane in _models, by the source's ideal, which is compared by
-    identity: the model refers to no brane, so no cycle keeps one alive.
+    certificate.koszul_model keeps the Groebner basis of the ideal (c) it
+    picks from them, with its choice, in _ideal.  It keeps the model X/(c)X
+    of each Hom into this brane in _models, by the source's ideal, which is
+    compared by identity: the model refers to no brane, so no cycle keeps
+    one alive.
     """
 
     __slots__ = (
@@ -85,7 +86,7 @@ class MatrixFactorization:
         self.weights0 = tuple(weights0) if weights0 is not None else None
         self.weights1 = tuple(weights1) if weights1 is not None else None
         self.pairs = None
-        self._ideal = _UNSET
+        self._ideal = UNSET
         self._models = {}
         self._key = None
         self.d_terms = Morphism(self, self, 1, d01, d10).terms
@@ -544,161 +545,6 @@ def _defect_complex(a1, a2, graded) -> FreeComplex:
 # ---------------------------------------------------------------------------
 
 
-def koszul_hom_dims(source, target) -> Optional[tuple]:
-    """Certified (even, odd) dimensions of Hom(source, target), or None.
-
-    The source must be a Koszul factorization K = tensor of {a_k, b_k} with
-    one pair per variable, and some choice of c_k in {a_k, b_k} must generate
-    an ideal (c) of finite colength; otherwise the answer is None.  Then
-    Hom(K, X) is homotopy equivalent to X/(c)X with the differential D_X
-    mod (c) (Dyckerhoff, "Compact generators in categories of matrix
-    factorizations", Duke 2011, section 2; Khovanov-Rozansky, Fund. Math.
-    2008).  The argument:
-
-    - Hom(K, X) is X tensor an exterior algebra on e_1..e_n.  Its
-      differential is delta_c + delta', where delta_c = sum c_k contract(e_k)
-      lowers the exterior degree by one.  delta' keeps it (the D_X term) or
-      raises it (the partners of the c_k).  Swapping a pair, {a, b} =
-      {b, a}[1], costs only a parity shift, so either element may be c_k.
-    - (c) has n generators and height n, so locally it is a system of
-      parameters of a Cohen-Macaulay ring.  The Koszul complex of c on the
-      free module X is therefore exact except at exterior degree 0, where
-      its homology is X/(c)X.
-    - Take a linear deformation retraction (p, i, h) onto X/(c)X with h
-      raising the exterior degree by one.  h delta' raises it, so it is
-      nilpotent, and the perturbation lemma transfers the differential as
-      p delta' i + p delta' h delta' i + ...  Every term after the first
-      passes through a positive exterior degree that nothing lowers again,
-      and p kills it there.  The first term is D_X mod (c).
-
-    X/(c)X is the 2-periodic complex V0 <-> V1, V_i = X_i tensor R/(c),
-    with d01 and d10 read mod (c); they compose to W = sum a_k b_k, which
-    lies in (c).  So each parity has rank(X) * dim R/(c) - rank(d01 mod c)
-    - rank(d10 mod c) classes, read off the two blocks that _koszul_model
-    builds and keeps, each forward-passed once over the standard monomials
-    of (c).  Even equals odd because rank0 = rank1 for every factorization:
-    d01 d10 = W Id with W nonzero, so both blocks have full rank over the
-    fraction field.  For the same reason the parity shift of the chosen c
-    does not change the pair.
-
-    The model also checks a certified Hom's classes once, when its build
-    stops (HomCohomology._check_model).  It reads them through the
-    projection p(f) = f(v) mod (c), v being the vacuum of K: the generator
-    with D_K v in (c)K.  Then the term f(D_K v) of d(f)(v) vanishes mod
-    (c), so p is a chain map into X/(c)X, and p is the retraction's p above
-    (p infinity = p), so it induces an isomorphism on cohomology.  v is
-    read off the choice of c, in koszul_factorization's order: (module 0,
-    index 0) when c_1 = a_1, else (1, 0); then, for each later pair k with
-    rank r before it, (m, i) moves to (1 - m, r + i) when c_k = b_k and
-    stays when c_k = a_k.  The tensor step adds multiples of a_k to D of a
-    kept generator and multiples of b_k to D of a moved one, so D_K v stays
-    in (c)K.
-    """
-    model = _koszul_model(source, target)
-    if model is None:
-        return None
-    return model.classes(0), model.classes(1)
-
-
-def _koszul_model(source, target) -> Optional[_KoszulModel]:
-    """The model X/(c)X of Hom(source, target), or None when there is no
-    certificate (koszul_hom_dims).  The ideal is found once per source, and
-    the model built once per source ideal and target, which keeps it."""
-    pairs = source.pairs
-    if pairs is None or len(pairs) != source.lg.ring.nvars:
-        return None
-    if source._ideal is _UNSET:
-        source._ideal = _finite_colength_ideal(pairs)
-    if source._ideal is None:
-        return None
-    ideal, choice = source._ideal
-    model = target._models.get(ideal)
-    if model is None:
-        model = target._models[ideal] = _KoszulModel(ideal, _vacuum(choice), target)
-    return model
-
-
-def _finite_colength_ideal(pairs) -> Optional[tuple]:
-    """(Groebner basis, choice) of the first ideal (c), one c_k from each
-    pair, of finite colength, or None when no choice has one.  choice[k] is
-    0 when c_k = a_k and 1 when c_k = b_k."""
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        generators = [
-            pair[chosen] for pair, chosen in zip(pairs, choice)
-            if not pair[chosen].is_zero()
-        ]
-        if not generators:
-            continue
-        ideal = GroebnerBasis.compute(generators)
-        if ideal.is_zero_dimensional():
-            return ideal, choice
-    return None
-
-
-def _vacuum(choice) -> tuple:
-    """The (module, index) of the Koszul generator v with D v in (c)K, for
-    the choice of c that _finite_colength_ideal reports (koszul_hom_dims)."""
-    module, index, rank = choice[0], 0, 1
-    for chosen in choice[1:]:
-        if chosen:  # c_k = b_k
-            module, index = 1 - module, rank + index
-        rank *= 2
-    return module, index
-
-
-class _KoszulModel:
-    """X/(c)X for Hom(K, X), K a Koszul source with a c of finite colength.
-
-    ideal is the Groebner basis of (c), and staircase maps each standard
-    monomial to its position s.  V_t has the basis (basis vector i of X_t,
-    standard monomial s) at i * mu + s.  blocks[t] is D_X mod (c) out of
-    V_t, into V_(1-t), and echelons[t] its forward pass.  vacuum is the
-    (module, index) of K's generator v that project reads.
-    """
-
-    __slots__ = ("ideal", "staircase", "blocks", "echelons", "vacuum")
-
-    def __init__(self, ideal, vacuum, target):
-        ring = ideal.ring
-        self.ideal = ideal
-        self.vacuum = vacuum
-        monomials = ideal.standard_monomials()
-        self.staircase = staircase = {exps: s for s, exps in enumerate(monomials)}
-        mu = len(monomials)
-        sizes = (target.rank0 * mu, target.rank1 * mu)
-        rows = ([{} for _ in range(sizes[1])], [{} for _ in range(sizes[0])])
-        for (t, i, j), entry in _entries(target.d_terms, ring).items():
-            for s, exps in enumerate(monomials):
-                reduced = ideal.normal_form(entry * ring.monomial(exps))
-                for e, coeff in reduced.terms.items():
-                    rows[t][i * mu + staircase[e]][j * mu + s] = coeff
-        self.blocks = tuple(
-            SparseMatrix(sizes[1 - t], sizes[t], rows[t]) for t in (0, 1)
-        )
-        self.echelons = tuple(block.echelon() for block in self.blocks)
-
-    def classes(self, t) -> int:
-        """The dimension of the cohomology at V_t: its size less the ranks
-        out and in."""
-        return self.blocks[t].ncols - sum(len(pivots) for pivots, _ in self.echelons)
-
-    def project(self, terms) -> dict:
-        """The V coordinates of f(v) mod (c), f given by (element, coeff)
-        pairs: its terms at the vacuum, each entry reduced mod (c)."""
-        module, column = self.vacuum
-        entries = {}  # basis vector of X -> {exps: coeff}
-        for ((_, blk, i, j), exps), coeff in terms:
-            if blk == module and j == column:
-                entries.setdefault(i, {})[exps] = coeff
-        mu, ring = len(self.staircase), self.ideal.ring
-        vector = {}
-        for i, entry in entries.items():
-            reduced = self.ideal.normal_form(Polynomial(ring, entry))
-            for e, coeff in reduced.terms.items():
-                vector[i * mu + self.staircase[e]] = coeff
-        return vector
-
-
 class _Piece:
     """One piece of the Hom complex, as FreeComplex.piece gives it: im is a
     forward pass (pivot_cols, rows), or (free columns, kernel basis) on an
@@ -773,21 +619,22 @@ class MorphismClass:
 class HomCohomology:
     """Degreewise cohomology of Hom(a1, a2) with canonical representatives.
 
-    In graded mode the pieces are built in ascending degree.  When
-    koszul_hom_dims certifies the dimensions (a Koszul source with a c of
-    finite colength), the build stops after the first degree at which both
-    parities hold the certified number of classes, and a parity that ever
-    holds more raises InternalCheckError.  At the stop the classes are
-    checked once against the certificate's own model X/(c)X (_check_model):
-    their projections must be a basis of its cohomology.  That makes them a
-    basis of the Hom, so every piece above the stop is acyclic, and none is
-    built.  class_of reads a component there off the complex's entries
-    alone: it is a cocycle exactly when they send it to zero, and then a
-    coboundary, with zero coordinates.  All of this fails closed, also under
-    python -O.  A window that reaches its bound with fewer classes than
-    certified reports stabilized False, with no model check.  Without a
-    certificate, and in windowed mode, every piece of the window is built at
-    once.
+    In graded mode, when koszul_hom_dims certifies the dimensions (a
+    Koszul source with a c of finite colength), the model X/(c)X says in
+    which degrees the classes lie (_model_counts).  If all of them lie
+    within the bound, only those pieces are built, in ascending degree;
+    each must hold the model's count there, and no parity may hold more
+    than the certified count.  Then the classes are checked once against
+    the model (_check_model): their projections must be a basis of its
+    cohomology.  That makes them a basis of the Hom, so every other piece
+    is acyclic, below the last class or above it, and none is built.
+    class_of reads a component in such a degree, up to the bound, off the
+    complex's entries alone: it is a cocycle exactly when they send it to
+    zero, and then a coboundary, with zero coordinates.  All of this fails
+    closed, also under python -O.  Without a certificate, or when the
+    model puts a class above the bound, every piece from min_degree to the
+    bound is built, with no model check; the latter window falls short of
+    the certificate and reports stabilized False.
 
     In windowed mode the window is one piece per parity.  Both maps out of
     the window are built first; the maps in, and those of the window below,
@@ -835,9 +682,7 @@ class HomCohomology:
 
     def _build(self):
         complex_ = _defect_complex(self.a1, self.a2, self.graded)
-        # the last degree built, and the complex's entries when a certified
-        # Hom stops below its bound
-        self._stop, self._entries = self.bound, None
+        self._entries = None  # the complex's entries, when unbuilt pieces are read
         if not self.graded:
             # both maps out of the window first: the smaller windows are cut
             # out of them
@@ -858,19 +703,51 @@ class HomCohomology:
                 and koszul_hom_dims(self.a1, self.a2) in (None, found)
             )
             return
-        for m in range(complex_.min_degree, self.bound + 1):
-            for parity in (0, 1):
-                self._add_piece(parity, m, *complex_.piece(parity, m))
-            if self._complete():
-                self._check_model()
-                break
-        self._stop = m
-        if m < self.bound:
+        counts = self._model_counts()
+        if counts is None:
+            plan = [
+                (parity, m)
+                for m in range(complex_.min_degree, self.bound + 1)
+                for parity in (0, 1)
+            ]
+        else:
+            plan = sorted(counts, key=lambda key: (key[1], key[0]))
             self._entries = complex_.entries
+        for parity, m in plan:
+            expected = None if counts is None else counts[parity, m]
+            self._add_piece(parity, m, *complex_.piece(parity, m), expected)
+        if counts is not None:
+            self._check_model()
         top = (self.bound - 1, self.bound) if self.bound >= 1 else ()
         self.stabilized = (self.certified is None or self._complete()) and not any(
             m in top for parity in (0, 1) for m, _ in self.layout[parity]
         )
+
+    def _model_counts(self) -> Optional[dict]:
+        """{(parity, degree): classes} of a certified Hom, as X/(c)X counts
+        them (KoszulModel.classes_by_degree), nonzero counts only; None
+        without a certificate, or when a count lies above the bound.
+
+        Parity p reads V_t, t being the vacuum's module plus p.  A term
+        x^e E of the Hom, E = (p, blk, i, j), sits in degree 2 wdeg(e) +
+        wt_i - ws_j; at the vacuum (blk and j its module and index) it
+        projects to x^e times basis vector i of X_t, of degree 2 wdeg(e) +
+        wt_i in X.  The projection keeps degrees, (c) being homogeneous, so
+        a Hom degree is the model's less the vacuum's weight ws_j.
+        """
+        if self.certified is None:
+            return None
+        model = koszul_model(self.a1, self.a2)
+        module, index = model.vacuum
+        shift = (self.a1.weights0, self.a1.weights1)[module][index]
+        counts = {
+            (parity, m - shift): count
+            for parity in (0, 1)
+            for m, count in model.classes_by_degree((module + parity) % 2).items()
+        }
+        if any(m > self.bound for _, m in counts):
+            return None
+        return counts
 
     def _complete(self) -> bool:
         """True when both parities hold the certified number of classes."""
@@ -884,15 +761,15 @@ class HomCohomology:
 
         The kept blocks must compose to zero both ways, as W lies in (c).
         For each parity, each basis representative is projected into V_t, t
-        being the vacuum's module plus the parity (_KoszulModel.project).
+        being the vacuum's module plus the parity (KoszulModel.project).
         The projections must be as many as the model's own count of classes
         at V_t, be sent to zero by D_X mod (c), and be independent modulo
         its image in V_t: the forward pass of the pivot columns of the map
         into V_t, with the projections below them, must keep every row.  The
         projection induces an isomorphism on cohomology, so then the classes
-        are a basis of the Hom, and no piece above the stop holds a class.
+        are a basis of the Hom, and no unbuilt piece holds a class.
         """
-        model = _koszul_model(self.a1, self.a2)
+        model = koszul_model(self.a1, self.a2)
         columns = [block.transpose().rows for block in model.blocks]
         for t in (0, 1):
             if any(model.blocks[1 - t].apply(column) for column in columns[t]):
@@ -928,13 +805,21 @@ class HomCohomology:
                     "are not independent"
                 )
 
-    def _add_piece(self, parity, m, basis, image, quot):
+    def _add_piece(self, parity, m, basis, image, quot, expected=None):
+        """Keep a piece; InternalCheckError when it brings a parity above its
+        certified count, or holds other than the expected number of
+        classes, the model's count at its degree, when one is given."""
+        name = "even" if parity == 0 else "odd"
         found = self.dim(parity) + len(quot[1])
         if self.certified is not None and found > self.certified[parity]:
             raise InternalCheckError(
-                f"piece ({parity}, {m}) brings the {'even' if parity == 0 else 'odd'}"
-                f" classes to {found}, above the {self.certified[parity]} "
-                "certified by koszul_hom_dims"
+                f"piece ({parity}, {m}) brings the {name} classes to {found}, "
+                f"above the {self.certified[parity]} certified by koszul_hom_dims"
+            )
+        if expected is not None and len(quot[1]) != expected:
+            raise InternalCheckError(
+                f"piece ({parity}, {m}) holds {len(quot[1])} {name} classes, "
+                f"not the {expected} that X/(c)X counts in its degree"
             )
         self.pieces[(parity, m)] = _Piece(basis, image, quot)
         self.layout[parity].extend((m, local) for local in range(len(quot[1])))
@@ -1008,31 +893,32 @@ class HomCohomology:
         """Nonzero terms {element: coeff} of this Hom, split by degree.
 
         A term of a built piece is looked up in _where, and its component is
-        {position in the piece's basis: coeff}.  A term above the stop of a
-        certified Hom, up to the bound, keeps its element: that component is
-        {element: coeff}, and no piece is built for it.  A term outside the
-        window raises ClassBoundError.
+        {position in the piece's basis: coeff}.  In a certified Hom built at
+        its model's degrees, a term of an unbuilt degree up to the bound
+        keeps its element: that component is {element: coeff}, and no piece
+        is built for it.  A term outside the window raises ClassBoundError.
         """
         where = self._where[parity]
         components = {}
         for element, coeff in terms.items():
             found = where.get(element)
             if found is None:
-                m, key = self._above_stop(parity, element), element
+                m, key = self._unbuilt_degree(parity, element), element
             else:
                 m, key = found
             components.setdefault(m, {})[key] = coeff
         return components
 
-    def _above_stop(self, parity, element) -> int:
-        """The degree of a term of no built piece, when it lies above the stop
-        and at most at the bound; otherwise ClassBoundError."""
+    def _unbuilt_degree(self, parity, element) -> int:
+        """The degree of a term of no built piece, when _closed may read it:
+        the Hom is built at its model's degrees and the term lies at most at
+        the bound.  Otherwise ClassBoundError."""
         m = 0  # the windowed space is one piece
         if self.graded:
             (_, blk, i, j), exps = element
             _, _, wt, ws = _block_shapes(self.a1, self.a2, parity)[blk]
             m = 2 * mono_weighted_degree(exps, self.lg.weights) + wt[i] - ws[j]
-        if self._entries is None or not self._stop < m <= self.bound:
+        if self._entries is None or m > self.bound:
             raise ClassBoundError(
                 f"morphism term in degree {m} lies outside the "
                 f"computed window (bound {self.bound}); "
@@ -1059,9 +945,9 @@ class HomCohomology:
         The terms are split by degree.  A component in a built piece is
         reduced modulo its image, then its quotient; the quotient coordinates
         are the class's, and a nonzero residual means the component lies
-        outside the kernel.  A component above the stop is a cocycle when
-        _closed, and then adds nothing: _check_model proved those pieces
-        acyclic.
+        outside the kernel.  A component in an unbuilt degree is a cocycle
+        when _closed, and then adds nothing: _check_model proved every piece
+        outside the model's degrees acyclic.
         """
         coords = [GaussianRational(0)] * len(self.layout[parity])
         position_of = self._position_of[parity]

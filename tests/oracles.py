@@ -659,8 +659,8 @@ def piece_count_stabilized(hom, below) -> bool:
 def full_class_coords(hom, pieces, morphism) -> list:
     """Coordinates of a cocycle's class through pieces from full_hom_pieces:
     each component reduced modulo the image, then modulo the quotient.  A
-    component above the stop, which the Hom keys by element as it builds no
-    piece there, is put in the coordinates of that piece's basis."""
+    component in a degree where the Hom built no piece, which it keys by
+    element, is put in the coordinates of that piece's basis."""
     parity = morphism.parity
     position_of = {key: k for k, key in enumerate(hom.layout[parity])}
     coords = [GaussianRational(0)] * len(position_of)

@@ -46,11 +46,13 @@ def test_every_template_matches_its_reference_report(monkeypatch):
 
 # template -> (reductions, forward passes) of one run_job, no cache; a
 # certified Hom checks its classes with one forward pass per parity, and
-# class_of builds no piece above its stop
+# builds only the pieces where its model counts classes, so the four graded
+# Homs of tft.baseline and warm.graded forward-pass 29 maps out of pieces
+# where building every piece up to the last class passed 33
 _ELIMINATIONS = {
     "bulk.x5y": (6, 42),
-    "tft.baseline": (18, 70),
-    "warm.graded": (18, 64),
+    "tft.baseline": (18, 66),
+    "warm.graded": (18, 60),
     "warm.windowed": (3, 13),
 }
 

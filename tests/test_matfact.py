@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lgtft.certificate import _vacuum, koszul_model
 from lgtft.errors import (
     ClassBoundError,
     FactorizationError,
@@ -18,8 +19,6 @@ from lgtft.matfact import (
     MorphismClass,
     _check_squares,
     _defect_complex,
-    _koszul_model,
-    _vacuum,
     compose_classes,
     hom_cohomology,
     koszul_factorization,
@@ -700,17 +699,18 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     columns of the map into it, so its elimination gets rank(map) rows.  An
     acyclic piece (cohomology dimension 0) gets no image or quotient
     elimination at all: its kernel is its image.  Every class lies in degree
-    4 or below, and the certified dimensions (one forward pass per block of
-    the target's model, two per Hom) stop each window there, so no
-    differential above the stop is eliminated.  The model check adds one
-    forward pass per parity."""
-    from lgtft import complex as complex_module, matfact
+    4 or below, and the model (one forward pass per block of the target's
+    model, two per Hom) says in which degrees: only those 17 pieces are
+    built, so no differential outside their maps out and in is eliminated.
+    The model check adds one forward pass per parity."""
+    from lgtft import complex as complex_module
+    from lgtft.certificate import KoszulModel
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
     matrix, transpose = FreeComplex.matrix, SparseMatrix.transpose
     rref_rows = SparseMatrix._rref_rows
-    quotient, model_init = complex_module.quotient, matfact._KoszulModel.__init__
+    quotient, model_init = complex_module.quotient, KoszulModel.__init__
     certificate_ranks = []
     complexes = {}  # id -> complex
     quotient_dims = []  # dim ker - rank in, at each quotient call
@@ -760,7 +760,7 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "transpose", recording_transpose)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
     monkeypatch.setattr(complex_module, "quotient", recording_quotient)
-    monkeypatch.setattr(matfact._KoszulModel, "__init__", recording_model)
+    monkeypatch.setattr(KoszulModel, "__init__", recording_model)
     dims = [
         (hom.dim(0), hom.dim(1))
         for hom in (hom_cohomology(s, t) for s in (a, b) for t in (a, b))
@@ -770,14 +770,15 @@ def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     for keys, nrows in images:
         (key,) = keys
         assert nrows == ranks[key]
-    # 33 differentials, 14 images, 17 quotients, 8 certificate ranks and 8
-    # model checks, one elimination each
-    assert len(ranks) == 33
+    # 29 differentials, the nonempty maps out of and into the 17 pieces that
+    # hold a class; 14 images, 17 quotients, 8 certificate ranks and 8 model
+    # checks, one elimination each
+    assert len(ranks) == 29
     assert len(images) == 14
     assert len(quotient_dims) == 17
     assert len(certificate_ranks) == 8
     assert all(sum(c is block for c in calls) == 1 for block in certificate_ranks)
-    assert len(calls) == 80
+    assert len(calls) == 76
     assert max(degree for _, _, degree in ranks) == 4
     assert all(dim > 0 for dim in quotient_dims)
     monkeypatch.undo()  # dim() below may eliminate again
@@ -803,33 +804,38 @@ FULL_ELIMINATION_CASES = {
 @pytest.mark.parametrize("case", sorted(FULL_ELIMINATION_CASES))
 def test_hom_matches_full_elimination(case):
     """Acyclic pieces skip their image and quotient eliminations, and a Hom
-    with certified dimensions (baseline) stops its window early: every Hom
-    space still has the quotient rows, representatives and class coordinates
-    that eliminating every piece of the window in full gives, and a coboundary
-    d(h) has the zero class, also when its terms lie in acyclic pieces or
-    above the stop, where no piece is built."""
+    with certified dimensions (baseline) builds only the pieces where its
+    model counts classes: every Hom space still has the quotient rows,
+    representatives and class coordinates that eliminating every piece of
+    the window in full gives, and a coboundary d(h) has the zero class, also
+    when its terms lie in acyclic pieces or in unbuilt degrees, below the
+    last class or above it."""
     w, pairs = FULL_ELIMINATION_CASES[case]
     lg = make_lg_pair(["x", "y"], w)
     branes = [koszul_factorization(lg, brane) for brane in pairs]
     homs = {(s, t): hom_cohomology(a, b) for s, a in enumerate(branes)
             for t, b in enumerate(branes)}
     full = {key: full_hom_pieces(hom) for key, hom in homs.items()}
-    acyclic_coboundaries = 0
+    acyclic_coboundaries = unbuilt_below = 0
     for key, hom in homs.items():
         assert (hom.certified is not None) == (case == "baseline")
         if hom.certified is None:
             assert hom.pieces.keys() == full[key].keys()
-        else:  # built in ascending degree, up to the stop
-            assert list(hom.pieces) == list(full[key])[: len(hom.pieces)]
+        else:  # built at the class degrees only, in ascending degree
+            assert list(hom.pieces) == [k for k in full[key] if k in hom.pieces]
             assert len(hom.pieces) < len(full[key])
+        last = max((m for _, m in hom.pieces), default=None)
         for parity in (0, 1):
             assert hom.dim(parity) == sum(
                 len(quot[1]) for (p, _), (_, quot) in full[key].items()
                 if p == parity
             )
-        for (parity, m), piece in list(hom.pieces.items()):
-            for position in range(len(piece.basis)):
-                h = _elementary(hom, parity, piece.basis[position])
+        complex_ = _defect_complex(hom.a1, hom.a2, hom.graded)
+        for parity, m in full[key]:  # built pieces and unbuilt degrees alike
+            piece = hom.pieces.get((parity, m))
+            basis = complex_.basis(parity, m) if piece is None else piece.basis
+            for element in basis:
+                h = _elementary(hom, parity, element)
                 boundary = h.defect()
                 try:
                     degrees = hom._split(boundary.parity, boundary.terms)
@@ -838,12 +844,16 @@ def test_hom_matches_full_elimination(case):
                 assert hom.class_of(boundary).is_zero()
                 assert not any(full_class_coords(hom, full[key], boundary))
                 acyclic_coboundaries += bool(degrees) and all(
-                    (1 - parity, n) not in hom.pieces  # above the stop
+                    (1 - parity, n) not in hom.pieces  # an unbuilt degree
                     or not hom.pieces[1 - parity, n].quot[1]
                     for n in degrees
                 )
+                unbuilt_below += hom.certified is not None and any(
+                    (1 - parity, n) not in hom.pieces and n < last for n in degrees
+                )
     if case != "windowed":  # the window is one piece, and it has classes
         assert acyclic_coboundaries > 0
+    assert (unbuilt_below > 0) == (case == "baseline")
     for (s, t), f_hom in homs.items():
         for u in range(len(branes)):
             target = homs[s, u]
@@ -907,9 +917,13 @@ def _twin(brane):
 
 def test_certified_dims_match_the_full_window():
     """koszul_hom_dims equals the dimensions of the full, stabilized window on
-    every Hom with a Koszul source, and the graded Homs that stop early report
-    the full window's dims, by_degree, bound and stabilized flag, and stop at
-    its last class, with the model check passing."""
+    every Hom with a Koszul source.  On every graded one, the model's counts
+    per degree equal the full window's dims_by_degree, the Hom builds
+    exactly the pieces at those degrees, and it reports the full window's
+    dims, by_degree, bound and stabilized flag, with the model check
+    passing.  When the bound cuts off a class (End(A) on x^5+y^5 at bounds
+    0, 2 and 5), the whole window is built, as without a certificate, and
+    it reports that window's dims with stabilized False."""
     checked = []
     for w, pairs in CERTIFIED_CASES.items():
         lg = make_lg_pair(["x", "y"], w)
@@ -929,11 +943,24 @@ def test_certified_dims_match_the_full_window():
                 assert hom.layout == full.layout
                 assert (hom.bound, hom.stabilized) == (full.bound, full.stabilized)
                 if hom.graded:
-                    degrees = [m for parity in (0, 1) for m, _ in full.layout[parity]]
-                    built = [m for _, m in hom.pieces]
-                    assert max(built) == max(degrees, default=min(built))
+                    by_degree = {
+                        (parity, m): count
+                        for parity in (0, 1)
+                        for m, count in full.dims_by_degree(parity).items()
+                    }
+                    assert hom._model_counts() == by_degree
+                    assert hom.pieces.keys() == by_degree.keys()
                 checked.append(w)
     assert len(checked) == 29
+    lg = make_lg_pair(["x", "y"], "x^5+y^5")
+    a = koszul_factorization(lg, CERTIFIED_CASES["x^5+y^5"][0])
+    for bound, dims in ((0, (1, 0)), (2, (1, 0)), (5, (1, 2))):
+        hom = hom_cohomology(a, a, degree_bound=bound)
+        full = hom_cohomology(_twin(a), _twin(a), degree_bound=bound)
+        assert hom.certified == (2, 2) and hom._model_counts() is None
+        assert (hom.dim(0), hom.dim(1), hom.stabilized) == (*dims, False)
+        assert hom.layout == full.layout
+        assert hom.pieces.keys() == full.pieces.keys()
 
 
 def test_vacuum_follows_the_choice_of_c():
@@ -950,7 +977,7 @@ def test_vacuum_follows_the_choice_of_c():
                 if not hom.graded or hom.certified is None:
                     continue
                 _, choice = a._ideal
-                model = _koszul_model(a, b)
+                model = koszul_model(a, b)
                 seen[w, k] = (choice, model.vacuum)
                 assert model.vacuum == _vacuum(choice)
     assert {key: found for key, found in seen.items() if found[1] != (0, 0)} == _VACUA
@@ -1148,13 +1175,27 @@ def test_stopped_window_classes_match_the_full_window():
         assert hom.layout == fulls[key].layout
 
 
+# the stage at which a certified Hom's build raised InternalCheckError: the
+# second route over the model's blocks, a piece against the model's count in
+# its degree, the model check, or the certified count
+_STAGE = """
+def stage(exc):
+    text = str(exc)
+    if "is not D_X mod (c)" in text:
+        return "blocks"
+    if "counts in its degree" in text:
+        return "degree"
+    return "model" if "X/(c)X" in text else "count"
+"""
+
+
 def test_low_certificate_fails_closed():
     """A certificate lowered by one per parity on the baseline Homs gives
-    InternalCheckError, not a short table, plainly and under python -O: End(A)
-    finds its two odd classes in one piece, and Hom(B, A), which stops at
-    degree 2 with the lowered count, fails the model check there, at build
-    time, with the classes above the stop never built."""
-    script = """
+    InternalCheckError, not a short table, plainly and under python -O.  The
+    pieces are built at the model's degrees, and each holds the model's
+    count there, so on both End(A) and Hom(B, A) the piece that brings a
+    parity past the lowered count raises, before the model check."""
+    script = _STAGE + """
 from lgtft import matfact
 from lgtft.errors import InternalCheckError
 from lgtft.lgpair import make_lg_pair
@@ -1168,20 +1209,20 @@ for source, target in ((a, a), (b, a)):
         matfact.hom_cohomology(source, target)
         print("built")
     except InternalCheckError as exc:
-        print("raised", "model" if "X/(c)X" in str(exc) else "count")
+        print("raised", stage(exc))
 """
     for flags, stdout in run_both_modes(script).items():
-        assert stdout.split() == ["raised", "count", "raised", "model"], flags
+        assert stdout.split() == ["raised", "count", "raised", "count"], flags
 
 
-_CORRUPTED_MODEL_SCRIPT = """
-from lgtft import matfact
+_CORRUPTED_MODEL_SCRIPT = _STAGE + """
+from lgtft import certificate, matfact
 from lgtft.errors import InternalCheckError
 from lgtft.lgpair import make_lg_pair
 from lgtft.scalars import GaussianRational
 lg = make_lg_pair(["x", "y"], "x^4+y^4")
 pairs = {"A": [("x", "x^3"), ("y", "y^3")], "B": [("x^2", "x^2"), ("y", "y^3")]}
-build = matfact._KoszulModel.__init__
+build, check_blocks = certificate.KoszulModel.__init__, certificate._check_blocks
 
 
 def corrupted(self, ideal, vacuum, target):
@@ -1192,27 +1233,79 @@ def corrupted(self, ideal, vacuum, target):
     self.echelons = tuple(block.echelon() for block in self.blocks)
 
 
-for source, target in (("B", "A"), ("A", "A")):
-    for model in (build, corrupted):
-        matfact._KoszulModel.__init__ = model
-        a, b = (matfact.koszul_factorization(lg, pairs[n]) for n in (source, target))
-        try:
-            hom = matfact.hom_cohomology(a, b)
-            print("built", hom.dim(0), hom.dim(1))
-        except InternalCheckError as exc:
-            print("raised", "model" if "X/(c)X" in str(exc) else "count")
+for check in (check_blocks, lambda model, target: None):
+    certificate._check_blocks = check
+    for source, target in (("B", "A"), ("A", "A")):
+        for model in (build, corrupted):
+            certificate.KoszulModel.__init__ = model
+            a = matfact.koszul_factorization(lg, pairs[source])
+            b = matfact.koszul_factorization(lg, pairs[target])
+            try:
+                hom = matfact.hom_cohomology(a, b)
+                print("built", hom.dim(0), hom.dim(1))
+            except InternalCheckError as exc:
+                print("raised", stage(exc))
 """
 
 
 def test_corrupted_model_entry_fails_closed():
     """One entry of D_X mod (c) moved by a column makes the Hom build raise
-    InternalCheckError at the model check, plainly and under python -O: on
-    Hom(B, A) the even classes no longer project to cocycles of the model,
-    and on End(A), whose model is zero, the count falls below the classes
-    one piece holds.  The same builds pass with the model intact."""
+    InternalCheckError, plainly and under python -O.  _check_blocks, which
+    reads the blocks again through the multiplication matrices of R/(c),
+    raises first, on Hom(B, A) and on End(A).  With it switched off, the
+    layers behind it still fail closed: on Hom(B, A) the even piece at
+    degree 0 holds no class where the corrupted model counts one, and on
+    End(A), whose model is zero, the count falls below the classes one piece
+    holds.  The same builds pass with the model intact."""
     for flags, stdout in run_both_modes(_CORRUPTED_MODEL_SCRIPT).items():
         assert stdout.splitlines() == [
-            "built 2 2", "raised model", "built 2 2", "raised count",
+            "built 2 2", "raised blocks", "built 2 2", "raised blocks",
+            "built 2 2", "raised degree", "built 2 2", "raised count",
+        ], flags
+
+
+_FLIPPED_MODEL_SCRIPT = _STAGE + """
+from lgtft import certificate, matfact
+from lgtft.errors import InternalCheckError
+from lgtft.lgpair import make_lg_pair
+from lgtft.scalars import GaussianRational
+build = certificate.KoszulModel.__init__
+# (W, source pairs, target pairs, (block, row, column) of the flipped entry)
+cases = [
+    ("x^4+y^4", [("x", "x^3"), ("y", "y^3")], [("x^2", "x^2"), ("y", "y^3")],
+     (0, 1, 1)),
+    ("x^3+y^3", [("x", "x^2"), ("y", "y^2")], [("x+y", "x^2-x*y+y^2")], (0, 0, 0)),
+]
+for w, source, target, (t, i, j) in cases:
+    lg = make_lg_pair(["x", "y"], w)
+    for flip in (False, True):
+        def model(self, ideal, vacuum, brane):
+            build(self, ideal, vacuum, brane)
+            if flip:  # a zero entry of the model set to 1
+                self.blocks[t].rows[i][j] = GaussianRational(1)
+                self.echelons = tuple(block.echelon() for block in self.blocks)
+        certificate.KoszulModel.__init__ = model
+        a = matfact.koszul_factorization(lg, source)
+        b = matfact.koszul_factorization(lg, target)
+        try:
+            hom = matfact.hom_cohomology(a, b)
+            print("built", hom.dim(0), hom.dim(1), hom.stabilized)
+        except InternalCheckError as exc:
+            print("raised", stage(exc))
+"""
+
+
+def test_a_flipped_model_entry_fails_closed():
+    """Two flips of one entry of the model whose tables stay self-consistent:
+    on Hom(A, B) over x^4+y^4, where c = (x, y) and both blocks are zero, a
+    1 at (1, 1) of the even block gives 1|1 classes for 2|2; on Hom from
+    (x, x^2)(y, y^2) to (x+y, x^2-x*y+y^2) over x^3+y^3, a 1 at (0, 0) gives
+    0|0 for 1|1, with no piece to build.  Each passed the model check with a
+    short table reported stabilized; now _check_blocks raises, plainly and
+    under python -O."""
+    for flags, stdout in run_both_modes(_FLIPPED_MODEL_SCRIPT).items():
+        assert stdout.splitlines() == [
+            "built 2 2 True", "raised blocks", "built 1 1 True", "raised blocks",
         ], flags
 
 
@@ -1269,15 +1362,17 @@ print(len(hom.pieces), max(m for _, m in hom.pieces) == stop)
 
 
 def test_a_component_above_the_stop_that_is_not_closed_fails():
-    """A basis representative of Hom(A, B) plus one term above its stop whose
-    differential is nonzero is no cocycle: class_of raises NonCocycleError,
-    read off the complex's entries.  A representative corrupted by that term
-    gives a composite with the unit whose only non-closed component lies
-    above the stop, and compose_classes raises InternalCheckError.  No piece
-    is built above the stop.  Plainly and under python -O."""
+    """A basis representative of Hom(A, B) plus one term above its stop, the
+    degree of its last class, whose differential is nonzero is no cocycle:
+    class_of raises NonCocycleError, read off the complex's entries.  A
+    representative corrupted by that term gives a composite with the unit
+    whose only non-closed component lies above the stop, and compose_classes
+    raises InternalCheckError.  The Hom holds only the 4 pieces where its
+    model counts classes, and neither call builds another.  Plainly and
+    under python -O."""
     for flags, stdout in run_both_modes(_ABOVE_THE_STOP_SCRIPT).items():
         assert stdout.split() == [
-            "NonCocycleError", "InternalCheckError", "14", "True",
+            "NonCocycleError", "InternalCheckError", "4", "True",
         ], flags
 
 
