@@ -1,8 +1,16 @@
 """Content-addressed cache for Koszul and Hom cohomology tables.
 
-Entries are JSON files named by the SHA-256 of their canonical key.  Payloads
-are returned as stored, without verification; a file that is not a JSON
-object recording its kind is a miss.  Groebner bases are not cached:
+Entries are JSON files named by the SHA-256 of the key text
+json.dumps([kind, key], sort_keys=True), and hold the record
+json.dumps({"kind": kind, "key": key, "payload": payload}, sort_keys=True).
+A job's keys share their parts (the LG pair, each brane), so a job
+serializes each part once with key_part and joins the parts' texts with
+compose_key into a KeyText.  The cache splices a KeyText into both texts
+as it stands, which gives the same bytes json.dumps gives for the key as
+a list; a key of any other type is serialized with json.dumps.
+
+Payloads are returned as stored, without verification; a file that is not a
+JSON object recording its kind is a miss.  Groebner bases are not cached:
 computing one costs less than loading and verifying it, so groebner-* files
 written by older versions are never read; clear() removes them with the rest.
 """
@@ -13,6 +21,7 @@ import hashlib
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -27,6 +36,25 @@ def default_cache_dir() -> Path:
     return Path.cwd() / DEFAULT_DIRNAME
 
 
+class KeyText(str):
+    """A cache key given as its JSON text, json.dumps(key, sort_keys=True)."""
+
+
+def key_part(value) -> str:
+    """The JSON text of one part of a cache key."""
+    return json.dumps(value, sort_keys=True)
+
+
+def compose_key(*parts: str) -> KeyText:
+    """The key that is the list of the parts, from the parts' texts: the text
+    json.dumps gives for the list, whose items it joins with ", "."""
+    return KeyText("[" + ", ".join(parts) + "]")
+
+
+def _key_text(key) -> str:
+    return key if isinstance(key, KeyText) else key_part(key)
+
+
 class Cache:
     """Tiny key-value JSON store; disabled entirely when enabled=False."""
 
@@ -34,16 +62,15 @@ class Cache:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.enabled = enabled
 
-    def _path(self, kind: str, key) -> Path:
-        digest = hashlib.sha256(
-            json.dumps([kind, key], sort_keys=True).encode("utf-8")
-        ).hexdigest()
+    def _path(self, kind: str, key_text: str) -> Path:
+        text = f"[{encode_basestring_ascii(kind)}, {key_text}]"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self.directory / f"{kind}-{digest}.json"
 
     def get(self, kind: str, key):
         if not self.enabled:
             return None
-        path = self._path(kind, key)
+        path = self._path(kind, _key_text(key))
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 record = json.load(handle)
@@ -57,11 +84,15 @@ class Cache:
         if not self.enabled:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(kind, key)
-        record = {"kind": kind, "key": key, "payload": payload}
-        # one string from the C encoder; json.dump would stream the same
-        # text through the pure-Python one
-        text = json.dumps(record, sort_keys=True)
+        key_text = _key_text(key)
+        path = self._path(kind, key_text)
+        # the record's keys in sorted order, each value as the C encoder
+        # writes it; json.dump would stream the same text through the
+        # pure-Python one
+        text = (
+            f'{{"key": {key_text}, "kind": {encode_basestring_ascii(kind)}, '
+            f'"payload": {json.dumps(payload, sort_keys=True)}}}'
+        )
         # a temp file of its own per writer, so concurrent writers of one key
         # never write into each other's file; the last replace wins whole
         fd, tmp = tempfile.mkstemp(

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
-from .cache import Cache, null_cache
+from .cache import Cache, compose_key, key_part, null_cache
 from .errors import (
     ClassBoundError,
     DegenerateTraceError,
@@ -335,14 +335,15 @@ def _run_jacobi(spec: JobSpec, lg: LGPair) -> dict:
     return out
 
 
-def _run_koszul(spec: JobSpec, lg: LGPair, cache: Cache) -> dict:
+def _run_koszul(spec: JobSpec, lg: LGPair, lg_text: str, cache: Cache) -> dict:
+    """lg_text is key_part(list(lg.key())), which the job serializes once."""
     bound = (
         spec.koszul_bound
         if spec.koszul_bound is not None
         else (spec.degree_bound if spec.degree_bound is not None
               else _koszul_default_bound(lg))
     )
-    key = [list(lg.key()), bound]
+    key = compose_key(lg_text, key_part(bound))
     payload = cache.get("koszul", key)
     if payload is None:
         table = koszul_cohomology(lg, bound)
@@ -355,17 +356,22 @@ def _run_koszul(spec: JobSpec, lg: LGPair, cache: Cache) -> dict:
     return payload
 
 
-def _run_homs(spec: JobSpec, lg: LGPair, named, cache: Cache, homs) -> dict:
-    """homs, when not None, collects the Hom spaces computed here."""
+def _run_homs(spec: JobSpec, lg_text: str, named, cache: Cache, homs) -> dict:
+    """homs, when not None, collects the Hom spaces computed here.  Each
+    Hom's key is [LG pair, source, target, degree bound]; every part is
+    serialized once, and lg_text is the LG pair's, key_part(list(lg.key()))."""
     by_name = dict(named)
     if spec.hom_pairs is not None:
         pairs = [(a, b) for a, b in spec.hom_pairs]
     else:
         pairs = [(a, b) for a, _ in named for b, _ in named]
-    brane_keys = {name: _hom_brane_key(brane) for name, brane in named}
+    brane_texts = {
+        name: key_part(_hom_brane_key(brane)) for name, brane in named
+    }
+    bound_text = key_part(spec.degree_bound)
     out = {}
     for a, b in pairs:
-        key = [list(lg.key()), brane_keys[a], brane_keys[b], spec.degree_bound]
+        key = compose_key(lg_text, brane_texts[a], brane_texts[b], bound_text)
         payload = cache.get("hom", key)
         if payload is None:
             hom = hom_cohomology(by_name[a], by_name[b], spec.degree_bound)
@@ -420,6 +426,8 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
     branes = _build_branes(spec, lg)
     # Hom spaces outlive the homs section only when the tft section needs them
     homs = {} if "tft" in spec.compute else None
+    # the LG pair's part of every cache key, serialized once
+    lg_text = key_part(list(lg.key()))
     results = {}
     timing = {}
     for section in SECTIONS:
@@ -429,9 +437,9 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
         if section == "jacobi":
             results["jacobi"] = _run_jacobi(spec, lg)
         elif section == "koszul":
-            results["koszul"] = _run_koszul(spec, lg, cache)
+            results["koszul"] = _run_koszul(spec, lg, lg_text, cache)
         elif section == "homs":
-            results["homs"] = _run_homs(spec, lg, branes, cache, homs)
+            results["homs"] = _run_homs(spec, lg_text, branes, cache, homs)
         elif section == "tft":
             try:
                 results["tft"] = _run_tft(spec, lg, branes, homs)
@@ -452,7 +460,7 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
         "job": spec.echo(),
         "lg": {
             "variables": list(lg.ring.variables),
-            "superpotential": str(lg.w),
+            "superpotential": lg.key()[1],  # str(lg.w), as printed for the key
             "weights": list(lg.weights) if lg.weights else None,
             "signature": lg.signature,
         },

@@ -14,7 +14,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .errors import ParseError, RingMismatchError
-from .scalars import GaussianRational, scalar_str
+from .scalars import I, ONE, GaussianRational, _ratio_str, scalar_str
 
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
@@ -354,19 +354,20 @@ def _mono_str(exps: tuple, variables: tuple) -> str:
 
 
 def _term_str(exps, coeff, variables):
-    """(is_negative, body) for one term; the joiner absorbs the sign."""
+    """(is_negative, body) for one term; the joiner absorbs the sign.  The
+    coefficient is printed from its integer triple (a + b*i)/d."""
     mono = _mono_str(exps, variables)
-    re, im = coeff.re, coeff.im
-    if im == 0:
-        negative, mag = re < 0, abs(re)
+    a, b, d = coeff.triple()
+    if not b:
+        negative, mag = a < 0, abs(a)
         if not mono:
-            return negative, str(mag)
-        if mag == 1:
+            return negative, _ratio_str(mag, d)
+        if mag == d:
             return negative, mono
-        return negative, f"{mag}*{mono}"
-    if re == 0:
-        negative, mag = im < 0, abs(im)
-        body = "i" if mag == 1 else f"{mag}*i"
+        return negative, f"{_ratio_str(mag, d)}*{mono}"
+    if not a:
+        negative, mag = b < 0, abs(b)
+        body = "i" if mag == d else f"{_ratio_str(mag, d)}*i"
         return negative, body if not mono else f"{body}*{mono}"
     # mixed coefficients are printed verbatim inside parentheses
     body = f"({scalar_str(coeff)})"
@@ -394,16 +395,12 @@ def poly_str(p: Polynomial) -> str:
 _MINUS_CHARS = {"-", "−"}  # ASCII hyphen and the typographic minus
 
 
-class _Token:
-    __slots__ = ("kind", "value", "position")
+def _tokenize(src: str) -> list:
+    """(kind, value, position) per token, closed by ("end", None, len(src)).
 
-    def __init__(self, kind, value, position):
-        self.kind = kind
-        self.value = value
-        self.position = position
-
-
-def _tokenize(src: str):
+    A number's value is an int for a digit literal and a Fraction for p/q;
+    only the first can be an exponent.
+    """
     tokens = []
     k, n = 0, len(src)
     while k < n:
@@ -415,135 +412,149 @@ def _tokenize(src: str):
             start = k
             while k < n and src[k].isdigit():
                 k += 1
-            numerator = int(src[start:k])
+            value = int(src[start:k])
             if k < n and src[k] == "/":
                 j = k + 1
-                if j < n and src[j].isdigit():
-                    k = j
-                    while k < n and src[k].isdigit():
-                        k += 1
-                    denominator = int(src[j:k])
-                    if denominator == 0:
-                        raise ParseError("zero denominator", start)
-                    tokens.append(
-                        _Token("number", Fraction(numerator, denominator), start)
-                    )
-                    continue
-                raise ParseError("expected digits after '/'", j)
-            tokens.append(_Token("number", Fraction(numerator), start))
+                if not (j < n and src[j].isdigit()):
+                    raise ParseError("expected digits after '/'", j)
+                k = j
+                while k < n and src[k].isdigit():
+                    k += 1
+                denominator = int(src[j:k])
+                if denominator == 0:
+                    raise ParseError("zero denominator", start)
+                value = Fraction(value, denominator)
+            tokens.append(("number", value, start))
             continue
         if ch.isalpha() or ch == "_":
             start = k
             while k < n and (src[k].isalnum() or src[k] == "_"):
                 k += 1
-            tokens.append(_Token("name", src[start:k], start))
+            tokens.append(("name", src[start:k], start))
             continue
         if ch in _MINUS_CHARS:
-            tokens.append(_Token("-", "-", k))
-            k += 1
-            continue
-        if ch in "+*^()":
-            tokens.append(_Token(ch, ch, k))
-            k += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", k)
-    tokens.append(_Token("end", None, n))
+            tokens.append(("-", "-", k))
+        elif ch in "+*^()":
+            tokens.append((ch, ch, k))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", k)
+        k += 1
+    tokens.append(("end", None, n))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent parser for the +, -, *, ^ grammar with i."""
+    """Recursive-descent parser for the +, -, *, ^ grammar with i.
+
+    Every rule returns a terms dict, exponent tuple -> nonzero
+    GaussianRational, with its terms in the order Polynomial arithmetic
+    would insert them.  A power of one term multiplies its exponents, and a
+    product with a one-term factor scales the other factor's terms, so only
+    products and powers of sums run Polynomial arithmetic.
+    """
 
     def __init__(self, src: str, ring: PolyRing):
-        self.src = src
         self.ring = ring
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.origin = (0,) * ring.nvars
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {kind!r}", token.position)
-        return self.advance()
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
     def parse(self) -> Polynomial:
-        value = self.expression()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ParseError("unexpected trailing input", tail.position)
-        return value
+        terms = self.expression()
+        kind, _, position = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError("unexpected trailing input", position)
+        return Polynomial(self.ring, terms)
 
-    def expression(self) -> Polynomial:
-        token = self.peek()
-        negate = False
-        if token.kind in ("+", "-"):
-            self.advance()
-            negate = token.kind == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            value = value - rhs if op.kind == "-" else value + rhs
-        return value
+    def expression(self) -> dict:
+        sign = self.kind()
+        if sign in ("+", "-"):
+            self.pos += 1
+        terms = self.term()
+        if sign == "-":
+            terms = _negated(terms)
+        while (sign := self.kind()) in ("+", "-"):
+            self.pos += 1
+            for exps, coeff in self.term().items():
+                if sign == "-":
+                    coeff = -coeff
+                acc = terms.get(exps)
+                total = coeff if acc is None else acc + coeff
+                if total:
+                    terms[exps] = total
+                elif exps in terms:
+                    del terms[exps]
+        return terms
 
-    def term(self) -> Polynomial:
-        value = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            value = value * self.factor()
-        return value
+    def term(self) -> dict:
+        terms = self.factor()
+        while self.kind() == "*":
+            self.pos += 1
+            rhs = self.factor()
+            if len(terms) == 1:
+                [(e0, c0)] = terms.items()
+                terms = {mono_mul(e0, e): c0 * c for e, c in rhs.items()}
+            elif len(rhs) == 1:
+                [(e0, c0)] = rhs.items()
+                terms = {mono_mul(e, e0): c * c0 for e, c in terms.items()}
+            else:
+                terms = (
+                    Polynomial(self.ring, terms) * Polynomial(self.ring, rhs)
+                ).terms
+        return terms
 
-    def factor(self) -> Polynomial:
-        base = self.atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            token = self.peek()
-            if token.kind == "-":
-                raise ParseError("negative exponent", token.position)
-            if token.kind != "number":
-                raise ParseError("expected exponent", token.position)
-            self.advance()
-            if token.value.denominator != 1:
-                raise ParseError("exponent must be an integer", token.position)
-            return base ** int(token.value)
-        return base
+    def factor(self) -> dict:
+        terms = self.atom()
+        if self.kind() != "^":
+            return terms
+        self.pos += 1
+        kind, value, position = self.tokens[self.pos]
+        if kind == "-":
+            raise ParseError("negative exponent", position)
+        if kind != "number":
+            raise ParseError("expected exponent", position)
+        if type(value) is not int:
+            raise ParseError("exponent must be an integer", position)
+        self.pos += 1
+        if len(terms) == 1:
+            [(exps, coeff)] = terms.items()
+            return {tuple(e * value for e in exps): coeff**value}
+        return (Polynomial(self.ring, terms) ** value).terms
 
-    def atom(self) -> Polynomial:
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return self.ring.constant(token.value)
-        if token.kind == "name":
-            self.advance()
-            if token.value == "i":
-                return self.ring.constant(GaussianRational(0, 1))
+    def atom(self) -> dict:
+        kind, value, position = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "number":
+            return {self.origin: GaussianRational(value)} if value else {}
+        if kind == "name":
+            if value == "i":
+                return {self.origin: I}
             try:
-                index = self.ring.variables.index(token.value)
+                index = self.ring.variables.index(value)
             except ValueError:
                 raise ParseError(
-                    f"undeclared variable {token.value!r}", token.position
+                    f"undeclared variable {value!r}", position
                 ) from None
-            return self.ring.var(index)
-        if token.kind == "(":
-            self.advance()
-            value = self.expression()
-            self.expect(")")
-            return value
-        if token.kind in ("+", "-"):
-            self.advance()
-            value = self.factor()
-            return -value if token.kind == "-" else value
-        raise ParseError("expected a term", token.position)
+            origin = self.origin
+            return {origin[:index] + (1,) + origin[index + 1:]: ONE}
+        if kind == "(":
+            terms = self.expression()
+            kind, _, position = self.tokens[self.pos]
+            if kind != ")":
+                raise ParseError("expected ')'", position)
+            self.pos += 1
+            return terms
+        if kind in ("+", "-"):
+            terms = self.factor()
+            return _negated(terms) if kind == "-" else terms
+        raise ParseError("expected a term", position)
+
+
+def _negated(terms: dict) -> dict:
+    return {exps: -coeff for exps, coeff in terms.items()}
 
 
 def parse_polynomial(src: str, variables: Sequence[str]) -> Polynomial:

@@ -19,7 +19,12 @@ the forward pass and one solved kernel vector replaced, and the classes of
 the window below a windowed Hom's bound counted as quotient rows, which the
 ranks there replaced, and the kernel read off an RREF and the reduction
 modulo an RREF read directly, which echelon_kernel and echelon_reduce
-replaced.
+replaced, and the parser that evaluated every literal, power and product
+through Polynomial arithmetic, which the one building terms directly
+replaced, and the term printer reading Fraction parts, which the one
+reading the integer triple replaced, and the cache entry whose key went
+through json.dumps whole at every digest, which keys joined from parts
+serialized once replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -28,9 +33,13 @@ library's quotient(), which acyclic pieces no longer reach.
 
 from __future__ import annotations
 
-from lgtft.errors import FactorizationError, InternalCheckError
+import hashlib
+import json
+from fractions import Fraction
+
+from lgtft.errors import FactorizationError, InternalCheckError, ParseError
 from lgtft.linalg import SparseMatrix, vec_axpy, vec_scale
-from lgtft.scalars import GaussianRational
+from lgtft.scalars import GaussianRational, scalar_str
 from lgtft.poly import Polynomial, mono_div, mono_divides, mono_mul
 
 
@@ -854,3 +863,184 @@ def product_associative(branes) -> bool:
                             if left != right:
                                 return False
     return True
+
+
+# -- the Polynomial-arithmetic parser and the Fraction-part term printer ------
+
+_MINUS_CHARS = {"-", "−"}  # ASCII hyphen and the typographic minus
+
+
+def _tokenize(src: str):
+    """Tokens (kind, value, position); every number is a Fraction, so p/q
+    with q | p passes as an exponent (x^4/2 reads as x^2)."""
+    tokens = []
+    k, n = 0, len(src)
+    while k < n:
+        ch = src[k]
+        if ch.isspace():
+            k += 1
+            continue
+        if ch.isdigit():
+            start = k
+            while k < n and src[k].isdigit():
+                k += 1
+            numerator = int(src[start:k])
+            if k < n and src[k] == "/":
+                j = k + 1
+                if j < n and src[j].isdigit():
+                    k = j
+                    while k < n and src[k].isdigit():
+                        k += 1
+                    denominator = int(src[j:k])
+                    if denominator == 0:
+                        raise ParseError("zero denominator", start)
+                    tokens.append(("number", Fraction(numerator, denominator), start))
+                    continue
+                raise ParseError("expected digits after '/'", j)
+            tokens.append(("number", Fraction(numerator), start))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = k
+            while k < n and (src[k].isalnum() or src[k] == "_"):
+                k += 1
+            tokens.append(("name", src[start:k], start))
+            continue
+        if ch in _MINUS_CHARS:
+            tokens.append(("-", "-", k))
+            k += 1
+            continue
+        if ch in "+*^()":
+            tokens.append((ch, ch, k))
+            k += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", k)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+class _ArithmeticParser:
+    """Recursive descent whose every literal is a constant Polynomial and
+    whose every sum, product and power is Polynomial arithmetic."""
+
+    def __init__(self, src, ring):
+        self.ring = ring
+        self.tokens = _tokenize(src)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def parse(self) -> Polynomial:
+        value = self.expression()
+        kind, _, position = self.peek()
+        if kind != "end":
+            raise ParseError("unexpected trailing input", position)
+        return value
+
+    def expression(self):
+        kind = self.peek()[0]
+        negate = False
+        if kind in ("+", "-"):
+            self.advance()
+            negate = kind == "-"
+        value = self.term()
+        if negate:
+            value = -value
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.term()
+            value = value - rhs if op == "-" else value + rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            value = value * self.factor()
+        return value
+
+    def factor(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            kind, value, position = self.peek()
+            if kind == "-":
+                raise ParseError("negative exponent", position)
+            if kind != "number":
+                raise ParseError("expected exponent", position)
+            self.advance()
+            if value.denominator != 1:
+                raise ParseError("exponent must be an integer", position)
+            return base ** int(value)
+        return base
+
+    def atom(self):
+        kind, value, position = self.peek()
+        if kind == "number":
+            self.advance()
+            return self.ring.constant(value)
+        if kind == "name":
+            self.advance()
+            if value == "i":
+                return self.ring.constant(GaussianRational(0, 1))
+            try:
+                index = self.ring.variables.index(value)
+            except ValueError:
+                raise ParseError(f"undeclared variable {value!r}", position) from None
+            return self.ring.var(index)
+        if kind == "(":
+            self.advance()
+            value = self.expression()
+            kind, _, position = self.peek()
+            if kind != ")":
+                raise ParseError("expected ')'", position)
+            self.advance()
+            return value
+        if kind in ("+", "-"):
+            self.advance()
+            value = self.factor()
+            return -value if kind == "-" else value
+        raise ParseError("expected a term", position)
+
+
+def arithmetic_parse(src: str, ring) -> Polynomial:
+    """src parsed through Polynomial arithmetic, as the library once did."""
+    return _ArithmeticParser(src, ring).parse()
+
+
+def fraction_term_str(exps, coeff, variables):
+    """(is_negative, body) of one printed term, read from the coefficient's
+    Fraction parts coeff.re and coeff.im."""
+    mono = "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(variables, exps) if e
+    )
+    re, im = coeff.re, coeff.im
+    if im == 0:
+        negative, mag = re < 0, abs(re)
+        if not mono:
+            return negative, str(mag)
+        if mag == 1:
+            return negative, mono
+        return negative, f"{mag}*{mono}"
+    if re == 0:
+        negative, mag = im < 0, abs(im)
+        body = "i" if mag == 1 else f"{mag}*i"
+        return negative, body if not mono else f"{body}*{mono}"
+    body = f"({scalar_str(coeff)})"
+    return False, body if not mono else f"{body}*{mono}"
+
+
+def dumped_cache_entry(kind, key, payload) -> tuple:
+    """(file name, record text) of a cache entry whose key is serialized
+    whole, as json.dumps([kind, key], sort_keys=True) for the digest and
+    inside json.dumps of the whole record."""
+    digest = hashlib.sha256(
+        json.dumps([kind, key], sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    record = {"kind": kind, "key": key, "payload": payload}
+    return f"{kind}-{digest}.json", json.dumps(record, sort_keys=True)

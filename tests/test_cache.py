@@ -5,8 +5,17 @@ import os
 
 import pytest
 
-from lgtft.cache import Cache
-from lgtft.jobs import JobSpec, run_job
+from lgtft.cache import Cache, KeyText
+from lgtft.jobs import (
+    JobSpec,
+    _build_branes,
+    _build_lg,
+    _hom_brane_key,
+    _koszul_default_bound,
+    run_job,
+)
+from oracles import dumped_cache_entry
+from test_bench_references import _load_harness
 
 
 def test_writer_interrupted_by_another_writer_of_the_same_key(tmp_path, monkeypatch):
@@ -76,3 +85,112 @@ def test_record_that_is_no_json_object_is_a_miss(tmp_path, text):
     for entry in entries:
         record = json.loads(entry.read_text(encoding="utf-8"))
         assert isinstance(record, dict) and "payload" in record
+
+
+# -- keys joined from parts serialized once ------------------------------------
+
+
+def _dumped_keys(spec):
+    """(kind, key) of every cache entry of spec, each key the list a reader
+    would serialize whole: [LG pair, Koszul bound] and, per Hom, [LG pair,
+    source, target, degree bound]."""
+    lg = _build_lg(spec)
+    lg_key = list(lg.key())
+    keys = []
+    if "koszul" in spec.compute:
+        bound = spec.koszul_bound
+        if bound is None:
+            bound = spec.degree_bound
+        if bound is None:
+            bound = _koszul_default_bound(lg)
+        keys.append(("koszul", [lg_key, bound]))
+    if "homs" in spec.compute:
+        named = dict(_build_branes(spec, lg))
+        pairs = spec.hom_pairs or [(a, b) for a in named for b in named]
+        for a, b in pairs:
+            keys.append(("hom", [
+                lg_key, _hom_brane_key(named[a]), _hom_brane_key(named[b]),
+                spec.degree_bound,
+            ]))
+    return keys
+
+
+def _template_specs(monkeypatch):
+    """The seven bench templates, unseeded and with seed 1 (its branes
+    rescaled by units)."""
+    harness = _load_harness(monkeypatch)
+    jobs = [harness.unseeded(t) for t in harness.TEMPLATES]
+    jobs += [job for w in harness.WORKLOADS for job in harness.make_jobs(w, 1)]
+    return [(job.template, JobSpec.from_dict(job.raw)) for job in jobs]
+
+
+def test_composed_keys_and_records_match_keys_serialized_whole(tmp_path, monkeypatch):
+    """For every bench template job: each key the job hands the cache is the
+    text json.dumps gives for the whole key, its files and records are
+    byte-identical to those written through json.dumps of the whole key and
+    record, and a cache filled that way is read with no miss."""
+    texts = []  # (kind, key text) of every get
+    get = Cache.get
+
+    def recording_get(self, kind, key):
+        texts.append((kind, key))
+        return get(self, kind, key)
+
+    monkeypatch.setattr(Cache, "get", recording_get)
+    for k, (template, spec) in enumerate(_template_specs(monkeypatch)):
+        dumped = _dumped_keys(spec)
+        assert dumped, template
+        del texts[:]
+        written = tmp_path / f"written{k}"
+        results = run_job(spec, Cache(written))["results"]
+        assert all(isinstance(key, KeyText) for _, key in texts)
+        assert [f"[{json.dumps(kind)}, {key}]" for kind, key in texts] == [
+            json.dumps([kind, key], sort_keys=True) for kind, key in dumped
+        ]
+        homs = iter(results.get("homs", {}).values())
+        expected = dict(
+            dumped_cache_entry(
+                kind, key, results["koszul"] if kind == "koszul" else next(homs)
+            )
+            for kind, key in dumped
+        )
+        assert {
+            entry.name: entry.read_text(encoding="utf-8")
+            for entry in written.iterdir()
+        } == expected, template
+        filled = tmp_path / f"filled{k}"
+        filled.mkdir()
+        for name, text in expected.items():
+            (filled / name).write_text(text, encoding="utf-8")
+        del texts[:]
+        assert run_job(spec, Cache(filled))["results"] == results
+        assert len(texts) == len(dumped)
+        assert sorted(entry.name for entry in filled.iterdir()) == sorted(expected)
+
+
+def test_cached_job_serializes_each_key_part_once(tmp_path, monkeypatch):
+    """A warm.graded job on a filled cache runs json.dumps 5 times: once for
+    the LG pair, once per brane (A and B), once for the Koszul bound and once
+    for the Hom degree bound.  Its four Hom keys and one Koszul key are
+    joined from those texts, so the LG pair's text is in one serialized
+    text, not in one per key, and so is each brane's."""
+    harness = _load_harness(monkeypatch)
+    spec = JobSpec.from_dict(harness.unseeded("warm.graded").raw)
+    cache = Cache(tmp_path)
+    run_job(spec, cache)
+    lg = _build_lg(spec)
+    parts = [json.dumps(list(lg.key()))] + [
+        json.dumps(_hom_brane_key(brane)) for _, brane in _build_branes(spec, lg)
+    ]
+    dumps = json.dumps
+    serialized = []
+
+    def recording_dumps(value, **kwargs):
+        text = dumps(value, **kwargs)
+        serialized.append(text)
+        return text
+
+    monkeypatch.setattr(json, "dumps", recording_dumps)
+    run_job(spec, cache)
+    assert len(serialized) == 5
+    assert [sum(part in text for text in serialized) for part in parts] == [1, 1, 1]

@@ -429,6 +429,20 @@ def test_cli_malformed_brane_is_validation_error(tmp_path, capsys, brane, messag
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [
+        {"superpotential": "x^6/2"},
+        {"branes": [{"name": "M1", "pairs": [["x", "x^4/2"]]}]},
+    ],
+)
+def test_cli_p_over_q_exponent_is_validation_error(tmp_path, capsys, overrides):
+    """x^6/2 once parsed as x^3 and x^4/2 as x^2, so both jobs ran."""
+    job = _write_job(tmp_path, _basic_job(**overrides))
+    assert main(["run", job, "--no-cache"]) == 2
+    assert "exponent must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "overrides,message",
     [
         ({"branes": 5}, "'branes' must be a list"),

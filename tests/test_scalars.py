@@ -10,6 +10,7 @@ from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import hom_cohomology, koszul_factorization
 from lgtft.poly import PolyRing, grevlex_key, poly_str
 from lgtft.scalars import I, MINUS_I, ONE, ZERO, GaussianRational, scalar_str
+from oracles import fraction_term_str
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -228,34 +229,14 @@ def _fraction_scalar_str(re, im):
     return f"{re}+{_fraction_imag_str(im)}"
 
 
-def _fraction_term_str(mono, re, im):
-    if im == 0:
-        negative, mag = re < 0, abs(re)
-        if not mono:
-            return negative, str(mag)
-        if mag == 1:
-            return negative, mono
-        return negative, f"{mag}*{mono}"
-    if re == 0:
-        negative, mag = im < 0, abs(im)
-        body = "i" if mag == 1 else f"{mag}*i"
-        return negative, body if not mono else f"{body}*{mono}"
-    body = f"({_fraction_scalar_str(re, im)})"
-    return False, body if not mono else f"{body}*{mono}"
-
-
 def _fraction_poly_str(ring, terms):
     """poly_str of {exps: (re, im)} as printed from Fraction components."""
     if not terms:
         return "0"
     chunks = []
     for position, exps in enumerate(sorted(terms, key=grevlex_key, reverse=True)):
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(ring.variables, exps)
-            if e
-        )
-        negative, body = _fraction_term_str(mono, *terms[exps])
+        coeff = GaussianRational(*terms[exps])
+        negative, body = fraction_term_str(exps, coeff, ring.variables)
         if position == 0:
             chunks.append(f"-{body}" if negative else body)
         else:
