@@ -17,10 +17,9 @@ from typing import Optional
 
 from .errors import InternalCheckError
 from .groebner import GroebnerBasis
-from .jacobi import raise_exponent
-from .linalg import SparseMatrix, columns_apply
+from .jacobi import QuotientAlgebra
+from .linalg import SparseMatrix
 from .poly import Polynomial, mono_weighted_degree
-from .scalars import GaussianRational
 
 UNSET = object()  # a factorization's _ideal before koszul_model sets it
 
@@ -92,9 +91,9 @@ def koszul_hom_dims(source, target) -> Optional[tuple]:
 
 def koszul_model(source, target) -> Optional[KoszulModel]:
     """The model X/(c)X of Hom(source, target), or None when there is no
-    certificate (koszul_hom_dims).  The ideal is found once per source, and
-    the model built once per source ideal and target, which keeps it once
-    _check_blocks has held its blocks to D_X mod (c)."""
+    certificate (koszul_hom_dims).  The ideal is found once per source, which
+    keeps R/(c), and the model built once per source ideal and target, which
+    keeps it once _check_blocks has held its blocks to D_X mod (c)."""
     pairs = source.pairs
     if pairs is None or len(pairs) != source.lg.ring.nvars:
         return None
@@ -102,19 +101,19 @@ def koszul_model(source, target) -> Optional[KoszulModel]:
         source._ideal = _finite_colength_ideal(pairs)
     if source._ideal is None:
         return None
-    ideal, choice = source._ideal
-    model = target._models.get(ideal)
+    algebra, choice = source._ideal
+    model = target._models.get(algebra)
     if model is None:
-        model = KoszulModel(ideal, _vacuum(choice), target)
+        model = KoszulModel(algebra, _vacuum(choice), target)
         _check_blocks(model, target)
-        target._models[ideal] = model
+        target._models[algebra] = model
     return model
 
 
 def _finite_colength_ideal(pairs) -> Optional[tuple]:
-    """(Groebner basis, choice) of the first ideal (c), one c_k from each
-    pair, of finite colength, or None when no choice has one.  choice[k] is
-    0 when c_k = a_k and 1 when c_k = b_k."""
+    """(R/(c), choice) for the first ideal (c), one c_k from each pair, of
+    finite colength, or None when no choice has one.  choice[k] is 0 when
+    c_k = a_k and 1 when c_k = b_k."""
     for choice in itertools.product((0, 1), repeat=len(pairs)):
         generators = [
             pair[chosen] for pair, chosen in zip(pairs, choice)
@@ -124,7 +123,7 @@ def _finite_colength_ideal(pairs) -> Optional[tuple]:
             continue
         ideal = GroebnerBasis.compute(generators)
         if ideal.is_zero_dimensional():
-            return ideal, choice
+            return QuotientAlgebra(ideal), choice
     return None
 
 
@@ -142,38 +141,29 @@ def _vacuum(choice) -> tuple:
 class KoszulModel:
     """X/(c)X for Hom(K, X), K a Koszul source with a c of finite colength.
 
-    ideal is the Groebner basis of (c), and staircase maps each standard
-    monomial to its position s.  V_t has the basis (basis vector i of X_t,
-    standard monomial s) at i * mu + s.  blocks[t] is D_X mod (c) out of
-    V_t, into V_(1-t), and echelons[t] its forward pass.  vacuum is the
-    (module, index) of K's generator v that project reads.  When X is graded,
-    degrees[t] lists the degree in X of each basis vector of V_t, 2 wdeg(s)
-    + w_t[i] in doubled units, and step is the degree of D_X; otherwise
-    degrees is None.
+    algebra is R/(c), the source's QuotientAlgebra.  V_t has the basis
+    (basis vector i of X_t, standard monomial s) at i * mu + s.  blocks[t]
+    is D_X mod (c) out of V_t, into V_(1-t), each column (j, s) read off
+    the normal form of entry * x^s, and echelons[t] its forward pass.
+    vacuum is the (module, index) of K's generator v that project reads.
+    When X is graded, degrees[t] lists the degree in X of each basis vector
+    of V_t, 2 wdeg(s) + w_t[i] in doubled units, and step is the degree of
+    D_X; otherwise degrees is None.
     """
 
-    __slots__ = (
-        "ideal", "staircase", "blocks", "echelons", "vacuum", "degrees", "step",
-    )
+    __slots__ = ("algebra", "blocks", "echelons", "vacuum", "degrees", "step")
 
-    def __init__(self, ideal, vacuum, target):
-        ring = ideal.ring
-        self.ideal = ideal
+    def __init__(self, algebra, vacuum, target):
+        self.algebra = algebra
         self.vacuum = vacuum
-        monomials = ideal.standard_monomials()
-        self.staircase = staircase = {exps: s for s, exps in enumerate(monomials)}
-        mu = len(monomials)
+        monomials, mu = algebra.basis, algebra.dimension
         sizes = (target.rank0 * mu, target.rank1 * mu)
         rows = ([{} for _ in range(sizes[1])], [{} for _ in range(sizes[0])])
-        grouped = {}  # (t, i, j) -> the terms of D_X's entry (i, j) out of X_t
-        for ((_, t, i, j), exps), coeff in target.d_terms.items():
-            grouped.setdefault((t, i, j), {})[exps] = coeff
-        for (t, i, j), terms in sorted(grouped.items()):
-            entry = Polynomial(ring, terms)
-            for s, exps in enumerate(monomials):
-                reduced = ideal.normal_form(entry * ring.monomial(exps))
-                for e, coeff in reduced.terms.items():
-                    rows[t][i * mu + staircase[e]][j * mu + s] = coeff
+        for (t, i, j), entry in target.D.entries().items():
+            for s in range(mu):
+                reduced = algebra.nf_coords(entry * algebra.basis_poly(s))
+                for r, coeff in reduced.items():
+                    rows[t][i * mu + r][j * mu + s] = coeff
         self.blocks = tuple(
             SparseMatrix(sizes[1 - t], sizes[t], rows[t]) for t in (0, 1)
         )
@@ -222,12 +212,11 @@ class KoszulModel:
         for ((_, blk, i, j), exps), coeff in terms:
             if blk == module and j == column:
                 entries.setdefault(i, {})[exps] = coeff
-        mu, ring = len(self.staircase), self.ideal.ring
+        mu, ring = self.algebra.dimension, self.algebra.ring
         vector = {}
         for i, entry in entries.items():
-            reduced = self.ideal.normal_form(Polynomial(ring, entry))
-            for e, coeff in reduced.terms.items():
-                vector[i * mu + self.staircase[e]] = coeff
+            for r, coeff in self.algebra.nf_coords(Polynomial(ring, entry)).items():
+                vector[i * mu + r] = coeff
         return vector
 
 
@@ -235,47 +224,21 @@ def _check_blocks(model, target):
     """Raise InternalCheckError unless the model's blocks are D_X mod (c),
     read again by a second route.
 
-    The route is that of the Jacobi algebra: M_k, multiplication by x_k on
-    R/(c), from the normal forms of x_k times each standard monomial, and
-    the action of x^e on the standard monomials' unit vectors as the
-    product of the M_k along e (L_{x_k m} = M_k L_m, with L_1 = I).  The
-    column (j, s) of block t is then the sum over the terms coeff * x^e of
-    D_X's entry (i, j) of coeff * L_e applied to the unit vector of s, put
-    at the rows (i, s').  KoszulModel.__init__ reduces each product entry *
-    x^s as one polynomial; here no product of an entry is ever reduced, so
-    a block read off the wrong entry, monomial, position or module differs.
+    The route is that of the multiplication matrices of R/(c): the action
+    of x^e on the standard monomials' unit vectors as the product of the
+    M_k along e (QuotientAlgebra.action).  The column (j, s) of block t is
+    then the sum over the terms coeff * x^e of D_X's entry (i, j) of
+    coeff * L_e applied to the unit vector of s, put at the rows (i, s').
+    KoszulModel.__init__ reduces each product entry * x^s as one
+    polynomial; here no product of an entry is ever reduced, so a block
+    read off the wrong entry, monomial, position or module differs.
     """
-    ideal, ring = model.ideal, model.ideal.ring
-    staircase = model.staircase
-    monomials = sorted(staircase, key=staircase.get)
-    mu = len(monomials)
-    mult = [  # mult[k][s]: the coordinates of x_k times standard monomial s
-        [
-            {
-                staircase[e]: c
-                for e, c in ideal.normal_form(
-                    ring.monomial(raise_exponent(exps, k))
-                ).terms.items()
-            }
-            for exps in monomials
-        ]
-        for k in range(ring.nvars)
-    ]
-    actions = {(0,) * ring.nvars: [{s: GaussianRational(1)} for s in range(mu)]}
-
-    def action(exps):
-        """The columns of L_e, multiplication by x^exps on R/(c)."""
-        found = actions.get(exps)
-        if found is None:
-            k = next(j for j, e in enumerate(exps) if e)  # first variable
-            lower = action(exps[:k] + (exps[k] - 1,) + exps[k + 1:])
-            found = actions[exps] = [columns_apply(mult[k], v) for v in lower]
-        return found
-
+    algebra = model.algebra
+    mu = algebra.dimension
     sizes = (target.rank0 * mu, target.rank1 * mu)
     rows = ([{} for _ in range(sizes[1])], [{} for _ in range(sizes[0])])
     for ((_, t, i, j), exps), coeff in target.d_terms.items():
-        for s, column in enumerate(action(exps)):
+        for s, column in enumerate(algebra.action(exps)):
             for r, value in column.items():
                 row, key = rows[t][i * mu + r], j * mu + s
                 total = row[key] + coeff * value if key in row else coeff * value

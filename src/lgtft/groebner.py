@@ -216,27 +216,17 @@ class GroebnerBasis:
     # -- staircase combinatorics ------------------------------------------
 
     def is_zero_dimensional(self) -> bool:
-        """True when the quotient by the ideal is finite-dimensional.
-
-        Standard criterion: for each variable some leading monomial is a pure
-        power of that variable (the zero exponent covers the unit ideal).
-        """
-        leads = self.leading_exponents()
-        if any(mono_degree(e) == 0 for e in leads):
-            return True
-        nvars = self.ring.nvars
-        for k in range(nvars):
-            if not any(
-                e[k] > 0 and all(e[j] == 0 for j in range(nvars) if j != k)
-                for e in leads
-            ):
-                return False
-        return True
+        """True when the quotient by the ideal is finite-dimensional."""
+        return self.staircase_bounds() is not None
 
     def staircase_bounds(self) -> Optional[list]:
-        """Per-variable exclusive bounds on standard-monomial exponents."""
-        if not self.is_zero_dimensional():
-            return None
+        """Per-variable exclusive bounds on standard-monomial exponents, or
+        None when the quotient is infinite-dimensional.
+
+        Standard criterion: for each variable some leading monomial is a pure
+        power of that variable, and the least such power bounds it; a zero
+        leading exponent (the unit ideal) bounds every variable by 0.
+        """
         leads = self.leading_exponents()
         if any(mono_degree(e) == 0 for e in leads):
             return [0] * self.ring.nvars
@@ -248,6 +238,8 @@ class GroebnerBasis:
                 for e in leads
                 if e[k] > 0 and all(e[j] == 0 for j in range(nvars) if j != k)
             ]
+            if not pure:
+                return None
             bounds.append(min(pure))
         return bounds
 

@@ -1,13 +1,15 @@
 """The Jacobi algebra O(C^d)/(dW), its dimension, and the residue trace.
 
-Elements are sparse coordinate vectors (linalg.Vector) on the standard
-monomials of the Groebner basis.  On first read, the algebra builds M_k, the
-matrix of multiplication by x_k, from n * mu normal forms of x_k * m_b (Cox,
-Little and O'Shea, Using Algebraic Geometry, ch. 2 and 4), and the
-multiplication table from them along the staircase: the row of m_a is the
-matrix L_a of multiplication by m_a, with L_1 = I and L_{x_k m} = M_k L_m for
-the first variable x_k of x_k m.  Normal forms are canonical, so every entry
-equals the normal form of m_a * m_b.
+QuotientAlgebra is R/I for any ideal I of finite colength: the Jacobi
+algebra is one, and so is R/(c) of the Hom certificate.  Elements are sparse
+coordinate vectors (linalg.Vector) on the standard monomials of the Groebner
+basis.  On first read, the algebra builds M_k, the matrix of multiplication
+by x_k, from n * mu normal forms of x_k * m_b (Cox, Little and O'Shea, Using
+Algebraic Geometry, ch. 2 and 4), and the multiplication table from them
+along the staircase: the row of m_a is the matrix L_a of multiplication by
+m_a, with L_1 = I and L_{x_k m} = M_k L_m for the first variable x_k of
+x_k m.  Normal forms are canonical, so every entry equals the normal form of
+m_a * m_b.
 
 The trace is the global Grothendieck residue functional, computed exactly by
 the Bezoutian dual-basis construction: write the Bezoutian of the partials as
@@ -47,31 +49,34 @@ def is_critical_set_finite(lg: LGPair) -> bool:
     return lg.jacobi_basis.is_zero_dimensional()
 
 
-class JacobiAlgebra:
-    """Finite-dimensional quotient algebra with a multiplication table.
+class QuotientAlgebra:
+    """R/I for a Groebner basis gb of an ideal I of finite colength.
 
-    mult[k][b] is the coordinate vector of x_k * m_b, so mult[k] lists the
-    columns of M_k, the matrix of multiplication by x_k on the standard
-    monomials.  table[a][b] is the coordinate vector of m_a * m_b; row a
-    lists the columns of L_a, the matrix of multiplication by m_a, built
-    along the staircase from L_1 = I and L_{x_k m} = M_k L_m.  Both are
-    built on first read and kept: only the tft clauses read them, so a job
-    that prints the basis and the trace never pays their n * mu normal forms.
-    It keeps lg's ring, not lg: the LGPair keeps its algebra, and a reference
-    back would make a cycle that reference counting cannot free.
+    Elements are sparse coordinate vectors on the standard monomials, basis;
+    index maps each to its position and unit_index is that of 1 (None for
+    the zero algebra).  mult[k][b] is the coordinate vector of x_k * m_b, so
+    mult[k] lists the columns of M_k, the matrix of multiplication by x_k.
+    action(exps) lists the columns of L_e, multiplication by x^exps, built
+    from the M_k by L_1 = I and L_{x_k m} = M_k L_m for the first variable
+    x_k of x_k m, and kept.  table[a][b] is the coordinate vector of
+    m_a * m_b: row a is action(basis[a]), along the staircase, as every
+    divisor of a standard monomial is standard.  The M_k, the actions and
+    the table are built on first read and kept.
     """
 
-    __slots__ = ("ring", "gb", "basis", "index", "unit_index", "_mult", "_table")
+    __slots__ = (
+        "ring", "gb", "basis", "index", "unit_index", "_mult", "_table", "_actions",
+    )
 
-    def __init__(self, lg: LGPair):
-        self.ring = lg.ring
-        self.gb = lg.jacobi_basis
-        self.basis = tuple(self.gb.standard_monomials())
+    def __init__(self, gb: GroebnerBasis):
+        self.ring = gb.ring
+        self.gb = gb
+        self.basis = tuple(gb.standard_monomials())
         self.index = {exps: k for k, exps in enumerate(self.basis)}
-        unit = (0,) * lg.ring.nvars
-        self.unit_index = self.index.get(unit)
+        self.unit_index = self.index.get((0,) * gb.ring.nvars)
         self._mult = None
         self._table = None
+        self._actions = {}
 
     @property
     def dimension(self) -> int:
@@ -101,20 +106,20 @@ class JacobiAlgebra:
         return self._table
 
     def _build_table(self):
-        """Rows in basis order: every divisor of a standard monomial is
-        standard and comes earlier in grevlex order."""
-        mult = self.mult
-        table = []
-        for a in self.basis:
-            if not any(a):
-                table.append(
-                    tuple({b: GaussianRational(1)} for b in range(len(self.basis)))
-                )
-                continue
-            k = next(j for j, e in enumerate(a) if e)  # first variable of a
-            row = table[self.index[a[:k] + (a[k] - 1,) + a[k + 1 :]]]
-            table.append(tuple(columns_apply(mult[k], v) for v in row))
-        return tuple(table)
+        return tuple(self.action(a) for a in self.basis)
+
+    def action(self, exps: tuple) -> tuple:
+        """The columns of L_e, multiplication by x^exps, for any exponents."""
+        found = self._actions.get(exps)
+        if found is None:
+            if not any(exps):
+                found = tuple({b: GaussianRational(1)} for b in range(len(self.basis)))
+            else:
+                k = next(j for j, e in enumerate(exps) if e)  # first variable
+                lower = self.action(exps[:k] + (exps[k] - 1,) + exps[k + 1 :])
+                found = tuple(columns_apply(self.mult[k], v) for v in lower)
+            self._actions[exps] = found
+        return found
 
     def basis_poly(self, k: int) -> Polynomial:
         return self.ring.monomial(self.basis[k])
@@ -123,6 +128,19 @@ class JacobiAlgebra:
         """Sparse coordinates of the normal form of p in the standard basis."""
         reduced = self.gb.normal_form(p)
         return {self.index[exps]: coeff for exps, coeff in reduced.terms.items()}
+
+
+class JacobiAlgebra(QuotientAlgebra):
+    """The Jacobi algebra R/(dW) on lg.jacobi_basis.  It keeps lg's ring,
+    not lg: the LGPair keeps its algebra, and a reference back would make a
+    cycle that reference counting cannot free.  Its M_k and table wait for
+    their first read: only the tft clauses read them, so a job that prints
+    the basis and the trace never pays their n * mu normal forms."""
+
+    __slots__ = ()
+
+    def __init__(self, lg: LGPair):
+        super().__init__(lg.jacobi_basis)
 
 
 def raise_exponent(exps: tuple, k: int) -> tuple:

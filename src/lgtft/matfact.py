@@ -67,11 +67,11 @@ class MatrixFactorization:
     pairs holds the factor pairs (a_k, b_k) of a Koszul factorization, as
     koszul_factorization parsed them, and is None otherwise.  It is not part
     of key(): it only lets koszul_hom_dims certify Hom dimensions.
-    certificate.koszul_model keeps the Groebner basis of the ideal (c) it
-    picks from them, with its choice, in _ideal.  It keeps the model X/(c)X
-    of each Hom into this brane in _models, by the source's ideal, which is
-    compared by identity: the model refers to no brane, so no cycle keeps
-    one alive.
+    certificate.koszul_model keeps the quotient algebra R/(c) of the ideal
+    it picks from them, with its choice, in _ideal.  It keeps the model
+    X/(c)X of each Hom into this brane in _models, by the source's R/(c),
+    which is compared by identity: the model refers to no brane, so no cycle
+    keeps one alive.
     """
 
     __slots__ = (
@@ -175,32 +175,24 @@ def _check_squares(factorization):
     order, and prints it and W*Id's entry as polynomials."""
     lg = factorization.lg
     D = factorization.D
-    square = D.compose(D).terms
+    square = D.compose(D)
     expected = {
         ((0, blk, i, i), exps): coeff
         for blk, rank in enumerate((factorization.rank0, factorization.rank1))
         for i in range(rank)
         for exps, coeff in lg.w.terms.items()
     }
-    if square == expected:
+    if square.terms == expected:
         return
-    _, blk, i, j = min(element for (element, _), _ in square.items() ^ expected.items())
-    got = _entries(square, lg.ring).get((blk, i, j), lg.ring.zero())
+    _, blk, i, j = min(
+        element for (element, _), _ in square.terms.items() ^ expected.items()
+    )
+    got = square.entries().get((blk, i, j), lg.ring.zero())
     raise FactorizationError(
         f"D^2 differs from W*Id on the {('even', 'odd')[blk]} summand at entry "
         f"({i + 1},{j + 1}): got {got}, "
         f"expected {lg.w if i == j else lg.ring.zero()}"
     )
-
-
-def _entries(terms, ring) -> dict:
-    """Morphism terms grouped per entry, {(blk, i, j): Polynomial} in sorted
-    order: the entry maps basis vector j of the module of parity blk to
-    basis vector i of its target module."""
-    grouped = {}
-    for ((_, blk, i, j), exps), coeff in terms.items():
-        grouped.setdefault((blk, i, j), {})[exps] = coeff
-    return {entry: Polynomial(ring, grouped[entry]) for entry in sorted(grouped)}
 
 
 def _weight_edges(factorization) -> Optional[list]:
@@ -213,7 +205,7 @@ def _weight_edges(factorization) -> Optional[list]:
         return None
     h = lg.weighted_degree
     edges = []
-    for (blk, i, j), p in _entries(factorization.d_terms, lg.ring).items():
+    for (blk, i, j), p in factorization.D.entries().items():
         degree = p.homogeneous_weighted_degree(lg.weights)
         if degree is None:
             return None
@@ -422,6 +414,16 @@ class Morphism:
             ((element, sign * coeff) for element, coeff in right),
         )))
 
+    def entries(self) -> dict:
+        """The terms grouped per entry, {(blk, i, j): Polynomial} in sorted
+        order: the entry maps basis vector j of the source module of parity
+        blk to basis vector i of its target module."""
+        grouped = {}
+        for ((_, blk, i, j), exps), coeff in self.terms.items():
+            grouped.setdefault((blk, i, j), {})[exps] = coeff
+        ring = self.source.lg.ring
+        return {entry: Polynomial(ring, grouped[entry]) for entry in sorted(grouped)}
+
     def supertrace(self) -> Polynomial:
         """str(f) for endomorphisms; zero for odd parity (no diagonal blocks)."""
         if self.source != self.target:
@@ -504,10 +506,10 @@ def _defect_complex(a1, a2, graded) -> FreeComplex:
     """
     lg = a1.lg
     columns = {}  # D2 by (source module, column): [(row, entry)]
-    for (blk, r, c), p in _entries(a2.d_terms, lg.ring).items():
+    for (blk, r, c), p in a2.D.entries().items():
         columns.setdefault((blk, c), []).append((r, p))
     rows = {}  # D1 by (target module, row): [(column, entry)]
-    for (blk, r, c), p in _entries(a1.d_terms, lg.ring).items():
+    for (blk, r, c), p in a1.D.entries().items():
         rows.setdefault((1 - blk, r), []).append((c, p))
 
     def entries(label):
@@ -982,12 +984,11 @@ def default_degree_bound(lg, a1, a2, graded) -> int:
         ),
         default=0,
     )
-    gb = lg.jacobi_basis
-    if not gb.is_zero_dimensional():
+    if not lg.jacobi_basis.is_zero_dimensional():
         raise ValidationError(
             "the critical set is not finite; supply an explicit degree bound"
         )
-    staircase = gb.standard_monomials()
+    staircase = lg.jacobi_algebra.basis
     if graded:
         top = max(
             (2 * mono_weighted_degree(e, lg.weights) for e in staircase),

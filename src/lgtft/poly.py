@@ -393,6 +393,7 @@ def poly_str(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 
 _MINUS_CHARS = {"-", "−"}  # ASCII hyphen and the typographic minus
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²" and "٣"
 
 
 def _tokenize(src: str) -> list:
@@ -408,17 +409,17 @@ def _tokenize(src: str) -> list:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = k
-            while k < n and src[k].isdigit():
+            while k < n and src[k] in _DIGITS:
                 k += 1
             value = int(src[start:k])
             if k < n and src[k] == "/":
                 j = k + 1
-                if not (j < n and src[j].isdigit()):
+                if not (j < n and src[j] in _DIGITS):
                     raise ParseError("expected digits after '/'", j)
                 k = j
-                while k < n and src[k].isdigit():
+                while k < n and src[k] in _DIGITS:
                     k += 1
                 denominator = int(src[j:k])
                 if denominator == 0:

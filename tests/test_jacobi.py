@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lgtft.certificate import _finite_colength_ideal
 from lgtft.errors import DegenerateTraceError, NonIsolatedCriticalLocusError
 from lgtft.groebner import GroebnerBasis
 from lgtft.jacobi import (
@@ -19,6 +21,7 @@ from lgtft.jacobi import (
     residue_trace,
 )
 from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import koszul_factorization
 from lgtft.poly import PolyRing
 from lgtft.scalars import GaussianRational
 from lgtft.tft import build_tft_datum, verify_tft_datum
@@ -128,6 +131,40 @@ def test_table_and_associativity_clause_against_oracles(variables, w):
     verdict = verify_tft_datum(datum).clause("bulk_associativity").status
     assert (verdict == "pass") == table_is_associative(algebra.table)
     assert verdict == "pass"
+
+
+def _baseline_algebras():
+    """R/(dW) for W = x^4+y^4, and R/(c) for the ideals (c) that the two
+    branes of the ROADMAP baseline datum pick, (x, y) and (x^2, y)."""
+    lg = make_lg_pair(["x", "y"], "x^4+y^4")
+    algebras = {"jacobi": lg.jacobi_algebra}
+    for pairs in ([("x", "x^3"), ("y", "y^3")], [("x^2", "x^2"), ("y", "y^3")]):
+        algebra, _ = _finite_colength_ideal(koszul_factorization(lg, pairs).pairs)
+        algebras[", ".join(sorted(str(g) for g in algebra.gb.generators))] = algebra
+    return algebras
+
+
+_BASELINE_ALGEBRAS = _baseline_algebras()
+
+
+def test_the_baseline_branes_pick_x_y_and_x2_y():
+    assert list(_BASELINE_ALGEBRAS) == ["jacobi", "x, y", "x^2, y"]
+
+
+@pytest.mark.parametrize("name", list(_BASELINE_ALGEBRAS))
+@given(exps=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+@settings(max_examples=40, deadline=None)
+def test_action_is_the_normal_form_of_each_product(name, exps):
+    """Column s of action(e), built from the M_k, is the normal form of
+    x^e * m_s, also for exponents outside the staircase, as the certificate's
+    block check reads them."""
+    algebra = _BASELINE_ALGEBRAS[name]
+    ring = algebra.ring
+    columns = algebra.action(exps)
+    assert len(columns) == algebra.dimension
+    for s, column in enumerate(columns):
+        product = ring.monomial(exps) * algebra.basis_poly(s)
+        assert column == algebra.nf_coords(product)
 
 
 def test_table_costs_nvars_times_mu_normal_forms(monkeypatch):

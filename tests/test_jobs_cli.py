@@ -227,6 +227,27 @@ def test_each_koszul_source_computes_its_ideal_once(monkeypatch):
     assert runs.count(False) == 2
 
 
+def test_baseline_job_enumerates_three_staircases(monkeypatch):
+    """One staircase for W and one per distinct source ideal (c): the
+    Jacobi algebra serves every default Hom bound, and each Koszul source
+    keeps its R/(c), whose M_k both models into the two branes read.  The
+    job made 9 enumerations and 112 normal forms when each Hom bound and
+    each model enumerated its own staircase and built its own M_k."""
+    counts = {"standard_monomials": 0, "normal_form": 0}
+    for name in counts:
+        original = getattr(lgtft.groebner.GroebnerBasis, name)
+
+        def counting(self, *args, name=name, original=original):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(lgtft.groebner.GroebnerBasis, name, counting)
+    report = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": "all"}))
+    assert report["results"]["tft"]["passed"] is True
+    assert counts["standard_monomials"] == 3
+    assert counts["normal_form"] <= 106
+
+
 def test_cli_overcounted_windowed_end_skips_the_tft_section(tmp_path, capsys):
     """A composite of two basis classes of End((x^2, x^3+y^2)(y, y^4)) on
     x^5+y^5+x^2*y^2, whose window over-counts its classes, lands outside the
@@ -426,6 +447,13 @@ def test_cli_malformed_brane_is_validation_error(tmp_path, capsys, brane, messag
     job = _write_job(tmp_path, _basic_job(branes=[brane]))
     assert main(["run", job, "--no-cache"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_superscript_exponent_is_validation_error(tmp_path, capsys):
+    """x^² once raised ValueError from int(), so lgtft run exited 1."""
+    job = _write_job(tmp_path, _basic_job(superpotential="x^²"))
+    assert main(["run", job, "--no-cache"]) == 2
+    assert "unexpected character" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

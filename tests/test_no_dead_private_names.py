@@ -34,3 +34,31 @@ def test_every_private_function_is_referenced():
         f"{file}:{line} {name}" for file, line, name in defined if name not in referenced
     ]
     assert not dead, "private functions nothing calls: " + ", ".join(dead)
+
+
+def _slot_names(cls):
+    """The names a class body lists in __slots__, a string or a sequence."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__"
+            for target in node.targets
+        ):
+            value = node.value
+            items = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+            yield from (item.value for item in items if isinstance(item, ast.Constant))
+
+
+def test_every_slot_is_read():
+    """A slot that is only ever written holds data nothing uses: a refactor
+    that moves a field elsewhere and leaves its slot behind is caught here."""
+    slots = []  # (file, class, name)
+    read = set()
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                slots.extend((name, node.name, slot) for slot in _slot_names(node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert slots
+    dead = [f"{file} {cls}.{slot}" for file, cls, slot in slots if slot not in read]
+    assert not dead, "slots nothing reads: " + ", ".join(dead)

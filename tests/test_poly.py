@@ -68,6 +68,14 @@ def test_zero_denominator_rejected():
         parse_polynomial("1/0", ["x"])
 
 
+@pytest.mark.parametrize("src", ["x^²", "٣*x", "x^٣", "1/٣*x"])
+def test_only_ascii_digits_make_a_number(src):
+    """str.isdigit takes "²" and "٣": x^² raised ValueError from int(), and
+    ٣*x, x^٣ and 1/٣*x parsed as 3*x, x^3 and 1/3*x."""
+    with pytest.raises(ParseError):
+        parse_polynomial(src, ["x"])
+
+
 def test_unicode_minus(rxy):
     assert rxy.parse("x − y") == rxy.parse("x - y")
 
