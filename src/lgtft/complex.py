@@ -37,21 +37,21 @@ window eliminates again, at that window.
 piece() gives the basis, image and quotient of any piece, in any order.  The
 map out of each piece is made once and kept (_matrices, map_out()), and so
 is its forward pass in basis order (_echelon), which piece(), graded rank()
-and first_class() read.  No map out of a piece is reduced.  Without weights
-the map out of a window is cut out of the kept map of a larger window of the
-same index, when there is one: each block's monomials are listed in
-ascending total degree, so the smaller window's columns are a prefix of each
-source block and its target rows a prefix of each target block.  So a map
-is built once per index when the largest window is asked for first (a
-windowed table and a windowed Hom do), and forward-passed in basis order at
-most once.
+and dim(), and first_class() read.  No map out of a piece is reduced.
+Without weights the map out of a window is cut out of the kept map of a
+larger window of the same index, when there is one: each block's monomials
+are listed in ascending total degree, so the smaller window's columns are a
+prefix of each source block and its target rows a prefix of each target
+block.  So a map is built once per index when the largest window is asked
+for first (a windowed table and a windowed Hom do), and forward-passed in
+basis order at most once.
 
-Most pieces of a Hom complex are acyclic, and an acyclic piece costs no
-elimination beyond the maps out of it and out of its predecessor: once the
-rank of the map in equals the kernel's dimension, the kernel basis itself is
-the image, since d^2 = 0 puts the image inside the kernel and a subspace of
-full dimension is the whole space.  That inclusion is checked there: the map
-out must send the map in's pivot columns to zero.
+Most pieces of a Hom complex are acyclic.  dim() counts a piece's classes
+as its size less the ranks out and in, graded from the two forward passes
+piece() reads, with no kernel solved, so a caller that asks dim() first
+need build only the pieces that hold classes.  Every piece built takes one
+path, and its quotient's count (dim ker - rank in) is checked, which fails
+when the image leaves the kernel.
 """
 
 from __future__ import annotations
@@ -334,16 +334,6 @@ class FreeComplex:
         the forward pass (pivot_cols, rows) of the map in's pivot columns,
         which span its column space; quotient is the RREF of the kernel
         modulo the image, from quotient(), with its count check.
-
-        A piece is acyclic when the map in has rank len(kernel), no map in
-        and an empty kernel included.  Then nothing more is eliminated: the
-        image is (free columns, kernel), the kernel list itself as its rows,
-        and the quotient is empty.  d^2 = 0 puts the image inside the kernel,
-        and the two have the same dimension, so they are equal.  Each kernel
-        vector is 1 at its own free column and 0 at the others, which is all
-        echelon_reduce needs.  In place of the count check of quotient(),
-        _check_acyclic checks that the map out sends each pivot column of the
-        map in to zero.
         """
         basis = self.basis(index, degree)
         pivots, rows = self._echelon(index, degree)
@@ -353,10 +343,6 @@ class FreeComplex:
         source = self.predecessor.get(index)
         previous = (source, degree - self.step)
         columns = self._echelon(*previous)[0] if source is not None else []
-        if len(columns) == len(kernel):
-            if columns:
-                _check_acyclic(rows, self.map_out(*previous), columns)
-            return basis, (free, kernel), ([], [])
         image = ([], [])
         if columns:
             transposed = self.map_out(*previous).transpose().rows
@@ -406,28 +392,6 @@ class FreeComplex:
             if position not in boundaries:
                 return echelon_kernel(*echelon, [col])[0]
         return None
-
-
-def _check_acyclic(rows, incoming, columns):
-    """Raise InternalCheckError unless the map out, given by the rows of its
-    forward pass, sends each of these columns of the map in to zero.
-
-    The rows span the row space of the map out, so they kill a column exactly
-    when the map out does: this checks d^2 = 0 on the columns, row by row,
-    with no transpose and no elimination.
-    """
-    wanted = set(columns)
-    for row in rows:
-        total = {}
-        for i, v in row.items():
-            for col, w in incoming.rows[i].items():
-                if col in wanted:
-                    acc = total.get(col)
-                    total[col] = v * w if acc is None else acc + v * w
-        if any(total.values()):
-            raise InternalCheckError(
-                "the image leaves the kernel of an acyclic piece: d^2 != 0"
-            )
 
 
 def quotient(kernel, image):

@@ -115,6 +115,14 @@ class JobSpec:
             if name in seen:
                 raise ValidationError(f"duplicate brane name {name!r}")
             seen.add(name)
+            if "pairs" in entry and ("d01" in entry or "d10" in entry):
+                raise ValidationError(
+                    f"brane {name!r} gives both 'pairs' and 'd01'/'d10'"
+                )
+            fields = _BRANE_FIELDS["pairs" if "pairs" in entry else "matrices"]
+            for key in entry:
+                if key not in fields:
+                    raise ValidationError(f"brane {name!r}: unknown field {key!r}")
             if "pairs" in entry:
                 pairs = entry["pairs"]
                 if not isinstance(pairs, list) or not all(
@@ -178,6 +186,9 @@ class JobSpec:
         normalization = raw.get("normalization", {})
         if not isinstance(normalization, dict):
             raise ValidationError("'normalization' must be an object")
+        for key in normalization:
+            if key not in ("c_d", "bulk_scale"):
+                raise ValidationError(f"unknown normalization field {key!r}")
         c_d = normalization.get("c_d")
         c_d = _constant("c_d", c_d) if c_d is not None else None
         bulk_scale = _constant("bulk_scale", normalization.get("bulk_scale", "1"))
@@ -222,6 +233,13 @@ class JobSpec:
                 "bulk_scale": str(self.bulk_scale),
             },
         }
+
+
+# the fields of a brane object, by its kind
+_BRANE_FIELDS = {
+    "pairs": {"name", "pairs"},
+    "matrices": {"name", "d01", "d10", "weights0", "weights1"},
+}
 
 
 def _is_list_of(value, kind) -> bool:

@@ -114,7 +114,7 @@ def echelon_reduce(pivot_cols: list, rows: list, vector: Vector):
     """(residual, coords): vector less its component in the span of rows.
 
     Each row must be 1 at its pivot and 0 at the pivots of the rows before
-    it, as a forward pass, an RREF and an acyclic piece's (free, kernel) are.
+    it, as a forward pass and an RREF are.
     Row by row in pivot order, coords[k] is the residual's entry at
     pivot_cols[k], and subtracting coords[k] * rows[k] clears it without
     touching the pivots cleared before.  The residual is zero at every pivot

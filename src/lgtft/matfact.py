@@ -11,15 +11,15 @@ d(f) = D2 o f - (-1)^{deg f} f o D1; cohomology is computed degreewise in the
 internal (weighted) grading when both objects are gradable, and through a
 total-degree window with a stabilization flag otherwise.
 
-A graded Hom out of a Koszul brane knows its classes, and their degrees,
-before its window is walked: the certificate module reads them off X/(c)X,
-which the target brane keeps once its blocks match D_X mod (c) read by a
-second route.  Such a Hom builds with FreeComplex.piece only the pieces where the model
-counts classes, requires each to hold the model's count, and then checks
-its classes against X/(c)X once.  That check proves every other piece
-acyclic, below the last class or above it, so none is built there.  Every
-other Hom, and one whose model puts a class above its bound, builds its
-whole window.
+A graded Hom takes the number of classes in each degree first, and builds
+with FreeComplex.piece only the pieces where that number is nonzero,
+requiring each to hold it.  Out of a Koszul brane the certificate module
+reads the numbers off X/(c)X, which the target brane keeps once its blocks
+match D_X mod (c) read by a second route, and the Hom then checks its
+classes against X/(c)X once.  Every other graded Hom, and one whose model
+puts a class above its bound, counts them as FreeComplex.dim does: a
+piece's size less the ranks of the maps out and in.  Either way no
+unbuilt degree holds a class.  A windowed Hom builds its one-piece window.
 
 A class is reduced piece by piece modulo image and quotient, and that
 residual test decides whether a morphism is a cocycle; in an unbuilt
@@ -549,8 +549,7 @@ def _defect_complex(a1, a2, graded) -> FreeComplex:
 
 class _Piece:
     """One piece of the Hom complex, as FreeComplex.piece gives it: im is a
-    forward pass (pivot_cols, rows), or (free columns, kernel basis) on an
-    acyclic piece, and quot is an RREF, empty on an acyclic piece.
+    forward pass (pivot_cols, rows) and quot an RREF.
     """
 
     __slots__ = ("basis", "im", "quot")
@@ -621,22 +620,22 @@ class MorphismClass:
 class HomCohomology:
     """Degreewise cohomology of Hom(a1, a2) with canonical representatives.
 
-    In graded mode, when koszul_hom_dims certifies the dimensions (a
-    Koszul source with a c of finite colength), the model X/(c)X says in
-    which degrees the classes lie (_model_counts).  If all of them lie
-    within the bound, only those pieces are built, in ascending degree;
-    each must hold the model's count there, and no parity may hold more
-    than the certified count.  Then the classes are checked once against
-    the model (_check_model): their projections must be a basis of its
-    cohomology.  That makes them a basis of the Hom, so every other piece
-    is acyclic, below the last class or above it, and none is built.
-    class_of reads a component in such a degree, up to the bound, off the
-    complex's entries alone: it is a cocycle exactly when they send it to
-    zero, and then a coboundary, with zero coordinates.  All of this fails
-    closed, also under python -O.  Without a certificate, or when the
-    model puts a class above the bound, every piece from min_degree to the
-    bound is built, with no model check; the latter window falls short of
-    the certificate and reports stabilized False.
+    In graded mode, the number of classes in each degree is taken first,
+    and only the pieces where it is nonzero are built, in ascending degree;
+    each must hold that number, and no parity may hold more than the
+    certified count.  When koszul_hom_dims certifies the dimensions (a
+    Koszul source with a c of finite colength) and the model X/(c)X puts
+    every class within the bound, the numbers are the model's
+    (_model_counts), and the classes are then checked once against it
+    (_check_model): their projections must be a basis of its cohomology,
+    which makes them a basis of the Hom.  Otherwise each degree up to the
+    bound counts FreeComplex.dim's classes, its size less its ranks out and
+    in; with no model check, a certified Hom cut off by its bound falls
+    short of the certificate and reports stabilized False.  Either way
+    every unbuilt degree is acyclic, and class_of reads a component there,
+    up to the bound, off the complex's entries alone: it is a cocycle
+    exactly when they send it to zero, and then a coboundary, with zero
+    coordinates.  All of this fails closed, also under python -O.
 
     In windowed mode the window is one piece per parity.  Both maps out of
     the window are built first; the maps in, and those of the window below,
@@ -651,11 +650,11 @@ class HomCohomology:
 
     The residual test decides whether a morphism is a cocycle, with no
     chain-level defect: each piece's image and quotient together span its
-    kernel (quotient() counts its rows, and an acyclic piece's image is its
-    kernel), and FreeComplex.matrix() raises when the differential leaves its
-    target piece, so a component in a built piece reduces to zero exactly
-    when it is a cocycle.  Basis representatives are quotient rows, read as
-    terms (terms_of); MorphismClass.representative wraps them in a Morphism.
+    kernel (quotient() counts its rows), and FreeComplex.matrix() raises
+    when the differential leaves its target piece, so a component in a
+    built piece reduces to zero exactly when it is a cocycle.  Basis
+    representatives are quotient rows, read as terms (terms_of);
+    MorphismClass.representative wraps them in a Morphism.
     """
 
     def __init__(self, a1, a2, bound=None):
@@ -705,20 +704,19 @@ class HomCohomology:
                 and koszul_hom_dims(self.a1, self.a2) in (None, found)
             )
             return
+        self._entries = complex_.entries
         counts = self._model_counts()
-        if counts is None:
-            plan = [
-                (parity, m)
+        from_model = counts is not None
+        if not from_model:
+            counts = {
+                (parity, m): count
                 for m in range(complex_.min_degree, self.bound + 1)
                 for parity in (0, 1)
-            ]
-        else:
-            plan = sorted(counts, key=lambda key: (key[1], key[0]))
-            self._entries = complex_.entries
-        for parity, m in plan:
-            expected = None if counts is None else counts[parity, m]
-            self._add_piece(parity, m, *complex_.piece(parity, m), expected)
-        if counts is not None:
+                if (count := complex_.dim(parity, m))
+            }
+        for key in sorted(counts, key=lambda k: (k[1], k[0])):  # by degree
+            self._add_piece(*key, *complex_.piece(*key), counts[key], from_model)
+        if from_model:
             self._check_model()
         top = (self.bound - 1, self.bound) if self.bound >= 1 else ()
         self.stabilized = (self.certified is None or self._complete()) and not any(
@@ -807,10 +805,11 @@ class HomCohomology:
                     "are not independent"
                 )
 
-    def _add_piece(self, parity, m, basis, image, quot, expected=None):
+    def _add_piece(self, parity, m, basis, image, quot, expected=None, from_model=False):
         """Keep a piece; InternalCheckError when it brings a parity above its
-        certified count, or holds other than the expected number of
-        classes, the model's count at its degree, when one is given."""
+        certified count, or holds other than the expected number of classes
+        when one is given: the model's count at its degree when from_model,
+        else its size less its ranks out and in."""
         name = "even" if parity == 0 else "odd"
         found = self.dim(parity) + len(quot[1])
         if self.certified is not None and found > self.certified[parity]:
@@ -819,9 +818,10 @@ class HomCohomology:
                 f"above the {self.certified[parity]} certified by koszul_hom_dims"
             )
         if expected is not None and len(quot[1]) != expected:
+            source = "X/(c)X counts" if from_model else "the ranks out and in leave"
             raise InternalCheckError(
                 f"piece ({parity}, {m}) holds {len(quot[1])} {name} classes, "
-                f"not the {expected} that X/(c)X counts in its degree"
+                f"not the {expected} that {source} in its degree"
             )
         self.pieces[(parity, m)] = _Piece(basis, image, quot)
         self.layout[parity].extend((m, local) for local in range(len(quot[1])))
@@ -895,10 +895,10 @@ class HomCohomology:
         """Nonzero terms {element: coeff} of this Hom, split by degree.
 
         A term of a built piece is looked up in _where, and its component is
-        {position in the piece's basis: coeff}.  In a certified Hom built at
-        its model's degrees, a term of an unbuilt degree up to the bound
-        keeps its element: that component is {element: coeff}, and no piece
-        is built for it.  A term outside the window raises ClassBoundError.
+        {position in the piece's basis: coeff}.  In a graded Hom, a term of
+        an unbuilt degree up to the bound keeps its element: that component
+        is {element: coeff}, and no piece is built for it.  A term outside
+        the window raises ClassBoundError.
         """
         where = self._where[parity]
         components = {}
@@ -913,8 +913,8 @@ class HomCohomology:
 
     def _unbuilt_degree(self, parity, element) -> int:
         """The degree of a term of no built piece, when _closed may read it:
-        the Hom is built at its model's degrees and the term lies at most at
-        the bound.  Otherwise ClassBoundError."""
+        the Hom is graded and the term lies at most at the bound.  Otherwise
+        ClassBoundError."""
         m = 0  # the windowed space is one piece
         if self.graded:
             (_, blk, i, j), exps = element
@@ -948,8 +948,8 @@ class HomCohomology:
         reduced modulo its image, then its quotient; the quotient coordinates
         are the class's, and a nonzero residual means the component lies
         outside the kernel.  A component in an unbuilt degree is a cocycle
-        when _closed, and then adds nothing: _check_model proved every piece
-        outside the model's degrees acyclic.
+        when _closed, and then adds nothing: no class lies there, by
+        _check_model or by the ranks.
         """
         coords = [GaussianRational(0)] * len(self.layout[parity])
         position_of = self._position_of[parity]

@@ -441,6 +441,18 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
         ({"name": "B", "pairs": [["x", "x"]]}, "brane 'B'"),
         ({"name": ["B"], "pairs": [["x", "x^2"]]}, "must be a string"),
         ({"name": "B", "d01": "xx", "d10": [["x^2"]]}, "brane 'B'"),
+        (
+            {"name": "B", "pairs": [["x", "x^2"]], "weights_0": [0]},
+            "brane 'B': unknown field 'weights_0'",
+        ),
+        (
+            {"name": "B", "pairs": [["x", "x^2"]], "d01": [["x"]]},
+            "brane 'B' gives both 'pairs' and 'd01'/'d10'",
+        ),
+        (
+            {"name": "B", "d01": [["x"]], "d10": [["x"]], "weight0": [0]},
+            "brane 'B': unknown field 'weight0'",
+        ),
     ],
 )
 def test_cli_malformed_brane_is_validation_error(tmp_path, capsys, brane, message):
@@ -484,6 +496,10 @@ def test_cli_p_over_q_exponent_is_validation_error(tmp_path, capsys, overrides):
         ({"koszul_bound": True}, "'koszul_bound' must be"),
         ({"weights": [True]}, "'weights' must be"),
         ({"normalization": {"bulk_scale": 0.1}}, 'write "0.1" or "1/10"'),
+        (
+            {"normalization": {"c_D": "1/2", "bulk_scal": 3}},
+            "unknown normalization field 'c_D'",
+        ),
     ],
 )
 def test_cli_malformed_job_is_validation_error(tmp_path, capsys, overrides, message):

@@ -245,9 +245,9 @@ def test_echelon_kernel_and_reduce_against_the_rref_readings(m, data):
     kernel vectors read off the RREF, for every free column and for any
     subset of them in any order.  Modulo the forward pass, a spanning set of
     the row space, echelon_reduce gives the residual of the RREF read
-    directly, and on the RREF also its coordinates, as it does modulo an
-    acyclic piece's (free, kernel), whose rows are zero at the other rows'
-    pivots too."""
+    directly, and on the RREF also its coordinates, as it does modulo a
+    kernel basis taken as (free columns, kernel), whose rows are zero at the
+    other rows' pivots too."""
     forward = m.echelon()
     rref_cols, rref_rows = m.rref()
     kernel = rref_nullspace(m.ncols, rref_cols, rref_rows)
@@ -339,10 +339,9 @@ except InternalCheckError:
 def test_acyclic_piece_with_an_image_outside_the_kernel_fails_closed():
     """d(a) = c, d(b) = 0, d(c) = a, with the d^2 = 0 check patched out.  In
     piece 0 the kernel {b} and the rank of the map in are both 1, so the piece
-    looks acyclic, but the image {a} leaves the kernel: piece() raises on it
-    through the acyclic check.  Piece 1 has an empty kernel but a map in of
-    rank 1, and raises through the quotient's count.  Both also under
-    python -O."""
+    looks acyclic, but the image {a} leaves the kernel.  Piece 1 has an empty
+    kernel but a map in of rank 1.  piece() takes no shortcut for either, and
+    both raise through the quotient's count, also under python -O."""
     script = """
 from lgtft.complex import FreeComplex
 from lgtft.errors import InternalCheckError
@@ -359,9 +358,11 @@ for index in (1, 0):
         basis, image, quotient = complex_.piece(index, 0)
         print("piece", index, len(image[0]), len(quotient[0]))
     except InternalCheckError as exc:
-        print("raised", "acyclic" if "acyclic" in str(exc) else "quotient")
+        quotient = str(exc).startswith("the quotient keeps")
+        leaves = str(exc).endswith("the image leaves the kernel")
+        print("raised", "quotient" if quotient and leaves else exc)
 """
     for flags, stdout in run_both_modes(script).items():
         assert stdout.split() == [
-            "raised", "quotient", "raised", "acyclic"
+            "raised", "quotient", "raised", "quotient"
         ], flags

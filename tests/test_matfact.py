@@ -696,12 +696,12 @@ def test_randomized_representative_independence():
 def test_hom_image_inserts_only_pivot_columns(monkeypatch):
     """The 4 Hom pairs of two rank-2|2 branes on x^4+y^4: no differential is
     eliminated twice, and the image in a piece is the RREF of the pivot
-    columns of the map into it, so its elimination gets rank(map) rows.  An
-    acyclic piece (cohomology dimension 0) gets no image or quotient
-    elimination at all: its kernel is its image.  Every class lies in degree
-    4 or below, and the model (one forward pass per block of the target's
-    model, two per Hom) says in which degrees: only those 17 pieces are
-    built, so no differential outside their maps out and in is eliminated.
+    columns of the map into it, so its elimination gets rank(map) rows.  A
+    piece with no class is not built, so it gets no image or quotient
+    elimination at all.  Every class lies in degree 4 or below, and the
+    model (one forward pass per block of the target's model, two per Hom)
+    says in which degrees: only those 17 pieces are built, so no
+    differential outside their maps out and in is eliminated.
     The model check adds one forward pass per parity."""
     from lgtft import complex as complex_module
     from lgtft.certificate import KoszulModel
@@ -803,13 +803,15 @@ FULL_ELIMINATION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FULL_ELIMINATION_CASES))
 def test_hom_matches_full_elimination(case):
-    """Acyclic pieces skip their image and quotient eliminations, and a Hom
-    with certified dimensions (baseline) builds only the pieces where its
-    model counts classes: every Hom space still has the quotient rows,
-    representatives and class coordinates that eliminating every piece of
-    the window in full gives, and a coboundary d(h) has the zero class, also
-    when its terms lie in acyclic pieces or in unbuilt degrees, below the
-    last class or above it."""
+    """A graded Hom builds only the pieces that hold classes, in ascending
+    degree: where its model counts them when its dimensions are certified
+    (baseline), where the ranks of the maps out and in leave them otherwise
+    (spinor, x5y).  The windowed Hom builds its one-piece window.  Every Hom
+    space still has the quotient rows, representatives and class
+    coordinates that eliminating every piece of the window in full gives,
+    and a coboundary d(h) has the zero class, also when its terms lie in
+    acyclic pieces or in unbuilt degrees, below the last class or above
+    it."""
     w, pairs = FULL_ELIMINATION_CASES[case]
     lg = make_lg_pair(["x", "y"], w)
     branes = [koszul_factorization(lg, brane) for brane in pairs]
@@ -819,11 +821,13 @@ def test_hom_matches_full_elimination(case):
     acyclic_coboundaries = unbuilt_below = 0
     for key, hom in homs.items():
         assert (hom.certified is not None) == (case == "baseline")
-        if hom.certified is None:
-            assert hom.pieces.keys() == full[key].keys()
-        else:  # built at the class degrees only, in ascending degree
-            assert list(hom.pieces) == [k for k in full[key] if k in hom.pieces]
+        if hom.graded:  # built at the class degrees only, in ascending degree
+            assert list(hom.pieces) == [
+                k for k, (_, quot) in full[key].items() if quot[1]
+            ]
             assert len(hom.pieces) < len(full[key])
+        else:
+            assert hom.pieces.keys() == full[key].keys()
         last = max((m for _, m in hom.pieces), default=None)
         for parity in (0, 1):
             assert hom.dim(parity) == sum(
@@ -848,12 +852,13 @@ def test_hom_matches_full_elimination(case):
                     or not hom.pieces[1 - parity, n].quot[1]
                     for n in degrees
                 )
-                unbuilt_below += hom.certified is not None and any(
+                unbuilt_below += hom.graded and any(
                     (1 - parity, n) not in hom.pieces and n < last for n in degrees
                 )
     if case != "windowed":  # the window is one piece, and it has classes
         assert acyclic_coboundaries > 0
-    assert (unbuilt_below > 0) == (case == "baseline")
+    # a spinor Hom's one class lies in its lowest degree, 0: nothing below
+    assert (unbuilt_below > 0) == (case in ("baseline", "x5y"))
     for (s, t), f_hom in homs.items():
         for u in range(len(branes)):
             target = homs[s, u]
@@ -911,7 +916,7 @@ _VACUA = {
 
 def _twin(brane):
     """The same blocks through make_factorization: no pairs, no certificate,
-    so its Homs build the whole window."""
+    so its Homs count their classes off the ranks."""
     return make_factorization(brane.lg, *morphism_blocks(brane.D))
 
 
@@ -922,8 +927,8 @@ def test_certified_dims_match_the_full_window():
     exactly the pieces at those degrees, and it reports the full window's
     dims, by_degree, bound and stabilized flag, with the model check
     passing.  When the bound cuts off a class (End(A) on x^5+y^5 at bounds
-    0, 2 and 5), the whole window is built, as without a certificate, and
-    it reports that window's dims with stabilized False."""
+    0, 2 and 5), the classes are counted off the ranks, as without a
+    certificate, and it reports that window's dims with stabilized False."""
     checked = []
     for w, pairs in CERTIFIED_CASES.items():
         lg = make_lg_pair(["x", "y"], w)
@@ -1215,6 +1220,50 @@ for source, target in ((a, a), (b, a)):
         assert stdout.split() == ["raised", "count", "raised", "count"], flags
 
 
+_DROPPED_CLASS_SCRIPT = """
+from lgtft import matfact
+from lgtft.complex import FreeComplex
+from lgtft.errors import InternalCheckError
+from lgtft.lgpair import make_lg_pair
+from oracles import morphism_blocks
+piece = FreeComplex.piece
+
+
+def dropped(self, index, degree):
+    basis, image, (pivot_cols, rows) = piece(self, index, degree)
+    return basis, image, (pivot_cols[:-1], rows[:-1])
+
+
+lg = make_lg_pair(["x", "y"], "x^5*y+y^6")
+x5y = matfact.koszul_factorization(lg, [("y", "x^5+y^5")])
+lg = make_lg_pair(["x", "y"], "x^3+y^3")
+a = matfact.koszul_factorization(lg, [("x", "x^2"), ("y", "y^2")])
+blocks = matfact.make_factorization(lg, *morphism_blocks(a.D))
+for brane in (x5y, blocks):
+    for corrupt in (False, True):
+        FreeComplex.piece = dropped if corrupt else piece
+        try:
+            hom = matfact.hom_cohomology(brane, brane)
+            print("built", hom.certified, len(hom.pieces), hom.dim(0), hom.dim(1))
+        except InternalCheckError as exc:
+            ranks = "the ranks out and in leave in its degree" in str(exc)
+            print("raised", "ranks" if ranks else exc)
+"""
+
+
+def test_a_piece_short_of_its_rank_count_fails_closed():
+    """An uncertified graded Hom builds a piece only where its size less the
+    ranks of the maps out and in leaves classes, and requires the piece to
+    hold that many.  With piece() made to drop its last class, the End of
+    x^5*y+y^6's brane and the End of a brane given by its blocks, with no
+    pairs, raise InternalCheckError naming those ranks, plainly and under
+    python -O.  Intact, they build 5 and 3 pieces."""
+    for flags, stdout in run_both_modes(_DROPPED_CLASS_SCRIPT).items():
+        assert stdout.splitlines() == [
+            "built None 5 5 0", "raised ranks", "built None 3 2 2", "raised ranks",
+        ], flags
+
+
 _CORRUPTED_MODEL_SCRIPT = _STAGE + """
 from lgtft import certificate, matfact
 from lgtft.errors import InternalCheckError
@@ -1315,25 +1364,28 @@ from lgtft.errors import InternalCheckError, NonCocycleError
 from lgtft.lgpair import make_lg_pair
 from lgtft.matfact import Morphism
 from lgtft.scalars import GaussianRational
-lg = make_lg_pair(["x", "y"], "x^4+y^4")
-a = matfact.koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
-b = matfact.koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
-hom, end_b = matfact.hom_cohomology(a, b), matfact.hom_cohomology(b, b)
-stop = max(m for _, m in hom.pieces)
-unit = end_b.class_of(Morphism.identity(b))
-f = hom.basis_classes(0)[0]
-complex_ = matfact._defect_complex(a, b, True)
 one = GaussianRational(1)
-# the first even element above the stop whose product with the unit's
-# representative is no cocycle: its only component lies in that degree
-e = next(
-    element
-    for m in range(stop + 1, hom.bound + 1)
-    for element in complex_.basis(0, m)
-    if not unit.representative.compose(
-        Morphism._from_terms(a, b, 0, {element: one})
-    ).defect().is_zero()
-)
+
+
+def case(w, source, target):
+    lg = make_lg_pair(["x", "y"], w)
+    a = matfact.koszul_factorization(lg, source)
+    b = matfact.koszul_factorization(lg, target)
+    hom, end_b = matfact.hom_cohomology(a, b), matfact.hom_cohomology(b, b)
+    stop = max(m for _, m in hom.pieces)
+    unit = end_b.class_of(Morphism.identity(b))
+    complex_ = matfact._defect_complex(a, b, True)
+    # the first even element above the stop whose product with the unit's
+    # representative is no cocycle: its only component lies in that degree
+    e = next(
+        element
+        for m in range(stop + 1, hom.bound + 1)
+        for element in complex_.basis(0, m)
+        if not unit.representative.compose(
+            Morphism._from_terms(a, b, 0, {element: one})
+        ).defect().is_zero()
+    )
+    return a, b, hom, stop, unit, e
 
 
 def outcome(call):
@@ -1344,8 +1396,16 @@ def outcome(call):
     return "classified"
 
 
-closed = f.representative.terms
-print(outcome(lambda: hom.class_of(Morphism._from_terms(a, b, 0, {**closed, e: one}))))
+baseline = case(
+    "x^4+y^4", [("x", "x^3"), ("y", "y^3")], [("x^2", "x^2"), ("y", "y^3")]
+)
+x5y = case("x^5*y+y^6", [("y", "x^5+y^5")], [("y", "x^5+y^5")])
+for a, b, hom, stop, unit, e in (baseline, x5y):
+    closed = hom.basis_classes(0)[0].representative.terms
+    print(hom.certified is not None, outcome(
+        lambda: hom.class_of(Morphism._from_terms(a, b, 0, {**closed, e: one}))
+    ), len(hom.pieces), max(m for _, m in hom.pieces) == stop)
+a, b, hom, stop, unit, e = baseline
 terms_of = matfact.HomCohomology.terms_of
 
 
@@ -1364,15 +1424,18 @@ print(len(hom.pieces), max(m for _, m in hom.pieces) == stop)
 def test_a_component_above_the_stop_that_is_not_closed_fails():
     """A basis representative of Hom(A, B) plus one term above its stop, the
     degree of its last class, whose differential is nonzero is no cocycle:
-    class_of raises NonCocycleError, read off the complex's entries.  A
-    representative corrupted by that term gives a composite with the unit
-    whose only non-closed component lies above the stop, and compose_classes
-    raises InternalCheckError.  The Hom holds only the 4 pieces where its
-    model counts classes, and neither call builds another.  Plainly and
-    under python -O."""
+    class_of raises NonCocycleError, read off the complex's entries.  So it
+    does on the End of x^5*y+y^6's brane, which has no certificate.  A
+    representative of Hom(A, B) corrupted by that term gives a composite
+    with the unit whose only non-closed component lies above the stop, and
+    compose_classes raises InternalCheckError.  Each Hom holds only the
+    pieces that hold classes, 4 and 5, and no call builds another.  Plainly
+    and under python -O."""
     for flags, stdout in run_both_modes(_ABOVE_THE_STOP_SCRIPT).items():
         assert stdout.split() == [
-            "NonCocycleError", "InternalCheckError", "4", "True",
+            "True", "NonCocycleError", "4", "True",
+            "False", "NonCocycleError", "5", "True",
+            "InternalCheckError", "4", "True",
         ], flags
 
 
