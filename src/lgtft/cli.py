@@ -10,12 +10,13 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .cache import Cache, null_cache
 from .errors import LGError, ValidationError
-from .jobs import diff_reports, load_job, read_json_object, report_to_text, run_job
+from .jobs import (
+    _constant, diff_reports, load_job, read_json_object, report_to_text, run_job,
+)
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -85,16 +86,9 @@ def _apply_overrides(spec, args):
             raise ValidationError(
                 f"--normalization needs NAME=VALUE, got {item!r}"
             )
-        try:
-            parsed = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad normalization value {value!r}") from exc
-        if name == "c_d":
-            spec.c_d = parsed
-        elif name == "bulk_scale":
-            spec.bulk_scale = parsed
-        else:
+        if name not in ("c_d", "bulk_scale"):
             raise ValidationError(f"unknown normalization constant {name!r}")
+        setattr(spec, name, _constant(name, value))
 
 
 def _cmd_run(args) -> int:

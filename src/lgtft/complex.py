@@ -17,51 +17,51 @@ in the graded case and the largest total degree of an entry in the windowed
 case, so a window never loses part of an image.
 
 The monomials of each degree are listed once per complex, with their
-positions (a window's list concatenates the lists of each total degree up
-to it, each enumerated once), and every piece is a layout of blocks over
-those lists: a generator's block starts where the previous one ends.  The
-matrix of a piece puts x^e * (term of an entry) at its target block's start
-plus the position of its monomial, with no index of the target basis built.
+positions; a window's list concatenates those of each total degree up to
+it.  A piece is a layout of blocks over those lists, a generator's block
+starting where the previous one ends, and its matrix puts x^e * (term of an
+entry) at its target block's start plus its monomial's position.  The map
+out of each piece is made once and kept (map_out()); a window's is cut out
+of the kept map of a larger window of its index, its columns and target
+rows being prefixes of the blocks.
 
-A rank needs only pivot columns, so rank() runs the forward pass
-(SparseMatrix.echelon), which picks the RREF's pivots without clearing above
-them.  Without weights the ranks of a table are read off one forward pass
-per index.  A column of the window-n piece, of total degree at most n, maps
-into rows of degree at most n + step, so the window-n matrix is the window-N
-matrix (N >= n) cut down to its columns of degree at most n.  rank()
-eliminates the window-N matrix once with its columns in degree order (ties
-by position); the pivot columns are the greedy column basis, so the rank of
-window n is the number of pivots of degree at most n.  A rank of a larger
-window eliminates again, at that window.
-
-piece() gives the basis, image and quotient of any piece, in any order.  The
-map out of each piece is made once and kept (_matrices, map_out()), and so
-is its forward pass in basis order (_echelon), which piece(), graded rank()
-and dim(), and first_class() read.  No map out of a piece is reduced.
-Without weights the map out of a window is cut out of the kept map of a
-larger window of the same index, when there is one: each block's monomials
-are listed in ascending total degree, so the smaller window's columns are a
-prefix of each source block and its target rows a prefix of each target
-block.  So a map is built once per index when the largest window is asked
-for first (a windowed table and a windowed Hom do), and forward-passed in
-basis order at most once.
-
-Most pieces of a Hom complex are acyclic.  dim() counts a piece's classes
-as its size less the ranks out and in, graded from the two forward passes
-piece() reads, with no kernel solved, so a caller that asks dim() first
-need build only the pieces that hold classes.  Every piece built takes one
-path, and its quotient's count (dim ker - rank in) is checked, which fails
-when the image leaves the kernel.
+Each map out is forward-passed once (SparseMatrix.echelon: the RREF's
+pivots, not cleared above), never reduced, columns sorted by the degree the
+piece is cut by, ties by position.  Graded, that is one value, and each
+piece keeps its own pass, in basis order.  Windowed, it is total degree,
+and each index keeps one pass, at the largest window asked for or built: a
+column of total degree at most n maps into rows of degree at most n + step,
+so the window-n matrix is the first columns of a larger window's in degree
+order (Macaulay matrices; Cox, Little and O'Shea, Ideals, Varieties, and
+Algorithms, ch. 9 section 3), and its echelon form is the pass's rows with
+pivots there.  rank(), dim() and piece() all read the pass: the rank of
+window n is the number of its pivots of degree at most n; dim() is a
+piece's size less its ranks out and in, so a caller need build only the
+pieces that hold classes; piece() solves the kernel over the pass and
+checks its quotient's count, which fails when the image leaves the kernel.
+Only first_class() reads basis order: on a window it forward-passes the map
+out itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .linalg import SparseMatrix, echelon_kernel
 from .poly import mono_mul, monomials_of_weighted_degree
+
+
+class _Pass(NamedTuple):
+    """A kept forward pass, made at window: order[q] is the basis position
+    of its column q, and degrees are its pivots' degrees, ascending."""
+    window: int
+    order: list
+    degrees: list
+    pivots: list
+    rows: list
 
 
 class FreeComplex:
@@ -100,8 +100,7 @@ class FreeComplex:
         self._bases = {}
         self._matrices = {}  # (index, degree) -> the map out of the piece
         self._built = {}  # index -> (window, its target's) of the largest map built
-        self._echelons = {}  # (index, degree) -> its forward pass, basis order
-        self._pivot_degrees = {}  # index -> (window, its pivots' degrees), windowed
+        self._passes = {}  # (index, degree) graded, index windowed -> its _Pass
         self._check_square_zero()
 
     def _check_square_zero(self):
@@ -214,28 +213,13 @@ class FreeComplex:
         return SparseMatrix(nrows, ncols, rows)
 
     def rank(self, index, degree) -> int:
-        """Rank of the differential out of the piece.
-
-        Graded, it is the number of pivots of the kept forward pass.
-        Windowed, each index is forward-passed once, at the largest window
-        asked for so far, and the ranks of smaller windows are counted off
-        its pivots' degrees.
-        """
-        if self.weights is not None:
-            return len(self._echelon(index, degree)[0])
-        window, degrees = self._pivot_degrees.get(index, (-1, ()))  # -1 is empty
-        if degree > window:
-            degrees = self._window_pivot_degrees(index, degree)
-            self._pivot_degrees[index] = (degree, degrees)
-        return bisect_right(degrees, degree)
+        """Rank of the map out of the piece: the kept pass's pivots up to degree."""
+        return bisect_right(self._pass(index, degree).degrees, degree)
 
     def map_out(self, index, degree) -> SparseMatrix:
-        """The map out of the piece, made on first use and kept.
-
-        Graded, and windowed when no larger window of the index is kept, it
-        is built by matrix().  Otherwise it is cut out of the largest window
-        of the index built so far (_cut).
-        """
+        """The map out of the piece, made on first use and kept: built by
+        matrix(), or cut out of the kept map of the largest window of the
+        index built so far when that is larger (_cut)."""
         key = (index, degree)
         matrix = self._matrices.get(key)
         if matrix is None:
@@ -251,25 +235,13 @@ class FreeComplex:
 
     def _cut(self, index, degree, window, target_window) -> SparseMatrix:
         """The map out of the window degree, cut out of the kept map out of
-        the larger window, which was built into target_window.
-
-        A block's monomials are listed in ascending total degree, so the
-        columns of the smaller window are a prefix of each source block, in
-        the same order, and the rows of its target a prefix of each target
-        block.  Both keep the order of the larger map, so each row is that
-        of matrix(index, degree), entry for entry.  A kept column with an
-        entry in a target row past its block's prefix raises
-        InternalCheckError, as matrix() does: the differential leaves its
-        target piece.
-        """
+        the larger window, built into target_window: each row is that of
+        matrix(index, degree), entry for entry.  A kept column with an entry
+        in a target row past its block's prefix raises InternalCheckError,
+        as matrix() does: the differential leaves its target piece."""
         big = self._matrices[(index, window)]
         target = self.successor[index]
-        _, source = self._layout(index, degree)
-        columns = {}  # column of the larger map -> column of the cut
-        for label, (big_start, _, _) in self._layout(index, window)[1].items():
-            start, monomials, _ = source[label]
-            for k in range(len(monomials)):
-                columns[big_start + k] = start + k
+        columns = self._shared_columns(index, degree, window)
         nrows, cut_target = self._layout(target, degree + self.step)
         _, big_target = self._layout(target, target_window)
         rows = []
@@ -284,38 +256,57 @@ class FreeComplex:
                     raise InternalCheckError("the differential leaves its target piece")
         return SparseMatrix(nrows, len(columns), rows)
 
-    def _echelon(self, index, degree):
-        """The forward pass of the map out of the piece, columns in basis
-        order, made on first use and kept; ([], []) when the piece or its
-        target is empty, or the index has no successor."""
-        key = (index, degree)
-        found = self._echelons.get(key)
-        if found is None:
-            target = self.successor.get(index)
-            nonempty = (
-                target is not None
-                and self._layout(index, degree)[0]
-                and self._layout(target, degree + self.step)[0]
-            )
-            found = self.map_out(index, degree).echelon() if nonempty else ([], [])
-            self._echelons[key] = found
-        return found
+    def _shared_columns(self, index, degree, window) -> dict:
+        """{position in the window: position in the smaller window degree} of
+        the basis elements the two share, the first monomials of each block."""
+        _, source = self._layout(index, degree)
+        columns = {}
+        for label, (big_start, _, _) in self._layout(index, window)[1].items():
+            start, monomials, _ = source[label]
+            for k in range(len(monomials)):
+                columns[big_start + k] = start + k
+        return columns
 
-    def _window_pivot_degrees(self, index, window):
-        """The ascending total degrees of the pivot columns of the map out of
-        the window, its columns put in degree order (ties by position)."""
-        ncols, blocks = self._layout(index, window)
-        if not (ncols and self._layout(self.successor[index], window + self.step)[0]):
-            return []
-        degrees = [sum(exps) for _, monomials, _ in blocks.values() for exps in monomials]
-        order = sorted(range(len(degrees)), key=degrees.__getitem__)
-        position = [0] * len(order)
-        for new, old in enumerate(order):
-            position[old] = new
-        matrix = self.map_out(index, window)
-        rows = [{position[col]: v for col, v in row.items()} for row in matrix.rows]
-        pivot_cols, _ = SparseMatrix(matrix.nrows, matrix.ncols, rows).echelon()
-        return [degrees[order[col]] for col in pivot_cols]
+    def _pass(self, index, degree) -> _Pass:
+        """The kept forward pass the piece reads, made on first use: graded,
+        the piece's own; windowed, the index's, columns by total degree, at
+        the largest window asked for or built, and made again when a larger
+        window is asked for."""
+        key = index if self.weights is None else (index, degree)
+        found = self._passes.get(key)
+        if found is not None and found.window >= degree:
+            return found
+        if self.weights is None:
+            window = max(degree, self._built.get(index, (degree,))[0])
+            ncols, blocks = self._layout(index, window)
+            degrees = [sum(e) for _, monomials, _ in blocks.values() for e in monomials]
+            order = sorted(range(ncols), key=degrees.__getitem__)
+        else:
+            window, ncols = degree, self._layout(index, degree)[0]
+            degrees, order = [degree] * ncols, range(ncols)
+        pivots, rows = [], []
+        target = self.successor.get(index)
+        if target is not None and ncols and self._layout(target, window + self.step)[0]:
+            matrix = self.map_out(index, window)
+            if self.weights is None:
+                at = {col: q for q, col in enumerate(order)}
+                moved = [{at[col]: v for col, v in row.items()} for row in matrix.rows]
+                matrix = SparseMatrix(matrix.nrows, ncols, moved)
+            pivots, rows = matrix.echelon()
+        degrees = [degrees[order[col]] for col in pivots]
+        self._passes[key] = _Pass(window, order, degrees, pivots, rows)
+        return self._passes[key]
+
+    def _read(self, index, degree):
+        """(pivots, rows, place): the kept pass cut to the piece's columns,
+        its first ones; place[q] is the piece's basis position of column q."""
+        found = self._pass(index, degree)
+        rank = bisect_right(found.degrees, degree)
+        place = found.order[: self._layout(index, degree)[0]]
+        if found.window > degree:
+            columns = self._shared_columns(index, degree, found.window)
+            place = [columns[col] for col in place]
+        return found.pivots[:rank], found.rows[:rank], place
 
     def dim(self, index, degree) -> int:
         """Cohomology dimension of the piece: its size less the ranks out and in."""
@@ -330,44 +321,48 @@ class FreeComplex:
     def piece(self, index, degree):
         """(basis, image, quotient) of the piece (index, degree).
 
-        The kernel is solved over the forward pass of the map out.  image is
-        the forward pass (pivot_cols, rows) of the map in's pivot columns,
-        which span its column space; quotient is the RREF of the kernel
-        modulo the image, from quotient(), with its count check.
+        The kernel is solved over the kept pass (_read).  image is the
+        forward pass (pivot_cols, rows), columns in basis order, of the map
+        in's pivot columns; quotient() is the RREF of the kernel modulo it.
+        Neither depends on the pass's order: the RREF is unique, and so is a
+        residual modulo the image, the coset's vector zero at its pivots.
         """
         basis = self.basis(index, degree)
-        pivots, rows = self._echelon(index, degree)
+        pivots, rows, place = self._read(index, degree)
         taken = set(pivots)
         free = [col for col in range(len(basis)) if col not in taken]
         kernel = echelon_kernel(pivots, rows, free)
-        source = self.predecessor.get(index)
-        previous = (source, degree - self.step)
-        columns = self._echelon(*previous)[0] if source is not None else []
+        kernel = [{place[col]: v for col, v in vector.items()} for vector in kernel]
         image = ([], [])
-        if columns:
-            transposed = self.map_out(*previous).transpose().rows
-            spanning = [transposed[col] for col in columns]
-            image = SparseMatrix(len(spanning), len(basis), spanning).echelon()
+        source = self.predecessor.get(index)
+        if source is not None:
+            previous = (source, degree - self.step)
+            columns, _, place = self._read(*previous)
+            if columns:
+                transposed = self.map_out(*previous).transpose().rows
+                spanning = [transposed[place[col]] for col in columns]
+                image = SparseMatrix(len(spanning), len(basis), spanning).echelon()
         return basis, image, quotient(kernel, image)
 
     def first_class(self, index, degree):
         """The first vector of the piece's canonical kernel basis that is not
         a boundary, or None when every one is.
 
-        The canonical kernel basis of the map out, columns in basis order, is
-        v_f for each free column f: the unique kernel vector that is 1 at f
-        and 0 at the other free columns.  The free columns are read off the
-        kept forward pass (_echelon), and only the v_f reported is solved
-        over its rows (echelon_kernel).  A vector of the kernel is the sum of
-        its entries at the free columns times the v_f, and the map in, its
-        rows cut down to the free columns, takes values in these kernel
-        coordinates, where v_f is the unit vector e_f.  One RREF of that
-        map's columns then decides every v_f: it is a boundary exactly when
-        e_f is a row of the RREF.  The cut keeps the rank of the map in, as
-        the image lies in the kernel; otherwise InternalCheckError is raised.
+        The canonical kernel basis, columns in basis order, is v_f for each
+        free column f: the kernel vector 1 at f and 0 at the other free
+        columns.  The free columns are read off a basis-order pass: graded,
+        the kept one; windowed, one made here unless the map out is zero.
+        Only the v_f reported is solved.  The map in, its rows cut down to
+        the free columns, takes values in kernel coordinates, where v_f is
+        e_f, so v_f is a boundary exactly when e_f is a row of its RREF.
+        The cut keeps the rank of the map in, as the image lies in the
+        kernel; otherwise InternalCheckError is raised.
         """
+        kept = self._pass(index, degree)
+        echelon = kept.pivots, kept.rows
+        if self.weights is None and kept.pivots:  # kept in degree order
+            echelon = self.map_out(index, degree).echelon()
         size = self._layout(index, degree)[0]
-        echelon = self._echelon(index, degree)
         pivots = set(echelon[0])
         free = [col for col in range(size) if col not in pivots]
         boundaries = set()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -252,11 +253,14 @@ def _is_list_of(value, kind) -> bool:
 def _constant(label, value) -> Fraction:
     """A normalization constant: an integer or a numeric string (bool is no
     number).  A JSON float is refused: it arrives as its binary expansion
-    (0.1 as 3602879701896397/36028797018963968), not as the decimal written."""
+    (0.1 as 3602879701896397/36028797018963968), not as the decimal written.
+    So is exponent notation, which Fraction expands before any check can
+    run: "1e999999999" has a billion digits."""
     if isinstance(value, float):
         hint = ""
         if math.isfinite(value):
-            hint = f': write "{value!r}" or "{Fraction(repr(value))}"'
+            shown = "" if "e" in repr(value) else f'"{value!r}" or '  # 1e-05 is refused
+            hint = f': write {shown}"{Fraction(repr(value))}"'
         raise ValidationError(
             f"normalization {label!r} is a JSON float, not an exact number{hint}"
         )
@@ -264,6 +268,8 @@ def _constant(label, value) -> Fraction:
         raise ValidationError(
             f"normalization {label!r} must be an integer or a numeric string"
         )
+    if isinstance(value, str) and re.search(r"[\d.][eE]", value):
+        raise ValidationError(f"normalization {label!r} uses exponent notation")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -390,7 +396,8 @@ def _run_homs(spec: JobSpec, lg_text: str, named, cache: Cache, homs) -> dict:
     out = {}
     for a, b in pairs:
         key = compose_key(lg_text, brane_texts[a], brane_texts[b], bound_text)
-        payload = cache.get("hom", key)
+        # tft needs the Hom spaces themselves, which no payload holds
+        payload = cache.get("hom", key) if homs is None else None
         if payload is None:
             hom = hom_cohomology(by_name[a], by_name[b], spec.degree_bound)
             if homs is not None:

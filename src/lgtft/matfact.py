@@ -638,10 +638,10 @@ class HomCohomology:
     coordinates.  All of this fails closed, also under python -O.
 
     In windowed mode the window is one piece per parity.  Both maps out of
-    the window are built first; the maps in, and those of the window below,
+    the window are built first, and forward-passed once each; the maps in
     are cut out of them (FreeComplex.map_out).  The window below is not
     built as a piece: its classes are counted as FreeComplex.dim, its size
-    less its ranks out and in, read off one forward pass per index there.
+    less its ranks out and in, read off the same two passes.
     The certificate is a guard only (certified stays None): stabilized is
     True when the last two windows agree and, where koszul_hom_dims gives a
     certificate, their dims equal it.  A window whose image misses part of
@@ -693,9 +693,6 @@ class HomCohomology:
                 self._add_piece(parity, 0, *complex_.piece(parity, self.bound))
             found = (self.dim(0), self.dim(1))
             below = self.bound - 1
-            if below >= 0:  # both ranks there first: each index is passed once
-                for parity in (0, 1):
-                    complex_.rank(parity, below)
             self.stabilized = (
                 below >= 0
                 and all(

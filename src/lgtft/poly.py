@@ -396,6 +396,17 @@ _MINUS_CHARS = {"-", "−"}  # ASCII hyphen and the typographic minus
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes "²" and "٣"
 
 
+def _digit_run(src: str, start: int) -> tuple:
+    """(end, value) of the digit run at start; ParseError past int()'s limit."""
+    end = start
+    while end < len(src) and src[end] in _DIGITS:
+        end += 1
+    try:
+        return end, int(src[start:end])
+    except ValueError:
+        raise ParseError(f"a {end - start}-digit literal is too long", start) from None
+
+
 def _tokenize(src: str) -> list:
     """(kind, value, position) per token, closed by ("end", None, len(src)).
 
@@ -411,17 +422,12 @@ def _tokenize(src: str) -> list:
             continue
         if ch in _DIGITS:
             start = k
-            while k < n and src[k] in _DIGITS:
-                k += 1
-            value = int(src[start:k])
+            k, value = _digit_run(src, k)
             if k < n and src[k] == "/":
                 j = k + 1
                 if not (j < n and src[j] in _DIGITS):
                     raise ParseError("expected digits after '/'", j)
-                k = j
-                while k < n and src[k] in _DIGITS:
-                    k += 1
-                denominator = int(src[j:k])
+                k, denominator = _digit_run(src, j)
                 if denominator == 0:
                     raise ParseError("zero denominator", start)
                 value = Fraction(value, denominator)

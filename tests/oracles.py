@@ -24,7 +24,9 @@ through Polynomial arithmetic, which the one building terms directly
 replaced, and the term printer reading Fraction parts, which the one
 reading the integer triple replaced, and the cache entry whose key went
 through json.dumps whole at every digest, which keys joined from parts
-serialized once replaced.
+serialized once replaced, and the pieces of a window read off forward
+passes in basis order made at the window itself, which one degree-order pass
+per index replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -38,7 +40,7 @@ import json
 from fractions import Fraction
 
 from lgtft.errors import FactorizationError, InternalCheckError, ParseError
-from lgtft.linalg import SparseMatrix, vec_axpy, vec_scale
+from lgtft.linalg import SparseMatrix, echelon_kernel, vec_axpy, vec_scale
 from lgtft.scalars import GaussianRational, scalar_str
 from lgtft.poly import Polynomial, mono_div, mono_divides, mono_mul
 
@@ -650,6 +652,38 @@ def window_class_counts(complex_, window) -> tuple:
                 image = scan_rref(complex_.matrix(*previous).transpose())
         counts.append(len(quotient(kernel, image)[1]))
     return tuple(counts)
+
+
+def basis_order_piece(complex_, index, degree):
+    """(basis, image, quotient) of a piece as FreeComplex.piece read it
+    before one degree-order pass per index: the map out forward-passed at
+    the piece itself, columns in basis order, the kernel solved over that
+    pass, and the image spanned by the pivot columns of the map in's own
+    basis-order pass."""
+
+    def forward_pass(index, degree):
+        target = complex_.successor.get(index)
+        if target is None or not (
+            complex_.basis(index, degree)
+            and complex_.basis(target, degree + complex_.step)
+        ):
+            return [], []
+        return complex_.matrix(index, degree).echelon()
+
+    basis = complex_.basis(index, degree)
+    pivots, rows = forward_pass(index, degree)
+    free = [col for col in range(len(basis)) if col not in set(pivots)]
+    kernel = echelon_kernel(pivots, rows, free)
+    image = ([], [])
+    source = complex_.predecessor.get(index)
+    if source is not None:
+        previous = (source, degree - complex_.step)
+        columns = forward_pass(*previous)[0]
+        if columns:
+            transposed = complex_.matrix(*previous).transpose().rows
+            spanning = [transposed[col] for col in columns]
+            image = SparseMatrix(len(spanning), len(basis), spanning).echelon()
+    return basis, image, quotient(kernel, image)
 
 
 def piece_count_stabilized(hom, below) -> bool:

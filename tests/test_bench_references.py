@@ -48,12 +48,14 @@ def test_every_template_matches_its_reference_report(monkeypatch):
 # certified Hom checks its classes with one forward pass per parity, and
 # builds only the pieces where its model counts classes, so the four graded
 # Homs of tft.baseline and warm.graded forward-pass 29 maps out of pieces
-# where building every piece up to the last class passed 33
+# where building every piece up to the last class passed 33.  The windowed
+# End(C) of warm.windowed passes its two maps out of the window once each,
+# columns in degree order, and reads the ranks of the windows below off them
 _ELIMINATIONS = {
     "bulk.x5y": (6, 42),
     "tft.baseline": (18, 66),
     "warm.graded": (18, 60),
-    "warm.windowed": (3, 13),
+    "warm.windowed": (3, 9),
 }
 
 

@@ -125,10 +125,11 @@ def _template_specs(monkeypatch):
 
 
 def test_composed_keys_and_records_match_keys_serialized_whole(tmp_path, monkeypatch):
-    """For every bench template job: each key the job hands the cache is the
-    text json.dumps gives for the whole key, its files and records are
+    """For every bench template job: each key the job reads is the text
+    json.dumps gives for the whole key, its files and records are
     byte-identical to those written through json.dumps of the whole key and
-    record, and a cache filled that way is read with no miss."""
+    record, and a cache filled that way is read with no miss.  A job that
+    computes tft reads no Hom key (it builds its Homs), but writes them."""
     texts = []  # (kind, key text) of every get
     get = Cache.get
 
@@ -140,12 +141,16 @@ def test_composed_keys_and_records_match_keys_serialized_whole(tmp_path, monkeyp
     for k, (template, spec) in enumerate(_template_specs(monkeypatch)):
         dumped = _dumped_keys(spec)
         assert dumped, template
+        read = [
+            (kind, key) for kind, key in dumped
+            if kind == "koszul" or "tft" not in spec.compute
+        ]
         del texts[:]
         written = tmp_path / f"written{k}"
         results = run_job(spec, Cache(written))["results"]
         assert all(isinstance(key, KeyText) for _, key in texts)
         assert [f"[{json.dumps(kind)}, {key}]" for kind, key in texts] == [
-            json.dumps([kind, key], sort_keys=True) for kind, key in dumped
+            json.dumps([kind, key], sort_keys=True) for kind, key in read
         ]
         homs = iter(results.get("homs", {}).values())
         expected = dict(
@@ -164,7 +169,7 @@ def test_composed_keys_and_records_match_keys_serialized_whole(tmp_path, monkeyp
             (filled / name).write_text(text, encoding="utf-8")
         del texts[:]
         assert run_job(spec, Cache(filled))["results"] == results
-        assert len(texts) == len(dumped)
+        assert len(texts) == len(read)
         assert sorted(entry.name for entry in filled.iterdir()) == sorted(expected)
 
 

@@ -664,6 +664,71 @@ def test_cli_bad_normalization(tmp_path, capsys):
     assert main(["run", job, "--normalization", "mystery=1"]) == 2
 
 
+_LONG = "1" * 5000  # past int()'s 4300-digit limit on str conversion
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"superpotential": f"x^3+{_LONG}*x^4"},
+        {"branes": [{"name": "M1", "pairs": [["x", f"x^2+{_LONG}*x^3"]]}]},
+    ],
+    ids=["superpotential", "brane pair"],
+)
+def test_cli_long_integer_literal_is_validation_error(tmp_path, capsys, overrides):
+    """A literal int() refuses to read is a parse error, not a crash."""
+    job = _write_job(tmp_path, _basic_job(**overrides))
+    assert main(["run", job, "--no-cache"]) == 2
+    assert "5000-digit literal is too long" in capsys.readouterr().err
+
+
+def test_cli_exponent_notation_constant_is_validation_error(tmp_path, capsys):
+    """1e5000 once parsed, and printing the trace it scales failed with exit
+    1; it is refused in the job file and on the command line alike."""
+    raw = _basic_job(compute="jacobi", normalization={"bulk_scale": "1e5000"})
+    job = _write_job(tmp_path, raw)
+    assert main(["run", job, "--no-cache"]) == 2
+    assert "'bulk_scale' uses exponent notation" in capsys.readouterr().err
+    job = _write_job(tmp_path, _basic_job(compute="jacobi"))
+    assert main(["run", job, "--no-cache", "--normalization", "c_d=1e5000"]) == 2
+    assert "'c_d' uses exponent notation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1E5", "2.5e-3", ".5e1", "1.e2"])
+def test_exponent_notation_is_refused_before_fraction_expands_it(value):
+    """The check runs first: Fraction would compute 10^999999999."""
+    with pytest.raises(ValidationError, match="exponent notation"):
+        lgtft.jobs._constant("bulk_scale", value)
+
+
+def test_compute_all_job_reads_no_hom_payload(tmp_path):
+    """A job whose compute includes tft builds its Homs in the homs section,
+    where tft finds them, and reads no Hom payload from the cache: a
+    tampered entry does not reach its report.  It still writes the entries
+    over, and a homs-only job reads them."""
+    cache = Cache(tmp_path / "cache")
+    spec = JobSpec.from_dict(_basic_job())
+    clean = _strip_timing(run_job(spec, cache))
+    entries = sorted((tmp_path / "cache").glob("hom-*.json"))
+    assert entries
+
+    def tampered():
+        """Set every entry's even dimension to 99; return the ones found."""
+        found = []
+        for path in entries:
+            record = json.loads(path.read_text())
+            found.append(record["payload"]["dims"]["even"])
+            record["payload"]["dims"]["even"] = 99
+            path.write_text(json.dumps(record))
+        return found
+
+    tampered()
+    assert _strip_timing(run_job(spec, cache)) == clean
+    assert tampered() == [clean["results"]["homs"]["M1|M1"]["dims"]["even"]]
+    homs_only = run_job(JobSpec.from_dict(_basic_job(compute=["homs"])), cache)
+    assert [p["dims"]["even"] for p in homs_only["results"]["homs"].values()] == [99]
+
+
 def test_cli_diff_and_clean_cache(tmp_path, capsys):
     job = _write_job(tmp_path, _basic_job(compute="jacobi"))
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

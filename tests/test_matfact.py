@@ -31,6 +31,7 @@ from lgtft.tft import BraneCategory
 from lgtft.scalars import GaussianRational
 from both_modes import run_both_modes
 from oracles import (
+    basis_order_piece,
     chain_compose_classes,
     full_class_coords,
     full_hom_pieces,
@@ -1086,56 +1087,80 @@ def test_windowed_stabilized_matches_the_piece_count():
     assert window_only == [("C", 6)] + [("E twin", n) for n in range(1, 9)]
 
 
+def test_windowed_pieces_match_the_basis_order_route():
+    """Every windowed piece read off the one degree-order pass per index
+    equals the one read off basis-order passes made at the piece itself
+    (oracles): the same basis, image pivots and quotient rows.  This holds
+    for the pieces each Hom keeps, at its bound, on End(C), End(E) of
+    windowed_overcount and the Homs of windowed_all, and for every window
+    below the bound, read off the passes made at the bound."""
+    raw = REFERENCE_JOBS["windowed_all"]
+    lg = make_lg_pair(raw["variables"], raw["superpotential"])
+    branes = [koszul_factorization(lg, brane["pairs"]) for brane in raw["branes"]]
+    homs = _windowed_homs()
+    cases = [homs["C"], homs["E"]] + [(a, b) for a in branes for b in branes]
+    for a, b in cases:
+        hom = hom_cohomology(a, b)
+        complex_ = _defect_complex(a, b, False)
+        oracle = _defect_complex(a, b, False)
+        for parity in (0, 1):
+            complex_.map_out(parity, hom.bound)
+        for n in range(hom.bound, -1, -1):
+            for parity in (0, 1):
+                basis, image, quot = basis_order_piece(oracle, parity, n)
+                found = complex_.piece(parity, n)
+                assert (found[0], found[1][0], found[2]) == (basis, image[0], quot)
+                if n == hom.bound:
+                    kept = hom.pieces[(parity, 0)]
+                    assert (kept.basis, kept.im[0], kept.quot) == (basis, image[0], quot)
+
+
 def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
     """End(C) on x^4+y^4+x*y^2 (bound 9, step 3) builds the two maps out of
-    its window; the maps in (window 6) and out of the window below (window 8,
-    whose ranks stabilized reads, and window 5 counted off them) are cut out
-    of those.  Each of the six maps is eliminated once, by a forward pass:
-    the four of the pieces in basis order, the two of window 8 in degree
-    order.  Add one image forward pass per parity and the certificate's
-    two: 10 forward passes.  The only reductions are the two quotients'
-    kernels."""
+    its window and forward-passes each once, columns in degree order.  The
+    pieces, the ranks of window 8 that stabilized reads and those of window
+    5 are all read off these two passes, so no map is cut at window 8; the
+    maps in (window 6) are cut, for their rows in the pieces' layout.  Add
+    one image forward pass per parity and the certificate's two: 6 forward
+    passes.  The only reductions are the two quotients' kernels."""
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
     c, _ = _windowed_homs()["C"]
-    matrix, echelon = FreeComplex.matrix, FreeComplex._echelon
-    window_pivot_degrees = FreeComplex._window_pivot_degrees
+    matrix, cut, make_pass = FreeComplex.matrix, FreeComplex._cut, FreeComplex._pass
     rref_rows = SparseMatrix._rref_rows
-    built, maps, reduced = [], [], []
+    built, cuts, passes, reduced = [], [], [], []
 
     def recording_matrix(self, index, degree):
         built.append((index, degree))
         return matrix(self, index, degree)
 
-    def recording_echelon(self, index, degree):
-        if (index, degree) not in self._echelons:
-            maps.append(("basis order", index, degree))
-        return echelon(self, index, degree)
+    def recording_cut(self, index, degree, *larger):
+        cuts.append((index, degree))
+        return cut(self, index, degree, *larger)
 
-    def recording_window(self, index, window):
-        maps.append(("degree order", index, window))
-        return window_pivot_degrees(self, index, window)
+    def recording_pass(self, index, degree):
+        kept = dict(self._passes)
+        found = make_pass(self, index, degree)
+        if kept.get(index) is not found:
+            passes.append((index, found.window))
+        return found
 
     def counting_rref(self, reduce=True):
         reduced.append(reduce)
         return rref_rows(self, reduce)
 
     monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
-    monkeypatch.setattr(FreeComplex, "_echelon", recording_echelon)
-    monkeypatch.setattr(FreeComplex, "_window_pivot_degrees", recording_window)
+    monkeypatch.setattr(FreeComplex, "_cut", recording_cut)
+    monkeypatch.setattr(FreeComplex, "_pass", recording_pass)
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting_rref)
     hom = hom_cohomology(c, c)
     assert (hom.bound, hom.dim(0), hom.dim(1), hom.stabilized) == (9, 2, 2, True)
     assert built == [(0, 9), (1, 9)]
-    assert maps == [
-        ("basis order", 0, 9), ("basis order", 1, 6),
-        ("basis order", 1, 9), ("basis order", 0, 6),
-        ("degree order", 0, 8), ("degree order", 1, 8),
-    ]
-    assert len({(index, degree) for _, index, degree in maps}) == len(maps)
+    assert cuts == [(1, 6), (0, 6)]
+    assert passes == [(0, 9), (1, 9)]
     assert reduced.count(True) == 2
-    assert reduced.count(False) == 10
+    assert reduced.count(False) == 6
 
 
 def test_stopped_window_classes_match_the_full_window():

@@ -1,10 +1,30 @@
-"""Every private function or method of the package is used: a refactor that
+"""Every private function or method of the package is used, and every public
+one has a caller or is kept as API for a stated reason: a refactor that
 leaves a helper behind is caught here."""
 
 import ast
 from pathlib import Path
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "lgtft"
+BENCH = SOURCES.parents[1] / "bench"
+
+# public functions and methods that nothing in src/lgtft or bench/ calls, kept
+# as API; the tests call each of them
+PUBLIC_API = {
+    "apply_iota": "koszul: applies the differential, to re-check a report's witness",
+    "boundary_trace": "TFTDatum: the boundary trace of one class of End(a)",
+    "coefficient": "Polynomial: the coefficient at one exponent tuple",
+    "conjugate": "GaussianRational: complex conjugation",
+    "contains": "GroebnerBasis: ideal membership, the basis's own query",
+    "evaluate": "Polynomial: the value at a point",
+    "from_dense": "SparseMatrix: a matrix from nested lists",
+    "is_critical_set_finite": "jacobi: exported; the finiteness test with no job",
+    "of_poly": "ResidueTrace: the trace of any polynomial, not only basis products",
+    "parse_polynomial": "poly: exported; parses a string with no ring at hand",
+    "solve": "SparseMatrix: A x = b, the linear algebra module's basic query",
+    "to_strings": "PolyMatrix: its entries as the strings a job file holds",
+    "zero_class": "HomCohomology: the zero class of a parity",
+}
 
 
 def _trees():
@@ -62,3 +82,34 @@ def test_every_slot_is_read():
     assert slots
     dead = [f"{file} {cls}.{slot}" for file, cls, slot in slots if slot not in read]
     assert not dead, "slots nothing reads: " + ", ".join(dead)
+
+
+def test_every_public_function_has_a_caller():
+    """A public function or method of the package that nothing in src/lgtft
+    or bench/ calls by name is dead, unless PUBLIC_API keeps it with its
+    reason.  The package's export list is no caller.  An allowlisted name
+    that gains a caller, or is gone, must leave the list."""
+    defined = []  # (file, line, name)
+    called = set()
+    paths = sorted(SOURCES.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if path.parent == SOURCES and not node.name.startswith("_"):
+                    defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                called.add(node.name)
+    dead = [
+        f"{file}:{line} {name}"
+        for file, line, name in defined
+        if name not in called and name not in PUBLIC_API
+    ]
+    assert not dead, "public functions nothing calls: " + ", ".join(dead)
+    names = {name for _, _, name in defined}
+    stale = sorted(name for name in PUBLIC_API if name in called or name not in names)
+    assert not stale, "PUBLIC_API names with a caller or no definition: " + ", ".join(stale)

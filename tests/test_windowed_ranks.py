@@ -115,11 +115,12 @@ lg = make_lg_pair(["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2")
 koszul_cohomology(lg, 9)
 complex_ = lg.koszul_complex
 # the map into the witness piece (-1, 9) is that of the window 6 of index -2:
-# move a pivot of degree 7 into it, which leaves the ranks at the bound alone
-window, degrees = complex_._pivot_degrees[-2]
-moved = list(degrees)
+# move a pivot of degree 7 of its kept pass into it, which leaves the ranks
+# at the bound alone
+kept = complex_._passes[-2]
+moved = list(kept.degrees)
 moved[moved.index(7)] = 6
-complex_._pivot_degrees[-2] = (window, moved)
+complex_._passes[-2] = kept._replace(degrees=moved)
 try:
     check_vanishing_negative_degrees(lg, 9)
 except InternalCheckError as exc:
