@@ -22,13 +22,18 @@ route's test oracle.  The LG pair keeps its Koszul complex
 share its maps and their eliminations.  A table reads only ranks, so every
 map it eliminates gets the forward pass (SparseMatrix.echelon), never a full
 reduction.  A windowed table asks for the ranks at its bound first, so
-FreeComplex.rank eliminates the map out of each index once, columns in
-degree order, and counts the ranks of the smaller windows off that pass's
-pivots.  The vanishing witness is the first vector of the piece's canonical
-kernel basis that is not a boundary, found in kernel coordinates by
-FreeComplex.first_class: the free columns come from the forward pass of the
-map out in basis order (the graded table's own pass), and only the vector
-reported is solved back over its rows.
+FreeComplex.rank eliminates the map out of each index above -d once,
+columns in degree order, and counts the ranks of the smaller windows off
+that pass's pivots.  The map out of the top index -d, f -> f * (-i dW), is
+never built: R is a domain and W is not constant, so the map is injective,
+and so is its restriction to each window, whose rank is then its size
+(KoszulComplex.rank).  The vanishing witness is the first vector of the
+piece's canonical kernel basis that is not a boundary, found in kernel
+coordinates by FreeComplex.first_class: the free columns come from the
+forward pass of the map out in basis order (the graded table's own pass),
+and only the vector reported is solved back over its rows.  When the map
+into the witness piece comes out of the top index, first_class holds the
+count to that map's own elimination.
 """
 
 from __future__ import annotations
@@ -52,6 +57,13 @@ class KoszulComplex(FreeComplex):
     The generators of degree -|S| are the wedge monomials e_S; the internal
     degree of e_S is the sum of deg W - w_j over j in S.  It keeps no
     reference to the pair, which keeps it.
+
+    The map out of the top index -d is f e_{1..d} -> f * (-i dW), from R to
+    R^d.  It is injective: R = C[x] is a domain and W is not constant, so
+    some partial is a nonzero polynomial, and f times it is zero only for
+    f = 0.  A window's map out is the restriction of that map, so it is
+    injective too, and rank() counts it as the window's size, with no matrix
+    built and nothing eliminated.  Graded pieces keep their routes.
     """
 
     def __init__(self, lg: LGPair):
@@ -90,6 +102,18 @@ class KoszulComplex(FreeComplex):
             entries,
             lg.weights,
         )
+
+    def rank(self, index, degree) -> int:
+        """Rank of the map out of the piece; windowed, out of the top index,
+        the piece's size (see the class docstring)."""
+        if self.weights is not None or index != -self.d:
+            return super().rank(index, degree)
+        if not self.entries[self.subsets[index][0]]:
+            raise InternalCheckError(
+                "every partial of W is zero: the map out of the top index "
+                "is not injective, so its rank cannot be counted"
+            )
+        return self._layout(index, degree)[0]
 
 
 @dataclass
@@ -219,7 +243,7 @@ def _eliminated_table(lg: LGPair, degree_bound: int) -> GradedDimensionTable:
         )
     # total-degree window heuristic for non-quasi-homogeneous W
     windows = [n for n in (degree_bound - 2, degree_bound - 1, degree_bound) if n >= 0]
-    # the bound first, so that rank() eliminates each index once
+    # the bound first, so that rank() eliminates each index above -d once
     totals = {k: complex_.dim(k, degree_bound) for k in homological}
     history = {k: {n: complex_.dim(k, n) for n in windows} for k in homological}
     stabilized = len(windows) >= 2 and all(

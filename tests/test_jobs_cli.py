@@ -818,8 +818,8 @@ _KOSZUL_ELIMINATIONS = {
     "x^2*y": (11, 0),
     "x^5*y+y^6": (0, 0),
     "x^6+y^6+z^6": (0, 0),
-    "x^3+y^3+x*y": (2, 0),
-    "x^3+y^3+z^3+x*y*z^2": (3, 2),
+    "x^3+y^3+x*y": (1, 0),
+    "x^3+y^3+z^3+x*y*z^2": (2, 2),
 }
 
 
@@ -837,13 +837,15 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
     """A graded table at finite mu (x^5*y+y^6, x^6+y^6+z^6) is read off the
     staircase and eliminates nothing, nor does its vanishing check.  A
     graded table at infinite mu (x^2*y) eliminates each piece's map once, a
-    windowed one each index's map once, at the bound, and every one of
-    these is a forward pass: the table reads only pivots.  Only nqh3 has a
-    witness piece with a map into it; its witness costs two eliminations
-    more: a forward pass of the map out in basis order, whose free columns
-    the canonical kernel basis is taken at (the windowed table eliminated it
-    in degree order), and the reduction of the map in cut down to the
-    kernel's free coordinates, whose rows are read."""
+    windowed one each index's map once, at the bound, but for the top index
+    -d, whose map is injective and is never built: its rank is the window's
+    size.  Every elimination is a forward pass: the table reads only pivots.
+    Only nqh3 has a witness piece with a map into it; its witness costs two
+    eliminations more: a forward pass of the map out in basis order, whose
+    free columns the canonical kernel basis is taken at (the windowed table
+    eliminated it in degree order), and the reduction of the map in cut down
+    to the kernel's free coordinates, whose rows are read."""
+    from lgtft.complex import FreeComplex
     from lgtft.koszul import (
         KoszulComplex,
         check_vanishing_negative_degrees,
@@ -865,10 +867,19 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseMatrix, "_rref_rows", counting)
+    built = []  # the index of each matrix() built
+    matrix = FreeComplex.matrix
+
+    def recording_matrix(self, index, degree):
+        built.append(index)
+        return matrix(self, index, degree)
+
+    monkeypatch.setattr(FreeComplex, "matrix", recording_matrix)
 
     def count(fn, *args):
         del eliminations[:]
         del reduced[:]
+        del built[:]
         result = fn(*args)
         return result, len(eliminations)
 
@@ -884,8 +895,9 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
     assert reduced == [False] * table
     if lg.weights is None:
         assert table == sum(
-            1 for k in range(-lg.dimension, 0) if KoszulComplex(lg).basis(k, bound)
+            1 for k in range(-lg.dimension + 1, 0) if KoszulComplex(lg).basis(k, bound)
         )
+        assert built and -lg.dimension not in built
     vanishing, alone = count(check_vanishing_negative_degrees, lg, bound)
     raw = {"variables": variables, "superpotential": w, "compute": ["koszul"]}
     report, job = count(run_job, JobSpec.from_dict({**raw, "koszul_bound": bound}))

@@ -1,10 +1,11 @@
 """Windowed ranks, cut maps and the vanishing witness.
 
 Without weights, FreeComplex.rank eliminates each index once, columns in
-degree order, and counts the pivots of each window; the witness is found in
-kernel coordinates.  Both are held to the code they replaced, kept in
-oracles.py: every window eliminated on its own in label order, and the
-witness read off the piece eliminated in full.  The map out of a smaller
+degree order, and counts the pivots of each window; KoszulComplex.rank
+counts the injective map out of the top index as the window's size.  The
+witness is found in kernel coordinates.  Both are held to the code they
+replaced, kept in oracles.py: every window eliminated on its own in label
+order, and the witness read off the piece eliminated in full.  The map out of a smaller
 window is cut out of the kept map of a larger one, and must equal the map
 matrix() builds.
 """
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lgtft.jobs
+from lgtft.errors import InternalCheckError
 from lgtft.koszul import (
     KoszulComplex,
     check_vanishing_negative_degrees,
@@ -31,6 +33,7 @@ WINDOWED = [
     (["x", "y"], "x^4+y^4+x*y^2", None),
     (["x"], "x^2 + x^3", 8),
     (["x", "y"], "x+y+1", 5),
+    (["x", "y"], "x^3+x", 6),  # dW/dy = 0: infinite mu
 ]
 
 
@@ -132,6 +135,49 @@ except InternalCheckError as exc:
 def test_a_corrupted_incoming_rank_raises_also_under_O():
     for flags, stdout in run_both_modes(_CORRUPT_SCRIPT).items():
         assert stdout.split() == ["raised"], flags
+
+
+_RAISED_TOP_COUNT_SCRIPT = """
+from lgtft.errors import InternalCheckError
+from lgtft.koszul import KoszulComplex, check_vanishing_negative_degrees
+from lgtft.lgpair import make_lg_pair
+lg = make_lg_pair(["x", "y"], "x^3+x")
+# the witness piece is (-1, 6), and the map into it is that of the window
+# 6 - step of the top index -2, whose rank is counted, not eliminated: raise
+# that count by one, which leaves the counts at the bound alone
+counted = KoszulComplex.rank
+
+
+def raised(self, index, degree):
+    return counted(self, index, degree) + (index == -2 and degree == 6 - self.step)
+
+
+KoszulComplex.rank = raised
+try:
+    check_vanishing_negative_degrees(lg, 6)
+except InternalCheckError as exc:
+    if "piece (-1, 6)" in str(exc) and "leaves the kernel" in str(exc):
+        print("raised")
+"""
+
+
+def test_a_raised_top_count_raises_also_under_O():
+    """The rank out of the top index of a windowed table is counted, not
+    eliminated; first_class holds the count of the map into the witness
+    piece to its own elimination, so a wrong count fails closed."""
+    for flags, stdout in run_both_modes(_RAISED_TOP_COUNT_SCRIPT).items():
+        assert stdout.split() == ["raised"], flags
+
+
+def test_a_top_generator_with_no_entry_is_not_counted():
+    """The count rests on some partial of W being nonzero; with the top
+    generator's entries emptied it raises instead of counting."""
+    lg = make_lg_pair(["x", "y"], "x^3+x")
+    complex_ = KoszulComplex(lg)
+    assert complex_.rank(-2, 4) == len(complex_.basis(-2, 4))
+    complex_.entries[(0, 1)] = ()
+    with pytest.raises(InternalCheckError, match="every partial of W is zero"):
+        complex_.rank(-2, 4)
 
 
 def _end_c_complex():
