@@ -389,6 +389,20 @@ class FreeComplex:
         return None
 
 
+def differential(entries, terms) -> dict:
+    """d of flat terms {(label, exps): coeff}: d(x^e g) = x^e d(g), read off
+    a complex's entries (label -> [(target, Polynomial)]) with no piece
+    built.  Nonzero sums only."""
+    total = {}
+    for (label, exps), coeff in terms.items():
+        for target, entry in entries[label]:
+            for e, c in entry.terms.items():
+                key = (target, mono_mul(exps, e))
+                acc = total.get(key)
+                total[key] = coeff * c if acc is None else acc + coeff * c
+    return {key: value for key, value in total.items() if value}
+
+
 def quotient(kernel, image):
     """The RREF (pivot_cols, rows) of kernel modulo image, as a complement;
     of image, an echelon form (pivot_cols, rows), only the pivots are read.

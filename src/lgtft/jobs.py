@@ -471,9 +471,10 @@ def run_job(spec: JobSpec, cache: Optional[Cache] = None) -> dict:
             except DegenerateTraceError as exc:
                 results["tft"] = {"skipped": str(exc)}
             except ClassBoundError as exc:
-                # a windowed Hom can count more classes than it has, and a
-                # composite of them can land outside the window; a graded
-                # Hom's bound is the job's to raise
+                # a windowed Hom with no model X/(c)X (a d01/d10 source, or
+                # no c of finite colength) can count more classes than it
+                # has, and a composite of them can land outside its window;
+                # a graded Hom's bound is the job's to raise
                 if all(hom_is_graded(a, b) for _, a in branes for _, b in branes):
                     raise
                 results["tft"] = {"skipped": str(exc)}

@@ -19,14 +19,15 @@ match D_X mod (c) read by a second route, and the Hom then checks its
 classes against X/(c)X once.  Every other graded Hom, and one whose model
 puts a class above its bound, counts them as FreeComplex.dim does: a
 piece's size less the ranks of the maps out and in.  Either way no
-unbuilt degree holds a class.  A windowed Hom builds its one-piece window.
+unbuilt degree holds a class.  A windowed Hom with a model lifts
+its classes from X/(c)X; any other builds its one-piece window.
 
 A class is reduced piece by piece modulo image and quotient, and that
 residual test decides whether a morphism is a cocycle; in an unbuilt
-degree, a component is a cocycle when the complex's entries send it to
-zero.  A class's
-representative is a combination of quotient rows, so it is a Morphism with
-no conversion; composition on cohomology composes the representatives with
+degree, or in a lifted Hom, a component is a cocycle when the complex's
+entries send it to zero.  A class's representative is a combination of
+quotient rows or of lifts, so it is a Morphism with no conversion;
+composition on cohomology composes the representatives with
 Morphism.compose and reduces the composite in the target Hom.
 
 Projective modules are realized as free modules throughout: over C^d every
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .complex import FreeComplex
+from .complex import FreeComplex, differential
 from .errors import (
     ClassBoundError,
     FactorizationError,
@@ -48,7 +49,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .certificate import UNSET, koszul_hom_dims, koszul_model
+from .certificate import UNSET, koszul_hom_dims, koszul_model, lift_classes
 from .lgpair import LGPair
 from .linalg import SparseMatrix, echelon_reduce, vec_axpy
 from .poly import Polynomial, mono_degree, mono_mul, mono_weighted_degree
@@ -637,16 +638,13 @@ class HomCohomology:
     exactly when they send it to zero, and then a coboundary, with zero
     coordinates.  All of this fails closed, also under python -O.
 
-    In windowed mode the window is one piece per parity.  Both maps out of
-    the window are built first, and forward-passed once each; the maps in
-    are cut out of them (FreeComplex.map_out).  The window below is not
-    built as a piece: its classes are counted as FreeComplex.dim, its size
-    less its ranks out and in, read off the same two passes.
-    The certificate is a guard only (certified stays None): stabilized is
-    True when the last two windows agree and, where koszul_hom_dims gives a
-    certificate, their dims equal it.  A window whose image misses part of
-    the true image counts too many classes; that is reported as stabilized
-    False, not raised.
+    Windowed with a model X/(c)X (koszul_model), nothing is eliminated: the
+    classes are the model's, lifted to cocycles (lift_classes), all in
+    degree 0 and stabilized, and a cocycle's coordinates are read through
+    its projection (KoszulModel.coordinates).  Any other windowed Hom is
+    one piece per parity: both maps out of the window are forward-passed
+    once each, the maps in cut out of them (FreeComplex.map_out), and it is
+    stabilized when the window below (FreeComplex.dim) has the same dims.
 
     The residual test decides whether a morphism is a cocycle, with no
     chain-level defect: each piece's image and quotient together span its
@@ -684,6 +682,14 @@ class HomCohomology:
     def _build(self):
         complex_ = _defect_complex(self.a1, self.a2, self.graded)
         self._entries = None  # the complex's entries, when unbuilt pieces are read
+        self._model = None if self.graded else koszul_model(self.a1, self.a2)
+        if self._model is not None:  # no window: classes lifted from X/(c)X
+            self._entries = complex_.entries
+            self._lifts = lift_classes(self._model, self.a1, self._entries)
+            for parity, lifts in enumerate(self._lifts):
+                self.layout[parity] = [(0, k) for k in range(len(lifts))]
+            self.stabilized = True
+            return
         if not self.graded:
             # both maps out of the window first: the smaller windows are cut
             # out of them
@@ -691,14 +697,9 @@ class HomCohomology:
                 complex_.map_out(parity, self.bound)
             for parity in (0, 1):  # the window is one piece
                 self._add_piece(parity, 0, *complex_.piece(parity, self.bound))
-            found = (self.dim(0), self.dim(1))
             below = self.bound - 1
-            self.stabilized = (
-                below >= 0
-                and all(
-                    complex_.dim(parity, below) == found[parity] for parity in (0, 1)
-                )
-                and koszul_hom_dims(self.a1, self.a2) in (None, found)
+            self.stabilized = below >= 0 and all(
+                complex_.dim(parity, below) == self.dim(parity) for parity in (0, 1)
             )
             return
         self._entries = complex_.entries
@@ -756,7 +757,6 @@ class HomCohomology:
         """Raise InternalCheckError unless the classes are a basis of the
         cohomology of the model X/(c)X (koszul_hom_dims).
 
-        The kept blocks must compose to zero both ways, as W lies in (c).
         For each parity, each basis representative is projected into V_t, t
         being the vacuum's module plus the parity (KoszulModel.project).
         The projections must be as many as the model's own count of classes
@@ -768,9 +768,6 @@ class HomCohomology:
         """
         model = koszul_model(self.a1, self.a2)
         columns = [block.transpose().rows for block in model.blocks]
-        for t in (0, 1):
-            if any(model.blocks[1 - t].apply(column) for column in columns[t]):
-                raise InternalCheckError("D_X mod (c) does not square to zero")
         for parity in (0, 1):
             t = (model.vacuum[0] + parity) % 2
             name = "even" if parity == 0 else "odd"
@@ -859,7 +856,9 @@ class HomCohomology:
         """Terms of sum coord * basis representative, {element: coeff}."""
         terms = {}
         for position, value in enumerate(coords):
-            if value:
+            if value and self._model is not None:
+                terms = vec_axpy(terms, value, self._lifts[parity][position])
+            elif value:
                 m, local = self.layout[parity][position]
                 piece = self.pieces[(parity, m)]
                 row = piece.quot[1][local]
@@ -909,7 +908,7 @@ class HomCohomology:
         return components
 
     def _unbuilt_degree(self, parity, element) -> int:
-        """The degree of a term of no built piece, when _closed may read it:
+        """The degree of a term of no built piece, whose differential is read:
         the Hom is graded and the term lies at most at the bound.  Otherwise
         ClassBoundError."""
         m = 0  # the windowed space is one piece
@@ -925,35 +924,29 @@ class HomCohomology:
             )
         return m
 
-    def _closed(self, component) -> bool:
-        """Whether the complex's entries send a component {element: coeff} to
-        zero: d(x^e g) = x^e d(g), so this is its differential, summed as
-        flat terms with no piece built."""
-        total = {}
-        for (label, exps), coeff in component.items():
-            for target, entry in self._entries[label]:
-                for e, c in entry.terms.items():
-                    key = (target, mono_mul(exps, e))
-                    acc = total.get(key)
-                    total[key] = coeff * c if acc is None else acc + coeff * c
-        return not any(total.values())
-
     def _reduce(self, parity, terms) -> Optional[MorphismClass]:
         """The class of nonzero terms, or None when they are no cocycle.
 
-        The terms are split by degree.  A component in a built piece is
-        reduced modulo its image, then its quotient; the quotient coordinates
-        are the class's, and a nonzero residual means the component lies
-        outside the kernel.  A component in an unbuilt degree is a cocycle
-        when _closed, and then adds nothing: no class lies there, by
-        _check_model or by the ranks.
+        Lifted, they are a cocycle when complex.differential sends them to
+        zero, with their projection's coordinates.  Otherwise they are split
+        by degree.  A component in a built piece is reduced modulo its image,
+        then its quotient; the quotient coordinates are the class's, and a
+        nonzero residual means it lies outside the kernel.  A component in
+        an unbuilt degree is a cocycle when its differential is zero, and
+        then adds nothing: no class lies there, by _check_model or the ranks.
         """
         coords = [GaussianRational(0)] * len(self.layout[parity])
+        if self._model is not None:
+            if differential(self._entries, terms):
+                return None
+            for local, value in self._model.coordinates(parity, terms).items():
+                coords[local] = value
+            return MorphismClass(self, parity, coords)
         position_of = self._position_of[parity]
         for m, vector in self._split(parity, terms).items():
             piece = self.pieces.get((parity, m))
             if piece is None:
-                if not self._closed(vector):
+                if differential(self._entries, vector):
                     return None
                 continue
             residual, _ = echelon_reduce(*piece.im, vector)

@@ -139,7 +139,7 @@ def _baseline_algebras():
     lg = make_lg_pair(["x", "y"], "x^4+y^4")
     algebras = {"jacobi": lg.jacobi_algebra}
     for pairs in ([("x", "x^3"), ("y", "y^3")], [("x^2", "x^2"), ("y", "y^3")]):
-        algebra, _ = _finite_colength_ideal(koszul_factorization(lg, pairs).pairs)
+        algebra, _, _ = _finite_colength_ideal(koszul_factorization(lg, pairs).pairs)
         algebras[", ".join(sorted(str(g) for g in algebra.gb.generators))] = algebra
     return algebras
 

@@ -248,11 +248,12 @@ def test_baseline_job_enumerates_three_staircases(monkeypatch):
     assert counts["normal_form"] <= 106
 
 
-def test_cli_overcounted_windowed_end_skips_the_tft_section(tmp_path, capsys):
-    """A composite of two basis classes of End((x^2, x^3+y^2)(y, y^4)) on
-    x^5+y^5+x^2*y^2, whose window over-counts its classes, lands outside the
-    window.  The tft section records that as skipped, and the report of the
-    other sections is written with exit 0."""
+def test_cli_lifted_windowed_end_passes_the_tft_section(tmp_path, capsys):
+    """End((x^2, x^3+y^2)(y, y^4)) on x^5+y^5+x^2*y^2 has 4|4 classes, lifted
+    from X/(c)X.  Its window counted 12|12, and a composite of two of those
+    classes landed outside it, so the tft section was skipped; now the Hom
+    is stabilized at 4|4 and every clause of the tft section passes, with
+    exit 0."""
     raw = {
         "variables": ["x", "y"],
         "superpotential": "x^5+y^5+x^2*y^2",
@@ -262,9 +263,10 @@ def test_cli_overcounted_windowed_end_skips_the_tft_section(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", _write_job(tmp_path, raw), "--no-cache", "--output", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
-    assert results["homs"]["E|E"]["stabilized"] is False
-    assert set(results["tft"]) == {"skipped"}
-    assert "outside the computed window" in results["tft"]["skipped"]
+    hom = results["homs"]["E|E"]
+    assert (hom["dims"], hom["stabilized"]) == ({"even": 4, "odd": 4}, True)
+    assert "skipped" not in results["tft"]
+    assert results["tft"]["passed"] is True
 
 
 def test_cli_graded_bound_too_small_for_the_tft_section_exits_1(tmp_path, capsys):

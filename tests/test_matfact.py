@@ -807,15 +807,18 @@ def test_hom_matches_full_elimination(case):
     """A graded Hom builds only the pieces that hold classes, in ascending
     degree: where its model counts them when its dimensions are certified
     (baseline), where the ranks of the maps out and in leave them otherwise
-    (spinor, x5y).  The windowed Hom builds its one-piece window.  Every Hom
-    space still has the quotient rows, representatives and class
-    coordinates that eliminating every piece of the window in full gives,
-    and a coboundary d(h) has the zero class, also when its terms lie in
-    acyclic pieces or in unbuilt degrees, below the last class or above
-    it."""
+    (spinor, x5y).  The windowed Hom builds its one-piece window; it is
+    taken on the d01/d10 twin of the brane, as a Koszul source lifts its
+    classes from X/(c)X and builds no window.  Every Hom space still has
+    the quotient rows, representatives and class coordinates that
+    eliminating every piece of the window in full gives, and a coboundary
+    d(h) has the zero class, also when its terms lie in acyclic pieces or
+    in unbuilt degrees, below the last class or above it."""
     w, pairs = FULL_ELIMINATION_CASES[case]
     lg = make_lg_pair(["x", "y"], w)
     branes = [koszul_factorization(lg, brane) for brane in pairs]
+    if case == "windowed":
+        branes = [_twin(brane) for brane in branes]
     homs = {(s, t): hom_cohomology(a, b) for s, a in enumerate(branes)
             for t, b in enumerate(branes)}
     full = {key: full_hom_pieces(hom) for key, hom in homs.items()}
@@ -982,7 +985,7 @@ def test_vacuum_follows_the_choice_of_c():
                 hom = hom_cohomology(a, b)
                 if not hom.graded or hom.certified is None:
                     continue
-                _, choice = a._ideal
+                _, choice, _ = a._ideal
                 model = koszul_model(a, b)
                 seen[w, k] = (choice, model.vacuum)
                 assert model.vacuum == _vacuum(choice)
@@ -1037,68 +1040,71 @@ print(hom.dim(0), hom.dim(1), hom.stabilized)
 """
 
 
-def test_windowed_hom_above_its_certificate_is_not_stabilized():
+def test_windowed_overcount_end_has_its_certified_classes():
     """End((x^2, x^3+y^2)(y, y^4)) on the non-quasi-homogeneous
-    x^5+y^5+x^2*y^2 has 4|4 classes, but its window at bound 12 counts 12|12
-    and its last two windows agree.  The certificate guards the window: the
-    table is reported as not stabilized, plainly and under python -O."""
+    x^5+y^5+x^2*y^2 has 4|4 classes.  Its window at bound 12 counted 12|12,
+    reported as not stabilized; lifted from X/(c)X, the Hom has its 4|4
+    classes and is stabilized, plainly and under python -O."""
     for flags, stdout in run_both_modes(_WINDOWED_OVERCOUNT_SCRIPT).items():
         assert stdout.split() == [
-            "(4,", "4)", "False", "None", "12", "12", "12", "False",
+            "(4,", "4)", "False", "None", "12", "4", "4", "True",
         ], flags
 
 
 def _windowed_homs():
-    """name -> (source, target) of three windowed Homs: End(C) on
-    x^4+y^4+x*y^2, End(E) of the windowed_overcount job on x^5+y^5+x^2*y^2,
-    and End of E's d01/d10 twin, which has no certificate."""
+    """name -> (source, target) of two windowed Homs that build their
+    windows: End of the d01/d10 twins of C on x^4+y^4+x*y^2 and of E of the
+    windowed_overcount job on x^5+y^5+x^2*y^2.  The twins have no
+    certificate; C and E themselves lift their classes from X/(c)X."""
     lg = make_lg_pair(["x", "y"], "x^4+y^4+x*y^2")
-    c = koszul_factorization(lg, FULL_ELIMINATION_CASES["windowed"][1][0])
+    c = _twin(koszul_factorization(lg, FULL_ELIMINATION_CASES["windowed"][1][0]))
     raw = REFERENCE_JOBS["windowed_overcount"]
     lg = make_lg_pair(raw["variables"], raw["superpotential"])
-    e = koszul_factorization(lg, raw["branes"][0]["pairs"])
-    return {"C": (c, c), "E": (e, e), "E twin": (_twin(e), _twin(e))}
+    e = _twin(koszul_factorization(lg, raw["branes"][0]["pairs"]))
+    return {"C twin": (c, c), "E twin": (e, e)}
 
 
 def test_windowed_stabilized_matches_the_piece_count():
     """A windowed Hom counts the classes of the window below its bound off
     the ranks there (FreeComplex.dim), with no piece built.  At every bound
-    from 0 to the default, on three windowed Homs, its dims are the window's
+    from 0 to the default, on two windowed Homs, its dims are the window's
     quotient rows and its stabilized flag is the one read off the quotient
-    rows of the window below, each piece eliminated in full (oracles).  Some
-    bounds are not stabilized only because their last two windows disagree:
-    the certificate, where there is one, equals the window's dims."""
-    window_only = []
+    rows of the window below, each piece eliminated in full (oracles): it
+    is stabilized from the first bound where the last two windows agree."""
+    unstabilized = []
     for name, (a, b) in _windowed_homs().items():
         default = hom_cohomology(a, b)
         complex_ = _defect_complex(a, b, False)
         counts = [window_class_counts(complex_, n) for n in range(default.bound + 1)]
-        certificate = koszul_hom_dims(a, b)
+        assert koszul_hom_dims(a, b) is None
         for bound in range(default.bound + 1):
             hom = hom_cohomology(a, b, degree_bound=bound)
             assert not hom.graded and hom.bound == bound
             assert (hom.dim(0), hom.dim(1)) == counts[bound]
             below = counts[bound - 1] if bound else None
             assert hom.stabilized == piece_count_stabilized(hom, below)
-            met = certificate in (None, counts[bound])
-            if met and below not in (None, counts[bound]):
-                assert not hom.stabilized
-                window_only.append((name, bound))
-    assert window_only == [("C", 6)] + [("E twin", n) for n in range(1, 9)]
+            if not hom.stabilized:
+                unstabilized.append((name, bound))
+    assert unstabilized == (
+        [("C twin", n) for n in range(7)] + [("E twin", n) for n in range(9)]
+    )
 
 
 def test_windowed_pieces_match_the_basis_order_route():
     """Every windowed piece read off the one degree-order pass per index
     equals the one read off basis-order passes made at the piece itself
     (oracles): the same basis, image pivots and quotient rows.  This holds
-    for the pieces each Hom keeps, at its bound, on End(C), End(E) of
-    windowed_overcount and the Homs of windowed_all, and for every window
-    below the bound, read off the passes made at the bound."""
+    for the pieces each Hom keeps, at its bound, on the windowed Homs of
+    _windowed_homs and between the d01/d10 twins of windowed_all's branes,
+    and for every window below the bound, read off the passes made at the
+    bound."""
     raw = REFERENCE_JOBS["windowed_all"]
     lg = make_lg_pair(raw["variables"], raw["superpotential"])
-    branes = [koszul_factorization(lg, brane["pairs"]) for brane in raw["branes"]]
+    branes = [
+        _twin(koszul_factorization(lg, brane["pairs"])) for brane in raw["branes"]
+    ]
     homs = _windowed_homs()
-    cases = [homs["C"], homs["E"]] + [(a, b) for a in branes for b in branes]
+    cases = [homs["C twin"], homs["E twin"]] + [(a, b) for a in branes for b in branes]
     for a, b in cases:
         hom = hom_cohomology(a, b)
         complex_ = _defect_complex(a, b, False)
@@ -1116,17 +1122,18 @@ def test_windowed_pieces_match_the_basis_order_route():
 
 
 def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
-    """End(C) on x^4+y^4+x*y^2 (bound 9, step 3) builds the two maps out of
-    its window and forward-passes each once, columns in degree order.  The
-    pieces, the ranks of window 8 that stabilized reads and those of window
-    5 are all read off these two passes, so no map is cut at window 8; the
-    maps in (window 6) are cut, for their rows in the pieces' layout.  Add
-    one image forward pass per parity and the certificate's two: 6 forward
-    passes.  The only reductions are the two quotients' kernels."""
+    """End of the d01/d10 twin of C on x^4+y^4+x*y^2 (bound 9, step 3),
+    which has no certificate, builds the two maps out of its window and
+    forward-passes each once, columns in degree order.  The pieces, the
+    ranks of window 8 that stabilized reads and those of window 5 are all
+    read off these two passes, so no map is cut at window 8; the maps in
+    (window 6) are cut, for their rows in the pieces' layout.  Add one
+    image forward pass per parity: 4 forward passes.  The only reductions
+    are the two quotients' kernels."""
     from lgtft.complex import FreeComplex
     from lgtft.linalg import SparseMatrix
 
-    c, _ = _windowed_homs()["C"]
+    c, _ = _windowed_homs()["C twin"]
     matrix, cut, make_pass = FreeComplex.matrix, FreeComplex._cut, FreeComplex._pass
     rref_rows = SparseMatrix._rref_rows
     built, cuts, passes, reduced = [], [], [], []
@@ -1160,7 +1167,110 @@ def test_windowed_end_builds_two_maps_and_eliminates_each_once(monkeypatch):
     assert cuts == [(1, 6), (0, 6)]
     assert passes == [(0, 9), (1, 9)]
     assert reduced.count(True) == 2
-    assert reduced.count(False) == 6
+    assert reduced.count(False) == 4
+
+
+# the reference jobs whose windowed Homs out of Koszul branes are lifted
+LIFTED_JOBS = (
+    "windowed_all", "windowed_cardy", "windowed_n3", "windowed_noncoprime",
+    "windowed_overcount",
+)
+
+
+def test_lifted_windowed_homs_build_no_window(monkeypatch):
+    """Every windowed Hom between the branes of the LIFTED_JOBS has a model
+    X/(c)X, and lifts its classes from it: it builds no map out of a piece
+    (FreeComplex.map_out, FreeComplex.matrix), has the certified dims, is
+    stabilized and keeps no piece.  class_of and compose_classes read the
+    projection, with no map built either: each basis class is the class of
+    its representative, and every composite of basis classes is
+    classified."""
+    from lgtft.complex import FreeComplex
+
+    calls = []
+    for name in ("map_out", "matrix"):
+        monkeypatch.setattr(
+            FreeComplex, name, lambda self, *key, name=name: calls.append((name, key))
+        )
+    checked = 0
+    for job in LIFTED_JOBS:
+        raw = REFERENCE_JOBS[job]
+        lg = make_lg_pair(raw["variables"], raw["superpotential"])
+        branes = [koszul_factorization(lg, brane["pairs"]) for brane in raw["branes"]]
+        homs = {(s, t): hom_cohomology(a, b)
+                for s, a in enumerate(branes) for t, b in enumerate(branes)}
+        for (s, t), hom in homs.items():
+            assert not hom.graded and not hom.pieces and hom.stabilized
+            assert (hom.dim(0), hom.dim(1)) == koszul_hom_dims(branes[s], branes[t])
+            for f in hom.basis_classes(0) + hom.basis_classes(1):
+                assert hom.class_of(f.representative) == f
+                for u in range(len(branes)):
+                    for g in homs[t, u].basis_classes(0) + homs[t, u].basis_classes(1):
+                        composite = compose_classes(g, f, homs[s, u])
+                        assert composite.parity == (f.parity + g.parity) % 2
+            checked += 1
+    assert checked == 13
+    assert calls == []
+
+
+_LIFT_CORRUPTION_SCRIPT = """
+from lgtft import certificate
+from lgtft.errors import InternalCheckError
+from lgtft.lgpair import make_lg_pair
+from lgtft.matfact import hom_cohomology, koszul_factorization
+
+
+def outcome(w, pairs):
+    lg = make_lg_pair(["x", "y"], w)
+    brane = koszul_factorization(lg, pairs)
+    try:
+        hom_cohomology(brane, brane)
+    except InternalCheckError as exc:
+        return str(exc).replace(" ", "_")
+    return "built"
+
+
+# one term of each lifted representative, its first, gains 1
+cocycle = certificate._Lift.cocycle
+
+
+def corrupted_cocycle(self, parity, row):
+    f = cocycle(self, parity, row)
+    f[min(f)] += 1
+    return f
+
+
+certificate._Lift.cocycle = corrupted_cocycle
+print(outcome("x^4+y^4+x*y^2", [("x", "x^3+y^2"), ("y", "y^3")]))
+certificate._Lift.cocycle = cocycle
+# the first cofactor of the first element of each prefix basis gains 1
+prefix_basis = certificate._prefix_basis
+
+
+def corrupted_prefix_basis(generators):
+    basis = prefix_basis(generators)
+    g, cofactors = basis[0]
+    basis[0] = (g, [cofactors[0] + 1] + cofactors[1:])
+    return basis
+
+
+certificate._prefix_basis = corrupted_prefix_basis
+print(outcome("(x+y)*x^3+(x-y)*(y^3+x*y)", [("x+y", "x^3"), ("x-y", "y^3+x*y")]))
+"""
+
+
+def test_a_corrupted_lift_fails_closed():
+    """A lifted representative with one term changed is no cocycle, and the
+    build raises InternalCheckError on the final d(f) = 0 test.  A prefix
+    basis with one cofactor changed gives a wrong z at level 1, and the
+    level-1 system of the brane with non-coprime leading monomials then has
+    a right-hand side left over where it has no unknowns, which raises.
+    Plainly and under python -O."""
+    for flags, stdout in run_both_modes(_LIFT_CORRUPTION_SCRIPT).items():
+        assert stdout.split() == [
+            "a_class_lifted_from_X/(c)X_is_no_cocycle",
+            "a_part_of_d(f)_in_the_lift_is_no_boundary_of_d_c",
+        ], flags
 
 
 def test_stopped_window_classes_match_the_full_window():

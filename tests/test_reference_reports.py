@@ -3,9 +3,10 @@
 Each job of JOBS runs in process with no cache, and its report minus timing
 must equal tests/reference/<name>.json byte for byte.  The jobs cover what
 the benchmark templates do not: the even-dimensional quadric with nonzero
-Cardy entries, Koszul pairs in one and two variables, a windowed brane with
-the tft section, a singular residue Gram matrix, a rank-4|4 End, and a
-windowed End whose window counts more classes than its certificate.
+Cardy entries, Koszul pairs in one and two variables, windowed branes with
+the tft section, a singular residue Gram matrix, a rank-4|4 End, and
+windowed Ends lifted from X/(c)X: one whose window counted more classes
+than its certificate, one whose c needs cofactors, one in three variables.
 
     PYTHONPATH=src python3 tests/test_reference_reports.py [NAME ...]
 
@@ -84,12 +85,39 @@ JOBS = {
             {"name": "N", "pairs": [["x", "x^2"], ["y", "y^2"], ["z", "z^2"]]},
         ],
     },
-    # its window counts 12|12 classes against a certificate of 4|4, so the
-    # Hom is reported as not stabilized
+    # a window of total degree counted 12|12 classes here, against a
+    # certificate of 4|4; lifted from X/(c)X, End(E) has its 4|4
     "windowed_overcount": {
         "variables": ["x", "y"],
         "superpotential": "x^5+y^5+x^2*y^2",
         "branes": [{"name": "E", "pairs": [["x^2", "x^3+y^2"], ["y", "y^4"]]}],
+        "compute": ["homs"],
+    },
+    # three windowed branes with every clause, Cardy included; a window
+    # counted F|F as 10|10, and the tft section was skipped
+    "windowed_cardy": {
+        "variables": ["x", "y"],
+        "superpotential": "x^4+y^4+x*y^2",
+        "branes": [
+            {"name": "C", "pairs": [["x", "x^3+y^2"], ["y", "y^3"]]},
+            {"name": "D", "pairs": [["x^3+y^2", "x"], ["y^3", "y"]]},
+            {"name": "F", "pairs": [["x", "x^3+y^2"], ["y^2", "y^2"]]},
+        ],
+    },
+    # mu = 9; c = (x+y, x-y) has leading monomials x and x, which are not
+    # coprime, so the lift divides by a basis with cofactors
+    "windowed_noncoprime": {
+        "variables": ["x", "y"],
+        "superpotential": "(x+y)*x^3+(x-y)*(y^3+x*y)",
+        "branes": [{"name": "K", "pairs": [["x+y", "x^3"], ["x-y", "y^3+x*y"]]}],
+    },
+    # a windowed End in three variables, lifted through three levels
+    "windowed_n3": {
+        "variables": ["x", "y", "z"],
+        "superpotential": "x^3+y^3+z^3+x*y*z^2",
+        "branes": [
+            {"name": "N", "pairs": [["x", "x^2+y*z^2"], ["y", "y^2"], ["z", "z^2"]]},
+        ],
         "compute": ["homs"],
     },
 }
