@@ -56,23 +56,31 @@ def _key_text(key) -> str:
 
 
 class Cache:
-    """Tiny key-value JSON store; disabled entirely when enabled=False."""
+    """Tiny key-value JSON store; disabled entirely when enabled=False.
+
+    The directory is kept as a string, with its separator, and an entry's
+    path is that string joined to its name; directory gives it as a Path.
+    """
 
     def __init__(self, directory: Optional[Path] = None, enabled: bool = True):
-        self.directory = Path(directory) if directory else default_cache_dir()
+        self._prefix = os.path.join(directory or default_cache_dir(), "")
         self.enabled = enabled
 
-    def _path(self, kind: str, key_text: str) -> Path:
+    @property
+    def directory(self) -> Path:
+        return Path(self._prefix)
+
+    def _name(self, kind: str, key_text: str) -> str:
+        """The entry's file name, less its ".json" suffix."""
         text = f"[{encode_basestring_ascii(kind)}, {key_text}]"
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return self.directory / f"{kind}-{digest}.json"
+        return f"{kind}-{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
 
     def get(self, kind: str, key):
         if not self.enabled:
             return None
-        path = self._path(kind, _key_text(key))
+        path = f"{self._prefix}{self._name(kind, _key_text(key))}.json"
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 record = json.load(handle)
         except (OSError, ValueError):
             return None
@@ -83,9 +91,9 @@ class Cache:
     def put(self, kind: str, key, payload):
         if not self.enabled:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
+        os.makedirs(self._prefix, exist_ok=True)
         key_text = _key_text(key)
-        path = self._path(kind, key_text)
+        name = self._name(kind, key_text)
         # the record's keys in sorted order, each value as the C encoder
         # writes it; json.dump would stream the same text through the
         # pure-Python one
@@ -95,13 +103,11 @@ class Cache:
         )
         # a temp file of its own per writer, so concurrent writers of one key
         # never write into each other's file; the last replace wins whole
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=path.stem + "-", suffix=".tmp"
-        )
+        fd, tmp = tempfile.mkstemp(dir=self._prefix, prefix=name + "-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, f"{self._prefix}{name}.json")
         except BaseException:
             os.unlink(tmp)
             raise

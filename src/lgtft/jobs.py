@@ -41,7 +41,7 @@ from .matfact import (
     koszul_factorization,
     make_factorization,
 )
-from .poly import PolyRing
+from .poly import PolyRing, _mono_str
 from .polymatrix import PolyMatrix
 from .tft import build_tft_datum, verify_tft_datum
 
@@ -347,7 +347,8 @@ def _run_jacobi(spec: JobSpec, lg: LGPair) -> dict:
         return out
     algebra = lg.jacobi_algebra
     out["milnor_number"] = algebra.dimension
-    out["basis"] = [str(algebra.basis_poly(k)) for k in range(algebra.dimension)]
+    variables = lg.ring.variables  # each basis element printed off its exponents
+    out["basis"] = [_mono_str(exps, variables) or "1" for exps in algebra.basis]
     if algebra.dimension:
         trace = residue_trace(lg, scale=spec.bulk_scale)
         out["trace"] = [str(v) for v in trace.values]

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .groebner import GroebnerBasis
 from .jacobi import JacobiAlgebra, jacobi_algebra, jacobi_groebner
 from .koszul import KoszulComplex
-from .linalg import SparseMatrix
 from .poly import PolyRing, Polynomial
 
 
@@ -21,11 +19,11 @@ class LGPair:
     """A superpotential W on C^d, plus grading data when W is graded.
 
     signature is the parity of the dimension d; it is the Z2-degree carried
-    by every boundary trace downstream.  The key, the Jacobi basis and
-    algebra and the Koszul complex are fixed by (X, W), so the pair computes
-    each on first use and keeps it, and keeps the residue trace of each
-    scale it is asked for.  None of them refers back to the pair, which is freed by
-    reference counting.
+    by every boundary trace downstream.  The key, the partials, the Jacobi
+    basis and algebra and the Koszul complex are fixed by (X, W), so the
+    pair computes each on first use and keeps it, and keeps the residue
+    trace of each scale it is asked for.  None of them refers back to the
+    pair, which is freed by reference counting.
     """
 
     ring: PolyRing
@@ -64,6 +62,11 @@ class LGPair:
         return self.w.homogeneous_weighted_degree(self.weights)
 
     def partials(self) -> tuple:
+        """The partial derivatives of W, computed once and kept."""
+        return self._partials
+
+    @cached_property
+    def _partials(self) -> tuple:
         return tuple(
             self.w.partial_derivative(k) for k in range(self.dimension)
         )
@@ -118,70 +121,79 @@ def make_lg_pair(
 def detect_weights(w: Polynomial) -> Optional[tuple]:
     """Positive integer weights making w quasi-homogeneous, or None.
 
-    Solves sum_i a_i * w_i = degree over the exponent vectors of w; variables
-    absent from w get weight 1.
+    Solves sum_i a_i * w_i = degree over the exponent vectors of w, over
+    the rationals.  The kernel is taken in its canonical basis, one vector
+    per free column of the RREF, 1 there and 0 at the other free columns.
+    Each vector is tried alone, in free-column order, and then their sum:
+    its weights, each zero raised to 1 (as a variable absent from w has in
+    every vector but its own), scaled to coprime integers, are taken when
+    neither a weight nor the degree is negative and w is homogeneous for
+    them.
     """
     exponents = list(w.terms)
     if not exponents:
         return None
     nvars = w.ring.nvars
     # unknowns: w_1..w_d and the common degree D; equations A.w - D = 0
-    matrix = SparseMatrix(len(exponents), nvars + 1)
-    for row, exps in enumerate(exponents):
-        for col, e in enumerate(exps):
-            if e:
-                matrix.set(row, col, e)
-        matrix.set(row, nvars, -1)
-    kernel = matrix.nullspace()
+    rows = [list(exps) + [-1] for exps in exponents]
+    kernel, scale = _integer_kernel(rows, nvars + 1)
     if not kernel:
         return None
-    # any positive combination works; try single kernel vectors first
-    for vector in kernel:
-        candidate = _positive_integer_weights(vector, nvars)
+    for vector in kernel + [[sum(column) for column in zip(*kernel)]]:
+        candidate = _positive_integer_weights(vector, scale)
         if candidate is not None and w.homogeneous_weighted_degree(candidate) is not None:
             return candidate
-    # fall back to the sum of all kernel vectors
-    combined = {}
-    for vector in kernel:
-        for k, v in vector.items():
-            combined[k] = combined.get(k, Fraction(0)) + v.re
-    candidate = _positive_integer_weights(
-        {k: v for k, v in combined.items() if v}, nvars, raw=True
-    )
-    if candidate is not None and w.homogeneous_weighted_degree(candidate) is not None:
-        return candidate
     return None
 
 
-def _positive_integer_weights(vector, nvars, raw=False):
-    values = []
-    for k in range(nvars):
-        v = vector.get(k)
-        if v is None:
-            values.append(Fraction(0))
+def _integer_kernel(rows: list, ncols: int) -> tuple:
+    """(vectors, scale): the canonical kernel basis of an integer matrix,
+    each vector times scale, a positive integer that makes them integral.
+
+    Gauss-Jordan elimination over the integers: a row is cleared at a pivot
+    column by a multiple of the pivot row and divided by the gcd of its
+    entries, so every pivot row ends with zeros at the other pivot columns.
+    The canonical vector of a free column f is 1 at f, 0 at the other free
+    columns and -row[f] / row[pivot] at each pivot row's pivot; scale is the
+    least common multiple of the pivots' absolute values.
+    """
+    rows = [row for row in rows if any(row)]
+    pivots = []  # (column, row), in column order
+    for col in range(ncols):
+        found = next((row for row in rows if row[col]), None)
+        if found is None:
             continue
-        v = v if raw else v.re
-        values.append(Fraction(v))
-    degree = vector.get(nvars)
-    if degree is not None:
-        degree = degree if raw else degree.re
-        if degree <= 0:
-            return None
-    # variables not appearing in W have a free weight; give them 1
-    if any(v < 0 for v in values):
+        rows.remove(found)
+        for other in rows + [row for _, row in pivots]:
+            factor = other[col]
+            if factor:
+                other[:] = [found[col] * a - factor * b for a, b in zip(other, found)]
+                common = gcd(*other)
+                if common > 1:
+                    other[:] = [a // common for a in other]
+        rows = [row for row in rows if any(row)]
+        pivots.append((col, found))
+    scale = lcm(*[abs(row[col]) for col, row in pivots])
+    taken = {col for col, _ in pivots}
+    vectors = []
+    for free in range(ncols):
+        if free in taken:
+            continue
+        vector = [0] * ncols
+        vector[free] = scale
+        for col, row in pivots:
+            vector[col] = -row[free] * (scale // row[col])
+        vectors.append(vector)
+    return vectors, scale
+
+
+def _positive_integer_weights(vector: list, scale: int) -> Optional[tuple]:
+    """The weights of a kernel vector given times scale (its last entry is
+    the degree), or None when the degree or a weight is negative or every
+    weight is zero.  A zero weight, a variable absent from W, becomes 1."""
+    *values, degree = vector
+    if degree < 0 or any(v < 0 for v in values) or not any(values):
         return None
-    if all(v == 0 for v in values):
-        return None
-    values = [v if v > 0 else Fraction(1) for v in values]
-    denominator_lcm = 1
-    for v in values:
-        denominator_lcm = denominator_lcm * v.denominator // gcd(
-            denominator_lcm, v.denominator
-        )
-    ints = [int(v * denominator_lcm) for v in values]
-    common = 0
-    for v in ints:
-        common = gcd(common, v)
-    if common > 1:
-        ints = [v // common for v in ints]
-    return tuple(ints)
+    values = [v or scale for v in values]
+    common = gcd(*values)
+    return tuple(v // common for v in values)

@@ -204,14 +204,12 @@ def _weight_edges(factorization) -> Optional[list]:
     lg = factorization.lg
     if lg.weights is None:
         return None
-    h = lg.weighted_degree
-    edges = []
-    for (blk, i, j), p in factorization.D.entries().items():
-        degree = p.homogeneous_weighted_degree(lg.weights)
-        if degree is None:
+    h, degrees = lg.weighted_degree, {}
+    for (_, b, i, j), e in factorization.d_terms:
+        t = mono_weighted_degree(e, lg.weights)
+        if degrees.setdefault((b, i, j), t) != t:
             return None
-        edges.append(((blk, j), (1 - blk, i), h - 2 * degree))
-    return edges
+    return [((b, j), (1 - b, i), h - 2 * t) for (b, i, j), t in degrees.items()]
 
 
 def _infer_weights(edges, rank0, rank1):

@@ -26,7 +26,8 @@ reading the integer triple replaced, and the cache entry whose key went
 through json.dumps whole at every digest, which keys joined from parts
 serialized once replaced, and the pieces of a window read off forward
 passes in basis order made at the window itself, which one degree-order pass
-per index replaced.
+per index replaced, and the weights of W read off a SparseMatrix nullspace
+over Q(i) with Fraction arithmetic, which the integer kernel replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -38,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 from lgtft.errors import FactorizationError, InternalCheckError, ParseError
 from lgtft.linalg import SparseMatrix, echelon_kernel, vec_axpy, vec_scale
@@ -1078,3 +1080,69 @@ def dumped_cache_entry(kind, key, payload) -> tuple:
     ).hexdigest()
     record = {"kind": kind, "key": key, "payload": payload}
     return f"{kind}-{digest}.json", json.dumps(record, sort_keys=True)
+
+
+def nullspace_detect_weights(w):
+    """Positive integer weights making w quasi-homogeneous, or None: the
+    kernel of [exponents | -1] by SparseMatrix.nullspace, each vector tried
+    alone and then their sum, through Fraction arithmetic."""
+    exponents = list(w.terms)
+    if not exponents:
+        return None
+    nvars = w.ring.nvars
+    matrix = SparseMatrix(len(exponents), nvars + 1)
+    for row, exps in enumerate(exponents):
+        for col, e in enumerate(exps):
+            if e:
+                matrix.set(row, col, e)
+        matrix.set(row, nvars, -1)
+    kernel = matrix.nullspace()
+    if not kernel:
+        return None
+    for vector in kernel:
+        candidate = _fraction_weights(vector, nvars)
+        if candidate is not None and w.homogeneous_weighted_degree(candidate) is not None:
+            return candidate
+    combined = {}
+    for vector in kernel:
+        for k, v in vector.items():
+            combined[k] = combined.get(k, Fraction(0)) + v.re
+    candidate = _fraction_weights(
+        {k: v for k, v in combined.items() if v}, nvars, raw=True
+    )
+    if candidate is not None and w.homogeneous_weighted_degree(candidate) is not None:
+        return candidate
+    return None
+
+
+def _fraction_weights(vector, nvars, raw=False):
+    values = []
+    for k in range(nvars):
+        v = vector.get(k)
+        if v is None:
+            values.append(Fraction(0))
+            continue
+        v = v if raw else v.re
+        values.append(Fraction(v))
+    degree = vector.get(nvars)
+    if degree is not None:
+        degree = degree if raw else degree.re
+        if degree <= 0:
+            return None
+    if any(v < 0 for v in values):
+        return None
+    if all(v == 0 for v in values):
+        return None
+    values = [v if v > 0 else Fraction(1) for v in values]
+    denominator_lcm = 1
+    for v in values:
+        denominator_lcm = denominator_lcm * v.denominator // gcd(
+            denominator_lcm, v.denominator
+        )
+    ints = [int(v * denominator_lcm) for v in values]
+    common = 0
+    for v in ints:
+        common = gcd(common, v)
+    if common > 1:
+        ints = [v // common for v in ints]
+    return tuple(ints)

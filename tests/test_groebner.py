@@ -18,6 +18,7 @@ from lgtft.lgpair import make_lg_pair
 from lgtft.poly import PolyRing, Polynomial
 from lgtft.scalars import GaussianRational
 
+from both_modes import run_both_modes
 from oracles import division_normal_form
 
 
@@ -219,3 +220,47 @@ def test_fermat6_bezoutian_matches_the_division_loop():
     ]
     assert len(delta.terms) == 125
     assert _same_remainder(delta, combined)
+
+
+_VERIFY_SCRIPT = """
+import lgtft.groebner
+from lgtft.errors import InternalCheckError
+from lgtft.groebner import GroebnerBasis
+from lgtft.poly import PolyRing
+
+ring = PolyRing(["x", "y"])
+s_polynomial = lgtft.groebner.s_polynomial
+calls = []
+
+
+def counting(f, g):
+    calls.append((f, g))
+    return s_polynomial(f, g)
+
+
+lgtft.groebner.s_polynomial = counting
+# monic and reduced, but S(x^2 + y, x*y) = y^2 is irreducible
+try:
+    GroebnerBasis(ring, [ring.parse("x^2 + y"), ring.parse("x*y")]).verify()
+except InternalCheckError as exc:
+    print("raised:", exc, len(calls))
+else:
+    print("passed")
+del calls[:]
+# leading monomials x^2 and y^3 are coprime: no S-polynomial
+GroebnerBasis(ring, [ring.parse("x^2 + y"), ring.parse("y^3")]).verify()
+print("coprime pairs reduced:", len(calls))
+"""
+
+
+def test_verify_fails_closed_and_skips_coprime_pairs():
+    """verify raises on a monic, reduced set that is not a Groebner basis,
+    whose one pair has leading monomials sharing x; a set whose leading
+    monomials are pairwise coprime needs no S-polynomial.  Plain and under
+    python -O."""
+    for out in run_both_modes(_VERIFY_SCRIPT).values():
+        assert out.splitlines() == [
+            "raised: Buchberger criterion failed 1",
+            "coprime pairs reduced: 0",
+        ]
+

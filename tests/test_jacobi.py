@@ -1,5 +1,6 @@
-"""Jacobi algebras, Milnor numbers, and the residue trace."""
+"""Jacobi algebras, Milnor numbers, the residue trace, and the weights of W."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from lgtft.jacobi import (
     milnor_number,
     residue_trace,
 )
-from lgtft.lgpair import make_lg_pair
+from lgtft.lgpair import detect_weights, make_lg_pair
 from lgtft.matfact import koszul_factorization
 from lgtft.poly import PolyRing
 from lgtft.scalars import GaussianRational
@@ -29,6 +30,7 @@ from lgtft.tft import build_tft_datum, verify_tft_datum
 from oracles import (
     loop_divided_difference,
     normal_form_table,
+    nullspace_detect_weights,
     residue_one_var,
     staircase_count,
     table_is_associative,
@@ -317,3 +319,65 @@ def test_divided_difference_identity_and_loop():
     # x0^2 gives x0 + y0 and -x0*y0 gives -y0: the y0 terms cancel
     p = ring.parse("x0^2 - x0*y0")
     assert _divided_difference(p, 0, d).terms == {(1, 0, 0, 0): GaussianRational(1)}
+
+
+def _weighted_terms(draw, nvars):
+    """Exponent vectors of one weighted degree, for drawn weights: a
+    quasi-homogeneous W when there are any."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars))
+    degree = draw(st.integers(1, 12))
+    return [
+        exps
+        for exps in itertools.product(range(degree + 1), repeat=nvars)
+        if sum(e * w for e, w in zip(exps, weights)) == degree
+    ]
+
+
+@st.composite
+def _superpotentials(draw):
+    """(variables, W): W of one to four terms in one to three variables,
+    with exponents up to 4 (absent variables, one-term W, non-quasi-
+    homogeneous W, zero kernels), or a subset of the monomials of one
+    weighted degree, plus at times a stray term."""
+    nvars = draw(st.integers(1, 3))
+    pool = []
+    if draw(st.booleans()):
+        pool = _weighted_terms(draw, nvars)
+    if not pool:
+        pool = list(itertools.product(range(5), repeat=nvars))
+    terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        terms.append(draw(st.tuples(*[st.integers(0, 4)] * nvars)))
+    variables = ["x", "y", "z"][:nvars]
+    coeffs = draw(st.lists(st.integers(1, 5), min_size=len(terms), max_size=len(terms)))
+    return variables, {tuple(exps): c for exps, c in zip(terms, coeffs)}
+
+
+@given(_superpotentials())
+@settings(max_examples=300, deadline=None)
+def test_detect_weights_matches_the_nullspace_route(case):
+    """The integer kernel gives the weights, or None, that the SparseMatrix
+    nullspace over Q(i) with Fraction arithmetic gave, for every W."""
+    variables, terms = case
+    w = PolyRing(variables).from_terms(terms)
+    assert detect_weights(w) == nullspace_detect_weights(w)
+
+
+@pytest.mark.parametrize(
+    "variables,w,weights",
+    [
+        (["x", "y"], "x^4+y^4", (1, 1)),
+        (["x", "y"], "x^2*y", (1, 2)),
+        (["x", "y", "z"], "x^3+y^2", (2, 3, 6)),
+        (["x", "y"], "x^3*y+y^2", (1, 3)),
+        (["x", "y"], "x^4+y^4+x*y^2", None),
+        (["x", "y"], "x + x^2", None),
+    ],
+)
+def test_detect_weights_examples(variables, w, weights):
+    """An absent variable weighs 1 in the units of the kernel vector, whose
+    degree entry is 1 (z: 1 against 1/3 and 1/2); a kernel with no positive
+    vector, or none at all, gives None."""
+    ring = PolyRing(variables)
+    parsed = ring.parse(w)
+    assert detect_weights(parsed) == weights == nullspace_detect_weights(parsed)

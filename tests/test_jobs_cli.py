@@ -930,6 +930,57 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
         assert incoming.rows == cut
 
 
+# template -> calls in one run_job on a filled cache: each partial of W once
+# (the pair keeps them) and the Hessian's four second partials; no
+# S-polynomial (the partials' leading monomials x^3 and y^3 are coprime);
+# the basis printed off exponents; the weights of W from the integer kernel;
+# and a graded brane's weight edges read off D's terms (the windowed job's
+# W has no weights, so no edges are read there and entries is not pinned)
+_CACHED_JOB_CALLS = {
+    "warm.graded": {
+        "partial_derivative": 6, "s_polynomial": 0, "from_terms": 0,
+        "nullspace": 0, "entries": 0,
+    },
+    "warm.windowed": {
+        "partial_derivative": 6, "s_polynomial": 0, "from_terms": 0,
+        "nullspace": 0,
+    },
+}
+
+
+def test_cached_job_work_counts(tmp_path, monkeypatch):
+    """A cached warm job re-derives nothing it only reads: the work of one
+    run_job against a filled cache is pinned call by call."""
+    from lgtft.linalg import SparseMatrix
+    from lgtft.matfact import Morphism
+    from lgtft.poly import PolyRing, Polynomial
+    from test_bench_references import _load_harness
+
+    harness = _load_harness(monkeypatch)
+    sites = {
+        "partial_derivative": (Polynomial, "partial_derivative"),
+        "s_polynomial": (lgtft.groebner, "s_polynomial"),
+        "from_terms": (PolyRing, "from_terms"),
+        "entries": (Morphism, "entries"),
+        "nullspace": (SparseMatrix, "nullspace"),
+    }
+    calls = dict.fromkeys(sites, 0)
+    for name, (owner, attribute) in sites.items():
+        def counting(*args, _name=name, _original=getattr(owner, attribute)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, attribute, counting)
+    counts = {}
+    for template in _CACHED_JOB_CALLS:
+        spec = JobSpec.from_dict(harness.unseeded(template).raw)
+        cache = Cache(tmp_path / template)
+        run_job(spec, cache)
+        calls.update(dict.fromkeys(sites, 0))
+        run_job(spec, cache)
+        counts[template] = {name: calls[name] for name in _CACHED_JOB_CALLS[template]}
+    assert counts == _CACHED_JOB_CALLS
+
 def _baseline_blocks(weights):
     """The baseline branes as d01/d10 blocks, with the gradings of the
     Koszul factorizations where weights[name] is set, inferred otherwise."""
