@@ -9,12 +9,17 @@ S-polynomial of a pair with coprime leading monomials always reduces to zero
 (Buchberger, EUROSAM 1979; Cox, Little and O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2, "Improvements on Buchberger's algorithm"), so for those
 pairs the criterion holds with no division.
+
+An element's leading term is read once.  Buchberger's algorithm keeps each
+element's reducer (see _monic) beside it; interreduction and the check
+divide by those, and the basis keeps them, with its leading monomials and
+staircase bounds, for every later normal form and staircase query.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import add, sub
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, RingMismatchError
@@ -22,11 +27,10 @@ from .poly import (
     PolyRing,
     Polynomial,
     grevlex_key,
-    mono_degree,
     mono_div,
-    mono_divides,
     mono_lcm,
 )
+from .scalars import ONE
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -52,23 +56,27 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     changes: a reduction costs the length of the divisor's tail, not of the
     whole working polynomial.
     """
-    return _divide(p, _reducers(divisors))
+    return Polynomial(p.ring, _divide(p.terms, _reducers(divisors)))
 
 
 def _reducers(divisors: Sequence[Polynomial]) -> list:
-    """(leading monomial, inverse leading coefficient, tail terms) of each
-    divisor, in list order: what a division step reads of a divisor."""
-    reducers = []
-    for g in divisors:
-        lead, lead_coeff = g.leading_term()
-        tail = [(e, c) for e, c in g.terms.items() if e != lead]
-        reducers.append((lead, lead_coeff.inverse(), tail))
-    return reducers
+    """What a division step reads of each divisor, in list order: see _monic."""
+    return [_monic(g)[1] for g in divisors]
 
 
-def _divide(p: Polynomial, reducers: list) -> Polynomial:
-    """The division loop of normal_form, by divisors read by _reducers."""
-    work = dict(p.terms)
+def _monic(g: Polynomial) -> tuple:
+    """(g / lc(g), its reducer: leading monomial, inverse leading
+    coefficient 1 and tail terms), reading g's leading term once."""
+    lead, lead_coeff = g.leading_term()
+    monic = g * lead_coeff.inverse()
+    return monic, (lead, ONE, [(e, c) for e, c in monic.terms.items() if e != lead])
+
+
+def _divide(terms: dict, reducers: list) -> dict:
+    """The remainder's terms in the division loop of normal_form, of the
+    terms of a polynomial by reducers (see _monic); the residue trace pads
+    a basis's reducers into two variable groups."""
+    work = dict(terms)
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapq.heapify(heap)
     remainder = {}
@@ -97,7 +105,7 @@ def _divide(p: Polynomial, reducers: list) -> Polynomial:
             break
         else:
             remainder[exps] = coeff
-    return Polynomial(p.ring, remainder)
+    return remainder
 
 
 def _coprime(a: tuple, b: tuple) -> bool:
@@ -114,71 +122,95 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return left * f - right * g
 
 
-def _interreduce(basis: list) -> list:
-    """Make the basis reduced: no term of any element divisible by another's LT."""
+def _interreduce(basis: list, reducers: list) -> tuple:
+    """Make the monic basis reduced: no term of any element divisible by
+    another's LT.  reducers[k] is basis[k]'s; both lists are changed in
+    place and returned sorted by leading monomial."""
     changed = True
-    current = [g.monic() for g in basis if not g.is_zero()]
     while changed:
         changed = False
-        for k in range(len(current)):
-            others = current[:k] + current[k + 1 :]
+        for k in range(len(basis)):
+            others = reducers[:k] + reducers[k + 1 :]
             if not others:
                 continue
-            reduced = normal_form(current[k], others)
-            if reduced.is_zero():
-                current.pop(k)
+            reduced = _divide(basis[k].terms, others)
+            if not reduced:
+                basis.pop(k)
+                reducers.pop(k)
                 changed = True
                 break
-            reduced = reduced.monic()
-            if reduced != current[k]:
-                current[k] = reduced
+            if reduced == basis[k].terms:
+                continue  # already reduced, and monic
+            monic, reducer = _monic(Polynomial(basis[k].ring, reduced))
+            if monic != basis[k]:
+                basis[k], reducers[k] = monic, reducer
                 changed = True
                 break
-    current.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
-    return current
+    order = sorted(range(len(basis)), key=lambda k: grevlex_key(reducers[k][0]))
+    return [basis[k] for k in order], [reducers[k] for k in order]
 
 
-def buchberger(generators: Sequence[Polynomial]) -> list:
-    """Reduced monic Groebner basis of the ideal spanned by the generators."""
-    basis = [g.monic() for g in generators if not g.is_zero()]
-    if not basis:
-        return []
-    leads = [g.leading_term()[0] for g in basis]  # kept beside basis
+def buchberger(generators: Sequence[Polynomial]) -> tuple:
+    """(basis, reducers): the reduced monic Groebner basis of the ideal
+    spanned by the generators, and the reducer of each element."""
+    monics = [_monic(g) for g in generators if not g.is_zero()]
+    if not monics:
+        return [], []
+    basis, reducers = map(list, zip(*monics))  # reducers kept beside basis
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
 
     def pair_key(pair):
         # normal selection: smallest lcm of leading monomials in grevlex
         i, j = pair
-        return (grevlex_key(mono_lcm(leads[i], leads[j])), pair)
+        return (grevlex_key(mono_lcm(reducers[i][0], reducers[j][0])), pair)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        if _coprime(leads[i], leads[j]):
+        if _coprime(reducers[i][0], reducers[j][0]):
             continue  # the first criterion: S-polynomial reduces to zero
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if remainder.is_zero():
+        remainder = _divide(s_polynomial(basis[i], basis[j]).terms, reducers)
+        if not remainder:
             continue
-        basis.append(remainder.monic())
-        leads.append(basis[-1].leading_term()[0])
+        monic, reducer = _monic(Polynomial(basis[i].ring, remainder))
+        basis.append(monic)
+        reducers.append(reducer)
         new = len(basis) - 1
         pairs.update((new, k) for k in range(new))
-    return _interreduce(basis)
+    return _interreduce(basis, reducers)
+
+
+def _staircase_bounds(leads: Sequence[tuple], nvars: int) -> Optional[list]:
+    """Per-variable exclusive bounds on standard-monomial exponents, or None
+    when the quotient is infinite-dimensional.  Standard criterion: for each
+    variable some leading monomial is a pure power of that variable, and the
+    least such power bounds it; a zero leading exponent (the unit ideal)
+    bounds every variable by 0."""
+    if any(not any(e) for e in leads):
+        return [0] * nvars
+    bounds = [
+        min((e[k] for e in leads if e[k] and sum(e) == e[k]), default=None)
+        for k in range(nvars)
+    ]
+    return None if None in bounds else bounds
 
 
 class GroebnerBasis:
-    """A reduced grevlex Groebner basis with normal-form services.
+    """A reduced grevlex Groebner basis with normal-form services.  It keeps
+    its generators' reducers (see _monic), which every normal form divides
+    by, their leading monomials (leads) and the staircase bounds; compute
+    passes it the reducers Buchberger's algorithm kept."""
 
-    The generators' reducers (see _reducers) are built on the first
-    normal_form and kept, so later normal forms take no leading term.
-    """
+    __slots__ = ("ring", "generators", "reducers", "leads", "_bounds")
 
-    __slots__ = ("ring", "generators", "_reducers")
-
-    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
+    def __init__(self, ring: PolyRing, generators: Sequence, reducers=None):
         self.ring = ring
         self.generators = tuple(generators)
-        self._reducers = None
+        if reducers is None:
+            reducers = _reducers(self.generators)
+        self.reducers = reducers
+        self.leads = tuple(lead for lead, _, _ in reducers)
+        self._bounds = _staircase_bounds(self.leads, ring.nvars)
 
     @classmethod
     def compute(cls, generators: Sequence[Polynomial]) -> "GroebnerBasis":
@@ -189,7 +221,7 @@ class GroebnerBasis:
         for g in gens:
             if g.ring != ring:
                 raise RingMismatchError("generators live in different rings")
-        basis = cls(ring, buchberger(gens))
+        basis = cls(ring, *buchberger(gens))
         basis.verify()
         return basis
 
@@ -200,23 +232,23 @@ class GroebnerBasis:
         reduces to zero.  A pair whose leading monomials are coprime
         satisfies it by the first criterion (see the module docstring), so
         only the pairs whose leading monomials share a variable are reduced.
+        Each element is read through its kept reducer.
         """
         gens = self.generators
-        leads = []
-        for k, g in enumerate(gens):
-            lead, lead_coeff = g.leading_term()
-            if lead_coeff != 1:
+        reducers = self.reducers
+        for k, (g, (lead, _, _)) in enumerate(zip(gens, reducers)):
+            if g.terms.get(lead) != 1:
                 raise InternalCheckError("basis element not monic")
-            others = gens[:k] + gens[k + 1 :]
-            if others and normal_form(g, others) != g:
+            others = reducers[:k] + reducers[k + 1 :]
+            if others and _divide(g.terms, others) != g.terms:
                 raise InternalCheckError("basis not reduced")
-            leads.append(lead)
+        leads = self.leads
         for i in range(len(gens)):
             for j in range(i):
                 if _coprime(leads[i], leads[j]):
                     continue
                 s = s_polynomial(gens[i], gens[j])
-                if not normal_form(s, gens).is_zero():
+                if _divide(s.terms, reducers):
                     raise InternalCheckError("Buchberger criterion failed")
 
     def normal_form(self, p: Polynomial) -> Polynomial:
@@ -224,15 +256,10 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial not in the basis ring")
         if not self.generators:
             return p
-        if self._reducers is None:
-            self._reducers = _reducers(self.generators)
-        return _divide(p, self._reducers)
+        return Polynomial(p.ring, _divide(p.terms, self.reducers))
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
-
-    def leading_exponents(self) -> list:
-        return [g.leading_term()[0] for g in self.generators]
 
     # -- staircase combinatorics ------------------------------------------
 
@@ -241,46 +268,43 @@ class GroebnerBasis:
         return self.staircase_bounds() is not None
 
     def staircase_bounds(self) -> Optional[list]:
-        """Per-variable exclusive bounds on standard-monomial exponents, or
-        None when the quotient is infinite-dimensional.
+        """The kept _staircase_bounds of the leading monomials."""
+        return self._bounds
 
-        Standard criterion: for each variable some leading monomial is a pure
-        power of that variable, and the least such power bounds it; a zero
-        leading exponent (the unit ideal) bounds every variable by 0.
+    def standard_monomials(self, limit: Optional[int] = None) -> Optional[list]:
+        """Grevlex-ascending exponent tuples spanning the quotient; with a
+        limit, None as soon as more than limit of them are found.
+
+        Standard monomials are closed under division, so each one but 1 is
+        x_k * m, m standard and x_k its last variable: the search raises
+        each monomial found by each variable from its last one on, and keeps
+        what no leading monomial divides, so it finds each once.  A leading
+        monomial dividing x_k * m has x_k-exponent m_k + 1, as m is standard.
         """
-        leads = self.leading_exponents()
-        if any(mono_degree(e) == 0 for e in leads):
-            return [0] * self.ring.nvars
-        bounds = []
-        nvars = self.ring.nvars
-        for k in range(nvars):
-            pure = [
-                e[k]
-                for e in leads
-                if e[k] > 0 and all(e[j] == 0 for j in range(nvars) if j != k)
-            ]
-            if not pure:
-                return None
-            bounds.append(min(pure))
-        return bounds
-
-    def standard_monomials(self) -> list:
-        """Grevlex-ascending exponent tuples spanning the quotient."""
-        bounds = self.staircase_bounds()
-        if bounds is None:
+        if not self.is_zero_dimensional():
             raise ValueError("the quotient is not finite-dimensional")
-        leads = self.leading_exponents()
-        found = []
-
-        def rec(index, prefix):
-            if index == len(bounds):
-                exps = tuple(prefix)
-                if not any(mono_divides(lt, exps) for lt in leads):
-                    found.append(exps)
-                return
-            for e in range(bounds[index]):
-                rec(index + 1, prefix + [e])
-
-        rec(0, [])
+        nvars = self.ring.nvars
+        steps = [{} for _ in range(nvars)]  # k -> {e: leads with x_k^e}
+        for lead in self.leads:
+            for k, e in enumerate(lead):
+                if e:
+                    steps[k].setdefault(e, []).append(lead)
+        found = [] if any(not any(e) for e in self.leads) else [(0,) * nvars]
+        lasts = [0]  # the last variable of each monomial found
+        position = 0
+        while position < len(found):
+            exps, last = found[position], lasts[position]
+            position += 1
+            for k in range(last, nvars):
+                e = exps[k] + 1
+                raised = exps[:k] + (e,) + exps[k + 1 :]
+                for lead in steps[k].get(e, ()):
+                    if all(map(le, lead, raised)):
+                        break
+                else:
+                    found.append(raised)
+                    lasts.append(k)
+            if limit is not None and len(found) > limit:
+                return None
         found.sort(key=grevlex_key)
         return found

@@ -16,12 +16,18 @@ the Bezoutian dual-basis construction: write the Bezoutian of the partials as
 sum_{a,b} C[a][b] m_a(x) m_b(y) modulo the Jacobi ideal in both variable
 groups; then C^{-1} is the Gram matrix of the residue pairing on the standard
 monomial basis.  This normalization automatically satisfies
-trace(det Hessian) = dim, which is checked.
+trace(det Hessian) = dim, which is checked (the Hessian from the second
+partials), as are C's nonsingularity and the Gram matrix's symmetry.  The
+Bezoutian's terms, on exponent tuples of the x and then the y variables, are
+divided by the Jacobi basis's own reducers padded into both halves, which
+share no variable and so form a Groebner basis in 2d variables: no second
+ring or basis is built.  An algebra over MILNOR_LIMIT is refused first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -29,14 +35,19 @@ from .errors import (
     InternalCheckError,
     NonIsolatedCriticalLocusError,
     SingularMatrixError,
+    ValidationError,
 )
-from .groebner import GroebnerBasis
+from .groebner import GroebnerBasis, _divide
 from .linalg import SparseMatrix, Vector, columns_apply, vec_scale
-from .poly import PolyRing, Polynomial
+from .poly import Polynomial
 from .scalars import GaussianRational
 
 if TYPE_CHECKING:  # lgpair imports this module: LGPair keeps its algebra
     from .lgpair import LGPair
+
+# the largest Jacobi algebra a job computes: the trace inverts a mu x mu
+# matrix and a report prints the mu x mu Gram matrix
+MILNOR_LIMIT = 1000
 
 
 def jacobi_groebner(lg: LGPair) -> GroebnerBasis:
@@ -68,10 +79,10 @@ class QuotientAlgebra:
         "ring", "gb", "basis", "index", "unit_index", "_mult", "_table", "_actions",
     )
 
-    def __init__(self, gb: GroebnerBasis):
+    def __init__(self, gb: GroebnerBasis, basis=None):
         self.ring = gb.ring
         self.gb = gb
-        self.basis = tuple(gb.standard_monomials())
+        self.basis = tuple(gb.standard_monomials() if basis is None else basis)
         self.index = {exps: k for k, exps in enumerate(self.basis)}
         self.unit_index = self.index.get((0,) * gb.ring.nvars)
         self._mult = None
@@ -135,12 +146,19 @@ class JacobiAlgebra(QuotientAlgebra):
     not lg: the LGPair keeps its algebra, and a reference back would make a
     cycle that reference counting cannot free.  Its M_k and table wait for
     their first read: only the tft clauses read them, so a job that prints
-    the basis and the trace never pays their n * mu normal forms."""
+    the basis and the trace never pays their n * mu normal forms.  Its
+    staircase count stops past MILNOR_LIMIT, refusing a larger algebra."""
 
     __slots__ = ()
 
     def __init__(self, lg: LGPair):
-        super().__init__(lg.jacobi_basis)
+        basis = lg.jacobi_basis.standard_monomials(MILNOR_LIMIT)
+        if basis is None:
+            raise ValidationError(
+                f"the Jacobi algebra is too large: its dimension mu exceeds "
+                f"the limit of {MILNOR_LIMIT}"
+            )
+        super().__init__(lg.jacobi_basis, basis)
 
 
 def raise_exponent(exps: tuple, k: int) -> tuple:
@@ -164,33 +182,37 @@ def milnor_number(lg: LGPair) -> int:
     return lg.jacobi_algebra.dimension
 
 
-def _det(ring: PolyRing, rows: list) -> Polynomial:
-    """Determinant of a square list of polynomial rows, by cofactor expansion
-    along the top row (fine at desk scale); a ring has a variable, so the
-    list is not empty."""
-
-    def expand(top, cols):
-        if len(cols) == 1:
-            return rows[top][cols[0]]
-        total = ring.zero()
-        for position, col in enumerate(cols):
-            entry = rows[top][col]
-            if entry.is_zero():
-                continue
-            term = entry * expand(top + 1, cols[:position] + cols[position + 1 :])
-            total = total + term if position % 2 == 0 else total - term
-        return total
-
-    return expand(0, tuple(range(len(rows))))
+def _det(rows: list, top: int = 0, cols=None) -> dict:
+    """Determinant of rows[top:] on the columns cols (all by default), rows a
+    square list of terms dicts (exponent tuple -> nonzero coefficient), by
+    cofactor expansion along the top row (fine at desk scale); a ring has a
+    variable, so the list is not empty."""
+    if cols is None:
+        cols = tuple(range(len(rows)))
+    if len(cols) == 1:
+        return rows[top][cols[0]]
+    total = {}
+    for position, col in enumerate(cols):
+        entry = rows[top][col]
+        if not entry:
+            continue
+        minor = _det(rows, top + 1, cols[:position] + cols[position + 1 :])
+        for ea, ca in entry.items():
+            if position % 2:
+                ca = -ca
+            for eb, cb in minor.items():
+                exps = tuple(map(add, ea, eb))
+                acc = total.pop(exps, None)
+                value = ca * cb if acc is None else acc + ca * cb
+                if value:
+                    total[exps] = value
+    return total
 
 
 def hessian_determinant(lg: LGPair) -> Polynomial:
     d = lg.dimension
-    partials = lg.partials()
-    rows = [
-        [partials[i].partial_derivative(j) for j in range(d)] for i in range(d)
-    ]
-    return _det(lg.ring, rows)
+    rows = [[p.partial_derivative(j).terms for j in range(d)] for p in lg.partials()]
+    return Polynomial(lg.ring, _det(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -198,74 +220,27 @@ def hessian_determinant(lg: LGPair) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_suffix(names):
-    suffix = "_y"
-    while any((name + suffix) in names for name in names):
-        suffix += "_"
-    return suffix
-
-
-def _embed(p: Polynomial, ring2: PolyRing, offset: int, d: int) -> Polynomial:
-    terms = {}
-    for exps, coeff in p.terms.items():
-        padded = [0] * ring2.nvars
-        for k, e in enumerate(exps):
-            padded[offset + k] = e
-        terms[tuple(padded)] = coeff
-    return Polynomial(ring2, terms)
-
-
-def _divided_difference(p: Polynomial, x_index: int, y_index: int) -> Polynomial:
-    """(p - p[x->y]) / (x - y), computed term by term without division.
-
-    A term c x^k y^e gives c x^t y^(e+k-1-t) for t < k; the terms are summed
-    in one dict, and those that cancel are dropped.
-    """
-    terms = {}
-    for exps, coeff in p.terms.items():
-        k = exps[x_index]
-        step = list(exps)
-        for t in range(k):
-            step[x_index] = t
-            step[y_index] = exps[y_index] + (k - 1 - t)
-            key = tuple(step)
-            acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
-    return Polynomial(p.ring, {key: c for key, c in terms.items() if c})
-
-
-def bezoutian_determinant(lg: LGPair, ring2: PolyRing) -> Polynomial:
-    """Determinant of the Bezoutian matrix of the partials in x and y groups."""
-    d = lg.dimension
-    partials = [_embed(p, ring2, 0, d) for p in lg.partials()]
+def _bezoutian_rows(partials, d: int) -> list:
+    """The Bezoutian matrix of the partials g_j, its entries terms dicts on
+    exponent tuples of length 2d: the x half, then the y half.  Entry (i, j)
+    is (g_j^(i) - g_j^(i+1)) / (x_i - y_i), where g^(i) is g with x_0 ..
+    x_(i-1) moved to y.  A term c x^e of g_j gives, for each t < e_i, the
+    term c x_i^t x_(i+1)^e_(i+1) ... y_0^e_0 ... y_(i-1)^e_(i-1)
+    y_i^(e_i-1-t).  Distinct (e, t) give distinct monomials, so each entry's
+    terms are written with no sum."""
     rows = []
-    substituted = list(partials)  # g_j with the first i variables moved to y
     for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(_divided_difference(substituted[j], i, d + i))
-        rows.append(row)
-        if i + 1 < d:
-            substituted = [
-                _substitute_var(g, i, d + i) for g in substituted
-            ]
-    return _det(ring2, rows)
-
-
-def _substitute_var(p: Polynomial, source: int, target: int) -> Polynomial:
-    terms = {}
-    for exps, coeff in p.terms.items():
-        moved = list(exps)
-        moved[target] += moved[source]
-        moved[source] = 0
-        key = tuple(moved)
-        acc = terms.get(key)
-        total = coeff if acc is None else acc + coeff
-        if total:
-            terms[key] = total
-        elif key in terms:
-            del terms[key]
-    return Polynomial(p.ring, terms)
+        head = (0,) * i
+        pad = (0,) * (d - i - 1)
+        rows.append([
+            {
+                head + (t,) + e[i + 1 :] + e[:i] + (e[i] - 1 - t,) + pad: c
+                for e, c in g.terms.items()
+                for t in range(e[i])
+            }
+            for g in partials
+        ])
+    return rows
 
 
 class ResidueTrace:
@@ -314,25 +289,26 @@ def _residue_trace(lg: LGPair, scale: GaussianRational) -> ResidueTrace:
             "the Jacobi algebra is zero; no trace exists"
         )
     d = lg.dimension
-    names = lg.ring.variables
-    suffix = _fresh_suffix(names)
-    ring2 = PolyRing(names + tuple(name + suffix for name in names))
+    pad = (0,) * d
+    # the basis's reducers in the x half, then in the y half: no cross pair
+    # shares a variable, so together they are a Groebner basis in 2d variables
+    reducers = algebra.gb.reducers
+    halves = [
+        (lead + pad, inverse, [(e + pad, c) for e, c in tail])
+        for lead, inverse, tail in reducers
+    ] + [
+        (pad + lead, inverse, [(pad + e, c) for e, c in tail])
+        for lead, inverse, tail in reducers
+    ]
+    reduced = _divide(_det(_bezoutian_rows(lg.partials(), d)), halves)
 
-    delta = bezoutian_determinant(lg, ring2)
-
-    # G_x union G_y is a Groebner basis: the two groups have disjoint
-    # variables, so all cross S-pairs have coprime leading terms.
-    gens_x = [_embed(g, ring2, 0, d) for g in algebra.gb.generators]
-    gens_y = [_embed(g, ring2, d, d) for g in algebra.gb.generators]
-    combined = GroebnerBasis(ring2, gens_x + gens_y)
-    reduced = combined.normal_form(delta)
-
+    # each remainder term is c m_a(x) m_b(y), with m_a and m_b standard
     mu = algebra.dimension
-    c_matrix = SparseMatrix(mu, mu)
-    for exps, coeff in reduced.terms.items():
-        x_part = exps[:d]
-        y_part = exps[d:]
-        c_matrix.set(algebra.index[x_part], algebra.index[y_part], coeff)
+    index = algebra.index
+    rows = [{} for _ in range(mu)]
+    for exps, coeff in reduced.items():
+        rows[index[exps[:d]]][index[exps[d:]]] = coeff
+    c_matrix = SparseMatrix(mu, mu, rows)
     try:
         gram_unscaled = c_matrix.inverse()
     except SingularMatrixError as exc:

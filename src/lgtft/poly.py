@@ -30,11 +30,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_div(a: tuple, b: tuple):
     """Exponent vector of x^a / x^b, or None when not divisible."""
     out = tuple(x - y for x, y in zip(a, b))
@@ -572,23 +567,23 @@ def parse_polynomial(src: str, variables: Sequence[str]) -> Polynomial:
 def monomials_of_weighted_degree(
     weights: Sequence[int], degree: int
 ) -> Iterable[tuple]:
-    """All exponent tuples with the given weighted degree, grevlex-ascending."""
+    """All exponent tuples with the given weighted degree, grevlex-ascending;
+    a stack of (prefix, remaining degree) fixes one exponent at a time."""
     if degree < 0:
         return []
-    found = []
-
-    def rec(index, remaining, prefix):
-        if index == len(weights) - 1:
-            w = weights[index]
-            if remaining % w == 0:
-                found.append(tuple(prefix + [remaining // w]))
-            return
-        w = weights[index]
-        for e in range(remaining // w + 1):
-            rec(index + 1, remaining - e * w, prefix + [e])
-
     if not weights:
         return [()] if degree == 0 else []
-    rec(0, degree, [])
+    last = len(weights) - 1
+    found = []
+    stack = [((), degree)]
+    while stack:
+        prefix, remaining = stack.pop()
+        w = weights[len(prefix)]
+        if len(prefix) == last:
+            if remaining % w == 0:
+                found.append(prefix + (remaining // w,))
+            continue
+        for e in range(remaining // w + 1):
+            stack.append((prefix + (e,), remaining - e * w))
     found.sort(key=grevlex_key)
     return found

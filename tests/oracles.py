@@ -27,7 +27,10 @@ through json.dumps whole at every digest, which keys joined from parts
 serialized once replaced, and the pieces of a window read off forward
 passes in basis order made at the window itself, which one degree-order pass
 per index replaced, and the weights of W read off a SparseMatrix nullspace
-over Q(i) with Fraction arithmetic, which the integer kernel replaced.
+over Q(i) with Fraction arithmetic, which the integer kernel replaced, and
+the residue trace's Bezoutian built as Polynomials in a second ring of 2d
+variables and divided by a second GroebnerBasis there, which the terms
+divided by the Jacobi basis's own reducers replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -44,7 +47,7 @@ from math import gcd
 from lgtft.errors import FactorizationError, InternalCheckError, ParseError
 from lgtft.linalg import SparseMatrix, echelon_kernel, vec_axpy, vec_scale
 from lgtft.scalars import GaussianRational, scalar_str
-from lgtft.poly import Polynomial, mono_div, mono_divides, mono_mul
+from lgtft.poly import Polynomial, mono_div, mono_mul
 
 
 def dense_rank(rows) -> int:
@@ -215,7 +218,7 @@ def staircase_count(leading_exponents, box) -> int:
     """Count monomials under the staircase by exhaustive divisibility checks."""
 
     def divisible(exps):
-        return any(mono_divides(lead, exps) for lead in leading_exponents)
+        return any(mono_div(exps, lead) is not None for lead in leading_exponents)
 
     count = 0
     stack = [()]
@@ -1146,3 +1149,117 @@ def _fraction_weights(vector, nvars, raw=False):
     if common > 1:
         ints = [v // common for v in ints]
     return tuple(ints)
+
+
+from lgtft.groebner import GroebnerBasis  # noqa: E402
+from lgtft.poly import PolyRing  # noqa: E402
+
+
+def _fresh_suffix(names):
+    suffix = "_y"
+    while any((name + suffix) in names for name in names):
+        suffix += "_"
+    return suffix
+
+
+def _embed(p, ring2, offset, d):
+    """p in ring2, its variables moved to positions offset .. offset+d-1."""
+    terms = {}
+    for exps, coeff in p.terms.items():
+        padded = [0] * ring2.nvars
+        for k, e in enumerate(exps):
+            padded[offset + k] = e
+        terms[tuple(padded)] = coeff
+    return Polynomial(ring2, terms)
+
+
+def _divided_difference(p, x_index, y_index):
+    """(p - p[x->y]) / (x - y), computed term by term without division.
+
+    A term c x^k y^e gives c x^t y^(e+k-1-t) for t < k; the terms are summed
+    in one dict, and those that cancel are dropped.
+    """
+    terms = {}
+    for exps, coeff in p.terms.items():
+        k = exps[x_index]
+        step = list(exps)
+        for t in range(k):
+            step[x_index] = t
+            step[y_index] = exps[y_index] + (k - 1 - t)
+            key = tuple(step)
+            acc = terms.get(key)
+            terms[key] = coeff if acc is None else acc + coeff
+    return Polynomial(p.ring, {key: c for key, c in terms.items() if c})
+
+
+def _substitute_var(p, source, target):
+    """p with the variable at source moved to target."""
+    terms = {}
+    for exps, coeff in p.terms.items():
+        moved = list(exps)
+        moved[target] += moved[source]
+        moved[source] = 0
+        key = tuple(moved)
+        acc = terms.get(key)
+        total = coeff if acc is None else acc + coeff
+        if total:
+            terms[key] = total
+        elif key in terms:
+            del terms[key]
+    return Polynomial(p.ring, terms)
+
+
+def _polynomial_cofactor(ring, rows, top, cols):
+    """The determinant of rows[top:] on the columns cols, as Polynomials."""
+    if len(cols) == 1:
+        return rows[top][cols[0]]
+    total = ring.zero()
+    for position, col in enumerate(cols):
+        entry = rows[top][col]
+        if entry.is_zero():
+            continue
+        minor = _polynomial_cofactor(
+            ring, rows, top + 1, cols[:position] + cols[position + 1 :]
+        )
+        term = entry * minor
+        total = total + term if position % 2 == 0 else total - term
+    return total
+
+
+def bezoutian_determinant(lg, ring2):
+    """Determinant of the Bezoutian matrix of the partials in x and y groups,
+    a Polynomial in ring2, the x variables and then the y variables."""
+    d = lg.dimension
+    partials = [_embed(p, ring2, 0, d) for p in lg.partials()]
+    rows = []
+    substituted = list(partials)  # g_j with the first i variables moved to y
+    for i in range(d):
+        rows.append([_divided_difference(g, i, d + i) for g in substituted])
+        if i + 1 < d:
+            substituted = [_substitute_var(g, i, d + i) for g in substituted]
+    return _polynomial_cofactor(ring2, rows, 0, tuple(range(d)))
+
+
+def two_ring_residue_trace(lg, scale):
+    """(values, Gram matrix) of the residue trace at scale, by the two-ring
+    route the padded reducers replaced: the Bezoutian as a Polynomial in a
+    second ring of 2d variables, divided by a GroebnerBasis of the Jacobi
+    basis embedded in the x and y groups."""
+    algebra = lg.jacobi_algebra
+    d = lg.dimension
+    names = lg.ring.variables
+    suffix = _fresh_suffix(names)
+    ring2 = PolyRing(names + tuple(name + suffix for name in names))
+    delta = bezoutian_determinant(lg, ring2)
+    gens_x = [_embed(g, ring2, 0, d) for g in algebra.gb.generators]
+    gens_y = [_embed(g, ring2, d, d) for g in algebra.gb.generators]
+    reduced = GroebnerBasis(ring2, gens_x + gens_y).normal_form(delta)
+    mu = algebra.dimension
+    c_matrix = SparseMatrix(mu, mu)
+    for exps, coeff in reduced.terms.items():
+        c_matrix.set(algebra.index[exps[:d]], algebra.index[exps[d:]], coeff)
+    gram = c_matrix.inverse()
+    scale = GaussianRational.coerce(scale)
+    values = tuple(scale * gram.get(algebra.unit_index, k) for k in range(mu))
+    scaled = SparseMatrix(mu, mu, [vec_scale(row, scale) for row in gram.rows])
+    return values, scaled

@@ -1,19 +1,21 @@
 """Jacobi algebras, Milnor numbers, the residue trace, and the weights of W."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lgtft.certificate import _finite_colength_ideal
 from lgtft.errors import DegenerateTraceError, NonIsolatedCriticalLocusError
 from lgtft.groebner import GroebnerBasis
 from lgtft.jacobi import (
     JacobiAlgebra,
-    _divided_difference,
-    _substitute_var,
+    _bezoutian_rows,
     hessian_determinant,
     is_critical_set_finite,
     jacobi_algebra,
@@ -23,17 +25,22 @@ from lgtft.jacobi import (
 )
 from lgtft.lgpair import detect_weights, make_lg_pair
 from lgtft.matfact import koszul_factorization
-from lgtft.poly import PolyRing
+from lgtft.poly import PolyRing, Polynomial
 from lgtft.scalars import GaussianRational
 from lgtft.tft import build_tft_datum, verify_tft_datum
 
+from both_modes import run_both_modes
 from oracles import (
+    _divided_difference,
+    _embed,
+    _substitute_var,
     loop_divided_difference,
     normal_form_table,
     nullspace_detect_weights,
     residue_one_var,
     staircase_count,
     table_is_associative,
+    two_ring_residue_trace,
 )
 
 
@@ -85,7 +92,7 @@ def test_staircase_count_oracle_agreement():
         lg = make_lg_pair(variables, w)
         gb = jacobi_groebner(lg)
         bounds = gb.staircase_bounds()
-        expected = staircase_count(gb.leading_exponents(), bounds)
+        expected = staircase_count(gb.leads, bounds)
         assert milnor_number(lg) == expected
 
 
@@ -286,6 +293,135 @@ def test_hessian_determinant():
     assert trace.of_poly(hessian_determinant(lg)) == GaussianRational(4)
 
 
+_REFERENCE_REPORTS = sorted(
+    list((Path(__file__).resolve().parent / "reference").glob("*.json"))
+    + list((Path(__file__).resolve().parents[1] / "bench" / "reference").glob("*.json"))
+)
+_REFERENCE_WS = sorted({
+    (tuple(report["lg"]["variables"]), report["lg"]["superpotential"])
+    for report in (json.loads(path.read_text()) for path in _REFERENCE_REPORTS)
+})
+_SCALES = [
+    GaussianRational(1),
+    GaussianRational(0),
+    GaussianRational(Fraction(-3, 2)),
+    GaussianRational(Fraction(1, 2), 1),
+]
+
+
+def _holds_to_the_two_ring_route(lg, scale):
+    """The trace's values and Gram matrix equal the two-ring route's, entry
+    for entry; the pair is fresh, so no kept trace is read."""
+    values, gram = two_ring_residue_trace(lg, scale)
+    trace = residue_trace(lg, scale)
+    return trace.values == values and trace.gram == gram
+
+
+@pytest.mark.parametrize("variables,w", _REFERENCE_WS)
+def test_reference_traces_match_the_two_ring_route(variables, w):
+    """Every finite-mu W of the reference reports, at unit and other scales."""
+    assert is_critical_set_finite(make_lg_pair(variables, w))
+    for scale in _SCALES:
+        assert _holds_to_the_two_ring_route(make_lg_pair(variables, w), scale)
+
+
+_GAUSSIAN = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def _small_finite_ws(draw):
+    """(variables, W, scale): W is a sum of pure powers x_k^a_k, prod(a_k -
+    1) <= 30, with nonzero Gaussian-rational coefficients, plus up to four
+    monomials of weighted degree at most 1 (weights 1/a_k).  Lower terms
+    leave mu at prod(a_k - 1) and make W not graded; terms of degree 1 keep
+    it graded and can make the critical set infinite, so such draws are
+    dropped."""
+    nvars = draw(st.integers(1, 3))
+    powers = draw(
+        st.lists(st.integers(2, 6), min_size=nvars, max_size=nvars).filter(
+            lambda a: prod(e - 1 for e in a) <= 30
+        )
+    )
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    w = ring.zero()
+    for k, a in enumerate(powers):
+        exps = tuple(a if j == k else 0 for j in range(nvars))
+        w = w + ring.monomial(exps, draw(_GAUSSIAN) or GaussianRational(1))
+    below = [
+        exps
+        for exps in itertools.product(*(range(a) for a in powers))
+        if sum(Fraction(e, a) for e, a in zip(exps, powers)) <= 1
+    ]
+    for exps in draw(st.lists(st.sampled_from(below), max_size=4)):
+        w = w + ring.monomial(exps, draw(_GAUSSIAN))
+    scale = draw(st.sampled_from(_SCALES))
+    return ring.variables, str(w), scale
+
+
+@given(_small_finite_ws())
+@settings(max_examples=80, deadline=2000)
+def test_small_traces_match_the_two_ring_route(case):
+    """A pool of small W, 1-3 variables, graded and not, mu <= 30, each at
+    one of the scales."""
+    variables, w, scale = case
+    lg = make_lg_pair(variables, w)
+    assume(is_critical_set_finite(lg))
+    assume(0 < milnor_number(lg) <= 30)
+    assert _holds_to_the_two_ring_route(lg, scale)
+
+
+_CORRUPT_C_SCRIPT = """
+import sys
+from lgtft.errors import DegenerateTraceError, InternalCheckError
+from lgtft.jacobi import residue_trace
+from lgtft.lgpair import make_lg_pair
+from lgtft.linalg import SparseMatrix
+
+inverse = SparseMatrix.inverse
+
+
+def corrupted(self):
+    # self is C, the Bezoutian's coefficient matrix, before its inverse
+    if sys.argv[1] == "coefficient":
+        row = next(row for row in self.rows if row)
+        col = next(iter(row))
+        row[col] = row[col] + 1
+    else:
+        self.rows[0].clear()
+    return inverse(self)
+
+
+SparseMatrix.inverse = corrupted
+for variables, w in [
+    (["x", "y"], "x^4+y^4"),
+    (["x", "y"], "x^4+y^4+x*y^2"),
+    (["x", "y", "z"], "x^3+y^3+z^3+x*y*z^2"),
+]:
+    try:
+        residue_trace(make_lg_pair(variables, w))
+    except (DegenerateTraceError, InternalCheckError) as exc:
+        print(type(exc).__name__)
+    else:
+        print("passed")
+"""
+
+
+@pytest.mark.parametrize(
+    "corruption,error",
+    [("coefficient", "InternalCheckError"), ("row", "DegenerateTraceError")],
+)
+def test_trace_checks_fail_closed(corruption, error):
+    """C with one coefficient changed gives an asymmetric Gram matrix or a
+    failed Hessian normalization; C with a zeroed row is singular.  Both
+    raise, plainly and under python -O."""
+    for out in run_both_modes(_CORRUPT_C_SCRIPT, corruption).values():
+        assert out.split() == [error] * 3
+
+
 def _random_polynomial(rng, ring, terms, max_exp):
     """A sum of random monomials with small Gaussian-rational coefficients;
     repeated exponents and opposite coefficients make some terms cancel."""
@@ -300,24 +436,36 @@ def _random_polynomial(rng, ring, terms, max_exp):
 
 
 def test_divided_difference_identity_and_loop():
-    """(x_i - y_i) * Delta_i(p) = p - p[x_i -> y_i], and Delta_i(p) equals the
-    one-addition-per-term loop, on random polynomials in two variable
-    groups (x0, x1, y0, y1), also when some x_j already moved to y_j."""
+    """Entry (i, j) of the Bezoutian matrix is Delta_i(g_j^(i)), g_j with
+    x_0 .. x_(i-1) moved to y: it equals the one-addition-per-term loop and
+    the replaced divided difference, and (x_i - y_i) * entry = g_j^(i) -
+    g_j^(i+1), on random polynomials in x0, x1, their terms written into
+    (x0, x1, y0, y1) with no sum."""
     rng = random.Random(1507)
-    ring = PolyRing(("x0", "x1", "y0", "y1"))
+    ring = PolyRing(("x0", "x1"))
+    ring2 = PolyRing(("x0", "x1", "y0", "y1"))
     d = 2
     for _ in range(120):
-        p = _random_polynomial(rng, ring, rng.randint(0, 8), 3)
-        for i in range(d):
-            delta = _divided_difference(p, i, d + i)
-            assert all(delta.terms.values())
-            assert delta == loop_divided_difference(p, i, d + i)
-            x_minus_y = ring.monomial(
-                tuple(int(k == i) for k in range(2 * d))
-            ) - ring.monomial(tuple(int(k == d + i) for k in range(2 * d)))
-            assert x_minus_y * delta == p - _substitute_var(p, i, d + i)
-    # x0^2 gives x0 + y0 and -x0*y0 gives -y0: the y0 terms cancel
-    p = ring.parse("x0^2 - x0*y0")
+        partials = [
+            _random_polynomial(rng, ring, rng.randint(0, 8), 3) for _ in range(d)
+        ]
+        rows = _bezoutian_rows(partials, d)
+        for j, g in enumerate(partials):
+            moved = _embed(g, ring2, 0, d)  # g_j^(i), from i = 0 on
+            for i in range(d):
+                entry = Polynomial(ring2, rows[i][j])
+                assert all(entry.terms.values())
+                assert entry == loop_divided_difference(moved, i, d + i)
+                assert entry == _divided_difference(moved, i, d + i)
+                x_minus_y = ring2.monomial(
+                    tuple(int(k == i) for k in range(2 * d))
+                ) - ring2.monomial(tuple(int(k == d + i) for k in range(2 * d)))
+                next_moved = _substitute_var(moved, i, d + i)
+                assert x_minus_y * entry == moved - next_moved
+                moved = next_moved
+    # the replaced divided difference sums what cancels: x0^2 gives x0 + y0
+    # and -x0*y0 gives -y0, so the y0 terms cancel
+    p = ring2.parse("x0^2 - x0*y0")
     assert _divided_difference(p, 0, d).terms == {(1, 0, 0, 0): GaussianRational(1)}
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lgtft.groebner
+import lgtft.jacobi
 import lgtft.jobs
 import lgtft.tft
 from lgtft.cache import Cache
@@ -195,16 +196,16 @@ def test_compute_all_computes_the_residue_trace_once(monkeypatch):
     """The jacobi and tft sections both ask for the trace, and share the one
     the LG pair keeps for the job's scale: one Bezoutian per job."""
     computed = []
-    original = lgtft.jacobi.bezoutian_determinant
+    original = lgtft.jacobi._bezoutian_rows
 
-    def counting(lg, ring2):
-        computed.append(str(lg.w))
-        return original(lg, ring2)
+    def counting(partials, d):
+        computed.append(" + ".join(str(p) for p in partials))
+        return original(partials, d)
 
-    monkeypatch.setattr(lgtft.jacobi, "bezoutian_determinant", counting)
+    monkeypatch.setattr(lgtft.jacobi, "_bezoutian_rows", counting)
     report = run_job(JobSpec.from_dict({**_BASELINE_JOB, "compute": "all"}))
     assert report["results"]["tft"]["passed"] is True
-    assert computed == ["x^4 + y^4"]
+    assert computed == ["4*x^3 + 4*y^3"]
 
 
 def test_each_koszul_source_computes_its_ideal_once(monkeypatch):
@@ -935,15 +936,22 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
 # S-polynomial (the partials' leading monomials x^3 and y^3 are coprime);
 # the basis printed off exponents; the weights of W from the integer kernel;
 # and a graded brane's weight edges read off D's terms (the windowed job's
-# W has no weights, so no edges are read there and entries is not pinned)
+# W has no weights, so no edges are read there and entries is not pinned).
+# One PolyRing (W's) and one GroebnerBasis (the Jacobi ideal's): the residue
+# trace divides by that basis's reducers padded into x and y, with no ring
+# or basis in 2n variables.  Each partial's leading term is read once, when
+# Buchberger's algorithm makes it monic, and kept with its reducer, which
+# interreduction, verify and every normal form read: no _reducers call.
 _CACHED_JOB_CALLS = {
     "warm.graded": {
         "partial_derivative": 6, "s_polynomial": 0, "from_terms": 0,
-        "nullspace": 0, "entries": 0,
+        "nullspace": 0, "entries": 0, "PolyRing": 1, "GroebnerBasis": 1,
+        "leading_term": 2, "_reducers": 0,
     },
     "warm.windowed": {
         "partial_derivative": 6, "s_polynomial": 0, "from_terms": 0,
-        "nullspace": 0,
+        "nullspace": 0, "PolyRing": 1, "GroebnerBasis": 1,
+        "leading_term": 2, "_reducers": 0,
     },
 }
 
@@ -951,6 +959,7 @@ _CACHED_JOB_CALLS = {
 def test_cached_job_work_counts(tmp_path, monkeypatch):
     """A cached warm job re-derives nothing it only reads: the work of one
     run_job against a filled cache is pinned call by call."""
+    from lgtft.groebner import GroebnerBasis
     from lgtft.linalg import SparseMatrix
     from lgtft.matfact import Morphism
     from lgtft.poly import PolyRing, Polynomial
@@ -963,12 +972,16 @@ def test_cached_job_work_counts(tmp_path, monkeypatch):
         "from_terms": (PolyRing, "from_terms"),
         "entries": (Morphism, "entries"),
         "nullspace": (SparseMatrix, "nullspace"),
+        "PolyRing": (PolyRing, "__init__"),
+        "GroebnerBasis": (GroebnerBasis, "__init__"),
+        "leading_term": (Polynomial, "leading_term"),
+        "_reducers": (lgtft.groebner, "_reducers"),
     }
     calls = dict.fromkeys(sites, 0)
     for name, (owner, attribute) in sites.items():
-        def counting(*args, _name=name, _original=getattr(owner, attribute)):
+        def counting(*args, _name=name, _original=getattr(owner, attribute), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attribute, counting)
     counts = {}
@@ -980,6 +993,87 @@ def test_cached_job_work_counts(tmp_path, monkeypatch):
         run_job(spec, cache)
         counts[template] = {name: calls[name] for name in _CACHED_JOB_CALLS[template]}
     assert counts == _CACHED_JOB_CALLS
+
+
+def test_jobs_leave_no_reference_cycles(tmp_path, monkeypatch):
+    """With the cycle collector off, every bench template run cold and then
+    from its cache leaves nothing for it to collect: no recursive closure,
+    no object that refers back to its owner."""
+    from test_bench_references import _load_harness
+
+    harness = _load_harness(monkeypatch)
+    specs = {
+        template: JobSpec.from_dict(harness.unseeded(template).raw)
+        for template in harness.TEMPLATES
+    }
+    found = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for template, spec in specs.items():
+            cache = Cache(tmp_path / template)
+            for run in ("cold", "cached"):
+                run_job(spec, cache)
+                found[template, run] = gc.collect()
+    finally:
+        gc.enable()
+    assert found == dict.fromkeys(found, 0)
+
+
+_MILNOR_LIMIT_SCRIPT = """
+import signal
+import sys
+import lgtft.jacobi
+from lgtft.cli import main
+
+
+def unreachable(*args):
+    raise SystemExit("the trace was started")
+
+
+# a staircase count that does not stop at the limit dies here instead of
+# running on through a billion monomials
+signal.alarm(60)
+lgtft.jacobi._residue_trace = unreachable
+print(main(["run", sys.argv[1], "--no-cache"]))
+"""
+
+
+@pytest.mark.parametrize("w", ["x^20000+y^2", "x^1000000000+y^2"])
+def test_jacobi_algebra_past_the_limit_exits_2(tmp_path, capsys, monkeypatch, w):
+    """A Jacobi algebra of dimension over MILNOR_LIMIT is refused with exit
+    2, naming mu and the limit, before its trace is started: the staircase
+    count stops at the limit, so x^1000000000+y^2 (mu = 999 999 999) is
+    refused as fast as x^20000+y^2.  Plain and under -O, with the trace
+    replaced by an exit and an alarm on the staircase count."""
+    from lgtft.jacobi import MILNOR_LIMIT
+
+    assert MILNOR_LIMIT >= 125  # the largest reference mu (bulk.fermat6)
+    raw = {"variables": ["x", "y"], "superpotential": w, "compute": ["jacobi"]}
+    job = _write_job(tmp_path, raw)
+    for out in run_both_modes(_MILNOR_LIMIT_SCRIPT, job).values():
+        assert out.split() == ["2"]
+    started = []
+    monkeypatch.setattr(
+        lgtft.jacobi, "_residue_trace", lambda *args: started.append(args)
+    )
+    assert main(["run", job, "--no-cache"]) == 2
+    assert started == []
+    err = capsys.readouterr().err
+    assert f"mu exceeds the limit of {MILNOR_LIMIT}" in err
+
+
+def test_jacobi_algebra_at_the_limit_is_computed():
+    """x^(MILNOR_LIMIT + 1) + y^2 has mu = MILNOR_LIMIT: its algebra is
+    built, and one more power of x is refused."""
+    from lgtft.jacobi import MILNOR_LIMIT
+
+    top = MILNOR_LIMIT + 1
+    lg = lgtft.jobs.make_lg_pair(["x", "y"], f"x^{top}+y^2")
+    assert lg.jacobi_algebra.dimension == MILNOR_LIMIT
+    with pytest.raises(ValidationError, match="mu exceeds"):
+        lgtft.jobs.make_lg_pair(["x", "y"], f"x^{top + 1}+y^2").jacobi_algebra
+
 
 def _baseline_blocks(weights):
     """The baseline branes as d01/d10 blocks, with the gradings of the

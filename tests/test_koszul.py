@@ -140,11 +140,11 @@ from lgtft.lgpair import make_lg_pair
 
 original = GroebnerBasis.standard_monomials
 
-def dropped(self):
-    return original(self)[:-1]
+def dropped(self, *limit):
+    return original(self, *limit)[:-1]
 
-def added(self):
-    return original(self) + [self.leading_exponents()[0]]
+def added(self, *limit):
+    return original(self, *limit) + [self.leads[0]]
 
 def table():
     koszul_cohomology(make_lg_pair(["x", "y"], "x^4+y^4"), 10)
