@@ -1,13 +1,14 @@
 """Certified Hom dimensions out of a Koszul brane, from the model X/(c)X.
 
 For a Koszul source K with a choice c of finite colength, Hom(K, X) is
-homotopy equivalent to X/(c)X with D_X mod (c) (koszul_hom_dims).  The
-target brane X keeps that model for each source ideal (koszul_model), once
-_check_blocks has held its blocks to D_X mod (c) read by a second route.
-The model gives the number of classes of each parity, and, when X is
-graded, their degrees, with one forward pass per block and no further
-elimination; a graded HomCohomology builds its pieces at those degrees and
-checks its classes against the model through the projection at K's vacuum.
+homotopy equivalent to X/(c)X with D_X mod (c) (koszul_hom_dims).  K keeps
+R/(c), refused past MILNOR_LIMIT; koszul_model builds one Hom's model on it
+once _check_blocks has held its blocks to D_X mod (c) read by a second
+route, and the HomCohomology keeps it.  The model gives the number of
+classes of each parity, and, when X is graded, their degrees, with one
+forward pass per block and no further elimination; a graded HomCohomology
+builds its pieces at those degrees up to its bound and, holding every
+class, checks them against the model through the projection at K's vacuum.
 A windowed one builds no window: lift_classes lifts each class of the
 model to a cocycle of Hom(K, X) level by level, dividing by Groebner bases
 of the prefix ideals (c_1, ..., c_j) with cofactors (_prefix_basis), and
@@ -20,9 +21,9 @@ import itertools
 from typing import Optional
 
 from .complex import differential, quotient
-from .errors import InternalCheckError
+from .errors import InternalCheckError, ValidationError
 from .groebner import GroebnerBasis
-from .jacobi import QuotientAlgebra
+from .jacobi import MILNOR_LIMIT, QuotientAlgebra
 from .linalg import SparseMatrix, echelon_kernel, echelon_reduce
 from .poly import Polynomial, mono_div, mono_lcm, mono_mul, mono_weighted_degree
 
@@ -60,10 +61,10 @@ def koszul_hom_dims(source, target) -> Optional[tuple]:
     with d01 and d10 read mod (c); they compose to W = sum a_k b_k, which
     lies in (c).  So each parity has rank(X) * dim R/(c) - rank(d01 mod c)
     - rank(d10 mod c) classes, read off the two blocks that koszul_model
-    builds and keeps, each forward-passed once over the standard monomials
-    of (c).  Even equals odd because rank0 = rank1 for every factorization:
-    d01 d10 = W Id with W nonzero, so both blocks have full rank over the
-    fraction field.  For the same reason the parity shift of the chosen c
+    builds, each forward-passed once over the standard monomials of (c).
+    Even equals odd because rank0 = rank1 for every factorization: d01 d10
+    = W Id with W nonzero, so both blocks have full rank over the fraction
+    field.  For the same reason the parity shift of the chosen c
     does not change the pair.
 
     The model is graded too: a basis vector (i, s) of V_t sits in degree
@@ -71,14 +72,15 @@ def koszul_hom_dims(source, target) -> Optional[tuple]:
     columns of their forward passes, counted by degree, give the classes in
     each degree (KoszulModel.classes_by_degree) with no further
     elimination.  A certified graded Hom builds its pieces at those degrees
-    only.  Before any of this is read, _check_blocks holds the blocks to
-    D_X mod (c) computed again through the multiplication matrices of
-    R/(c), so a wrong but self-consistent model raises InternalCheckError.
+    only, up to its bound.  Before any of this is read, _check_blocks holds
+    the blocks to D_X mod (c) computed again through the multiplication
+    matrices of R/(c), so a wrong but self-consistent model raises
+    InternalCheckError.
 
     The model also checks a certified Hom's classes once, when its pieces
-    are built (HomCohomology._check_model).  It reads them through the
-    projection p(f) = f(v) mod (c), v being the vacuum of K: the generator
-    with D_K v in (c)K.  Then the term f(D_K v) of d(f)(v) vanishes mod
+    hold every class (HomCohomology._check_model).  It reads them through
+    the projection p(f) = f(v) mod (c), v being the vacuum of K: the
+    generator with D_K v in (c)K.  Then the term f(D_K v) of d(f)(v) vanishes mod
     (c), so p is a chain map into X/(c)X, and p is the retraction's p above
     (p infinity = p), so it induces an isomorphism on cohomology.  v is
     read off the choice of c, in koszul_factorization's order: (module 0,
@@ -96,9 +98,10 @@ def koszul_hom_dims(source, target) -> Optional[tuple]:
 
 def koszul_model(source, target) -> Optional[KoszulModel]:
     """The model X/(c)X of Hom(source, target), or None when there is no
-    certificate (koszul_hom_dims).  The ideal is found once per source, which
-    keeps R/(c), and the model built once per source ideal and target, which
-    keeps it once _check_blocks has held its blocks to D_X mod (c)."""
+    certificate (koszul_hom_dims), once _check_blocks has held its blocks to
+    D_X mod (c).  The ideal is found once per source, which keeps R/(c) for
+    the models of every Hom out of it; the model itself is built on each
+    call, and the Hom keeps it."""
     pairs = source.pairs
     if pairs is None or len(pairs) != source.lg.ring.nvars:
         return None
@@ -107,11 +110,8 @@ def koszul_model(source, target) -> Optional[KoszulModel]:
     if source._ideal is None:
         return None
     algebra, choice, _ = source._ideal
-    model = target._models.get(algebra)
-    if model is None:
-        model = KoszulModel(algebra, _vacuum(choice), target)
-        _check_blocks(model, target)
-        target._models[algebra] = model
+    model = KoszulModel(algebra, _vacuum(choice), target)
+    _check_blocks(model, target)
     return model
 
 
@@ -119,7 +119,8 @@ def _finite_colength_ideal(pairs) -> Optional[tuple]:
     """(R/(c), choice, {}) for the first ideal (c), one c_k from each pair,
     of finite colength, or None when no choice has one.  choice[k] is 0 when
     c_k = a_k and 1 when c_k = b_k; the dict keeps the prefix bases the lift
-    divides by (_prefix_basis), each made on first use."""
+    divides by (_prefix_basis), each made on first use.  An R/(c) past
+    MILNOR_LIMIT is refused with ValidationError, its count stopped there."""
     for choice in itertools.product((0, 1), repeat=len(pairs)):
         generators = [
             pair[chosen] for pair, chosen in zip(pairs, choice)
@@ -129,7 +130,13 @@ def _finite_colength_ideal(pairs) -> Optional[tuple]:
             continue
         ideal = GroebnerBasis.compute(generators)
         if ideal.is_zero_dimensional():
-            return QuotientAlgebra(ideal), choice, {}
+            basis = ideal.standard_monomials(MILNOR_LIMIT)
+            if basis is None:
+                raise ValidationError(
+                    "the Hom certificate's R/(c) is too large: its dimension "
+                    f"exceeds the limit of {MILNOR_LIMIT}"
+                )
+            return QuotientAlgebra(ideal, basis), choice, {}
     return None
 
 

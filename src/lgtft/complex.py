@@ -97,7 +97,6 @@ class FreeComplex:
         self._monomial_lists = {}  # degree -> (monomials, {exps: position})
         self._total_degree_lists = []  # total degree -> its monomials, windowed
         self._layouts = {}  # (index, degree) -> (size, {label: block})
-        self._bases = {}
         self._matrices = {}  # (index, degree) -> the map out of the piece
         self._built = {}  # index -> (window, its target's) of the largest map built
         self._passes = {}  # (index, degree) graded, index windowed -> its _Pass
@@ -130,16 +129,12 @@ class FreeComplex:
 
     def basis(self, index, degree) -> list:
         """Ordered basis [(label, exponents)] of the piece (index, degree)."""
-        key = (index, degree)
-        basis = self._bases.get(key)
-        if basis is None:
-            _, blocks = self._layout(index, degree)
-            basis = self._bases[key] = [
-                (label, exps)
-                for label, (_, monomials, _) in blocks.items()
-                for exps in monomials
-            ]
-        return basis
+        _, blocks = self._layout(index, degree)
+        return [
+            (label, exps)
+            for label, (_, monomials, _) in blocks.items()
+            for exps in monomials
+        ]
 
     def _layout(self, index, degree):
         """(size, {label: (start, monomials, positions)}) of the piece: each

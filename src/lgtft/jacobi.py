@@ -45,8 +45,8 @@ from .scalars import GaussianRational
 if TYPE_CHECKING:  # lgpair imports this module: LGPair keeps its algebra
     from .lgpair import LGPair
 
-# the largest Jacobi algebra a job computes: the trace inverts a mu x mu
-# matrix and a report prints the mu x mu Gram matrix
+# the largest quotient algebra a job computes: the trace inverts, and a report
+# prints, mu x mu matrices; a Hom model's blocks are rank(X) * dim R/(c) square
 MILNOR_LIMIT = 1000
 
 
@@ -63,7 +63,8 @@ def is_critical_set_finite(lg: LGPair) -> bool:
 class QuotientAlgebra:
     """R/I for a Groebner basis gb of an ideal I of finite colength.
 
-    Elements are sparse coordinate vectors on the standard monomials, basis;
+    Elements are sparse coordinate vectors on the standard monomials, basis,
+    which the caller counts with a limit (GroebnerBasis.standard_monomials);
     index maps each to its position and unit_index is that of 1 (None for
     the zero algebra).  mult[k][b] is the coordinate vector of x_k * m_b, so
     mult[k] lists the columns of M_k, the matrix of multiplication by x_k.
@@ -79,10 +80,10 @@ class QuotientAlgebra:
         "ring", "gb", "basis", "index", "unit_index", "_mult", "_table", "_actions",
     )
 
-    def __init__(self, gb: GroebnerBasis, basis=None):
+    def __init__(self, gb: GroebnerBasis, basis):
         self.ring = gb.ring
         self.gb = gb
-        self.basis = tuple(gb.standard_monomials() if basis is None else basis)
+        self.basis = tuple(basis)
         self.index = {exps: k for k, exps in enumerate(self.basis)}
         self.unit_index = self.index.get((0,) * gb.ring.nvars)
         self._mult = None

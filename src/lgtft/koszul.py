@@ -26,14 +26,14 @@ FreeComplex.rank eliminates the map out of each index above -d once,
 columns in degree order, and counts the ranks of the smaller windows off
 that pass's pivots.  The map out of the top index -d, f -> f * (-i dW), is
 never built: R is a domain and W is not constant, so the map is injective,
-and so is its restriction to each window, whose rank is then its size
-(KoszulComplex.rank).  The vanishing witness is the first vector of the
-piece's canonical kernel basis that is not a boundary, found in kernel
-coordinates by FreeComplex.first_class: the free columns come from the
-forward pass of the map out in basis order (the graded table's own pass),
-and only the vector reported is solved back over its rows.  When the map
-into the witness piece comes out of the top index, first_class holds the
-count to that map's own elimination.
+and so is its restriction to each graded piece or window, whose rank is
+then its size (KoszulComplex.rank).  The vanishing witness is the first
+vector of the piece's canonical kernel basis that is not a boundary, found
+in kernel coordinates by FreeComplex.first_class: the free columns come
+from the forward pass of the map out in basis order (the graded table's
+own pass), and only the vector reported is solved back over its rows.  When
+the map into the witness piece comes out of the top index, first_class
+holds the count to that map's own elimination.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class KoszulComplex(FreeComplex):
     The map out of the top index -d is f e_{1..d} -> f * (-i dW), from R to
     R^d.  It is injective: R = C[x] is a domain and W is not constant, so
     some partial is a nonzero polynomial, and f times it is zero only for
-    f = 0.  A window's map out is the restriction of that map, so it is
-    injective too, and rank() counts it as the window's size, with no matrix
-    built and nothing eliminated.  Graded pieces keep their routes.
+    f = 0.  The map out of a graded piece or a window of that index is the
+    restriction of that map, so it is injective too, and rank() counts it as
+    the piece's size, with no matrix built and nothing eliminated.
     """
 
     def __init__(self, lg: LGPair):
@@ -104,9 +104,9 @@ class KoszulComplex(FreeComplex):
         )
 
     def rank(self, index, degree) -> int:
-        """Rank of the map out of the piece; windowed, out of the top index,
-        the piece's size (see the class docstring)."""
-        if self.weights is not None or index != -self.d:
+        """Rank of the map out of the piece; out of the top index, the
+        piece's size (see the class docstring)."""
+        if index != -self.d:
             return super().rank(index, degree)
         if not self.entries[self.subsets[index][0]]:
             raise InternalCheckError(

@@ -11,15 +11,15 @@ d(f) = D2 o f - (-1)^{deg f} f o D1; cohomology is computed degreewise in the
 internal (weighted) grading when both objects are gradable, and through a
 total-degree window with a stabilization flag otherwise.
 
-A graded Hom takes the number of classes in each degree first, and builds
+A Hom out of a Koszul brane keeps its model X/(c)X from the certificate
+module, built once its blocks match D_X mod (c) read by a second route.  A
+graded Hom takes the number of classes in each degree first, and builds
 with FreeComplex.piece only the pieces where that number is nonzero,
-requiring each to hold it.  Out of a Koszul brane the certificate module
-reads the numbers off X/(c)X, which the target brane keeps once its blocks
-match D_X mod (c) read by a second route, and the Hom then checks its
-classes against X/(c)X once.  Every other graded Hom, and one whose model
-puts a class above its bound, counts them as FreeComplex.dim does: a
-piece's size less the ranks of the maps out and in.  Either way no
-unbuilt degree holds a class.  A windowed Hom with a model lifts
+requiring each to hold it.  With a model, the numbers are the model's up to
+the bound, and a Hom that then holds every class checks them against
+X/(c)X once.  Every other graded Hom counts them as FreeComplex.dim does: a
+piece's size less the ranks of the maps out and in.  Either way no unbuilt
+degree up to the bound holds a class.  A windowed Hom with a model lifts
 its classes from X/(c)X; any other builds its one-piece window.
 
 A class is reduced piece by piece modulo image and quotient, and that
@@ -49,7 +49,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .certificate import UNSET, koszul_hom_dims, koszul_model, lift_classes
+from .certificate import UNSET, koszul_model, lift_classes
 from .lgpair import LGPair
 from .linalg import SparseMatrix, echelon_reduce, vec_axpy
 from .poly import Polynomial, mono_degree, mono_mul, mono_weighted_degree
@@ -69,15 +69,13 @@ class MatrixFactorization:
     koszul_factorization parsed them, and is None otherwise.  It is not part
     of key(): it only lets koszul_hom_dims certify Hom dimensions.
     certificate.koszul_model keeps the quotient algebra R/(c) of the ideal
-    it picks from them, with its choice, in _ideal.  It keeps the model
-    X/(c)X of each Hom into this brane in _models, by the source's R/(c),
-    which is compared by identity: the model refers to no brane, so no cycle
-    keeps one alive.
+    it picks from them, with its choice, in _ideal, which the models of all
+    Homs out of this brane share; each HomCohomology keeps its own model.
     """
 
     __slots__ = (
         "lg", "rank0", "rank1", "d_terms", "weights0", "weights1", "pairs",
-        "_ideal", "_models", "_key",
+        "_ideal", "_key",
     )
 
     def __init__(self, lg, d01, d10, weights0=None, weights1=None):
@@ -88,7 +86,6 @@ class MatrixFactorization:
         self.weights1 = tuple(weights1) if weights1 is not None else None
         self.pairs = None
         self._ideal = UNSET
-        self._models = {}
         self._key = None
         self.d_terms = Morphism(self, self, 1, d01, d10).terms
 
@@ -619,30 +616,31 @@ class MorphismClass:
 class HomCohomology:
     """Degreewise cohomology of Hom(a1, a2) with canonical representatives.
 
-    In graded mode, the number of classes in each degree is taken first,
-    and only the pieces where it is nonzero are built, in ascending degree;
-    each must hold that number, and no parity may hold more than the
-    certified count.  When koszul_hom_dims certifies the dimensions (a
-    Koszul source with a c of finite colength) and the model X/(c)X puts
-    every class within the bound, the numbers are the model's
-    (_model_counts), and the classes are then checked once against it
-    (_check_model): their projections must be a basis of its cohomology,
-    which makes them a basis of the Hom.  Otherwise each degree up to the
-    bound counts FreeComplex.dim's classes, its size less its ranks out and
-    in; with no model check, a certified Hom cut off by its bound falls
-    short of the certificate and reports stabilized False.  Either way
-    every unbuilt degree is acyclic, and class_of reads a component there,
-    up to the bound, off the complex's entries alone: it is a cocycle
-    exactly when they send it to zero, and then a coboundary, with zero
-    coordinates.  All of this fails closed, also under python -O.
+    A Hom out of a Koszul brane with a c of finite colength builds its model
+    X/(c)X once (koszul_model) and keeps it in _model.  In graded mode, the
+    number of classes in each degree is taken first, and only the pieces
+    where it is nonzero are built, in ascending degree; each must hold that
+    number, and no parity may hold more than the certified count, the
+    model's (koszul_hom_dims).  With a certificate the numbers are the
+    model's, up to the bound (_model_counts); when the pieces then hold the
+    certified count, the classes are checked once against it (_check_model):
+    their projections must be a basis of its cohomology, which makes them a
+    basis of the Hom.  A certified Hom whose bound cuts off a class falls
+    short of the certificate and reports stabilized False.  Without a
+    certificate each degree up to the bound counts FreeComplex.dim's
+    classes, its size less its ranks out and in.  Either way every unbuilt
+    degree is acyclic, and class_of reads a component there, up to the
+    bound, off the complex's entries alone: it is a cocycle exactly when
+    they send it to zero, and then a coboundary, with zero coordinates.
+    All of this fails closed, also under python -O.
 
-    Windowed with a model X/(c)X (koszul_model), nothing is eliminated: the
-    classes are the model's, lifted to cocycles (lift_classes), all in
-    degree 0 and stabilized, and a cocycle's coordinates are read through
-    its projection (KoszulModel.coordinates).  Any other windowed Hom is
-    one piece per parity: both maps out of the window are forward-passed
-    once each, the maps in cut out of them (FreeComplex.map_out), and it is
-    stabilized when the window below (FreeComplex.dim) has the same dims.
+    Windowed with a model, nothing is eliminated: the classes are the
+    model's, lifted to cocycles (lift_classes), all in degree 0 and
+    stabilized, and a cocycle's coordinates are read through its projection
+    (KoszulModel.coordinates).  Any other windowed Hom is one piece per
+    parity: both maps out of the window are forward-passed once each, the
+    maps in cut out of them (FreeComplex.map_out), and it is stabilized
+    when the window below (FreeComplex.dim) has the same dims.
 
     The residual test decides whether a morphism is a cocycle, with no
     chain-level defect: each piece's image and quotient together span its
@@ -668,7 +666,10 @@ class HomCohomology:
         self.pieces = {}
         self.layout = {0: [], 1: []}  # parity -> list of (degree, local index)
         self._where = {0: {}, 1: {}}  # parity -> {element: (degree, position)}
-        self.certified = koszul_hom_dims(a1, a2) if self.graded else None
+        self._model = koszul_model(a1, a2)
+        model = self._model if self.graded else None
+        self.certified = None if model is None else (model.classes(0), model.classes(1))
+        self._lifts = None  # per parity, the cocycles lifted from X/(c)X
         self._build()
         self._position_of = {
             parity: {key: k for k, key in enumerate(self.layout[parity])}
@@ -680,8 +681,7 @@ class HomCohomology:
     def _build(self):
         complex_ = _defect_complex(self.a1, self.a2, self.graded)
         self._entries = None  # the complex's entries, when unbuilt pieces are read
-        self._model = None if self.graded else koszul_model(self.a1, self.a2)
-        if self._model is not None:  # no window: classes lifted from X/(c)X
+        if not self.graded and self._model is not None:  # lifted from X/(c)X
             self._entries = complex_.entries
             self._lifts = lift_classes(self._model, self.a1, self._entries)
             for parity, lifts in enumerate(self._lifts):
@@ -702,8 +702,7 @@ class HomCohomology:
             return
         self._entries = complex_.entries
         counts = self._model_counts()
-        from_model = counts is not None
-        if not from_model:
+        if counts is None:
             counts = {
                 (parity, m): count
                 for m in range(complex_.min_degree, self.bound + 1)
@@ -711,8 +710,8 @@ class HomCohomology:
                 if (count := complex_.dim(parity, m))
             }
         for key in sorted(counts, key=lambda k: (k[1], k[0])):  # by degree
-            self._add_piece(*key, *complex_.piece(*key), counts[key], from_model)
-        if from_model:
+            self._add_piece(*key, *complex_.piece(*key), counts[key])
+        if self._complete():
             self._check_model()
         top = (self.bound - 1, self.bound) if self.bound >= 1 else ()
         self.stabilized = (self.certified is None or self._complete()) and not any(
@@ -720,9 +719,9 @@ class HomCohomology:
         )
 
     def _model_counts(self) -> Optional[dict]:
-        """{(parity, degree): classes} of a certified Hom, as X/(c)X counts
-        them (KoszulModel.classes_by_degree), nonzero counts only; None
-        without a certificate, or when a count lies above the bound.
+        """{(parity, degree): classes} of a certified Hom up to its bound, as
+        X/(c)X counts them (KoszulModel.classes_by_degree), nonzero counts
+        only; None without a certificate.
 
         Parity p reads V_t, t being the vacuum's module plus p.  A term
         x^e E of the Hom, E = (p, blk, i, j), sits in degree 2 wdeg(e) +
@@ -733,17 +732,15 @@ class HomCohomology:
         """
         if self.certified is None:
             return None
-        model = koszul_model(self.a1, self.a2)
+        model = self._model
         module, index = model.vacuum
         shift = (self.a1.weights0, self.a1.weights1)[module][index]
-        counts = {
+        return {
             (parity, m - shift): count
             for parity in (0, 1)
             for m, count in model.classes_by_degree((module + parity) % 2).items()
+            if m - shift <= self.bound
         }
-        if any(m > self.bound for _, m in counts):
-            return None
-        return counts
 
     def _complete(self) -> bool:
         """True when both parities hold the certified number of classes."""
@@ -764,7 +761,7 @@ class HomCohomology:
         projection induces an isomorphism on cohomology, so then the classes
         are a basis of the Hom, and no unbuilt piece holds a class.
         """
-        model = koszul_model(self.a1, self.a2)
+        model = self._model
         columns = [block.transpose().rows for block in model.blocks]
         for parity in (0, 1):
             t = (model.vacuum[0] + parity) % 2
@@ -797,10 +794,10 @@ class HomCohomology:
                     "are not independent"
                 )
 
-    def _add_piece(self, parity, m, basis, image, quot, expected=None, from_model=False):
+    def _add_piece(self, parity, m, basis, image, quot, expected=None):
         """Keep a piece; InternalCheckError when it brings a parity above its
         certified count, or holds other than the expected number of classes
-        when one is given: the model's count at its degree when from_model,
+        when one is given: the model's count at its degree when certified,
         else its size less its ranks out and in."""
         name = "even" if parity == 0 else "odd"
         found = self.dim(parity) + len(quot[1])
@@ -810,7 +807,7 @@ class HomCohomology:
                 f"above the {self.certified[parity]} certified by koszul_hom_dims"
             )
         if expected is not None and len(quot[1]) != expected:
-            source = "X/(c)X counts" if from_model else "the ranks out and in leave"
+            source = "X/(c)X counts" if self.certified else "the ranks out and in leave"
             raise InternalCheckError(
                 f"piece ({parity}, {m}) holds {len(quot[1])} {name} classes, "
                 f"not the {expected} that {source} in its degree"
@@ -854,7 +851,7 @@ class HomCohomology:
         """Terms of sum coord * basis representative, {element: coeff}."""
         terms = {}
         for position, value in enumerate(coords):
-            if value and self._model is not None:
+            if value and self._lifts is not None:
                 terms = vec_axpy(terms, value, self._lifts[parity][position])
             elif value:
                 m, local = self.layout[parity][position]
@@ -934,7 +931,7 @@ class HomCohomology:
         then adds nothing: no class lies there, by _check_model or the ranks.
         """
         coords = [GaussianRational(0)] * len(self.layout[parity])
-        if self._model is not None:
+        if self._lifts is not None:
             if differential(self._entries, terms):
                 return None
             for local, value in self._model.coordinates(parity, terms).items():

@@ -280,7 +280,6 @@ class TFTDatum:
         self._f_table_cache = {}
         self._trace_basis_cache = {}
         self._f_basis_cache = {}
-        self._pairing_nondegenerate = None
         self._bulk_gram = None
 
     # -- structure maps -----------------------------------------------------
@@ -366,13 +365,12 @@ class TFTDatum:
         return self._bulk_gram
 
     def bulk_pairing_nondegenerate(self) -> bool:
-        """Whether f_a is defined: a bulk trace with a nonsingular Gram matrix."""
-        if self._pairing_nondegenerate is None:
-            trace = self.bulk.trace
-            self._pairing_nondegenerate = (
-                trace is not None and trace.gram.rank() == self.bulk.dimension
-            )
-        return self._pairing_nondegenerate
+        """Whether f_a is defined: a bulk trace with a nonsingular Gram matrix.
+        The Gram matrix is scale * C^-1, C the Bezoutian matrix that
+        residue_trace inverted, so it is nonsingular exactly when the scale
+        is nonzero."""
+        trace = self.bulk.trace
+        return trace is not None and trace.scale != 0
 
     def boundary_bulk(self, i: int, t: MorphismClass):
         """f_a(t): the trace adjoint of e_a, as bulk coordinates.

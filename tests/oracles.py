@@ -612,7 +612,8 @@ def oracle_hom_dims(lg, a, b, bound):
 
 
 from lgtft.complex import quotient  # noqa: E402
-from lgtft.matfact import _defect_complex, koszul_hom_dims  # noqa: E402
+from lgtft.certificate import koszul_hom_dims  # noqa: E402
+from lgtft.matfact import _defect_complex  # noqa: E402
 
 
 def full_hom_pieces(hom):

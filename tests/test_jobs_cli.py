@@ -818,7 +818,7 @@ def test_cache_env_var(tmp_path, monkeypatch):
 
 # w -> (eliminations of the table, those of the witness)
 _KOSZUL_ELIMINATIONS = {
-    "x^2*y": (11, 0),
+    "x^2*y": (7, 0),
     "x^5*y+y^6": (0, 0),
     "x^6+y^6+z^6": (0, 0),
     "x^3+y^3+x*y": (1, 0),
@@ -841,13 +841,14 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
     staircase and eliminates nothing, nor does its vanishing check.  A
     graded table at infinite mu (x^2*y) eliminates each piece's map once, a
     windowed one each index's map once, at the bound, but for the top index
-    -d, whose map is injective and is never built: its rank is the window's
-    size.  Every elimination is a forward pass: the table reads only pivots.
-    Only nqh3 has a witness piece with a map into it; its witness costs two
-    eliminations more: a forward pass of the map out in basis order, whose
-    free columns the canonical kernel basis is taken at (the windowed table
-    eliminated it in degree order), and the reduction of the map in cut down
-    to the kernel's free coordinates, whose rows are read."""
+    -d, whose map is injective and is never built: its rank is the piece's
+    or the window's size.  Every elimination is a forward pass: the table
+    reads only pivots.  Only nqh3 has a witness piece with a map into it;
+    its witness costs two eliminations more: a forward pass of the map out
+    in basis order, whose free columns the canonical kernel basis is taken
+    at (the windowed table eliminated it in degree order), and the
+    reduction of the map in cut down to the kernel's free coordinates,
+    whose rows are read."""
     from lgtft.complex import FreeComplex
     from lgtft.koszul import (
         KoszulComplex,
@@ -900,7 +901,8 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
         assert table == sum(
             1 for k in range(-lg.dimension + 1, 0) if KoszulComplex(lg).basis(k, bound)
         )
-        assert built and -lg.dimension not in built
+        assert built
+    assert -lg.dimension not in built
     vanishing, alone = count(check_vanishing_negative_degrees, lg, bound)
     raw = {"variables": variables, "superpotential": w, "compute": ["koszul"]}
     report, job = count(run_job, JobSpec.from_dict({**raw, "koszul_bound": bound}))
@@ -1073,6 +1075,63 @@ def test_jacobi_algebra_at_the_limit_is_computed():
     assert lg.jacobi_algebra.dimension == MILNOR_LIMIT
     with pytest.raises(ValidationError, match="mu exceeds"):
         lgtft.jobs.make_lg_pair(["x", "y"], f"x^{top + 1}+y^2").jacobi_algebra
+
+
+_QUOTIENT_LIMIT_SCRIPT = """
+import signal
+import sys
+import lgtft.certificate
+from lgtft.cli import main
+
+
+def unreachable(*args):
+    raise SystemExit("the model was started")
+
+
+# a staircase count that does not stop at the limit dies here instead of
+# running on through n^2 monomials
+lgtft.certificate.KoszulModel.__init__ = unreachable
+signal.setitimer(signal.ITIMER_REAL, 1.0)
+print(main(["run", sys.argv[1], "--no-cache"]))
+"""
+
+
+def _power_pairs_job(n):
+    """End of (x^n, x^n)(y^n, y^n) on x^(2n)+y^(2n) at bound 0, whose
+    certificate's R/(c) = C[x, y]/(x^n, y^n) has dimension n^2."""
+    pairs = [[f"x^{n}", f"x^{n}"], [f"y^{n}", f"y^{n}"]]
+    return {
+        "variables": ["x", "y"],
+        "superpotential": f"x^{2 * n}+y^{2 * n}",
+        "branes": [{"name": "A", "pairs": pairs}],
+        "compute": ["homs"],
+        "degree_bound": 0,
+    }
+
+
+def test_certificate_quotient_past_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+    """An R/(c) of dimension over MILNOR_LIMIT is refused with exit 2,
+    naming its dimension and the limit, before the model X/(c)X is built:
+    n = 40 gives dimension 1 600, with KoszulModel.__init__ made to fail.
+    The staircase count stops at the limit, so n = 10^9 is refused in a
+    fresh interpreter in under a second, plainly and under -O, with the
+    model replaced by an exit and a 1 s timer on the run."""
+    from lgtft.certificate import KoszulModel
+    from lgtft.jacobi import MILNOR_LIMIT
+
+    assert 40 ** 2 > MILNOR_LIMIT
+
+    def unreachable(*args):
+        raise AssertionError("the model was started")
+
+    monkeypatch.setattr(KoszulModel, "__init__", unreachable)
+    assert main(["run", _write_job(tmp_path, _power_pairs_job(40)), "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert f"its dimension exceeds the limit of {MILNOR_LIMIT}" in err
+    assert "R/(c)" in err
+    huge = _write_job(tmp_path, _power_pairs_job(10 ** 9))
+    for out in run_both_modes(_QUOTIENT_LIMIT_SCRIPT, huge).values():
+        assert out.split() == ["2"]
 
 
 def _baseline_blocks(weights):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lgtft.certificate import _vacuum, koszul_model
+from lgtft.certificate import _vacuum, koszul_hom_dims, koszul_model
 from lgtft.errors import (
     ClassBoundError,
     FactorizationError,
@@ -22,7 +22,6 @@ from lgtft.matfact import (
     compose_classes,
     hom_cohomology,
     koszul_factorization,
-    koszul_hom_dims,
     make_factorization,
 )
 from lgtft.poly import PolyRing
@@ -931,8 +930,9 @@ def test_certified_dims_match_the_full_window():
     exactly the pieces at those degrees, and it reports the full window's
     dims, by_degree, bound and stabilized flag, with the model check
     passing.  When the bound cuts off a class (End(A) on x^5+y^5 at bounds
-    0, 2 and 5), the classes are counted off the ranks, as without a
-    certificate, and it reports that window's dims with stabilized False."""
+    0, 2 and 5), the model's counts at or below the bound are the window's,
+    the Hom builds the pieces at those degrees, and it reports that window's
+    dims with stabilized False."""
     checked = []
     for w, pairs in CERTIFIED_CASES.items():
         lg = make_lg_pair(["x", "y"], w)
@@ -966,7 +966,12 @@ def test_certified_dims_match_the_full_window():
     for bound, dims in ((0, (1, 0)), (2, (1, 0)), (5, (1, 2))):
         hom = hom_cohomology(a, a, degree_bound=bound)
         full = hom_cohomology(_twin(a), _twin(a), degree_bound=bound)
-        assert hom.certified == (2, 2) and hom._model_counts() is None
+        by_degree = {
+            (parity, m): count
+            for parity in (0, 1)
+            for m, count in full.dims_by_degree(parity).items()
+        }
+        assert hom.certified == (2, 2) and hom._model_counts() == by_degree
         assert (hom.dim(0), hom.dim(1), hom.stabilized) == (*dims, False)
         assert hom.layout == full.layout
         assert hom.pieces.keys() == full.pieces.keys()
@@ -1028,9 +1033,36 @@ def test_short_window_is_not_stabilized():
     assert not BraneCategory(lg, [("A", a)], degree_bound=2).hom_finite()
 
 
+def test_a_cut_certified_hom_forward_passes_only_its_pieces(monkeypatch):
+    """A certified graded Hom whose bound cuts off a class takes the model's
+    counts at or below the bound, as one whose bound holds every class does:
+    End(A) on x^5+y^5 at bounds 0, 2 and 5, each on a fresh brane, runs 3, 3
+    and 6 forward passes: the model's two blocks, and those of the one or
+    two pieces it builds.  Counting every degree up to the bound off the
+    ranks instead ran 8, 10 and 14."""
+    from lgtft.linalg import SparseMatrix
+
+    echelon, calls = SparseMatrix.echelon, []
+
+    def counting(self):
+        calls.append(self)
+        return echelon(self)
+
+    monkeypatch.setattr(SparseMatrix, "echelon", counting)
+    lg = make_lg_pair(["x", "y"], "x^5+y^5")
+    found = []
+    for bound in (0, 2, 5):
+        a = koszul_factorization(lg, CERTIFIED_CASES["x^5+y^5"][0])
+        del calls[:]
+        hom_cohomology(a, a, degree_bound=bound)
+        found.append(len(calls))
+    assert found == [3, 3, 6]
+
+
 _WINDOWED_OVERCOUNT_SCRIPT = """
 from lgtft.lgpair import make_lg_pair
-from lgtft.matfact import hom_cohomology, koszul_factorization, koszul_hom_dims
+from lgtft.certificate import koszul_hom_dims
+from lgtft.matfact import hom_cohomology, koszul_factorization
 
 lg = make_lg_pair(["x", "y"], "x^5+y^5+x^2*y^2")
 a = koszul_factorization(lg, [("x^2", "x^3+y^2"), ("y", "y^4")])
@@ -1334,16 +1366,18 @@ def test_low_certificate_fails_closed():
     InternalCheckError, not a short table, plainly and under python -O.  The
     pieces are built at the model's degrees, and each holds the model's
     count there, so on both End(A) and Hom(B, A) the piece that brings a
-    parity past the lowered count raises, before the model check."""
+    parity past the lowered count raises, before the model check.  The
+    certificate is the model's count per parity, KoszulModel.classes, which
+    the Hom reads off the one model it keeps."""
     script = _STAGE + """
-from lgtft import matfact
+from lgtft import certificate, matfact
 from lgtft.errors import InternalCheckError
 from lgtft.lgpair import make_lg_pair
 lg = make_lg_pair(["x", "y"], "x^4+y^4")
 a = matfact.koszul_factorization(lg, [("x", "x^3"), ("y", "y^3")])
 b = matfact.koszul_factorization(lg, [("x^2", "x^2"), ("y", "y^3")])
-certify = matfact.koszul_hom_dims
-matfact.koszul_hom_dims = lambda s, t: tuple(d - 1 for d in certify(s, t))
+classes = certificate.KoszulModel.classes
+certificate.KoszulModel.classes = lambda model, t: classes(model, t) - 1
 for source, target in ((a, a), (b, a)):
     try:
         matfact.hom_cohomology(source, target)

@@ -19,6 +19,8 @@ PUBLIC_API = {
     "evaluate": "Polynomial: the value at a point",
     "from_dense": "SparseMatrix: a matrix from nested lists",
     "is_critical_set_finite": "jacobi: exported; the finiteness test with no job",
+    "koszul_hom_dims": "certificate: the certified (even, odd) dimensions of a Hom, "
+    "which HomCohomology reads off the model it keeps",
     "nullspace": "SparseMatrix: the canonical kernel basis; bench/tracer.py wraps it",
     "of_poly": "ResidueTrace: the trace of any polynomial, not only basis products",
     "parse_polynomial": "poly: exported; parses a string with no ring at hand",
