@@ -9,8 +9,13 @@ compose_key into a KeyText.  The cache splices a KeyText into both texts
 as it stands, which gives the same bytes json.dumps gives for the key as
 a list; a key of any other type is serialized with json.dumps.
 
-Payloads are returned as stored, without verification; a file that is not a
-JSON object recording its kind is a miss.  Groebner bases are not cached:
+A read checks that the file is, byte for byte, the record put writes for
+the kind and key asked for: it must start with {"key": <key text>, "kind":
+<kind>, "payload": and end with }.  Only the payload between is parsed; any
+other file is a miss, among them a record whose stored key is not the one
+asked for.  Records that older versions wrote through json.dumps of the
+whole record have the same bytes, so they are still read.  Payloads are
+returned as stored, without verification.  Groebner bases are not cached:
 computing one costs less than loading and verifying it, so groebner-* files
 written by older versions are never read; clear() removes them with the rest.
 """
@@ -55,6 +60,15 @@ def _key_text(key) -> str:
     return key if isinstance(key, KeyText) else key_part(key)
 
 
+def _head(kind: str, key_text: str) -> str:
+    """The text of a record up to its payload: the record's keys in sorted
+    order, each value as json's C encoder writes it."""
+    return (
+        f'{{"key": {key_text}, "kind": {encode_basestring_ascii(kind)}, '
+        '"payload": '
+    )
+
+
 class Cache:
     """Tiny key-value JSON store; disabled entirely when enabled=False.
 
@@ -78,15 +92,22 @@ class Cache:
     def get(self, kind: str, key):
         if not self.enabled:
             return None
-        path = f"{self._prefix}{self._name(kind, _key_text(key))}.json"
+        key_text = _key_text(key)
+        path = f"{self._prefix}{self._name(kind, key_text)}.json"
         try:
             with open(path, "rb") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
+                data = handle.read()
+        except OSError:
             return None
-        if not isinstance(record, dict) or record.get("kind") != kind:
+        # only the payload between the record's head and its closing brace
+        # is parsed
+        head = _head(kind, key_text).encode("utf-8")
+        if not data.startswith(head) or not data.endswith(b"}"):
             return None
-        return record.get("payload")
+        try:  # a UnicodeDecodeError is a ValueError
+            return json.loads(data[len(head) : -1].decode("utf-8"))
+        except ValueError:
+            return None
 
     def put(self, kind: str, key, payload):
         if not self.enabled:
@@ -94,13 +115,9 @@ class Cache:
         os.makedirs(self._prefix, exist_ok=True)
         key_text = _key_text(key)
         name = self._name(kind, key_text)
-        # the record's keys in sorted order, each value as the C encoder
-        # writes it; json.dump would stream the same text through the
-        # pure-Python one
-        text = (
-            f'{{"key": {key_text}, "kind": {encode_basestring_ascii(kind)}, '
-            f'"payload": {json.dumps(payload, sort_keys=True)}}}'
-        )
+        # json.dump would stream the same text through the pure-Python
+        # encoder
+        text = f"{_head(kind, key_text)}{json.dumps(payload, sort_keys=True)}}}"
         # a temp file of its own per writer, so concurrent writers of one key
         # never write into each other's file; the last replace wins whole
         fd, tmp = tempfile.mkstemp(dir=self._prefix, prefix=name + "-", suffix=".tmp")

@@ -74,8 +74,7 @@ def _monic(g: Polynomial) -> tuple:
 
 def _divide(terms: dict, reducers: list) -> dict:
     """The remainder's terms in the division loop of normal_form, of the
-    terms of a polynomial by reducers (see _monic); the residue trace pads
-    a basis's reducers into two variable groups."""
+    terms of a polynomial by reducers (see _monic)."""
     work = dict(terms)
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapq.heapify(heap)

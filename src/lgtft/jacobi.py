@@ -17,11 +17,14 @@ sum_{a,b} C[a][b] m_a(x) m_b(y) modulo the Jacobi ideal in both variable
 groups; then C^{-1} is the Gram matrix of the residue pairing on the standard
 monomial basis.  This normalization automatically satisfies
 trace(det Hessian) = dim, which is checked (the Hessian from the second
-partials), as are C's nonsingularity and the Gram matrix's symmetry.  The
-Bezoutian's terms, on exponent tuples of the x and then the y variables, are
-divided by the Jacobi basis's own reducers padded into both halves, which
-share no variable and so form a Groebner basis in 2d variables: no second
-ring or basis is built.  An algebra over MILNOR_LIMIT is refused first.
+partials), as are C's nonsingularity and the Gram matrix's symmetry.  C is
+read off per-half normal forms: the Bezoutian's terms are on exponent tuples
+of the x and then the y variables, and a term c x^a y^b adds c nf(x^a)
+nf(y^b) to C.  The two halves share no variable, so that is the term's
+normal form modulo the Jacobi ideal in both variable groups, and no second
+ring, basis or division in 2d variables is needed.  A standard monomial is
+its own normal form, and any other is divided by the Jacobi basis's
+reducers once per trace.  An algebra over MILNOR_LIMIT is refused first.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
 from .groebner import GroebnerBasis, _divide
 from .linalg import SparseMatrix, Vector, columns_apply, vec_scale
 from .poly import Polynomial
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational
 
 if TYPE_CHECKING:  # lgpair imports this module: LGPair keeps its algebra
     from .lgpair import LGPair
@@ -244,6 +247,53 @@ def _bezoutian_rows(partials, d: int) -> list:
     return rows
 
 
+def _half_form(exps: tuple, index: dict, reducers: list, forms: dict) -> tuple:
+    """The normal form of x^exps in one half as (position, coefficient)
+    pairs on the standard monomials, kept in forms: a standard monomial is
+    its own, and any other is divided by the Jacobi basis's reducers."""
+    found = forms.get(exps)
+    if found is None:
+        k = index.get(exps)
+        if k is not None:
+            found = ((k, ONE),)
+        else:
+            found = tuple(
+                (index[e], c) for e, c in _divide({exps: ONE}, reducers).items()
+            )
+        forms[exps] = found
+    return found
+
+
+def _bezoutian_matrix(lg: LGPair) -> SparseMatrix:
+    """C, the Bezoutian modulo the Jacobi ideal in both variable groups as
+    sum_{a,b} C[a][b] m_a(x) m_b(y): each of its terms c x^a y^b adds c
+    nf(x^a) nf(y^b) (see _half_form)."""
+    algebra = lg.jacobi_algebra
+    d = lg.dimension
+    mu = algebra.dimension
+    index = algebra.index
+    reducers = algebra.gb.reducers
+    forms = {}
+    rows = [{} for _ in range(mu)]
+    for exps, coeff in _det(_bezoutian_rows(lg.partials(), d)).items():
+        right = _half_form(exps[d:], index, reducers, forms)
+        for a, ca in _half_form(exps[:d], index, reducers, forms):
+            row = rows[a]
+            factor = coeff if ca is ONE else coeff * ca
+            for b, cb in right:
+                term = factor if cb is ONE else factor * cb
+                acc = row.get(b)
+                if acc is None:
+                    row[b] = term
+                else:
+                    total = acc + term
+                    if total:
+                        row[b] = total
+                    else:
+                        del row[b]
+    return SparseMatrix(mu, mu, rows)
+
+
 class ResidueTrace:
     """The residue functional on a Jacobi algebra, with its Gram matrix."""
 
@@ -289,27 +339,8 @@ def _residue_trace(lg: LGPair, scale: GaussianRational) -> ResidueTrace:
         raise DegenerateTraceError(
             "the Jacobi algebra is zero; no trace exists"
         )
-    d = lg.dimension
-    pad = (0,) * d
-    # the basis's reducers in the x half, then in the y half: no cross pair
-    # shares a variable, so together they are a Groebner basis in 2d variables
-    reducers = algebra.gb.reducers
-    halves = [
-        (lead + pad, inverse, [(e + pad, c) for e, c in tail])
-        for lead, inverse, tail in reducers
-    ] + [
-        (pad + lead, inverse, [(pad + e, c) for e, c in tail])
-        for lead, inverse, tail in reducers
-    ]
-    reduced = _divide(_det(_bezoutian_rows(lg.partials(), d)), halves)
-
-    # each remainder term is c m_a(x) m_b(y), with m_a and m_b standard
     mu = algebra.dimension
-    index = algebra.index
-    rows = [{} for _ in range(mu)]
-    for exps, coeff in reduced.items():
-        rows[index[exps[:d]]][index[exps[d:]]] = coeff
-    c_matrix = SparseMatrix(mu, mu, rows)
+    c_matrix = _bezoutian_matrix(lg)
     try:
         gram_unscaled = c_matrix.inverse()
     except SingularMatrixError as exc:

@@ -15,7 +15,8 @@ one elimination routine, SparseMatrix._rref_rows, run in one of two modes:
   and the TFT clause ranks;
 - the reduction, rref(): each pivot row is cleared above and below its pivot,
   giving the unique RREF.  It runs only where canonical rows are read: solve
-  and inverse reduce [A | b] and [A | I], and a complex reduces the kernel
+  reduces [A | b] and inverse [A' | I], A' being A less its 1x1 blocks
+  (none of them is eliminated), and a complex reduces the kernel
   of a piece for its quotient and the map in cut to kernel coordinates.
 
 echelon_kernel solves kernel vectors, and echelon_reduce reduces a vector
@@ -317,19 +318,42 @@ class SparseMatrix:
         return solution
 
     def inverse(self) -> "SparseMatrix":
-        """A^-1, read off the RREF [I | A^-1] of [A | I]."""
+        """A^-1.  A 1x1 block, a row with one entry v at a column that holds
+        no other entry, is inverted directly: it puts 1/v at the transposed
+        place.  The other rows lie in the other columns, so together they
+        are a square matrix A', and A^-1 holds A'^-1 there, read off the
+        RREF [I | A'^-1] of [A' | I]; A is singular exactly when A' is."""
         n = self.nrows
         if n != self.ncols:
             raise ShapeError("only square matrices can be inverted")
-        rows = [dict(row) for row in self.rows]
-        for k, row in enumerate(rows):
-            row[n + k] = GaussianRational(1)
-        pivot_cols, reduced = SparseMatrix(n, 2 * n, rows).rref()
-        if pivot_cols != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return SparseMatrix(
-            n, n, [{j - n: v for j, v in row.items() if j >= n} for row in reduced]
-        )
+        held = [0] * n  # column -> how many rows hold an entry there
+        for row in self.rows:
+            for j in row:
+                held[j] += 1
+        inverse = [None] * n
+        rest = []  # the rows outside 1x1 blocks
+        for i, row in enumerate(self.rows):
+            if len(row) == 1:
+                [(j, v)] = row.items()
+                if held[j] == 1:
+                    inverse[j] = {i: v.inverse()}
+                    continue
+            rest.append(i)
+        if rest:
+            cols = [j for j in range(n) if inverse[j] is None]
+            position = {j: k for k, j in enumerate(cols)}
+            m = len(rest)
+            rows = []
+            for k, i in enumerate(rest):
+                row = {position[j]: v for j, v in self.rows[i].items()}
+                row[m + k] = ONE
+                rows.append(row)
+            pivot_cols, reduced = SparseMatrix(m, 2 * m, rows).rref()
+            if pivot_cols != list(range(m)):
+                raise SingularMatrixError("matrix is singular")
+            for j, row in zip(cols, reduced):
+                inverse[j] = {rest[k - m]: v for k, v in row.items() if k >= m}
+        return SparseMatrix(n, n, inverse)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

@@ -628,10 +628,12 @@ class HomCohomology:
     basis of the Hom.  A certified Hom whose bound cuts off a class falls
     short of the certificate and reports stabilized False.  Without a
     certificate each degree up to the bound counts FreeComplex.dim's
-    classes, its size less its ranks out and in.  Either way every unbuilt
-    degree is acyclic, and class_of reads a component there, up to the
-    bound, off the complex's entries alone: it is a cocycle exactly when
-    they send it to zero, and then a coboundary, with zero coordinates.
+    classes, its size less its ranks out and in, and the Hom is stabilized
+    when no class sits at the bound or one below it, bound 0 included.
+    Either way every unbuilt degree is acyclic, and class_of reads a
+    component there, up to the bound, off the complex's entries alone: it
+    is a cocycle exactly when they send it to zero, and then a coboundary,
+    with zero coordinates.
     All of this fails closed, also under python -O.
 
     Windowed with a model, nothing is eliminated: the classes are the
@@ -713,7 +715,11 @@ class HomCohomology:
             self._add_piece(*key, *complex_.piece(*key), counts[key])
         if self._complete():
             self._check_model()
-        top = (self.bound - 1, self.bound) if self.bound >= 1 else ()
+        # a certified Hom at bound 0 is stabilized when it holds its count
+        top = (
+            (self.bound - 1, self.bound)
+            if self.bound >= 1 or self.certified is None else ()
+        )
         self.stabilized = (self.certified is None or self._complete()) and not any(
             m in top for parity in (0, 1) for m, _ in self.layout[parity]
         )

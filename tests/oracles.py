@@ -30,7 +30,10 @@ per index replaced, and the weights of W read off a SparseMatrix nullspace
 over Q(i) with Fraction arithmetic, which the integer kernel replaced, and
 the residue trace's Bezoutian built as Polynomials in a second ring of 2d
 variables and divided by a second GroebnerBasis there, which the terms
-divided by the Jacobi basis's own reducers replaced.
+divided by the Jacobi basis's own reducers replaced, and the trace's C read
+off the Bezoutian divided by those reducers padded into both variable
+groups, which per-half normal forms replaced, and the inverse read off the
+RREF of the whole [A | I], which inverting 1x1 blocks directly replaced.
 They share only the polynomial and sparse-vector arithmetic substrate, which
 has its own algebraic-law tests.  full_hom_pieces is the exception: it
 eliminates every Hom piece in full and takes its quotient through the
@@ -44,7 +47,12 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from lgtft.errors import FactorizationError, InternalCheckError, ParseError
+from lgtft.errors import (
+    FactorizationError,
+    InternalCheckError,
+    ParseError,
+    SingularMatrixError,
+)
 from lgtft.linalg import SparseMatrix, echelon_kernel, vec_axpy, vec_scale
 from lgtft.scalars import GaussianRational, scalar_str
 from lgtft.poly import Polynomial, mono_div, mono_mul
@@ -1259,8 +1267,52 @@ def two_ring_residue_trace(lg, scale):
     c_matrix = SparseMatrix(mu, mu)
     for exps, coeff in reduced.terms.items():
         c_matrix.set(algebra.index[exps[:d]], algebra.index[exps[d:]], coeff)
-    gram = c_matrix.inverse()
+    gram = rref_inverse(c_matrix)
     scale = GaussianRational.coerce(scale)
     values = tuple(scale * gram.get(algebra.unit_index, k) for k in range(mu))
     scaled = SparseMatrix(mu, mu, [vec_scale(row, scale) for row in gram.rows])
     return values, scaled
+
+
+from lgtft.groebner import _divide  # noqa: E402
+from lgtft.jacobi import _bezoutian_rows, _det  # noqa: E402
+
+
+def padded_halves_bezoutian_matrix(lg):
+    """The residue trace's C by the route per-half normal forms replaced: the
+    Bezoutian's determinant, on exponent tuples of the x and then the y
+    variables, divided in 2d variables by the Jacobi basis's reducers padded
+    into both halves (no cross pair shares a variable, so together they are
+    a Groebner basis there); each remainder term c m_a(x) m_b(y) is C[a][b]."""
+    algebra = lg.jacobi_algebra
+    d = lg.dimension
+    pad = (0,) * d
+    reducers = algebra.gb.reducers
+    halves = [
+        (lead + pad, inverse, [(e + pad, c) for e, c in tail])
+        for lead, inverse, tail in reducers
+    ] + [
+        (pad + lead, inverse, [(pad + e, c) for e, c in tail])
+        for lead, inverse, tail in reducers
+    ]
+    reduced = _divide(_det(_bezoutian_rows(lg.partials(), d)), halves)
+    mu = algebra.dimension
+    rows = [{} for _ in range(mu)]
+    for exps, coeff in reduced.items():
+        rows[algebra.index[exps[:d]]][algebra.index[exps[d:]]] = coeff
+    return SparseMatrix(mu, mu, rows)
+
+
+def rref_inverse(matrix):
+    """A^-1 read off the RREF [I | A^-1] of the whole [A | I], every row
+    eliminated; SingularMatrixError when A is singular."""
+    n = matrix.nrows
+    rows = [dict(row) for row in matrix.rows]
+    for k, row in enumerate(rows):
+        row[n + k] = GaussianRational(1)
+    pivot_cols, reduced = SparseMatrix(n, 2 * n, rows).rref()
+    if pivot_cols != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return SparseMatrix(
+        n, n, [{j - n: v for j, v in row.items() if j >= n} for row in reduced]
+    )

@@ -199,3 +199,89 @@ def test_cached_job_serializes_each_key_part_once(tmp_path, monkeypatch):
     run_job(spec, cache)
     assert len(serialized) == 5
     assert [sum(part in text for text in serialized) for part in parts] == [1, 1, 1]
+
+
+# -- reads that check the record's bytes ---------------------------------------
+
+
+def _hom_spec(bound):
+    return JobSpec.from_dict({
+        "variables": ["x", "y"],
+        "superpotential": "x^4+y^4",
+        "branes": [{"name": "A", "pairs": [["x", "x^3"], ["y", "y^3"]]}],
+        "compute": ["homs"],
+        "degree_bound": bound,
+    })
+
+
+def test_record_under_another_keys_name_is_a_miss(tmp_path):
+    """End(A) at bound 2 and at bound 3 are two entries.  The bound-2 record
+    copied over the bound-3 file holds another key than the one asked for:
+    the job reads it as a miss, recomputes the bound-3 Hom and rewrites its
+    entry.  A read that did not compare the stored key served the bound-2
+    payload as the bound-3 one."""
+    cache = Cache(tmp_path)
+    low = tmp_path / "low"
+    run_job(_hom_spec(2), Cache(low))
+    [low_entry] = low.iterdir()
+    expected = run_job(_hom_spec(3), cache)["results"]
+    [entry] = tmp_path.glob("*.json")
+    right = entry.read_bytes()
+    assert json.loads(low_entry.read_bytes())["payload"]["bound"] == 2
+    assert expected["homs"]["A|A"]["bound"] == 3
+    entry.write_bytes(low_entry.read_bytes())
+    assert run_job(_hom_spec(3), cache)["results"] == expected
+    assert entry.read_bytes() == right
+    entry.write_bytes(low_entry.read_bytes())
+    assert cache.get("hom", json.loads(right)["key"]) is None
+
+
+def _one_entry(tmp_path, kind="hom", key=("k", 1), payload=None):
+    cache = Cache(tmp_path)
+    payload = {"dims": {"even": 2, "odd": 2}} if payload is None else payload
+    cache.put(kind, list(key), payload)
+    [entry] = tmp_path.glob("*.json")
+    return cache, entry, payload
+
+
+@pytest.mark.parametrize("tail", [b"\n", b" ", b"{}", b"}"])
+def test_record_with_bytes_after_its_closing_brace_is_a_miss(tmp_path, tail):
+    cache, entry, payload = _one_entry(tmp_path)
+    assert cache.get("hom", ["k", 1]) == payload
+    entry.write_bytes(entry.read_bytes() + tail)
+    assert cache.get("hom", ["k", 1]) is None
+
+
+def test_record_of_another_kind_is_a_miss(tmp_path):
+    """A koszul record under the file name of the same key's hom entry."""
+    cache, koszul_entry, _ = _one_entry(tmp_path / "koszul", kind="koszul")
+    hom_cache, hom_entry, _ = _one_entry(tmp_path)
+    hom_entry.write_bytes(koszul_entry.read_bytes())
+    assert hom_cache.get("hom", ["k", 1]) is None
+    assert cache.get("koszul", ["k", 1]) is not None
+
+
+def test_record_written_through_json_dumps_of_the_whole_record_hits(tmp_path):
+    """Older versions wrote json.dumps({...}, sort_keys=True) of the whole
+    record, keys with non-ASCII text included; put writes the same bytes,
+    and get reads both."""
+    key = ["W", {"b": [1, 2], "a": "é"}, None, 2.5]
+    payload = {"z": [1, {"y": True}], "a": "été"}
+    name, text = dumped_cache_entry("hom", key, payload)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    cache = Cache(tmp_path)
+    assert cache.get("hom", key) == payload
+    cache.put("hom", key, payload)
+    assert (tmp_path / name).read_text(encoding="utf-8") == text
+    assert cache.get("hom", KeyText(json.dumps(key, sort_keys=True))) == payload
+
+
+def test_tampered_payload_is_still_served_unverified(tmp_path):
+    """A payload changed inside a record with the right kind and key is
+    returned as it stands: payloads are not verified against a model yet
+    (ROADMAP item 6, a trusted warm path, stays open)."""
+    cache, entry, payload = _one_entry(tmp_path)
+    text = entry.read_bytes()
+    assert text.count(b'"even": 2') == 1
+    entry.write_bytes(text.replace(b'"even": 2', b'"even": 7'))
+    assert cache.get("hom", ["k", 1]) == {"dims": {"even": 7, "odd": 2}}

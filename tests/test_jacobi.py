@@ -15,6 +15,7 @@ from lgtft.errors import DegenerateTraceError, NonIsolatedCriticalLocusError
 from lgtft.groebner import GroebnerBasis
 from lgtft.jacobi import (
     JacobiAlgebra,
+    _bezoutian_matrix,
     _bezoutian_rows,
     hessian_determinant,
     is_critical_set_finite,
@@ -37,6 +38,7 @@ from oracles import (
     loop_divided_difference,
     normal_form_table,
     nullspace_detect_weights,
+    padded_halves_bezoutian_matrix,
     residue_one_var,
     staircase_count,
     table_is_associative,
@@ -325,6 +327,25 @@ def test_reference_traces_match_the_two_ring_route(variables, w):
         assert _holds_to_the_two_ring_route(make_lg_pair(variables, w), scale)
 
 
+def test_bench_ws_are_reference_ws():
+    """The four W of the bench templates beyond x^4+y^4 are among the
+    reference W, so the tests over _REFERENCE_WS cover them."""
+    assert {
+        (("x", "y"), "x^5*y + y^6"),
+        (("x", "y", "z"), "x^6 + y^6 + z^6"),
+        (("x", "y", "z"), "x*y*z^2 + x^3 + y^3 + z^3"),
+        (("x", "y"), "x^5 + y^5 + x^2*y^2"),
+    } <= set(_REFERENCE_WS)
+
+
+@pytest.mark.parametrize("variables,w", _REFERENCE_WS)
+def test_reference_bezoutian_matrices_match_the_padded_halves_route(variables, w):
+    """C from per-half normal forms equals, entry for entry, C read off the
+    Bezoutian divided by the reducers padded into both halves."""
+    lg = make_lg_pair(variables, w)
+    assert _bezoutian_matrix(lg) == padded_halves_bezoutian_matrix(lg)
+
+
 _GAUSSIAN = st.builds(
     GaussianRational,
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
@@ -366,11 +387,12 @@ def _small_finite_ws(draw):
 @settings(max_examples=80, deadline=2000)
 def test_small_traces_match_the_two_ring_route(case):
     """A pool of small W, 1-3 variables, graded and not, mu <= 30, each at
-    one of the scales."""
+    one of the scales; their C also matches the padded-halves route."""
     variables, w, scale = case
     lg = make_lg_pair(variables, w)
     assume(is_critical_set_finite(lg))
     assume(0 < milnor_number(lg) <= 30)
+    assert _bezoutian_matrix(lg) == padded_halves_bezoutian_matrix(lg)
     assert _holds_to_the_two_ring_route(lg, scale)
 
 
@@ -384,14 +406,33 @@ from lgtft.linalg import SparseMatrix
 inverse = SparseMatrix.inverse
 
 
+def off_diagonal(self, in_block):
+    # the first entry (i, j), i != j, of C inside a 1x1 block (the only entry
+    # of its row and of its column), or outside them, in the RREF's remainder
+    held = {}
+    for row in self.rows:
+        for col in row:
+            held[col] = held.get(col, 0) + 1
+    for i, row in enumerate(self.rows):
+        block = len(row) == 1 and held[next(iter(row))] == 1
+        if block == in_block:
+            for col in row:
+                if col != i:
+                    return row, col
+    raise LookupError
+
+
 def corrupted(self):
     # self is C, the Bezoutian's coefficient matrix, before its inverse
     if sys.argv[1] == "coefficient":
         row = next(row for row in self.rows if row)
         col = next(iter(row))
-        row[col] = row[col] + 1
-    else:
+    elif sys.argv[1] == "row":
         self.rows[0].clear()
+        return inverse(self)
+    else:
+        row, col = off_diagonal(self, sys.argv[1] == "block")
+    row[col] = row[col] + 1
     return inverse(self)
 
 
@@ -405,21 +446,39 @@ for variables, w in [
         residue_trace(make_lg_pair(variables, w))
     except (DegenerateTraceError, InternalCheckError) as exc:
         print(type(exc).__name__)
+    except LookupError:
+        print("none")
     else:
         print("passed")
 """
 
 
+# the W of _CORRUPT_C_SCRIPT with no entry to corrupt: C is monomial on
+# x^4+y^4, and its one 1x1 block on x^4+y^4+x*y^2 is on the diagonal
+_NO_SUCH_ENTRY = {"block": 1, "remainder": 0}
+
+
 @pytest.mark.parametrize(
     "corruption,error",
-    [("coefficient", "InternalCheckError"), ("row", "DegenerateTraceError")],
+    [
+        ("coefficient", "InternalCheckError"),
+        ("row", "DegenerateTraceError"),
+        ("block", "InternalCheckError"),
+        ("remainder", "InternalCheckError"),
+    ],
 )
 def test_trace_checks_fail_closed(corruption, error):
     """C with one coefficient changed gives an asymmetric Gram matrix or a
-    failed Hessian normalization; C with a zeroed row is singular.  Both
-    raise, plainly and under python -O."""
+    failed Hessian normalization; C with a zeroed row is singular.  So does
+    an entry off the diagonal changed inside a 1x1 block, which inverse
+    inverts directly, or outside them, in the remainder it reduces
+    (x^3+y^3+z^3+x*y*z^2 has both; "none" where a W has no such entry).
+    Each raises, plainly and under python -O."""
+    expected = [error] * 3
+    if corruption in _NO_SUCH_ENTRY:
+        expected[_NO_SUCH_ENTRY[corruption]] = "none"
     for out in run_both_modes(_CORRUPT_C_SCRIPT, corruption).values():
-        assert out.split() == [error] * 3
+        assert out.split() == expected
 
 
 def _random_polynomial(rng, ring, terms, max_exp):

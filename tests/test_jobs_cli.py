@@ -940,15 +940,21 @@ def test_koszul_job_eliminates_each_matrix_once(monkeypatch, variables, w, bound
 # and a graded brane's weight edges read off D's terms (the windowed job's
 # W has no weights, so no edges are read there and entries is not pinned).
 # One PolyRing (W's) and one GroebnerBasis (the Jacobi ideal's): the residue
-# trace divides by that basis's reducers padded into x and y, with no ring
-# or basis in 2n variables.  Each partial's leading term is read once, when
+# trace reads C off normal forms in x and in y apart, with no ring or basis
+# in 2n variables.  Each partial's leading term is read once, when
 # Buchberger's algorithm makes it monic, and kept with its reducer, which
 # interreduction, verify and every normal form read: no _reducers call.
+# C is monomial on x^4+y^4, all 1x1 blocks, so inverting it eliminates
+# nothing (no _rref_rows).  The five cache reads (one Koszul table, four
+# Homs) each JSON-parse the payload alone: a parsed text is counted as a key
+# when it holds the LG pair's key text, which the reads compare as bytes,
+# and as a payload otherwise.
 _CACHED_JOB_CALLS = {
     "warm.graded": {
         "partial_derivative": 6, "s_polynomial": 0, "from_terms": 0,
         "nullspace": 0, "entries": 0, "PolyRing": 1, "GroebnerBasis": 1,
-        "leading_term": 2, "_reducers": 0,
+        "leading_term": 2, "_reducers": 0, "_rref_rows": 0,
+        "parsed payloads": 5, "parsed keys": 0,
     },
     "warm.windowed": {
         "partial_derivative": 6, "s_polynomial": 0, "from_terms": 0,
@@ -978,6 +984,7 @@ def test_cached_job_work_counts(tmp_path, monkeypatch):
         "GroebnerBasis": (GroebnerBasis, "__init__"),
         "leading_term": (Polynomial, "leading_term"),
         "_reducers": (lgtft.groebner, "_reducers"),
+        "_rref_rows": (SparseMatrix, "_rref_rows"),
     }
     calls = dict.fromkeys(sites, 0)
     for name, (owner, attribute) in sites.items():
@@ -986,13 +993,26 @@ def test_cached_job_work_counts(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attribute, counting)
+    parsed = []  # the texts json.loads parses, as bytes
+    loads = json.loads
+
+    def recording_loads(text, **kwargs):
+        parsed.append(text if isinstance(text, bytes) else text.encode("utf-8"))
+        return loads(text, **kwargs)
+
     counts = {}
     for template in _CACHED_JOB_CALLS:
         spec = JobSpec.from_dict(harness.unseeded(template).raw)
         cache = Cache(tmp_path / template)
         run_job(spec, cache)
+        lg_text = json.dumps(list(lgtft.jobs._build_lg(spec).key())).encode("utf-8")
         calls.update(dict.fromkeys(sites, 0))
+        del parsed[:]
+        monkeypatch.setattr(json, "loads", recording_loads)
         run_job(spec, cache)
+        monkeypatch.setattr(json, "loads", loads)
+        keys = sum(lg_text in text for text in parsed)
+        calls["parsed payloads"], calls["parsed keys"] = len(parsed) - keys, keys
         counts[template] = {name: calls[name] for name in _CACHED_JOB_CALLS[template]}
     assert counts == _CACHED_JOB_CALLS
 

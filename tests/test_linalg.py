@@ -21,6 +21,7 @@ from both_modes import run_both_modes
 from oracles import (
     dense_rank,
     indexed_rref,
+    rref_inverse,
     rref_nullspace,
     rref_reduce,
     scan_nullspace,
@@ -134,6 +135,106 @@ def test_inverse_against_dense_rank(entries):
     inv = m.inverse()
     assert sparse_matmul(m, inv) == SparseMatrix.identity(n)
     assert sparse_matmul(inv, m) == SparseMatrix.identity(n)
+
+
+_nonzero_rationals = gaussian_rationals.filter(bool)
+_INVERSE_KINDS = (
+    "monomial", "block-diagonal", "connected", "zero row", "shared column",
+)
+
+
+@st.composite
+def blocked_square_matrices(draw):
+    """(kind, A), A square, up to 7 x 7, of one of the kinds:
+
+    - monomial: one nonzero entry per row and per column, all 1x1 blocks;
+    - block-diagonal: square blocks of sizes 1 to 3, each entry of a larger
+      block zero or not, rows and columns then permuted;
+    - connected: each entry zero or not, with no block structure imposed;
+    - zero row: a block-diagonal matrix with one row cleared;
+    - shared column: a block-diagonal matrix in which two rows hold one
+      entry each, in one column (singular, and neither row a 1x1 block).
+    """
+    kind = draw(st.sampled_from(_INVERSE_KINDS))
+    n = draw(st.integers(2 if kind == "shared column" else 1, 7))
+    rows = [{} for _ in range(n)]
+    if kind == "monomial":
+        for i, j in enumerate(draw(st.permutations(range(n)))):
+            rows[i][j] = draw(_nonzero_rationals)
+    elif kind == "connected":
+        for row in rows:
+            for j in range(n):
+                if draw(st.booleans()):
+                    row[j] = draw(_nonzero_rationals)
+    else:
+        row_order = draw(st.permutations(range(n)))
+        col_order = draw(st.permutations(range(n)))
+        start = 0
+        while start < n:
+            size = draw(st.integers(1, min(3, n - start)))
+            for a in range(start, start + size):
+                for b in range(start, start + size):
+                    if size == 1 or draw(st.booleans()):
+                        rows[row_order[a]][col_order[b]] = draw(_nonzero_rationals)
+            start += size
+        if kind == "zero row":
+            rows[draw(st.integers(0, n - 1))].clear()
+        elif kind == "shared column":
+            i, k = draw(
+                st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            )
+            col = draw(st.integers(0, n - 1))
+            rows[i] = {col: draw(_nonzero_rationals)}
+            rows[k] = {col: draw(_nonzero_rationals)}
+    return kind, SparseMatrix(n, n, rows)
+
+
+@given(blocked_square_matrices())
+@settings(max_examples=400, deadline=None)
+def test_inverse_against_the_whole_rref(case):
+    """inverse, which inverts 1x1 blocks directly and reduces [A' | I] over
+    the other rows only, equals the inverse read off the RREF of the whole
+    [A | I], and raises SingularMatrixError exactly when that does; A is
+    left as it was."""
+    kind, m = case
+    before = [dict(row) for row in m.rows]
+    try:
+        expected = rref_inverse(m)
+    except SingularMatrixError:
+        assert kind != "monomial"
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    else:
+        assert kind not in ("zero row", "shared column")
+        assert m.inverse() == expected
+    assert m.rows == before
+
+
+def test_inverse_reduces_only_the_rows_outside_1x1_blocks(monkeypatch):
+    """A monomial matrix is inverted with no elimination; a matrix with two
+    1x1 blocks around a 2x2 block reduces [A' | I] of that block alone, a
+    2 x 4 matrix."""
+    rref_rows = SparseMatrix._rref_rows
+    shapes = []
+
+    def recording(self, reduce=True):
+        shapes.append((self.nrows, self.ncols))
+        return rref_rows(self, reduce)
+
+    monomial = SparseMatrix(3, 3, [{2: g(2)}, {0: I}, {1: g(-3)}])
+    mixed = SparseMatrix(
+        4, 4, [{3: g(5)}, {0: g(1), 2: g(1)}, {1: g(4)}, {0: g(1), 2: g(2)}]
+    )
+    expected = rref_inverse(mixed)
+    monkeypatch.setattr(SparseMatrix, "_rref_rows", recording)
+    assert monomial.inverse() == SparseMatrix(3, 3, [
+        {1: -I},
+        {2: GaussianRational(Fraction(-1, 3))},
+        {0: GaussianRational(Fraction(1, 2))},
+    ])
+    assert shapes == []
+    assert mixed.inverse() == expected
+    assert shapes == [(2, 4)]
 
 
 def _vectors(length):

@@ -1033,6 +1033,25 @@ def test_short_window_is_not_stabilized():
     assert not BraneCategory(lg, [("A", a)], degree_bound=2).hom_finite()
 
 
+def test_an_uncertified_hom_at_bound_0_is_not_stabilized():
+    """Without a certificate, degree 0 is a top degree at bound 0: End of the
+    d01/d10 twin of (x^3, x^3)(y^3, y^3) on x^6+y^6 holds 2|2 classes in
+    degree 0 of its 18|18, so it is not stabilized there, as at bound 1.
+    The test of the top degrees used to be empty at bound 0, which reported
+    it stabilized.  The certified brane's own End is unchanged."""
+    lg = make_lg_pair(["x", "y"], "x^6+y^6")
+    brane = koszul_factorization(lg, [("x^3", "x^3"), ("y^3", "y^3")])
+    twin = _twin(brane)
+    for bound in (0, 1):
+        hom = hom_cohomology(twin, twin, degree_bound=bound)
+        assert hom.certified is None
+        assert (hom.dim(0), hom.dim(1), hom.stabilized) == (2, 2, False)
+    hom = hom_cohomology(brane, brane, degree_bound=0)
+    assert hom.certified == (18, 18)
+    assert (hom.dim(0), hom.dim(1), hom.stabilized) == (2, 2, False)
+    assert hom_cohomology(twin, twin).stabilized
+
+
 def test_a_cut_certified_hom_forward_passes_only_its_pieces(monkeypatch):
     """A certified graded Hom whose bound cuts off a class takes the model's
     counts at or below the bound, as one whose bound holds every class does:
